@@ -82,8 +82,12 @@ type Config struct {
 
 // Hooks are optional instrumentation callbacks.
 type Hooks struct {
-	// PlanGenerated fires for every plan constructed (scan enumeration
-	// and join combination), before pruning.
+	// PlanGenerated fires for every plan enumerated (scan enumeration
+	// and join combination), before pruning. Join alternatives are
+	// passed from the optimizer's enumeration scratch: p and p.Cost are
+	// valid only for the duration of the callback (p.Left and p.Right
+	// are retained plans and stay valid); a callback that keeps a plan
+	// must copy it, e.g. through Signature().
 	PlanGenerated func(p *plan.Node)
 	// PairCombined fires for every sub-plan pair passed to the join
 	// enumeration.

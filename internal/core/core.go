@@ -34,7 +34,9 @@ type Optimizer struct {
 	epoch uint64
 
 	// arena allocates every plan node (and its cost vector) this
-	// optimizer generates, assigning dense uint32 IDs (DESIGN.md D8).
+	// optimizer retains — scan plans, and join plans at the moment prune
+	// inserts them into a plan set — assigning dense uint32 IDs
+	// (DESIGN.md D8). Plans prune discards never reach it.
 	arena *plan.Arena
 
 	// pairMemo implements predicate IsFresh: a sub-plan pair, packed as
@@ -60,7 +62,9 @@ type Optimizer struct {
 	scaledScratch cost.Vector        // α_r·c(p) in prune
 	boundScratch  cost.Vector        // query box min(α_r·c(p), b) in prune
 	drainScratch  []rangeindex.Entry // phase-one candidate retrieval
-	altsScratch   []*plan.Node       // scan/join alternative enumeration
+	altNodes      []plan.Node        // one pair's join alternatives, by value
+	altFloats     []float64          // backing store of altNodes' cost vectors
+	altsScratch   []*plan.Node       // scan plans, or pointers into altNodes
 	altsKeep      []bool             // frontier filter over altsScratch
 	visAll        []*plan.Node       // visible-set collection
 	visEpochs     []uint64           // insertion epochs of visAll
@@ -77,6 +81,14 @@ type Optimizer struct {
 	pruneP     *plan.Node
 	pruneExact bool
 	pruneAppr  bool
+
+	// witnesses[:witN] are the result plans of table set witSub that
+	// most recently proved an exact dominance in the current invocation,
+	// most recent first; prune probes them before querying the index
+	// (DESIGN.md D9). Emptied whenever witSub or the invocation changes.
+	witnesses [witnessCap]*plan.Node
+	witN      int
+	witSub    tableset.Set
 }
 
 // pairID packs an ordered sub-plan pair into the memo key. Node IDs are
@@ -128,6 +140,7 @@ func NewOptimizer(q *query.Query, cfg Config) (*Optimizer, error) {
 		}
 		if pA.Rows <= o.pruneP.Rows && pA.Cost.Dominates(o.pruneP.Cost) {
 			o.pruneExact = true
+			o.noteWitness(pA)
 			return false
 		}
 		return true
@@ -223,6 +236,7 @@ func (o *Optimizer) Optimize(b cost.Vector, r int) {
 
 	o.epoch++
 	o.stats.Invocations++
+	o.witN = 0 // witnesses were retrieved under the previous focus
 
 	if !o.initialized {
 		o.initScans(b, r)
@@ -246,7 +260,7 @@ func (o *Optimizer) Optimize(b cost.Vector, r int) {
 				if o.cfg.Hooks.CandidateRetrieved != nil {
 					o.cfg.Hooks.CandidateRetrieved(p)
 				}
-				o.prune(sub, b, r, p)
+				o.prune(sub, b, r, p, false)
 			}
 		}
 	}
@@ -292,7 +306,7 @@ func (o *Optimizer) initScans(b cost.Vector, r int) {
 			if o.cfg.Hooks.PlanGenerated != nil {
 				o.cfg.Hooks.PlanGenerated(p)
 			}
-			o.prune(sub, b, r, p)
+			o.prune(sub, b, r, p, false)
 		}
 	})
 }

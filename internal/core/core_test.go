@@ -29,6 +29,21 @@ func smallQuery(t testing.TB) *query.Query {
 	}, query.WithName("small"), query.WithFilter(0, 0.2))
 }
 
+// chain4 and star4 are the benchmark's cold_distinct query shapes: a
+// 4-table chain and a 4-table star over the TPC-H catalog with seeded
+// selectivities and filters.
+func chain4(t testing.TB) *query.Query { return synthetic4(t, query.Chain, 11) }
+func star4(t testing.TB) *query.Query  { return synthetic4(t, query.Star, 12) }
+
+func synthetic4(t testing.TB, tp query.Topology, seed int64) *query.Query {
+	t.Helper()
+	q, err := query.Synthetic(catalog.TPCH(1), 4, tp, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
 func defaultConfig() Config {
 	return Config{
 		Model:            costmodel.Default(),

@@ -166,9 +166,12 @@ func (o *Optimizer) combineFresh(sub, q1, q2 tableset.Set, b cost.Vector, r int,
 }
 
 // combinePairs joins every (left, right) pair that the IsFresh memo has
-// not seen and prunes the resulting plans. Join alternatives are
-// enumerated into the optimizer's scratch slice and allocated from its
-// arena, so a pair's enumeration costs no individual heap allocations.
+// not seen and prunes the resulting plans. A pair's join alternatives
+// are enumerated by value into the optimizer's scratch and pruned from
+// there; prune copies a plan into the arena only when it inserts it, so
+// the alternatives it discards — nearly all of them — cost no memory
+// (the paper's Lemma 5 and Section 5.2 bound what is generated and what
+// is retained, not what is allocated).
 func (o *Optimizer) combinePairs(sub tableset.Set, b cost.Vector, r int, lefts, rights []*plan.Node) {
 	if len(lefts) == 0 || len(rights) == 0 {
 		return
@@ -185,7 +188,11 @@ func (o *Optimizer) combinePairs(sub tableset.Set, b cost.Vector, r int, lefts, 
 			if o.cfg.Hooks.PairCombined != nil {
 				o.cfg.Hooks.PairCombined(l, rt)
 			}
-			o.altsScratch = o.cfg.Model.AppendJoinAlternatives(o.altsScratch[:0], o.q, l, rt, o.arena)
+			o.altNodes, o.altFloats = o.cfg.Model.JoinAlternativesInto(o.altNodes, o.altFloats, o.q, l, rt)
+			o.altsScratch = o.altsScratch[:0]
+			for i := range o.altNodes {
+				o.altsScratch = append(o.altsScratch, &o.altNodes[i])
+			}
 			o.altsKeep = o.frontierFilter(o.altsScratch, o.altsKeep)
 			for i, p := range o.altsScratch {
 				o.stats.PlansGenerated++
@@ -198,7 +205,7 @@ func (o *Optimizer) combinePairs(sub tableset.Set, b cost.Vector, r int, lefts, 
 					o.stats.ExactDominated++
 					continue
 				}
-				o.prune(sub, b, r, p)
+				o.prune(sub, b, r, p, true)
 			}
 		}
 	}

@@ -36,11 +36,20 @@ import (
 // plan passes through it), so it works exclusively on per-optimizer
 // scratch state: the scaled vector and the query box live in reusable
 // buffers, and the range query dispatches through the pre-allocated
-// pruneVisit visitor rather than a per-call closure (DESIGN.md D9). Its
-// only steady-state heap traffic is amortized growth of the index cell
-// an entry is appended to.
-func (o *Optimizer) prune(sub tableset.Set, b cost.Vector, r int, p *plan.Node) {
+// pruneVisit visitor rather than a per-call closure (DESIGN.md D9).
+//
+// scratch says p lives in the enumeration scratch of combinePairs, not
+// in the arena; such a plan is copied into the arena (receiving its
+// dense ID) only on the two branches that keep it. The discard branches
+// therefore touch no heap at all, and the keeping branches pay one
+// arena bump plus amortized growth of the index cell.
+func (o *Optimizer) prune(sub tableset.Set, b cost.Vector, r int, p *plan.Node, scratch bool) {
 	o.stats.PruneCalls++
+	if o.witnessDominates(sub, p) {
+		o.stats.WitnessHits++
+		o.stats.ExactDominated++
+		return
+	}
 	alpha := o.cfg.AlphaFor(r)
 	scaled := p.Cost.ScaleInto(o.scaledScratch, alpha)
 
@@ -48,7 +57,7 @@ func (o *Optimizer) prune(sub tableset.Set, b cost.Vector, r int, p *plan.Node) 
 	// p iff c(pA) ⪯ α_r·c(p); since pA must also respect the bounds,
 	// the query box is the component-wise minimum of both vectors.
 	// Exact dominators (c(pA) ⪯ c(p), order covered, rows ≤) lie inside
-	// the same box whenever p itself respects the bounds.
+	// the same box whenever they respect the bounds themselves.
 	queryBound := scaled.MinInto(o.boundScratch, b)
 	maxRes := r
 	if o.cfg.PruneAgainstAll {
@@ -61,36 +70,89 @@ func (o *Optimizer) prune(sub tableset.Set, b cost.Vector, r int, p *plan.Node) 
 	exact, approximated := o.pruneExact, o.pruneAppr
 	o.pruneP = nil
 
+	resolution, toCand := r, false
 	switch {
 	case exact:
 		o.stats.ExactDominated++
+		return
 	case approximated:
-		if r < o.cfg.MaxResolution() {
-			o.candFor(sub).Insert(rangeindex.Entry{
-				Cost:       p.Cost,
-				Resolution: r + 1,
-				Epoch:      o.epoch,
-				Payload:    p,
-			})
-			o.stats.CandidateInserts++
-		} else {
+		if r == o.cfg.MaxResolution() {
 			o.stats.CandidateDiscards++
+			return
 		}
+		resolution, toCand = r+1, true
+		o.stats.CandidateInserts++
 	case !p.Cost.WithinBounds(b):
-		o.candFor(sub).Insert(rangeindex.Entry{
-			Cost:       p.Cost,
-			Resolution: r,
-			Epoch:      o.epoch,
-			Payload:    p,
-		})
+		toCand = true
 		o.stats.CandidateInserts++
 	default:
-		o.resFor(sub).Insert(rangeindex.Entry{
-			Cost:       p.Cost,
-			Resolution: r,
-			Epoch:      o.epoch,
-			Payload:    p,
-		})
 		o.stats.ResultInserts++
 	}
+	if scratch {
+		p = o.materialize(p)
+	}
+	ix := o.resFor(sub)
+	if toCand {
+		ix = o.candFor(sub)
+	}
+	ix.Insert(rangeindex.Entry{
+		Cost:       p.Cost,
+		Resolution: resolution,
+		Epoch:      o.epoch,
+		Payload:    p,
+	})
+}
+
+// materialize copies a scratch plan and its cost vector into the arena.
+func (o *Optimizer) materialize(p *plan.Node) *plan.Node {
+	n := *p
+	n.Cost = o.arena.NewVector(len(p.Cost))
+	copy(n.Cost, p.Cost)
+	o.stats.PlansMaterialized++
+	return o.arena.NewNode(n)
+}
+
+// witnessCap bounds the witness set. Exact dominators repeat heavily
+// within one table set (the alternatives of neighbouring pairs fall
+// under the same few result plans), so a handful of recent ones settles
+// most discards; a miss costs witnessCap comparisons before the query.
+const witnessCap = 8
+
+// witnessDominates reports whether one of the recent exact dominators
+// of sub's plans dominates p exactly too, moving the one that does to
+// the front. It answers what the range query of prune would: a witness
+// w was retrieved by a query of this invocation, so it is a result plan
+// of sub (result plans are never removed) registered for a resolution
+// the query admits with c(w) ⪯ b; if also w.Order ⊒ p.Order,
+// w.Rows ≤ p.Rows and c(w) ⪯ c(p) ⪯ α_r·c(p), then w lies in p's query
+// box and the visitor would have reached the exact verdict on w or on
+// an entry before it. RetainDominatedCandidates has no exact verdict,
+// so it never records a witness and the probe finds the set empty.
+func (o *Optimizer) witnessDominates(sub tableset.Set, p *plan.Node) bool {
+	if o.witSub != sub {
+		o.witSub, o.witN = sub, 0
+		return false
+	}
+	for i, w := range o.witnesses[:o.witN] {
+		o.stats.DominanceChecks++
+		if !o.cfg.DisableOrderAwarePruning && !w.Order.Covers(p.Order) {
+			continue
+		}
+		if w.Rows <= p.Rows && w.Cost.Dominates(p.Cost) {
+			copy(o.witnesses[1:i+1], o.witnesses[:i])
+			o.witnesses[0] = w
+			return true
+		}
+	}
+	return false
+}
+
+// noteWitness records w, which the range query just found to dominate a
+// plan of table set witSub exactly, as the most recent witness.
+func (o *Optimizer) noteWitness(w *plan.Node) {
+	if o.witN < witnessCap {
+		o.witN++
+	}
+	copy(o.witnesses[1:o.witN], o.witnesses[:o.witN-1])
+	o.witnesses[0] = w
 }

@@ -8,6 +8,8 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/plan"
 	"repro/internal/query"
+	"repro/internal/rangeindex"
+	"repro/internal/tableset"
 	"repro/internal/workload"
 )
 
@@ -197,4 +199,67 @@ func altParams() costmodel.Params {
 	p := costmodel.DefaultParams()
 	p.HashPerRow *= 2
 	return p
+}
+
+// TestSnapshotRestoreContinuesSparseIDs guards the pair memo against ID
+// reuse now that arena IDs count retained plans, not generated ones: an
+// optimizer restored mid-series must mint IDs above every snapshot ID,
+// so no fresh pair is mistaken for a combined one, and must finish the
+// series exactly like the uninterrupted source.
+func TestSnapshotRestoreContinuesSparseIDs(t *testing.T) {
+	cfg := defaultConfig()
+	q := chain4(t)
+	src := MustNewOptimizer(q, cfg)
+	src.Optimize(nil, 0)
+	src.Optimize(nil, 1)
+	snap := src.Snapshot()
+	atSnapshot := src.Stats()
+	if int(snap.nextID) >= atSnapshot.PlansGenerated {
+		t.Fatalf("snapshot nextID %d not sparse against %d generated plans", snap.nextID, atSnapshot.PlansGenerated)
+	}
+	restored, err := NewOptimizerFromSnapshot(q, cfg, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 2; r <= cfg.MaxResolution(); r++ {
+		src.Optimize(nil, r)
+		restored.Optimize(nil, r)
+	}
+
+	// Same work, same outcome as the uninterrupted series.
+	want, got := src.Stats().Minus(atSnapshot), restored.Stats()
+	want.Invocations, got.Invocations = 0, 0
+	if got != want {
+		t.Errorf("restored series did\n %v\nuninterrupted source did\n %v", got, want)
+	}
+	if !sameSignatures(resultSignatures(src, nil, cfg.MaxResolution()),
+		resultSignatures(restored, nil, cfg.MaxResolution())) {
+		t.Error("restored optimizer diverged from source")
+	}
+
+	// Every stored plan has an ID of its own, and the ones minted after
+	// the restore lie above the snapshot's watermark.
+	byID := map[uint32]*plan.Node{}
+	minted := 0
+	for _, set := range []map[tableset.Set]*rangeindex.Index{restored.res, restored.cand} {
+		for _, ix := range set {
+			ix.All(func(e rangeindex.Entry) bool {
+				p := e.Payload
+				if prev, dup := byID[p.ID()]; dup && prev != p {
+					t.Errorf("ID %d shared by %s and %s", p.ID(), prev.Signature(), p.Signature())
+				}
+				byID[p.ID()] = p
+				if p.ID() >= snap.nextID {
+					minted++
+				}
+				return true
+			})
+		}
+	}
+	if minted == 0 {
+		t.Error("no plan was minted after the restore")
+	}
+	if got, want := len(restored.pairMemo), len(snap.pairs)+restored.Stats().PairsCombined; got != want {
+		t.Errorf("pair memo holds %d keys, want %d restored + combined (a key collided)", got, want)
+	}
 }

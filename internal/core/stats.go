@@ -9,8 +9,13 @@ import "fmt"
 type Stats struct {
 	// Invocations counts calls to Optimize.
 	Invocations int
-	// PlansGenerated counts constructed plan nodes (scans and joins).
+	// PlansGenerated counts enumerated plans (scans and joins), whether
+	// or not pruning kept them.
 	PlansGenerated int
+	// PlansMaterialized counts the join plans prune copied into the
+	// arena because it inserted them into a plan set; the remainder of
+	// PlansGenerated was discarded without being allocated.
+	PlansMaterialized int
 	// PairsCombined counts sub-plan pairs passed to join enumeration.
 	PairsCombined int
 	// PairsSkippedStale counts pairs rejected by the IsFresh memo.
@@ -29,17 +34,22 @@ type Stats struct {
 	// ExactDominated counts plans discarded as globally redundant: an
 	// existing result plan dominated them at factor 1 (DESIGN.md D5).
 	ExactDominated int
-	// DominanceChecks counts plan-against-plan cost comparisons in Prune.
+	// DominanceChecks counts plan-against-plan cost comparisons in Prune,
+	// witness probes included.
 	DominanceChecks int
+	// WitnessHits counts the exact-dominance verdicts (a subset of
+	// ExactDominated) that a recent witness settled without a range
+	// query.
+	WitnessHits int
 }
 
 // String renders the counters compactly for logs and reports.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"invocations=%d plans=%d pairs=%d stale=%d candRetr=%d prune=%d resIns=%d candIns=%d discard=%d exactDom=%d domChecks=%d",
-		s.Invocations, s.PlansGenerated, s.PairsCombined, s.PairsSkippedStale,
+		"invocations=%d plans=%d materialized=%d pairs=%d stale=%d candRetr=%d prune=%d resIns=%d candIns=%d discard=%d exactDom=%d domChecks=%d witnessHits=%d",
+		s.Invocations, s.PlansGenerated, s.PlansMaterialized, s.PairsCombined, s.PairsSkippedStale,
 		s.CandidateRetrievals, s.PruneCalls, s.ResultInserts, s.CandidateInserts,
-		s.CandidateDiscards, s.ExactDominated, s.DominanceChecks)
+		s.CandidateDiscards, s.ExactDominated, s.DominanceChecks, s.WitnessHits)
 }
 
 // Minus returns the per-interval difference s − prev, for measuring a
@@ -48,6 +58,7 @@ func (s Stats) Minus(prev Stats) Stats {
 	return Stats{
 		Invocations:         s.Invocations - prev.Invocations,
 		PlansGenerated:      s.PlansGenerated - prev.PlansGenerated,
+		PlansMaterialized:   s.PlansMaterialized - prev.PlansMaterialized,
 		PairsCombined:       s.PairsCombined - prev.PairsCombined,
 		PairsSkippedStale:   s.PairsSkippedStale - prev.PairsSkippedStale,
 		CandidateRetrievals: s.CandidateRetrievals - prev.CandidateRetrievals,
@@ -57,5 +68,6 @@ func (s Stats) Minus(prev Stats) Stats {
 		CandidateDiscards:   s.CandidateDiscards - prev.CandidateDiscards,
 		ExactDominated:      s.ExactDominated - prev.ExactDominated,
 		DominanceChecks:     s.DominanceChecks - prev.DominanceChecks,
+		WitnessHits:         s.WitnessHits - prev.WitnessHits,
 	}
 }

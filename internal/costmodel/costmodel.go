@@ -268,10 +268,51 @@ func (m *Model) JoinAlternatives(q *query.Query, left, right *plan.Node) []*plan
 
 // AppendJoinAlternatives is JoinAlternatives appending into dst,
 // allocating nodes and cost vectors from arena a (both may be nil).
-// This is the optimizer's hottest construction site: with a reused dst
-// and an arena, enumerating one pair's alternatives performs no
-// individual heap allocations.
+// Every alternative is materialised; callers that discard most of what
+// they enumerate (the optimizer's inner loop) use JoinAlternativesInto
+// and copy only the survivors.
 func (m *Model) AppendJoinAlternatives(dst []*plan.Node, q *query.Query, left, right *plan.Node, a *plan.Arena) []*plan.Node {
+	dim := m.space.Dim()
+	m.fillJoinAlternatives(q, left, right, func() *plan.Node {
+		n := a.NewNode(plan.Node{Cost: a.NewVector(dim)})
+		dst = append(dst, n)
+		return n
+	})
+	return dst
+}
+
+// JoinAlternativesInto enumerates the same alternatives, in the same
+// order, as values into caller-owned scratch: nodes is overwritten from
+// its start and every node's Cost views a window of floats, so a caller
+// that reuses both slices enumerates without touching the heap. The
+// (possibly regrown) slices are returned; the nodes carry no arena ID
+// and are valid until the scratch is reused.
+func (m *Model) JoinAlternativesInto(nodes []plan.Node, floats []float64, q *query.Query, left, right *plan.Node) ([]plan.Node, []float64) {
+	dim := m.space.Dim()
+	n := len(joinOps) * len(m.params.Degrees)
+	// Sized up front: the loop below hands out pointers into both.
+	if cap(nodes) < n {
+		nodes = make([]plan.Node, n)
+	}
+	if cap(floats) < n*dim {
+		floats = make([]float64, n*dim)
+	}
+	nodes, floats = nodes[:n], floats[:n*dim]
+	i := 0
+	m.fillJoinAlternatives(q, left, right, func() *plan.Node {
+		p := &nodes[i]
+		*p = plan.Node{Cost: floats[i*dim : (i+1)*dim : (i+1)*dim]}
+		i++
+		return p
+	})
+	return nodes, floats
+}
+
+// fillJoinAlternatives is the one op×degree enumeration body behind
+// both forms above (so the two can never drift apart): for every
+// alternative it takes a node from slot — zero but for a Cost vector of
+// the model's dimension — and fills in the join fields and the cost.
+func (m *Model) fillJoinAlternatives(q *query.Query, left, right *plan.Node, slot func() *plan.Node) {
 	union := left.Tables.Union(right.Tables)
 	outRows := m.joinOutputRows(q, left, right)
 	sortKeyL, sortKeyR := m.mergeKeys(q, left, right)
@@ -279,21 +320,13 @@ func (m *Model) AppendJoinAlternatives(dst []*plan.Node, q *query.Query, left, r
 	for _, op := range joinOps {
 		work, order := m.localWork(op, left, right, outRows, sortKeyL, sortKeyR)
 		for _, d := range m.params.Degrees {
-			v := a.NewVector(m.space.Dim())
-			m.joinCostInto(v, left, right, work, d)
-			dst = append(dst, a.NewNode(plan.Node{
-				Tables: union,
-				Join:   op,
-				Degree: d,
-				Left:   left,
-				Right:  right,
-				Rows:   outRows,
-				Order:  order,
-				Cost:   v,
-			}))
+			n := slot()
+			n.Tables, n.Join, n.Degree = union, op, d
+			n.Left, n.Right = left, right
+			n.Rows, n.Order = outRows, order
+			m.joinCostInto(n.Cost, left, right, work, d)
 		}
 	}
-	return dst
 }
 
 // joinOutputRows estimates the join's output cardinality from the
@@ -312,25 +345,11 @@ func (m *Model) joinOutputRows(q *query.Query, left, right *plan.Node) float64 {
 // the lexicographically smallest crossing join edge. Returns OrderNone
 // keys when the inputs are not connected (cartesian product).
 func (m *Model) mergeKeys(q *query.Query, left, right *plan.Node) (plan.Order, plan.Order) {
-	bestA, bestB := -1, -1
-	for _, e := range q.Edges() {
-		var la, rb int
-		switch {
-		case left.Tables.Contains(e.A) && right.Tables.Contains(e.B):
-			la, rb = e.A, e.B
-		case left.Tables.Contains(e.B) && right.Tables.Contains(e.A):
-			la, rb = e.B, e.A
-		default:
-			continue
-		}
-		if bestA < 0 || la < bestA || (la == bestA && rb < bestB) {
-			bestA, bestB = la, rb
-		}
-	}
-	if bestA < 0 {
+	a, b, ok := q.MinCrossEdge(left.Tables, right.Tables)
+	if !ok {
 		return plan.OrderNone, plan.OrderNone
 	}
-	return plan.OrderOn(bestA), plan.OrderOn(bestB)
+	return plan.OrderOn(a), plan.OrderOn(b)
 }
 
 // localWork computes an operator's local effort and output order.

@@ -165,6 +165,45 @@ func TestJoinAlternativesEnumeration(t *testing.T) {
 	}
 }
 
+// TestJoinAlternativesIntoMatchesAppend checks the scratch form against
+// the materialising one — same alternatives, same order, same costs —
+// and its storage contract: reused backing arrays, cost windows that do
+// not overlap and cannot grow into each other.
+func TestJoinAlternativesIntoMatchesAppend(t *testing.T) {
+	q := testQuery(t)
+	m := Default()
+	dim := m.Space().Dim()
+	l := m.ScanPlans(q, 0)[1]
+	var nodes []plan.Node
+	var floats []float64
+	for round, r := range m.ScanPlans(q, 1) {
+		want := m.AppendJoinAlternatives(nil, q, l, r, plan.NewArena())
+		prevNodes, prevFloats := nodes, floats
+		nodes, floats = m.JoinAlternativesInto(nodes, floats, q, l, r)
+		if len(nodes) != len(want) || len(floats) != len(want)*dim {
+			t.Fatalf("round %d: %d nodes over %d floats, want %d over %d",
+				round, len(nodes), len(floats), len(want), len(want)*dim)
+		}
+		if round > 0 && (&nodes[0] != &prevNodes[0] || &floats[0] != &prevFloats[0]) {
+			t.Errorf("round %d: scratch was reallocated", round)
+		}
+		for i := range nodes {
+			got := &nodes[i]
+			if got.Signature() != want[i].Signature() || !got.Cost.Equal(want[i].Cost) ||
+				got.Rows != want[i].Rows || got.Order != want[i].Order || got.Tables != want[i].Tables {
+				t.Errorf("round %d alt %d: scratch %v %v, materialised %v %v",
+					round, i, got, got.Cost, want[i], want[i].Cost)
+			}
+			if got.ID() != 0 {
+				t.Errorf("round %d alt %d: scratch node carries ID %d", round, i, got.ID())
+			}
+			if &got.Cost[0] != &floats[i*dim] || len(got.Cost) != dim || cap(got.Cost) != dim {
+				t.Errorf("round %d alt %d: cost is not its own window of the scratch", round, i)
+			}
+		}
+	}
+}
+
 func TestJoinCostMonotone(t *testing.T) {
 	// Monotone cost aggregation: every join's cost dominates-from-above
 	// both children (c(p) >= c(sub) component-wise).

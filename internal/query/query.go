@@ -219,6 +219,29 @@ func (q *Query) CrossSelectivity(left, right tableset.Set) (sel float64, edges i
 	return sel, edges
 }
 
+// MinCrossEdge returns the endpoints of the lexicographically smallest
+// join edge connecting left to right, oriented so that a lies in left
+// and b in right; ok is false when no edge crosses (a cartesian
+// product). It walks the edge list in place: the join enumeration calls
+// it once per sub-plan pair.
+func (q *Query) MinCrossEdge(left, right tableset.Set) (a, b int, ok bool) {
+	for _, e := range q.edges {
+		var la, rb int
+		switch {
+		case left.Contains(e.A) && right.Contains(e.B):
+			la, rb = e.A, e.B
+		case left.Contains(e.B) && right.Contains(e.A):
+			la, rb = e.B, e.A
+		default:
+			continue
+		}
+		if !ok || la < a || (la == a && rb < b) {
+			a, b, ok = la, rb, true
+		}
+	}
+	return a, b, ok
+}
+
 // Connected reports whether the subset sub induces a connected subgraph of
 // the join graph. The DP only considers connected subsets, again to avoid
 // cartesian products.

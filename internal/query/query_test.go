@@ -170,6 +170,26 @@ func TestCrossSelectivity(t *testing.T) {
 	}
 }
 
+func TestMinCrossEdge(t *testing.T) {
+	q := MustNew(testCatalog(), []int{0, 1, 2, 3}, []JoinEdge{
+		{A: 2, B: 3, Selectivity: 0.3},
+		{A: 0, B: 3, Selectivity: 0.4},
+		{A: 1, B: 2, Selectivity: 0.2},
+		{A: 0, B: 1, Selectivity: 0.1},
+	})
+	// Two edges cross (1–2 and 0–3); the smaller left endpoint wins,
+	// whatever the edge order and orientation.
+	if a, b, ok := q.MinCrossEdge(tableset.Of(0, 1), tableset.Of(2, 3)); !ok || a != 0 || b != 3 {
+		t.Errorf("{0,1}|{2,3}: got (%d,%d,%v), want (0,3,true)", a, b, ok)
+	}
+	if a, b, ok := q.MinCrossEdge(tableset.Of(2, 3), tableset.Of(0, 1)); !ok || a != 2 || b != 1 {
+		t.Errorf("{2,3}|{0,1}: got (%d,%d,%v), want (2,1,true)", a, b, ok)
+	}
+	if _, _, ok := q.MinCrossEdge(tableset.Of(0), tableset.Of(2)); ok {
+		t.Error("cartesian product reported a crossing edge")
+	}
+}
+
 func TestConnectedSubsets(t *testing.T) {
 	// Chain 0-1-2-3.
 	q := MustNew(testCatalog(), []int{0, 1, 2, 3}, []JoinEdge{

@@ -116,6 +116,74 @@ func TestTraceLifecycle(t *testing.T) {
 	}
 }
 
+// TestStepsSpanCoversLastStep pins the budget property the bench's
+// steps_share relies on: every step a session ran lies inside a steps
+// span, its last one included — a span ends no earlier than its last
+// step's start plus the optimizer time the session recorded for it, so
+// the spans add up to at least the recorded optimizer time — and the
+// converged span marks where the last one ends.
+func TestStepsSpanCoversLastStep(t *testing.T) {
+	svc, err := New(testConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Shutdown()
+	blk, _ := workload.Find(workload.MustTPCHBlocks(1), "Q3")
+	id, err := svc.Create(blk.Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitState(t, svc, id, AtTarget)
+	m, err := svc.lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	records := m.sess.Records()
+	m.mu.Unlock()
+	d, err := svc.SessionTrace(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var spans, curve []trace.SpanData
+	var spanTotal, recorded, converged int64
+	for _, sp := range d.Spans {
+		switch sp.Kind {
+		case "steps":
+			spans = append(spans, sp)
+			spanTotal += sp.DurNS
+		case "curve":
+			curve = append(curve, sp) // one per step, stamped with its start
+		case "converged":
+			converged = sp.AtNS
+		}
+	}
+	if last := spans[len(spans)-1]; converged != last.AtNS+last.DurNS {
+		t.Errorf("converged at %d ns, the last steps span ends at %d ns", converged, last.AtNS+last.DurNS)
+	}
+	if len(curve) != len(records) {
+		t.Fatalf("%d curve samples for %d steps", len(curve), len(records))
+	}
+	for k, rec := range records {
+		recorded += int64(rec.Duration)
+		start, end := curve[k].AtNS, curve[k].AtNS+int64(rec.Duration)
+		covered := false
+		for _, sp := range spans {
+			if sp.AtNS <= start && end <= sp.AtNS+sp.DurNS {
+				covered = true
+				break
+			}
+		}
+		if !covered {
+			t.Errorf("step %d [%d, %d] ns lies in no steps span %v", k+1, start, end, spans)
+		}
+	}
+	if spanTotal < recorded {
+		t.Errorf("steps spans total %d ns, less than the %d ns the steps recorded", spanTotal, recorded)
+	}
+}
+
 // TestObserveStepPathAllocFree pins the PR's hard constraint: the exact
 // recording sequence runSteps performs per step — starvation
 // bookkeeping, striped histogram records, ring-buffer span append —

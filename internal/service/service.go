@@ -1078,16 +1078,18 @@ func (s *Service) runSteps(sc *scheduler, m *managed, hot bool) {
 	if hot {
 		k = 1
 	}
-	// batchStart/lastStart are step-start offsets from the trace epoch,
-	// reusing each step's noteStep timestamp; endBatch seals them into
-	// one KindSteps span per pop (per batch, not per step, so traces
-	// stay within the ring even for step-heavy sessions).
-	var batchStart, lastStart time.Duration
+	// batchStart/batchEnd are offsets from the trace epoch: the first
+	// step's start, reusing its noteStep timestamp, and the last step's
+	// start plus the optimizer time its session.Record holds (no clock
+	// read of their own). endBatch seals them into one KindSteps span
+	// per pop (per batch, not per step, so traces stay within the ring
+	// even for step-heavy sessions).
+	var batchStart, batchEnd time.Duration
 	ran := 0
 	for i := 0; i < k; i++ {
 		m.mu.Lock()
 		if m.state != Refining {
-			s.endBatch(sc, m, batchStart, lastStart, ran)
+			s.endBatch(sc, m, batchStart, batchEnd, ran)
 			m.mu.Unlock()
 			return
 		}
@@ -1114,13 +1116,14 @@ func (s *Service) runSteps(sc *scheduler, m *managed, hot bool) {
 		if ran == 0 {
 			batchStart = start
 		}
-		lastStart = start
+		batchEnd = start // a step that panics recorded no duration
 		ran++
 		frontier, failure, stack := s.stepSession(m)
 		if failure != nil {
-			s.failLocked(sc, m, failure, stack, batchStart, lastStart, ran)
+			s.failLocked(sc, m, failure, stack, batchStart, batchEnd, ran)
 			return
 		}
+		batchEnd = start + m.sess.LastDuration()
 		m.steps++
 		s.steps.Add(1)
 		sc.stepsDone.Add(1)
@@ -1144,9 +1147,9 @@ func (s *Service) runSteps(sc *scheduler, m *managed, hot bool) {
 		}
 		if m.sess.AtMaxResolution() {
 			m.setState(AtTarget)
-			s.endBatch(sc, m, batchStart, lastStart, ran)
+			s.endBatch(sc, m, batchStart, batchEnd, ran)
 			if m.trace != nil {
-				m.trace.AppendAt(trace.KindConverged, lastStart, 0, int64(m.steps))
+				m.trace.AppendAt(trace.KindConverged, batchEnd, 0, int64(m.steps))
 				// Convergence speed: how many curve samples it took to get
 				// within the target-precision factor of the regime's final
 				// scalarization. Once per regime, off the step path.
@@ -1186,7 +1189,7 @@ func (s *Service) runSteps(sc *scheduler, m *managed, hot bool) {
 		// without re-acquiring the lock.
 		preempt := i+1 < k && (owner.hotPending() || sc.hotPending())
 		if preempt || i+1 == k {
-			s.endBatch(sc, m, batchStart, lastStart, ran)
+			s.endBatch(sc, m, batchStart, batchEnd, ran)
 		}
 		m.mu.Unlock()
 		if preempt {
@@ -1245,15 +1248,16 @@ func (s *Service) failLocked(sc *scheduler, m *managed, failure error, stack []b
 }
 
 // endBatch seals one scheduling quantum: the steps-per-pop histogram
-// sample and the batch's KindSteps span (Dur is first-to-last step
-// start). Callers hold m.mu; a no-step batch records nothing.
-func (s *Service) endBatch(sc *scheduler, m *managed, first, last time.Duration, ran int) {
+// sample and the batch's KindSteps span, which runs from the first
+// step's start to the last step's end. Callers hold m.mu; a no-step
+// batch records nothing.
+func (s *Service) endBatch(sc *scheduler, m *managed, first, end time.Duration, ran int) {
 	if ran == 0 {
 		return
 	}
 	s.obs.QuantumSteps.ObserveShard(sc.id, int64(ran))
 	if m.trace != nil {
-		m.trace.AppendAt(trace.KindSteps, first, last-first, int64(ran))
+		m.trace.AppendAt(trace.KindSteps, first, end-first, int64(ran))
 	}
 }
 

@@ -170,6 +170,16 @@ func (s *Session) Records() []Record {
 	return append([]Record(nil), s.records...)
 }
 
+// LastDuration returns the optimizer time of the most recent Step (its
+// Record's Duration) without copying the records; zero before the first
+// Step.
+func (s *Session) LastDuration() time.Duration {
+	if len(s.records) == 0 {
+		return 0
+	}
+	return s.records[len(s.records)-1].Duration
+}
+
 // Frontier returns the current visualization input: completed plans
 // within the current bounds and resolution.
 func (s *Session) Frontier() []*plan.Node {

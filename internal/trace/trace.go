@@ -49,14 +49,15 @@ const (
 	KindQueueWait
 	// KindSteps is one scheduler quantum batch: N consecutive
 	// refinement steps; Dur spans the first step's start to the last
-	// step's start (start-to-start, riding the scheduler's existing
-	// timestamps).
+	// step's end (its start plus the optimizer time the session
+	// recorded for it, riding the scheduler's existing timestamps).
 	KindSteps
 	// KindFirstFrontier marks the step that produced the first
 	// non-empty frontier; Dur is the latency since creation.
 	KindFirstFrontier
 	// KindConverged marks the current bounds regime reaching target
-	// precision; N is the total step count so far.
+	// precision, stamped at the end of its last step (where that
+	// step's steps span ends); N is the total step count so far.
 	KindConverged
 	// KindExport is the snapshot export to the warm-start cache (and,
 	// write-through, the store queue); Dur is the export wall time.
