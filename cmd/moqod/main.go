@@ -279,9 +279,8 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		// Events alone feeds both sinks: the log mirrors every admitted
-		// event to stderr and retains it in the /debug/events ring.
-		// Wiring Logf too would emit every milestone twice.
+		// Events feeds both sinks: the log mirrors every admitted event
+		// to stderr and retains it in the /debug/events ring.
 		res, err := bootstrap.Pull(bootstrap.Options{
 			Peer:    *bootstrapPeer,
 			Dir:     *cacheDir,
@@ -324,6 +323,12 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	// The shutdown signals are caught before the node answers /readyz
+	// 200: from the moment a balancer may route here, a SIGTERM drains
+	// instead of killing the process. The channel buffers the signal
+	// until the select below is reached.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	a.Ready(svc, blocks)
 
 	st := svc.Stats()
@@ -381,8 +386,6 @@ func main() {
 	// Shutting HTTP down first would leave a window where an admitted
 	// session races the store flush; this order guarantees no session
 	// exists that the drain has not accounted for.
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errCh:
 		fail(err)

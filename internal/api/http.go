@@ -213,39 +213,25 @@ func (a *API) handlePoll(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, err)
 		return
 	}
-	frontier := make([]planJSON, len(st.Frontier))
-	for i, p := range st.Frontier {
-		frontier[i] = planJSON{Plan: p.String(), Cost: p.Cost, Rows: p.Rows}
+	writePoll(w, &st)
+}
+
+// writePoll answers a poll with st. The body has an encoder of its own
+// (pollbody.go) — no per-plan strings, no reflection — and goes out in
+// one write of known length from a pooled buffer.
+func writePoll(w http.ResponseWriter, st *service.Status) {
+	buf := pollBufs.Get().(*[]byte)
+	body, err := appendPollBody((*buf)[:0], st)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(body) // a failed write means the client went away
 	}
-	body := map[string]any{
-		"id":              st.ID,
-		"query":           st.Query,
-		"state":           st.State.String(),
-		"warm":            st.WarmStarted,
-		"resolution":      st.Resolution,
-		"steps":           st.Steps,
-		"frontier":        frontier,
-		"firstFrontierUs": st.FirstFrontier.Microseconds(),
-	}
-	if st.Drift != "" {
-		// How a statistics-drift warm start was resolved at creation:
-		// "recosted" (small drift, cost vectors rewritten in place),
-		// "resumed" (large drift, refinement resumed from the cached plan
-		// set) or "quarantined" (incompatible, cold start).
-		body["drift"] = st.Drift
-	}
-	if st.Provenance != "" {
-		// Where the session's plan state came from: cold / exact / iso /
-		// recost / resume, with a -replay/-bootstrap suffix when the
-		// satisfying cache entry itself came off disk or from a peer.
-		body["provenance"] = st.Provenance
-	}
-	if st.Err != "" {
-		// A failed session's captured panic, so clients learn why their
-		// session died instead of polling an opaque terminal state.
-		body["error"] = st.Err
-	}
-	writeJSON(w, http.StatusOK, body)
+	*buf = body
+	pollBufs.Put(buf)
 }
 
 func (a *API) handleBounds(w http.ResponseWriter, r *http.Request) {

@@ -1,0 +1,163 @@
+package api
+
+import (
+	"fmt"
+	"math"
+	"strconv"
+	"sync"
+	"unicode/utf8"
+
+	"repro/internal/service"
+)
+
+// pollBufs recycles poll-body buffers across requests: a poll is the
+// node's most frequent response and its body runs to ~100 KB on a wide
+// frontier.
+var pollBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendPollBody appends the JSON body of a poll response to dst. The
+// bytes are exactly what encoding/json's Encoder writes for the
+// map[string]any this replaced (DESIGN.md D13): keys in ascending order
+// with "drift", "provenance" and "error" only when set, strings
+// HTML-escaped, floats in ES6 form, a trailing newline. It allocates
+// nothing beyond growing dst. A non-finite cost or row estimate — which
+// JSON cannot carry — is an error.
+func appendPollBody(dst []byte, st *service.Status) ([]byte, error) {
+	dst = append(dst, '{')
+	if st.Drift != "" {
+		dst = append(dst, `"drift":`...)
+		dst = appendJSONString(dst, st.Drift)
+		dst = append(dst, ',')
+	}
+	if st.Err != "" {
+		dst = append(dst, `"error":`...)
+		dst = appendJSONString(dst, st.Err)
+		dst = append(dst, ',')
+	}
+	dst = append(dst, `"firstFrontierUs":`...)
+	dst = strconv.AppendInt(dst, st.FirstFrontier.Microseconds(), 10)
+	dst = append(dst, `,"frontier":[`...)
+	for i, p := range st.Frontier {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		// A rendered plan is operator names, digits and punctuation that
+		// JSON passes through unescaped.
+		dst = append(dst, `{"plan":"`...)
+		dst = p.AppendString(dst)
+		if p.Cost == nil {
+			dst = append(dst, `","cost":null`...)
+		} else {
+			dst = append(dst, `","cost":[`...)
+			for j, c := range p.Cost {
+				if j > 0 {
+					dst = append(dst, ',')
+				}
+				var ok bool
+				if dst, ok = appendJSONFloat(dst, c); !ok {
+					return dst, fmt.Errorf("api: session %s: frontier plan %d has non-finite cost %v", st.ID, i, p.Cost)
+				}
+			}
+			dst = append(dst, ']')
+		}
+		dst = append(dst, `,"rows":`...)
+		var ok bool
+		if dst, ok = appendJSONFloat(dst, p.Rows); !ok {
+			return dst, fmt.Errorf("api: session %s: frontier plan %d has non-finite row estimate %v", st.ID, i, p.Rows)
+		}
+		dst = append(dst, '}')
+	}
+	dst = append(dst, `],"id":`...)
+	dst = appendJSONString(dst, st.ID)
+	if st.Provenance != "" {
+		dst = append(dst, `,"provenance":`...)
+		dst = appendJSONString(dst, st.Provenance)
+	}
+	dst = append(dst, `,"query":`...)
+	dst = appendJSONString(dst, st.Query)
+	dst = append(dst, `,"resolution":`...)
+	dst = strconv.AppendInt(dst, int64(st.Resolution), 10)
+	dst = append(dst, `,"state":`...)
+	dst = appendJSONString(dst, st.State.String())
+	dst = append(dst, `,"steps":`...)
+	dst = strconv.AppendInt(dst, int64(st.Steps), 10)
+	dst = append(dst, `,"warm":`...)
+	dst = strconv.AppendBool(dst, st.WarmStarted)
+	return append(dst, '}', '\n'), nil
+}
+
+// appendJSONFloat appends f the way encoding/json formats a float64:
+// shortest round-trip digits, exponent form below 1e-6 and from 1e21,
+// two-digit exponents trimmed of their leading zero. It reports false,
+// appending nothing, for NaN and ±Inf.
+func appendJSONFloat(dst []byte, f float64) ([]byte, bool) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return dst, false
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 → e-9
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && (dst[n-3] == '-' || dst[n-3] == '+') && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst, true
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString appends s as a JSON string literal with
+// encoding/json's default escaping: quote, backslash and control
+// characters, the HTML-sensitive <, > and &, U+2028 and U+2029, and
+// U+FFFD in place of invalid UTF-8.
+func appendJSONString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+			start = i + size
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}

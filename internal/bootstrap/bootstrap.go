@@ -93,11 +93,6 @@ type Options struct {
 	// Rand drives retry jitter; nil uses a fixed-seed source
 	// (de-synchronization only needs spread, not secrecy).
 	Rand *rand.Rand
-	// Logf, when set, receives progress lines — the plain-text hook for
-	// callers without an event log. Callers with one set Events alone:
-	// its stderr mirror already carries every milestone, so wiring both
-	// reports each milestone twice.
-	Logf func(format string, args ...any)
 	// Events, when set, receives the progress as structured events
 	// (subsystem "bootstrap"); nil disables.
 	Events *eventlog.Log
@@ -124,9 +119,6 @@ func (o *Options) defaults() error {
 	}
 	if o.Rand == nil {
 		o.Rand = rand.New(rand.NewSource(1))
-	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
 	}
 	return nil
 }
@@ -209,7 +201,6 @@ func Pull(opts Options) (Result, error) {
 		if err := opts.FS.MkdirAll(tmp, 0o755); err != nil {
 			return p.res, fmt.Errorf("bootstrap: %w", err)
 		}
-		opts.Logf("bootstrap: donor compacted mid-transfer, restarting from a fresh manifest")
 		opts.Events.Emit(eventlog.LevelWarn, "bootstrap", "donor compacted mid-transfer, restarting",
 			eventlog.F("peer", opts.Peer),
 			eventlog.Fint("restart", int64(restart+1)))
@@ -230,8 +221,6 @@ func Pull(opts Options) (Result, error) {
 		}
 	}
 	p.wipeTmp(tmp)
-	opts.Logf("bootstrap: pulled %d segments, %d frames, %d bytes from %s (gen %d, %d attempts)",
-		p.res.Segments, p.res.Frames, p.res.Bytes, opts.Peer, p.res.Generation, p.res.Attempts)
 	opts.Events.Emit(eventlog.LevelInfo, "bootstrap", "pull complete",
 		eventlog.F("peer", opts.Peer),
 		eventlog.Fint("segments", int64(p.res.Segments)),
@@ -338,8 +327,6 @@ func (p *puller) pullSegment(tmp string, gen uint64, seg store.SegmentInfo) (fra
 			ferr = fmt.Errorf("bootstrap: segment %d: short body at offset %d/%d", seg.Seq, off, seg.Size)
 		}
 		lastErr = ferr
-		p.opts.Logf("bootstrap: segment %d attempt %d: %v (verified %d/%d bytes)",
-			seg.Seq, attempt+1, ferr, off, seg.Size)
 		p.opts.Events.Emit(eventlog.LevelWarn, "bootstrap", "segment attempt failed",
 			eventlog.Fint("segment", seg.Seq),
 			eventlog.Fint("attempt", int64(attempt+1)),

@@ -6,6 +6,16 @@ import (
 	"repro/internal/query"
 )
 
+type benchShape struct {
+	name string
+	q    *query.Query
+}
+
+// benchShapes are the benchmark's two 4-table query shapes.
+func benchShapes(b *testing.B) []benchShape {
+	return []benchShape{{"chain4", chain4(b)}, {"star4", star4(b)}}
+}
+
 // BenchmarkOptimizeStep is the core layer's line in the ledger: the
 // invocations of a cold session on the benchmark's two 4-table shapes.
 // r0 is the first invocation of a fresh optimizer (scan enumeration and
@@ -14,13 +24,7 @@ import (
 // number of plans the timed invocations generated.
 func BenchmarkOptimizeStep(b *testing.B) {
 	cfg := defaultConfig()
-	for _, shape := range []struct {
-		name string
-		q    *query.Query
-	}{
-		{"chain4", chain4(b)},
-		{"star4", star4(b)},
-	} {
+	for _, shape := range benchShapes(b) {
 		for _, part := range []struct {
 			name     string
 			from, to int
@@ -47,5 +51,29 @@ func BenchmarkOptimizeStep(b *testing.B) {
 				b.ReportMetric(float64(plans)/float64(b.N), "plans/op")
 			})
 		}
+	}
+}
+
+// BenchmarkRestoreExact is what an exact-tier cache hit pays in core: a
+// converged snapshot of each shape restored into a new optimizer. pairs
+// is the size of the memo the restore shares instead of rebuilding.
+func BenchmarkRestoreExact(b *testing.B) {
+	cfg := defaultConfig()
+	for _, shape := range benchShapes(b) {
+		b.Run(shape.name, func(b *testing.B) {
+			src := MustNewOptimizer(shape.q, cfg)
+			for r := 0; r <= cfg.MaxResolution(); r++ {
+				src.Optimize(nil, r)
+			}
+			snap := src.Snapshot()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewOptimizerFromSnapshot(shape.q, cfg, snap); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(snap.pairs)), "pairs")
+		})
 	}
 }

@@ -39,10 +39,15 @@ type Optimizer struct {
 	// (DESIGN.md D8). Plans prune discards never reach it.
 	arena *plan.Arena
 
-	// pairMemo implements predicate IsFresh: a sub-plan pair, packed as
-	// leftID<<32|rightID of the arena's dense node IDs, is present once
-	// its join alternatives have been generated. Packing halves the key
-	// memory and hashing cost of the two-pointer struct it replaces.
+	// pairBase and pairMemo together implement predicate IsFresh: a
+	// sub-plan pair, packed as leftID<<32|rightID of the arena's dense
+	// node IDs, is in one of them once its join alternatives have been
+	// generated. pairBase is the frozen memo of the snapshot this
+	// optimizer was restored from — ascending, shared read-only with
+	// that snapshot and every other optimizer restored from it, nil for
+	// a cold optimizer; pairMemo is the private overlay holding the
+	// pairs this optimizer combined itself. The two are disjoint.
+	pairBase []uint64
 	pairMemo map[uint64]struct{}
 
 	// prevBounds/prevRes record the previous invocation's focus to

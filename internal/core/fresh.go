@@ -1,6 +1,9 @@
 package core
 
 import (
+	"slices"
+	"sort"
+
 	"repro/internal/cost"
 	"repro/internal/plan"
 	"repro/internal/tableset"
@@ -165,6 +168,14 @@ func (o *Optimizer) combineFresh(sub, q1, q2 tableset.Set, b cost.Vector, r int,
 	o.combinePairs(sub, b, r, v1.fresh, v2.fresh)
 }
 
+// leftRun returns the sub-slice of the ascending packed-pair slice base
+// whose pairs have node ID left on the left side.
+func leftRun(base []uint64, left uint32) []uint64 {
+	lo := sort.Search(len(base), func(i int) bool { return base[i]>>32 >= uint64(left) })
+	n := sort.Search(len(base)-lo, func(i int) bool { return base[lo+i]>>32 > uint64(left) })
+	return base[lo : lo+n]
+}
+
 // combinePairs joins every (left, right) pair that the IsFresh memo has
 // not seen and prunes the resulting plans. A pair's join alternatives
 // are enumerated by value into the optimizer's scratch and pruned from
@@ -172,14 +183,24 @@ func (o *Optimizer) combineFresh(sub, q1, q2 tableset.Set, b cost.Vector, r int,
 // the alternatives it discards — nearly all of them — cost no memory
 // (the paper's Lemma 5 and Section 5.2 bound what is generated and what
 // is retained, not what is allocated).
+//
+// IsFresh consults the frozen base first: the base is ascending, so the
+// pairs with l on the left are one contiguous run, narrowed once per l
+// and binary-searched per rt. A cold optimizer has no base and goes
+// straight to its own memo.
 func (o *Optimizer) combinePairs(sub tableset.Set, b cost.Vector, r int, lefts, rights []*plan.Node) {
 	if len(lefts) == 0 || len(rights) == 0 {
 		return
 	}
 	for _, l := range lefts {
+		run := leftRun(o.pairBase, l.ID())
 		for _, rt := range rights {
 			key := pairID(l, rt)
-			if _, stale := o.pairMemo[key]; stale {
+			_, stale := slices.BinarySearch(run, key)
+			if !stale {
+				_, stale = o.pairMemo[key]
+			}
+			if stale {
 				o.stats.PairsSkippedStale++
 				continue
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/plan"
@@ -30,7 +31,10 @@ import (
 // the service holds the session lock).
 //
 // The pair memo travels as packed leftID<<32|rightID keys of the
-// source arena's dense node IDs; nextID records where that numbering
+// source arena's dense node IDs, in one strictly ascending slice that
+// is never written again: every optimizer restored from the snapshot
+// shares it as its read-only IsFresh base (DESIGN.md D8), and the codec
+// writes it as it stands (D12). nextID records where the numbering
 // stopped, so a restored optimizer's arena continues it and newly
 // generated nodes can never collide with snapshot nodes in the memo.
 type Snapshot struct {
@@ -77,7 +81,7 @@ func (o *Optimizer) Snapshot() *Snapshot {
 	s := &Snapshot{
 		res:        make(map[tableset.Set][]rangeindex.Entry, len(o.res)),
 		cand:       make(map[tableset.Set][]rangeindex.Entry, len(o.cand)),
-		pairs:      make([]uint64, 0, len(o.pairMemo)),
+		pairs:      o.exportPairs(),
 		nextID:     o.arena.NextID(),
 		epoch:      o.epoch,
 		prevBounds: append([]float64(nil), o.prevBounds...),
@@ -106,10 +110,36 @@ func (o *Optimizer) Snapshot() *Snapshot {
 	}
 	collect(o.res, s.res)
 	collect(o.cand, s.cand)
-	for k := range o.pairMemo {
-		s.pairs = append(s.pairs, k)
-	}
 	return s
+}
+
+// exportPairs returns the whole IsFresh memo as one ascending slice the
+// caller may share but not write: the frozen base itself while this
+// optimizer combined nothing new, otherwise a fresh slice merging the
+// base with the sorted overlay (the two are disjoint).
+func (o *Optimizer) exportPairs() []uint64 {
+	if len(o.pairMemo) == 0 {
+		return o.pairBase
+	}
+	own := make([]uint64, 0, len(o.pairMemo))
+	for k := range o.pairMemo {
+		own = append(own, k)
+	}
+	slices.Sort(own)
+	base := o.pairBase
+	if len(base) == 0 {
+		return own
+	}
+	merged := make([]uint64, 0, len(base)+len(own))
+	for len(base) > 0 && len(own) > 0 {
+		if base[0] < own[0] {
+			merged, base = append(merged, base[0]), base[1:]
+		} else {
+			merged, own = append(merged, own[0]), own[1:]
+		}
+	}
+	merged = append(merged, base...)
+	return append(merged, own...)
 }
 
 // Remap returns a copy of the snapshot rewritten onto a new table
@@ -156,7 +186,7 @@ func (s *Snapshot) Remap(perm []int) (*Snapshot, error) {
 		res:  make(map[tableset.Set][]rangeindex.Entry, len(s.res)),
 		cand: make(map[tableset.Set][]rangeindex.Entry, len(s.cand)),
 		// Node IDs are untouched by relabeling, so the packed pair memo
-		// and the numbering watermark carry over verbatim; both slices
+		// and the numbering watermark carry over verbatim; the slices
 		// are immutable once built and safe to share.
 		pairs:      s.pairs,
 		nextID:     s.nextID,
@@ -286,9 +316,10 @@ func NewOptimizerFromSnapshot(q *query.Query, cfg Config, s *Snapshot) (*Optimiz
 	if err := restore(s.cand, o.candFor); err != nil {
 		return nil, err
 	}
-	for _, k := range s.pairs {
-		o.pairMemo[k] = struct{}{}
-	}
+	// The memo is shared, not copied: the snapshot's ascending pairs
+	// become the read-only base, and pairs this optimizer combines go
+	// to its own (still empty) overlay.
+	o.pairBase = s.pairs
 	o.epoch = s.epoch
 	o.prevBounds = append([]float64(nil), s.prevBounds...)
 	o.prevRes = s.prevRes

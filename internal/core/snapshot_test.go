@@ -1,7 +1,9 @@
 package core
 
 import (
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/cost"
@@ -259,7 +261,97 @@ func TestSnapshotRestoreContinuesSparseIDs(t *testing.T) {
 	if minted == 0 {
 		t.Error("no plan was minted after the restore")
 	}
-	if got, want := len(restored.pairMemo), len(snap.pairs)+restored.Stats().PairsCombined; got != want {
-		t.Errorf("pair memo holds %d keys, want %d restored + combined (a key collided)", got, want)
+	// The restored memo is the shared base plus the private overlay; a
+	// minted ID colliding with a snapshot ID would merge two keys.
+	if got, want := len(restored.pairMemo), restored.Stats().PairsCombined; got != want {
+		t.Errorf("overlay holds %d keys, want the %d pairs combined since the restore", got, want)
+	}
+	if got, want := len(restored.Snapshot().pairs), len(snap.pairs)+restored.Stats().PairsCombined; got != want {
+		t.Errorf("re-exported memo holds %d keys, want %d restored + combined (a key collided)", got, want)
+	}
+}
+
+// TestRestoreSharesFrozenPairs pins the shared-memo contract (DESIGN.md
+// D8): a restore builds no memo of its own, optimizers restored from one
+// snapshot may run concurrently without ever writing its pair slice
+// (-race is the check), and the memo a restored optimizer re-exports is
+// the base itself while nothing was combined and base ∪ overlay,
+// strictly ascending, afterwards.
+func TestRestoreSharesFrozenPairs(t *testing.T) {
+	q, cfg := chain4(t), defaultConfig()
+	rM := cfg.MaxResolution()
+	src := MustNewOptimizer(q, cfg)
+	src.Optimize(nil, 0)
+	tight := componentMedian(src, 0)
+	for r := 0; r <= rM; r++ {
+		src.Optimize(tight, r)
+	}
+	snap := src.Snapshot()
+	if len(snap.pairs) == 0 || !strictlyAscending(snap.pairs) {
+		t.Fatalf("exported memo of %d pairs is empty or not strictly ascending", len(snap.pairs))
+	}
+	frozen := slices.Clone(snap.pairs)
+
+	idle, err := NewOptimizerFromSnapshot(q, cfg, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(idle.pairMemo) != 0 || &idle.pairBase[0] != &snap.pairs[0] {
+		t.Errorf("restore built a memo of its own: %d overlay keys, base shared %v",
+			len(idle.pairMemo), &idle.pairBase[0] == &snap.pairs[0])
+	}
+	for r := 0; r <= rM; r++ {
+		idle.Optimize(tight, r)
+	}
+	if st := idle.Stats(); st.PairsCombined != 0 || st.PairsSkippedStale == 0 {
+		t.Errorf("re-converging the snapshot's own regime: %v", st)
+	}
+	if re := idle.Snapshot(); &re.pairs[0] != &snap.pairs[0] {
+		t.Error("re-export with an empty overlay copied the memo")
+	}
+
+	// Two sessions dragged out of the snapshot's regime at the same time.
+	const n = 2
+	var wg sync.WaitGroup
+	dragged := make([]*Optimizer, n)
+	for i := range dragged {
+		o, err := NewOptimizerFromSnapshot(q, cfg, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dragged[i] = o
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r <= rM; r++ {
+				o.Optimize(nil, r)
+			}
+		}()
+	}
+	wg.Wait()
+	if !slices.Equal(snap.pairs, frozen) {
+		t.Fatal("a restored optimizer wrote the shared memo")
+	}
+	for r := 0; r <= rM; r++ {
+		src.Optimize(nil, r)
+	}
+	want := resultSignatures(src, nil, rM)
+	for i, o := range dragged {
+		if o.Stats().PairsCombined == 0 {
+			t.Fatalf("restore %d combined nothing after the relax; the test lost its premise", i)
+		}
+		if !sameSignatures(resultSignatures(o, nil, rM), want) {
+			t.Errorf("restore %d diverged from the uninterrupted source", i)
+		}
+		re := o.Snapshot().pairs
+		if !strictlyAscending(re) || len(re) != len(frozen)+len(o.pairMemo) {
+			t.Errorf("restore %d re-exported %d pairs (strictly ascending %v), want %d base + %d overlay",
+				i, len(re), strictlyAscending(re), len(frozen), len(o.pairMemo))
+		}
+		for _, k := range frozen {
+			if _, dup := o.pairMemo[k]; dup {
+				t.Fatalf("restore %d re-combined base pair %#x", i, k)
+			}
+		}
 	}
 }

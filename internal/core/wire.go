@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/rangeindex"
 	"repro/internal/tableset"
@@ -24,7 +25,8 @@ type SnapshotWire struct {
 	// topologically ordered (children precede parents), which is what
 	// makes a flat index encoding possible.
 	Res, Cand map[tableset.Set][]rangeindex.Entry
-	// Pairs is the packed leftID<<32|rightID pair memo.
+	// Pairs is the packed leftID<<32|rightID pair memo, strictly
+	// ascending in a view obtained from Snapshot.Wire.
 	Pairs []uint64
 	// NextID is the dense node numbering watermark restores continue at.
 	NextID uint32
@@ -84,6 +86,12 @@ func SnapshotFromWire(w SnapshotWire) (*Snapshot, error) {
 		edgeStats:  w.EdgeStats,
 		statsEpoch: w.StatsEpoch,
 	}
+	// Restored optimizers binary-search the memo, so it must ascend. The
+	// codec decodes it that way; anything else is put in order here.
+	if !strictlyAscending(s.pairs) {
+		slices.Sort(s.pairs)
+		s.pairs = slices.Compact(s.pairs)
+	}
 	if s.res == nil {
 		s.res = map[tableset.Set][]rangeindex.Entry{}
 	}
@@ -91,6 +99,15 @@ func SnapshotFromWire(w SnapshotWire) (*Snapshot, error) {
 		s.cand = map[tableset.Set][]rangeindex.Entry{}
 	}
 	return s, nil
+}
+
+func strictlyAscending(pairs []uint64) bool {
+	for i := 1; i < len(pairs); i++ {
+		if pairs[i-1] >= pairs[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // CfgEcho returns the configuration fingerprint the snapshot was taken

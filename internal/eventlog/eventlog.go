@@ -343,12 +343,3 @@ func (l *Log) Len() int {
 	defer l.mu.Unlock()
 	return l.n
 }
-
-// Printf adapts the Log to the func(format string, args ...any)
-// shape used by bootstrap.Options.Logf and similar hooks: the line is
-// formatted once and emitted at Info level under the given subsystem.
-func (l *Log) Printf(sub string) func(format string, args ...any) {
-	return func(format string, args ...any) {
-		l.Emit(LevelInfo, sub, fmt.Sprintf(format, args...))
-	}
-}

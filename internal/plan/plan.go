@@ -12,6 +12,7 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/cost"
@@ -229,26 +230,33 @@ func (n *Node) Validate() error {
 // String renders the plan as a single-line expression, e.g.
 // "HashJoin:2(SeqScan(t0), IndexScan(t1))".
 func (n *Node) String() string {
-	var b strings.Builder
-	n.render(&b)
-	return b.String()
+	var buf [256]byte
+	return string(n.AppendString(buf[:0]))
 }
 
-func (n *Node) render(b *strings.Builder) {
+// AppendString appends the String rendering of the plan to dst and
+// returns the extended slice. It is the allocation-free form the poll
+// encoder renders whole frontiers with; sampling rates print with two
+// significant digits (fmt's %.2g).
+func (n *Node) AppendString(dst []byte) []byte {
 	if n.IsScan() {
-		switch n.Scan {
-		case SampleScan:
-			fmt.Fprintf(b, "SampleScan(t%d@%.2g)", n.TableID, n.SampleRate)
-		default:
-			fmt.Fprintf(b, "%s(t%d)", n.Scan, n.TableID)
+		dst = append(dst, n.Scan.String()...)
+		dst = append(dst, "(t"...)
+		dst = strconv.AppendInt(dst, int64(n.TableID), 10)
+		if n.Scan == SampleScan {
+			dst = append(dst, '@')
+			dst = strconv.AppendFloat(dst, n.SampleRate, 'g', 2, 64)
 		}
-		return
+		return append(dst, ')')
 	}
-	fmt.Fprintf(b, "%s:%d(", n.Join, n.Degree)
-	n.Left.render(b)
-	b.WriteString(", ")
-	n.Right.render(b)
-	b.WriteByte(')')
+	dst = append(dst, n.Join.String()...)
+	dst = append(dst, ':')
+	dst = strconv.AppendInt(dst, int64(n.Degree), 10)
+	dst = append(dst, '(')
+	dst = n.Left.AppendString(dst)
+	dst = append(dst, ", "...)
+	dst = n.Right.AppendString(dst)
+	return append(dst, ')')
 }
 
 // Indented renders the plan as a multi-line tree for CLI display.

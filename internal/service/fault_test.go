@@ -168,7 +168,12 @@ func TestPoisonSnapshotRestartLoop(t *testing.T) {
 	if !strings.Contains(st.Err, "poisoned warm start") {
 		t.Errorf("failed session error %q does not carry the panic", st.Err)
 	}
+	// The failure is counted by the time Failed is visible; the
+	// quarantine follows it off the session lock, so wait for it.
 	stats := svc2.Stats()
+	for deadline := time.Now().Add(10 * time.Second); stats.Poisoned == 0 && time.Now().Before(deadline); stats = svc2.Stats() {
+		time.Sleep(100 * time.Microsecond)
+	}
 	if stats.Failed != 1 || stats.Poisoned != 1 || stats.Cache.Poisoned != 1 {
 		t.Fatalf("failed %d poisoned %d cache-poisoned %d, want 1/1/1",
 			stats.Failed, stats.Poisoned, stats.Cache.Poisoned)

@@ -1238,11 +1238,14 @@ func (s *Service) failLocked(sc *scheduler, m *managed, failure error, stack []b
 	// on a different cache shard than this session's digest).
 	poisoned := m.warm && m.steps == 0 && m.srcFP != ""
 	srcFP, canonFp := m.srcFP, m.srcCanon
+	// Counted before the unlock publishes the state: a client that polls
+	// Failed never reads a failure count that does not include it yet.
+	// The quarantine takes cache and store locks, so it stays outside.
+	s.failed.Add(1)
 	m.mu.Unlock()
 	if poisoned {
 		s.quarantine(srcFP, canonFp)
 	}
-	s.failed.Add(1)
 	gap := s.observeEnd(m, trace.KindFailed)
 	s.shards[m.shard].mgr.recordGap(gap)
 }

@@ -21,7 +21,7 @@
 //	res plan sets, then cand plan sets: subset count, then per subset
 //	    sorted by bitmask: subset | entry count, then per entry:
 //	    resolution | epoch | payload node ID
-//	pair memo: count, then sorted packed pairs delta-encoded
+//	pair memo: count, then the ascending packed pairs delta-encoded
 //	crc32c uint32 LE over everything above
 //
 // Plan DAGs flatten to the node table through the arena's dense uint32
@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -201,8 +202,14 @@ func Encode(dst []byte, s *core.Snapshot) ([]byte, error) {
 		}
 	}
 
-	pairs := append([]uint64(nil), w.Pairs...)
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i] < pairs[j] })
+	// A snapshot keeps its memo ascending (DESIGN.md D12), so the slice
+	// is delta-encoded as it stands. Should that invariant ever break,
+	// a sorted copy keeps the deltas from wrapping around.
+	pairs := w.Pairs
+	if !slices.IsSorted(pairs) {
+		pairs = slices.Clone(pairs)
+		slices.Sort(pairs)
+	}
 	dst = binary.AppendUvarint(dst, uint64(len(pairs)))
 	prev := uint64(0)
 	for _, p := range pairs {

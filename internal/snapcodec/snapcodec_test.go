@@ -109,6 +109,74 @@ func TestCodecRoundTripCostIdentical(t *testing.T) {
 	}
 }
 
+// TestRestoredReexportMatchesUnsharedControl drags a session restored
+// from a snapshot — sharing its frozen pair memo (DESIGN.md D8) — out of
+// the snapshot's regime, and checks its re-export against a control
+// restored from a decoded copy that shares nothing: byte-equal
+// encodings, a clean round trip, and a source snapshot that still
+// encodes to the bytes it had before anyone restored from it.
+func TestRestoredReexportMatchesUnsharedControl(t *testing.T) {
+	cfg := testConfig(4)
+	blk, _ := workload.Find(workload.MustTPCHBlocks(1), "Q3")
+	q, rM := blk.Query, cfg.MaxResolution()
+	src := core.MustNewOptimizer(q, cfg)
+	src.Optimize(nil, 0)
+	first := src.Results(nil, 0)
+	if len(first) == 0 {
+		t.Fatal("empty first frontier")
+	}
+	tight := first[0].Cost.Clone()
+	for _, p := range first {
+		for d := range tight {
+			tight[d] = min(tight[d], 2*p.Cost[d])
+		}
+	}
+	for r := 0; r <= rM; r++ {
+		src.Optimize(tight, r)
+	}
+	snap := src.Snapshot()
+	data, err := Encode(nil, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unshared, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var reexports [][]byte
+	for _, from := range []*core.Snapshot{snap, unshared} {
+		opt, err := core.NewOptimizerFromSnapshot(q, cfg, from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r <= rM; r++ {
+			opt.Optimize(nil, r)
+		}
+		if st := opt.Stats(); st.PairsCombined == 0 || st.PairsSkippedStale == 0 {
+			t.Fatalf("the relax combined %d pairs and skipped %d; the test lost its premise", st.PairsCombined, st.PairsSkippedStale)
+		}
+		re, err := Encode(nil, opt.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		reexports = append(reexports, re)
+	}
+	if !bytes.Equal(reexports[0], reexports[1]) {
+		t.Error("re-export of the memo-sharing restore differs from the unshared control's")
+	}
+	decoded, err := Decode(reexports[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := Encode(nil, decoded); err != nil || !bytes.Equal(again, reexports[0]) {
+		t.Errorf("re-export does not round-trip (err %v)", err)
+	}
+	if after, err := Encode(nil, snap); err != nil || !bytes.Equal(after, data) {
+		t.Errorf("the source snapshot encodes differently after restores ran on it (err %v)", err)
+	}
+}
+
 func TestEncodeDeterministic(t *testing.T) {
 	cfg := testConfig(3)
 	_, snap := convergedSnapshot(t, "Q3", cfg)
