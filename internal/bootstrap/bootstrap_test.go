@@ -207,7 +207,7 @@ func TestPullResumesTornStream(t *testing.T) {
 			torn = true
 			// Cut inside the second frame: one whole frame plus a tail the
 			// verifier must refuse.
-			return body[:firstFrame+5:firstFrame+5], errors.New("injected: donor died mid-stream")
+			return body[: firstFrame+5 : firstFrame+5], errors.New("injected: donor died mid-stream")
 		}
 		return body, nil
 	}

@@ -205,3 +205,38 @@ func TestCombinePairsAllocsSteadyState(t *testing.T) {
 		t.Errorf("re-combination kept plans: %v", d)
 	}
 }
+
+// TestCoveredOptimizeAllocs pins the cost of an invocation the
+// completed-focus ledger covers (DESIGN.md D18): bookkeeping only, so no
+// heap allocation at all — and reading the frontier afterwards allocates
+// exactly the one slice it returns.
+func TestCoveredOptimizeAllocs(t *testing.T) {
+	q := chain4(t)
+	cfg := defaultConfig()
+	src := MustNewOptimizer(q, cfg)
+	for r := 0; r <= cfg.MaxResolution(); r++ {
+		src.Optimize(nil, r)
+	}
+	o, err := NewOptimizerFromSnapshot(q, cfg, src.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight := componentMedian(src, 0)
+	before := o.Stats()
+	if allocs := testing.AllocsPerRun(100, func() {
+		o.Optimize(nil, 0)
+		o.Optimize(tight, 0)
+	}); allocs != 0 {
+		t.Errorf("covered invocations allocate %.2f per pair of calls, want 0", allocs)
+	}
+	if d := o.Stats().Minus(before); d.CoveredInvocations != d.Invocations || d.PairsSkippedStale != 0 {
+		t.Errorf("the invocations were not covered: %v", d)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if len(o.Results(tight, 0)) == 0 {
+			t.Fatal("empty frontier")
+		}
+	}); allocs != 1 {
+		t.Errorf("reading the frontier allocates %.2f times, want 1", allocs)
+	}
+}

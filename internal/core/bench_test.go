@@ -77,3 +77,39 @@ func BenchmarkRestoreExact(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkReinvokeCovered is what an exact-tier hit pays in core end to
+// end: the converged snapshot restored, then the five invocations of the
+// regime it was converged for. The opening one is covered by the
+// completed-focus ledger (DESIGN.md D18), the Δ-filtered rest find no
+// fresh plan. covered/op counts the covered invocations; allocs/op is
+// the restore's alone, since none of the invocations allocates.
+func BenchmarkReinvokeCovered(b *testing.B) {
+	cfg := defaultConfig()
+	for _, shape := range benchShapes(b) {
+		b.Run(shape.name, func(b *testing.B) {
+			src := MustNewOptimizer(shape.q, cfg)
+			for r := 0; r <= cfg.MaxResolution(); r++ {
+				src.Optimize(nil, r)
+			}
+			snap := src.Snapshot()
+			covered := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o, err := NewOptimizerFromSnapshot(shape.q, cfg, snap)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for r := 0; r <= cfg.MaxResolution(); r++ {
+					o.Optimize(nil, r)
+				}
+				if st := o.Stats(); st.PairsCombined != 0 || st.PairsSkippedStale != 0 {
+					b.Fatalf("the regime was not free: %v", st)
+				}
+				covered += o.Stats().CoveredInvocations
+			}
+			b.ReportMetric(float64(covered)/float64(b.N), "covered/op")
+		})
+	}
+}

@@ -56,6 +56,16 @@ type Optimizer struct {
 	prevBounds cost.Vector
 	prevRes    int
 
+	// done is the completed-focus ledger (DESIGN.md D18): done[r], when
+	// set, is a bound vector B such that an invocation at focus (B, r) ran
+	// to completion as a full memo-guarded walk (Δ filter off) and no
+	// entry has entered a result or candidate index at a level ≤ r since.
+	// An invocation at (b, r) with b ⪯ B then has nothing to do. prune
+	// clears done[ℓ..] on every insert at level ℓ. The vectors are views
+	// of doneBuf, so recording never allocates.
+	done    []cost.Vector
+	doneBuf []float64
+
 	initialized bool
 	stats       Stats
 
@@ -127,6 +137,8 @@ func NewOptimizer(q *query.Query, cfg Config) (*Optimizer, error) {
 		cand:          map[tableset.Set]*rangeindex.Index{},
 		arena:         plan.NewArena(),
 		pairMemo:      map[uint64]struct{}{},
+		done:          make([]cost.Vector, cfg.ResolutionLevels),
+		doneBuf:       make([]float64, cfg.ResolutionLevels*dim),
 		unbounded:     cost.Unbounded(dim),
 		scaledScratch: cost.NewVector(dim),
 		boundScratch:  cost.NewVector(dim),
@@ -243,6 +255,36 @@ func (o *Optimizer) Optimize(b cost.Vector, r int) {
 	o.stats.Invocations++
 	o.witN = 0 // witnesses were retrieved under the previous focus
 
+	if d := o.done[r]; d != nil && b.Dominates(d) {
+		// The ledger covers the focus: no candidate lies within it and
+		// every pair of visible result plans is in the memo, so both
+		// phases would come up empty.
+		o.stats.CoveredInvocations++
+	} else {
+		o.refine(b, r, deltaOK)
+		if !deltaOK {
+			o.record(r, b)
+		}
+	}
+
+	if o.prevBounds == nil {
+		o.prevBounds = b.Clone()
+	} else {
+		copy(o.prevBounds, b)
+	}
+	o.prevRes = r
+}
+
+// record enters the focus (b, r) into the completed-focus ledger,
+// overwriting the level's slot of doneBuf in place.
+func (o *Optimizer) record(r int, b cost.Vector) {
+	dim := len(b)
+	o.done[r] = o.doneBuf[r*dim : (r+1)*dim : (r+1)*dim]
+	copy(o.done[r], b)
+}
+
+// refine runs the two phases of Algorithm 2 for the focus (b, r).
+func (o *Optimizer) refine(b cost.Vector, r int, deltaOK bool) {
 	if !o.initialized {
 		o.initScans(b, r)
 		o.initialized = true
@@ -291,13 +333,6 @@ func (o *Optimizer) Optimize(b cost.Vector, r int) {
 			})
 		}
 	}
-
-	if o.prevBounds == nil {
-		o.prevBounds = b.Clone()
-	} else {
-		copy(o.prevBounds, b)
-	}
-	o.prevRes = r
 }
 
 // initScans generates and prunes all scan plans (the initialization
@@ -333,7 +368,8 @@ func (o *Optimizer) ResultsFor(sub tableset.Set, b cost.Vector, r int) []*plan.N
 	if !ok {
 		return nil
 	}
-	var out []*plan.Node
+	// Sized once: the entries at levels ≤ r bound what the query returns.
+	out := make([]*plan.Node, 0, ix.LenUpTo(r))
 	ix.Query(b, r, 0, func(e rangeindex.Entry) bool {
 		out = append(out, e.Payload)
 		return true

@@ -209,10 +209,12 @@ func equalRates(a, b []float64) bool {
 // Every cost vector in the result is freshly allocated — the receiver,
 // its nodes and its vectors are never mutated, so snapshots shared with
 // live sessions or other cache readers stay exactly as they were
-// (DESIGN.md D15). cfg must match the snapshot's configuration echo; q
-// must be classified DriftSmall or DriftLarge against the snapshot
-// first (structurally incompatible queries make Recost fail with an
-// error, never produce wrong costs).
+// (DESIGN.md D15). The completed-focus ledger is not carried over: it
+// vouches for pruning decisions made under the old costs. cfg must
+// match the snapshot's configuration echo; q must be classified
+// DriftSmall or DriftLarge against the snapshot first (structurally
+// incompatible queries make Recost fail with an error, never produce
+// wrong costs).
 //
 // The result restores through NewOptimizerFromSnapshot for q. For
 // small drift the restored optimizer re-prunes the re-costed entries
@@ -301,10 +303,11 @@ func (s *Snapshot) Recost(q *query.Query, cfg Config) (*Snapshot, error) {
 
 // DropPairs clears the pair memo so a restore regenerates and re-prunes
 // every join combination against the (re-costed) cached plan sets — the
-// large-drift resume path. Only call it on a snapshot the caller
-// exclusively owns (e.g. fresh from Recost), never on one already
+// large-drift resume path — and with the memo the completed-focus
+// ledger, whose records rest on it. Only call it on a snapshot the
+// caller exclusively owns (e.g. fresh from Recost), never on one already
 // shared through a cache.
-func (s *Snapshot) DropPairs() { s.pairs = nil }
+func (s *Snapshot) DropPairs() { s.pairs, s.done = nil, nil }
 
 // StatsEpoch returns the statistics-epoch label the snapshot was costed
 // under (0 when no versioned catalog was configured). The label is

@@ -95,6 +95,9 @@ func (o *Optimizer) prune(sub tableset.Set, b cost.Vector, r int, p *plan.Node, 
 	if toCand {
 		ix = o.candFor(sub)
 	}
+	// The entry is new to every focus that reaches its level: those
+	// foci are no longer covered by the ledger.
+	clear(o.done[resolution:])
 	ix.Insert(rangeindex.Entry{
 		Cost:       p.Cost,
 		Resolution: resolution,

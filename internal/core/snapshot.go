@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/cost"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/rangeindex"
@@ -13,8 +14,9 @@ import (
 
 // Snapshot is an exported copy of an Optimizer's incremental state: the
 // result and candidate plan sets per table subset, the IsFresh pair
-// memo, and the previous invocation's focus. It lets a new Optimizer
-// for an identical query (equal query.Fingerprint, same configuration
+// memo, the previous invocation's focus, and the completed-focus ledger
+// (which foci the state is already complete for). It lets a new
+// Optimizer for an identical query (equal query.Fingerprint, same configuration
 // and cost model) resume where the snapshotted one left off instead of
 // regenerating every plan from scratch — the service's warm-start path.
 //
@@ -44,6 +46,11 @@ type Snapshot struct {
 	epoch      uint64
 	prevBounds []float64
 	prevRes    int
+
+	// done is the source's completed-focus ledger (Optimizer.done): one
+	// slot per resolution level, nil where nothing is recorded. Never
+	// written after export; restores copy it.
+	done []cost.Vector
 
 	// Configuration echo, validated on restore: restoring under a
 	// different focus geometry or precision schedule would silently
@@ -86,6 +93,7 @@ func (o *Optimizer) Snapshot() *Snapshot {
 		epoch:      o.epoch,
 		prevBounds: append([]float64(nil), o.prevBounds...),
 		prevRes:    o.prevRes,
+		done:       o.exportDone(),
 		cfgEcho:    cfgFingerprint(o.cfg),
 		tableStats: captureTableStats(o.q),
 		edgeStats:  captureEdgeStats(o.q),
@@ -111,6 +119,17 @@ func (o *Optimizer) Snapshot() *Snapshot {
 	collect(o.res, s.res)
 	collect(o.cand, s.cand)
 	return s
+}
+
+// exportDone returns a detached copy of the completed-focus ledger.
+func (o *Optimizer) exportDone() []cost.Vector {
+	out := make([]cost.Vector, len(o.done))
+	for r, d := range o.done {
+		if d != nil {
+			out[r] = d.Clone()
+		}
+	}
+	return out
 }
 
 // exportPairs returns the whole IsFresh memo as one ascending slice the
@@ -147,10 +166,11 @@ func (o *Optimizer) exportPairs() []uint64 {
 // is replaced by perm[id]. Scan table IDs, per-node and per-subset
 // tableset bitmaps, and interesting-order tags move to the new labels;
 // node IDs, sub-plan sharing, the packed pair memo, cost vectors,
-// epochs and the focus echo are preserved unchanged (the D8 invariants
-// are label-free, and costs stay valid because callers only remap onto
-// tables with identical statistics — query.CanonicalFingerprint's
-// equal-digest guarantee). The result restores through
+// epochs, the focus echo and the completed-focus ledger are preserved
+// unchanged (the D8 invariants and the ledger's are label-free, and
+// costs stay valid because callers only remap onto tables with
+// identical statistics — query.CanonicalFingerprint's equal-digest
+// guarantee). The result restores through
 // NewOptimizerFromSnapshot for a query that is isomorphic to the
 // snapshot's source under perm.
 //
@@ -193,6 +213,7 @@ func (s *Snapshot) Remap(perm []int) (*Snapshot, error) {
 		epoch:      s.epoch,
 		prevBounds: s.prevBounds,
 		prevRes:    s.prevRes,
+		done:       s.done,
 		cfgEcho:    s.cfgEcho,
 		statsEpoch: s.statsEpoch,
 	}
@@ -323,6 +344,21 @@ func NewOptimizerFromSnapshot(q *query.Query, cfg Config, s *Snapshot) (*Optimiz
 	o.epoch = s.epoch
 	o.prevBounds = append([]float64(nil), s.prevBounds...)
 	o.prevRes = s.prevRes
+	// The ledger is copied into this optimizer's own buffer: recording
+	// overwrites the vectors in place.
+	if len(s.done) > len(o.done) {
+		return nil, fmt.Errorf("core: snapshot ledger has %d levels, configuration %d", len(s.done), len(o.done))
+	}
+	dim := cfg.Model.Space().Dim()
+	for r, d := range s.done {
+		if d == nil {
+			continue
+		}
+		if d.Dim() != dim {
+			return nil, fmt.Errorf("core: snapshot ledger dim %d, space dim %d", d.Dim(), dim)
+		}
+		o.record(r, d)
+	}
 	o.initialized = true
 	return o, nil
 }

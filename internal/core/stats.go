@@ -5,10 +5,17 @@ import "fmt"
 // Stats are cumulative counters over an Optimizer's lifetime. They back
 // the experimental instrumentation and the amortized-complexity tests
 // (Section 5.4): Lemma 5 bounds PlansGenerated, Lemma 6 bounds
-// PairsCombined, Lemma 7 bounds CandidateRetrievals per plan.
+// PairsCombined, Lemma 7 bounds CandidateRetrievals per plan. The lemmata
+// bound work done; CoveredInvocations and PairsSkippedStale count work
+// avoided — whole invocations the completed-focus ledger answered, and
+// pair look-ups that found the pair already combined.
 type Stats struct {
 	// Invocations counts calls to Optimize.
 	Invocations int
+	// CoveredInvocations counts the invocations the completed-focus
+	// ledger answered without draining, collecting or probing anything
+	// (DESIGN.md D18).
+	CoveredInvocations int
 	// PlansGenerated counts enumerated plans (scans and joins), whether
 	// or not pruning kept them.
 	PlansGenerated int
@@ -46,8 +53,8 @@ type Stats struct {
 // String renders the counters compactly for logs and reports.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"invocations=%d plans=%d materialized=%d pairs=%d stale=%d candRetr=%d prune=%d resIns=%d candIns=%d discard=%d exactDom=%d domChecks=%d witnessHits=%d",
-		s.Invocations, s.PlansGenerated, s.PlansMaterialized, s.PairsCombined, s.PairsSkippedStale,
+		"invocations=%d covered=%d plans=%d materialized=%d pairs=%d stale=%d candRetr=%d prune=%d resIns=%d candIns=%d discard=%d exactDom=%d domChecks=%d witnessHits=%d",
+		s.Invocations, s.CoveredInvocations, s.PlansGenerated, s.PlansMaterialized, s.PairsCombined, s.PairsSkippedStale,
 		s.CandidateRetrievals, s.PruneCalls, s.ResultInserts, s.CandidateInserts,
 		s.CandidateDiscards, s.ExactDominated, s.DominanceChecks, s.WitnessHits)
 }
@@ -57,6 +64,7 @@ func (s Stats) String() string {
 func (s Stats) Minus(prev Stats) Stats {
 	return Stats{
 		Invocations:         s.Invocations - prev.Invocations,
+		CoveredInvocations:  s.CoveredInvocations - prev.CoveredInvocations,
 		PlansGenerated:      s.PlansGenerated - prev.PlansGenerated,
 		PlansMaterialized:   s.PlansMaterialized - prev.PlansMaterialized,
 		PairsCombined:       s.PairsCombined - prev.PairsCombined,

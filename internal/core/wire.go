@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/cost"
 	"repro/internal/rangeindex"
 	"repro/internal/tableset"
 )
@@ -35,6 +36,9 @@ type SnapshotWire struct {
 	// PrevBounds and PrevRes record the previous invocation's focus.
 	PrevBounds []float64
 	PrevRes    int
+	// Done is the completed-focus ledger: one slot per resolution level,
+	// nil where nothing is recorded; a nil slice is an empty ledger.
+	Done []cost.Vector
 	// CfgEcho is the configuration fingerprint validated on restore.
 	CfgEcho string
 	// TableStats and EdgeStats are the source query's recorded
@@ -56,6 +60,7 @@ func (s *Snapshot) Wire() SnapshotWire {
 		Epoch:      s.epoch,
 		PrevBounds: s.prevBounds,
 		PrevRes:    s.prevRes,
+		Done:       s.done,
 		CfgEcho:    s.cfgEcho,
 		TableStats: s.tableStats,
 		EdgeStats:  s.edgeStats,
@@ -81,6 +86,7 @@ func SnapshotFromWire(w SnapshotWire) (*Snapshot, error) {
 		epoch:      w.Epoch,
 		prevBounds: w.PrevBounds,
 		prevRes:    w.PrevRes,
+		done:       w.Done,
 		cfgEcho:    w.CfgEcho,
 		tableStats: w.TableStats,
 		edgeStats:  w.EdgeStats,

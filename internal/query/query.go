@@ -252,12 +252,13 @@ func (q *Query) Connected(sub tableset.Set) bool {
 	if sub.Len() == 1 {
 		return true
 	}
-	start := sub.Min()
-	visited := tableset.Singleton(start)
-	frontier := []int{start}
-	for len(frontier) > 0 {
-		t := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
+	// The frontier is a bitmap too: the optimizer asks this for every
+	// split of every invocation, so the walk must not allocate.
+	visited := tableset.Singleton(sub.Min())
+	frontier := visited
+	for !frontier.IsEmpty() {
+		t := frontier.Min()
+		frontier = frontier.Remove(t)
 		for _, ei := range q.edgesFor[t] {
 			e := q.edges[ei]
 			other := e.A
@@ -266,7 +267,7 @@ func (q *Query) Connected(sub tableset.Set) bool {
 			}
 			if sub.Contains(other) && !visited.Contains(other) {
 				visited = visited.Add(other)
-				frontier = append(frontier, other)
+				frontier = frontier.Add(other)
 			}
 		}
 	}

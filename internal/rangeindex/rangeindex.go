@@ -83,6 +83,8 @@ type cell struct {
 // level is the per-resolution cell directory, sorted by cell key.
 type level struct {
 	cells []cell
+	// size is the number of entries across the level's cells.
+	size int
 	// minCoord[d] is the smallest dimension-d cell coordinate of any
 	// populated cell (conservative after drains); meaningless while the
 	// level is empty.
@@ -137,6 +139,20 @@ func MustNew(dims, maxLevel int, base float64) *Index {
 
 // Len returns the number of stored entries.
 func (ix *Index) Len() int { return ix.size }
+
+// LenUpTo returns the number of entries stored at levels 0..maxRes: an
+// upper bound on what a Query at that resolution can return, for
+// callers that size their output once.
+func (ix *Index) LenUpTo(maxRes int) int {
+	if maxRes > ix.maxLevel {
+		maxRes = ix.maxLevel
+	}
+	n := 0
+	for res := 0; res <= maxRes; res++ {
+		n += ix.levels[res].size
+	}
+	return n
+}
 
 // Insertions returns the total number of Insert calls over the index's
 // lifetime (drained entries still count). Used by the amortized-cost
@@ -270,6 +286,7 @@ func (ix *Index) Insert(e Entry) {
 	if e.Epoch > lv.maxEpoch {
 		lv.maxEpoch = e.Epoch
 	}
+	lv.size++
 	ix.size++
 	ix.insertions++
 }
@@ -348,7 +365,7 @@ func (ix *Index) Drain(b cost.Vector, maxRes int, dst []Entry) []Entry {
 		if !ix.levelMayMatch(lv, bc) {
 			continue
 		}
-		dirty := false
+		dirty, before := false, len(dst)
 		for ci := range lv.cells {
 			c := &lv.cells[ci]
 			if c.key>>shift > bc[0] {
@@ -370,6 +387,7 @@ func (ix *Index) Drain(b cost.Vector, maxRes int, dst []Entry) []Entry {
 				dirty = true
 			}
 		}
+		lv.size -= len(dst) - before
 		if dirty {
 			ix.compact(lv)
 		}

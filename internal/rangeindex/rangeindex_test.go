@@ -334,6 +334,12 @@ func TestQuickAgainstNaive(t *testing.T) {
 				if ix.Len() != len(ref.entries) {
 					t.Fatalf("size mismatch after drain: %d vs %d", ix.Len(), len(ref.entries))
 				}
+				unbounded := cost.Unbounded(dims)
+				for res := 0; res <= maxLevel+1; res++ {
+					if got, want := ix.LenUpTo(res), len(ref.query(unbounded, res, 0)); got != want {
+						t.Fatalf("LenUpTo(%d) = %d after drain, want %d", res, got, want)
+					}
+				}
 			}
 		}
 	}

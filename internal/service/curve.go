@@ -123,8 +123,8 @@ type CurvePoint struct {
 // Curve is a session's convergence curve, JSON-ready for the debug
 // endpoint.
 type Curve struct {
-	ID         string       `json:"id"`
-	Provenance string       `json:"provenance,omitempty"`
+	ID         string `json:"id"`
+	Provenance string `json:"provenance,omitempty"`
 	// Dropped counts trace spans lost to ring wrap-around; a non-zero
 	// value means the curve's oldest points are missing.
 	Dropped int          `json:"dropped_spans,omitempty"`

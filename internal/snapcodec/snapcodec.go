@@ -10,6 +10,8 @@
 //
 //	magic "MOQS" | version uint16 LE | dim uint8
 //	cfgEcho string | nextID | epoch | prevRes | prevBounds (0 or dim floats)
+//	ledger: level count, then per level from 0:
+//	    flag byte (0 no record, 1 record) | on 1: bounds (dim floats, +Inf legal)
 //	statsEpoch | table stats: count, then per table sorted by ID:
 //	    id | rows | width | filter | hasIndex byte | rate count + floats
 //	edge stats: count, then per edge sorted by (a, b):
@@ -62,8 +64,9 @@ import (
 //
 // Version 2 added the statistics-drift section (statsEpoch label plus
 // the recorded per-table and per-edge statistics a snapshot was costed
-// under); version-1 records degrade to cold starts.
-const Version = 2
+// under). Version 3 added the completed-focus ledger (DESIGN.md D18).
+// Records of an earlier version degrade to cold starts.
+const Version = 3
 
 var magic = [4]byte{'M', 'O', 'Q', 'S'}
 
@@ -124,6 +127,20 @@ func Encode(dst []byte, s *core.Snapshot) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(len(w.PrevBounds)))
 	for _, v := range w.PrevBounds {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(w.Done)))
+	for r, d := range w.Done {
+		if d == nil {
+			dst = append(dst, 0)
+			continue
+		}
+		if d.Dim() != dim {
+			return dst[:start], fmt.Errorf("snapcodec: ledger level %d dim %d, space dim %d", r, d.Dim(), dim)
+		}
+		dst = append(dst, 1)
+		for _, v := range d {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+		}
 	}
 
 	// Statistics-drift section: the epoch label and the recorded
@@ -415,6 +432,33 @@ func Decode(data []byte) (*core.Snapshot, error) {
 		w.PrevBounds = r.vector(dim)
 	default:
 		r.fail(fmt.Errorf("snapcodec: prevBounds dim %d, space dim %d", nb, dim))
+	}
+
+	// Completed-focus ledger. A restored optimizer skips whole
+	// invocations on its word, so the shape is checked as strictly as
+	// the plan sets': no level the echo does not have, no bound that is
+	// not a bound (`!(v >= 0)` catches NaN; +Inf means unbounded).
+	nDone := r.count()
+	if r.err == nil && nDone > echoLevels {
+		r.fail(fmt.Errorf("snapcodec: ledger has %d levels, config echo %d", nDone, echoLevels))
+	}
+	if nDone > 0 && r.err == nil {
+		w.Done = make([]cost.Vector, nDone)
+	}
+	for lv := 0; lv < nDone && r.err == nil; lv++ {
+		switch flag := r.byte(); flag {
+		case 0:
+		case 1:
+			d := r.vector(dim)
+			for _, v := range d {
+				if r.err == nil && !(v >= 0) {
+					r.fail(fmt.Errorf("snapcodec: ledger level %d with invalid bound %g", lv, v))
+				}
+			}
+			w.Done[lv] = d
+		default:
+			r.fail(fmt.Errorf("snapcodec: ledger level %d with invalid flag byte %d", lv, flag))
+		}
 	}
 
 	// Statistics-drift section. Values feed relative-change ratios in

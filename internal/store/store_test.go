@@ -356,6 +356,70 @@ func TestStoreRejectsForeignFormatVersion(t *testing.T) {
 	}
 }
 
+// TestStoreBootsColdOnPreviousVersion is the upgrade path of a wire-
+// format bump (v2 → v3 added the completed-focus ledger): a directory
+// whose every frame was written by the previous version opens without
+// error, counts each frame rejected — none corrupted, none loaded,
+// nothing truncated — and serves and persists normally from there.
+func TestStoreBootsColdOnPreviousVersion(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestStore(t, dir, nil)
+	blocks := []string{"Q4", "Q3", "Q10"}
+	for _, b := range blocks {
+		s.Put(b, "", "", nil, testSnapshot(t, b))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Stamp every frame's snapshot blob with the previous version and
+	// reseal both checksums; the scan gate reads no further than that.
+	path := filepath.Join(dir, segName(1))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := 0
+	for off := 0; off < len(data); frames++ {
+		payload := data[off+frameHeaderLen:][:binary.LittleEndian.Uint32(data[off:])]
+		_, _, _, blob, ok := peekFrame(payload)
+		if !ok {
+			t.Fatal("cannot parse own frame")
+		}
+		binary.LittleEndian.PutUint16(blob[4:], snapcodec.Version-1)
+		binary.LittleEndian.PutUint32(blob[len(blob)-4:],
+			crc32.Checksum(blob[:len(blob)-4], castagnoli))
+		binary.LittleEndian.PutUint32(data[off+4:], crc32.Checksum(payload, castagnoli))
+		off += frameHeaderLen + len(payload)
+	}
+	if frames != len(blocks) {
+		t.Fatalf("segment holds %d frames, want %d", frames, len(blocks))
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	re := openTestStore(t, dir, nil)
+	st := re.Stats()
+	if st.Rejected != uint64(frames) || st.Corrupted != 0 || st.Loaded != 0 || st.LiveRecords != 0 {
+		t.Fatalf("previous-version directory did not boot cold: %+v", st)
+	}
+	if got := replayAll(t, re); len(got) != 0 {
+		t.Fatalf("previous-version records replayed: %d", len(got))
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != int64(len(data)) {
+		t.Fatalf("the rejected segment was truncated (%v)", err)
+	}
+	re.Put("Q4", "", "", nil, testSnapshot(t, "Q4"))
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again := openTestStore(t, dir, nil)
+	defer again.Close()
+	if got := replayAll(t, again); len(got) != 1 || got["Q4"].Snap == nil {
+		t.Fatalf("re-persisted record not served after the cold boot: %d records", len(got))
+	}
+}
+
 // TestStoreReplayOrderFollowsRepersist pins the replay-order contract:
 // re-persisting a fingerprint moves it to the end of the replay
 // stream, exactly as a live Put sequence would — the canonical cache
