@@ -344,13 +344,6 @@ func main() {
 		eventlog.F("cache_dir", *cacheDir),
 		eventlog.Fint("max_sessions", int64(cfg.MaxActiveSessions)),
 		eventlog.Fint("max_queue", int64(cfg.MaxQueueDepth)))
-	if *cacheDir != "" {
-		events.Emit(eventlog.LevelInfo, "moqod", "snapshot store replayed",
-			eventlog.Fint("loaded", int64(st.Store.Loaded)),
-			eventlog.Fint("rejected", int64(st.Store.Rejected)),
-			eventlog.Fint("corrupted", int64(st.Store.Corrupted)),
-			eventlog.Fint("cache_entries", int64(st.Cache.Entries)))
-	}
 
 	// SIGHUP re-reads -stats-file and installs it as a new statistics
 	// epoch — the operational path for drift when the daemon is driven by

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/snapcodec"
 )
 
 // PlanCache is the warm-start cache: an LRU map from query fingerprints
@@ -38,6 +39,12 @@ import (
 // reachable from all tiers is counted once, and evicting the exact
 // entry removes each pointer iff it still refers to it (no
 // double-count, no dangling tier entry).
+//
+// Records replayed from the snapshot store are admitted still encoded
+// (Admit) and decoded on their first use — or before the node reports
+// ready, for the entries the previous life's shutdown hint names
+// (DecodeNow). Everything else about an encoded entry — LRU position,
+// tier pointers, eviction — is an ordinary entry's (DESIGN.md D19).
 type PlanCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -53,27 +60,39 @@ type PlanCache struct {
 	puts      uint64
 	evictions uint64
 	poisoned  uint64
-	plans     int // running sum of PlanCount over cached snapshots
+	plans     int // running sum of PlanCount over decoded entries
+	encoded   int // entries whose snapshot is still encoded
 
 	// onEvict, when set, receives every LRU-evicted entry after the
 	// cache mutex is released — the persist-on-evict hook of the
 	// snapshot store. Set it before the cache sees concurrent use.
 	onEvict func(fp, canonFp, structFp string, perm []int, snap *core.Snapshot)
+
+	// decode turns an encoded entry's source into its snapshot; atBoot
+	// tells a decode made before the node reports ready (DecodeNow) from
+	// one a session's first hit pays for. The service installs an
+	// instrumented snapcodec.Decode before the cache sees concurrent use;
+	// tests substitute stubs.
+	decode func(blob []byte, atBoot bool) (*core.Snapshot, error)
 }
 
+// cacheItem is the one entry type: it holds a snapshot or, for a record
+// replayed from the store and not used since, the snapshot's encoded
+// source (DESIGN.md D19). Exactly one of snap and enc is set.
 type cacheItem struct {
 	fp       string
 	canonFp  string
 	structFp string
 	perm     []int // the source query's table-ID → canonical-position map
 	snap     *core.Snapshot
+	enc      *encodedSnap
 
 	// clean marks an entry whose snapshot is already on disk (replayed
 	// from the snapshot store at startup and not refreshed since). The
 	// eviction hook and the shutdown sweep skip clean entries — re-
 	// persisting them would just supersede their own records, turning
 	// every restart cycle into store churn; any Put dirties the entry
-	// again.
+	// again. An encoded entry is always clean.
 	clean bool
 
 	// origin labels how the entry got here when it did not come from a
@@ -82,6 +101,29 @@ type cacheItem struct {
 	// from the entry append it to their provenance; a Put from a live
 	// export clears it.
 	origin string
+
+	// used marks an entry this process hit (through any tier) or Put: the
+	// working set Shutdown hands to the store's hint so the next boot
+	// decodes it before reporting ready.
+	used bool
+}
+
+func (it *cacheItem) planCount() int {
+	if it.snap == nil {
+		return 0
+	}
+	return it.snap.PlanCount()
+}
+
+// encodedSnap is an entry's snapshot as the store replayed it: the
+// CRC-verified snapcodec bytes, decoded at most once — by whichever hit
+// or boot-time DecodeNow gets there first, with the rest waiting on the
+// same Once.
+type encodedSnap struct {
+	once sync.Once
+	blob []byte // released once decoded
+	snap *core.Snapshot
+	err  error
 }
 
 // NewPlanCache creates a cache holding at most capacity snapshots;
@@ -96,82 +138,166 @@ func NewPlanCache(capacity int) *PlanCache {
 		items:    map[string]*list.Element{},
 		canon:    map[string]*list.Element{},
 		structm:  map[string]*list.Element{},
+		decode: func(blob []byte, _ bool) (*core.Snapshot, error) {
+			return snapcodec.Decode(blob)
+		},
 	}
 }
 
-// Lookup returns the snapshot cached for the exact fingerprint, or —
-// failing that — the representative snapshot of the canonical digest's
-// isomorphism class together with its source permutation (the caller
-// composes it with its own and remaps). srcFP is the exact fingerprint
-// of the entry that satisfied the hit — the key a caller passes to
-// Quarantine if the restored snapshot turns out to be poison. exact
-// reports which tier hit; a hit or miss is recorded either way.
-func (c *PlanCache) Lookup(fp, canonFp string) (snap *core.Snapshot, srcPerm []int, srcFP string, exact, ok bool) {
+// Hit is what a lookup found.
+type Hit struct {
+	// Snap is the entry's snapshot. Nil means the entry was still encoded
+	// and its source failed to decode on this, its first use: the entry
+	// is poison and the caller quarantines SrcFP (DESIGN.md D14).
+	Snap *core.Snapshot
+	// Exact reports that the exact-fingerprint tier satisfied the lookup.
+	Exact bool
+	// SrcFP and SrcCanon are the exact fingerprint and canonical digest
+	// of the entry that satisfied the hit — the keys a caller passes to
+	// Quarantine if the restored snapshot turns out to be poison.
+	SrcFP, SrcCanon string
+	// Perm is the entry's source permutation; on a canonical-tier hit the
+	// caller composes it with its own and remaps.
+	Perm []int
+	// Origin is the entry's origin label ("replay", "bootstrap"; "" for
+	// an entry a live session exported).
+	Origin string
+}
+
+// Lookup returns the entry cached for the exact fingerprint, or —
+// failing that — the representative of the canonical digest's
+// isomorphism class (Hit.Exact tells which). A hit or miss is recorded
+// either way; a hit marks the entry used and, if the entry is still
+// encoded, decodes it before returning.
+func (c *PlanCache) Lookup(fp, canonFp string) (Hit, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, hit := c.items[fp]; hit {
+	el, exact := c.items[fp]
+	if !exact {
+		el = c.canon[canonFp]
+	}
+	switch {
+	case el == nil:
+		c.misses++
+		c.mu.Unlock()
+		return Hit{}, false
+	case exact:
 		c.exactHits++
-		c.ll.MoveToFront(el)
-		return el.Value.(*cacheItem).snap, nil, fp, true, true
-	}
-	if el, hit := c.canon[canonFp]; hit {
+	default:
 		c.isoHits++
-		c.ll.MoveToFront(el)
-		item := el.Value.(*cacheItem)
-		return item.snap, item.perm, item.fp, false, true
 	}
-	c.misses++
-	return nil, nil, "", false, false
+	h := c.hit(el)
+	h.Exact = exact
+	return h, true
 }
 
-// LookupStale returns the structural tier's representative snapshot for
-// the statistics-free structural digest: a cached entry whose source
-// query had the same tables and join topology but (necessarily, since
-// the exact and canonical tiers missed) different statistics. The
-// caller classifies the drift against the snapshot's recorded
-// statistics and re-costs or quarantines accordingly. srcFP and
-// srcCanonFp identify the entry that satisfied the hit — the keys for
-// a later Quarantine. Misses are not counted (the preceding Lookup
-// already recorded one).
-func (c *PlanCache) LookupStale(structFp string) (snap *core.Snapshot, srcFP, srcCanonFp string, ok bool) {
-	if structFp == "" {
-		return nil, "", "", false
-	}
+// LookupStale returns the structural tier's representative for the
+// statistics-free structural digest: a cached entry whose source query
+// had the same tables and join topology but (necessarily, since the
+// exact and canonical tiers missed) different statistics. The caller
+// classifies the drift against the snapshot's recorded statistics and
+// re-costs or quarantines accordingly. Misses are not counted (the
+// preceding Lookup already recorded one).
+func (c *PlanCache) LookupStale(structFp string) (Hit, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, hit := c.structm[structFp]
-	if !hit {
-		return nil, "", "", false
+	el := c.structm[structFp]
+	if el == nil {
+		c.mu.Unlock()
+		return Hit{}, false
 	}
 	c.staleHits++
-	c.ll.MoveToFront(el)
-	item := el.Value.(*cacheItem)
-	return item.snap, item.fp, item.canonFp, true
+	return c.hit(el), true
 }
 
-// Quarantine evicts fp's entry from both tiers without invoking the
-// persist-on-evict hook: the entry is poison (its restore or first
-// post-restore step failed), and persisting it would re-arm the very
-// record quarantine exists to bury. Unknown fingerprints are a no-op
-// (a concurrent LRU eviction may have raced the quarantine).
+// hit completes a lookup that found el: the entry becomes the most
+// recently used and is marked used, and if it has no snapshot yet its
+// source is decoded. Called with c.mu held; returns with it released —
+// the decode must not run under it.
+func (c *PlanCache) hit(el *list.Element) Hit {
+	c.ll.MoveToFront(el)
+	item := el.Value.(*cacheItem)
+	item.used = true
+	h := Hit{Snap: item.snap, SrcFP: item.fp, SrcCanon: item.canonFp, Perm: item.perm, Origin: item.origin}
+	enc := item.enc
+	c.mu.Unlock()
+	if enc != nil {
+		h.Snap = c.materialize(h.SrcFP, enc, false)
+	}
+	return h
+}
+
+// materialize decodes an encoded entry's source — once, however many
+// callers race to it, and never under c.mu: a decode takes as long as
+// hundreds of lookups — and installs the snapshot in fp's entry if that
+// entry still holds this source (a concurrent Put may have refreshed
+// it, the LRU may have evicted it; the decoded snapshot is good
+// either way). It returns nil when the source does not decode.
+func (c *PlanCache) materialize(fp string, enc *encodedSnap, atBoot bool) *core.Snapshot {
+	enc.once.Do(func() {
+		enc.snap, enc.err = c.decode(enc.blob, atBoot)
+		enc.blob = nil
+	})
+	if enc.err != nil {
+		return nil
+	}
+	c.mu.Lock()
+	if el, ok := c.items[fp]; ok {
+		if item := el.Value.(*cacheItem); item.enc == enc {
+			item.snap, item.enc = enc.snap, nil
+			c.plans += item.planCount()
+			c.encoded--
+		}
+	}
+	c.mu.Unlock()
+	return enc.snap
+}
+
+// DecodeNow decodes fp's entry if it is still encoded, leaving LRU
+// order, hit counters and the used mark alone: the boot-time half of
+// the shutdown hint (a hit would decode the entry anyway; this moves
+// the cost in front of /readyz). It reports false only when the source
+// failed to decode — the entry is poison and the caller quarantines it.
+func (c *PlanCache) DecodeNow(fp string) bool {
+	c.mu.Lock()
+	var enc *encodedSnap
+	if el, ok := c.items[fp]; ok {
+		enc = el.Value.(*cacheItem).enc
+	}
+	c.mu.Unlock()
+	return enc == nil || c.materialize(fp, enc, true) != nil
+}
+
+// removeLocked unlinks el from the LRU list and every tier. The
+// canonical and structural pointers go only if they still name this
+// entry: a newer isomorph may have taken over the class, and its exact
+// entry must stay reachable through those tiers.
+func (c *PlanCache) removeLocked(el *list.Element) *cacheItem {
+	item := c.ll.Remove(el).(*cacheItem)
+	delete(c.items, item.fp)
+	if c.canon[item.canonFp] == el {
+		delete(c.canon, item.canonFp)
+	}
+	if c.structm[item.structFp] == el {
+		delete(c.structm, item.structFp)
+	}
+	c.plans -= item.planCount()
+	if item.enc != nil {
+		c.encoded--
+	}
+	return item
+}
+
+// Quarantine evicts fp's entry from every tier without invoking the
+// persist-on-evict hook: the entry is poison (its decode, its restore or
+// its first post-restore step failed), and persisting it would re-arm
+// the very record quarantine exists to bury. Unknown fingerprints are a
+// no-op (a concurrent LRU eviction may have raced the quarantine).
 func (c *PlanCache) Quarantine(fp string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[fp]
-	if !ok {
-		return
+	if el, ok := c.items[fp]; ok {
+		c.removeLocked(el)
+		c.poisoned++
 	}
-	item := el.Value.(*cacheItem)
-	c.ll.Remove(el)
-	delete(c.items, fp)
-	if rep, ok := c.canon[item.canonFp]; ok && rep == el {
-		delete(c.canon, item.canonFp)
-	}
-	if rep, ok := c.structm[item.structFp]; ok && rep == el {
-		delete(c.structm, item.structFp)
-	}
-	c.plans -= item.snap.PlanCount()
-	c.poisoned++
 }
 
 // OnEvict registers fn to receive every entry the LRU evicts (invoked
@@ -184,64 +310,63 @@ func (c *PlanCache) OnEvict(fn func(fp, canonFp, structFp string, perm []int, sn
 	c.mu.Unlock()
 }
 
-// Put stores (or refreshes) the snapshot for the exact fingerprint and
-// makes it the canonical digest's and structural digest's class
-// representative, evicting the least recently used exact entry beyond
-// capacity. perm is the source query's canonical permutation, handed
-// back on isomorphic lookups. Nil snapshots are ignored.
+// Put stores (or refreshes) the snapshot a live session exported for the
+// exact fingerprint and makes it the canonical digest's and structural
+// digest's class representative, evicting the least recently used exact
+// entry beyond capacity. perm is the source query's canonical
+// permutation, handed back on isomorphic lookups. The entry is dirty
+// (not on disk yet) and used. Nil snapshots are ignored.
 func (c *PlanCache) Put(fp, canonFp, structFp string, perm []int, snap *core.Snapshot) {
 	if snap == nil {
 		return
 	}
+	c.admit(cacheItem{fp: fp, canonFp: canonFp, structFp: structFp, perm: perm, snap: snap, used: true})
+}
+
+// Admit is Put for a record replayed from the snapshot store: blob is
+// the snapshot still encoded (decoded on the entry's first use), the
+// entry is clean — it is on disk by definition, so eviction and the
+// shutdown sweep must not write it straight back — and labeled with
+// origin. LRU order, class representatives and eviction accounting are
+// Put's.
+func (c *PlanCache) Admit(fp, canonFp, structFp string, perm []int, blob []byte, origin string) {
+	c.admit(cacheItem{fp: fp, canonFp: canonFp, structFp: structFp, perm: perm,
+		enc: &encodedSnap{blob: blob}, clean: true, origin: origin})
+}
+
+func (c *PlanCache) admit(in cacheItem) {
 	var evicted []*cacheItem
 	c.mu.Lock()
 	c.puts++
-	if el, ok := c.items[fp]; ok {
+	c.plans += in.planCount()
+	if in.enc != nil {
+		c.encoded++
+	}
+	el, refresh := c.items[in.fp]
+	if refresh {
 		item := el.Value.(*cacheItem)
-		c.plans += snap.PlanCount() - item.snap.PlanCount()
-		if rep, ok := c.structm[item.structFp]; ok && rep == el && item.structFp != structFp {
+		c.plans -= item.planCount()
+		if item.enc != nil {
+			c.encoded--
+		}
+		if c.structm[item.structFp] == el && item.structFp != in.structFp {
 			delete(c.structm, item.structFp)
 		}
-		item.snap = snap
-		item.canonFp = canonFp
-		item.structFp = structFp
-		item.perm = perm
-		item.clean = false
-		item.origin = ""
-		if canonFp != "" {
-			c.canon[canonFp] = el // latest convergence represents the class
-		}
-		if structFp != "" {
-			c.structm[structFp] = el
-		}
+		*item = in
 		c.ll.MoveToFront(el)
-		c.mu.Unlock()
-		return
+	} else {
+		item := in // only an insert needs the item on the heap
+		el = c.ll.PushFront(&item)
+		c.items[in.fp] = el
 	}
-	el := c.ll.PushFront(&cacheItem{fp: fp, canonFp: canonFp, structFp: structFp, perm: perm, snap: snap})
-	c.items[fp] = el
-	if canonFp != "" {
-		c.canon[canonFp] = el
+	if in.canonFp != "" {
+		c.canon[in.canonFp] = el // latest convergence represents the class
 	}
-	if structFp != "" {
-		c.structm[structFp] = el
+	if in.structFp != "" {
+		c.structm[in.structFp] = el
 	}
-	c.plans += snap.PlanCount()
 	for c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		item := oldest.Value.(*cacheItem)
-		delete(c.items, item.fp)
-		// Drop the tier pointers only if they still name this entry:
-		// a newer isomorph may have taken over the class, and its exact
-		// entry must stay reachable through those tiers.
-		if rep, ok := c.canon[item.canonFp]; ok && rep == oldest {
-			delete(c.canon, item.canonFp)
-		}
-		if rep, ok := c.structm[item.structFp]; ok && rep == oldest {
-			delete(c.structm, item.structFp)
-		}
-		c.plans -= item.snap.PlanCount()
+		item := c.removeLocked(c.ll.Back())
 		c.evictions++
 		// Clean entries are already on disk; the hook exists to save
 		// snapshots whose only copy is the one being evicted.
@@ -256,61 +381,18 @@ func (c *PlanCache) Put(fp, canonFp, structFp string, perm []int, snap *core.Sna
 	}
 }
 
-// MarkClean flags fp's entry as already persisted. The service marks
-// each entry it replays from the snapshot store, so eviction and the
-// shutdown sweep do not write records straight back to the store they
-// came from.
-func (c *PlanCache) MarkClean(fp string) {
-	c.mu.Lock()
-	if el, ok := c.items[fp]; ok {
-		el.Value.(*cacheItem).clean = true
-	}
-	c.mu.Unlock()
-}
-
-// SetOrigin labels fp's entry with a plan-state origin ("replay",
-// "bootstrap"). The service tags entries as it replays them so
-// sessions that later warm-start from one can report where their plan
-// state ultimately came from.
-func (c *PlanCache) SetOrigin(fp, origin string) {
-	c.mu.Lock()
-	if el, ok := c.items[fp]; ok {
-		el.Value.(*cacheItem).origin = origin
-	}
-	c.mu.Unlock()
-}
-
-// Origin returns fp's origin label ("" for entries produced by live
-// session exports or unknown fingerprints).
-func (c *PlanCache) Origin(fp string) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[fp]; ok {
-		return el.Value.(*cacheItem).origin
-	}
-	return ""
-}
-
-// Each calls fn for every cached entry, most recently used first,
-// outside the cache mutex (the entries are copied under it).
-func (c *PlanCache) Each(fn func(fp, canonFp, structFp string, perm []int, snap *core.Snapshot)) {
-	c.each(fn, false)
-}
-
-// EachDirty is Each restricted to entries not marked clean — the
-// shutdown sweep's enumerator for the persist-on-evict store policy
-// (clean entries are already on disk).
+// EachDirty calls fn for every entry not marked clean, most recently
+// used first, outside the cache mutex (the entries are copied under
+// it) — the shutdown sweep's enumerator for the persist-on-evict store
+// policy. Clean entries, and with them every still-encoded one, are
+// already on disk.
 func (c *PlanCache) EachDirty(fn func(fp, canonFp, structFp string, perm []int, snap *core.Snapshot)) {
-	c.each(fn, true)
-}
-
-func (c *PlanCache) each(fn func(fp, canonFp, structFp string, perm []int, snap *core.Snapshot), dirtyOnly bool) {
 	// Copy values, not item pointers: a concurrent Put may refresh a
 	// live item's fields under the mutex while fn runs outside it.
 	c.mu.Lock()
 	items := make([]cacheItem, 0, c.ll.Len())
 	for el := c.ll.Front(); el != nil; el = el.Next() {
-		if item := el.Value.(*cacheItem); !dirtyOnly || !item.clean {
+		if item := el.Value.(*cacheItem); !item.clean {
 			items = append(items, *item)
 		}
 	}
@@ -320,11 +402,27 @@ func (c *PlanCache) each(fn func(fp, canonFp, structFp string, perm []int, snap 
 	}
 }
 
+// AppendUsed appends the fingerprints of the entries this process hit
+// or Put, most recently used first — what Shutdown hands to the store's
+// hint.
+func (c *PlanCache) AppendUsed(dst []string) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		if item := el.Value.(*cacheItem); item.used {
+			dst = append(dst, item.fp)
+		}
+	}
+	return dst
+}
+
 // CacheStats summarizes cache effectiveness.
 type CacheStats struct {
 	// Entries is the number of cached snapshots (exact-tier entries;
-	// the canonical tier only points into them).
-	Entries int
+	// the canonical tier only points into them), and Encoded how many of
+	// them are replayed records nothing has used yet: their snapshot is
+	// still in its wire form and costs one decode on first use.
+	Entries, Encoded int
 	// CanonEntries is the number of isomorphism classes with a live
 	// representative in the canonical tier.
 	CanonEntries int
@@ -353,7 +451,8 @@ type CacheStats struct {
 	// Poisoned counts entries quarantined because their restore or first
 	// post-restore step failed (DESIGN.md D14).
 	Poisoned uint64
-	// Plans is the total number of plan entries across cached snapshots.
+	// Plans is the total number of plan entries across the decoded
+	// snapshots; an encoded entry's plans are unknown until its first use.
 	Plans int
 }
 
@@ -361,6 +460,7 @@ type CacheStats struct {
 // across cache shards).
 func (cs *CacheStats) add(o CacheStats) {
 	cs.Entries += o.Entries
+	cs.Encoded += o.Encoded
 	cs.CanonEntries += o.CanonEntries
 	cs.Hits += o.Hits
 	cs.Misses += o.Misses
@@ -382,6 +482,7 @@ func (c *PlanCache) Stats() CacheStats {
 	defer c.mu.Unlock()
 	return CacheStats{
 		Entries:       c.ll.Len(),
+		Encoded:       c.encoded,
 		CanonEntries:  len(c.canon),
 		StructEntries: len(c.structm),
 		Hits:          c.exactHits + c.isoHits,

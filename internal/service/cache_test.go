@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -10,11 +11,11 @@ import (
 // getExact is Lookup restricted to the exact tier, the shape most of
 // the LRU assertions need.
 func getExact(c *PlanCache, fp string) (*core.Snapshot, bool) {
-	snap, _, _, exact, ok := c.Lookup(fp, "")
-	if !ok || !exact {
+	h, ok := c.Lookup(fp, "")
+	if !ok || !h.Exact {
 		return nil, false
 	}
-	return snap, true
+	return h.Snap, true
 }
 
 func TestPlanCacheLRU(t *testing.T) {
@@ -73,14 +74,14 @@ func TestPlanCacheCanonicalTier(t *testing.T) {
 	perm := []int{2, 0, 1}
 	c.Put("fpA", "shape", "", perm, snap)
 
-	got, srcPerm, _, exact, ok := c.Lookup("fpB", "shape")
-	if !ok || exact || got != snap {
-		t.Fatalf("canonical lookup = (%v, exact=%v, ok=%v), want iso hit", got, exact, ok)
+	got, ok := c.Lookup("fpB", "shape")
+	if !ok || got.Exact || got.Snap != snap || got.SrcFP != "fpA" {
+		t.Fatalf("canonical lookup = (%+v, ok=%v), want iso hit on fpA", got, ok)
 	}
-	if len(srcPerm) != 3 || srcPerm[0] != 2 {
-		t.Errorf("source permutation not returned: %v", srcPerm)
+	if len(got.Perm) != 3 || got.Perm[0] != 2 {
+		t.Errorf("source permutation not returned: %v", got.Perm)
 	}
-	if _, _, _, exact, ok := c.Lookup("fpA", "shape"); !ok || !exact {
+	if h, ok := c.Lookup("fpA", "shape"); !ok || !h.Exact {
 		t.Error("exact lookup did not hit the exact tier")
 	}
 	st := c.Stats()
@@ -110,7 +111,7 @@ func TestPlanCacheEvictionAccounting(t *testing.T) {
 	if _, ok := getExact(c, "fpA"); ok {
 		t.Fatal("fpA survived beyond capacity")
 	}
-	if _, _, _, _, ok := c.Lookup("fpX", "shape"); !ok {
+	if _, ok := c.Lookup("fpX", "shape"); !ok {
 		t.Error("canonical entry lost although its representative fpB is still cached")
 	}
 	// Now evict fpC's class representative: its canonical entry must
@@ -120,11 +121,35 @@ func TestPlanCacheEvictionAccounting(t *testing.T) {
 	if _, ok := getExact(c, "fpC"); ok {
 		t.Fatal("fpC survived though it was LRU")
 	}
-	if _, _, _, _, ok := c.Lookup("fpY", "other"); ok {
+	if _, ok := c.Lookup("fpY", "other"); ok {
 		t.Error("dangling canonical entry after its representative was evicted")
 	}
 	if st := c.Stats(); st.Entries != 2 || st.CanonEntries != 2 {
 		t.Errorf("stats = %+v, want 2 entries / 2 canonical classes (shape→fpB, fourth→fpD)", st)
+	}
+
+	// An entry evicted while still encoded leaves the same way: its tier
+	// pointers dropped, one eviction counted, no plans to give back, the
+	// encoded gauge back at zero — and the persist-on-evict hook, which
+	// exists for snapshots that have no other copy, never hears of it.
+	c = NewPlanCache(1)
+	c.OnEvict(func(fp, _, _ string, _ []int, _ *core.Snapshot) {
+		t.Errorf("eviction hook called for the clean entry %s", fp)
+	})
+	c.Admit("fpE", "encShape", "encStruct", nil, []byte("never decoded"), "replay")
+	if st := c.Stats(); st.Entries != 1 || st.Encoded != 1 || st.Plans != 0 {
+		t.Fatalf("stats = %+v, want one encoded entry and no plans", st)
+	}
+	c.Admit("fpF", "shapeF", "structF", nil, []byte("never decoded"), "replay")
+	want := CacheStats{Entries: 1, Encoded: 1, CanonEntries: 1, StructEntries: 1, Puts: 2, Evictions: 1}
+	if st := c.Stats(); st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
+	}
+	if _, ok := c.Lookup("fpE", "encShape"); ok {
+		t.Error("evicted encoded entry still reachable through the exact or canonical tier")
+	}
+	if _, ok := c.LookupStale("encStruct"); ok {
+		t.Error("evicted encoded entry still reachable through the structural tier")
 	}
 }
 
@@ -173,27 +198,24 @@ func TestPlanCachePutEvictCounters(t *testing.T) {
 	}
 }
 
-// TestPlanCacheEach checks the shutdown-sweep enumerator: every live
-// entry exactly once, most recently used first.
+// TestPlanCacheEach checks the shutdown-sweep enumerator: every dirty
+// entry exactly once, most recently used first — and never a clean one,
+// so never an entry whose snapshot is still encoded.
 func TestPlanCacheEach(t *testing.T) {
 	c := NewPlanCache(4)
 	for i := 0; i < 3; i++ {
 		c.Put(fmt.Sprintf("fp%d", i), "", "", nil, &core.Snapshot{})
 	}
+	c.Admit("fpEnc", "", "", nil, []byte("not looked at"), "replay")
 	var got []string
-	c.Each(func(fp, canonFp, structFp string, perm []int, snap *core.Snapshot) {
+	c.EachDirty(func(fp, canonFp, structFp string, perm []int, snap *core.Snapshot) {
 		got = append(got, fp)
 		if snap == nil {
-			t.Errorf("Each handed out a nil snapshot for %s", fp)
+			t.Errorf("EachDirty handed out a nil snapshot for %s", fp)
 		}
 	})
 	want := []string{"fp2", "fp1", "fp0"}
-	if len(got) != len(want) {
-		t.Fatalf("Each visited %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Each visited %v, want %v", got, want)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("EachDirty visited %v, want %v", got, want)
 	}
 }

@@ -1,0 +1,704 @@
+package service
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/catalog"
+	"repro/internal/core"
+	"repro/internal/costmodel"
+	"repro/internal/eventlog"
+	"repro/internal/faultfs"
+	"repro/internal/query"
+	"repro/internal/snapcodec"
+	"repro/internal/store"
+	"repro/internal/workload"
+)
+
+// hintFile is the store's hint file name: part of the on-disk layout,
+// so pinned here rather than exported.
+const hintFile = "hint.moqh"
+
+// encodedSnapshot converges block under cfg and returns the snapshot
+// with its wire form.
+func encodedSnapshot(t testing.TB, cfg core.Config, block string) (*core.Snapshot, []byte) {
+	t.Helper()
+	blk, ok := workload.Find(workload.MustTPCHBlocks(1), block)
+	if !ok {
+		t.Fatalf("unknown block %s", block)
+	}
+	opt := core.MustNewOptimizer(blk.Query, cfg)
+	for r := 0; r <= cfg.MaxResolution(); r++ {
+		opt.Optimize(nil, r)
+	}
+	snap := opt.Snapshot()
+	blob, err := snapcodec.Encode(nil, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap, blob
+}
+
+// lruOrder lists the resident fingerprints, most recently used first.
+func lruOrder(c *PlanCache) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var fps []string
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		fps = append(fps, el.Value.(*cacheItem).fp)
+	}
+	return fps
+}
+
+// TestEncodedAdmissionMatchesDecoded is the differential pin under
+// encoded admission: one seeded stream of admissions and lookups —
+// refreshes of one fingerprint, isomorphs sharing a canonical digest,
+// structural siblings, a key space twice the capacity — played against a
+// cache admitting every record decoded and one admitting it encoded must
+// produce the same hits (tier, source, permutation, origin, snapshot),
+// the same LRU order after every operation (so the same evictions in the
+// same order), the same used set, and — once the stragglers are decoded —
+// the same Stats to the last counter.
+func TestEncodedAdmissionMatchesDecoded(t *testing.T) {
+	cfg := testConfig(2).Opt
+	var snaps []*core.Snapshot
+	var blobs [][]byte
+	for _, name := range []string{"Q4", "Q12", "Q14"} {
+		snap, blob := encodedSnapshot(t, cfg, name)
+		snaps, blobs = append(snaps, snap), append(blobs, blob)
+	}
+	wire := func(s *core.Snapshot) []byte {
+		b, err := snapcodec.Encode(nil, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	sameHit := func(op int, what string, d, e Hit, dok, eok bool) {
+		t.Helper()
+		if dok != eok || d.Exact != e.Exact || d.SrcFP != e.SrcFP || d.SrcCanon != e.SrcCanon ||
+			d.Origin != e.Origin || !slices.Equal(d.Perm, e.Perm) {
+			t.Fatalf("op %d %s: decoded cache answered (%+v, %v), encoded cache (%+v, %v)", op, what, d, dok, e, eok)
+		}
+		if dok && (e.Snap == nil || !bytes.Equal(wire(d.Snap), wire(e.Snap))) {
+			t.Fatalf("op %d %s: snapshots differ", op, what)
+		}
+	}
+
+	dec, enc := NewPlanCache(5), NewPlanCache(5)
+	rng := rand.New(rand.NewSource(1))
+	var refreshes, isoHits, staleHits int
+	for op := 0; op < 800; op++ {
+		fp := fmt.Sprintf("fp%d", rng.Intn(10))
+		canon := fmt.Sprintf("canon%d", rng.Intn(4))
+		structFp := fmt.Sprintf("struct%d", rng.Intn(3))
+		switch rng.Intn(4) {
+		case 0:
+			i, perm := rng.Intn(len(snaps)), rng.Perm(3)
+			origin := []string{"replay", "bootstrap"}[rng.Intn(2)]
+			if slices.Contains(lruOrder(dec), fp) {
+				refreshes++
+			}
+			dec.admit(cacheItem{fp: fp, canonFp: canon, structFp: structFp, perm: perm,
+				snap: snaps[i], clean: true, origin: origin})
+			enc.Admit(fp, canon, structFp, perm, blobs[i], origin)
+		case 1, 2:
+			d, dok := dec.Lookup(fp, canon)
+			e, eok := enc.Lookup(fp, canon)
+			sameHit(op, "Lookup", d, e, dok, eok)
+			if dok && !d.Exact {
+				isoHits++
+			}
+		case 3:
+			d, dok := dec.LookupStale(structFp)
+			e, eok := enc.LookupStale(structFp)
+			sameHit(op, "LookupStale", d, e, dok, eok)
+			if dok {
+				staleHits++
+			}
+		}
+		if d, e := lruOrder(dec), lruOrder(enc); !slices.Equal(d, e) {
+			t.Fatalf("op %d: LRU order %v decoded, %v encoded", op, d, e)
+		}
+	}
+	ds, es := dec.Stats(), enc.Stats()
+	if refreshes == 0 || isoHits == 0 || staleHits == 0 || ds.Evictions == 0 || ds.Misses == 0 {
+		t.Fatalf("stream lost its coverage: %d refreshes, %d iso hits, %d stale hits, stats %+v",
+			refreshes, isoHits, staleHits, ds)
+	}
+	if d, e := dec.AppendUsed(nil), enc.AppendUsed(nil); !slices.Equal(d, e) {
+		t.Errorf("used set %v decoded, %v encoded", d, e)
+	}
+	if ds.Encoded != 0 || es.Encoded == 0 {
+		t.Fatalf("encoded gauge: %d in the decoded cache, %d in the encoded one (want 0 and a few never-hit entries)",
+			ds.Encoded, es.Encoded)
+	}
+	for _, fp := range lruOrder(enc) {
+		if !enc.DecodeNow(fp) {
+			t.Fatalf("DecodeNow(%s) failed", fp)
+		}
+	}
+	if es = enc.Stats(); es != ds {
+		t.Errorf("final stats differ:\n decoded %+v\n encoded %+v", ds, es)
+	}
+}
+
+// TestDecodeOnceConcurrentFirstHits: 16 goroutines first-hitting one
+// encoded entry through all three tiers produce one decode and 16 usable
+// snapshots, and the decode runs outside the shard mutex — while the
+// decoder is parked, a lookup of another fingerprint on the same shard
+// and a Stats call both complete.
+func TestDecodeOnceConcurrentFirstHits(t *testing.T) {
+	snap, blob := encodedSnapshot(t, testConfig(2).Opt, "Q4")
+	c := NewPlanCache(4)
+	var decodes atomic.Int32
+	entered, release := make(chan struct{}), make(chan struct{})
+	c.decode = func(blob []byte, atBoot bool) (*core.Snapshot, error) {
+		if decodes.Add(1) == 1 {
+			close(entered)
+		}
+		<-release
+		return snapcodec.Decode(blob)
+	}
+	c.Admit("fpA", "canonA", "structA", []int{1, 0}, blob, "replay")
+	c.Put("fpB", "canonB", "", nil, &core.Snapshot{})
+
+	const hitters = 16
+	hits := make([]Hit, hitters)
+	var wg sync.WaitGroup
+	for i := 0; i < hitters; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var ok bool
+			switch i % 3 {
+			case 0:
+				hits[i], ok = c.Lookup("fpA", "canonA")
+			case 1:
+				hits[i], ok = c.Lookup("fpIso", "canonA")
+			default:
+				hits[i], ok = c.LookupStale("structA")
+			}
+			if !ok {
+				t.Errorf("hitter %d missed", i)
+			}
+		}(i)
+	}
+	<-entered
+	other := make(chan bool)
+	go func() {
+		_, ok := c.Lookup("fpB", "canonB")
+		c.Stats()
+		other <- ok
+	}()
+	select {
+	case ok := <-other:
+		if !ok {
+			t.Error("lookup of the other fingerprint missed")
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("a lookup of another fingerprint blocked behind the decode: it runs under the shard mutex")
+	}
+	close(release)
+	wg.Wait()
+
+	if n := decodes.Load(); n != 1 {
+		t.Errorf("%d decodes for one entry, want 1", n)
+	}
+	for i, h := range hits {
+		if h.Snap == nil || h.Snap != hits[0].Snap || h.SrcFP != "fpA" || h.Origin != "replay" {
+			t.Errorf("hitter %d got %+v, want the one decoded snapshot of fpA", i, h)
+		}
+	}
+	st := c.Stats()
+	if st.Encoded != 0 || st.Plans != snap.PlanCount() {
+		t.Errorf("after the decode: %d encoded, %d plans, want 0 and %d", st.Encoded, st.Plans, snap.PlanCount())
+	}
+	if st.ExactHits != 7 || st.IsoHits != 5 || st.StaleHits != 5 {
+		t.Errorf("hits exact/iso/stale = %d/%d/%d, want 7/5/5", st.ExactHits, st.IsoHits, st.StaleHits)
+	}
+}
+
+// life is one service generation on a store directory.
+type life struct {
+	t   *testing.T
+	svc *Service
+}
+
+func startLife(t *testing.T, dir string, mutate func(*Config)) life {
+	t.Helper()
+	cfg := storeConfig(t, dir, PersistOnPut)
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatalf("boot on %s: %v", dir, err)
+	}
+	return life{t, svc}
+}
+
+// serve converges block and returns its provenance and rendered
+// frontier.
+func (l life) serve(block string) (string, []string) {
+	l.t.Helper()
+	st, frontier := convergeAndClose(l.t, l.svc, testBlock(l.t, block))
+	return st.Provenance, frontier
+}
+
+// residency returns the decodes made before New returned, the decodes
+// first hits paid since, and the entries still encoded.
+func (l life) residency() (boot, hit uint64, encoded int) {
+	return l.svc.obs.DecodesBoot.Value(), l.svc.obs.DecodesHit.Value(), l.svc.Stats().Cache.Encoded
+}
+
+func (l life) wantResidency(boot, hit uint64, encoded int) {
+	l.t.Helper()
+	if b, h, e := l.residency(); b != boot || h != hit || e != encoded {
+		l.t.Errorf("decodes boot/hit %d/%d, %d entries encoded; want %d/%d, %d", b, h, e, boot, hit, encoded)
+	}
+}
+
+// writeHintFile replaces dir's hint with one naming fps under the given
+// config echo, the way the store itself would write it.
+func writeHintFile(t *testing.T, dir, echo string, fps []string) {
+	t.Helper()
+	scratch := t.TempDir()
+	st, err := store.Open(store.Options{Dir: scratch, CfgEcho: echo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.WriteHint(fps); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(scratch, hintFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, hintFile), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mutateHint rewrites dir's hint file through fn.
+func mutateHint(t *testing.T, dir string, fn func([]byte) []byte) {
+	t.Helper()
+	path := filepath.Join(dir, hintFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, fn(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+var hintBlocks = []string{"Q4", "Q13", "Q14"}
+
+// TestHintThreeGenerations follows a working set through three lives on
+// one directory. Life 1 converges A, B and C; life 2 boots with all
+// three decoded (all were Put) and uses only A; life 3 boots with A
+// decoded and B, C encoded, and a first hit on B reports exact-replay
+// with life 1's frontier. The hint is advice only: with the file
+// deleted, truncated or bit-flipped between lives 2 and 3 every answer,
+// provenance and success is the same — decodes just move from boot to
+// first hit.
+func TestHintThreeGenerations(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		damage   func(t *testing.T, dir string)
+		wantBoot uint64 // life 3's decodes before ready
+	}{
+		{"intact", func(*testing.T, string) {}, 1},
+		{"deleted", func(t *testing.T, dir string) {
+			if err := os.Remove(filepath.Join(dir, hintFile)); err != nil {
+				t.Fatal(err)
+			}
+		}, 0},
+		{"truncated", func(t *testing.T, dir string) {
+			mutateHint(t, dir, func(b []byte) []byte { return b[:len(b)/2] })
+		}, 0},
+		{"bit-flipped", func(t *testing.T, dir string) {
+			mutateHint(t, dir, func(b []byte) []byte { b[len(b)-3] ^= 0x10; return b })
+		}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l1 := startLife(t, dir, nil)
+			want := map[string][]string{}
+			for _, b := range hintBlocks {
+				prov, frontier := l1.serve(b)
+				if prov != "cold" {
+					t.Fatalf("life 1 served %s as %s", b, prov)
+				}
+				want[b] = frontier
+			}
+			l1.wantResidency(0, 0, 0)
+			l1.svc.Shutdown()
+
+			l2 := startLife(t, dir, nil)
+			l2.wantResidency(3, 0, 0)
+			if prov, frontier := l2.serve("Q4"); prov != "exact-replay" || !slices.Equal(frontier, want["Q4"]) {
+				t.Errorf("life 2 served Q4 as %s, frontier equal: %v", prov, slices.Equal(frontier, want["Q4"]))
+			}
+			l2.wantResidency(3, 0, 0)
+			l2.svc.Shutdown()
+
+			tc.damage(t, dir)
+			l3 := startLife(t, dir, nil)
+			defer l3.svc.Shutdown()
+			l3.wantResidency(tc.wantBoot, 0, 3-int(tc.wantBoot))
+			for _, b := range []string{"Q4", "Q13"} {
+				if prov, frontier := l3.serve(b); prov != "exact-replay" || !slices.Equal(frontier, want[b]) {
+					t.Errorf("life 3 served %s as %s, frontier equal to life 1's: %v", b, prov, slices.Equal(frontier, want[b]))
+				}
+			}
+			// Q14 was never touched: still encoded. Every other decode
+			// happened exactly once, at boot or at the first hit.
+			l3.wantResidency(tc.wantBoot, 2-tc.wantBoot, 1)
+			if st := l3.svc.Stats(); st.WarmStarts != 2 || st.Cache.ExactHits != 2 || st.Poisoned != 0 || st.Store.Corrupted != 0 {
+				t.Errorf("life 3: %d warm starts, %d exact hits, %d poisoned, %d corrupted; want 2/2/0/0",
+					st.WarmStarts, st.Cache.ExactHits, st.Poisoned, st.Store.Corrupted)
+			}
+		})
+	}
+}
+
+// TestHintFaultMatrix breaks the hint in every way the design names —
+// at the write (torn write, failed rename, store degraded at shutdown)
+// and at rest (absent, garbage, foreign configuration, dead names) — and
+// requires the same of every case: the next life boots, decodes before
+// New returns no more than hint ∩ live, and serves the persisted query
+// warm as exact-replay.
+func TestHintFaultMatrix(t *testing.T) {
+	echo, err := core.ConfigFingerprint(storeConfig(t, "", PersistOnPut).Opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q4 := testBlock(t, "Q4").Fingerprint()
+	enospc := errors.New("injected: no space left on device")
+	onHint := func(op faultfs.Op, fault faultfs.Fault) faultfs.Script {
+		return func(o faultfs.Op, path string, _ uint64) faultfs.Fault {
+			if o == op && strings.Contains(path, hintFile) {
+				return fault
+			}
+			return faultfs.Fault{}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		// atRest damages the hint the clean first life left (all three
+		// blocks); script instead faults a second life's shutdown, which
+		// used only Q4, so that life's hint never replaces the first's.
+		atRest   func(t *testing.T, dir string)
+		script   faultfs.Script
+		degrade  bool
+		wantBoot uint64
+	}{
+		{name: "absent", wantBoot: 0, atRest: func(t *testing.T, dir string) {
+			if err := os.Remove(filepath.Join(dir, hintFile)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "garbage", wantBoot: 0, atRest: func(t *testing.T, dir string) {
+			mutateHint(t, dir, func(b []byte) []byte {
+				rand.New(rand.NewSource(3)).Read(b)
+				return b
+			})
+		}},
+		{name: "flipped byte", wantBoot: 0, atRest: func(t *testing.T, dir string) {
+			mutateHint(t, dir, func(b []byte) []byte { b[9] ^= 0x01; return b })
+		}},
+		{name: "foreign config echo", wantBoot: 0, atRest: func(t *testing.T, dir string) {
+			writeHintFile(t, dir, "3x9|some-other-build", []string{q4})
+		}},
+		{name: "only dead fingerprints", wantBoot: 0, atRest: func(t *testing.T, dir string) {
+			writeHintFile(t, dir, echo, []string{"gone-1", "gone-2"})
+		}},
+		{name: "one live among dead", wantBoot: 1, atRest: func(t *testing.T, dir string) {
+			writeHintFile(t, dir, echo, []string{"gone-1", q4, "gone-2", q4})
+		}},
+		{name: "torn write", wantBoot: 3,
+			script: onHint(faultfs.OpWrite, faultfs.Fault{Err: enospc, TornBytes: 11})},
+		{name: "failed rename", wantBoot: 3,
+			script: onHint(faultfs.OpRename, faultfs.Fault{Err: enospc})},
+		{name: "degraded at shutdown", wantBoot: 3, degrade: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l1 := startLife(t, dir, nil)
+			var want []string
+			for _, b := range hintBlocks {
+				_, frontier := l1.serve(b)
+				if b == "Q4" {
+					want = frontier
+				}
+			}
+			l1.svc.Shutdown()
+
+			if tc.atRest != nil {
+				tc.atRest(t, dir)
+			} else {
+				inj := faultfs.NewInjector(nil)
+				l2 := startLife(t, dir, func(cfg *Config) {
+					cfg.StoreOptions.FS = inj
+					cfg.StoreOptions.FailThreshold = 1
+				})
+				l2.serve("Q4")
+				if tc.degrade {
+					// One failed append flips the store degraded; the new
+					// query's record is lost, which is degraded mode's deal.
+					inj.FailOps(enospc, faultfs.OpWrite, faultfs.OpSync)
+					l2.serve("Q3")
+					for deadline := time.Now().Add(10 * time.Second); !l2.svc.Stats().Store.Degraded; {
+						if time.Now().After(deadline) {
+							t.Fatal("store never entered degraded mode")
+						}
+						time.Sleep(time.Millisecond)
+					}
+					hintOps := 0
+					inj.SetScript(func(op faultfs.Op, path string, _ uint64) faultfs.Fault {
+						if strings.Contains(path, hintFile) {
+							hintOps++
+						}
+						return faultfs.Fault{Err: enospc}
+					})
+					l2.svc.Shutdown()
+					if hintOps != 0 {
+						t.Errorf("a degraded store made %d filesystem calls for the hint, want none", hintOps)
+					}
+				} else {
+					inj.SetScript(tc.script)
+					l2.svc.Shutdown()
+				}
+			}
+
+			l3 := startLife(t, dir, nil)
+			defer l3.svc.Shutdown()
+			st := l3.svc.Stats()
+			if st.Store.Loaded != 3 || st.Cache.Entries != 3 {
+				t.Fatalf("last life loaded %d records into %d entries, want 3/3", st.Store.Loaded, st.Cache.Entries)
+			}
+			l3.wantResidency(tc.wantBoot, 0, 3-int(tc.wantBoot))
+			prov, frontier := l3.serve("Q4")
+			if prov != "exact-replay" || !slices.Equal(frontier, want) {
+				t.Errorf("served Q4 as %s, frontier equal to the first life's: %v", prov, slices.Equal(frontier, want))
+			}
+			if st := l3.svc.Stats(); st.WarmStarts != 1 || st.Poisoned != 0 || st.Store.Corrupted != 0 {
+				t.Errorf("%d warm starts, %d poisoned, %d corrupted; want 1/0/0", st.WarmStarts, st.Poisoned, st.Store.Corrupted)
+			}
+		})
+	}
+}
+
+// TestFirstUsePoisonQuarantined plants a record the scan accepts — frame
+// CRC valid, codec header compatible — whose blob does not decode: one
+// interior byte flipped, the frame resealed, the codec's own trailer
+// not. Decoding every record at boot used to skip such a record; under
+// encoded admission its first use finds it, and must treat it as poison:
+// the session starts cold with the right frontier, the entry leaves all
+// three tiers, a tombstone is written, Store.Corrupted is bumped and one
+// warning is emitted; neither a second create nor a reboot meets the
+// record again. With the hint naming the record, the same happens before
+// New returns.
+func TestFirstUsePoisonQuarantined(t *testing.T) {
+	for _, hinted := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hinted=%v", hinted), func(t *testing.T) {
+			dir := t.TempDir()
+			l1 := startLife(t, dir, nil)
+			_, want := l1.serve("Q4")
+			l1.svc.Shutdown()
+			if !hinted {
+				if err := os.Remove(filepath.Join(dir, hintFile)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			poisonOnlyFrame(t, dir)
+
+			events := eventlog.New(eventlog.Options{})
+			l2 := startLife(t, dir, func(cfg *Config) { cfg.Events = events })
+			poisonedNow := func() (st Stats, warnings int) {
+				for _, ev := range events.Snapshot(0, eventlog.LevelWarn) {
+					if strings.Contains(ev.Msg, "failed to decode") {
+						warnings++
+					}
+				}
+				return l2.svc.Stats(), warnings
+			}
+			st, warnings := poisonedNow()
+			if st.Store.Loaded != 1 {
+				t.Fatalf("the scan loaded %d records, want the planted one", st.Store.Loaded)
+			}
+			if !hinted {
+				if st.Cache.Entries != 1 || st.Cache.Encoded != 1 || st.Poisoned != 0 || warnings != 0 {
+					t.Fatalf("before the first use: %+v, %d warnings", st.Cache, warnings)
+				}
+			}
+			prov, frontier := l2.serve("Q4")
+			if prov != "cold" || !slices.Equal(frontier, want) {
+				t.Errorf("first create served as %s, frontier equal to the healthy one: %v", prov, slices.Equal(frontier, want))
+			}
+			st, warnings = poisonedNow()
+			if st.Poisoned != 1 || st.Cache.Poisoned != 1 || st.Cache.Encoded != 0 || st.Store.Corrupted != 1 || warnings != 1 {
+				t.Errorf("after the first create: poisoned %d/%d, encoded %d, corrupted %d, %d warnings; want 1/1, 0, 1, 1",
+					st.Poisoned, st.Cache.Poisoned, st.Cache.Encoded, st.Store.Corrupted, warnings)
+			}
+			// The cold session re-exported a healthy snapshot under the same
+			// fingerprint: the second create is warm from it and nothing is
+			// quarantined twice.
+			if prov, _ := l2.serve("Q4"); prov != "exact" {
+				t.Errorf("second create served as %s, want exact (from the fresh export)", prov)
+			}
+			st, warnings = poisonedNow()
+			if st.Poisoned != 1 || st.Store.Corrupted != 1 || warnings != 1 {
+				t.Errorf("second create met the record again: poisoned %d, corrupted %d, %d warnings", st.Poisoned, st.Store.Corrupted, warnings)
+			}
+			l2.svc.Shutdown() // flushes tombstone and re-export
+
+			l3 := startLife(t, dir, nil)
+			defer l3.svc.Shutdown()
+			st = l3.svc.Stats()
+			if st.Store.Tombstones != 1 || st.Store.Loaded != 1 || st.Store.Corrupted != 0 {
+				t.Fatalf("reboot scan: %d tombstones, %d loaded, %d corrupted; want 1/1/0", st.Store.Tombstones, st.Store.Loaded, st.Store.Corrupted)
+			}
+			if prov, frontier := l3.serve("Q4"); prov != "exact-replay" || !slices.Equal(frontier, want) {
+				t.Errorf("reboot served Q4 as %s, frontier equal: %v", prov, slices.Equal(frontier, want))
+			}
+			if st := l3.svc.Stats(); st.Poisoned != 0 || st.Store.Corrupted != 0 {
+				t.Errorf("reboot met the poison again: poisoned %d, corrupted %d", st.Poisoned, st.Store.Corrupted)
+			}
+		})
+	}
+}
+
+// poisonOnlyFrame flips one byte in the middle of the snapshot blob of
+// the single frame in dir's single segment and reseals the frame's
+// CRC32C (u32 payload length | u32 CRC32C | payload, the blob last).
+func poisonOnlyFrame(t *testing.T, dir string) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.moqs"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want one segment, have %v (%v)", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := data[8:]
+	if int(binary.LittleEndian.Uint32(data)) != len(payload) {
+		t.Fatalf("segment holds more than one frame (%d payload bytes of %d)", binary.LittleEndian.Uint32(data), len(payload))
+	}
+	payload[len(payload)/2] ^= 0x40
+	binary.LittleEndian.PutUint32(data[4:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkServiceBoot is the layer bench of the boot path: service.New
+// on a directory in the state restart_cycle reaches late in a run — the
+// 19 small TPC-H blocks plus 240 three-table synthetic records, written
+// by moqod's default optimizer configuration, and a hint naming the 21
+// entries one life of that workload uses. Reports ms/boot, decodes/boot
+// (= the hint) and, with -benchmem, the bytes a boot allocates.
+func BenchmarkServiceBoot(b *testing.B) {
+	dir := b.TempDir()
+	cfg := Config{
+		Opt:         core.Config{Model: costmodel.Default(), ResolutionLevels: 5, TargetPrecision: 1.01, PrecisionStep: 0.05},
+		Workers:     2,
+		Shards:      2,
+		IdleTimeout: -1,
+		StoreDir:    dir,
+	}
+	var queries []*query.Query
+	for i := 0; i < 240; i++ {
+		q, err := query.Synthetic(catalog.TPCH(1), 3, query.Topology(i%3), rand.New(rand.NewSource(int64(1000+i))))
+		if err != nil {
+			b.Fatal(err)
+		}
+		queries = append(queries, q)
+	}
+	blocks := workload.MustTPCHBlocks(1)
+	for _, name := range []string{"Q2", "Q2-sub", "Q3", "Q4", "Q10", "Q11", "Q11-sub", "Q12", "Q13", "Q14",
+		"Q15", "Q16", "Q17", "Q18", "Q19", "Q20", "Q20-sub", "Q21", "Q22"} {
+		blk, ok := workload.Find(blocks, name)
+		if !ok {
+			b.Fatalf("unknown block %s", name)
+		}
+		queries = append(queries, blk.Query)
+	}
+	seed, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, q := range queries {
+		id, err := seed.Create(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st, err := seed.WaitTarget(id); err != nil || st.State != AtTarget {
+			b.Fatalf("seeding: %v, state %v", err, st.State)
+		}
+		if err := seed.Close(id); err != nil {
+			b.Fatal(err)
+		}
+	}
+	seed.Shutdown()
+	// The newest 21 distinct records: the blocks (Q11 and Q11-sub are one
+	// query) and the last synthetic queries before them.
+	var hint []string
+	for i := len(queries) - 1; len(hint) < 21; i-- {
+		if fp := queries[i].Fingerprint(); !slices.Contains(hint, fp) {
+			hint = append(hint, fp)
+		}
+	}
+	echo, err := core.ConfigFingerprint(cfg.Opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	writeHint := func() {
+		st, err := store.Open(store.Options{Dir: dir, CfgEcho: echo})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := st.WriteHint(hint); err != nil {
+			b.Fatal(err)
+		}
+		st.Close()
+	}
+
+	b.ReportAllocs()
+	var decodes uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		writeHint() // an idle life's shutdown leaves an empty hint
+		b.StartTimer()
+		svc, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		decodes += svc.obs.DecodesBoot.Value()
+		if st := svc.Stats(); st.Cache.Entries == 0 || st.Cache.Entries != st.Cache.Encoded+len(hint) {
+			b.Fatalf("boot left %d entries, %d encoded, hint %d", st.Cache.Entries, st.Cache.Encoded, len(hint))
+		}
+		svc.Shutdown()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/boot")
+	b.ReportMetric(float64(decodes)/float64(b.N), "decodes/boot")
+}

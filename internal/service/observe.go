@@ -59,6 +59,12 @@ type Observability struct {
 	// regime converged, lower values mean the session ended (selected,
 	// expired, timed out...) partway up the precision ladder.
 	QualityAtDeadline *metrics.Histogram
+	// Decode is the latency of decoding one replayed cache entry's
+	// snapshot, and DecodesBoot/DecodesHit count the decodes by when they
+	// ran: before the node reported ready (the entries the shutdown hint
+	// named) or on a session's first hit (DESIGN.md D19).
+	Decode                  *metrics.Histogram
+	DecodesBoot, DecodesHit metrics.Counter
 
 	archive *trace.Archive
 }
@@ -87,6 +93,7 @@ func newObservability(shards int) *Observability {
 			1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
 		QualityAtDeadline: metrics.NewValues(1,
 			100, 250, 500, 750, 900, 950, 990, 1000),
+		Decode:  metrics.NewDuration(1),
 		archive: trace.NewArchive(archiveCap),
 	}
 	// Exemplars link a slow bucket to the session that filled it
@@ -298,6 +305,12 @@ func (s *Service) registerMetrics() {
 		r.CounterFunc("moqod_cache_poisoned_total", "Entries quarantined from the cache after a restore or first-step failure.", "", func() uint64 {
 			return s.cacheTotals().Poisoned
 		})
+		r.GaugeFunc("moqod_cache_encoded_entries", "Replayed cache entries not used yet: their snapshot is still encoded.", "", func() float64 {
+			return float64(s.cacheTotals().Encoded)
+		})
+		r.CounterFunc("moqod_cache_decodes_total", "Replayed cache entries decoded, by when: before ready (hinted) or on first hit.", `when="boot"`, s.obs.DecodesBoot.Value)
+		r.CounterFunc("moqod_cache_decodes_total", "Replayed cache entries decoded, by when: before ready (hinted) or on first hit.", `when="hit"`, s.obs.DecodesHit.Value)
+		r.Histogram("moqod_cache_decode_seconds", "Latency of decoding one replayed cache entry's snapshot.", "", s.obs.Decode)
 	}
 
 	if s.store != nil {

@@ -50,6 +50,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/session"
+	"repro/internal/snapcodec"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -508,6 +509,7 @@ func New(cfg Config) (*Service, error) {
 				c++
 			}
 			s.caches[i] = NewPlanCache(c)
+			s.caches[i].decode = s.decodeSnapshot
 		}
 	}
 	if cfg.StoreDir != "" {
@@ -529,29 +531,7 @@ func New(cfg Config) (*Service, error) {
 			return nil, err
 		}
 		s.store = st
-		// Pre-populate both cache tiers from the records that survived
-		// the scan, in write order, so the canonical tier ends up with
-		// each class's most recently persisted representative — the
-		// same state live Puts would have left behind. Decode failures
-		// are skipped inside Replay (degrade to cold, never fail
-		// startup). The eviction hook is installed only afterwards:
-		// replay evicting past capacity must not re-persist records
-		// that are already on disk.
-		replaySource := cfg.ReplaySource
-		if replaySource == "" {
-			replaySource = "replay"
-		}
-		_ = st.Replay(func(r store.Record) bool {
-			if c := s.cacheFor(r.CanonFP); c != nil {
-				c.Put(r.FP, r.CanonFP, r.StructFP, r.Perm, r.Snap)
-				// Replayed entries are on disk by definition; marking
-				// them clean keeps eviction and the shutdown sweep
-				// from writing them straight back.
-				c.MarkClean(r.FP)
-				c.SetOrigin(r.FP, replaySource)
-			}
-			return true
-		})
+		s.replay()
 		// Epoch labels must stay monotonic across restarts: raise the
 		// versioned catalog to the newest label the store has seen, so a
 		// post-restart statistics update never reuses a label that
@@ -597,6 +577,71 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.registerMetrics()
 	return s, nil
+}
+
+// replay pre-populates every cache tier from the records that survived
+// the store's scan, the way a buffer pool reloads after a restart
+// (DESIGN.md D19): each record is admitted still encoded, in write
+// order — so the canonical tier ends up with each class's most recently
+// persisted representative, the same state live Puts would have left
+// behind — and only the entries the previous life's shutdown hint names
+// are decoded before New returns; the rest decode on their first hit.
+// The hint is advice about when to pay a decode, never about what is
+// served: absent, damaged or stale, the node boots all the same with
+// more entries left encoded. Runs before the eviction hook is installed:
+// replay evicting past capacity must not re-persist records that are
+// already on disk.
+func (s *Service) replay() {
+	origin := s.cfg.ReplaySource
+	if origin == "" {
+		origin = "replay"
+	}
+	hint := s.store.Hint()
+	hinted := make(map[string]bool, len(hint))
+	for _, fp := range hint {
+		hinted[fp] = true
+	}
+	type key struct{ fp, canonFp string }
+	var hot []key
+	_ = s.store.ReplayEncoded(func(r store.Record) bool {
+		s.cacheFor(r.CanonFP).Admit(r.FP, r.CanonFP, r.StructFP, r.Perm, r.Blob, origin)
+		if hinted[r.FP] {
+			hot = append(hot, key{r.FP, r.CanonFP})
+		}
+		return true
+	})
+	// Decode after the last admission, not during: a store larger than
+	// the cache evicts its oldest-written records on the way in, and a
+	// decode spent on one of those is wasted.
+	for _, k := range hot {
+		if !s.cacheFor(k.canonFp).DecodeNow(k.fp) {
+			s.quarantineCorrupt(k.fp, k.canonFp)
+		}
+	}
+	ct, st := s.cacheTotals(), s.store.Stats()
+	s.cfg.Events.Emit(eventlog.LevelInfo, "service", "snapshot store replayed",
+		eventlog.Fint("loaded", int64(st.Loaded)),
+		eventlog.Fint("rejected", int64(st.Rejected)),
+		eventlog.Fint("corrupted", int64(st.Corrupted)),
+		eventlog.Fint("cache_entries", int64(ct.Entries)),
+		eventlog.Fint("hinted", int64(len(hint))),
+		eventlog.Fint("decoded", int64(s.obs.DecodesBoot.Value())),
+		eventlog.Fint("encoded", int64(ct.Encoded)),
+		eventlog.Fint("evicted_at_boot", int64(ct.Evictions)))
+}
+
+// decodeSnapshot is the cache shards' decoder: snapcodec.Decode with
+// every check it has, timed, and counted by when it ran.
+func (s *Service) decodeSnapshot(blob []byte, atBoot bool) (*core.Snapshot, error) {
+	t0 := time.Now()
+	snap, err := snapcodec.Decode(blob)
+	s.obs.Decode.ObserveDuration(time.Since(t0))
+	if atBoot {
+		s.obs.DecodesBoot.Inc()
+	} else {
+		s.obs.DecodesHit.Inc()
+	}
+	return snap, err
 }
 
 // shardIndex hashes a key (session ID or query fingerprint) onto a
@@ -665,6 +710,18 @@ func (s *Service) Shutdown() {
 			for _, c := range s.caches {
 				c.EachDirty(s.store.PutBlocking)
 			}
+		}
+		// Leave the next boot the working set: the entries this life hit
+		// or Put, most recently used first within each cache shard. The
+		// next life decodes those before it reports ready and leaves the
+		// rest of the store encoded (D19). A lost hint costs decodes on
+		// first hits, nothing else, so a failure is reported and dropped.
+		var used []string
+		for _, c := range s.caches {
+			used = c.AppendUsed(used)
+		}
+		if err := s.store.WriteHint(used); err != nil {
+			s.cfg.Events.Emit(eventlog.LevelWarn, "service", "shutdown hint not written", eventlog.Ferr(err))
 		}
 		// Close flushes the writer queue; errors are best effort — the
 		// snapshots still live in this process's cache, only restart
@@ -769,6 +826,18 @@ func (s *Service) quarantine(srcFP, canonFp string) {
 	s.poisoned.Add(1)
 }
 
+// quarantineCorrupt is quarantine for an entry whose encoded source
+// failed to decode on its first use. Decoding every record at boot used
+// to find such a record there, skip it and count it; now it is found
+// here, so it is counted the same (Store.Corrupted), reported, and
+// buried like any other poison — the next boot does not meet it again.
+func (s *Service) quarantineCorrupt(srcFP, canonFp string) {
+	s.store.NoteCorrupt() // encoded entries only ever come from the store's replay
+	s.quarantine(srcFP, canonFp)
+	s.cfg.Events.Emit(eventlog.LevelWarn, "service", "replayed record failed to decode, quarantined",
+		eventlog.F("fingerprint", srcFP))
+}
+
 // statsEpoch returns the current statistics-epoch label (0 without a
 // versioned catalog).
 func (s *Service) statsEpoch() uint64 {
@@ -783,16 +852,15 @@ func (s *Service) statsEpoch() uint64 {
 // digest, and the same structure under different statistics hashes to
 // different canonical shards, so the probe cannot stay shard-local; it
 // runs only after both real tiers missed, on the session-creation path.
-func (s *Service) lookupStale(structFp string) (snap *core.Snapshot, srcFP, srcCanon string, ok bool) {
-	if s.caches == nil || structFp == "" {
-		return nil, "", "", false
-	}
-	for _, c := range s.caches {
-		if snap, srcFP, srcCanon, ok = c.LookupStale(structFp); ok {
-			return snap, srcFP, srcCanon, true
+func (s *Service) lookupStale(structFp string) (Hit, bool) {
+	if structFp != "" {
+		for _, c := range s.caches {
+			if h, ok := c.LookupStale(structFp); ok {
+				return h, true
+			}
 		}
 	}
-	return nil, "", "", false
+	return Hit{}, false
 }
 
 // Create registers a new session for q and schedules its first
@@ -837,20 +905,25 @@ func (s *Service) Create(q *query.Query) (string, error) {
 	}
 	var sess *session.Session
 	var remapDur, recostDur time.Duration
-	var warmSrcFP, warmSrcCanon, drift string
-	warm, warmExact, preSnapshotted := false, false, false
+	var src Hit // the cache entry the session warm-started from
+	var drift string
+	warm, preSnapshotted := false, false
 	var driftClass core.DriftClass
 	if cache := s.cacheFor(canonFp); cache != nil {
-		if snap, srcPerm, srcFP, exact, ok := cache.Lookup(fp, canonFp); ok {
-			if !exact {
+		if hit, ok := cache.Lookup(fp, canonFp); ok {
+			snap := hit.Snap
+			if snap == nil {
+				// The entry was still encoded and its first use — this one —
+				// found it undecodable: poison, and a cold start.
+				s.quarantineCorrupt(hit.SrcFP, hit.SrcCanon)
+			} else if !hit.Exact {
 				// Cross-shape hit: rewrite the cached snapshot from its
 				// source labeling onto q's. Failures (which would take a
 				// digest collision) just degrade to a cold start.
-				src := snap
 				snap = nil
-				if perm, err := query.ComposeRemap(srcPerm, canonPerm); err == nil {
+				if perm, err := query.ComposeRemap(hit.Perm, canonPerm); err == nil {
 					t0 := time.Now()
-					remapped, err := src.Remap(perm)
+					remapped, err := hit.Snap.Remap(perm)
 					remapDur = time.Since(t0)
 					s.remapNS.Add(uint64(remapDur))
 					s.obs.Remap.ObserveDuration(remapDur)
@@ -873,25 +946,25 @@ func (s *Service) Create(q *query.Query) (string, error) {
 					if err != nil {
 						return "", err
 					}
-					warm = true
-					warmExact = exact
-					warmSrcFP = srcFP
-					warmSrcCanon = canonFp
+					warm, src = true, hit
 					s.warmStarts.Add(1)
-					if !exact {
+					if !hit.Exact {
 						s.isoWarmStarts.Add(1)
 					}
 				} else {
-					s.quarantine(srcFP, canonFp)
+					s.quarantine(hit.SrcFP, hit.SrcCanon)
 				}
 			}
-		} else if stale, srcFP, srcCanon, sok := s.lookupStale(structFp); sok {
+		} else if hit, ok := s.lookupStale(structFp); ok && hit.Snap == nil {
+			s.quarantineCorrupt(hit.SrcFP, hit.SrcCanon) // as above
+		} else if ok {
 			// Both real tiers missed, but a snapshot with q's exact
 			// structure is cached under different statistics: the stats
 			// drifted between its export and this create. Classify the
 			// drift against the snapshot's recorded values and re-cost,
 			// resume or quarantine accordingly (DESIGN.md D15) — never
 			// serve plan state costed under superseded statistics as-is.
+			stale := hit.Snap
 			class, mag := stale.ClassifyDrift(q, s.cfg.DriftThreshold)
 			driftClass = class
 			s.obs.DriftMagnitude.Observe(int64(mag * 1000))
@@ -917,9 +990,7 @@ func (s *Service) Create(q *query.Query) (string, error) {
 						if err != nil {
 							return "", err
 						}
-						warm = true
-						warmSrcFP = srcFP
-						warmSrcCanon = srcCanon
+						warm, src = true, hit
 						s.warmStarts.Add(1)
 						if class == core.DriftLarge {
 							s.driftResumed.Add(1)
@@ -956,7 +1027,7 @@ func (s *Service) Create(q *query.Query) (string, error) {
 				quarantined = true
 			}
 			if quarantined {
-				s.quarantine(srcFP, srcCanon)
+				s.quarantine(hit.SrcFP, hit.SrcCanon)
 				s.driftQuar.Add(1)
 				drift = "quarantined"
 			}
@@ -979,7 +1050,7 @@ func (s *Service) Create(q *query.Query) (string, error) {
 	// pulled from a peer.
 	prov := "cold"
 	switch {
-	case warmExact:
+	case src.Exact:
 		prov = "exact"
 	case warm && drift == "recosted":
 		prov = "recost"
@@ -988,12 +1059,8 @@ func (s *Service) Create(q *query.Query) (string, error) {
 	case warm:
 		prov = "iso"
 	}
-	if warm && warmSrcFP != "" {
-		if c := s.cacheFor(warmSrcCanon); c != nil {
-			if origin := c.Origin(warmSrcFP); origin != "" {
-				prov += "-" + origin
-			}
-		}
+	if src.Origin != "" {
+		prov += "-" + src.Origin
 	}
 	m := &managed{
 		id:         id,
@@ -1007,8 +1074,8 @@ func (s *Service) Create(q *query.Query) (string, error) {
 		lastTouch:  now,
 		created:    now,
 		warm:       warm,
-		srcFP:      warmSrcFP,
-		srcCanon:   warmSrcCanon,
+		srcFP:      src.SrcFP,
+		srcCanon:   src.SrcCanon,
 		drift:      drift,
 		provenance: prov,
 		statsEpoch: s.statsEpoch(),
@@ -1021,7 +1088,7 @@ func (s *Service) Create(q *query.Query) (string, error) {
 		// they seed the exact tier for their own labeling — and
 		// SetBounds clears the flag, so a new regime's convergence
 		// always refreshes the cache.
-		snapshotted: warmExact || preSnapshotted,
+		snapshotted: src.Exact || preSnapshotted,
 	}
 	m.cond = sync.NewCond(&m.mu)
 	// Seed the lifecycle trace with the creation-path spans
@@ -1031,7 +1098,7 @@ func (s *Service) Create(q *query.Query) (string, error) {
 	tr.AppendAt(trace.KindAdmit, 0, now.Sub(callStart), int64(m.shard))
 	if s.caches != nil {
 		switch {
-		case warmExact:
+		case src.Exact:
 			tr.AppendAt(trace.KindCacheExact, 0, 0, 0)
 		case warm && drift == "":
 			tr.AppendAt(trace.KindCacheIso, 0, 0, 0)

@@ -6,15 +6,17 @@
 // by a background writer, so persistence never blocks the refinement or
 // session-creation paths; a startup scan rebuilds the live-record
 // index, truncating each segment at its first corrupt record (a crash
-// mid-append, a torn page), and Replay streams the surviving records in
-// write order so the service can pre-populate all cache tiers. Records
-// whose configuration echo does not match the restoring service are
-// dead on arrival: config drift degrades to a cold start, never to a
-// wrong restore. Statistics drift is deliberately softer: each frame
-// also carries the statistics-epoch label its snapshot was costed
-// under, and records from older epochs still load — the service
-// re-costs them lazily through the cache's structural tier instead of
-// discarding warm state that is merely stale (DESIGN.md D15).
+// mid-append, a torn page), and ReplayEncoded streams the surviving
+// records in write order, snapshots still encoded, so the service can
+// pre-populate all cache tiers and decode only what the previous life's
+// shutdown hint (hint.go) says is hot. Records whose configuration echo
+// does not match the restoring service are dead on arrival: config
+// drift degrades to a cold start, never to a wrong restore. Statistics
+// drift is deliberately softer: each frame also carries the
+// statistics-epoch label its snapshot was costed under, and records
+// from older epochs still load — the service re-costs them lazily
+// through the cache's structural tier instead of discarding warm state
+// that is merely stale (DESIGN.md D15).
 //
 // Re-persisting a fingerprint supersedes its previous record; the
 // superseded bytes are dead. When dead bytes exceed
@@ -169,6 +171,10 @@ type Record struct {
 	StatsEpoch uint64
 	// Snap is the snapshot itself.
 	Snap *core.Snapshot
+	// Blob is the snapshot's snapcodec encoding, set in place of Snap on
+	// records ReplayEncoded yields: the frame's bytes as the scan
+	// CRC-verified them, not yet decoded.
+	Blob []byte
 }
 
 // Stats are the store's counters and gauges.
@@ -196,8 +202,10 @@ type Stats struct {
 	// MaxStatsEpoch is the newest statistics-epoch label seen across
 	// scanned and appended records.
 	MaxStatsEpoch uint64
-	// Corrupted counts scan truncations (bad checksum or torn record)
-	// and replay-time decode failures.
+	// Corrupted counts scan truncations (bad checksum or torn record),
+	// frames the replay walk could not read, and replayed blobs that
+	// failed to decode (at Replay, or at an encoded cache entry's first
+	// use).
 	Corrupted uint64
 	// Dropped counts Puts shed because the writer queue was full.
 	Dropped uint64
@@ -239,9 +247,9 @@ type location struct {
 }
 
 // Store is the disk-backed snapshot store. Open one per directory;
-// Put/Flush/Stats are safe for concurrent use. Replay must complete
-// before the first Put: a Put-triggered compaction could otherwise
-// delete segment files out from under Replay's reads (the service
+// Put/Flush/Stats are safe for concurrent use. The replay walk must
+// complete before the first Put: a Put-triggered compaction could
+// otherwise delete segment files out from under its reads (the service
 // replays inside New, before any session exists, so this holds
 // structurally there). Close flushes and stops the writer.
 type Store struct {
@@ -565,14 +573,21 @@ func encodeFrame(rec Record) ([]byte, error) {
 	}
 	payload = binary.AppendUvarint(payload, uint64(len(snap)))
 	payload = append(payload, snap...)
+	return sealFrame(payload), nil
+}
+
+// sealFrame prefixes payload with the frame header: its length and its
+// CRC32C.
+func sealFrame(payload []byte) []byte {
 	frame := make([]byte, frameHeaderLen, frameHeaderLen+len(payload))
 	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
-	return append(frame, payload...), nil
+	return append(frame, payload...)
 }
 
-// decodeFrame parses a frame payload back into a Record.
-func decodeFrame(payload []byte) (Record, error) {
+// parseFrame parses a frame payload's keys into a Record and leaves the
+// snapshot encoded: Blob aliases payload.
+func parseFrame(payload []byte) (Record, error) {
 	var rec Record
 	var ok bool
 	var rest []byte
@@ -613,11 +628,7 @@ func decodeFrame(payload []byte) (Record, error) {
 	if sz <= 0 || nSnap != uint64(len(rest)-sz) {
 		return rec, fmt.Errorf("store: bad frame snapshot length")
 	}
-	snap, err := snapcodec.Decode(rest[sz:])
-	if err != nil {
-		return rec, err
-	}
-	rec.Snap = snap
+	rec.Blob = rest[sz:]
 	return rec, nil
 }
 
@@ -626,12 +637,15 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// Replay streams the live records in write order (so a later record
-// for the same canonical digest overwrites an earlier class
-// representative, exactly as live Puts would have). Records that fail
-// to decode are counted as corrupted and skipped — replay degrades,
-// never fails. fn returning false stops the replay early.
-func (s *Store) Replay(fn func(Record) bool) error {
+// ReplayEncoded is the store's one replay walk: it streams the live
+// records in write order (so a later record for the same canonical
+// digest overwrites an earlier class representative, exactly as live
+// Puts would have) with their keys parsed and their snapshot still
+// encoded in Record.Blob — the caller decides which records are worth
+// decoding now (DESIGN.md D19). Each record owns its bytes. Unreadable
+// frames are counted as corrupted and skipped — replay degrades, never
+// fails. fn returning false stops the replay early.
+func (s *Store) ReplayEncoded(fn func(Record) bool) error {
 	s.mu.Lock()
 	order, locs := s.liveInOrder()
 	s.mu.Unlock()
@@ -649,19 +663,19 @@ func (s *Store) Replay(fn func(Record) bool) error {
 			var err error
 			f, err = s.fs.Open(filepath.Join(s.opts.Dir, segName(loc.seg)))
 			if err != nil {
-				s.noteCorrupt()
+				s.NoteCorrupt()
 				continue
 			}
 			files[loc.seg] = f
 		}
 		buf := make([]byte, loc.size-frameHeaderLen)
 		if _, err := f.ReadAt(buf, loc.off+frameHeaderLen); err != nil {
-			s.noteCorrupt()
+			s.NoteCorrupt()
 			continue
 		}
-		rec, err := decodeFrame(buf)
+		rec, err := parseFrame(buf)
 		if err != nil {
-			s.noteCorrupt()
+			s.NoteCorrupt()
 			continue
 		}
 		if !fn(rec) {
@@ -671,7 +685,25 @@ func (s *Store) Replay(fn func(Record) bool) error {
 	return nil
 }
 
-func (s *Store) noteCorrupt() {
+// Replay is ReplayEncoded with every record decoded before fn sees it
+// (Snap set, Blob nil); records that fail to decode are counted as
+// corrupted and skipped.
+func (s *Store) Replay(fn func(Record) bool) error {
+	return s.ReplayEncoded(func(rec Record) bool {
+		snap, err := snapcodec.Decode(rec.Blob)
+		if err != nil {
+			s.NoteCorrupt()
+			return true
+		}
+		rec.Snap, rec.Blob = snap, nil
+		return fn(rec)
+	})
+}
+
+// NoteCorrupt counts one live record that turned out unusable after the
+// scan accepted it: an unreadable frame during the replay walk, or a
+// blob ReplayEncoded handed out that failed to decode later.
+func (s *Store) NoteCorrupt() {
 	s.mu.Lock()
 	s.stats.Corrupted++
 	s.mu.Unlock()
@@ -840,10 +872,7 @@ func (s *Store) encodeTombstone(fp string) []byte {
 	payload = binary.AppendUvarint(payload, 0) // statsEpoch
 	payload = binary.AppendUvarint(payload, 0) // perm
 	payload = binary.AppendUvarint(payload, 0) // empty snapshot blob = tombstone
-	frame := make([]byte, frameHeaderLen, frameHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
-	return append(frame, payload...)
+	return sealFrame(payload)
 }
 
 // append writes one record (or tombstone) frame to the active segment

@@ -5,7 +5,12 @@
 # the pre-crash one exactly. This is the live-process pin behind the
 # restart tests: no shutdown path runs, so whatever the background
 # writer managed to append is all the restart gets — and it must be
-# either absent or correct, never wrong. CI runs this (see
+# either absent or correct, never wrong. The second half pins the
+# shutdown hint (DESIGN.md D19): the killed life left none, so the
+# survivor boots with its records still encoded and the warm session
+# pays the decode on its first hit; after a SIGTERM the next life finds
+# a hint, decodes before it is ready, and the same session pays nothing
+# — with the same frontier both times. CI runs this (see
 # .github/workflows/ci.yml); it only needs curl + jq.
 set -euo pipefail
 
@@ -28,6 +33,22 @@ start_moqod() {
 
 start_moqod
 trap 'kill -9 "$MOQOD" 2>/dev/null || true; rm -rf "$DIR"' EXIT
+
+# metric NAME: the value of one sample line of /metrics (NAME includes
+# its label set, if any).
+metric() {
+    curl -fsS "http://$ADDR/metrics" | awk -v name="$1" '$1 == name { print $2; found = 1 } END { if (!found) print "missing" }'
+}
+
+# require NAME OP VALUE: fail unless the integer metric compares as told.
+require() {
+    local got
+    got=$(metric "$1")
+    if ! [ "$got" "$2" "$3" ] 2>/dev/null; then
+        echo "chaos_smoke: $1 = $got, want $2 $3" >&2
+        exit 1
+    fi
+}
 
 # drive BLOCK: create a session, poll it to at-target, print the final
 # poll body.
@@ -86,16 +107,40 @@ if [ "$loaded" -lt 1 ]; then
 fi
 echo "chaos_smoke: restart replayed $loaded records"
 
-warm=$(drive Q4)
-if [ "$(printf '%s' "$warm" | jq -re '.warm')" != "true" ]; then
-    echo "chaos_smoke: restarted server did not warm-start the reference query" >&2
-    exit 1
-fi
-warm_frontier=$(printf '%s' "$warm" | jq -S '[.frontier[] | {plan, cost}] | sort_by(.plan)')
-if [ "$warm_frontier" != "$ref_frontier" ]; then
-    echo "chaos_smoke: warm frontier diverges from the pre-crash reference" >&2
-    diff <(printf '%s\n' "$ref_frontier") <(printf '%s\n' "$warm_frontier") >&2 || true
-    exit 1
-fi
-echo "chaos_smoke: warm frontier matches the pre-crash reference"
+# No shutdown ran, so no hint was written: every replayed record is
+# still encoded at ready and nothing was decoded at boot.
+require moqod_cache_encoded_entries -gt 0
+require 'moqod_cache_decodes_total{when="boot"}' -eq 0
+require 'moqod_cache_decodes_total{when="hit"}' -eq 0
+
+# check_warm LABEL: the reference query must start warm and converge to
+# the byte-identical pre-crash frontier.
+check_warm() {
+    local warm warm_frontier
+    warm=$(drive Q4)
+    if [ "$(printf '%s' "$warm" | jq -re '.warm')" != "true" ]; then
+        echo "chaos_smoke: $1: server did not warm-start the reference query" >&2
+        exit 1
+    fi
+    warm_frontier=$(printf '%s' "$warm" | jq -S '[.frontier[] | {plan, cost}] | sort_by(.plan)')
+    if [ "$warm_frontier" != "$ref_frontier" ]; then
+        echo "chaos_smoke: $1: warm frontier diverges from the pre-crash reference" >&2
+        diff <(printf '%s\n' "$ref_frontier") <(printf '%s\n' "$warm_frontier") >&2 || true
+        exit 1
+    fi
+    echo "chaos_smoke: $1: warm frontier matches the pre-crash reference"
+}
+
+check_warm "after SIGKILL"
+# The warm session was the entry's first use: it paid the one decode.
+require 'moqod_cache_decodes_total{when="hit"}' -eq 1
+
+# Graceful stop: the drain writes the hint naming what this life used.
+kill -TERM "$MOQOD"
+wait "$MOQOD" 2>/dev/null || true
+start_moqod
+require 'moqod_cache_decodes_total{when="boot"}' -ge 1
+check_warm "after SIGTERM"
+# Decoded before ready: the same session decodes nothing.
+require 'moqod_cache_decodes_total{when="hit"}' -eq 0
 echo "chaos_smoke: OK"
