@@ -137,9 +137,9 @@ type Fault struct {
 	// Err, when non-nil, is returned as the operation's error (e.g.
 	// syscall.ENOSPC).
 	Err error
-	// TornBytes applies to OpWrite only: the underlying write persists
-	// exactly this prefix of the buffer before Err is returned — a torn
-	// write. Ignored when Err is nil or TornBytes <= 0.
+	// TornBytes applies to OpWrite and OpReadAt: the underlying call
+	// moves exactly this prefix of the buffer before Err is returned — a
+	// torn write, a short read. Ignored when Err is nil or TornBytes <= 0.
 	TornBytes int
 }
 
@@ -312,10 +312,15 @@ func (f *injectorFile) Write(p []byte) (int, error) {
 	return f.inner.Write(p)
 }
 
-// ReadAt applies the script, then delegates.
+// ReadAt applies the script; a torn fault fills only the scripted
+// prefix before failing, modeling a short read.
 func (f *injectorFile) ReadAt(p []byte, off int64) (int, error) {
 	if ft := f.in.decide(OpReadAt, f.name); ft.Err != nil {
-		return 0, ft.Err
+		n := 0
+		if ft.TornBytes > 0 {
+			n, _ = f.inner.ReadAt(p[:min(ft.TornBytes, len(p))], off)
+		}
+		return n, ft.Err
 	}
 	return f.inner.ReadAt(p, off)
 }

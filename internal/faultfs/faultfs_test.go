@@ -2,6 +2,7 @@ package faultfs
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -107,6 +108,32 @@ func TestTornWrite(t *testing.T) {
 	data, err := in.ReadFile(path)
 	if err != nil || string(data) != "abc" {
 		t.Fatalf("on disk after tear: %q (%v), want \"abc\"", data, err)
+	}
+}
+
+// TestShortRead: a torn ReadAt fills the scripted prefix of the buffer,
+// leaves the rest alone and returns the scripted error.
+func TestShortRead(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "e.dat")
+	if err := os.WriteFile(path, []byte("abcdef"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	in := NewInjector(nil)
+	in.SetScript(func(op Op, _ string, _ uint64) Fault {
+		if op == OpReadAt {
+			return Fault{Err: io.ErrUnexpectedEOF, TornBytes: 2}
+		}
+		return Fault{}
+	})
+	f, err := in.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := []byte("------")
+	n, err := f.ReadAt(buf, 1)
+	if !errors.Is(err, io.ErrUnexpectedEOF) || n != 2 || string(buf) != "bc----" {
+		t.Fatalf("short read: n=%d err=%v buf=%q, want 2 bytes \"bc\"", n, err, buf)
 	}
 }
 

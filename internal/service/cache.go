@@ -2,10 +2,11 @@ package service
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/snapcodec"
+	"repro/internal/store"
 )
 
 // PlanCache is the warm-start cache: an LRU map from query fingerprints
@@ -40,11 +41,12 @@ import (
 // entry removes each pointer iff it still refers to it (no
 // double-count, no dangling tier entry).
 //
-// Records replayed from the snapshot store are admitted still encoded
-// (Admit) and decoded on their first use — or before the node reports
-// ready, for the entries the previous life's shutdown hint names
-// (DecodeNow). Everything else about an encoded entry — LRU position,
-// tier pointers, eviction — is an ordinary entry's (DESIGN.md D19).
+// The snapshot store is the cache's cold tier (DESIGN.md D19): a record
+// it holds is admitted as a stub — the keys, no snapshot (Admit) — and
+// fetched from the store on its first use, or before the node reports
+// ready for the entries the previous life's shutdown hint names
+// (FetchNow). Everything else about a stub — LRU position, tier
+// pointers, eviction — is an ordinary entry's.
 type PlanCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -60,39 +62,52 @@ type PlanCache struct {
 	puts      uint64
 	evictions uint64
 	poisoned  uint64
-	plans     int // running sum of PlanCount over decoded entries
-	encoded   int // entries whose snapshot is still encoded
+	plans     int // running sum of PlanCount over resident snapshots
+	encoded   int // stubs: entries whose snapshot is still encoded, in the store
 
 	// onEvict, when set, receives every LRU-evicted entry after the
 	// cache mutex is released — the persist-on-evict hook of the
 	// snapshot store. Set it before the cache sees concurrent use.
 	onEvict func(fp, canonFp, structFp string, perm []int, snap *core.Snapshot)
 
-	// decode turns an encoded entry's source into its snapshot; atBoot
-	// tells a decode made before the node reports ready (DecodeNow) from
-	// one a session's first hit pays for. The service installs an
-	// instrumented snapcodec.Decode before the cache sees concurrent use;
-	// tests substitute stubs.
-	decode func(blob []byte, atBoot bool) (*core.Snapshot, error)
+	// fetch produces a stub's snapshot from the cold tier — the store's
+	// Load, then snapcodec.Decode; atBoot tells a fetch made before the
+	// node reports ready (FetchNow) from one a session's first hit pays
+	// for. Its error says whose fault a failure is: store.ErrNotStored —
+	// nobody's, the record is no longer live; errStoreRead — the disk's,
+	// and nothing is known about the record; anything else — the
+	// record's: a failed checksum, parse or decode. The service installs
+	// an instrumented one before the cache sees concurrent use; tests
+	// substitute their own. A cache on its own has no cold tier.
+	fetch func(fp string, atBoot bool) (*core.Snapshot, error)
+}
+
+// errStoreRead marks a fetch that failed reading the store, as opposed
+// to one that read a record and found it bad.
+var errStoreRead = errors.New("service: snapshot store read failed")
+
+// poisonous reports whether a fetch error is a verdict on the record.
+func poisonous(err error) bool {
+	return err != nil && !errors.Is(err, errStoreRead) && !errors.Is(err, store.ErrNotStored)
 }
 
 // cacheItem is the one entry type: it holds a snapshot or, for a record
-// replayed from the store and not used since, the snapshot's encoded
-// source (DESIGN.md D19). Exactly one of snap and enc is set.
+// of the store nothing has used since boot, nothing but its keys
+// (DESIGN.md D19). Exactly one of snap and stub is set.
 type cacheItem struct {
 	fp       string
 	canonFp  string
 	structFp string
 	perm     []int // the source query's table-ID → canonical-position map
 	snap     *core.Snapshot
-	enc      *encodedSnap
+	stub     *stub
 
 	// clean marks an entry whose snapshot is already on disk (replayed
 	// from the snapshot store at startup and not refreshed since). The
 	// eviction hook and the shutdown sweep skip clean entries — re-
 	// persisting them would just supersede their own records, turning
 	// every restart cycle into store churn; any Put dirties the entry
-	// again. An encoded entry is always clean.
+	// again. A stub is always clean.
 	clean bool
 
 	// origin labels how the entry got here when it did not come from a
@@ -104,7 +119,7 @@ type cacheItem struct {
 
 	// used marks an entry this process hit (through any tier) or Put: the
 	// working set Shutdown hands to the store's hint so the next boot
-	// decodes it before reporting ready.
+	// fetches it before reporting ready.
 	used bool
 }
 
@@ -115,15 +130,16 @@ func (it *cacheItem) planCount() int {
 	return it.snap.PlanCount()
 }
 
-// encodedSnap is an entry's snapshot as the store replayed it: the
-// CRC-verified snapcodec bytes, decoded at most once — by whichever hit
-// or boot-time DecodeNow gets there first, with the rest waiting on the
-// same Once.
-type encodedSnap struct {
-	once sync.Once
-	blob []byte // released once decoded
-	snap *core.Snapshot
-	err  error
+// stub stands in for a snapshot that is in the store and not in memory.
+// It holds no bytes, only the guard that makes the fetch happen once per
+// entry: whichever hit or boot-time FetchNow gets there first runs it
+// under mu, the rest wait there and find the outcome latched — a
+// snapshot or a poison verdict. A fetch that failed reading the disk
+// latches nothing; the next caller tries again.
+type stub struct {
+	mu     sync.Mutex
+	snap   *core.Snapshot
+	poison error
 }
 
 // NewPlanCache creates a cache holding at most capacity snapshots;
@@ -138,18 +154,23 @@ func NewPlanCache(capacity int) *PlanCache {
 		items:    map[string]*list.Element{},
 		canon:    map[string]*list.Element{},
 		structm:  map[string]*list.Element{},
-		decode: func(blob []byte, _ bool) (*core.Snapshot, error) {
-			return snapcodec.Decode(blob)
+		fetch: func(string, bool) (*core.Snapshot, error) {
+			return nil, store.ErrNotStored
 		},
 	}
 }
 
 // Hit is what a lookup found.
 type Hit struct {
-	// Snap is the entry's snapshot. Nil means the entry was still encoded
-	// and its source failed to decode on this, its first use: the entry
-	// is poison and the caller quarantines SrcFP (DESIGN.md D14).
+	// Snap is the entry's snapshot. Nil means the entry was a stub and its
+	// fetch failed on this use: the caller starts cold, and — iff Poison —
+	// quarantines SrcFP first.
 	Snap *core.Snapshot
+	// Poison reports that the stub's record was read and found bad: a
+	// failed frame check or a failed decode (DESIGN.md D14). Snap nil
+	// without Poison means the store could not be read; the stub stays
+	// for a later attempt.
+	Poison bool
 	// Exact reports that the exact-fingerprint tier satisfied the lookup.
 	Exact bool
 	// SrcFP and SrcCanon are the exact fingerprint and canonical digest
@@ -167,27 +188,27 @@ type Hit struct {
 // Lookup returns the entry cached for the exact fingerprint, or —
 // failing that — the representative of the canonical digest's
 // isomorphism class (Hit.Exact tells which). A hit or miss is recorded
-// either way; a hit marks the entry used and, if the entry is still
-// encoded, decodes it before returning.
+// either way; a hit marks the entry used and, if the entry is a stub,
+// fetches its snapshot before returning. A stub whose record the store
+// no longer holds is dropped, and the lookup is a miss.
 func (c *PlanCache) Lookup(fp, canonFp string) (Hit, bool) {
 	c.mu.Lock()
 	el, exact := c.items[fp]
 	if !exact {
 		el = c.canon[canonFp]
 	}
-	switch {
-	case el == nil:
+	if el == nil {
 		c.misses++
 		c.mu.Unlock()
 		return Hit{}, false
-	case exact:
-		c.exactHits++
-	default:
-		c.isoHits++
 	}
-	h := c.hit(el)
-	h.Exact = exact
-	return h, true
+	tier := &c.isoHits
+	if exact {
+		tier = &c.exactHits
+	}
+	h, ok := c.hit(el, tier, &c.misses)
+	h.Exact = exact && ok
+	return h, ok
 }
 
 // LookupStale returns the structural tier's representative for the
@@ -204,66 +225,99 @@ func (c *PlanCache) LookupStale(structFp string) (Hit, bool) {
 		c.mu.Unlock()
 		return Hit{}, false
 	}
-	c.staleHits++
-	return c.hit(el), true
+	return c.hit(el, &c.staleHits, nil)
 }
 
-// hit completes a lookup that found el: the entry becomes the most
-// recently used and is marked used, and if it has no snapshot yet its
-// source is decoded. Called with c.mu held; returns with it released —
-// the decode must not run under it.
-func (c *PlanCache) hit(el *list.Element) Hit {
+// hit completes a lookup that found el: the tier's hit is counted, the
+// entry becomes the most recently used and is marked used, and if it is
+// a stub its snapshot is fetched. Called with c.mu held; returns with it
+// released — the fetch must not run under it. When the fetch finds the
+// record gone from the store the hit is taken back: the tier's count is
+// restored, miss (if the tier keeps one) counted, and hit reports false.
+func (c *PlanCache) hit(el *list.Element, tier, miss *uint64) (Hit, bool) {
+	*tier++
 	c.ll.MoveToFront(el)
 	item := el.Value.(*cacheItem)
 	item.used = true
 	h := Hit{Snap: item.snap, SrcFP: item.fp, SrcCanon: item.canonFp, Perm: item.perm, Origin: item.origin}
-	enc := item.enc
+	st := item.stub
 	c.mu.Unlock()
-	if enc != nil {
-		h.Snap = c.materialize(h.SrcFP, enc, false)
+	if st == nil {
+		return h, true
 	}
-	return h
+	var err error
+	if h.Snap, err = c.materialize(h.SrcFP, st, false); errors.Is(err, store.ErrNotStored) {
+		c.mu.Lock()
+		*tier--
+		if miss != nil {
+			*miss++
+		}
+		c.mu.Unlock()
+		return Hit{}, false
+	}
+	h.Poison = poisonous(err)
+	return h, true
 }
 
-// materialize decodes an encoded entry's source — once, however many
-// callers race to it, and never under c.mu: a decode takes as long as
-// hundreds of lookups — and installs the snapshot in fp's entry if that
-// entry still holds this source (a concurrent Put may have refreshed
-// it, the LRU may have evicted it; the decoded snapshot is good
-// either way). It returns nil when the source does not decode.
-func (c *PlanCache) materialize(fp string, enc *encodedSnap, atBoot bool) *core.Snapshot {
-	enc.once.Do(func() {
-		enc.snap, enc.err = c.decode(enc.blob, atBoot)
-		enc.blob = nil
-	})
-	if enc.err != nil {
-		return nil
+// materialize fetches a stub's snapshot — once, however many callers
+// race to it, and never under c.mu: a fetch is a disk read and a decode,
+// as long as hundreds of lookups — and installs it in fp's entry if that
+// entry still holds this stub (a concurrent Put may have refreshed it,
+// the LRU may have evicted it; the snapshot is good either way). A
+// store.ErrNotStored drops the entry instead, under the same condition.
+// The error is the fetch's, or the poison verdict an earlier one
+// latched.
+func (c *PlanCache) materialize(fp string, st *stub, atBoot bool) (*core.Snapshot, error) {
+	st.mu.Lock()
+	var err error
+	switch {
+	case st.snap != nil:
+	case st.poison != nil:
+		err = st.poison
+	default:
+		if st.snap, err = c.fetch(fp, atBoot); poisonous(err) {
+			st.poison = err
+		}
+	}
+	snap := st.snap
+	st.mu.Unlock()
+	if snap == nil && !errors.Is(err, store.ErrNotStored) {
+		return nil, err
 	}
 	c.mu.Lock()
 	if el, ok := c.items[fp]; ok {
-		if item := el.Value.(*cacheItem); item.enc == enc {
-			item.snap, item.enc = enc.snap, nil
-			c.plans += item.planCount()
-			c.encoded--
+		if item := el.Value.(*cacheItem); item.stub == st {
+			if snap == nil {
+				c.removeLocked(el)
+			} else {
+				item.snap, item.stub = snap, nil
+				c.plans += item.planCount()
+				c.encoded--
+			}
 		}
 	}
 	c.mu.Unlock()
-	return enc.snap
+	return snap, err
 }
 
-// DecodeNow decodes fp's entry if it is still encoded, leaving LRU
+// FetchNow fetches fp's snapshot if its entry is a stub, leaving LRU
 // order, hit counters and the used mark alone: the boot-time half of
-// the shutdown hint (a hit would decode the entry anyway; this moves
-// the cost in front of /readyz). It reports false only when the source
-// failed to decode — the entry is poison and the caller quarantines it.
-func (c *PlanCache) DecodeNow(fp string) bool {
+// the shutdown hint (a hit would fetch the entry anyway; this moves the
+// cost in front of /readyz). It reports whether the record turned out
+// to be poison, for the caller to quarantine; a record that could not
+// be read stays a stub.
+func (c *PlanCache) FetchNow(fp string) (poison bool) {
 	c.mu.Lock()
-	var enc *encodedSnap
+	var st *stub
 	if el, ok := c.items[fp]; ok {
-		enc = el.Value.(*cacheItem).enc
+		st = el.Value.(*cacheItem).stub
 	}
 	c.mu.Unlock()
-	return enc == nil || c.materialize(fp, enc, true) != nil
+	if st == nil {
+		return false
+	}
+	_, err := c.materialize(fp, st, true)
+	return poisonous(err)
 }
 
 // removeLocked unlinks el from the LRU list and every tier. The
@@ -280,14 +334,14 @@ func (c *PlanCache) removeLocked(el *list.Element) *cacheItem {
 		delete(c.structm, item.structFp)
 	}
 	c.plans -= item.planCount()
-	if item.enc != nil {
+	if item.stub != nil {
 		c.encoded--
 	}
 	return item
 }
 
 // Quarantine evicts fp's entry from every tier without invoking the
-// persist-on-evict hook: the entry is poison (its decode, its restore or
+// persist-on-evict hook: the entry is poison (its fetch, its restore or
 // its first post-restore step failed), and persisting it would re-arm
 // the very record quarantine exists to bury. Unknown fingerprints are a
 // no-op (a concurrent LRU eviction may have raced the quarantine).
@@ -323,15 +377,14 @@ func (c *PlanCache) Put(fp, canonFp, structFp string, perm []int, snap *core.Sna
 	c.admit(cacheItem{fp: fp, canonFp: canonFp, structFp: structFp, perm: perm, snap: snap, used: true})
 }
 
-// Admit is Put for a record replayed from the snapshot store: blob is
-// the snapshot still encoded (decoded on the entry's first use), the
-// entry is clean — it is on disk by definition, so eviction and the
-// shutdown sweep must not write it straight back — and labeled with
-// origin. LRU order, class representatives and eviction accounting are
-// Put's.
-func (c *PlanCache) Admit(fp, canonFp, structFp string, perm []int, blob []byte, origin string) {
+// Admit is Put for a record the snapshot store holds: the entry is a
+// stub (its snapshot is fetched on its first use), clean — it is on
+// disk by definition, so eviction and the shutdown sweep must not write
+// it straight back — and labeled with origin. LRU order, class
+// representatives and eviction accounting are Put's.
+func (c *PlanCache) Admit(fp, canonFp, structFp string, perm []int, origin string) {
 	c.admit(cacheItem{fp: fp, canonFp: canonFp, structFp: structFp, perm: perm,
-		enc: &encodedSnap{blob: blob}, clean: true, origin: origin})
+		stub: &stub{}, clean: true, origin: origin})
 }
 
 func (c *PlanCache) admit(in cacheItem) {
@@ -339,14 +392,14 @@ func (c *PlanCache) admit(in cacheItem) {
 	c.mu.Lock()
 	c.puts++
 	c.plans += in.planCount()
-	if in.enc != nil {
+	if in.stub != nil {
 		c.encoded++
 	}
 	el, refresh := c.items[in.fp]
 	if refresh {
 		item := el.Value.(*cacheItem)
 		c.plans -= item.planCount()
-		if item.enc != nil {
+		if item.stub != nil {
 			c.encoded--
 		}
 		if c.structm[item.structFp] == el && item.structFp != in.structFp {
@@ -384,8 +437,7 @@ func (c *PlanCache) admit(in cacheItem) {
 // EachDirty calls fn for every entry not marked clean, most recently
 // used first, outside the cache mutex (the entries are copied under
 // it) — the shutdown sweep's enumerator for the persist-on-evict store
-// policy. Clean entries, and with them every still-encoded one, are
-// already on disk.
+// policy. Clean entries, and with them every stub, are already on disk.
 func (c *PlanCache) EachDirty(fn func(fp, canonFp, structFp string, perm []int, snap *core.Snapshot)) {
 	// Copy values, not item pointers: a concurrent Put may refresh a
 	// live item's fields under the mutex while fn runs outside it.
@@ -420,8 +472,9 @@ func (c *PlanCache) AppendUsed(dst []string) []string {
 type CacheStats struct {
 	// Entries is the number of cached snapshots (exact-tier entries;
 	// the canonical tier only points into them), and Encoded how many of
-	// them are replayed records nothing has used yet: their snapshot is
-	// still in its wire form and costs one decode on first use.
+	// them are stubs, records of the store nothing has used yet: their
+	// snapshot is still in its wire form, on disk, and costs one read and
+	// one decode on first use.
 	Entries, Encoded int
 	// CanonEntries is the number of isomorphism classes with a live
 	// representative in the canonical tier.
@@ -451,8 +504,8 @@ type CacheStats struct {
 	// Poisoned counts entries quarantined because their restore or first
 	// post-restore step failed (DESIGN.md D14).
 	Poisoned uint64
-	// Plans is the total number of plan entries across the decoded
-	// snapshots; an encoded entry's plans are unknown until its first use.
+	// Plans is the total number of plan entries across the resident
+	// snapshots; a stub's plans are unknown until its first use.
 	Plans int
 }
 

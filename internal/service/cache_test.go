@@ -128,28 +128,29 @@ func TestPlanCacheEvictionAccounting(t *testing.T) {
 		t.Errorf("stats = %+v, want 2 entries / 2 canonical classes (shape→fpB, fourth→fpD)", st)
 	}
 
-	// An entry evicted while still encoded leaves the same way: its tier
-	// pointers dropped, one eviction counted, no plans to give back, the
-	// encoded gauge back at zero — and the persist-on-evict hook, which
-	// exists for snapshots that have no other copy, never hears of it.
+	// A stub evicted before anything used it leaves the same way: its
+	// tier pointers dropped, one eviction counted, no plans to give back,
+	// the encoded gauge back at zero — and the persist-on-evict hook,
+	// which exists for snapshots that have no other copy, never hears of
+	// it.
 	c = NewPlanCache(1)
 	c.OnEvict(func(fp, _, _ string, _ []int, _ *core.Snapshot) {
 		t.Errorf("eviction hook called for the clean entry %s", fp)
 	})
-	c.Admit("fpE", "encShape", "encStruct", nil, []byte("never decoded"), "replay")
+	c.Admit("fpE", "encShape", "encStruct", nil, "replay")
 	if st := c.Stats(); st.Entries != 1 || st.Encoded != 1 || st.Plans != 0 {
-		t.Fatalf("stats = %+v, want one encoded entry and no plans", st)
+		t.Fatalf("stats = %+v, want one stub and no plans", st)
 	}
-	c.Admit("fpF", "shapeF", "structF", nil, []byte("never decoded"), "replay")
+	c.Admit("fpF", "shapeF", "structF", nil, "replay")
 	want := CacheStats{Entries: 1, Encoded: 1, CanonEntries: 1, StructEntries: 1, Puts: 2, Evictions: 1}
 	if st := c.Stats(); st != want {
 		t.Errorf("stats = %+v, want %+v", st, want)
 	}
 	if _, ok := c.Lookup("fpE", "encShape"); ok {
-		t.Error("evicted encoded entry still reachable through the exact or canonical tier")
+		t.Error("evicted stub still reachable through the exact or canonical tier")
 	}
 	if _, ok := c.LookupStale("encStruct"); ok {
-		t.Error("evicted encoded entry still reachable through the structural tier")
+		t.Error("evicted stub still reachable through the structural tier")
 	}
 }
 
@@ -200,13 +201,13 @@ func TestPlanCachePutEvictCounters(t *testing.T) {
 
 // TestPlanCacheEach checks the shutdown-sweep enumerator: every dirty
 // entry exactly once, most recently used first — and never a clean one,
-// so never an entry whose snapshot is still encoded.
+// so never a stub.
 func TestPlanCacheEach(t *testing.T) {
 	c := NewPlanCache(4)
 	for i := 0; i < 3; i++ {
 		c.Put(fmt.Sprintf("fp%d", i), "", "", nil, &core.Snapshot{})
 	}
-	c.Admit("fpEnc", "", "", nil, []byte("not looked at"), "replay")
+	c.Admit("fpEnc", "", "", nil, "replay")
 	var got []string
 	c.EachDirty(func(fp, canonFp, structFp string, perm []int, snap *core.Snapshot) {
 		got = append(got, fp)

@@ -62,15 +62,16 @@ func lruOrder(c *PlanCache) []string {
 	return fps
 }
 
-// TestEncodedAdmissionMatchesDecoded is the differential pin under
-// encoded admission: one seeded stream of admissions and lookups —
-// refreshes of one fingerprint, isomorphs sharing a canonical digest,
-// structural siblings, a key space twice the capacity — played against a
-// cache admitting every record decoded and one admitting it encoded must
-// produce the same hits (tier, source, permutation, origin, snapshot),
-// the same LRU order after every operation (so the same evictions in the
-// same order), the same used set, and — once the stragglers are decoded —
-// the same Stats to the last counter.
+// TestEncodedAdmissionMatchesDecoded is the differential pin under stub
+// admission: one seeded stream of admissions and lookups — refreshes of
+// one fingerprint, isomorphs sharing a canonical digest, structural
+// siblings, a key space twice the capacity — played against a cache
+// admitting every record decoded and one admitting it as a stub, its
+// snapshot left encoded in a stand-in store, must produce the same hits
+// (tier, source, permutation, origin, snapshot), the same LRU order
+// after every operation (so the same evictions in the same order), the
+// same used set, and — once the stragglers are fetched — the same Stats
+// to the last counter.
 func TestEncodedAdmissionMatchesDecoded(t *testing.T) {
 	cfg := testConfig(2).Opt
 	var snaps []*core.Snapshot
@@ -90,7 +91,7 @@ func TestEncodedAdmissionMatchesDecoded(t *testing.T) {
 		t.Helper()
 		if dok != eok || d.Exact != e.Exact || d.SrcFP != e.SrcFP || d.SrcCanon != e.SrcCanon ||
 			d.Origin != e.Origin || !slices.Equal(d.Perm, e.Perm) {
-			t.Fatalf("op %d %s: decoded cache answered (%+v, %v), encoded cache (%+v, %v)", op, what, d, dok, e, eok)
+			t.Fatalf("op %d %s: decoded cache answered (%+v, %v), stored cache (%+v, %v)", op, what, d, dok, e, eok)
 		}
 		if dok && (e.Snap == nil || !bytes.Equal(wire(d.Snap), wire(e.Snap))) {
 			t.Fatalf("op %d %s: snapshots differ", op, what)
@@ -98,6 +99,10 @@ func TestEncodedAdmissionMatchesDecoded(t *testing.T) {
 	}
 
 	dec, enc := NewPlanCache(5), NewPlanCache(5)
+	stored := map[string][]byte{} // the stand-in store: fingerprint → its live record's blob
+	enc.fetch = func(fp string, _ bool) (*core.Snapshot, error) {
+		return snapcodec.Decode(stored[fp])
+	}
 	rng := rand.New(rand.NewSource(1))
 	var refreshes, isoHits, staleHits int
 	for op := 0; op < 800; op++ {
@@ -113,7 +118,8 @@ func TestEncodedAdmissionMatchesDecoded(t *testing.T) {
 			}
 			dec.admit(cacheItem{fp: fp, canonFp: canon, structFp: structFp, perm: perm,
 				snap: snaps[i], clean: true, origin: origin})
-			enc.Admit(fp, canon, structFp, perm, blobs[i], origin)
+			stored[fp] = blobs[i]
+			enc.Admit(fp, canon, structFp, perm, origin)
 		case 1, 2:
 			d, dok := dec.Lookup(fp, canon)
 			e, eok := enc.Lookup(fp, canon)
@@ -130,7 +136,7 @@ func TestEncodedAdmissionMatchesDecoded(t *testing.T) {
 			}
 		}
 		if d, e := lruOrder(dec), lruOrder(enc); !slices.Equal(d, e) {
-			t.Fatalf("op %d: LRU order %v decoded, %v encoded", op, d, e)
+			t.Fatalf("op %d: LRU order %v decoded, %v stored", op, d, e)
 		}
 	}
 	ds, es := dec.Stats(), enc.Stats()
@@ -139,40 +145,40 @@ func TestEncodedAdmissionMatchesDecoded(t *testing.T) {
 			refreshes, isoHits, staleHits, ds)
 	}
 	if d, e := dec.AppendUsed(nil), enc.AppendUsed(nil); !slices.Equal(d, e) {
-		t.Errorf("used set %v decoded, %v encoded", d, e)
+		t.Errorf("used set %v decoded, %v stored", d, e)
 	}
 	if ds.Encoded != 0 || es.Encoded == 0 {
-		t.Fatalf("encoded gauge: %d in the decoded cache, %d in the encoded one (want 0 and a few never-hit entries)",
+		t.Fatalf("encoded gauge: %d in the decoded cache, %d in the stored one (want 0 and a few never-hit entries)",
 			ds.Encoded, es.Encoded)
 	}
 	for _, fp := range lruOrder(enc) {
-		if !enc.DecodeNow(fp) {
-			t.Fatalf("DecodeNow(%s) failed", fp)
+		if enc.FetchNow(fp) {
+			t.Fatalf("FetchNow(%s) found poison", fp)
 		}
 	}
 	if es = enc.Stats(); es != ds {
-		t.Errorf("final stats differ:\n decoded %+v\n encoded %+v", ds, es)
+		t.Errorf("final stats differ:\n decoded %+v\n stored  %+v", ds, es)
 	}
 }
 
 // TestDecodeOnceConcurrentFirstHits: 16 goroutines first-hitting one
-// encoded entry through all three tiers produce one decode and 16 usable
-// snapshots, and the decode runs outside the shard mutex — while the
-// decoder is parked, a lookup of another fingerprint on the same shard
+// stub through all three tiers produce one fetch — one load, one decode —
+// and 16 usable snapshots, and the fetch runs outside the shard mutex:
+// while it is parked, a lookup of another fingerprint on the same shard
 // and a Stats call both complete.
 func TestDecodeOnceConcurrentFirstHits(t *testing.T) {
 	snap, blob := encodedSnapshot(t, testConfig(2).Opt, "Q4")
 	c := NewPlanCache(4)
 	var decodes atomic.Int32
 	entered, release := make(chan struct{}), make(chan struct{})
-	c.decode = func(blob []byte, atBoot bool) (*core.Snapshot, error) {
+	c.fetch = func(fp string, atBoot bool) (*core.Snapshot, error) {
 		if decodes.Add(1) == 1 {
 			close(entered)
 		}
 		<-release
 		return snapcodec.Decode(blob)
 	}
-	c.Admit("fpA", "canonA", "structA", []int{1, 0}, blob, "replay")
+	c.Admit("fpA", "canonA", "structA", []int{1, 0}, "replay")
 	c.Put("fpB", "canonB", "", nil, &core.Snapshot{})
 
 	const hitters = 16
@@ -209,22 +215,22 @@ func TestDecodeOnceConcurrentFirstHits(t *testing.T) {
 			t.Error("lookup of the other fingerprint missed")
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("a lookup of another fingerprint blocked behind the decode: it runs under the shard mutex")
+		t.Fatal("a lookup of another fingerprint blocked behind the fetch: it runs under the shard mutex")
 	}
 	close(release)
 	wg.Wait()
 
 	if n := decodes.Load(); n != 1 {
-		t.Errorf("%d decodes for one entry, want 1", n)
+		t.Errorf("%d fetches for one entry, want 1", n)
 	}
 	for i, h := range hits {
 		if h.Snap == nil || h.Snap != hits[0].Snap || h.SrcFP != "fpA" || h.Origin != "replay" {
-			t.Errorf("hitter %d got %+v, want the one decoded snapshot of fpA", i, h)
+			t.Errorf("hitter %d got %+v, want the one fetched snapshot of fpA", i, h)
 		}
 	}
 	st := c.Stats()
 	if st.Encoded != 0 || st.Plans != snap.PlanCount() {
-		t.Errorf("after the decode: %d encoded, %d plans, want 0 and %d", st.Encoded, st.Plans, snap.PlanCount())
+		t.Errorf("after the fetch: %d stubs, %d plans, want 0 and %d", st.Encoded, st.Plans, snap.PlanCount())
 	}
 	if st.ExactHits != 7 || st.IsoHits != 5 || st.StaleHits != 5 {
 		t.Errorf("hits exact/iso/stale = %d/%d/%d, want 7/5/5", st.ExactHits, st.IsoHits, st.StaleHits)
@@ -258,16 +264,18 @@ func (l life) serve(block string) (string, []string) {
 	return st.Provenance, frontier
 }
 
-// residency returns the decodes made before New returned, the decodes
-// first hits paid since, and the entries still encoded.
-func (l life) residency() (boot, hit uint64, encoded int) {
-	return l.svc.obs.DecodesBoot.Value(), l.svc.obs.DecodesHit.Value(), l.svc.Stats().Cache.Encoded
-}
-
-func (l life) wantResidency(boot, hit uint64, encoded int) {
+// wantResidency checks the decodes made before New returned, the
+// decodes first hits paid since, and the entries still stubs — and that
+// every decode had its one read of the store, counted the same way.
+func (l life) wantResidency(boot, hit uint64, stubs int) {
 	l.t.Helper()
-	if b, h, e := l.residency(); b != boot || h != hit || e != encoded {
-		l.t.Errorf("decodes boot/hit %d/%d, %d entries encoded; want %d/%d, %d", b, h, e, boot, hit, encoded)
+	st := l.svc.Stats()
+	if b, h := l.svc.obs.DecodesBoot.Value(), l.svc.obs.DecodesHit.Value(); b != boot || h != hit || st.Cache.Encoded != stubs {
+		l.t.Errorf("decodes boot/hit %d/%d, %d stubs; want %d/%d, %d", b, h, st.Cache.Encoded, boot, hit, stubs)
+	}
+	if st.StoreReadsBoot != boot || st.StoreReadsHit != hit || st.StoreReadErrors != 0 {
+		l.t.Errorf("store reads boot/hit %d/%d, %d errors; want %d/%d, 0",
+			st.StoreReadsBoot, st.StoreReadsHit, st.StoreReadErrors, boot, hit)
 	}
 }
 
@@ -310,12 +318,12 @@ var hintBlocks = []string{"Q4", "Q13", "Q14"}
 
 // TestHintThreeGenerations follows a working set through three lives on
 // one directory. Life 1 converges A, B and C; life 2 boots with all
-// three decoded (all were Put) and uses only A; life 3 boots with A
-// decoded and B, C encoded, and a first hit on B reports exact-replay
-// with life 1's frontier. The hint is advice only: with the file
-// deleted, truncated or bit-flipped between lives 2 and 3 every answer,
-// provenance and success is the same — decodes just move from boot to
-// first hit.
+// three resident (all were Put) and uses only A; life 3 boots with A
+// resident and B, C left in the store, and a first hit on B reports
+// exact-replay with life 1's frontier. The hint is advice only: with the
+// file deleted, truncated or bit-flipped between lives 2 and 3 every
+// answer, provenance and success is the same — reads and decodes just
+// move from boot to first hit.
 func TestHintThreeGenerations(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -366,7 +374,7 @@ func TestHintThreeGenerations(t *testing.T) {
 					t.Errorf("life 3 served %s as %s, frontier equal to life 1's: %v", b, prov, slices.Equal(frontier, want[b]))
 				}
 			}
-			// Q14 was never touched: still encoded. Every other decode
+			// Q14 was never touched: still in the store. Every other fetch
 			// happened exactly once, at boot or at the first hit.
 			l3.wantResidency(tc.wantBoot, 2-tc.wantBoot, 1)
 			if st := l3.svc.Stats(); st.WarmStarts != 2 || st.Cache.ExactHits != 2 || st.Poisoned != 0 || st.Store.Corrupted != 0 {
@@ -380,7 +388,7 @@ func TestHintThreeGenerations(t *testing.T) {
 // TestHintFaultMatrix breaks the hint in every way the design names —
 // at the write (torn write, failed rename, store degraded at shutdown)
 // and at rest (absent, garbage, foreign configuration, dead names) — and
-// requires the same of every case: the next life boots, decodes before
+// requires the same of every case: the next life boots, fetches before
 // New returns no more than hint ∩ live, and serves the persisted query
 // warm as exact-replay.
 func TestHintFaultMatrix(t *testing.T) {
@@ -507,8 +515,9 @@ func TestHintFaultMatrix(t *testing.T) {
 // TestFirstUsePoisonQuarantined plants a record the scan accepts — frame
 // CRC valid, codec header compatible — whose blob does not decode: one
 // interior byte flipped, the frame resealed, the codec's own trailer
-// not. Decoding every record at boot used to skip such a record; under
-// encoded admission its first use finds it, and must treat it as poison:
+// not. Decoding every record at boot used to skip such a record; with
+// the store as the cold tier its first use finds it, and must treat it
+// as poison:
 // the session starts cold with the right frontier, the entry leaves all
 // three tiers, a tombstone is written, Store.Corrupted is bumped and one
 // warning is emitted; neither a second create nor a reboot meets the
@@ -589,11 +598,8 @@ func TestFirstUsePoisonQuarantined(t *testing.T) {
 // CRC32C (u32 payload length | u32 CRC32C | payload, the blob last).
 func poisonOnlyFrame(t *testing.T, dir string) {
 	t.Helper()
-	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.moqs"))
-	if err != nil || len(segs) != 1 {
-		t.Fatalf("want one segment, have %v (%v)", segs, err)
-	}
-	data, err := os.ReadFile(segs[0])
+	seg := onlySegment(t, dir)
+	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,7 +609,7 @@ func poisonOnlyFrame(t *testing.T, dir string) {
 	}
 	payload[len(payload)/2] ^= 0x40
 	binary.LittleEndian.PutUint32(data[4:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
-	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -613,7 +619,8 @@ func poisonOnlyFrame(t *testing.T, dir string) {
 // 19 small TPC-H blocks plus 240 three-table synthetic records, written
 // by moqod's default optimizer configuration, and a hint naming the 21
 // entries one life of that workload uses. Reports ms/boot, decodes/boot
-// (= the hint) and, with -benchmem, the bytes a boot allocates.
+// (= the hint; each is one read of the store) and, with -benchmem, the
+// bytes a boot allocates.
 func BenchmarkServiceBoot(b *testing.B) {
 	dir := b.TempDir()
 	cfg := Config{
@@ -693,8 +700,9 @@ func BenchmarkServiceBoot(b *testing.B) {
 		}
 		b.StopTimer()
 		decodes += svc.obs.DecodesBoot.Value()
-		if st := svc.Stats(); st.Cache.Entries == 0 || st.Cache.Entries != st.Cache.Encoded+len(hint) {
-			b.Fatalf("boot left %d entries, %d encoded, hint %d", st.Cache.Entries, st.Cache.Encoded, len(hint))
+		if st := svc.Stats(); st.Cache.Entries == 0 || st.Cache.Entries != st.Cache.Encoded+len(hint) ||
+			st.StoreReadsBoot != uint64(len(hint)) {
+			b.Fatalf("boot left %d entries, %d stubs, %d reads, hint %d", st.Cache.Entries, st.Cache.Encoded, st.StoreReadsBoot, len(hint))
 		}
 		svc.Shutdown()
 		b.StartTimer()

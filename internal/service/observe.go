@@ -59,12 +59,18 @@ type Observability struct {
 	// regime converged, lower values mean the session ended (selected,
 	// expired, timed out...) partway up the precision ladder.
 	QualityAtDeadline *metrics.Histogram
-	// Decode is the latency of decoding one replayed cache entry's
-	// snapshot, and DecodesBoot/DecodesHit count the decodes by when they
-	// ran: before the node reported ready (the entries the shutdown hint
-	// named) or on a session's first hit (DESIGN.md D19).
-	Decode                  *metrics.Histogram
-	DecodesBoot, DecodesHit metrics.Counter
+	// StoreRead and Decode are the latencies of the two halves of
+	// fetching a cache stub's snapshot — loading the record from the
+	// snapshot store, decoding it — and StoreReadsBoot/Hit and
+	// DecodesBoot/Hit count them by when they ran: before the node
+	// reported ready (the entries the shutdown hint named) or on a
+	// session's first hit (DESIGN.md D19). StoreReadErrors counts the
+	// loads the filesystem failed: those sessions started cold, nothing
+	// was quarantined.
+	StoreRead, Decode             *metrics.Histogram
+	StoreReadsBoot, StoreReadsHit metrics.Counter
+	DecodesBoot, DecodesHit       metrics.Counter
+	StoreReadErrors               metrics.Counter
 
 	archive *trace.Archive
 }
@@ -93,8 +99,9 @@ func newObservability(shards int) *Observability {
 			1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
 		QualityAtDeadline: metrics.NewValues(1,
 			100, 250, 500, 750, 900, 950, 990, 1000),
-		Decode:  metrics.NewDuration(1),
-		archive: trace.NewArchive(archiveCap),
+		StoreRead: metrics.NewDuration(1),
+		Decode:    metrics.NewDuration(1),
+		archive:   trace.NewArchive(archiveCap),
 	}
 	// Exemplars link a slow bucket to the session that filled it
 	// (GET /debug/sessions/{id}/trace). FirstFrontier captures in every
@@ -305,7 +312,7 @@ func (s *Service) registerMetrics() {
 		r.CounterFunc("moqod_cache_poisoned_total", "Entries quarantined from the cache after a restore or first-step failure.", "", func() uint64 {
 			return s.cacheTotals().Poisoned
 		})
-		r.GaugeFunc("moqod_cache_encoded_entries", "Replayed cache entries not used yet: their snapshot is still encoded.", "", func() float64 {
+		r.GaugeFunc("moqod_cache_encoded_entries", "Cache entries of the snapshot store's records not used yet: their snapshot is still encoded, on disk.", "", func() float64 {
 			return float64(s.cacheTotals().Encoded)
 		})
 		r.CounterFunc("moqod_cache_decodes_total", "Replayed cache entries decoded, by when: before ready (hinted) or on first hit.", `when="boot"`, s.obs.DecodesBoot.Value)
@@ -352,6 +359,11 @@ func (s *Service) registerMetrics() {
 		r.CounterFunc("moqod_store_tombstones_total", "Quarantine tombstones written or scanned.", "", func() uint64 {
 			return st.Stats().Tombstones
 		})
+		const readsHelp = "Records loaded from the store for a cache entry, by when: before ready (hinted) or on first hit."
+		r.CounterFunc("moqod_store_reads_total", readsHelp, `when="boot"`, s.obs.StoreReadsBoot.Value)
+		r.CounterFunc("moqod_store_reads_total", readsHelp, `when="hit"`, s.obs.StoreReadsHit.Value)
+		r.CounterFunc("moqod_store_read_errors_total", "Record loads the filesystem failed (the session started cold; nothing was quarantined).", "", s.obs.StoreReadErrors.Value)
+		r.Histogram("moqod_store_read_seconds", "Latency of loading one record from the store.", "", s.obs.StoreRead)
 	}
 }
 

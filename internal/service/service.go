@@ -39,6 +39,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -289,6 +290,12 @@ type Stats struct {
 	// Store summarizes the persistent snapshot store (zero value when
 	// StoreDir is unset).
 	Store store.Stats
+	// StoreReadsBoot and StoreReadsHit count the records loaded from the
+	// store for a cache entry — before the node reported ready (the
+	// shutdown hint's entries) and on a session's first hit — and
+	// StoreReadErrors those of them the filesystem failed (the session
+	// started cold; nothing was quarantined).
+	StoreReadsBoot, StoreReadsHit, StoreReadErrors uint64
 	// Draining reports that Drain has started: new sessions are being
 	// refused with ErrDraining. It never goes false again.
 	Draining bool
@@ -509,7 +516,6 @@ func New(cfg Config) (*Service, error) {
 				c++
 			}
 			s.caches[i] = NewPlanCache(c)
-			s.caches[i].decode = s.decodeSnapshot
 		}
 	}
 	if cfg.StoreDir != "" {
@@ -531,6 +537,9 @@ func New(cfg Config) (*Service, error) {
 			return nil, err
 		}
 		s.store = st
+		for _, c := range s.caches {
+			c.fetch = s.fetchSnapshot
+		}
 		s.replay()
 		// Epoch labels must stay monotonic across restarts: raise the
 		// versioned catalog to the newest label the store has seen, so a
@@ -579,18 +588,18 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// replay pre-populates every cache tier from the records that survived
-// the store's scan, the way a buffer pool reloads after a restart
-// (DESIGN.md D19): each record is admitted still encoded, in write
-// order — so the canonical tier ends up with each class's most recently
-// persisted representative, the same state live Puts would have left
-// behind — and only the entries the previous life's shutdown hint names
-// are decoded before New returns; the rest decode on their first hit.
-// The hint is advice about when to pay a decode, never about what is
-// served: absent, damaged or stale, the node boots all the same with
-// more entries left encoded. Runs before the eviction hook is installed:
-// replay evicting past capacity must not re-persist records that are
-// already on disk.
+// replay pre-populates every cache tier from the index the store's scan
+// built, the way a buffer pool reloads after a restart (DESIGN.md D19):
+// each live record is admitted as a stub, in write order — so the
+// canonical tier ends up with each class's most recently persisted
+// representative, the same state live Puts would have left behind — and
+// only the entries the previous life's shutdown hint names are fetched
+// from the store before New returns; the rest stay on disk until their
+// first hit. The hint is advice about when to pay a read and a decode,
+// never about what is served: absent, damaged or stale, the node boots
+// all the same with more entries left as stubs. Runs before the eviction
+// hook is installed: replay evicting past capacity must not re-persist
+// records that are already on disk.
 func (s *Service) replay() {
 	origin := s.cfg.ReplaySource
 	if origin == "" {
@@ -603,24 +612,27 @@ func (s *Service) replay() {
 	}
 	type key struct{ fp, canonFp string }
 	var hot []key
-	_ = s.store.ReplayEncoded(func(r store.Record) bool {
-		s.cacheFor(r.CanonFP).Admit(r.FP, r.CanonFP, r.StructFP, r.Perm, r.Blob, origin)
+	s.store.Walk(func(r store.Record) bool {
+		s.cacheFor(r.CanonFP).Admit(r.FP, r.CanonFP, r.StructFP, r.Perm, origin)
 		if hinted[r.FP] {
 			hot = append(hot, key{r.FP, r.CanonFP})
 		}
 		return true
 	})
-	// Decode after the last admission, not during: a store larger than
+	// Fetch after the last admission, not during: a store larger than
 	// the cache evicts its oldest-written records on the way in, and a
-	// decode spent on one of those is wasted.
+	// fetch spent on one of those is wasted.
 	for _, k := range hot {
-		if !s.cacheFor(k.canonFp).DecodeNow(k.fp) {
+		if s.cacheFor(k.canonFp).FetchNow(k.fp) {
 			s.quarantineCorrupt(k.fp, k.canonFp)
 		}
 	}
 	ct, st := s.cacheTotals(), s.store.Stats()
 	s.cfg.Events.Emit(eventlog.LevelInfo, "service", "snapshot store replayed",
 		eventlog.Fint("loaded", int64(st.Loaded)),
+		eventlog.Fint("live", int64(st.LiveRecords)),
+		eventlog.F("scanned_mb", strconv.FormatFloat(float64(st.ScanBytes)/(1<<20), 'f', 1, 64)),
+		eventlog.F("scan_ms", strconv.FormatFloat(float64(st.ScanTotal)/float64(time.Millisecond), 'f', 1, 64)),
 		eventlog.Fint("rejected", int64(st.Rejected)),
 		eventlog.Fint("corrupted", int64(st.Corrupted)),
 		eventlog.Fint("cache_entries", int64(ct.Entries)),
@@ -630,17 +642,36 @@ func (s *Service) replay() {
 		eventlog.Fint("evicted_at_boot", int64(ct.Evictions)))
 }
 
-// decodeSnapshot is the cache shards' decoder: snapcodec.Decode with
-// every check it has, timed, and counted by when it ran.
-func (s *Service) decodeSnapshot(blob []byte, atBoot bool) (*core.Snapshot, error) {
+// fetchSnapshot is the cache shards' cold tier: the store's Load, then
+// snapcodec.Decode with every check it has, each timed and counted by
+// when it ran. The encoded bytes live from the one to the other and no
+// longer. A read the filesystem failed is counted, reported — one warn
+// event, through the event log's rate limit: a dying disk must not flood
+// the ring — and returned as errStoreRead: no verdict on the record,
+// which stays a stub. What Load or Decode rejected comes back as it is,
+// for the caller to treat as poison.
+func (s *Service) fetchSnapshot(fp string, atBoot bool) (*core.Snapshot, error) {
+	reads, decodes := &s.obs.StoreReadsHit, &s.obs.DecodesHit
+	if atBoot {
+		reads, decodes = &s.obs.StoreReadsBoot, &s.obs.DecodesBoot
+	}
 	t0 := time.Now()
+	blob, err := s.store.Load(fp)
+	s.obs.StoreRead.ObserveDuration(time.Since(t0))
+	reads.Inc()
+	if err != nil {
+		if !errors.Is(err, store.ErrNotStored) && !errors.Is(err, store.ErrCorrupt) {
+			s.obs.StoreReadErrors.Inc()
+			s.cfg.Events.Emit(eventlog.LevelWarn, "service", "snapshot store read failed, starting cold",
+				eventlog.F("fingerprint", fp), eventlog.Ferr(err))
+			err = fmt.Errorf("%w: %v", errStoreRead, err)
+		}
+		return nil, err
+	}
+	t0 = time.Now()
 	snap, err := snapcodec.Decode(blob)
 	s.obs.Decode.ObserveDuration(time.Since(t0))
-	if atBoot {
-		s.obs.DecodesBoot.Inc()
-	} else {
-		s.obs.DecodesHit.Inc()
-	}
+	decodes.Inc()
 	return snap, err
 }
 
@@ -713,8 +744,8 @@ func (s *Service) Shutdown() {
 		}
 		// Leave the next boot the working set: the entries this life hit
 		// or Put, most recently used first within each cache shard. The
-		// next life decodes those before it reports ready and leaves the
-		// rest of the store encoded (D19). A lost hint costs decodes on
+		// next life fetches those before it reports ready and leaves the
+		// rest of the store on disk (D19). A lost hint costs fetches on
 		// first hits, nothing else, so a failure is reported and dropped.
 		var used []string
 		for _, c := range s.caches {
@@ -826,13 +857,14 @@ func (s *Service) quarantine(srcFP, canonFp string) {
 	s.poisoned.Add(1)
 }
 
-// quarantineCorrupt is quarantine for an entry whose encoded source
-// failed to decode on its first use. Decoding every record at boot used
-// to find such a record there, skip it and count it; now it is found
-// here, so it is counted the same (Store.Corrupted), reported, and
-// buried like any other poison — the next boot does not meet it again.
+// quarantineCorrupt is quarantine for a stub whose record, on its first
+// use, failed the store's frame checks or failed to decode. Decoding
+// every record at boot used to find such a record there, skip it and
+// count it; now it is found here, so it is counted the same
+// (Store.Corrupted), reported, and buried like any other poison — the
+// next boot does not meet it again.
 func (s *Service) quarantineCorrupt(srcFP, canonFp string) {
-	s.store.NoteCorrupt() // encoded entries only ever come from the store's replay
+	s.store.NoteCorrupt() // stubs only ever stand for the store's records
 	s.quarantine(srcFP, canonFp)
 	s.cfg.Events.Emit(eventlog.LevelWarn, "service", "replayed record failed to decode, quarantined",
 		eventlog.F("fingerprint", srcFP))
@@ -913,9 +945,11 @@ func (s *Service) Create(q *query.Query) (string, error) {
 		if hit, ok := cache.Lookup(fp, canonFp); ok {
 			snap := hit.Snap
 			if snap == nil {
-				// The entry was still encoded and its first use — this one —
-				// found it undecodable: poison, and a cold start.
-				s.quarantineCorrupt(hit.SrcFP, hit.SrcCanon)
+				// The entry was a stub and its fetch — for this use — failed:
+				// a cold start, and if the record itself is bad, poison.
+				if hit.Poison {
+					s.quarantineCorrupt(hit.SrcFP, hit.SrcCanon)
+				}
 			} else if !hit.Exact {
 				// Cross-shape hit: rewrite the cached snapshot from its
 				// source labeling onto q's. Failures (which would take a
@@ -956,7 +990,9 @@ func (s *Service) Create(q *query.Query) (string, error) {
 				}
 			}
 		} else if hit, ok := s.lookupStale(structFp); ok && hit.Snap == nil {
-			s.quarantineCorrupt(hit.SrcFP, hit.SrcCanon) // as above
+			if hit.Poison { // as above
+				s.quarantineCorrupt(hit.SrcFP, hit.SrcCanon)
+			}
 		} else if ok {
 			// Both real tiers missed, but a snapshot with q's exact
 			// structure is cached under different statistics: the stats
@@ -1595,6 +1631,9 @@ func (s *Service) Stats() Stats {
 	}
 	if s.store != nil {
 		st.Store = s.store.Stats()
+		st.StoreReadsBoot = s.obs.StoreReadsBoot.Value()
+		st.StoreReadsHit = s.obs.StoreReadsHit.Value()
+		st.StoreReadErrors = s.obs.StoreReadErrors.Value()
 	}
 	return st
 }

@@ -145,7 +145,7 @@ func ValidFrames(data []byte) (n int64, frames int) {
 		if crc32.Checksum(payload, castagnoli) != wantCRC {
 			break
 		}
-		if _, _, _, _, ok := peekFrame(payload); !ok {
+		if _, _, _, ok := parseFrame(payload); !ok {
 			break
 		}
 		off = end

@@ -3,20 +3,19 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 )
 
 // The shutdown hint (DESIGN.md D19) is one small file beside the
 // segments naming the fingerprints the previous life actually used, so
-// the next boot can decode exactly those before it reports ready and
-// leave every other record encoded. It is advisory end to end: written
-// without an fsync, read without trust. A missing, torn, corrupt or
-// foreign-config hint reads as empty, a stale one names fingerprints the
-// caller no longer finds live, and in every case the only thing at
-// stake is whether an entry's one decode happens before /readyz or on
-// its first hit.
+// the next boot can load and decode exactly those before it reports
+// ready and leave every other record on disk. It is advisory end to
+// end: written without an fsync, read without trust. A missing, torn,
+// corrupt or foreign-config hint reads as empty, a stale one names
+// fingerprints the caller no longer finds live, and in every case the
+// only thing at stake is whether an entry's one load and decode happen
+// before /readyz or on its first hit.
 //
 // Layout: one frame as in the segments (u32 payload length | u32 CRC32C
 // | payload), payload: cfgEcho string | count | count fingerprint
@@ -64,16 +63,14 @@ func (s *Store) WriteHint(fps []string) error {
 // got them, or nil when the file is absent, fails its checksum, does
 // not parse to its last byte or echoes a different configuration. The
 // fingerprints are not checked against the index: the caller applies
-// them to the records ReplayEncoded yields, so dead names fall away
-// there.
+// them to the records Walk yields, so dead names fall away there.
 func (s *Store) Hint() []string {
 	data, err := s.fs.ReadFile(filepath.Join(s.opts.Dir, hintName))
-	if err != nil || len(data) < frameHeaderLen {
+	if err != nil {
 		return nil
 	}
-	payload := data[frameHeaderLen:]
-	if uint64(binary.LittleEndian.Uint32(data)) != uint64(len(payload)) ||
-		crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[4:]) {
+	payload, ok := openFrame(data)
+	if !ok {
 		return nil
 	}
 	echo, rest, ok := readString(payload)

@@ -2,11 +2,13 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
+	"repro/internal/faultfs"
 	"repro/internal/snapcodec"
 )
 
@@ -74,10 +76,11 @@ func TestHintRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReplayEncodedIsTheWalkUnderReplay: both walks yield the same
-// records in the same order, and decoding what ReplayEncoded hands out
-// gives what Replay hands out; each encoded record owns its bytes.
-func TestReplayEncodedIsTheWalkUnderReplay(t *testing.T) {
+// TestReplayIsWalkLoadDecode: Replay yields the records Walk lists, in
+// Walk's order and with Walk's keys, each with the snapshot Load and
+// snapcodec.Decode produce for its fingerprint; Walk itself reads
+// nothing, and every Load owns its bytes.
+func TestReplayIsWalkLoadDecode(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, nil)
 	s.Put("fpA", "canonA", "structA", []int{1, 0}, testSnapshot(t, "Q4"))
@@ -86,42 +89,58 @@ func TestReplayEncodedIsTheWalkUnderReplay(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s = openTestStore(t, dir, nil)
+	inj := faultfs.NewInjector(nil)
+	s = openTestStore(t, dir, func(o *Options) { o.FS = inj })
 	defer s.Close()
 
-	var decoded, encoded []Record
-	if err := s.Replay(func(r Record) bool { decoded = append(decoded, r); return true }); err != nil {
+	var replayed, walked []Record
+	if err := s.Replay(func(r Record) bool { replayed = append(replayed, r); return true }); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ReplayEncoded(func(r Record) bool { encoded = append(encoded, r); return true }); err != nil {
-		t.Fatal(err)
+	opens, reads := inj.Count(faultfs.OpOpen), inj.Count(faultfs.OpReadAt)
+	s.Walk(func(r Record) bool { walked = append(walked, r); return true })
+	if inj.Count(faultfs.OpOpen) != opens || inj.Count(faultfs.OpReadAt) != reads {
+		t.Error("Walk touched the filesystem")
 	}
-	if len(decoded) != 2 || len(encoded) != 2 || decoded[0].FP != "fpB" || decoded[1].FP != "fpA" {
-		t.Fatalf("replayed %d decoded and %d encoded records, want [fpB fpA] twice", len(decoded), len(encoded))
+	if len(replayed) != 2 || len(walked) != 2 || walked[0].FP != "fpB" || walked[1].FP != "fpA" {
+		t.Fatalf("replayed %d and walked %d records, want [fpB fpA] twice", len(replayed), len(walked))
 	}
-	for i, e := range encoded {
-		d := decoded[i]
-		if e.Snap != nil || d.Blob != nil || d.Snap == nil {
-			t.Fatalf("record %d: encoded walk set Snap or decoded walk left Blob", i)
+	var blobs [][]byte
+	for i, w := range walked {
+		r := replayed[i]
+		if w.Snap != nil || r.Snap == nil {
+			t.Fatalf("record %d: Walk set Snap or Replay left it nil", i)
 		}
-		if e.FP != d.FP || e.CanonFP != d.CanonFP || e.StructFP != d.StructFP ||
-			e.StatsEpoch != d.StatsEpoch || !slices.Equal(e.Perm, d.Perm) {
-			t.Errorf("record %d keys differ: %+v vs %+v", i, e, d)
+		if w.FP != r.FP || w.CanonFP != r.CanonFP || w.StructFP != r.StructFP ||
+			w.StatsEpoch != r.StatsEpoch || !slices.Equal(w.Perm, r.Perm) {
+			t.Errorf("record %d keys differ: %+v vs %+v", i, w, r)
 		}
-		again, err := snapcodec.Encode(nil, d.Snap)
+		blob, err := s.Load(w.FP)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(again, e.Blob) {
-			t.Errorf("record %d: the encoded walk's blob is not the decoded walk's snapshot", i)
+		again, err := snapcodec.Encode(nil, r.Snap)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !bytes.Equal(again, blob) {
+			t.Errorf("record %d: what Load returns is not the snapshot Replay decoded", i)
+		}
+		blobs = append(blobs, blob)
 	}
-	// Scribbling over one record's bytes must not reach the other's.
-	before := bytes.Clone(encoded[1].Blob)
-	for i := range encoded[0].Blob {
-		encoded[0].Blob[i] = 0xff
+	if w := walked[1]; w.CanonFP != "canonA2" || !slices.Equal(w.Perm, []int{0, 1}) {
+		t.Errorf("fpA walked with keys %+v, want the superseding record's", w)
 	}
-	if !bytes.Equal(before, encoded[1].Blob) {
-		t.Error("two replayed records share a buffer")
+	// Scribbling over one load's bytes must not reach another's, nor a
+	// later load of the same record.
+	before := bytes.Clone(blobs[1])
+	for i := range blobs[0] {
+		blobs[0][i] = 0xff
+	}
+	if again, err := s.Load("fpB"); err != nil || bytes.Equal(again, blobs[0]) || !bytes.Equal(before, blobs[1]) {
+		t.Errorf("loaded records share a buffer (reload: %v)", err)
+	}
+	if _, err := s.Load("never-put"); !errors.Is(err, ErrNotStored) {
+		t.Errorf("Load of an unknown fingerprint: %v, want ErrNotStored", err)
 	}
 }

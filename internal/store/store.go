@@ -6,17 +6,20 @@
 // by a background writer, so persistence never blocks the refinement or
 // session-creation paths; a startup scan rebuilds the live-record
 // index, truncating each segment at its first corrupt record (a crash
-// mid-append, a torn page), and ReplayEncoded streams the surviving
-// records in write order, snapshots still encoded, so the service can
-// pre-populate all cache tiers and decode only what the previous life's
-// shutdown hint (hint.go) says is hot. Records whose configuration echo
-// does not match the restoring service are dead on arrival: config
-// drift degrades to a cold start, never to a wrong restore. Statistics
-// drift is deliberately softer: each frame also carries the
-// statistics-epoch label its snapshot was costed under, and records
-// from older epochs still load — the service re-costs them lazily
-// through the cache's structural tier instead of discarding warm state
-// that is merely stale (DESIGN.md D15).
+// mid-append, a torn page). The index keeps every live record's keys
+// and location and nothing of its snapshot: Walk yields the keys in
+// write order without touching the disk, so the service can
+// pre-populate all cache tiers with stubs, and Load reads one record's
+// still-encoded snapshot back when something first uses it — before the
+// node reports ready for what the previous life's shutdown hint
+// (hint.go) says is hot, on the first hit for the rest (DESIGN.md D19).
+// Records whose configuration echo does not match the restoring service
+// are dead on arrival: config drift degrades to a cold start, never to
+// a wrong restore. Statistics drift is deliberately softer: each frame
+// also carries the statistics-epoch label its snapshot was costed
+// under, and records from older epochs still load — the service
+// re-costs them lazily through the cache's structural tier instead of
+// discarding warm state that is merely stale (DESIGN.md D15).
 //
 // Re-persisting a fingerprint supersedes its previous record; the
 // superseded bytes are dead. When dead bytes exceed
@@ -44,6 +47,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -150,8 +154,9 @@ func (o *Options) defaults() error {
 }
 
 // Record is one persisted snapshot with its cache keys: everything a
-// service needs to re-admit the snapshot into both tiers of its plan
-// cache.
+// service needs to re-admit the snapshot into every tier of its plan
+// cache. Walk yields records with the keys only (Snap nil, nothing
+// read); Replay yields them whole.
 type Record struct {
 	// FP is the exact query fingerprint (the exact cache-tier key and
 	// the store's dedup key).
@@ -163,7 +168,8 @@ type Record struct {
 	// statistics change).
 	StructFP string
 	// Perm is the source query's table→canonical-position permutation,
-	// needed to rewrite the snapshot for isomorphic queries.
+	// needed to rewrite the snapshot for isomorphic queries. The store's
+	// index shares the slice with what it hands out; nobody writes to it.
 	Perm []int
 	// StatsEpoch is the statistics-epoch label the snapshot was costed
 	// under, duplicated out of the blob so the startup scan can count
@@ -171,10 +177,6 @@ type Record struct {
 	StatsEpoch uint64
 	// Snap is the snapshot itself.
 	Snap *core.Snapshot
-	// Blob is the snapshot's snapcodec encoding, set in place of Snap on
-	// records ReplayEncoded yields: the frame's bytes as the scan
-	// CRC-verified them, not yet decoded.
-	Blob []byte
 }
 
 // Stats are the store's counters and gauges.
@@ -189,8 +191,13 @@ type Stats struct {
 	LiveBytes, DeadBytes int64
 	// Persisted counts records appended since open.
 	Persisted uint64
-	// Loaded counts records accepted by the startup scan.
+	// Loaded counts the frames the startup scan accepted, superseded
+	// ones included (LiveRecords is the number of records).
 	Loaded uint64
+	// ScanBytes and ScanTotal are what the startup scan read from the
+	// segments and how long it took, directory listing to last frame.
+	ScanBytes int64
+	ScanTotal time.Duration `json:"ScanTotalNs"`
 	// Rejected counts scanned records refused for a configuration-echo
 	// mismatch (a different binary build or optimizer config).
 	Rejected uint64
@@ -203,9 +210,10 @@ type Stats struct {
 	// scanned and appended records.
 	MaxStatsEpoch uint64
 	// Corrupted counts scan truncations (bad checksum or torn record),
-	// frames the replay walk could not read, and replayed blobs that
-	// failed to decode (at Replay, or at an encoded cache entry's first
-	// use).
+	// segments the scan could not read to their end, and live records
+	// that turned out unusable when loaded: a frame that failed Load's
+	// checks or a snapshot that failed to decode (at Replay, or at a
+	// cache stub's first use).
 	Corrupted uint64
 	// Dropped counts Puts shed because the writer queue was full.
 	Dropped uint64
@@ -237,32 +245,43 @@ type Stats struct {
 	DegradedEnters, DegradedDrops, Probes uint64
 }
 
-// location addresses one record's frame inside a segment.
+// location is one live record's index entry: where its frame sits and,
+// parsed from the verified payload when the frame was scanned or
+// appended, the keys a cache needs to admit the record without reading
+// it — everything but the snapshot.
 type location struct {
 	seg   int64  // segment sequence number
 	off   int64  // frame offset within the segment
 	size  int64  // frame length in bytes
-	order uint64 // monotonic (re)write stamp; Replay streams ascending
+	order uint64 // monotonic (re)write stamp; Walk yields ascending
 	epoch uint64 // statistics-epoch label (for the stale-record gauge)
+
+	canonFp, structFp string
+	perm              []int
 }
 
 // Store is the disk-backed snapshot store. Open one per directory;
-// Put/Flush/Stats are safe for concurrent use. The replay walk must
-// complete before the first Put: a Put-triggered compaction could
-// otherwise delete segment files out from under its reads (the service
-// replays inside New, before any session exists, so this holds
-// structurally there). Close flushes and stops the writer.
+// Put/Load/Flush/Stats are safe for concurrent use. Close flushes and
+// stops the writer.
 type Store struct {
 	opts Options
 	fs   faultfs.FS
 
-	mu        sync.Mutex
-	index     map[string]location // fingerprint → live record
-	nextOrder uint64              // next (re)write stamp
-	segments  map[int64]int64     // segment seq → byte size
-	active    int64               // active segment seq
-	file      faultfs.File        // active segment, owned by the writer
-	maxEpoch  uint64              // newest statistics-epoch label seen
+	mu sync.Mutex
+
+	// index maps a fingerprint to its live record. It changes only with
+	// both mu and idxMu held (mu first) and may be read under either:
+	// the writer holds mu across whole appends, fsyncs and compactions,
+	// idxMu only for the map operation itself, so Load and Walk — which
+	// take idxMu alone — never wait for the disk behind the writer.
+	idxMu sync.Mutex
+	index map[string]location
+
+	nextOrder uint64          // next (re)write stamp
+	segments  map[int64]int64 // segment seq → byte size
+	active    int64           // active segment seq
+	file      faultfs.File    // active segment, owned by the writer
+	maxEpoch  uint64          // newest statistics-epoch label seen
 	stats     Stats
 	closed    bool
 
@@ -374,11 +393,19 @@ func segSeq(name string) (int64, bool) {
 	return seq, true
 }
 
+// scanWindowSize is the buffer the startup scan reads segments
+// through: large enough that a read is amortized over dozens of frames,
+// small enough that scanning never costs memory in proportion to the
+// log (reading each segment whole did, and most of that scan's time was
+// page-faulting the buffer in).
+const scanWindowSize = 1 << 20
+
 // scan reads every segment in sequence order, validating frames and
 // building the index. The first bad frame of a segment truncates the
 // file there; later segments still load (each record is
 // self-contained, and later segments hold strictly newer records).
 func (s *Store) scan() error {
+	t0 := time.Now()
 	entries, err := s.fs.ReadDir(s.opts.Dir)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -390,161 +417,263 @@ func (s *Store) scan() error {
 		}
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	s.active = 1
+	var w scanWindow
 	for _, seq := range seqs {
-		s.scanSegment(seq)
+		// The writer continues in the newest segment only if the scan
+		// knows exactly where that file ends.
+		s.active = seq
+		if !s.scanSegment(seq, &w) {
+			s.active = seq + 1
+		}
 	}
-	if len(seqs) > 0 {
-		s.active = seqs[len(seqs)-1]
-	} else {
-		s.active = 1
-	}
+	s.stats.ScanBytes = w.read
+	s.stats.ScanTotal = time.Since(t0)
 	return nil
 }
 
-// scanSegment indexes one segment file, truncating it at the first
-// corrupt frame. Read errors drop the rest of the segment but never
-// fail the open.
-func (s *Store) scanSegment(seq int64) {
+// scanSegment indexes one segment file and reports whether the file now
+// ends where its recorded size says — what appending to it requires. A
+// corrupt or torn frame truncates the file there. A read error is not
+// corruption: the frames verified before it stay indexed, the file is
+// left alone for a later boot to read, and the segment is not
+// appendable — its real length is unknown, and a record appended to it
+// would be indexed at the wrong offset. Neither fails the open.
+func (s *Store) scanSegment(seq int64, w *scanWindow) (appendable bool) {
 	path := filepath.Join(s.opts.Dir, segName(seq))
-	data, err := s.fs.ReadFile(path)
+	off, size, err := s.indexFrames(seq, path, w)
+	s.segments[seq] = off
 	if err != nil {
 		s.stats.Corrupted++
-		return
+		return false
 	}
-	off := int64(0)
-	for int64(len(data))-off >= frameHeaderLen {
-		payloadLen := int64(binary.LittleEndian.Uint32(data[off:]))
-		wantCRC := binary.LittleEndian.Uint32(data[off+4:])
-		end := off + frameHeaderLen + payloadLen
-		if end > int64(len(data)) {
-			break // torn tail
-		}
-		payload := data[off+frameHeaderLen : end]
-		if crc32.Checksum(payload, castagnoli) != wantCRC {
-			break
-		}
-		fp, cfgEcho, epoch, blob, ok := peekFrame(payload)
-		if !ok {
-			break
-		}
-		size := end - off
-		switch {
-		case len(blob) == 0:
-			// Quarantine tombstone: the fingerprint's earlier records are
-			// poison; drop any indexed so far. Applied regardless of the
-			// config echo — poison marking must not be undone by a config
-			// change (D14: monotonic). A record scanned *after* the
-			// tombstone is a fresh post-quarantine re-export and loads
-			// normally.
-			s.stats.Tombstones++
-			s.stats.DeadBytes += size
-			if old, ok := s.index[fp]; ok {
-				s.stats.DeadBytes += old.size
-				s.stats.LiveBytes -= old.size
-				s.stats.Loaded--
-				delete(s.index, fp)
-			}
-		case cfgEcho != s.opts.CfgEcho || !snapcodec.CompatibleHeader(blob):
-			// A different optimizer configuration or a different
-			// binary's wire format wrote this record; it can never
-			// restore here. Marking it dead (not live) keeps the
-			// Loaded count honest and lets compaction reclaim it.
-			s.stats.Rejected++
-			s.stats.DeadBytes += size
-		default:
-			s.indexRecord(fp, location{seg: seq, off: off, size: size, epoch: epoch})
-			s.stats.Loaded++
-		}
-		off = end
-	}
-	if off < int64(len(data)) {
+	if off < size {
 		// Corruption-tolerant replay: keep the valid prefix, drop the
 		// rest. Truncating on disk keeps future scans (and appends, if
 		// this is the active segment) consistent with the index.
 		s.stats.Corrupted++
 		if err := s.fs.Truncate(path, off); err != nil {
 			s.stats.WriteErrors++
+			return false
 		}
 	}
-	s.segments[seq] = off
+	return true
 }
 
-// indexRecord records fp's newest location, marking any superseded
-// record's bytes dead and stamping the record with the next write
-// order (a re-persist moves the fingerprint to the end of the replay
-// order, exactly like a live Put sequence would). Callers hold mu (or
-// run before the writer starts).
-func (s *Store) indexRecord(fp string, loc location) {
-	if old, ok := s.index[fp]; ok {
-		s.stats.DeadBytes += old.size
-		s.stats.LiveBytes -= old.size
+// indexFrames applies the per-frame rules to one segment in file order
+// — whole frame inside the file, CRC32C over the payload, payload
+// parses — and indexes each frame that passes, up to the first that
+// does not or the first read error. It returns the end of the last good
+// frame and the file's size.
+func (s *Store) indexFrames(seq int64, path string, w *scanWindow) (off, size int64, err error) {
+	f, err := s.fs.Open(path)
+	if err != nil {
+		return 0, 0, err
 	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return 0, 0, err
+	}
+	size = info.Size()
+	w.reset(f, size)
+	for size-off >= frameHeaderLen {
+		hdr, err := w.bytes(off, frameHeaderLen)
+		if err != nil {
+			return off, size, err
+		}
+		wantCRC := binary.LittleEndian.Uint32(hdr[4:])
+		end := off + frameHeaderLen + int64(binary.LittleEndian.Uint32(hdr))
+		if end > size {
+			break // torn tail
+		}
+		frame, err := w.bytes(off, int(end-off))
+		if err != nil {
+			return off, size, err
+		}
+		payload := frame[frameHeaderLen:]
+		if crc32.Checksum(payload, castagnoli) != wantCRC {
+			break
+		}
+		rec, cfgEcho, blob, ok := parseFrame(payload)
+		if !ok {
+			break
+		}
+		s.indexFrame(rec, cfgEcho, blob, location{seg: seq, off: off, size: end - off})
+		off = end
+	}
+	return off, size, nil
+}
+
+// indexFrame classifies one verified frame found at loc — tombstone,
+// foreign record or live record — and updates the index and counters.
+func (s *Store) indexFrame(rec Record, cfgEcho string, blob []byte, loc location) {
+	switch {
+	case len(blob) == 0:
+		// Quarantine tombstone: the fingerprint's earlier records are
+		// poison; drop any indexed so far. Applied regardless of the
+		// config echo — poison marking must not be undone by a config
+		// change (D14: monotonic). A record scanned *after* the
+		// tombstone is a fresh post-quarantine re-export and loads
+		// normally.
+		s.stats.Tombstones++
+		s.stats.DeadBytes += loc.size
+		if s.unindex(rec.FP) {
+			s.stats.Loaded--
+		}
+	case cfgEcho != s.opts.CfgEcho || !snapcodec.CompatibleHeader(blob):
+		// A different optimizer configuration or a different
+		// binary's wire format wrote this record; it can never
+		// restore here. Marking it dead (not live) keeps the
+		// Loaded count honest and lets compaction reclaim it.
+		s.stats.Rejected++
+		s.stats.DeadBytes += loc.size
+	default:
+		s.indexRecord(rec, loc)
+		s.stats.Loaded++
+	}
+}
+
+// scanWindow is the scan's forward-only view of a segment file:
+// buf[:n] holds the file's bytes from start on. One window, and its
+// buffer, serve every segment of a scan.
+type scanWindow struct {
+	f     faultfs.File
+	size  int64 // of f
+	buf   []byte
+	start int64
+	n     int
+	read  int64 // bytes read through the window, all files
+}
+
+func (w *scanWindow) reset(f faultfs.File, size int64) {
+	w.f, w.size, w.start, w.n = f, size, 0, 0
+}
+
+// bytes returns the n bytes of the file at off, valid until the next
+// call. Callers keep off from decreasing and off+n inside the file.
+// When the range runs past the window, the window slides forward to
+// start at off — keeping what it already holds from there on, so every
+// byte of the file is read once — and refills; its buffer is allocated
+// at scanWindowSize and regrown only for a range larger than that.
+func (w *scanWindow) bytes(off int64, n int) ([]byte, error) {
+	if off+int64(n) > w.start+int64(w.n) {
+		keep := 0
+		if held := w.start + int64(w.n) - off; held > 0 {
+			keep = copy(w.buf, w.buf[w.n-int(held):w.n])
+		}
+		if want := max(n, scanWindowSize); want > len(w.buf) {
+			w.buf = append(make([]byte, 0, want), w.buf[:keep]...)[:want]
+		}
+		fill := int(min(int64(len(w.buf)), w.size-off))
+		m, err := w.f.ReadAt(w.buf[keep:fill], off+int64(keep))
+		w.read += int64(m)
+		if keep+m < fill {
+			if err == nil {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("store: scan: %w", err)
+		}
+		w.start, w.n = off, fill
+	}
+	return w.buf[off-w.start:][:n], nil
+}
+
+// indexRecord makes loc, completed with rec's keys and the next write
+// stamp, fp's live record, marking any superseded record's bytes dead
+// (a re-persist moves the fingerprint to the end of the walk order,
+// exactly like a live Put sequence would). Callers hold mu (or run
+// before the writer starts).
+func (s *Store) indexRecord(rec Record, loc location) {
+	s.unindex(rec.FP)
 	loc.order = s.nextOrder
 	s.nextOrder++
-	s.index[fp] = loc
+	loc.epoch = rec.StatsEpoch
+	loc.canonFp, loc.structFp, loc.perm = rec.CanonFP, rec.StructFP, rec.Perm
+	s.idxMu.Lock()
+	s.index[rec.FP] = loc
+	s.idxMu.Unlock()
 	s.stats.LiveBytes += loc.size
 	if loc.epoch > s.maxEpoch {
 		s.maxEpoch = loc.epoch
 	}
 }
 
-// liveInOrder returns the live records as (fingerprint, location)
-// pairs sorted by write stamp. Callers hold mu.
-func (s *Store) liveInOrder() ([]string, []location) {
-	fps := make([]string, 0, len(s.index))
-	for fp := range s.index {
-		fps = append(fps, fp)
+// unindex drops fp's live record, if it has one, and counts its bytes
+// dead. Callers hold mu (or run before the writer starts).
+func (s *Store) unindex(fp string) bool {
+	old, ok := s.index[fp]
+	if ok {
+		s.stats.DeadBytes += old.size
+		s.stats.LiveBytes -= old.size
+		s.idxMu.Lock()
+		delete(s.index, fp)
+		s.idxMu.Unlock()
 	}
-	sort.Slice(fps, func(i, j int) bool { return s.index[fps[i]].order < s.index[fps[j]].order })
-	locs := make([]location, len(fps))
-	for i, fp := range fps {
-		locs[i] = s.index[fp]
-	}
-	return fps, locs
+	return ok
 }
 
-// peekFrame extracts the fingerprint, config echo, statistics-epoch
-// label and the raw snapshot blob from a frame payload without
-// decoding plan state.
-func peekFrame(payload []byte) (fp, cfgEcho string, epoch uint64, blob []byte, ok bool) {
-	fp, rest, ok := readString(payload)
-	if !ok {
-		return "", "", 0, nil, false
+// liveRecord is one index entry with its key, as liveInOrder lists them.
+type liveRecord struct {
+	fp  string
+	loc location
+}
+
+// liveInOrder returns the live records sorted by write stamp. Callers
+// hold mu or idxMu.
+func (s *Store) liveInOrder() []liveRecord {
+	live := make([]liveRecord, 0, len(s.index))
+	for fp, loc := range s.index {
+		live = append(live, liveRecord{fp, loc})
 	}
-	_, rest, ok = readString(rest) // canonFp
-	if !ok {
-		return "", "", 0, nil, false
+	sort.Slice(live, func(i, j int) bool { return live[i].loc.order < live[j].loc.order })
+	return live
+}
+
+// parseFrame parses a frame payload: the record's keys, the config echo
+// and the raw snapshot blob (aliasing payload; empty on a tombstone),
+// without decoding plan state. ok is false unless the payload parses to
+// its last byte.
+func parseFrame(payload []byte) (rec Record, cfgEcho string, blob []byte, ok bool) {
+	var rest []byte
+	if rec.FP, rest, ok = readString(payload); !ok {
+		return rec, "", nil, false
 	}
-	_, rest, ok = readString(rest) // structFp
-	if !ok {
-		return "", "", 0, nil, false
+	if rec.CanonFP, rest, ok = readString(rest); !ok {
+		return rec, "", nil, false
 	}
-	cfgEcho, rest, ok = readString(rest)
-	if !ok {
-		return "", "", 0, nil, false
+	if rec.StructFP, rest, ok = readString(rest); !ok {
+		return rec, "", nil, false
 	}
-	epoch, sz := binary.Uvarint(rest)
-	if sz <= 0 {
-		return "", "", 0, nil, false
+	if cfgEcho, rest, ok = readString(rest); !ok {
+		return rec, "", nil, false
+	}
+	var sz int
+	if rec.StatsEpoch, sz = binary.Uvarint(rest); sz <= 0 {
+		return rec, "", nil, false
 	}
 	rest = rest[sz:]
 	nPerm, sz := binary.Uvarint(rest)
 	if sz <= 0 || nPerm > uint64(len(rest)) {
-		return "", "", 0, nil, false
+		return rec, "", nil, false
 	}
 	rest = rest[sz:]
-	for i := uint64(0); i < nPerm; i++ {
-		_, sz := binary.Varint(rest)
-		if sz <= 0 {
-			return "", "", 0, nil, false
+	if nPerm > 0 {
+		rec.Perm = make([]int, nPerm)
+		for i := range rec.Perm {
+			v, sz := binary.Varint(rest)
+			if sz <= 0 {
+				return rec, "", nil, false
+			}
+			rec.Perm[i] = int(v)
+			rest = rest[sz:]
 		}
-		rest = rest[sz:]
 	}
 	nSnap, sz := binary.Uvarint(rest)
 	if sz <= 0 || nSnap != uint64(len(rest)-sz) {
-		return "", "", 0, nil, false
+		return rec, "", nil, false
 	}
-	return fp, cfgEcho, epoch, rest[sz:], true
+	return rec, cfgEcho, rest[sz:], true
 }
 
 func readString(b []byte) (string, []byte, bool) {
@@ -585,51 +714,15 @@ func sealFrame(payload []byte) []byte {
 	return append(frame, payload...)
 }
 
-// parseFrame parses a frame payload's keys into a Record and leaves the
-// snapshot encoded: Blob aliases payload.
-func parseFrame(payload []byte) (Record, error) {
-	var rec Record
-	var ok bool
-	var rest []byte
-	if rec.FP, rest, ok = readString(payload); !ok {
-		return rec, fmt.Errorf("store: bad frame fingerprint")
+// openFrame is sealFrame's inverse on a buffer holding exactly one frame:
+// the payload, if the header's length and CRC32C both match it.
+func openFrame(frame []byte) (payload []byte, ok bool) {
+	if len(frame) < frameHeaderLen {
+		return nil, false
 	}
-	if rec.CanonFP, rest, ok = readString(rest); !ok {
-		return rec, fmt.Errorf("store: bad frame canonical digest")
-	}
-	if rec.StructFP, rest, ok = readString(rest); !ok {
-		return rec, fmt.Errorf("store: bad frame structural fingerprint")
-	}
-	if _, rest, ok = readString(rest); !ok { // cfgEcho, validated at scan
-		return rec, fmt.Errorf("store: bad frame config echo")
-	}
-	var sz int
-	if rec.StatsEpoch, sz = binary.Uvarint(rest); sz <= 0 {
-		return rec, fmt.Errorf("store: bad frame statistics epoch")
-	}
-	rest = rest[sz:]
-	nPerm, sz := binary.Uvarint(rest)
-	if sz <= 0 || nPerm > uint64(len(rest)) {
-		return rec, fmt.Errorf("store: bad frame permutation length")
-	}
-	rest = rest[sz:]
-	if nPerm > 0 {
-		rec.Perm = make([]int, nPerm)
-		for i := range rec.Perm {
-			v, sz := binary.Varint(rest)
-			if sz <= 0 {
-				return rec, fmt.Errorf("store: truncated frame permutation")
-			}
-			rec.Perm[i] = int(v)
-			rest = rest[sz:]
-		}
-	}
-	nSnap, sz := binary.Uvarint(rest)
-	if sz <= 0 || nSnap != uint64(len(rest)-sz) {
-		return rec, fmt.Errorf("store: bad frame snapshot length")
-	}
-	rec.Blob = rest[sz:]
-	return rec, nil
+	payload = frame[frameHeaderLen:]
+	return payload, uint64(binary.LittleEndian.Uint32(frame)) == uint64(len(payload)) &&
+		crc32.Checksum(payload, castagnoli) == binary.LittleEndian.Uint32(frame[4:])
 }
 
 func appendString(dst []byte, s string) []byte {
@@ -637,72 +730,114 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// ReplayEncoded is the store's one replay walk: it streams the live
-// records in write order (so a later record for the same canonical
-// digest overwrites an earlier class representative, exactly as live
-// Puts would have) with their keys parsed and their snapshot still
-// encoded in Record.Blob — the caller decides which records are worth
-// decoding now (DESIGN.md D19). Each record owns its bytes. Unreadable
-// frames are counted as corrupted and skipped — replay degrades, never
-// fails. fn returning false stops the replay early.
-func (s *Store) ReplayEncoded(fn func(Record) bool) error {
-	s.mu.Lock()
-	order, locs := s.liveInOrder()
-	s.mu.Unlock()
-
-	files := map[int64]faultfs.File{}
-	defer func() {
-		for _, f := range files {
-			f.Close()
-		}
-	}()
-	for i := range order {
-		loc := locs[i]
-		f, ok := files[loc.seg]
-		if !ok {
-			var err error
-			f, err = s.fs.Open(filepath.Join(s.opts.Dir, segName(loc.seg)))
-			if err != nil {
-				s.NoteCorrupt()
-				continue
-			}
-			files[loc.seg] = f
-		}
-		buf := make([]byte, loc.size-frameHeaderLen)
-		if _, err := f.ReadAt(buf, loc.off+frameHeaderLen); err != nil {
-			s.NoteCorrupt()
-			continue
-		}
-		rec, err := parseFrame(buf)
-		if err != nil {
-			s.NoteCorrupt()
-			continue
-		}
-		if !fn(rec) {
-			return nil
+// Walk calls fn with the keys of every live record in write order (so a
+// later record for the same canonical digest overwrites an earlier
+// class representative, exactly as live Puts would have), straight from
+// the index: no I/O, Snap nil. fn returning false stops the walk. A
+// record Walk yielded may be superseded or quarantined by the time the
+// caller Loads it; Load answers for the index as it is then.
+func (s *Store) Walk(fn func(Record) bool) {
+	s.idxMu.Lock()
+	live := s.liveInOrder()
+	s.idxMu.Unlock()
+	for _, l := range live {
+		if !fn(Record{FP: l.fp, CanonFP: l.loc.canonFp, StructFP: l.loc.structFp,
+			Perm: l.loc.perm, StatsEpoch: l.loc.epoch}) {
+			return
 		}
 	}
-	return nil
 }
 
-// Replay is ReplayEncoded with every record decoded before fn sees it
-// (Snap set, Blob nil); records that fail to decode are counted as
-// corrupted and skipped.
+// ErrNotStored is Load's answer for a fingerprint with no live record:
+// never persisted, quarantined, or rejected at scan.
+var ErrNotStored = errors.New("store: no live record")
+
+// ErrCorrupt is wrapped by the errors Load returns for a frame it read
+// but will not hand out: wrong length, failed checksum, unparseable, or
+// another fingerprint's. Any other error from Load is the filesystem's
+// and says nothing about the record.
+var ErrCorrupt = errors.New("store: record failed verification")
+
+// Load reads fp's live record from its segment and returns the
+// snapshot, still encoded (a snapcodec record, the caller's to keep).
+// The frame is handed out only if its length, its CRC32C and the
+// fingerprint it names check out. Load takes idxMu for the index lookup
+// and no lock for the read, so it waits neither for the writer's fsync
+// nor for a compaction; when a read or a check fails it looks the
+// location up once more — a compaction may have moved the record and
+// deleted the segment underneath the read — and tries again if it
+// changed. Degraded mode pauses writes, not loads.
+func (s *Store) Load(fp string) ([]byte, error) {
+	var tried location
+	var failure error
+	for {
+		s.idxMu.Lock()
+		loc, ok := s.index[fp]
+		s.idxMu.Unlock()
+		if !ok {
+			return nil, ErrNotStored
+		}
+		if failure != nil && loc.seg == tried.seg && loc.off == tried.off {
+			return nil, failure
+		}
+		blob, err := s.readSnapshot(fp, loc)
+		if err == nil {
+			return blob, nil
+		}
+		tried, failure = loc, err
+	}
+}
+
+// readSnapshot reads the frame at loc and returns its snapshot blob if
+// the frame is whole, CRC-clean and fp's.
+func (s *Store) readSnapshot(fp string, loc location) ([]byte, error) {
+	name := segName(loc.seg)
+	f, err := s.fs.Open(filepath.Join(s.opts.Dir, name))
+	if err != nil {
+		return nil, fmt.Errorf("store: load: %w", err)
+	}
+	defer f.Close()
+	frame := make([]byte, loc.size)
+	if n, err := f.ReadAt(frame, loc.off); n < len(frame) {
+		return nil, fmt.Errorf("store: load: %s@%d: read %d of %d bytes: %w", name, loc.off, n, len(frame), err)
+	}
+	payload, ok := openFrame(frame)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s@%d: frame length or checksum", ErrCorrupt, name, loc.off)
+	}
+	rec, _, blob, ok := parseFrame(payload)
+	if !ok || rec.FP != fp || len(blob) == 0 {
+		return nil, fmt.Errorf("%w: %s@%d: not a record of %q", ErrCorrupt, name, loc.off, fp)
+	}
+	return blob, nil
+}
+
+// Replay is Walk with every record loaded and decoded before fn sees it
+// (Snap set). A record that cannot be read, fails Load's checks or
+// fails to decode is counted as corrupted and skipped — replay
+// degrades, never fails; one superseded or quarantined since the walk
+// listed it is skipped silently.
 func (s *Store) Replay(fn func(Record) bool) error {
-	return s.ReplayEncoded(func(rec Record) bool {
-		snap, err := snapcodec.Decode(rec.Blob)
+	s.Walk(func(rec Record) bool {
+		blob, err := s.Load(rec.FP)
+		if errors.Is(err, ErrNotStored) {
+			return true
+		}
+		if err == nil {
+			rec.Snap, err = snapcodec.Decode(blob)
+		}
 		if err != nil {
 			s.NoteCorrupt()
 			return true
 		}
-		rec.Snap, rec.Blob = snap, nil
 		return fn(rec)
 	})
+	return nil
 }
 
 // NoteCorrupt counts one live record that turned out unusable after the
-// scan accepted it: an unreadable frame during the replay walk, or a
-// blob ReplayEncoded handed out that failed to decode later.
+// scan accepted it: Load could not produce its frame, or the snapshot
+// Load handed out failed to decode.
 func (s *Store) NoteCorrupt() {
 	s.mu.Lock()
 	s.stats.Corrupted++
@@ -748,20 +883,16 @@ func (s *Store) PutBlocking(fp, canonFp, structFp string, perm []int, snap *core
 }
 
 // Quarantine marks a fingerprint's persisted record as poison: the
-// live record (if any) is dead immediately — a Replay after this call
-// will not stream it — and a tombstone frame superseding it on disk is
-// queued through the writer (blocking enqueue: quarantine is rare and
-// must not be shed), so the poison marking survives restarts. A later
-// Put of the same fingerprint (the cold re-optimization's fresh
+// live record (if any) is dead immediately — Walk no longer lists it
+// and Load answers ErrNotStored — and a tombstone frame superseding it
+// on disk is queued through the writer (blocking enqueue: quarantine is
+// rare and must not be shed), so the poison marking survives restarts.
+// A later Put of the same fingerprint (the cold re-optimization's fresh
 // export) is unaffected: it writes after the tombstone and loads
 // normally.
 func (s *Store) Quarantine(fp string) {
 	s.mu.Lock()
-	if loc, ok := s.index[fp]; ok {
-		s.stats.DeadBytes += loc.size
-		s.stats.LiveBytes -= loc.size
-		delete(s.index, fp)
-	}
+	s.unindex(fp)
 	s.mu.Unlock()
 	select {
 	case s.queue <- writeReq{rec: Record{FP: fp}, tomb: true}:
@@ -947,17 +1078,14 @@ func (s *Store) append(rec Record, tomb bool) {
 	}
 	emit = s.noteIOSuccessLocked()
 	s.segments[s.active] = off + int64(len(frame))
-	loc := location{seg: s.active, off: off, size: int64(len(frame))}
-	if !tomb {
-		loc.epoch = rec.Snap.StatsEpoch()
-	}
 	if tomb {
 		// The tombstone's own bytes are dead by definition; the live
 		// record it supersedes was already removed by Quarantine.
 		s.stats.Tombstones++
-		s.stats.DeadBytes += loc.size
+		s.stats.DeadBytes += int64(len(frame))
 	} else {
-		s.indexRecord(rec.FP, loc)
+		rec.StatsEpoch = rec.Snap.StatsEpoch()
+		s.indexRecord(rec, location{seg: s.active, off: off, size: int64(len(frame))})
 		s.stats.Persisted++
 	}
 	s.maybeCompactLocked()
@@ -1121,9 +1249,8 @@ func (s *Store) maybeCompactLocked() {
 	}()
 	newIndex := make(map[string]location, len(s.index))
 	newOff := int64(0)
-	fps, locs := s.liveInOrder()
-	for i, fp := range fps {
-		loc := locs[i]
+	for _, l := range s.liveInOrder() {
+		loc := l.loc
 		f, ok := readers[loc.seg]
 		if !ok {
 			f, err = s.fs.Open(filepath.Join(s.opts.Dir, segName(loc.seg)))
@@ -1135,9 +1262,10 @@ func (s *Store) maybeCompactLocked() {
 		if _, err = io.Copy(out, io.NewSectionReader(f, loc.off, loc.size)); err != nil {
 			break
 		}
-		// Write stamps carry over so the relative replay order is
-		// unchanged by compaction.
-		newIndex[fp] = location{seg: newSeq, off: newOff, size: loc.size, order: loc.order, epoch: loc.epoch}
+		// Only the address changes: the write stamp carries over, so
+		// compaction leaves the walk order alone, and so do the keys.
+		loc.seg, loc.off = newSeq, newOff
+		newIndex[l.fp] = loc
 		newOff += loc.size
 	}
 	if err == nil {
@@ -1156,7 +1284,12 @@ func (s *Store) maybeCompactLocked() {
 		s.file.Close()
 		s.file = nil
 	}
+	// The new segment is complete and synced, the old ones not yet
+	// deleted: a Load holding an old location still reads good bytes, or
+	// finds its file gone and looks the record up again.
+	s.idxMu.Lock()
 	s.index = newIndex
+	s.idxMu.Unlock()
 	s.segments = map[int64]int64{newSeq: newOff}
 	s.active = newSeq
 	s.stats.LiveBytes = newOff

@@ -333,7 +333,7 @@ func TestStoreRejectsForeignFormatVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := data[frameHeaderLen:]
-	_, _, _, blob, ok := peekFrame(payload)
+	_, _, blob, ok := parseFrame(payload)
 	if !ok {
 		t.Fatal("cannot parse own frame")
 	}
@@ -381,7 +381,7 @@ func TestStoreBootsColdOnPreviousVersion(t *testing.T) {
 	frames := 0
 	for off := 0; off < len(data); frames++ {
 		payload := data[off+frameHeaderLen:][:binary.LittleEndian.Uint32(data[off:])]
-		_, _, _, blob, ok := peekFrame(payload)
+		_, _, blob, ok := parseFrame(payload)
 		if !ok {
 			t.Fatal("cannot parse own frame")
 		}

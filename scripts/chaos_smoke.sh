@@ -6,11 +6,13 @@
 # restart tests: no shutdown path runs, so whatever the background
 # writer managed to append is all the restart gets — and it must be
 # either absent or correct, never wrong. The second half pins the
-# shutdown hint (DESIGN.md D19): the killed life left none, so the
-# survivor boots with its records still encoded and the warm session
-# pays the decode on its first hit; after a SIGTERM the next life finds
-# a hint, decodes before it is ready, and the same session pays nothing
-# — with the same frontier both times. CI runs this (see
+# shutdown hint and the store as the cache's cold tier (DESIGN.md D19):
+# the killed life left no hint, so the survivor boots with its records
+# still on disk — nothing read back, nothing decoded — and the warm
+# session pays one store read and one decode on its first hit; after a
+# SIGTERM the next life finds a hint, reads and decodes before it is
+# ready, and the same session pays nothing — with the same frontier both
+# times. CI runs this (see
 # .github/workflows/ci.yml); it only needs curl + jq.
 set -euo pipefail
 
@@ -108,8 +110,10 @@ fi
 echo "chaos_smoke: restart replayed $loaded records"
 
 # No shutdown ran, so no hint was written: every replayed record is
-# still encoded at ready and nothing was decoded at boot.
+# still on disk at ready — nothing was read back or decoded at boot.
 require moqod_cache_encoded_entries -gt 0
+require 'moqod_store_reads_total{when="boot"}' -eq 0
+require 'moqod_store_reads_total{when="hit"}' -eq 0
 require 'moqod_cache_decodes_total{when="boot"}' -eq 0
 require 'moqod_cache_decodes_total{when="hit"}' -eq 0
 
@@ -132,15 +136,20 @@ check_warm() {
 }
 
 check_warm "after SIGKILL"
-# The warm session was the entry's first use: it paid the one decode.
+# The warm session was the entry's first use: it paid the one read of
+# the store and the one decode.
+require 'moqod_store_reads_total{when="hit"}' -eq 1
 require 'moqod_cache_decodes_total{when="hit"}' -eq 1
+require moqod_store_read_errors_total -eq 0
 
 # Graceful stop: the drain writes the hint naming what this life used.
 kill -TERM "$MOQOD"
 wait "$MOQOD" 2>/dev/null || true
 start_moqod
+require 'moqod_store_reads_total{when="boot"}' -ge 1
 require 'moqod_cache_decodes_total{when="boot"}' -ge 1
 check_warm "after SIGTERM"
-# Decoded before ready: the same session decodes nothing.
+# Read and decoded before ready: the same session does neither.
+require 'moqod_store_reads_total{when="hit"}' -eq 0
 require 'moqod_cache_decodes_total{when="hit"}' -eq 0
 echo "chaos_smoke: OK"
