@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/eventlog"
+	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/service"
 	"repro/internal/workload"
@@ -111,6 +112,9 @@ type API struct {
 	seed   int64            // per-request synthetic-query seeds derive from this
 	boot   BootstrapStatus
 
+	// pollBytes is the poll-body size distribution (bytes per poll).
+	pollBytes *metrics.Histogram
+
 	drainOnce sync.Once
 	drained   chan struct{}
 }
@@ -126,6 +130,8 @@ func New(cfg Config) *API {
 		seed:    cfg.Seed,
 		boot:    BootstrapStatus{Mode: "none"},
 		drained: make(chan struct{}),
+		pollBytes: metrics.NewValues(1,
+			1<<8, 1<<10, 1<<12, 1<<14, 1<<16, 1<<18, 1<<20),
 	}
 }
 
@@ -294,6 +300,7 @@ func (a *API) resolveQuery(req createRequest) (*query.Query, error) {
 // into the service's registry, next to the service's own families.
 func (a *API) registerMetrics(svc *service.Service) {
 	r := svc.Registry()
+	r.Histogram("moqod_poll_body_bytes", "Size of the poll response bodies written.", "", a.pollBytes)
 	for _, p := range []Phase{Bootstrapping, Ready, Draining, Drained} {
 		p := p
 		r.GaugeFunc("moqod_lifecycle_phase", "1 for the node's current lifecycle phase.",

@@ -2,6 +2,7 @@ package api
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -153,5 +154,90 @@ func TestPollReportsFailure(t *testing.T) {
 	del.Body.Close()
 	if del.StatusCode != http.StatusOK {
 		t.Fatalf("delete failed session: status %d", del.StatusCode)
+	}
+}
+
+// TestSelectStatusCodes pins what a refused select answers: 404 for an
+// unknown session, 400 for an index outside the published frontier, and
+// 409 only for the refusals that are about the session's state — the
+// frontier moved since the poll, nothing is published to select from
+// (here: bounds that admit no plan), or the session is no longer live.
+func TestSelectStatusCodes(t *testing.T) {
+	ts := newFaultServer(t, func(cfg *service.Config) {
+		cfg.FaultHook = func(id string, step int) {
+			if id == "s-2" && step == 0 {
+				panic("injected api fault")
+			}
+		}
+	})
+	type pollState struct {
+		State    string `json:"state"`
+		Steps    int    `json:"steps"`
+		Frontier []struct {
+			Plan string `json:"plan"`
+		} `json:"frontier"`
+	}
+	// settle creates a session and polls it until it stops refining.
+	settle := func(want string) (string, pollState) {
+		t.Helper()
+		resp := createSession(t, ts, "Q4")
+		var created struct {
+			ID string `json:"id"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&created); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			var st pollState
+			getJSON(t, ts.URL+"/sessions/"+created.ID, &st)
+			if st.State == want {
+				return created.ID, st
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("session %s stuck in %q, want %q", created.ID, st.State, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	live, st := settle("at-target")
+	failed, _ := settle("failed")
+	if live != "s-1" || failed != "s-2" {
+		t.Fatalf("session ids %q, %q: the fault hook keys on s-2", live, failed)
+	}
+	empty, _ := settle("at-target")
+	dim := costmodel.Default().Space().Dim()
+	if code, _ := postJSON(t, ts.URL+"/sessions/"+empty+"/bounds",
+		`{"bounds":[`+strings.TrimSuffix(strings.Repeat("1e-9,", dim), ",")+`]}`, nil); code != http.StatusOK {
+		t.Fatalf("set bounds: status %d", code)
+	}
+	for _, tc := range []struct {
+		name, id, body string
+		want           int
+	}{
+		{"unknown session", "s-999", `{"index":0}`, http.StatusNotFound},
+		{"index past the frontier", live, fmt.Sprintf(`{"index":%d}`, len(st.Frontier)), http.StatusBadRequest},
+		{"frontier moved since the poll", live, fmt.Sprintf(`{"index":0,"steps":%d}`, st.Steps-1), http.StatusConflict},
+		{"empty frontier", empty, `{"index":0}`, http.StatusConflict},
+		{"session not live", failed, `{"index":0}`, http.StatusConflict},
+		{"last published plan", live, fmt.Sprintf(`{"index":%d,"steps":%d}`, len(st.Frontier)-1, st.Steps), http.StatusOK},
+	} {
+		resp, err := http.Post(ts.URL+"/sessions/"+tc.id+"/select", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			Error string `json:"error"`
+			Plan  string `json:"plan"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want || err != nil {
+			t.Errorf("%s: status %d (%v), want %d; error %q", tc.name, resp.StatusCode, err, tc.want, body.Error)
+		}
+		if tc.want == http.StatusOK && body.Plan != st.Frontier[len(st.Frontier)-1].Plan {
+			t.Errorf("%s: selected %q, the poll showed %q", tc.name, body.Plan, st.Frontier[len(st.Frontier)-1].Plan)
+		}
 	}
 }

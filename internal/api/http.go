@@ -213,18 +213,19 @@ func (a *API) handlePoll(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, err)
 		return
 	}
-	writePoll(w, &st)
+	a.writePoll(w, &st)
 }
 
 // writePoll answers a poll with st. The body has an encoder of its own
 // (pollbody.go) — no per-plan strings, no reflection — and goes out in
 // one write of known length from a pooled buffer.
-func writePoll(w http.ResponseWriter, st *service.Status) {
+func (a *API) writePoll(w http.ResponseWriter, st *service.Status) {
 	buf := pollBufs.Get().(*[]byte)
 	body, err := appendPollBody((*buf)[:0], st)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 	} else {
+		a.pollBytes.Observe(int64(len(body)))
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		w.WriteHeader(http.StatusOK)
@@ -283,7 +284,17 @@ func (a *API) handleSelect(w http.ResponseWriter, r *http.Request) {
 	}
 	p, err := svc.Select(r.PathValue("id"), req.Index, expect)
 	if err != nil {
-		writeErr(w, http.StatusConflict, err)
+		// 409 is for a select the session's state refuses: the frontier
+		// moved since the poll, no frontier is published to select from,
+		// or the session is no longer live.
+		status := http.StatusConflict
+		switch {
+		case errors.Is(err, service.ErrNoSession):
+			status = http.StatusNotFound
+		case errors.Is(err, service.ErrPlanIndex):
+			status = http.StatusBadRequest
+		}
+		writeErr(w, status, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, planJSON{Plan: p.String(), Cost: p.Cost, Rows: p.Rows})

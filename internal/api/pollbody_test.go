@@ -198,13 +198,14 @@ func FuzzPollBody(f *testing.F) {
 // carry answers 500 with a JSON error body (it used to be a 200 with no
 // body at all), and the pooled buffer serves the next poll unharmed.
 func TestPollNonFiniteAnswers500(t *testing.T) {
+	a := New(Config{})
 	good := &plan.Node{Tables: tableset.Singleton(0), SampleRate: 1, Rows: 10, Cost: cost.Vec(1, 2, 0)}
 	for name, bad := range map[string]*plan.Node{
 		"cost": {Tables: tableset.Singleton(1), TableID: 1, SampleRate: 1, Rows: 10, Cost: cost.Vec(1, math.Inf(1), 0)},
 		"rows": {Tables: tableset.Singleton(1), TableID: 1, SampleRate: 1, Rows: math.NaN(), Cost: cost.Vec(1, 2, 0)},
 	} {
 		rec := httptest.NewRecorder()
-		writePoll(rec, &service.Status{ID: "s-1", Frontier: []*plan.Node{good, bad}})
+		a.writePoll(rec, &service.Status{ID: "s-1", Frontier: []*plan.Node{good, bad}})
 		var body struct{ Error string }
 		if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || body.Error == "" {
 			t.Errorf("non-finite %s: status %d, body %q (%v), want 500 with a JSON error", name, rec.Code, rec.Body, err)
@@ -212,13 +213,17 @@ func TestPollNonFiniteAnswers500(t *testing.T) {
 	}
 	st := &service.Status{ID: "s-2", Query: "Q3", Resolution: 2, Frontier: []*plan.Node{good}}
 	rec := httptest.NewRecorder()
-	writePoll(rec, st)
+	a.writePoll(rec, st)
 	want, _ := referencePollBody(st)
 	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
 		t.Errorf("poll after a refused one: status %d, body %q, want %q", rec.Code, rec.Body, want)
 	}
 	if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(len(want)) {
 		t.Errorf("Content-Length %q, want %d", got, len(want))
+	}
+	// moqod_poll_body_bytes saw the one body that went out, not the refused.
+	if snap := a.pollBytes.Snapshot(); snap.Count != 1 || snap.Sum != int64(len(want)) {
+		t.Errorf("poll-bytes histogram count %d sum %d, want 1 sample of %d bytes", snap.Count, snap.Sum, len(want))
 	}
 }
 
@@ -278,4 +283,28 @@ func BenchmarkPollEncode(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkPollBody sizes what skyline publication (DESIGN.md D20) takes
+// off a poll: one body at the 70 plans a converged 4-table chain query
+// publishes, against one at the 562 result plans it used to carry.
+func BenchmarkPollBody(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		plans int
+	}{{"published", 70}, {"unfiltered", 562}} {
+		b.Run(bc.name, func(b *testing.B) {
+			st := wideStatus(bc.plans)
+			buf, err := appendPollBody(nil, st)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf, _ = appendPollBody(buf[:0], st)
+			}
+			b.ReportMetric(float64(len(buf)), "B/body")
+		})
+	}
 }

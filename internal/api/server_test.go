@@ -153,12 +153,13 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	// The step-path histograms must have accumulated samples.
+	// The step-path and poll-path histograms must have accumulated samples.
 	for _, fam := range []string{
 		"moqod_first_frontier_seconds",
 		"moqod_queue_wait_seconds",
 		"moqod_quantum_steps",
 		"moqod_session_duration_seconds",
+		"moqod_poll_body_bytes",
 	} {
 		if strings.Contains(text, fam+"_count 0\n") || !strings.Contains(text, fam+"_count") {
 			t.Errorf("histogram %s has no samples:\n%s", fam, grepFam(text, fam))

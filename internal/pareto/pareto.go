@@ -6,43 +6,49 @@
 package pareto
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cost"
 	"repro/internal/plan"
 )
 
-// Filter returns a Pareto set of the given plans: for every input plan,
-// the output contains a plan that dominates it, and no output plan is
-// strictly dominated by another output plan. Ties (equal cost vectors)
-// keep the first occurrence. The input is not modified.
+// Filter returns the skyline of the given plans: the plans no other input
+// plan dominates by cost, in ascending lexicographic cost order. Of plans
+// with equal cost vectors it keeps the one with the smallest node ID
+// (the first occurrence among equal IDs). Every input plan is dominated
+// by an output plan. Like slices.Compact it works in place: it reorders
+// plans and returns the skyline as a prefix of it, capacity clipped.
+//
+// It is a sort-then-sweep: after a stable sort in that order a plan can
+// only be dominated by one sorted before it, and — dominance being
+// transitive — only by one of those the sweep kept, so each plan is
+// compared against the kept prefix alone, nearest first: a dominator is
+// usually a close neighbour in the order.
 func Filter(plans []*plan.Node) []*plan.Node {
-	var out []*plan.Node
-	for _, p := range plans {
-		dominated := false
-		for _, q := range out {
-			if q.Cost.Dominates(p.Cost) {
-				dominated = true
-				break
+	slices.SortStableFunc(plans, func(p, q *plan.Node) int {
+		if c := slices.Compare(p.Cost, q.Cost); c != 0 {
+			return c
+		}
+		return cmp.Compare(p.ID(), q.ID())
+	})
+	kept := plans[:min(1, len(plans))]
+next:
+	for _, p := range plans[len(kept):] {
+		for i := len(kept) - 1; i >= 0; i-- {
+			if kept[i].Cost.Dominates(p.Cost) {
+				continue next
 			}
 		}
-		if dominated {
-			continue
-		}
-		// Remove existing entries now dominated by p.
-		kept := out[:0]
-		for _, q := range out {
-			if !p.Cost.Dominates(q.Cost) {
-				kept = append(kept, q)
-			}
-		}
-		out = append(kept, p)
+		kept = append(kept, p)
 	}
-	return out
+	return slices.Clip(kept)
 }
 
-// FilterVectors is Filter over bare cost vectors.
+// FilterVectors returns the non-dominated vectors of vs in input order,
+// the first occurrence among equal ones. The input is not modified.
 func FilterVectors(vs []cost.Vector) []cost.Vector {
 	var out []cost.Vector
 	for _, v := range vs {

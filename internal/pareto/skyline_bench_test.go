@@ -1,0 +1,98 @@
+package pareto
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/core"
+	"repro/internal/costmodel"
+	"repro/internal/plan"
+	"repro/internal/query"
+)
+
+// convergedResults refines a 4-table query of the end-to-end benchmark's
+// shape (TPC-H catalog, the benchmark's resolution ladder) to the target
+// and returns its unfiltered root result set.
+func convergedResults(tb testing.TB, tp query.Topology) []*plan.Node {
+	tb.Helper()
+	q, err := query.Synthetic(catalog.TPCH(1), 4, tp, rand.New(rand.NewSource(1)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := core.Config{Model: costmodel.Default(), ResolutionLevels: 5, TargetPrecision: 1.01, PrecisionStep: 0.05}
+	o := core.MustNewOptimizer(q, cfg)
+	for r := 0; r <= cfg.MaxResolution(); r++ {
+		o.Optimize(nil, r)
+	}
+	return o.Results(nil, cfg.MaxResolution())
+}
+
+// syntheticResults is n plans with log-uniform three-metric costs.
+func syntheticResults(n int) []*plan.Node {
+	rng := rand.New(rand.NewSource(7))
+	plans := make([]*plan.Node, n)
+	for i := range plans {
+		plans[i] = mkPlan(math.Exp(rng.Float64()*20), math.Exp(rng.Float64()*4), math.Exp(rng.Float64()*10))
+	}
+	return plans
+}
+
+// TestFilterOnConvergedResults checks the skyline against the definition
+// on real result sets: nothing kept is dominated, everything dropped is,
+// and the work happens in place.
+func TestFilterOnConvergedResults(t *testing.T) {
+	for _, tp := range []query.Topology{query.Chain, query.Star} {
+		in := convergedResults(t, tp)
+		buf := slices.Clone(in)
+		out := Filter(buf)
+		if len(out) == 0 || len(out) >= len(in) {
+			t.Fatalf("%v: skyline keeps %d of %d result plans", tp, len(out), len(in))
+		}
+		if &out[0] != &buf[0] || cap(out) != len(out) {
+			t.Errorf("%v: skyline is not a capacity-clipped prefix of its argument", tp)
+		}
+		if !Covers(Vectors(out), Vectors(in), 1) {
+			t.Errorf("%v: skyline does not cover the result set", tp)
+		}
+		for i, p := range out {
+			for j, q := range out {
+				if i != j && q.Cost.Dominates(p.Cost) {
+					t.Fatalf("%v: kept plan %v is dominated by %v", tp, p.Cost, q.Cost)
+				}
+			}
+		}
+	}
+}
+
+// skylineSink keeps the compiler from discarding the measured call.
+var skylineSink []*plan.Node
+
+// BenchmarkSkyline is the pareto layer's line in the ledger: one skyline
+// of a converged chain4/star4 root result set — what a session pays when
+// it publishes — and of a 2 048-plan synthetic set.
+func BenchmarkSkyline(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		plans []*plan.Node
+	}{
+		{"chain4", convergedResults(b, query.Chain)},
+		{"star4", convergedResults(b, query.Star)},
+		{"synthetic2048", syntheticResults(2048)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			// Filter reorders its input: every iteration gets the range
+			// query's order back (the copy is noise next to the sort).
+			buf := make([]*plan.Node, len(bc.plans))
+			for i := 0; i < b.N; i++ {
+				copy(buf, bc.plans)
+				skylineSink = Filter(buf)
+			}
+			b.ReportMetric(float64(len(bc.plans)), "plans")
+			b.ReportMetric(float64(len(skylineSink)), "kept")
+		})
+	}
+}

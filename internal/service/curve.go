@@ -112,7 +112,8 @@ type CurvePoint struct {
 	Regime int `json:"regime"`
 	// Res is the resolution level the regime had sharpened to.
 	Res int `json:"res"`
-	// Frontier is the Pareto-frontier size at the sample.
+	// Frontier is the size of the frontier the step published: the
+	// non-dominated result plans within the regime's bounds.
 	Frontier int `json:"frontier"`
 	// Best is the running-minimum L1 scalarization up to this sample.
 	Best float64 `json:"best"`

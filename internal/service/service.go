@@ -307,6 +307,13 @@ type Stats struct {
 	Shards []ShardStats
 }
 
+// ErrNoSession reports an ID that names no registered session.
+var ErrNoSession = errors.New("service: no such session")
+
+// ErrPlanIndex reports a Select index outside a non-empty published
+// frontier.
+var ErrPlanIndex = errors.New("service: plan index outside the frontier")
+
 // ErrFrontierMoved reports that refinement steps changed the frontier
 // between the poll a Select index refers to and the Select itself; the
 // client should re-poll and re-decide.
@@ -371,8 +378,10 @@ type Status struct {
 	Steps int
 	// Bounds is the session's current bound vector.
 	Bounds cost.Vector
-	// Frontier is the current visualization input (shared immutable
-	// plan nodes; callers must not mutate). The nodes are backed by the
+	// Frontier is the current visualization input as the session's last
+	// step published it — the non-dominated result plans of the focus in
+	// ascending cost order (shared immutable slice and plan nodes;
+	// callers must not mutate). The nodes are backed by the
 	// session's arena: in-process callers keeping them past the
 	// session's lifetime should copy what they need (Select returns a
 	// detached copy for exactly this reason); callers serializing to a
@@ -1371,7 +1380,7 @@ func (s *Service) endBatch(sc *scheduler, m *managed, first, end time.Duration, 
 func (s *Service) lookup(id string) (*managed, error) {
 	m, ok := s.shardFor(id).mgr.get(id)
 	if !ok {
-		return nil, fmt.Errorf("service: no session %q", id)
+		return nil, fmt.Errorf("%w %q", ErrNoSession, id)
 	}
 	return m, nil
 }
@@ -1508,8 +1517,9 @@ func (s *Service) SetBounds(id string, b cost.Vector) error {
 }
 
 // Select picks a plan from the session's current frontier by index,
-// finishing the session (it leaves the registry). Scheduler steps can
-// reorder the frontier between a client's poll and its select, so
+// finishing the session (it leaves the registry). The index addresses
+// the frontier the last step published, which is what a poll at the
+// same step count showed; a later step may publish a different one, so
 // expectSteps carries the Steps value from the poll the index refers
 // to: a mismatch means the frontier moved underneath the client and
 // Select fails with ErrFrontierMoved instead of silently returning a
@@ -1531,10 +1541,16 @@ func (s *Service) Select(id string, index, expectSteps int) (*plan.Node, error) 
 			ErrFrontierMoved, id, expectSteps, m.steps)
 	}
 	frontier := m.sess.Frontier()
+	if len(frontier) == 0 {
+		// Not the request's fault: no step has published since the last
+		// bounds change, or the bounds admit no plan (yet).
+		m.mu.Unlock()
+		return nil, fmt.Errorf("service: session %q has no frontier to select from; poll again", id)
+	}
 	p, _, err := m.sess.Apply(session.Event{Action: session.Select, PlanIndex: index}, frontier)
 	if err != nil {
 		m.mu.Unlock()
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrPlanIndex, err)
 	}
 	m.setState(Selected)
 	m.mu.Unlock()

@@ -284,8 +284,9 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestSelectReturnsFrontierPlan verifies Select hands back the polled
-// frontier plan and finishes the session.
+// TestSelectReturnsFrontierPlan verifies Select hands back exactly the
+// plan the last poll showed at the index, refuses with the error the API
+// maps to a status, and finishes the session.
 func TestSelectReturnsFrontierPlan(t *testing.T) {
 	svc, err := New(testConfig(2))
 	if err != nil {
@@ -302,21 +303,66 @@ func TestSelectReturnsFrontierPlan(t *testing.T) {
 	if len(st.Frontier) == 0 {
 		t.Fatal("empty frontier at target")
 	}
-	if _, err := svc.Select(id, 0, st.Steps+7); err == nil {
-		t.Error("select with a stale steps token succeeded")
+	if _, err := svc.Select(id, 0, st.Steps+7); !errors.Is(err, ErrFrontierMoved) {
+		t.Errorf("select with a stale steps token: %v, want ErrFrontierMoved", err)
 	}
-	p, err := svc.Select(id, 0, st.Steps)
+	if _, err := svc.Select(id, len(st.Frontier), st.Steps); !errors.Is(err, ErrPlanIndex) {
+		t.Errorf("select past the frontier: %v, want ErrPlanIndex", err)
+	}
+	last := len(st.Frontier) - 1
+	p, err := svc.Select(id, last, st.Steps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p == nil || p.Tables != blk.Query.Tables() {
 		t.Errorf("selected plan covers %v, want %v", p.Tables, blk.Query.Tables())
 	}
-	if _, err := svc.Poll(id); err == nil {
-		t.Error("poll succeeded after select; session should be gone")
+	if want := st.Frontier[last]; p.String() != want.String() || !p.Cost.Equal(want.Cost) {
+		t.Errorf("selected %v %v, the poll showed %v %v at index %d", p, p.Cost, want, want.Cost, last)
 	}
-	if _, err := svc.Select(id, 0, -1); err == nil {
-		t.Error("second select succeeded")
+	if _, err := svc.Poll(id); !errors.Is(err, ErrNoSession) {
+		t.Errorf("poll after select: %v, want ErrNoSession", err)
+	}
+	if _, err := svc.Select(id, 0, -1); !errors.Is(err, ErrNoSession) {
+		t.Errorf("second select: %v, want ErrNoSession", err)
+	}
+}
+
+// TestPollServesPublishedFrontier pins what a poll of a converged session
+// costs: it hands out the very slice the last step published — a range
+// query against the optimizer would have allocated a fresh one — and
+// allocates no frontier (the one allocation left is the Bounds copy).
+func TestPollServesPublishedFrontier(t *testing.T) {
+	svc, err := New(testConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Shutdown()
+
+	blk, _ := workload.Find(workload.MustTPCHBlocks(1), "Q3")
+	id, err := svc.Create(blk.Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := awaitState(t, svc, id, AtTarget)
+	if len(first.Frontier) == 0 {
+		t.Fatal("empty frontier at target")
+	}
+	for i, p := range first.Frontier {
+		for j, q := range first.Frontier {
+			if i != j && q.Cost.Dominates(p.Cost) {
+				t.Fatalf("polled plan %d (%v) is dominated by plan %d (%v)", i, p.Cost, j, q.Cost)
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		st, err := svc.Poll(id)
+		if err != nil || len(st.Frontier) != len(first.Frontier) || &st.Frontier[0] != &first.Frontier[0] {
+			t.Fatalf("poll returned a different frontier slice (err %v)", err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("Poll allocates %v times, want at most the Bounds copy", allocs)
 	}
 }
 

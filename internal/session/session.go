@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/pareto"
 	"repro/internal/plan"
 	"repro/internal/query"
 )
@@ -85,7 +86,7 @@ type Record struct {
 	Bounds cost.Vector
 	// Duration is the optimizer invocation's wall-clock time.
 	Duration time.Duration
-	// FrontierSize is the number of visualized plans.
+	// FrontierSize is the number of visualized (published) plans.
 	FrontierSize int
 	// BoundsChanged reports whether this iteration started a new regime.
 	BoundsChanged bool
@@ -98,6 +99,10 @@ type Session struct {
 	res     int
 	started bool
 	records []Record
+	// frontier is the published visualization input: the skyline of the
+	// root result plans within the current focus (DESIGN.md D20). It is
+	// replaced, never written, so readers may keep it without copying.
+	frontier []*plan.Node
 	// Visualize, when non-nil, receives the frontier after every
 	// iteration (the paper's Visualize procedure).
 	Visualize func(frontier []*plan.Node)
@@ -180,14 +185,13 @@ func (s *Session) LastDuration() time.Duration {
 	return s.records[len(s.records)-1].Duration
 }
 
-// Frontier returns the current visualization input: completed plans
-// within the current bounds and resolution.
-func (s *Session) Frontier() []*plan.Node {
-	if !s.started {
-		return nil
-	}
-	return s.opt.Results(s.bounds, s.res)
-}
+// Frontier returns the current visualization input, as the last Step
+// published it: the completed plans within the current bounds and
+// resolution that no other such plan dominates, in ascending
+// lexicographic cost order. It is nil before the first Step and between
+// a bounds change and the Step that follows it. The slice is shared and
+// immutable.
+func (s *Session) Frontier() []*plan.Node { return s.frontier }
 
 // SetBounds changes the cost bounds; the next Step starts a new regime at
 // resolution 0. A nil vector means unbounded.
@@ -201,12 +205,13 @@ func (s *Session) SetBounds(b cost.Vector) error {
 	}
 	s.bounds = b.Clone()
 	s.started = false // next Step restarts at resolution 0
+	s.frontier = nil
 	return nil
 }
 
 // Step runs one control-loop iteration without user input: invoke the
 // optimizer at the current focus, visualize, and schedule the next
-// refinement. It returns the visualized frontier.
+// refinement. It returns the published frontier (see Frontier).
 func (s *Session) Step() []*plan.Node {
 	boundsChanged := !s.started
 	if s.started {
@@ -220,19 +225,19 @@ func (s *Session) Step() []*plan.Node {
 	start := time.Now()
 	s.opt.Optimize(s.bounds, s.res)
 	dur := time.Since(start)
-	frontier := s.opt.Results(s.bounds, s.res)
+	s.frontier = pareto.Filter(s.opt.Results(s.bounds, s.res))
 	s.records = append(s.records, Record{
 		Iteration:     len(s.records) + 1,
 		Resolution:    s.res,
 		Bounds:        s.bounds.Clone(),
 		Duration:      dur,
-		FrontierSize:  len(frontier),
+		FrontierSize:  len(s.frontier),
 		BoundsChanged: boundsChanged,
 	})
 	if s.Visualize != nil {
-		s.Visualize(frontier)
+		s.Visualize(s.frontier)
 	}
-	return frontier
+	return s.frontier
 }
 
 // Apply processes one user event against the given frontier: a no-op

@@ -19,7 +19,9 @@ go build -o "$BIN" ./cmd/moqod
 "$BIN" -addr "$ADDR" -workers 2 -shards 2 -levels 3 -pprof -slow-session 1ns \
     -cache-dir "$CACHE_DIR" &
 MOQOD=$!
-trap 'kill "$MOQOD" 2>/dev/null || true; rm -rf "$CACHE_DIR"' EXIT
+# Wait for the child before removing its store directory: a SIGTERMed
+# moqod drains and writes its shutdown hint there on the way out.
+trap 'kill "$MOQOD" 2>/dev/null || true; wait "$MOQOD" 2>/dev/null || true; rm -rf "$CACHE_DIR"' EXIT
 
 # Wait for the listener.
 for _ in $(seq 1 100); do
@@ -47,7 +49,8 @@ curl -fsS -X POST "http://$ADDR/sessions/$id/select" -d '{"index":0}' >/dev/null
 
 metrics=$(curl -fsS "http://$ADDR/metrics")
 for fam in moqod_first_frontier_seconds moqod_queue_wait_seconds \
-           moqod_quantum_steps moqod_session_duration_seconds; do
+           moqod_quantum_steps moqod_session_duration_seconds \
+           moqod_poll_body_bytes; do
     count=$(printf '%s\n' "$metrics" | awk -v f="${fam}_count" '$1 == f {print $2}')
     if [ -z "$count" ] || [ "$count" = "0" ]; then
         echo "obs_smoke: histogram $fam empty or missing (count='$count')" >&2
