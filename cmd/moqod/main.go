@@ -115,7 +115,6 @@ func main() {
 	writeTimeout := flag.Duration("write-timeout", 60*time.Second, "http.Server WriteTimeout (0 disables)")
 	cacheCap := flag.Int("cache", 256, "warm-start cache capacity (-1 disables)")
 	cacheDir := flag.String("cache-dir", "", "persist warm-start snapshots under this directory (survives restarts; empty disables)")
-	persistOnEvict := flag.Bool("persist-on-evict", false, "persist snapshots on cache eviction + shutdown sweep instead of write-through")
 	bootstrapPeer := flag.String("bootstrap-peer", "", "pull the snapshot store from this peer's /admin/store export before serving (requires -cache-dir; falls back to cold start on failure)")
 	drainGrace := flag.Duration("drain-grace", 30*time.Second, "drain: how long in-flight sessions get to converge before being checkpointed")
 	seed := flag.Int64("seed", 1, "seed for synthetic queries and the load-generator mix")
@@ -134,9 +133,6 @@ func main() {
 	slowSession := flag.Duration("slow-session", 0, "log the lifecycle trace of sessions slower than this end to end (0 disables)")
 	flag.Parse()
 
-	if *persistOnEvict && *cacheDir == "" {
-		fail(fmt.Errorf("-persist-on-evict requires -cache-dir (no store to persist into)"))
-	}
 	if *bootstrapPeer != "" && *cacheDir == "" {
 		fail(fmt.Errorf("-bootstrap-peer requires -cache-dir (nowhere to install the pulled store)"))
 	}
@@ -202,9 +198,6 @@ func main() {
 		Stats:             stats,
 		DriftThreshold:    *driftThreshold,
 		Events:            events,
-	}
-	if *persistOnEvict {
-		cfg.StorePolicy = service.PersistOnEvict
 	}
 	if *slowSession > 0 {
 		threshold := *slowSession

@@ -237,6 +237,16 @@ func (h *Histogram) Exemplar(b int) (id string, v int64, tns int64, ok bool) {
 	return id, v, tns, ok
 }
 
+// Sum returns the sum of all observations so far, in base units, across
+// stripes. Allocation-free, for callers that Snapshot is too heavy for.
+func (h *Histogram) Sum() int64 {
+	var sum int64
+	for st := 0; st < h.stripes; st++ {
+		sum += h.sums[st*8].Load()
+	}
+	return sum
+}
+
 // Snapshot is a scrape-time copy of a histogram's state, summed across
 // stripes. Counts are per-bucket (not cumulative); Count is the total.
 type Snapshot struct {
@@ -259,8 +269,8 @@ func (h *Histogram) Snapshot() Snapshot {
 		for i := range s.Counts {
 			s.Counts[i] += h.counts[base+i].Load()
 		}
-		s.Sum += h.sums[st*8].Load()
 	}
+	s.Sum = h.Sum()
 	for _, c := range s.Counts {
 		s.Count += c
 	}

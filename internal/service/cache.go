@@ -65,11 +65,6 @@ type PlanCache struct {
 	plans     int // running sum of PlanCount over resident snapshots
 	encoded   int // stubs: entries whose snapshot is still encoded, in the store
 
-	// onEvict, when set, receives every LRU-evicted entry after the
-	// cache mutex is released — the persist-on-evict hook of the
-	// snapshot store. Set it before the cache sees concurrent use.
-	onEvict func(fp, canonFp, structFp string, perm []int, snap *core.Snapshot)
-
 	// fetch produces a stub's snapshot from the cold tier — the store's
 	// Load, then snapcodec.Decode; atBoot tells a fetch made before the
 	// node reports ready (FetchNow) from one a session's first hit pays
@@ -91,24 +86,22 @@ func poisonous(err error) bool {
 	return err != nil && !errors.Is(err, errStoreRead) && !errors.Is(err, store.ErrNotStored)
 }
 
+// cacheKey names one snapshot everywhere it lives: the cache's three
+// tiers, the store's record, the session that exported it.
+type cacheKey struct {
+	fp       string // exact query fingerprint (exact tier, store record)
+	canonFp  string // canonical digest (cache shard + isomorphism tier)
+	structFp string // statistics-free structural digest (drift tier)
+	perm     []int  // the query's table-ID → canonical-position map
+}
+
 // cacheItem is the one entry type: it holds a snapshot or, for a record
 // of the store nothing has used since boot, nothing but its keys
 // (DESIGN.md D19). Exactly one of snap and stub is set.
 type cacheItem struct {
-	fp       string
-	canonFp  string
-	structFp string
-	perm     []int // the source query's table-ID → canonical-position map
-	snap     *core.Snapshot
-	stub     *stub
-
-	// clean marks an entry whose snapshot is already on disk (replayed
-	// from the snapshot store at startup and not refreshed since). The
-	// eviction hook and the shutdown sweep skip clean entries — re-
-	// persisting them would just supersede their own records, turning
-	// every restart cycle into store churn; any Put dirties the entry
-	// again. A stub is always clean.
-	clean bool
+	cacheKey
+	snap *core.Snapshot
+	stub *stub
 
 	// origin labels how the entry got here when it did not come from a
 	// live session export: "replay" (local store replay at startup) or
@@ -164,7 +157,7 @@ func NewPlanCache(capacity int) *PlanCache {
 type Hit struct {
 	// Snap is the entry's snapshot. Nil means the entry was a stub and its
 	// fetch failed on this use: the caller starts cold, and — iff Poison —
-	// quarantines SrcFP first.
+	// quarantines Src first.
 	Snap *core.Snapshot
 	// Poison reports that the stub's record was read and found bad: a
 	// failed frame check or a failed decode (DESIGN.md D14). Snap nil
@@ -173,13 +166,11 @@ type Hit struct {
 	Poison bool
 	// Exact reports that the exact-fingerprint tier satisfied the lookup.
 	Exact bool
-	// SrcFP and SrcCanon are the exact fingerprint and canonical digest
-	// of the entry that satisfied the hit — the keys a caller passes to
-	// Quarantine if the restored snapshot turns out to be poison.
-	SrcFP, SrcCanon string
-	// Perm is the entry's source permutation; on a canonical-tier hit the
-	// caller composes it with its own and remaps.
-	Perm []int
+	// Src is the key of the entry that satisfied the hit: what a caller
+	// quarantines if the restored snapshot turns out to be poison, and —
+	// on a canonical-tier hit — the source permutation it composes with
+	// its own to remap.
+	Src cacheKey
 	// Origin is the entry's origin label ("replay", "bootstrap"; "" for
 	// an entry a live session exported).
 	Origin string
@@ -239,14 +230,14 @@ func (c *PlanCache) hit(el *list.Element, tier, miss *uint64) (Hit, bool) {
 	c.ll.MoveToFront(el)
 	item := el.Value.(*cacheItem)
 	item.used = true
-	h := Hit{Snap: item.snap, SrcFP: item.fp, SrcCanon: item.canonFp, Perm: item.perm, Origin: item.origin}
+	h := Hit{Snap: item.snap, Src: item.cacheKey, Origin: item.origin}
 	st := item.stub
 	c.mu.Unlock()
 	if st == nil {
 		return h, true
 	}
 	var err error
-	if h.Snap, err = c.materialize(h.SrcFP, st, false); errors.Is(err, store.ErrNotStored) {
+	if h.Snap, err = c.materialize(h.Src.fp, st, false); errors.Is(err, store.ErrNotStored) {
 		c.mu.Lock()
 		*tier--
 		if miss != nil {
@@ -324,7 +315,7 @@ func (c *PlanCache) FetchNow(fp string) (poison bool) {
 // canonical and structural pointers go only if they still name this
 // entry: a newer isomorph may have taken over the class, and its exact
 // entry must stay reachable through those tiers.
-func (c *PlanCache) removeLocked(el *list.Element) *cacheItem {
+func (c *PlanCache) removeLocked(el *list.Element) {
 	item := c.ll.Remove(el).(*cacheItem)
 	delete(c.items, item.fp)
 	if c.canon[item.canonFp] == el {
@@ -337,14 +328,12 @@ func (c *PlanCache) removeLocked(el *list.Element) *cacheItem {
 	if item.stub != nil {
 		c.encoded--
 	}
-	return item
 }
 
-// Quarantine evicts fp's entry from every tier without invoking the
-// persist-on-evict hook: the entry is poison (its fetch, its restore or
-// its first post-restore step failed), and persisting it would re-arm
-// the very record quarantine exists to bury. Unknown fingerprints are a
-// no-op (a concurrent LRU eviction may have raced the quarantine).
+// Quarantine evicts fp's entry from every tier: the entry is poison (its
+// fetch, its restore or its first post-restore step failed). Unknown
+// fingerprints are a no-op (a concurrent LRU eviction may have raced the
+// quarantine).
 func (c *PlanCache) Quarantine(fp string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -354,42 +343,28 @@ func (c *PlanCache) Quarantine(fp string) {
 	}
 }
 
-// OnEvict registers fn to receive every entry the LRU evicts (invoked
-// outside the cache mutex). The snapshot store uses it for the
-// persist-on-evict policy. Must be set before the cache sees
-// concurrent use (the service installs it during New, after replay).
-func (c *PlanCache) OnEvict(fn func(fp, canonFp, structFp string, perm []int, snap *core.Snapshot)) {
-	c.mu.Lock()
-	c.onEvict = fn
-	c.mu.Unlock()
-}
-
-// Put stores (or refreshes) the snapshot a live session exported for the
-// exact fingerprint and makes it the canonical digest's and structural
-// digest's class representative, evicting the least recently used exact
-// entry beyond capacity. perm is the source query's canonical
-// permutation, handed back on isomorphic lookups. The entry is dirty
-// (not on disk yet) and used. Nil snapshots are ignored.
-func (c *PlanCache) Put(fp, canonFp, structFp string, perm []int, snap *core.Snapshot) {
+// Put stores (or refreshes) the snapshot a live session exported under k
+// and makes it the canonical digest's and structural digest's class
+// representative, evicting the least recently used exact entry beyond
+// capacity. k.perm is handed back on isomorphic lookups. The entry is
+// used. Nil snapshots are ignored.
+func (c *PlanCache) Put(k cacheKey, snap *core.Snapshot) {
 	if snap == nil {
 		return
 	}
-	c.admit(cacheItem{fp: fp, canonFp: canonFp, structFp: structFp, perm: perm, snap: snap, used: true})
+	c.admit(cacheItem{cacheKey: k, snap: snap, used: true})
 }
 
 // Admit is Put for a record the snapshot store holds: the entry is a
-// stub (its snapshot is fetched on its first use), clean — it is on
-// disk by definition, so eviction and the shutdown sweep must not write
-// it straight back — and labeled with origin. LRU order, class
-// representatives and eviction accounting are Put's.
-func (c *PlanCache) Admit(fp, canonFp, structFp string, perm []int, origin string) {
-	c.admit(cacheItem{fp: fp, canonFp: canonFp, structFp: structFp, perm: perm,
-		stub: &stub{}, clean: true, origin: origin})
+// stub (its snapshot is fetched on its first use) labeled with origin.
+// LRU order, class representatives and eviction accounting are Put's.
+func (c *PlanCache) Admit(k cacheKey, origin string) {
+	c.admit(cacheItem{cacheKey: k, stub: &stub{}, origin: origin})
 }
 
 func (c *PlanCache) admit(in cacheItem) {
-	var evicted []*cacheItem
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.puts++
 	c.plans += in.planCount()
 	if in.stub != nil {
@@ -418,39 +393,11 @@ func (c *PlanCache) admit(in cacheItem) {
 	if in.structFp != "" {
 		c.structm[in.structFp] = el
 	}
+	// Write-through (DESIGN.md D21): whatever is evicted here is in the
+	// store already, if there is one.
 	for c.ll.Len() > c.capacity {
-		item := c.removeLocked(c.ll.Back())
+		c.removeLocked(c.ll.Back())
 		c.evictions++
-		// Clean entries are already on disk; the hook exists to save
-		// snapshots whose only copy is the one being evicted.
-		if c.onEvict != nil && !item.clean {
-			evicted = append(evicted, item)
-		}
-	}
-	hook := c.onEvict
-	c.mu.Unlock()
-	for _, item := range evicted {
-		hook(item.fp, item.canonFp, item.structFp, item.perm, item.snap)
-	}
-}
-
-// EachDirty calls fn for every entry not marked clean, most recently
-// used first, outside the cache mutex (the entries are copied under
-// it) — the shutdown sweep's enumerator for the persist-on-evict store
-// policy. Clean entries, and with them every stub, are already on disk.
-func (c *PlanCache) EachDirty(fn func(fp, canonFp, structFp string, perm []int, snap *core.Snapshot)) {
-	// Copy values, not item pointers: a concurrent Put may refresh a
-	// live item's fields under the mutex while fn runs outside it.
-	c.mu.Lock()
-	items := make([]cacheItem, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		if item := el.Value.(*cacheItem); !item.clean {
-			items = append(items, *item)
-		}
-	}
-	c.mu.Unlock()
-	for i := range items {
-		fn(items[i].fp, items[i].canonFp, items[i].structFp, items[i].perm, items[i].snap)
 	}
 }
 
@@ -498,8 +445,9 @@ type CacheStats struct {
 	// Puts counts snapshot admissions (inserts and refreshes) since
 	// creation; Evictions counts LRU removals. Unlike the Entries
 	// gauge, the pair is monotonic, so deltas over time distinguish a
-	// stable cache from one churning at capacity — and size the write
-	// load of the persist-on-evict store policy.
+	// stable cache from one churning at capacity. With a store, Puts
+	// less the stubs admitted at boot is also its write load: every put
+	// is written through.
 	Puts, Evictions uint64
 	// Poisoned counts entries quarantined because their restore or first
 	// post-restore step failed (DESIGN.md D14).

@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -23,7 +22,7 @@ func TestPlanCacheLRU(t *testing.T) {
 	snaps := make([]*core.Snapshot, 3)
 	for i := range snaps {
 		snaps[i] = &core.Snapshot{}
-		c.Put(fmt.Sprintf("fp%d", i), fmt.Sprintf("c%d", i), "", nil, snaps[i])
+		c.Put(cacheKey{fmt.Sprintf("fp%d", i), fmt.Sprintf("c%d", i), "", nil}, snaps[i])
 	}
 	// fp0 is the LRU entry and must have been evicted by fp2.
 	if _, ok := getExact(c, "fp0"); ok {
@@ -37,7 +36,7 @@ func TestPlanCacheLRU(t *testing.T) {
 	}
 	// Touch fp1, insert fp3: fp2 is now LRU and must go.
 	getExact(c, "fp1")
-	c.Put("fp3", "c3", "", nil, &core.Snapshot{})
+	c.Put(cacheKey{"fp3", "c3", "", nil}, &core.Snapshot{})
 	if _, ok := getExact(c, "fp2"); ok {
 		t.Error("fp2 survived though it was LRU")
 	}
@@ -59,7 +58,7 @@ func TestPlanCacheLRU(t *testing.T) {
 
 func TestPlanCacheIgnoresNil(t *testing.T) {
 	c := NewPlanCache(4)
-	c.Put("fp", "c", "", nil, nil)
+	c.Put(cacheKey{"fp", "c", "", nil}, nil)
 	if _, ok := getExact(c, "fp"); ok {
 		t.Error("nil snapshot was cached")
 	}
@@ -72,14 +71,14 @@ func TestPlanCacheCanonicalTier(t *testing.T) {
 	c := NewPlanCache(4)
 	snap := &core.Snapshot{}
 	perm := []int{2, 0, 1}
-	c.Put("fpA", "shape", "", perm, snap)
+	c.Put(cacheKey{"fpA", "shape", "", perm}, snap)
 
 	got, ok := c.Lookup("fpB", "shape")
-	if !ok || got.Exact || got.Snap != snap || got.SrcFP != "fpA" {
+	if !ok || got.Exact || got.Snap != snap || got.Src.fp != "fpA" {
 		t.Fatalf("canonical lookup = (%+v, ok=%v), want iso hit on fpA", got, ok)
 	}
-	if len(got.Perm) != 3 || got.Perm[0] != 2 {
-		t.Errorf("source permutation not returned: %v", got.Perm)
+	if len(got.Src.perm) != 3 || got.Src.perm[0] != 2 {
+		t.Errorf("source permutation not returned: %v", got.Src.perm)
 	}
 	if h, ok := c.Lookup("fpA", "shape"); !ok || !h.Exact {
 		t.Error("exact lookup did not hit the exact tier")
@@ -100,14 +99,14 @@ func TestPlanCacheEvictionAccounting(t *testing.T) {
 	c := NewPlanCache(2)
 	// Two isomorphic entries (same canonical digest, different exact
 	// fingerprints): the later Put represents the class.
-	c.Put("fpA", "shape", "", []int{0}, &core.Snapshot{})
-	c.Put("fpB", "shape", "", []int{0}, &core.Snapshot{})
+	c.Put(cacheKey{"fpA", "shape", "", []int{0}}, &core.Snapshot{})
+	c.Put(cacheKey{"fpB", "shape", "", []int{0}}, &core.Snapshot{})
 	if st := c.Stats(); st.Entries != 2 || st.CanonEntries != 1 || st.Plans != 0 {
 		t.Fatalf("stats = %+v, want 2 entries, 1 canonical class", st)
 	}
 	// Evict fpA (LRU). fpB still represents "shape": the canonical
 	// tier must keep serving it.
-	c.Put("fpC", "other", "", []int{0}, &core.Snapshot{})
+	c.Put(cacheKey{"fpC", "other", "", []int{0}}, &core.Snapshot{})
 	if _, ok := getExact(c, "fpA"); ok {
 		t.Fatal("fpA survived beyond capacity")
 	}
@@ -117,7 +116,7 @@ func TestPlanCacheEvictionAccounting(t *testing.T) {
 	// Now evict fpC's class representative: its canonical entry must
 	// go with it (fpB was just touched by the Lookup above, so fpC is
 	// LRU).
-	c.Put("fpD", "fourth", "", []int{0}, &core.Snapshot{})
+	c.Put(cacheKey{"fpD", "fourth", "", []int{0}}, &core.Snapshot{})
 	if _, ok := getExact(c, "fpC"); ok {
 		t.Fatal("fpC survived though it was LRU")
 	}
@@ -130,18 +129,13 @@ func TestPlanCacheEvictionAccounting(t *testing.T) {
 
 	// A stub evicted before anything used it leaves the same way: its
 	// tier pointers dropped, one eviction counted, no plans to give back,
-	// the encoded gauge back at zero — and the persist-on-evict hook,
-	// which exists for snapshots that have no other copy, never hears of
-	// it.
+	// the encoded gauge back at zero.
 	c = NewPlanCache(1)
-	c.OnEvict(func(fp, _, _ string, _ []int, _ *core.Snapshot) {
-		t.Errorf("eviction hook called for the clean entry %s", fp)
-	})
-	c.Admit("fpE", "encShape", "encStruct", nil, "replay")
+	c.Admit(cacheKey{"fpE", "encShape", "encStruct", nil}, "replay")
 	if st := c.Stats(); st.Entries != 1 || st.Encoded != 1 || st.Plans != 0 {
 		t.Fatalf("stats = %+v, want one stub and no plans", st)
 	}
-	c.Admit("fpF", "shapeF", "structF", nil, "replay")
+	c.Admit(cacheKey{"fpF", "shapeF", "structF", nil}, "replay")
 	want := CacheStats{Entries: 1, Encoded: 1, CanonEntries: 1, StructEntries: 1, Puts: 2, Evictions: 1}
 	if st := c.Stats(); st != want {
 		t.Errorf("stats = %+v, want %+v", st, want)
@@ -159,8 +153,8 @@ func TestPlanCacheEvictionAccounting(t *testing.T) {
 // does not duplicate canonical entries.
 func TestPlanCacheRefreshKeepsPlanTotal(t *testing.T) {
 	c := NewPlanCache(2)
-	c.Put("fp", "shape", "", nil, &core.Snapshot{})
-	c.Put("fp", "shape", "", nil, &core.Snapshot{})
+	c.Put(cacheKey{"fp", "shape", "", nil}, &core.Snapshot{})
+	c.Put(cacheKey{"fp", "shape", "", nil}, &core.Snapshot{})
 	st := c.Stats()
 	if st.Entries != 1 || st.CanonEntries != 1 || st.Plans != 0 {
 		t.Errorf("refresh corrupted accounting: %+v", st)
@@ -169,21 +163,13 @@ func TestPlanCacheRefreshKeepsPlanTotal(t *testing.T) {
 
 // TestPlanCachePutEvictCounters pins the monotonic put/evict pair: the
 // Entries gauge alone cannot distinguish a stable cache from one
-// churning at capacity, and the eviction count sizes the write load of
-// the persist-on-evict store policy.
+// churning at capacity.
 func TestPlanCachePutEvictCounters(t *testing.T) {
 	c := NewPlanCache(2)
-	var hooked []string
-	c.OnEvict(func(fp, canonFp, structFp string, perm []int, snap *core.Snapshot) {
-		hooked = append(hooked, fp)
-		if snap == nil {
-			t.Errorf("eviction hook for %s without snapshot", fp)
-		}
-	})
 	for i := 0; i < 4; i++ {
-		c.Put(fmt.Sprintf("fp%d", i), fmt.Sprintf("c%d", i), "", nil, &core.Snapshot{})
+		c.Put(cacheKey{fmt.Sprintf("fp%d", i), fmt.Sprintf("c%d", i), "", nil}, &core.Snapshot{})
 	}
-	c.Put("fp3", "c3", "", nil, &core.Snapshot{}) // refresh: a put, not an eviction
+	c.Put(cacheKey{"fp3", "c3", "", nil}, &core.Snapshot{}) // refresh: a put, not an eviction
 	st := c.Stats()
 	if st.Puts != 5 {
 		t.Errorf("puts = %d, want 5", st.Puts)
@@ -193,30 +179,5 @@ func TestPlanCachePutEvictCounters(t *testing.T) {
 	}
 	if st.Entries != 2 {
 		t.Errorf("entries = %d, want 2", st.Entries)
-	}
-	if len(hooked) != 2 || hooked[0] != "fp0" || hooked[1] != "fp1" {
-		t.Errorf("eviction hook saw %v, want [fp0 fp1] in LRU order", hooked)
-	}
-}
-
-// TestPlanCacheEach checks the shutdown-sweep enumerator: every dirty
-// entry exactly once, most recently used first — and never a clean one,
-// so never a stub.
-func TestPlanCacheEach(t *testing.T) {
-	c := NewPlanCache(4)
-	for i := 0; i < 3; i++ {
-		c.Put(fmt.Sprintf("fp%d", i), "", "", nil, &core.Snapshot{})
-	}
-	c.Admit("fpEnc", "", "", nil, "replay")
-	var got []string
-	c.EachDirty(func(fp, canonFp, structFp string, perm []int, snap *core.Snapshot) {
-		got = append(got, fp)
-		if snap == nil {
-			t.Errorf("EachDirty handed out a nil snapshot for %s", fp)
-		}
-	})
-	want := []string{"fp2", "fp1", "fp0"}
-	if !slices.Equal(got, want) {
-		t.Fatalf("EachDirty visited %v, want %v", got, want)
 	}
 }

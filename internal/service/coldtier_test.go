@@ -47,11 +47,11 @@ func TestStubFetchOutcomes(t *testing.T) {
 			}
 			hits := func() uint64 { st := c.Stats(); return st.ExactHits + st.IsoHits + st.StaleHits }
 
-			c.Admit("fpA", "canonA", "structA", []int{1, 0}, "replay")
+			c.Admit(cacheKey{"fpA", "canonA", "structA", []int{1, 0}}, "replay")
 			next = fmt.Errorf("%w: injected", errStoreRead)
 			for i := 1; i <= 2; i++ {
 				h, ok := lookup(c)
-				if !ok || h.Snap != nil || h.Poison || h.SrcFP != "fpA" || fetches != i {
+				if !ok || h.Snap != nil || h.Poison || h.Src.fp != "fpA" || fetches != i {
 					t.Fatalf("failed read %d: hit %+v (%v) after %d fetches; want a hit without snapshot or poison, fetched anew", i, h, ok, fetches)
 				}
 			}
@@ -69,10 +69,10 @@ func TestStubFetchOutcomes(t *testing.T) {
 				t.Errorf("after the fetch: %+v, want no stub and the snapshot's plans", st)
 			}
 
-			c.Admit("fpA", "canonA", "structA", []int{1, 0}, "replay")
+			c.Admit(cacheKey{"fpA", "canonA", "structA", []int{1, 0}}, "replay")
 			next, fetches = errors.New("injected: bad checksum"), 0
 			for i := 0; i < 2; i++ {
-				if h, ok := lookup(c); !ok || h.Snap != nil || !h.Poison || h.SrcFP != "fpA" || h.SrcCanon != "canonA" {
+				if h, ok := lookup(c); !ok || h.Snap != nil || !h.Poison || h.Src.fp != "fpA" || h.Src.canonFp != "canonA" {
 					t.Fatalf("poisoned record, use %d: hit %+v (%v), want poison naming fpA", i, h, ok)
 				}
 			}
@@ -84,10 +84,10 @@ func TestStubFetchOutcomes(t *testing.T) {
 			}
 			c.Quarantine("fpA")
 
-			c.Admit("fpA", "canonA", "structA", []int{1, 0}, "replay")
+			c.Admit(cacheKey{"fpA", "canonA", "structA", []int{1, 0}}, "replay")
 			next = fmt.Errorf("load: %w", store.ErrNotStored)
 			before, missesBefore := hits(), c.Stats().Misses
-			if h, ok := lookup(c); ok || h.Snap != nil || h.SrcFP != "" {
+			if h, ok := lookup(c); ok || h.Snap != nil || h.Src.fp != "" {
 				t.Fatalf("record gone from the store: hit %+v (%v), want a miss", h, ok)
 			}
 			st := c.Stats()

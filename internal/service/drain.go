@@ -112,25 +112,19 @@ func (s *Service) anyRefining() bool {
 }
 
 // checkpointLocked exports a mid-refinement session's partial plan
-// state through the convergence snapshot path: cache put plus (under
-// persist-on-put) a blocking store write — a drain must not shed the
-// very records it exists to save; under persist-on-evict the Shutdown
-// sweep persists the dirty cache entries instead. A restore of the
-// partial snapshot resumes refinement over the checkpointed optimizer
-// state and deterministically reaches the same final frontier a cold
-// run would. Callers hold m.mu.
+// state through the convergence snapshot path, with a blocking store
+// write — a drain must not shed the very records it exists to save. A
+// restore of the partial snapshot resumes refinement over the
+// checkpointed optimizer state and deterministically reaches the same
+// final frontier a cold run would. Callers hold m.mu.
 func (s *Service) checkpointLocked(m *managed) bool {
-	cache := s.cacheFor(m.canonFp)
-	if cache == nil || m.sess == nil {
+	if s.caches == nil || m.sess == nil {
 		return false
 	}
 	t0 := time.Now()
 	snap := m.sess.Optimizer().Snapshot()
 	snap.SetStatsEpoch(m.statsEpoch)
-	cache.Put(m.fp, m.canonFp, m.structFp, m.canonPerm, snap)
-	if s.store != nil && s.cfg.StorePolicy == PersistOnPut {
-		s.store.PutBlocking(m.fp, m.canonFp, m.structFp, m.canonPerm, snap)
-	}
+	s.admit(m.key, snap, true)
 	// m.snapshotted stays as-is: if the workers push this session to
 	// convergence between the checkpoint and Shutdown, the convergence
 	// export should still run and upgrade the partial entry to the

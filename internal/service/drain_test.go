@@ -67,7 +67,7 @@ func TestDrainCountsConverged(t *testing.T) {
 // optimizer state.
 func TestDrainCheckpointsInFlight(t *testing.T) {
 	dir := t.TempDir()
-	cfg := storeConfig(t, dir, PersistOnPut)
+	cfg := storeConfig(t, dir)
 	// Slow every step down so the session is still mid-refinement when
 	// the zero-grace drain sweeps it.
 	cfg.FaultHook = func(id string, step int) { time.Sleep(25 * time.Millisecond) }
@@ -102,7 +102,7 @@ func TestDrainCheckpointsInFlight(t *testing.T) {
 
 	// Restart on the drained store: the checkpoint must be there, load,
 	// and warm-start the query to the identical frontier.
-	svc2, err := New(storeConfig(t, dir, PersistOnPut))
+	svc2, err := New(storeConfig(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,8 +89,8 @@ func TestEncodedAdmissionMatchesDecoded(t *testing.T) {
 	}
 	sameHit := func(op int, what string, d, e Hit, dok, eok bool) {
 		t.Helper()
-		if dok != eok || d.Exact != e.Exact || d.SrcFP != e.SrcFP || d.SrcCanon != e.SrcCanon ||
-			d.Origin != e.Origin || !slices.Equal(d.Perm, e.Perm) {
+		if dok != eok || d.Exact != e.Exact || d.Src.fp != e.Src.fp || d.Src.canonFp != e.Src.canonFp ||
+			d.Origin != e.Origin || !slices.Equal(d.Src.perm, e.Src.perm) {
 			t.Fatalf("op %d %s: decoded cache answered (%+v, %v), stored cache (%+v, %v)", op, what, d, dok, e, eok)
 		}
 		if dok && (e.Snap == nil || !bytes.Equal(wire(d.Snap), wire(e.Snap))) {
@@ -116,10 +116,10 @@ func TestEncodedAdmissionMatchesDecoded(t *testing.T) {
 			if slices.Contains(lruOrder(dec), fp) {
 				refreshes++
 			}
-			dec.admit(cacheItem{fp: fp, canonFp: canon, structFp: structFp, perm: perm,
-				snap: snaps[i], clean: true, origin: origin})
+			k := cacheKey{fp, canon, structFp, perm}
+			dec.admit(cacheItem{cacheKey: k, snap: snaps[i], origin: origin})
 			stored[fp] = blobs[i]
-			enc.Admit(fp, canon, structFp, perm, origin)
+			enc.Admit(k, origin)
 		case 1, 2:
 			d, dok := dec.Lookup(fp, canon)
 			e, eok := enc.Lookup(fp, canon)
@@ -178,8 +178,8 @@ func TestDecodeOnceConcurrentFirstHits(t *testing.T) {
 		<-release
 		return snapcodec.Decode(blob)
 	}
-	c.Admit("fpA", "canonA", "structA", []int{1, 0}, "replay")
-	c.Put("fpB", "canonB", "", nil, &core.Snapshot{})
+	c.Admit(cacheKey{"fpA", "canonA", "structA", []int{1, 0}}, "replay")
+	c.Put(cacheKey{"fpB", "canonB", "", nil}, &core.Snapshot{})
 
 	const hitters = 16
 	hits := make([]Hit, hitters)
@@ -224,7 +224,7 @@ func TestDecodeOnceConcurrentFirstHits(t *testing.T) {
 		t.Errorf("%d fetches for one entry, want 1", n)
 	}
 	for i, h := range hits {
-		if h.Snap == nil || h.Snap != hits[0].Snap || h.SrcFP != "fpA" || h.Origin != "replay" {
+		if h.Snap == nil || h.Snap != hits[0].Snap || h.Src.fp != "fpA" || h.Origin != "replay" {
 			t.Errorf("hitter %d got %+v, want the one fetched snapshot of fpA", i, h)
 		}
 	}
@@ -245,7 +245,7 @@ type life struct {
 
 func startLife(t *testing.T, dir string, mutate func(*Config)) life {
 	t.Helper()
-	cfg := storeConfig(t, dir, PersistOnPut)
+	cfg := storeConfig(t, dir)
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -392,7 +392,7 @@ func TestHintThreeGenerations(t *testing.T) {
 // New returns no more than hint ∩ live, and serves the persisted query
 // warm as exact-replay.
 func TestHintFaultMatrix(t *testing.T) {
-	echo, err := core.ConfigFingerprint(storeConfig(t, "", PersistOnPut).Opt)
+	echo, err := core.ConfigFingerprint(storeConfig(t, "").Opt)
 	if err != nil {
 		t.Fatal(err)
 	}

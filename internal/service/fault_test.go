@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/workload"
 )
@@ -104,7 +105,7 @@ func TestRestoreFailureQuarantinesColdFallback(t *testing.T) {
 	// A zero-value snapshot passes the cache's nil check but can never
 	// restore (its config echo matches no real configuration) — the
 	// in-memory analogue of a corrupt-but-CRC-valid store record.
-	svc.cacheFor(canonFp).Put(fp, canonFp, "", perm, &core.Snapshot{})
+	svc.cacheFor(canonFp).Put(cacheKey{fp, canonFp, "", perm}, &core.Snapshot{})
 
 	st, frontier := convergeAndClose(t, svc, q)
 	if st.WarmStarted {
@@ -135,7 +136,7 @@ func TestPoisonSnapshotRestartLoop(t *testing.T) {
 	dir := t.TempDir()
 	q := testBlock(t, "Q4")
 
-	svc1, err := New(storeConfig(t, dir, PersistOnPut))
+	svc1, err := New(storeConfig(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestPoisonSnapshotRestartLoop(t *testing.T) {
 	// post-restore step panics — the restored plan state is poison.
 	var arm atomic.Bool
 	arm.Store(true)
-	cfg2 := storeConfig(t, dir, PersistOnPut)
+	cfg2 := storeConfig(t, dir)
 	cfg2.FaultHook = func(id string, step int) {
 		if step == 0 && arm.Load() {
 			panic("poisoned warm start")
@@ -185,7 +186,7 @@ func TestPoisonSnapshotRestartLoop(t *testing.T) {
 
 	// Generation 3: the tombstone keeps the poison buried — the scan
 	// loads nothing for q, and the cold optimization just works.
-	svc3, err := New(storeConfig(t, dir, PersistOnPut))
+	svc3, err := New(storeConfig(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,5 +279,87 @@ func TestOverloadErrorStructured(t *testing.T) {
 	}
 	if err := svc.Close(id); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecostFirstStepPanicBuriesOwnKey is the D14 regression for the
+// small-drift rung: a re-cost session admits its re-costed snapshot under
+// its own keys — cache and store — inside Create, before it has run a
+// step. If its first step then panics, that copy is as indicted as the
+// stale source it was derived from: both must leave the cache and be
+// tombstoned, so that neither the next identical create nor a restart is
+// served "exact" from the state that just failed.
+func TestRecostFirstStepPanicBuriesOwnKey(t *testing.T) {
+	dir := t.TempDir()
+	stats := catalog.NewVersioned(workload.Catalog(1))
+	var arm atomic.Bool
+	cfg := testConfig(3)
+	cfg.StoreDir = dir
+	cfg.Stats = stats
+	cfg.FaultHook = func(id string, step int) {
+		if step == 0 && arm.Load() {
+			panic("poisoned re-cost")
+		}
+	}
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Shutdown()
+	runToTarget(t, svc, driftBlocks(t, stats, "Q3"), "", false)
+	if _, err := stats.Apply(catalog.StatsUpdate{
+		Tables: []catalog.TableStats{{Name: "orders", Rows: 1_500_000 * 1.01}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	q := driftBlocks(t, stats, "Q3")
+
+	arm.Store(true)
+	id, err := svc.Create(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := awaitState(t, svc, id, Failed)
+	arm.Store(false)
+	if st.Provenance != "recost" || st.Steps != 0 {
+		t.Fatalf("the victim was a %q session with %d steps; the test lost its premise", st.Provenance, st.Steps)
+	}
+	// The quarantines follow the Failed transition off the session lock.
+	stat := svc.Stats()
+	for deadline := time.Now().Add(5 * time.Second); stat.Poisoned < 2 && time.Now().Before(deadline); stat = svc.Stats() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if stat.Poisoned != 2 || stat.Cache.Poisoned != 2 || stat.Cache.Entries != 0 {
+		t.Errorf("poisoned %d (cache %d), %d cache entries; want the stale source and the pre-admitted copy both gone",
+			stat.Poisoned, stat.Cache.Poisoned, stat.Cache.Entries)
+	}
+	if err := svc.Close(id); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := convergeAndClose(t, svc, q); st.WarmStarted || st.Provenance != "cold" {
+		t.Errorf("the next identical create polls warm=%v provenance=%q: served from the state that just failed",
+			st.WarmStarted, st.Provenance)
+	}
+	if err := svc.Store().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.Stats().Store.Tombstones; got != 2 {
+		t.Errorf("%d tombstones, want the source's and the pre-admitted copy's", got)
+	}
+	svc.Shutdown()
+
+	// The next life finds two tombstones and the cold session's fresh
+	// export, nothing else: had the pre-admitted record survived, the
+	// tombstone count would be one.
+	svc2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.Shutdown()
+	if st := svc2.Stats().Store; st.Tombstones != 2 || st.Loaded != 1 {
+		t.Errorf("restart scan: %d tombstones, %d loaded; want 2/1", st.Tombstones, st.Loaded)
+	}
+	if st := runToTarget(t, svc2, q, "", true); st.Provenance != "exact-replay" {
+		t.Errorf("restart served the re-optimized query as %q", st.Provenance)
 	}
 }

@@ -70,30 +70,26 @@ func (s State) Live() bool { return s == Refining || s == AtTarget }
 // shard's scheduler mutex instead (lock order: scheduler.mu is never
 // held while taking m.mu and vice versa; see DESIGN.md D10).
 type managed struct {
-	id       string
-	fp       string // exact query fingerprint (exact cache-tier key)
-	canonFp  string // canonical digest (cache shard + isomorphism tier key)
-	structFp string // statistics-free structural digest (drift tier key)
-	shard    int    // owning shard index (fixed at create: hash of id)
+	id    string
+	shard int // owning shard index (fixed at create: hash of id)
 
-	// canonPerm maps the session query's table IDs to canonical
-	// positions; exported with snapshots so isomorphic lookups can
-	// compose the rewriting onto their own labeling.
-	canonPerm []int
+	// key is what the session's exports are admitted under; its perm is
+	// exported with them so isomorphic lookups can compose the rewriting
+	// onto their own labeling. Only fp is set with the cache disabled.
+	key cacheKey
 
 	mu          sync.Mutex
 	sess        *session.Session
 	state       State
 	lastTouch   time.Time // last client interaction (create/poll/bounds/select)
 	created     time.Time
-	warm        bool   // started from a cached snapshot
-	srcFP       string // cache entry the warm start restored from ("" when cold)
-	srcCanon    string // canonical digest of that entry (its cache shard key)
-	drift       string // drift resolution: "recosted"/"resumed"/"quarantined"/""
-	provenance  string // plan-state origin: "cold"/"exact"/"iso"/"recost"/"resume", with "-replay"/"-bootstrap" suffix when the cache entry came off disk
-	statsEpoch  uint64 // statistics-epoch label at creation (stamps exports)
-	steps       int    // scheduler steps executed
-	snapshotted bool   // plan state already exported to the cache
+	prov        provenance   // how the plan state was derived (warmstart.go)
+	provLabel   string       // prov, plus the source entry's origin: what Poll and the trace report
+	src         cacheKey     // cache entry the warm start was derived from (zero when cold)
+	drift       driftOutcome // how statistics drift resolved at the create
+	statsEpoch  uint64       // statistics-epoch label at creation (stamps exports)
+	steps       int          // scheduler steps executed
+	snapshotted bool         // plan state already exported to the cache
 
 	// failErr and failStack carry the recovered panic (or validation
 	// failure) of a Failed session; surfaced in Poll responses and the

@@ -200,7 +200,7 @@ func (s *Service) observeEnd(m *managed, k trace.Kind) time.Duration {
 		if k == trace.KindFailed {
 			lv = eventlog.LevelWarn
 		}
-		ev.EmitSession(lv, "service", "session finished", m.id, m.fp, k.String(), fields[:]...)
+		ev.EmitSession(lv, "service", "session finished", m.id, m.key.fp, k.String(), fields[:]...)
 	}
 	if slow {
 		s.cfg.SlowSessionLog(total, data)
@@ -226,9 +226,9 @@ func (s *Service) registerMetrics() {
 	r.CounterFunc("moqod_steps_total", "Refinement steps executed by the scheduler.", "", s.steps.Load)
 	r.CounterFunc("moqod_warm_starts_total", "Sessions created from a cached snapshot (exact and isomorphic).", "", s.warmStarts.Load)
 	r.CounterFunc("moqod_iso_warm_starts_total", "Warm starts restored via the isomorphism tier (snapshot remap).", "", s.isoWarmStarts.Load)
-	r.CounterFunc("moqod_drift_total", "Statistics-drift resolutions by class.", `class="recosted"`, s.driftRecosted.Load)
-	r.CounterFunc("moqod_drift_total", "Statistics-drift resolutions by class.", `class="resumed"`, s.driftResumed.Load)
-	r.CounterFunc("moqod_drift_total", "Statistics-drift resolutions by class.", `class="quarantined"`, s.driftQuar.Load)
+	for d := driftRecosted; d <= driftQuarantined; d++ {
+		r.CounterFunc("moqod_drift_total", "Statistics-drift resolutions by class.", `class="`+d.String()+`"`, s.driftCounts[d].Load)
+	}
 	r.GaugeFunc("moqod_stats_epoch", "Current statistics-epoch label of the versioned catalog.", "", func() float64 {
 		return float64(s.statsEpoch())
 	})

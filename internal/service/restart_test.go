@@ -10,11 +10,10 @@ import (
 	"repro/internal/workload"
 )
 
-func storeConfig(t *testing.T, dir string, policy PersistPolicy) Config {
+func storeConfig(t *testing.T, dir string) Config {
 	t.Helper()
 	cfg := testConfig(3)
 	cfg.StoreDir = dir
-	cfg.StorePolicy = policy
 	return cfg
 }
 
@@ -63,7 +62,7 @@ func TestServiceRestartWarm(t *testing.T) {
 	dir := t.TempDir()
 	q := testBlock(t, "Q4")
 
-	svc1, err := New(storeConfig(t, dir, PersistOnPut))
+	svc1, err := New(storeConfig(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +78,7 @@ func TestServiceRestartWarm(t *testing.T) {
 	}
 	svc1.Shutdown() // flushes the store
 
-	svc2, err := New(storeConfig(t, dir, PersistOnPut))
+	svc2, err := New(storeConfig(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,14 +120,14 @@ func TestServiceRestartIsomorphicWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	svc1, err := New(storeConfig(t, dir, PersistOnPut))
+	svc1, err := New(storeConfig(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	convergeAndClose(t, svc1, variants[0].Query)
 	svc1.Shutdown()
 
-	svc2, err := New(storeConfig(t, dir, PersistOnPut))
+	svc2, err := New(storeConfig(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +150,7 @@ func TestServiceRestartIsomorphicWarm(t *testing.T) {
 func TestServiceRestartCorruptStoreColdStarts(t *testing.T) {
 	dir := t.TempDir()
 	q := testBlock(t, "Q4")
-	svc1, err := New(storeConfig(t, dir, PersistOnPut))
+	svc1, err := New(storeConfig(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +177,7 @@ func TestServiceRestartCorruptStoreColdStarts(t *testing.T) {
 		}
 	}
 
-	svc2, err := New(storeConfig(t, dir, PersistOnPut))
+	svc2, err := New(storeConfig(t, dir))
 	if err != nil {
 		t.Fatalf("corrupted store failed startup: %v", err)
 	}
@@ -207,14 +206,14 @@ func TestServiceRestartCorruptStoreColdStarts(t *testing.T) {
 func TestServiceRestartConfigDrift(t *testing.T) {
 	dir := t.TempDir()
 	q := testBlock(t, "Q4")
-	svc1, err := New(storeConfig(t, dir, PersistOnPut))
+	svc1, err := New(storeConfig(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	convergeAndClose(t, svc1, q)
 	svc1.Shutdown()
 
-	cfg := storeConfig(t, dir, PersistOnPut)
+	cfg := storeConfig(t, dir)
 	cfg.Opt.ResolutionLevels = 4 // a different precision schedule
 	svc2, err := New(cfg)
 	if err != nil {
@@ -227,69 +226,5 @@ func TestServiceRestartConfigDrift(t *testing.T) {
 	}
 	if drifted, _ := convergeAndClose(t, svc2, q); drifted.WarmStarted {
 		t.Error("session warm-started across a config change")
-	}
-}
-
-// TestServicePersistOnEvictShutdownSweep checks the deferred policy:
-// nothing hits the disk while entries stay cached, the shutdown sweep
-// persists them, and a restart warm-starts from the swept records.
-func TestServicePersistOnEvictShutdownSweep(t *testing.T) {
-	dir := t.TempDir()
-	q := testBlock(t, "Q4")
-	svc1, err := New(storeConfig(t, dir, PersistOnEvict))
-	if err != nil {
-		t.Fatal(err)
-	}
-	convergeAndClose(t, svc1, q)
-	if st := svc1.Stats(); st.Store.Persisted != 0 {
-		t.Fatalf("persist-on-evict wrote before eviction/shutdown: %+v", st.Store)
-	}
-	svc1.Shutdown() // sweep + flush
-
-	svc2, err := New(storeConfig(t, dir, PersistOnEvict))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc2.Shutdown()
-	if st := svc2.Stats(); st.Store.Loaded != 1 {
-		t.Fatalf("sweep did not persist the cached snapshot: %+v", st.Store)
-	}
-	if warm, _ := convergeAndClose(t, svc2, q); !warm.WarmStarted {
-		t.Error("restart after sweep did not warm-start")
-	}
-}
-
-// TestServicePersistOnEvictNoRestartChurn pins the clean-entry skip: a
-// restart cycle that converges nothing must not rewrite the store on
-// shutdown (replayed entries are already on disk; re-persisting them
-// every cycle would turn periodic restarts into compaction churn).
-func TestServicePersistOnEvictNoRestartChurn(t *testing.T) {
-	dir := t.TempDir()
-	q := testBlock(t, "Q4")
-	svc1, err := New(storeConfig(t, dir, PersistOnEvict))
-	if err != nil {
-		t.Fatal(err)
-	}
-	convergeAndClose(t, svc1, q)
-	svc1.Shutdown() // sweep persists the one dirty entry
-
-	// Restart and shut down again without converging anything new.
-	svc2, err := New(storeConfig(t, dir, PersistOnEvict))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := svc2.Stats(); st.Store.Loaded != 1 {
-		t.Fatalf("replay after sweep: %+v", st.Store)
-	}
-	svc2.Shutdown()
-
-	svc3, err := New(storeConfig(t, dir, PersistOnEvict))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc3.Shutdown()
-	st := svc3.Stats()
-	if st.Store.Loaded != 1 || st.Store.DeadBytes != 0 {
-		t.Fatalf("idle restart cycle rewrote the store: %+v", st.Store)
 	}
 }

@@ -56,22 +56,6 @@ import (
 	"repro/internal/trace"
 )
 
-// PersistPolicy selects when the snapshot store (Config.StoreDir)
-// receives cache-admitted snapshots.
-type PersistPolicy int
-
-const (
-	// PersistOnPut (the default) writes through on every cache
-	// admission: a snapshot survives even a hard kill once the
-	// background writer has flushed it.
-	PersistOnPut PersistPolicy = iota
-	// PersistOnEvict defers persistence to LRU eviction plus a full
-	// cache sweep at Shutdown: fewer disk writes while the service
-	// runs, but snapshots are lost if the process dies without a
-	// graceful shutdown.
-	PersistOnEvict
-)
-
 // Config configures a Service. Opt is required; zero values elsewhere
 // get defaults.
 type Config struct {
@@ -132,14 +116,11 @@ type Config struct {
 
 	// StoreDir, when non-empty, enables the persistent snapshot store
 	// (internal/store) rooted at this directory: cache-admitted
-	// snapshots are written to disk off the hot path per StorePolicy,
-	// and New replays the surviving records into both cache tiers, so
+	// snapshots are written through to disk off the hot path, and New
+	// replays the surviving records into both cache tiers, so
 	// a restarted service (or a fresh process on the same directory)
 	// keeps its warm starts. Requires the cache (CacheCapacity >= 0).
 	StoreDir string
-
-	// StorePolicy selects the persistence trigger; see PersistPolicy.
-	StorePolicy PersistPolicy
 
 	// StoreOptions tunes the store's segment size, compaction
 	// threshold and writer queue; Dir and CfgEcho are set by the
@@ -437,10 +418,7 @@ type Service struct {
 	steps         atomic.Uint64
 	warmStarts    atomic.Uint64
 	isoWarmStarts atomic.Uint64
-	driftRecosted atomic.Uint64
-	driftResumed  atomic.Uint64
-	driftQuar     atomic.Uint64
-	remapNS       atomic.Uint64
+	driftCounts   [driftQuarantined + 1]atomic.Uint64 // creates by driftOutcome
 	stopping      atomic.Bool
 	janitorStop   chan struct{}
 
@@ -557,15 +535,6 @@ func New(cfg Config) (*Service, error) {
 		if cfg.Stats != nil {
 			cfg.Stats.EnsureAtLeast(st.MaxStatsEpoch())
 		}
-		if cfg.StorePolicy == PersistOnEvict {
-			for _, c := range s.caches {
-				// Blocking on a backlogged writer (bounded by its queue
-				// draining) beats the non-blocking Put here: an evicted
-				// entry's snapshot exists nowhere else, so shedding it
-				// would lose the very state this policy exists to keep.
-				c.OnEvict(st.PutBlocking)
-			}
-		}
 	}
 	// Build every shard's scheduler and link the peer set before any
 	// worker starts, so stealing never observes a partial peer slice.
@@ -606,9 +575,7 @@ func New(cfg Config) (*Service, error) {
 // from the store before New returns; the rest stay on disk until their
 // first hit. The hint is advice about when to pay a read and a decode,
 // never about what is served: absent, damaged or stale, the node boots
-// all the same with more entries left as stubs. Runs before the eviction
-// hook is installed: replay evicting past capacity must not re-persist
-// records that are already on disk.
+// all the same with more entries left as stubs.
 func (s *Service) replay() {
 	origin := s.cfg.ReplaySource
 	if origin == "" {
@@ -619,12 +586,12 @@ func (s *Service) replay() {
 	for _, fp := range hint {
 		hinted[fp] = true
 	}
-	type key struct{ fp, canonFp string }
-	var hot []key
+	var hot []cacheKey
 	s.store.Walk(func(r store.Record) bool {
-		s.cacheFor(r.CanonFP).Admit(r.FP, r.CanonFP, r.StructFP, r.Perm, origin)
-		if hinted[r.FP] {
-			hot = append(hot, key{r.FP, r.CanonFP})
+		k := cacheKey{fp: r.FP, canonFp: r.CanonFP, structFp: r.StructFP, perm: r.Perm}
+		s.cacheFor(k.canonFp).Admit(k, origin)
+		if hinted[k.fp] {
+			hot = append(hot, k)
 		}
 		return true
 	})
@@ -633,7 +600,7 @@ func (s *Service) replay() {
 	// fetch spent on one of those is wasted.
 	for _, k := range hot {
 		if s.cacheFor(k.canonFp).FetchNow(k.fp) {
-			s.quarantineCorrupt(k.fp, k.canonFp)
+			s.quarantine(k, true)
 		}
 	}
 	ct, st := s.cacheTotals(), s.store.Stats()
@@ -742,15 +709,7 @@ func (s *Service) Shutdown() {
 		sh.sched.stop()
 	}
 	if s.store != nil && first {
-		// Workers are stopped: no further cache puts can race the
-		// sweep. Under persist-on-evict, entries still in the cache
-		// were never written; persist them now, then flush and close
-		// (a graceful moqod shutdown must not lose warm state).
-		if s.cfg.StorePolicy == PersistOnEvict {
-			for _, c := range s.caches {
-				c.EachDirty(s.store.PutBlocking)
-			}
-		}
+		// Workers are stopped: no further cache puts can race the walk.
 		// Leave the next boot the working set: the entries this life hit
 		// or Put, most recently used first within each cache shard. The
 		// next life fetches those before it reports ready and leaves the
@@ -840,43 +799,47 @@ func (s *Service) hottestShard() int {
 	return best
 }
 
-// restoreFromSnapshot builds an optimizer from a cached snapshot,
-// converting a panic — a corrupt-but-CRC-valid record — into an error
-// so Create can quarantine the source instead of crashing (D14).
-func restoreFromSnapshot(q *query.Query, cfg core.Config, snap *core.Snapshot) (opt *core.Optimizer, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("service: snapshot restore panicked: %v", r)
-		}
-	}()
-	return core.NewOptimizerFromSnapshot(q, cfg, snap)
-}
-
 // quarantine buries a poisoned warm-start source: the entry leaves
 // every cache tier and its store record is superseded by a tombstone,
 // so neither this process nor any restart warm-starts from it again
 // (D14: poison marking is monotonic and persisted).
-func (s *Service) quarantine(srcFP, canonFp string) {
-	if c := s.cacheFor(canonFp); c != nil {
-		c.Quarantine(srcFP)
+//
+// corrupt marks a stub whose record, on its first use, failed the store's
+// frame checks or failed to decode. Decoding every record at boot used to
+// find such a record there, skip it and count it; now it is found here, so
+// it is counted the same (Store.Corrupted), reported, and buried like any
+// other poison — the next boot does not meet it again.
+func (s *Service) quarantine(src cacheKey, corrupt bool) {
+	if corrupt {
+		s.store.NoteCorrupt() // stubs only ever stand for the store's records
+	}
+	if c := s.cacheFor(src.canonFp); c != nil {
+		c.Quarantine(src.fp)
 	}
 	if s.store != nil {
-		s.store.Quarantine(srcFP)
+		s.store.Quarantine(src.fp)
 	}
 	s.poisoned.Add(1)
+	if corrupt {
+		s.cfg.Events.Emit(eventlog.LevelWarn, "service", "replayed record failed to decode, quarantined",
+			eventlog.F("fingerprint", src.fp))
+	}
 }
 
-// quarantineCorrupt is quarantine for a stub whose record, on its first
-// use, failed the store's frame checks or failed to decode. Decoding
-// every record at boot used to find such a record there, skip it and
-// count it; now it is found here, so it is counted the same
-// (Store.Corrupted), reported, and buried like any other poison — the
-// next boot does not meet it again.
-func (s *Service) quarantineCorrupt(srcFP, canonFp string) {
-	s.store.NoteCorrupt() // stubs only ever stand for the store's records
-	s.quarantine(srcFP, canonFp)
-	s.cfg.Events.Emit(eventlog.LevelWarn, "service", "replayed record failed to decode, quarantined",
-		eventlog.F("fingerprint", srcFP))
+// admit is the one place a snapshot enters the cache and, written
+// through, the store (DESIGN.md D21). The store's Put only hands the
+// (immutable) snapshot to its background writer and sheds it when the
+// writer is backlogged; blocking is for the caller that must not shed.
+// Callers have checked that the cache is on.
+func (s *Service) admit(k cacheKey, snap *core.Snapshot, blocking bool) {
+	s.cacheFor(k.canonFp).Put(k, snap)
+	switch {
+	case s.store == nil:
+	case blocking:
+		s.store.PutBlocking(k.fp, k.canonFp, k.structFp, k.perm, snap)
+	default:
+		s.store.Put(k.fp, k.canonFp, k.structFp, k.perm, snap)
+	}
 }
 
 // statsEpoch returns the current statistics-epoch label (0 without a
@@ -894,24 +857,21 @@ func (s *Service) statsEpoch() uint64 {
 // different canonical shards, so the probe cannot stay shard-local; it
 // runs only after both real tiers missed, on the session-creation path.
 func (s *Service) lookupStale(structFp string) (Hit, bool) {
-	if structFp != "" {
-		for _, c := range s.caches {
-			if h, ok := c.LookupStale(structFp); ok {
-				return h, true
-			}
+	for _, c := range s.caches {
+		if h, ok := c.LookupStale(structFp); ok {
+			return h, true
 		}
 	}
 	return Hit{}, false
 }
 
 // Create registers a new session for q and schedules its first
-// refinement step at hot priority on its shard. If the warm-start cache
-// holds a snapshot for q's exact fingerprint the session resumes from
-// it verbatim; if it only holds one for an isomorphic query (equal
-// canonical digest, different table labeling) the snapshot is rewritten
-// onto q's labels (Snapshot.Remap) and the session resumes from the
-// rewritten copy. At MaxActiveSessions or MaxQueueDepth, Create fails
-// with ErrOverloaded before any optimizer state is built.
+// refinement step at hot priority on its shard. Where the session's plan
+// state comes from — the cache's snapshot for q's exact fingerprint, an
+// isomorphic query's rewritten onto q's labels, a pre-drift one re-costed,
+// or a cold build — is the resolver's business (warmstart.go). At
+// MaxActiveSessions or MaxQueueDepth, Create fails with ErrOverloaded
+// before any optimizer state is built.
 func (s *Service) Create(q *query.Query) (string, error) {
 	callStart := time.Now()
 	if q == nil {
@@ -933,240 +893,68 @@ func (s *Service) Create(q *query.Query) (string, error) {
 			return "", s.reject("queue", n, lim)
 		}
 	}
-	fp := q.Fingerprint()
-	var canonFp, structFp string
-	var canonPerm []int
+	k := cacheKey{fp: q.Fingerprint()}
 	if s.caches != nil {
 		// One canonicalization per session creation; the digest also
 		// picks the cache shard, so isomorphic queries meet there. The
 		// structural digest feeds the drift tier: it survives statistics
 		// changes that move both of the other keys.
-		canonFp, canonPerm = q.CanonicalFingerprint()
-		structFp = q.StructuralFingerprint()
+		k.canonFp, k.perm = q.CanonicalFingerprint()
+		k.structFp = q.StructuralFingerprint()
 	}
-	var sess *session.Session
-	var remapDur, recostDur time.Duration
-	var src Hit // the cache entry the session warm-started from
-	var drift string
-	warm, preSnapshotted := false, false
-	var driftClass core.DriftClass
-	if cache := s.cacheFor(canonFp); cache != nil {
-		if hit, ok := cache.Lookup(fp, canonFp); ok {
-			snap := hit.Snap
-			if snap == nil {
-				// The entry was a stub and its fetch — for this use — failed:
-				// a cold start, and if the record itself is bad, poison.
-				if hit.Poison {
-					s.quarantineCorrupt(hit.SrcFP, hit.SrcCanon)
-				}
-			} else if !hit.Exact {
-				// Cross-shape hit: rewrite the cached snapshot from its
-				// source labeling onto q's. Failures (which would take a
-				// digest collision) just degrade to a cold start.
-				snap = nil
-				if perm, err := query.ComposeRemap(hit.Perm, canonPerm); err == nil {
-					t0 := time.Now()
-					remapped, err := hit.Snap.Remap(perm)
-					remapDur = time.Since(t0)
-					s.remapNS.Add(uint64(remapDur))
-					s.obs.Remap.ObserveDuration(remapDur)
-					if err == nil {
-						snap = remapped
-					}
-				}
-			}
-			if snap != nil {
-				// A cached entry passed scan-time CRC and config checks,
-				// so a restore that still fails (or panics on a corrupt-
-				// but-CRC-valid record) is poison: quarantine the source
-				// entry — evict from every cache tier, supersede on disk
-				// — and fall back to a cold start. The next convergence
-				// re-exports a fresh snapshot, resetting the lineage;
-				// the Create itself never fails for a bad cache entry.
-				if opt, rerr := restoreFromSnapshot(q, s.cfg.Opt, snap); rerr == nil {
-					var err error
-					sess, err = session.NewWithOptimizer(opt, s.cfg.DefaultBounds)
-					if err != nil {
-						return "", err
-					}
-					warm, src = true, hit
-					s.warmStarts.Add(1)
-					if !hit.Exact {
-						s.isoWarmStarts.Add(1)
-					}
-				} else {
-					s.quarantine(hit.SrcFP, hit.SrcCanon)
-				}
-			}
-		} else if hit, ok := s.lookupStale(structFp); ok && hit.Snap == nil {
-			if hit.Poison { // as above
-				s.quarantineCorrupt(hit.SrcFP, hit.SrcCanon)
-			}
-		} else if ok {
-			// Both real tiers missed, but a snapshot with q's exact
-			// structure is cached under different statistics: the stats
-			// drifted between its export and this create. Classify the
-			// drift against the snapshot's recorded values and re-cost,
-			// resume or quarantine accordingly (DESIGN.md D15) — never
-			// serve plan state costed under superseded statistics as-is.
-			stale := hit.Snap
-			class, mag := stale.ClassifyDrift(q, s.cfg.DriftThreshold)
-			driftClass = class
-			s.obs.DriftMagnitude.Observe(int64(mag * 1000))
-			quarantined := false
-			if class == core.DriftSmall || class == core.DriftLarge || class == core.DriftNone {
-				t0 := time.Now()
-				recosted, rerr := stale.Recost(q, s.cfg.Opt)
-				recostDur = time.Since(t0)
-				s.obs.Recost.ObserveDuration(recostDur)
-				if rerr == nil {
-					recosted.SetStatsEpoch(s.statsEpoch())
-					if class == core.DriftLarge {
-						// The pruning decisions baked into the cached
-						// sets happened under the old statistics; drop
-						// the pair memo so refinement regenerates every
-						// alternative and re-prunes it against the
-						// re-costed context.
-						recosted.DropPairs()
-					}
-					if opt, rerr := restoreFromSnapshot(q, s.cfg.Opt, recosted); rerr == nil {
-						var err error
-						sess, err = session.NewWithOptimizer(opt, s.cfg.DefaultBounds)
-						if err != nil {
-							return "", err
-						}
-						warm, src = true, hit
-						s.warmStarts.Add(1)
-						if class == core.DriftLarge {
-							s.driftResumed.Add(1)
-							drift = "resumed"
-						} else {
-							s.driftRecosted.Add(1)
-							drift = "recosted"
-							// Small drift: the re-costed plan sets are
-							// exactly what this session's convergence
-							// would re-export. Admit them under q's own
-							// keys now — the next identical query hits
-							// the exact tier — and skip the session's
-							// own export.
-							cache.Put(fp, canonFp, structFp, canonPerm, recosted)
-							if s.store != nil && s.cfg.StorePolicy == PersistOnPut {
-								s.store.Put(fp, canonFp, structFp, canonPerm, recosted)
-							}
-							preSnapshotted = true
-						}
-					} else {
-						quarantined = true
-					}
-				} else {
-					// Classification said value-only drift but re-costing
-					// still failed (e.g. a corrupt-but-CRC-valid record):
-					// the entry is poison.
-					quarantined = true
-				}
-			} else {
-				// Incompatible: the table set, topology, index
-				// availability or sampling offers changed — the cached
-				// alternatives no longer enumerate q's search space in
-				// either direction.
-				quarantined = true
-			}
-			if quarantined {
-				s.quarantine(hit.SrcFP, hit.SrcCanon)
-				s.driftQuar.Add(1)
-				drift = "quarantined"
-			}
-		}
+	st, err := s.resolve(q, k)
+	if err != nil {
+		return "", err
 	}
-	if sess == nil {
-		var err error
-		sess, err = session.New(q, s.cfg.Opt, s.cfg.DefaultBounds)
-		if err != nil {
-			return "", err
-		}
+	if st.prov != provCold {
+		s.warmStarts.Add(1)
+	}
+	if st.prov == provIso {
+		s.isoWarmStarts.Add(1)
+	}
+	if st.drift != driftNone {
+		s.driftCounts[st.drift].Add(1)
 	}
 	now := time.Now()
 	id := fmt.Sprintf("s-%d", s.nextID.Add(1))
-	// Provenance names where this session's plan state came from. The
-	// base label mirrors the cache-tier outcome; when the satisfying
-	// entry itself came off disk, its origin ("replay"/"bootstrap")
-	// rides along as a suffix so a poll or trace distinguishes state
-	// minted this process from state inherited across a restart or
-	// pulled from a peer.
-	prov := "cold"
-	switch {
-	case src.Exact:
-		prov = "exact"
-	case warm && drift == "recosted":
-		prov = "recost"
-	case warm && drift == "resumed":
-		prov = "resume"
-	case warm:
-		prov = "iso"
-	}
-	if src.Origin != "" {
-		prov += "-" + src.Origin
-	}
 	m := &managed{
 		id:         id,
-		fp:         fp,
-		canonFp:    canonFp,
-		structFp:   structFp,
-		canonPerm:  canonPerm,
+		key:        k,
 		shard:      shardIndex(id, len(s.shards)),
-		sess:       sess,
+		sess:       st.sess,
 		state:      Refining,
 		lastTouch:  now,
 		created:    now,
-		warm:       warm,
-		srcFP:      src.SrcFP,
-		srcCanon:   src.SrcCanon,
-		drift:      drift,
-		provenance: prov,
+		prov:       st.prov,
+		provLabel:  st.label(),
+		src:        st.src,
+		drift:      st.drift,
 		statsEpoch: s.statsEpoch(),
 		// An exact warm restore re-converging under the default bounds
 		// ends in the very state the cached snapshot holds, so
-		// re-exporting (a full deep copy, plus a store write under
-		// persist-on-put) buys nothing; skip it. A small-drift restore
-		// already admitted its re-costed state under this session's own
-		// keys, so it skips too. Isomorphic restores still export —
-		// they seed the exact tier for their own labeling — and
-		// SetBounds clears the flag, so a new regime's convergence
-		// always refreshes the cache.
-		snapshotted: src.Exact || preSnapshotted,
+		// re-exporting (a full deep copy, plus a store write) buys
+		// nothing; skip it. A small-drift restore already admitted its
+		// re-costed state under this session's own keys, so it skips too.
+		// Isomorphic restores still export — they seed the exact tier for
+		// their own labeling — and SetBounds clears the flag, so a new
+		// regime's convergence always refreshes the cache.
+		snapshotted: st.prov == provExact || st.prov == provRecost,
 	}
 	m.cond = sync.NewCond(&m.mu)
-	// Seed the lifecycle trace with the creation-path spans
-	// retroactively — the session (and its ID) did not exist while they
-	// happened. No lock needed yet: m is not published until mgr.add.
+	// No lock needed yet: m is not published until mgr.add.
 	tr := trace.Get(id, now)
 	tr.AppendAt(trace.KindAdmit, 0, now.Sub(callStart), int64(m.shard))
 	if s.caches != nil {
-		switch {
-		case src.Exact:
-			tr.AppendAt(trace.KindCacheExact, 0, 0, 0)
-		case warm && drift == "":
-			tr.AppendAt(trace.KindCacheIso, 0, 0, 0)
-		case warm:
-			// Drift warm start: the stale-tier hit is its own span below.
-		default:
-			tr.AppendAt(trace.KindCacheMiss, 0, 0, 0)
-		}
-		if remapDur > 0 {
-			tr.AppendAt(trace.KindRemap, 0, remapDur, 0)
-		}
-		if drift != "" {
-			tr.AppendAt(trace.KindDrift, 0, recostDur, int64(driftClass))
-		}
+		st.seed(tr)
 	}
-	tr.SetProvenance(prov)
+	tr.SetProvenance(m.provLabel)
 	m.trace = tr
 	sh := s.shards[m.shard]
 	sh.mgr.add(m)
 	s.created.Add(1)
 	sh.sched.enqueue(m, true)
-	s.cfg.Events.EmitSession(eventlog.LevelInfo, "service", "session created", id, fp, Refining.String(),
-		eventlog.F("provenance", prov), eventlog.Fint("shard", int64(m.shard)))
+	s.cfg.Events.EmitSession(eventlog.LevelInfo, "service", "session created", id, k.fp, Refining.String(),
+		eventlog.F("provenance", m.provLabel), eventlog.Fint("shard", int64(m.shard)))
 	return m.id, nil
 }
 
@@ -1269,7 +1057,7 @@ func (s *Service) runSteps(sc *scheduler, m *managed, hot bool) {
 					s.obs.StepsToEpsilon.Observe(int64(n))
 				}
 			}
-			if cache := s.cacheFor(m.canonFp); cache != nil && !m.snapshotted {
+			if s.caches != nil && !m.snapshotted {
 				// The export also makes this session the representative
 				// of its isomorphism class, so later isomorphic queries
 				// warm-start from it via remap.
@@ -1279,13 +1067,7 @@ func (s *Service) runSteps(sc *scheduler, m *managed, hot bool) {
 				// at the session's creation (its query's statistics),
 				// not whatever the catalog moved to since.
 				snap.SetStatsEpoch(m.statsEpoch)
-				cache.Put(m.fp, m.canonFp, m.structFp, m.canonPerm, snap)
-				if s.store != nil && s.cfg.StorePolicy == PersistOnPut {
-					// Write-through, off the hot path: Put only hands
-					// the (immutable) snapshot to the store's
-					// background writer.
-					s.store.Put(m.fp, m.canonFp, m.structFp, m.canonPerm, snap)
-				}
+				s.admit(m.key, snap, false)
 				m.snapshotted = true
 				if m.trace != nil {
 					// Convergence is once per regime, so an extra clock
@@ -1347,16 +1129,20 @@ func (s *Service) failLocked(sc *scheduler, m *managed, failure error, stack []b
 	// A warm session whose very first step panics indicts the restored
 	// snapshot, not the session's own refinement: quarantine the source
 	// (under its own canonical digest — a drift restore's source lives
-	// on a different cache shard than this session's digest).
-	poisoned := m.warm && m.steps == 0 && m.srcFP != ""
-	srcFP, canonFp := m.srcFP, m.srcCanon
+	// on a different cache shard than this session's digest). A re-cost
+	// session admitted that same state under its own keys at the create,
+	// and the copy is no better than the original.
+	poisoned := m.prov != provCold && m.steps == 0
 	// Counted before the unlock publishes the state: a client that polls
 	// Failed never reads a failure count that does not include it yet.
 	// The quarantine takes cache and store locks, so it stays outside.
 	s.failed.Add(1)
 	m.mu.Unlock()
 	if poisoned {
-		s.quarantine(srcFP, canonFp)
+		s.quarantine(m.src, false)
+		if m.prov == provRecost {
+			s.quarantine(m.key, false)
+		}
 	}
 	gap := s.observeEnd(m, trace.KindFailed)
 	s.shards[m.shard].mgr.recordGap(gap)
@@ -1401,9 +1187,9 @@ func (m *managed) statusLocked() Status {
 		ID:            m.id,
 		Query:         m.sess.Optimizer().Query().Name(),
 		State:         m.state,
-		WarmStarted:   m.warm,
-		Drift:         m.drift,
-		Provenance:    m.provenance,
+		WarmStarted:   m.prov != provCold,
+		Drift:         m.drift.String(),
+		Provenance:    m.provLabel,
 		Resolution:    m.sess.Resolution(),
 		Steps:         m.steps,
 		Bounds:        m.sess.Bounds(),
@@ -1603,11 +1389,11 @@ func (s *Service) Stats() Stats {
 		Steps:             s.steps.Load(),
 		WarmStarts:        s.warmStarts.Load(),
 		IsoWarmStarts:     s.isoWarmStarts.Load(),
-		DriftRecosted:     s.driftRecosted.Load(),
-		DriftResumed:      s.driftResumed.Load(),
-		DriftQuarantined:  s.driftQuar.Load(),
+		DriftRecosted:     s.driftCounts[driftRecosted].Load(),
+		DriftResumed:      s.driftCounts[driftResumed].Load(),
+		DriftQuarantined:  s.driftCounts[driftQuarantined].Load(),
 		StatsEpoch:        s.statsEpoch(),
-		RemapTotal:        time.Duration(s.remapNS.Load()),
+		RemapTotal:        time.Duration(s.obs.Remap.Sum()),
 		Draining:          s.draining.Load(),
 		DrainConverged:    s.drainConverged.Load(),
 		DrainCheckpointed: s.drainCheckpointed.Load(),

@@ -869,9 +869,10 @@ func (s *Store) Put(fp, canonFp, structFp string, perm []int, snap *core.Snapsho
 }
 
 // PutBlocking is Put for callers that must not shed: it blocks until
-// the record is enqueued (or the store is closed). The shutdown sweep
-// of the persist-on-evict policy uses it — dropping records there
-// would silently lose warm state the sweep exists to save.
+// the record is enqueued (or the store is closed). The service's drain
+// checkpoint uses it — dropping a record there would silently lose the
+// warm state the drain exists to save — and so does the benchmark's
+// store probe, which times every record it hands over.
 func (s *Store) PutBlocking(fp, canonFp, structFp string, perm []int, snap *core.Snapshot) {
 	if snap == nil {
 		return
