@@ -168,16 +168,6 @@ func BenchmarkAblationNoFrontierFilter(b *testing.B) {
 	benchAblation(b, func(cfg *core.Config) { cfg.DisableVisibleFrontierFilter = true })
 }
 
-// Ablation D4: cell-index base sweep.
-func BenchmarkAblationCellBase(b *testing.B) {
-	for _, base := range []float64{1.25, 2, 4, 16} {
-		base := base
-		b.Run(fmt.Sprintf("base=%g", base), func(b *testing.B) {
-			benchAblation(b, func(cfg *core.Config) { cfg.CellBase = base })
-		})
-	}
-}
-
 // BenchmarkBoundsInteraction measures the interactive scenario the
 // paper motivates but does not isolate in a figure: refinement,
 // tightening, relaxation (the incremental advantage under user

@@ -35,10 +35,6 @@ type Config struct {
 	// experiments use 0.05 and 0.5. Ignored when ResolutionLevels is 1.
 	PrecisionStep float64
 
-	// CellBase is the logarithmic cell width of the range index;
-	// defaults to 2.
-	CellBase float64
-
 	// PruneAgainstAll is an ablation switch (DESIGN.md D2): compare new
 	// plans against result plans of every resolution instead of only
 	// resolutions ≤ r. This can prune more but breaks the paper's
@@ -97,7 +93,7 @@ type Hooks struct {
 	CandidateRetrieved func(p *plan.Node)
 }
 
-// validate applies defaults and rejects inconsistent configurations.
+// validate rejects inconsistent configurations.
 func (c *Config) validate() error {
 	if c.Model == nil {
 		return fmt.Errorf("core: Config.Model is required")
@@ -110,12 +106,6 @@ func (c *Config) validate() error {
 	}
 	if c.PrecisionStep < 0 {
 		return fmt.Errorf("core: PrecisionStep %g must be non-negative", c.PrecisionStep)
-	}
-	if c.CellBase == 0 {
-		c.CellBase = 2
-	}
-	if c.CellBase <= 1 {
-		return fmt.Errorf("core: CellBase %g must exceed 1", c.CellBase)
 	}
 	return nil
 }

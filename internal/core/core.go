@@ -205,11 +205,24 @@ func (o *Optimizer) Config() Config { return o.cfg }
 // Stats returns the cumulative statistics counters.
 func (o *Optimizer) Stats() Stats { return o.stats }
 
+// cellBase is the logarithmic cell width of the plan sets' range
+// indexes: a constant measured on BenchmarkOptimizePopulation, not a
+// knob (DESIGN.md D4). The cells have to be about the size of the
+// question prune asks — a box α_r·c(p) wide, with α_r between 1.01 and
+// 1.06 in the paper's schedules — or a query tests many times the
+// entries it retrieves.
+const cellBase = 1.15
+
+// newIndex returns an empty plan-set index of the optimizer's geometry.
+func (o *Optimizer) newIndex() *rangeindex.Index {
+	return rangeindex.MustNew(o.cfg.Model.Space().Dim(), o.cfg.MaxResolution(), cellBase)
+}
+
 // resFor returns (creating on demand) the result index for table set s.
 func (o *Optimizer) resFor(s tableset.Set) *rangeindex.Index {
 	ix, ok := o.res[s]
 	if !ok {
-		ix = rangeindex.MustNew(o.cfg.Model.Space().Dim(), o.cfg.MaxResolution(), o.cfg.CellBase)
+		ix = o.newIndex()
 		o.res[s] = ix
 	}
 	return ix
@@ -219,7 +232,7 @@ func (o *Optimizer) resFor(s tableset.Set) *rangeindex.Index {
 func (o *Optimizer) candFor(s tableset.Set) *rangeindex.Index {
 	ix, ok := o.cand[s]
 	if !ok {
-		ix = rangeindex.MustNew(o.cfg.Model.Space().Dim(), o.cfg.MaxResolution(), o.cfg.CellBase)
+		ix = o.newIndex()
 		o.cand[s] = ix
 	}
 	return ix

@@ -61,7 +61,6 @@ func TestConfigValidation(t *testing.T) {
 		{Model: costmodel.Default(), ResolutionLevels: 1, TargetPrecision: 1},
 		{Model: costmodel.Default(), ResolutionLevels: 1, TargetPrecision: 0.5},
 		{Model: costmodel.Default(), ResolutionLevels: 1, TargetPrecision: 1.1, PrecisionStep: -1},
-		{Model: costmodel.Default(), ResolutionLevels: 1, TargetPrecision: 1.1, CellBase: 1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewOptimizer(q, cfg); err == nil {

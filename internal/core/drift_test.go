@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/cost"
 	"repro/internal/costmodel"
+	"repro/internal/pareto"
 	"repro/internal/query"
 )
 
@@ -138,18 +140,21 @@ func TestClassifyDrift(t *testing.T) {
 
 // TestDriftSmallRecostCostIdentical is the small-drift acceptance pin:
 // a converged snapshot re-costed for a query whose statistics moved a
-// little must restore into an optimizer that exposes exactly the plans
-// (structure AND cost vectors) a fresh optimization under the new
-// statistics produces — without generating a single new plan (the pair
-// memo survives re-costing, so refinement only re-prunes).
+// little must restore into an optimizer that reaches the target without
+// generating a single new plan (the pair memo survives re-costing, so
+// refinement only re-prunes), whose plans carry exactly the cost vectors
+// a fresh optimization under the new statistics computes for them, and
+// whose frontier is as good as the fresh one: each covers the other
+// within the target precision. The two need not hold the same plans —
+// which of two plans within α_T of each other survives depends on the
+// order pruning met them in, and a re-costed list restores in the
+// snapshot's order, not in the order its new costs would enumerate.
 func TestDriftSmallRecostCostIdentical(t *testing.T) {
 	cfg := driftConfig()
 	qOld := driftQuery(remapCatalog(), 0.5, 1e-3)
 	snap := convergedSnapshot(t, qOld, cfg)
 
-	// Drift within the target-precision slack (maxRel ≤ αT − 1 = 1%):
-	// small enough that no ε-pruning decision flips, so the re-costed
-	// sets still contain exactly the plans a fresh enumeration keeps.
+	// Drift within the target-precision slack (maxRel ≤ αT − 1 = 1%).
 	// Larger small-class drift re-costs just as soundly but may surface
 	// boundary plans the old pruning discarded — which is why the restore
 	// re-prunes instead of trusting the cached frontier verbatim.
@@ -177,15 +182,31 @@ func TestDriftSmallRecostCostIdentical(t *testing.T) {
 	if n := restored.Stats().PlansGenerated; n != 0 {
 		t.Errorf("small-drift restore regenerated %d plans, want 0", n)
 	}
-	got, want := plansWithCosts(restored, cfg.MaxResolution()), plansWithCosts(fresh, cfg.MaxResolution())
-	if len(got) != len(want) {
-		t.Fatalf("small-drift restore has %d frontier plans, fresh optimization %d:\n%v\nvs\n%v",
-			len(got), len(want), got, want)
+	got, want := restored.Results(nil, cfg.MaxResolution()), fresh.Results(nil, cfg.MaxResolution())
+	gotVs, wantVs := pareto.Vectors(got), pareto.Vectors(want)
+	if !pareto.Covers(gotVs, wantVs, cfg.TargetPrecision) {
+		t.Errorf("the restored frontier covers the fresh one only within %g, want α_T = %g",
+			pareto.ApproxFactor(gotVs, wantVs), cfg.TargetPrecision)
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("small-drift restore diverges from fresh optimization:\n  %s\nvs\n  %s", got[i], want[i])
+	if !pareto.Covers(wantVs, gotVs, cfg.TargetPrecision) {
+		t.Errorf("the fresh frontier covers the restored one only within %g, want α_T = %g",
+			pareto.ApproxFactor(wantVs, gotVs), cfg.TargetPrecision)
+	}
+	freshCost := map[string]cost.Vector{}
+	for _, p := range want {
+		freshCost[p.Signature()] = p.Cost
+	}
+	shared := 0
+	for _, p := range got {
+		if c, ok := freshCost[p.Signature()]; ok {
+			shared++
+			if !c.Equal(p.Cost) {
+				t.Errorf("plan %s re-costed to %v, fresh enumeration computes %v", p.Signature(), p.Cost, c)
+			}
 		}
+	}
+	if shared == 0 {
+		t.Error("the two frontiers share no plan; the cost check compared nothing")
 	}
 }
 

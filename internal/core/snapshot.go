@@ -71,9 +71,9 @@ type Snapshot struct {
 // state, including the cost-model parameters (which determine every
 // plan's cost vector). Hooks are observational and excluded.
 func cfgFingerprint(c Config) string {
-	return fmt.Sprintf("%dx%d|%g|%g|%g|%v%v%v%v%v|%+v|%v",
+	return fmt.Sprintf("%dx%d|%g|%g|%v%v%v%v%v|%+v|%v",
 		c.Model.Space().Dim(), c.ResolutionLevels, c.TargetPrecision,
-		c.PrecisionStep, c.CellBase,
+		c.PrecisionStep,
 		c.PruneAgainstAll, c.DisableDeltaFilter, c.DisableOrderAwarePruning,
 		c.RetainDominatedCandidates, c.DisableVisibleFrontierFilter,
 		c.Model.Params(), c.Model.Space())

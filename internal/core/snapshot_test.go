@@ -185,7 +185,6 @@ func TestSnapshotConfigMismatch(t *testing.T) {
 		"levels":   func(c *Config) { c.ResolutionLevels++ },
 		"target":   func(c *Config) { c.TargetPrecision = 1.2 },
 		"step":     func(c *Config) { c.PrecisionStep = 0.9 },
-		"cellbase": func(c *Config) { c.CellBase = 4 },
 		"ablation": func(c *Config) { c.PruneAgainstAll = true },
 		"model":    func(c *Config) { c.Model = costmodel.MustNew(c.Model.Space(), altParams()) },
 	} {
