@@ -34,24 +34,76 @@ func BenchmarkOptimizeStep(b *testing.B) {
 		} {
 			b.Run(shape.name+"/"+part.name, func(b *testing.B) {
 				b.ReportAllocs()
-				plans := 0
+				var total Stats
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					o := MustNewOptimizer(shape.q, cfg)
 					for r := 0; r < part.from; r++ {
 						o.Optimize(nil, r)
 					}
-					before := o.Stats().PlansGenerated
+					before := o.Stats()
 					b.StartTimer()
 					for r := part.from; r <= part.to; r++ {
 						o.Optimize(nil, r)
 					}
-					plans += o.Stats().PlansGenerated - before
+					total = total.plus(o.Stats().Minus(before))
 				}
-				b.ReportMetric(float64(plans)/float64(b.N), "plans/op")
+				total.report(b)
 			})
 		}
 	}
+}
+
+// plus adds the counters of d that the benchmarks report.
+func (s Stats) plus(d Stats) Stats {
+	s.PlansGenerated += d.PlansGenerated
+	s.EntriesTested += d.EntriesTested
+	s.EntriesMatched += d.EntriesMatched
+	return s
+}
+
+// report emits those counters per benchmark iteration.
+func (s Stats) report(b *testing.B) {
+	b.ReportMetric(float64(s.PlansGenerated)/float64(b.N), "plans/op")
+	b.ReportMetric(float64(s.EntriesTested)/float64(b.N), "tested/op")
+	b.ReportMetric(float64(s.EntriesMatched)/float64(b.N), "matched/op")
+}
+
+// populationQueries is the population the range index's cell width was
+// chosen on (DESIGN.md D4): 40 seeded 4-table queries over the TPC-H
+// catalog, chains and stars alternating, as cold_distinct generates them.
+func populationQueries(b *testing.B) []*query.Query {
+	qs := make([]*query.Query, 40)
+	for i := range qs {
+		tp := query.Chain
+		if i%2 == 1 {
+			tp = query.Star
+		}
+		qs[i] = synthetic4(b, tp, 1000+int64(i))
+	}
+	return qs
+}
+
+// BenchmarkOptimizePopulation is one cold refinement to the target of
+// every query of the population: the number the cell width and the
+// walk's refinements are judged on, because a single shape rewards a
+// geometry fitted to its own cost range.
+func BenchmarkOptimizePopulation(b *testing.B) {
+	cfg := defaultConfig()
+	qs := populationQueries(b)
+	var total Stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range qs {
+			o := MustNewOptimizer(q, cfg)
+			for r := 0; r <= cfg.MaxResolution(); r++ {
+				o.Optimize(nil, r)
+			}
+			total = total.plus(o.Stats())
+		}
+	}
+	total.report(b)
 }
 
 // BenchmarkRestoreExact is what an exact-tier cache hit pays in core: a

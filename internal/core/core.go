@@ -202,8 +202,19 @@ func (o *Optimizer) Query() *query.Query { return o.q }
 // Config returns the optimizer's configuration.
 func (o *Optimizer) Config() Config { return o.cfg }
 
-// Stats returns the cumulative statistics counters.
-func (o *Optimizer) Stats() Stats { return o.stats }
+// Stats returns the cumulative statistics counters. The retrieval ledger
+// is kept by the range indexes and summed here.
+func (o *Optimizer) Stats() Stats {
+	st := o.stats
+	for _, set := range [2]map[tableset.Set]*rangeindex.Index{o.res, o.cand} {
+		for _, ix := range set {
+			tested, matched := ix.Retrievals()
+			st.EntriesTested += tested
+			st.EntriesMatched += matched
+		}
+	}
+	return st
+}
 
 // cellBase is the logarithmic cell width of the plan sets' range
 // indexes: a constant measured on BenchmarkOptimizePopulation, not a

@@ -48,15 +48,23 @@ type Stats struct {
 	// ExactDominated) that a recent witness settled without a range
 	// query.
 	WitnessHits int
+	// EntriesTested and EntriesMatched sum the range indexes' retrieval
+	// ledgers over every result and candidate plan set: the entries the
+	// queries and drains compared against their bounds, and the entries
+	// they retrieved. Their ratio is how far retrieval is from the O(F)
+	// the paper's analysis assumes (DESIGN.md D4).
+	EntriesTested  int
+	EntriesMatched int
 }
 
 // String renders the counters compactly for logs and reports.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"invocations=%d covered=%d plans=%d materialized=%d pairs=%d stale=%d candRetr=%d prune=%d resIns=%d candIns=%d discard=%d exactDom=%d domChecks=%d witnessHits=%d",
+		"invocations=%d covered=%d plans=%d materialized=%d pairs=%d stale=%d candRetr=%d prune=%d resIns=%d candIns=%d discard=%d exactDom=%d domChecks=%d witnessHits=%d tested=%d matched=%d",
 		s.Invocations, s.CoveredInvocations, s.PlansGenerated, s.PlansMaterialized, s.PairsCombined, s.PairsSkippedStale,
 		s.CandidateRetrievals, s.PruneCalls, s.ResultInserts, s.CandidateInserts,
-		s.CandidateDiscards, s.ExactDominated, s.DominanceChecks, s.WitnessHits)
+		s.CandidateDiscards, s.ExactDominated, s.DominanceChecks, s.WitnessHits,
+		s.EntriesTested, s.EntriesMatched)
 }
 
 // Minus returns the per-interval difference s − prev, for measuring a
@@ -77,5 +85,7 @@ func (s Stats) Minus(prev Stats) Stats {
 		ExactDominated:      s.ExactDominated - prev.ExactDominated,
 		DominanceChecks:     s.DominanceChecks - prev.DominanceChecks,
 		WitnessHits:         s.WitnessHits - prev.WitnessHits,
+		EntriesTested:       s.EntriesTested - prev.EntriesTested,
+		EntriesMatched:      s.EntriesMatched - prev.EntriesMatched,
 	}
 }

@@ -7,23 +7,39 @@
 // The implementation follows the cell-data-structure sketch of the paper
 // (Section 5.3, citing Bentley and Friedman): the cost space is
 // partitioned logarithmically into cells, each cell keeps a list of
-// entries, and cells are reached by binary search on a sorted directory.
-// Range queries enumerate the (sparse) cell directory and filter entries
-// exactly, so retrieval of F matching plans costs O(cells + F),
-// matching the paper's assumption that retrieval is linear in the
-// number of retrieved plans. Insertion into an existing cell is an
-// O(log cells) search plus an append; creating a new cell key
-// additionally shifts the tail of the sorted directory (an O(cells)
-// memmove, cheap in practice because directories hold tens of cells). The logarithmic
-// partitioning mirrors the paper's footnote 3: the region a plan
-// approximately dominates is obtained by multiplying its cost by a
-// constant factor, so log-scaled cells spread plans evenly.
+// entries, and each resolution level keeps its populated cells in a
+// directory sorted by cell key. The logarithmic partitioning mirrors the
+// paper's footnote 3: the region a plan approximately dominates is
+// obtained by multiplying its cost by a constant factor, so log-scaled
+// cells spread plans evenly.
 //
-// Three directory-level refinements keep queries from touching provably
-// irrelevant cells (DESIGN.md D9):
+// A retrieval walks a level's directory in key order up to the first
+// cell beyond the bound in dimension 0. One subtraction on the packed key
+// places a cell (locate): beyond the bound in some dimension, and
+// passed over; within the bound's own cell in every dimension and
+// sharing a coordinate with it, and its entries are tested; or strictly
+// inside, and its entries are taken untested. Retrieving F plans
+// therefore costs O(F), plus the entries of boundary cells that fail
+// their test, plus about a nanosecond per directory cell passed over.
+// With cells about as wide as the question asked of them — the
+// optimizer's α_r·c(p) boxes, see DESIGN.md D4 — the tested entries stay
+// within a small factor of the matched ones (Retrievals reports both),
+// which is what the paper's assumption that retrieval is linear in the
+// number of retrieved plans needs; the directory term is what is left of
+// O(cells), and skipping its runs was measured not to pay (DESIGN.md
+// D9). Insertion into an existing cell is an O(log cells) search plus an
+// append; creating a new cell additionally shifts the tail of the sorted
+// directory.
+//
+// Enumeration order is a contract, because the optimizer's tie-breaks
+// and insertion order — and so the plan sets it converges to — follow
+// it: Query, Drain and All enumerate ascending resolution level, within
+// a level ascending cell key, within a cell insertion order.
+//
+// Directory-level refinements (DESIGN.md D9):
 //
 //   - cells are kept sorted by their packed key, whose highest bits hold
-//     the first dimension's coordinate, so a scan can stop at the first
+//     the first dimension's coordinate, so a walk stops at the first
 //     cell whose dimension-0 coordinate exceeds the bound;
 //   - each level tracks the per-dimension minimum cell coordinate, so a
 //     whole level is skipped when the bound lies below its populated
@@ -50,11 +66,19 @@ import (
 	"repro/internal/plan"
 )
 
-// maxCoord caps the per-dimension cell coordinate; together with 12 bits
-// per dimension it lets up to five dimensions pack into one uint64 key.
+// A cell key packs one coordinate per dimension into 12-bit fields of a
+// uint64, dimension 0 highest, so sorting by key sorts by the first
+// dimension's coordinate first. A coordinate uses the low 11 bits of its
+// field; the twelfth, the field's guard bit, is clear in every key, which
+// lets one subtraction compare all fields of two keys at once (fieldsLE).
 const (
 	coordBits = 12
-	maxCoord  = (1 << coordBits) - 1
+	guardBit  = 1 << (coordBits - 1)
+	// maxCoord caps a cell's coordinate.
+	maxCoord = guardBit - 2
+	// unboundedCoord is the coordinate of an infinite bound: above every
+	// cell's, so no cell is on such a bound's boundary.
+	unboundedCoord = guardBit - 1
 	// MaxDims is the largest supported cost-space dimensionality.
 	MaxDims = 64 / coordBits
 	// oneBits is the bit pattern of the float64 1.0.
@@ -87,30 +111,33 @@ type level struct {
 	cells []cell
 	// size is the number of entries across the level's cells.
 	size int
-	// minCoord[d] is the smallest dimension-d cell coordinate of any
+	// minKey packs, per dimension, the smallest coordinate of any
 	// populated cell (conservative after drains); meaningless while the
 	// level is empty.
-	minCoord [MaxDims]uint64
+	minKey uint64
 	// maxEpoch is the largest insertion epoch the level holds
 	// (recomputed from cell watermarks on compaction).
 	maxEpoch uint64
 }
 
 // Index is a cost×resolution range index. The zero value is not usable;
-// construct with New. Not safe for concurrent use (queries reuse a
-// per-index scratch buffer, so even read-only access must be
-// serialized).
+// construct with New. Not safe for concurrent use: retrievals keep the
+// ledger Retrievals reports, so even read-only access must be
+// serialized.
 type Index struct {
 	dims       int
 	cellsPerLg float64 // cells per unit of coord's fixed-point lg: 1/(log2(base)·2^52)
+	guards     uint64  // the guard bits of the dims fields a key uses
+	dim0Guard  uint64  // the highest of them
 	maxLevel   int
 	levels     []level
 	size       int
 	insertions uint64 // statistics: total inserts ever
 
-	// bcScratch backs boundCoords so steady-state queries allocate
-	// nothing. Queries must not recursively query the same index.
-	bcScratch [MaxDims]uint64
+	// tested and matched are the retrieval ledger: entries a Query or
+	// Drain compared against its bound, and entries it retrieved. Plain
+	// ints — an index is single-threaded.
+	tested, matched int
 }
 
 // New creates an index for cost vectors with dims dimensions and
@@ -126,8 +153,13 @@ func New(dims, maxLevel int, base float64) (*Index, error) {
 	if base <= 1 {
 		return nil, fmt.Errorf("rangeindex: base %g must exceed 1", base)
 	}
-	return &Index{dims: dims, cellsPerLg: 1 / (math.Log2(base) * (1 << 52)), maxLevel: maxLevel,
-		levels: make([]level, maxLevel+1)}, nil
+	ix := &Index{dims: dims, cellsPerLg: 1 / (math.Log2(base) * (1 << 52)),
+		maxLevel: maxLevel, levels: make([]level, maxLevel+1)}
+	for d := 0; d < dims; d++ {
+		ix.guards = ix.guards<<coordBits | guardBit
+	}
+	ix.dim0Guard = guardBit << ((dims - 1) * coordBits)
+	return ix, nil
 }
 
 // MustNew is New but panics on error.
@@ -160,6 +192,12 @@ func (ix *Index) LenUpTo(maxRes int) int {
 // lifetime (drained entries still count). Used by the amortized-cost
 // analysis tests.
 func (ix *Index) Insertions() uint64 { return ix.insertions }
+
+// Retrievals returns the index's retrieval ledger: how many entries its
+// Query and Drain calls have compared against their bound, and how many
+// entries they retrieved. tested ÷ matched is the index's distance from
+// the paper's O(F) retrieval assumption.
+func (ix *Index) Retrievals() (tested, matched int) { return ix.tested, ix.matched }
 
 // EpochWatermark returns the largest insertion epoch among levels
 // 0..maxRes, or 0 when they are empty. It is conservative after drains
@@ -201,9 +239,7 @@ func (ix *Index) coord(c float64) uint64 {
 	return k
 }
 
-// cellKey packs the per-dimension coordinates of v into one uint64,
-// dimension 0 in the highest bits (so sorting by key sorts primarily by
-// the first dimension's coordinate).
+// cellKey packs the per-dimension coordinates of v into one key.
 func (ix *Index) cellKey(v cost.Vector) uint64 {
 	var key uint64
 	for d := 0; d < ix.dims; d++ {
@@ -212,54 +248,82 @@ func (ix *Index) cellKey(v cost.Vector) uint64 {
 	return key
 }
 
-// dim0Shift returns the bit offset of dimension 0 inside a packed key.
-func (ix *Index) dim0Shift() uint { return uint((ix.dims - 1) * coordBits) }
-
-// cellMayMatch reports whether the cell with the given key can contain a
-// vector dominated by b: every coordinate's lower corner must not exceed
-// b's coordinate.
-func (ix *Index) cellMayMatch(key uint64, bCoords []uint64) bool {
-	for d := ix.dims - 1; d >= 0; d-- {
-		if key&maxCoord > bCoords[d] {
-			return false
+// boundKey packs the cell coordinates of the bound b like a cell key,
+// with unboundedCoord where b is infinite.
+func (ix *Index) boundKey(b cost.Vector) uint64 {
+	var key uint64
+	for d := 0; d < ix.dims; d++ {
+		c := uint64(unboundedCoord)
+		if !math.IsInf(b[d], 1) {
+			c = ix.coord(b[d])
 		}
-		key >>= coordBits
+		key = key<<coordBits | c
 	}
-	return true
+	return key
 }
 
-// boundCoords fills the per-index scratch buffer with b's cell
-// coordinates and returns it. The result is valid until the next query.
-func (ix *Index) boundCoords(b cost.Vector) []uint64 {
-	out := ix.bcScratch[:ix.dims]
-	for d := 0; d < ix.dims; d++ {
-		if math.IsInf(b[d], 1) {
-			out[d] = maxCoord
-		} else {
-			out[d] = ix.coord(b[d])
-		}
-	}
-	return out
+// fieldsLE returns the guard bits of the fields in which a's coordinate
+// is at most b's. With b's guard bits set and a's clear, no field of the
+// difference borrows from its neighbour, and a field keeps its guard bit
+// exactly when nothing larger than b's coordinate was taken from it.
+func (ix *Index) fieldsLE(a, b uint64) uint64 {
+	return ((b | ix.guards) - a) & ix.guards
 }
 
-// levelMayMatch reports whether any cell of lv can match bounds bc: the
-// level must be populated and its minimum coordinate must not exceed the
-// bound coordinate in any dimension.
-func (ix *Index) levelMayMatch(lv *level, bc []uint64) bool {
-	if len(lv.cells) == 0 {
-		return false
-	}
-	for d := 0; d < ix.dims; d++ {
-		if bc[d] < lv.minCoord[d] {
+// within reports c ⪯ b for two vectors of the index's dimension (Insert
+// and the retrievals have checked both).
+func within(c, b cost.Vector) bool {
+	b = b[:len(c)]
+	for d, x := range c {
+		if x > b[d] {
 			return false
 		}
 	}
 	return true
 }
 
-// Insert adds an entry. The cost vector's dimension must match the
-// index's; the resolution must be within [0, maxLevel].
-func (ix *Index) Insert(e Entry) {
+// position is where a cell lies relative to a retrieval's bound.
+type position int
+
+const (
+	// past: beyond the bound in dimension 0, and so is every later cell
+	// of the sorted directory.
+	past position = iota
+	// outside: beyond the bound in another dimension.
+	outside
+	// boundary: within the bound's own cell in every dimension and sharing
+	// a coordinate with it, so its entries need testing.
+	boundary
+	// inside: strictly below the bound's own cell in every dimension.
+	// Coordinates are monotone in the cost, so all of its entries are
+	// within the bound and none needs testing.
+	inside
+)
+
+// locate places the cell with the given key relative to the bound key bk.
+func (ix *Index) locate(key, bk uint64) position {
+	switch over := ix.fieldsLE(key, bk) ^ ix.guards; {
+	case over >= ix.dim0Guard:
+		return past
+	case over != 0:
+		return outside
+	case ix.fieldsLE(bk, key) != 0:
+		return boundary
+	}
+	return inside
+}
+
+// levelMayMatch reports whether any cell of lv can lie within the bound
+// key bk: the level must be populated and its minimum coordinate must
+// not exceed the bound's in any dimension.
+func (ix *Index) levelMayMatch(lv *level, bk uint64) bool {
+	return len(lv.cells) > 0 && ix.fieldsLE(lv.minKey, bk) == ix.guards
+}
+
+// check panics unless e is an entry the index can hold: the cost
+// vector's dimension must match the index's, the resolution must be
+// within [0, maxLevel], and the cost must be finite.
+func (ix *Index) check(e *Entry) {
 	if e.Cost.Dim() != ix.dims {
 		panic(fmt.Sprintf("rangeindex: cost dim %d, index dim %d", e.Cost.Dim(), ix.dims))
 	}
@@ -269,6 +333,22 @@ func (ix *Index) Insert(e Entry) {
 	if !e.Cost.IsFinite() {
 		panic(fmt.Sprintf("rangeindex: non-finite cost %v", e.Cost))
 	}
+}
+
+// lowerMin lowers lv's per-dimension minimum coordinates to key's.
+func (ix *Index) lowerMin(lv *level, key uint64) {
+	for d := 0; d < ix.dims; d++ {
+		mask := uint64(guardBit-1) << (d * coordBits)
+		if key&mask < lv.minKey&mask {
+			lv.minKey = lv.minKey&^mask | key&mask
+		}
+	}
+}
+
+// Insert adds an entry. The cost vector's dimension must match the
+// index's; the resolution must be within [0, maxLevel].
+func (ix *Index) Insert(e Entry) {
+	ix.check(&e)
 	key := ix.cellKey(e.Cost)
 	lv := &ix.levels[e.Resolution]
 	i := sort.Search(len(lv.cells), func(i int) bool { return lv.cells[i].key >= key })
@@ -286,14 +366,10 @@ func (ix *Index) Insert(e Entry) {
 	// Maintain the per-dimension minimum coordinates and the epoch
 	// watermark. A level with exactly one cell (the one just touched)
 	// takes its coordinates outright.
-	single := len(lv.cells) == 1
-	k := key
-	for d := ix.dims - 1; d >= 0; d-- {
-		c := k & maxCoord
-		if single || c < lv.minCoord[d] {
-			lv.minCoord[d] = c
-		}
-		k >>= coordBits
+	if len(lv.cells) == 1 {
+		lv.minKey = key
+	} else {
+		ix.lowerMin(lv, key)
 	}
 	if e.Epoch > lv.maxEpoch {
 		lv.maxEpoch = e.Epoch
@@ -304,12 +380,11 @@ func (ix *Index) Insert(e Entry) {
 }
 
 // Query calls fn for every entry whose cost is dominated by b, whose
-// resolution is at most maxRes, and whose epoch is at least minEpoch.
-// Pass minEpoch 0 to disable epoch filtering. Enumeration order is
-// unspecified. If fn returns false the query stops early.
+// resolution is at most maxRes, and whose epoch is at least minEpoch, in
+// enumeration order. Pass minEpoch 0 to disable epoch filtering. If fn
+// returns false the query stops early.
 //
-// Steady-state queries perform no heap allocations; fn must not query
-// or mutate the same index.
+// Queries perform no heap allocations; fn must not mutate the index.
 //
 // This realizes the paper's selection Res^q[0..b, 0..r].
 func (ix *Index) Query(b cost.Vector, maxRes int, minEpoch uint64, fn func(Entry) bool) {
@@ -319,49 +394,48 @@ func (ix *Index) Query(b cost.Vector, maxRes int, minEpoch uint64, fn func(Entry
 	if maxRes > ix.maxLevel {
 		maxRes = ix.maxLevel
 	}
-	bc := ix.boundCoords(b)
-	shift := ix.dim0Shift()
+	bk := ix.boundKey(b)
 	for res := 0; res <= maxRes; res++ {
 		lv := &ix.levels[res]
-		if !ix.levelMayMatch(lv, bc) || lv.maxEpoch < minEpoch {
+		if !ix.levelMayMatch(lv, bk) || lv.maxEpoch < minEpoch {
 			continue
 		}
 		for i := range lv.cells {
 			c := &lv.cells[i]
-			if c.key>>shift > bc[0] {
-				break // sorted by key: every later cell exceeds dim 0
+			pos := ix.locate(c.key, bk)
+			if pos == past {
+				break
 			}
-			if c.maxEpoch < minEpoch || !ix.cellMayMatch(c.key, bc) {
+			if pos == outside || c.maxEpoch < minEpoch {
 				continue
 			}
-			for _, e := range c.entries {
-				if e.Epoch >= minEpoch && e.Cost.WithinBounds(b) {
-					if !fn(e) {
-						return
+			for j := range c.entries {
+				e := &c.entries[j]
+				if e.Epoch < minEpoch {
+					continue
+				}
+				if pos == boundary {
+					ix.tested++
+					if !within(e.Cost, b) {
+						continue
 					}
+				}
+				ix.matched++
+				if !fn(*e) {
+					return
 				}
 			}
 		}
 	}
 }
 
-// Collect returns all entries matching the query as a slice.
-func (ix *Index) Collect(b cost.Vector, maxRes int, minEpoch uint64) []Entry {
-	var out []Entry
-	ix.Query(b, maxRes, minEpoch, func(e Entry) bool {
-		out = append(out, e)
-		return true
-	})
-	return out
-}
-
 // Drain removes all entries whose cost is dominated by b and whose
-// resolution is at most maxRes, appends them to dst, and returns the
-// extended slice. Callers reuse a scratch slice (pass dst[:0]) to keep
-// the candidate-retrieval phase of Optimize allocation-free; pass nil
-// to allocate. This is the candidate-set retrieval of the paper's
-// Optimize phase one, where every retrieved candidate is deleted before
-// being re-pruned.
+// resolution is at most maxRes, appends them to dst in enumeration
+// order, and returns the extended slice. Callers reuse a scratch slice
+// (pass dst[:0]) to keep the candidate-retrieval phase of Optimize
+// allocation-free; pass nil to allocate. This is the candidate-set
+// retrieval of the paper's Optimize phase one, where every retrieved
+// candidate is deleted before being re-pruned.
 func (ix *Index) Drain(b cost.Vector, maxRes int, dst []Entry) []Entry {
 	if b.Dim() != ix.dims {
 		panic(fmt.Sprintf("rangeindex: bound dim %d, index dim %d", b.Dim(), ix.dims))
@@ -369,33 +443,30 @@ func (ix *Index) Drain(b cost.Vector, maxRes int, dst []Entry) []Entry {
 	if maxRes > ix.maxLevel {
 		maxRes = ix.maxLevel
 	}
-	bc := ix.boundCoords(b)
-	shift := ix.dim0Shift()
+	bk := ix.boundKey(b)
 	start := len(dst)
 	for res := 0; res <= maxRes; res++ {
 		lv := &ix.levels[res]
-		if !ix.levelMayMatch(lv, bc) {
+		if !ix.levelMayMatch(lv, bk) {
 			continue
 		}
 		dirty, before := false, len(dst)
-		for ci := range lv.cells {
-			c := &lv.cells[ci]
-			if c.key>>shift > bc[0] {
+		for i := range lv.cells {
+			c := &lv.cells[i]
+			pos := ix.locate(c.key, bk)
+			if pos == past {
 				break
 			}
-			if len(c.entries) == 0 || !ix.cellMayMatch(c.key, bc) {
+			if pos == outside {
 				continue
 			}
-			kept := c.entries[:0]
-			for _, e := range c.entries {
-				if e.Cost.WithinBounds(b) {
-					dst = append(dst, e)
-				} else {
-					kept = append(kept, e)
-				}
+			if pos == inside {
+				dst = append(dst, c.entries...)
+				c.entries = nil
+			} else {
+				dst = ix.drainCell(c, b, dst)
 			}
-			c.entries = kept
-			if len(kept) == 0 {
+			if len(c.entries) == 0 {
 				dirty = true
 			}
 		}
@@ -405,12 +476,28 @@ func (ix *Index) Drain(b cost.Vector, maxRes int, dst []Entry) []Entry {
 		}
 	}
 	ix.size -= len(dst) - start
+	ix.matched += len(dst) - start
+	return dst
+}
+
+// drainCell moves the entries of c that are within b to dst and keeps
+// the others, in their order.
+func (ix *Index) drainCell(c *cell, b cost.Vector, dst []Entry) []Entry {
+	ix.tested += len(c.entries)
+	kept := c.entries[:0]
+	for _, e := range c.entries {
+		if within(e.Cost, b) {
+			dst = append(dst, e)
+		} else {
+			kept = append(kept, e)
+		}
+	}
+	c.entries = kept
 	return dst
 }
 
 // compact removes empty cells from a level's directory (preserving the
-// sort order) and retightens the per-dimension minima and the epoch
-// watermark from the surviving cells.
+// sort order) and retightens the level's summary of them.
 func (ix *Index) compact(lv *level) {
 	kept := lv.cells[:0]
 	for _, c := range lv.cells {
@@ -419,24 +506,28 @@ func (ix *Index) compact(lv *level) {
 		}
 	}
 	lv.cells = kept
+	ix.tighten(lv)
+}
+
+// tighten recomputes a level's per-dimension minima and epoch watermark
+// from its cells.
+func (ix *Index) tighten(lv *level) {
 	lv.maxEpoch = 0
-	for i := range kept {
-		c := &kept[i]
+	for i := range lv.cells {
+		c := &lv.cells[i]
 		if c.maxEpoch > lv.maxEpoch {
 			lv.maxEpoch = c.maxEpoch
 		}
-		k := c.key
-		for d := ix.dims - 1; d >= 0; d-- {
-			coord := k & maxCoord
-			if i == 0 || coord < lv.minCoord[d] {
-				lv.minCoord[d] = coord
-			}
-			k >>= coordBits
+		if i == 0 {
+			lv.minKey = c.key
+		} else {
+			ix.lowerMin(lv, c.key)
 		}
 	}
 }
 
-// All calls fn for every entry regardless of cost, resolution, or epoch.
+// All calls fn for every entry regardless of cost, resolution, or epoch,
+// in enumeration order.
 func (ix *Index) All(fn func(Entry) bool) {
 	for l := range ix.levels {
 		cells := ix.levels[l].cells
@@ -448,12 +539,4 @@ func (ix *Index) All(fn func(Entry) bool) {
 			}
 		}
 	}
-}
-
-// Clear removes all entries, keeping the configuration.
-func (ix *Index) Clear() {
-	for i := range ix.levels {
-		ix.levels[i] = level{}
-	}
-	ix.size = 0
 }

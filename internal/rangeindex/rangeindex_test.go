@@ -12,6 +12,16 @@ import (
 // pn returns a distinct payload node identified by its TableID.
 func pn(id int) *plan.Node { return &plan.Node{TableID: id} }
 
+// collect returns the entries a Query retrieves, in its order.
+func collect(ix *Index, b cost.Vector, maxRes int, minEpoch uint64) []Entry {
+	var out []Entry
+	ix.Query(b, maxRes, minEpoch, func(e Entry) bool {
+		out = append(out, e)
+		return true
+	})
+	return out
+}
+
 func TestNewValidation(t *testing.T) {
 	cases := []struct {
 		dims, maxLevel int
@@ -132,7 +142,7 @@ func TestEpochWatermark(t *testing.T) {
 	}
 	// Watermarks let minEpoch queries skip stale levels entirely; the
 	// filter must stay exact either way.
-	got := ix.Collect(cost.Unbounded(2), 3, 5)
+	got := collect(ix, cost.Unbounded(2), 3, 5)
 	if len(got) != 1 || got[0].Payload.TableID != 1 {
 		t.Errorf("minEpoch query over watermarked levels = %v", got)
 	}
@@ -182,7 +192,7 @@ func TestDrainRemovesMatching(t *testing.T) {
 	if ix.Len() != 1 {
 		t.Fatalf("Len after drain = %d, want 1", ix.Len())
 	}
-	rest := ix.Collect(cost.Unbounded(2), 2, 0)
+	rest := collect(ix, cost.Unbounded(2), 2, 0)
 	if len(rest) != 1 || rest[0].Payload.TableID != tooBig {
 		t.Fatalf("remaining = %v", rest)
 	}
@@ -194,12 +204,12 @@ func TestDrainRemovesMatching(t *testing.T) {
 	if len(out) != 1 || out[0].Payload.TableID != tooBig {
 		t.Fatalf("drain res<=1 removed %v, want tooBig only", out)
 	}
-	if rest := ix.Collect(cost.Unbounded(2), 2, 0); len(rest) != 1 || rest[0].Payload.TableID != high {
+	if rest := collect(ix, cost.Unbounded(2), 2, 0); len(rest) != 1 || rest[0].Payload.TableID != high {
 		t.Fatalf("remaining after res-limited drain = %v", rest)
 	}
 }
 
-func TestAllAndClear(t *testing.T) {
+func TestAll(t *testing.T) {
 	ix := MustNew(2, 1, 2)
 	for i := 0; i < 5; i++ {
 		ix.Insert(Entry{Cost: cost.Vec(float64(i), 1), Resolution: i % 2, Payload: pn(i)})
@@ -214,29 +224,20 @@ func TestAllAndClear(t *testing.T) {
 	if count != 2 {
 		t.Errorf("All early stop visited %d", count)
 	}
-	ix.Clear()
-	if ix.Len() != 0 {
-		t.Error("Clear left entries")
-	}
-	ix.All(func(Entry) bool {
-		t.Error("entry survived Clear")
-		return false
-	})
 }
 
 func TestZeroCostVectorsIndexable(t *testing.T) {
 	ix := MustNew(3, 0, 2)
 	ix.Insert(Entry{Cost: cost.Vec(0, 0, 0), Resolution: 0, Payload: pn(0)})
-	got := ix.Collect(cost.Vec(0, 0, 0), 0, 0)
+	got := collect(ix, cost.Vec(0, 0, 0), 0, 0)
 	if len(got) != 1 {
 		t.Fatalf("zero-cost entry not found: %v", got)
 	}
 }
 
 // TestQueryAllocFree pins the tentpole guarantee of this package: a
-// steady-state range query performs zero heap allocations (the bound
-// coordinates come from the per-index scratch buffer and cells are
-// enumerated in place).
+// range query performs zero heap allocations (the bound's coordinates
+// are one packed word and cells are enumerated in place).
 func TestQueryAllocFree(t *testing.T) {
 	ix := MustNew(3, 20, 2)
 	rng := rand.New(rand.NewSource(7))
@@ -300,7 +301,7 @@ func TestQuickAgainstNaive(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		dims := 1 + rng.Intn(3)
 		maxLevel := rng.Intn(6)
-		ix := MustNew(dims, maxLevel, 1.5+rng.Float64()*2)
+		ix := MustNew(dims, maxLevel, 1.05+rng.Float64()*2.5)
 		ref := &naive{}
 		id := 0
 		for op := 0; op < 200; op++ {
@@ -318,7 +319,7 @@ func TestQuickAgainstNaive(t *testing.T) {
 				b := randomBound(rng, dims)
 				maxRes := rng.Intn(maxLevel + 2)
 				minEpoch := uint64(rng.Intn(5))
-				got := payloadSet(ix.Collect(b, maxRes, minEpoch))
+				got := payloadSet(collect(ix, b, maxRes, minEpoch))
 				want := payloadSet(ref.query(b, maxRes, minEpoch))
 				if !sameSet(got, want) {
 					t.Fatalf("query mismatch: got %v want %v", got, want)
