@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/query"
+	"repro/internal/rangeindex"
+	"repro/internal/tableset"
 )
 
 type benchShape struct {
@@ -126,6 +128,46 @@ func BenchmarkRestoreExact(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(len(snap.pairs)), "pairs")
+		})
+	}
+}
+
+// BenchmarkIndexLoad is the range-index share of a restore: the plan
+// sets of a converged chain4 snapshot put into empty indexes, by Load —
+// cells that are windows of the snapshot's lists — and, for comparison,
+// by the entry-by-entry Insert that Load replaced.
+func BenchmarkIndexLoad(b *testing.B) {
+	cfg := defaultConfig()
+	src := MustNewOptimizer(chain4(b), cfg)
+	for r := 0; r <= cfg.MaxResolution(); r++ {
+		src.Optimize(nil, r)
+	}
+	snap := src.Snapshot()
+	var lists [][]rangeindex.Entry
+	for _, set := range []map[tableset.Set][]rangeindex.Entry{snap.res, snap.cand} {
+		for _, entries := range set {
+			lists = append(lists, entries)
+		}
+	}
+	for _, how := range []struct {
+		name string
+		fill func(*rangeindex.Index, []rangeindex.Entry)
+	}{
+		{"load", (*rangeindex.Index).Load},
+		{"insert", func(ix *rangeindex.Index, entries []rangeindex.Entry) {
+			for _, e := range entries {
+				ix.Insert(e)
+			}
+		}},
+	} {
+		b.Run(how.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, entries := range lists {
+					how.fill(src.newIndex(), entries)
+				}
+			}
+			b.ReportMetric(float64(snap.PlanCount()), "entries")
 		})
 	}
 }

@@ -40,6 +40,13 @@ import (
 // stopped, so a restored optimizer's arena continues it and newly
 // generated nodes can never collide with snapshot nodes in the memo.
 type Snapshot struct {
+	// res and cand hold each plan set's entries in the range index's
+	// enumeration order (Snapshot takes them from Index.All, and Remap
+	// keeps the order: relabeling moves no cost). Never written after
+	// export: the indexes of every optimizer restored from the snapshot
+	// are windows of these lists (rangeindex.Index.Load, DESIGN.md D4).
+	// A re-costed snapshot's lists are in no particular order and are
+	// inserted entry by entry instead.
 	res, cand  map[tableset.Set][]rangeindex.Entry
 	pairs      []uint64
 	nextID     uint32
@@ -319,15 +326,15 @@ func NewOptimizerFromSnapshot(q *query.Query, cfg Config, s *Snapshot) (*Optimiz
 	// keep their source-arena IDs, so fresh allocations must start
 	// above them for the packed pair memo to stay collision-free.
 	o.arena = plan.NewArenaFrom(s.nextID)
+	// The plan sets are shared like the memo below: Load makes the
+	// index's cells windows of the snapshot's entry lists, and the index
+	// copies a cell before it changes one.
 	restore := func(src map[tableset.Set][]rangeindex.Entry, dst func(tableset.Set) *rangeindex.Index) error {
 		for sub, entries := range src {
 			if !sub.SubsetOf(q.Tables()) {
 				return fmt.Errorf("core: snapshot subset %v outside query tables %v", sub, q.Tables())
 			}
-			ix := dst(sub)
-			for _, e := range entries {
-				ix.Insert(e)
-			}
+			dst(sub).Load(entries)
 		}
 		return nil
 	}

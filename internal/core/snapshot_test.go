@@ -271,7 +271,8 @@ func TestSnapshotRestoreContinuesSparseIDs(t *testing.T) {
 }
 
 // TestRestoreSharesFrozenPairs pins the shared-memo contract (DESIGN.md
-// D8): a restore builds no memo of its own, optimizers restored from one
+// D8): a restore builds no memo of its own and copies no entry
+// (D4), optimizers restored from one
 // snapshot may run concurrently without ever writing its pair slice
 // (-race is the check), and the memo a restored optimizer re-exports is
 // the base itself while nothing was combined and base ∪ overlay,
@@ -307,6 +308,16 @@ func TestRestoreSharesFrozenPairs(t *testing.T) {
 	}
 	if re := idle.Snapshot(); &re.pairs[0] != &snap.pairs[0] {
 		t.Error("re-export with an empty overlay copied the memo")
+	}
+	// The entry lists are borrowed like the memo: what a restore allocates
+	// is a directory per plan set, whatever the number of entries in it.
+	sets := len(snap.res) + len(snap.cand)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := NewOptimizerFromSnapshot(q, cfg, snap); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > float64(4*sets+40) || allocs > float64(snap.PlanCount()/8) {
+		t.Errorf("a restore of %d plan sets holding %d entries allocates %.0f times", sets, snap.PlanCount(), allocs)
 	}
 
 	// Two sessions dragged out of the snapshot's regime at the same time.
@@ -357,6 +368,91 @@ func TestRestoreSharesFrozenPairs(t *testing.T) {
 		for _, k := range frozen {
 			if _, dup := o.pairMemo[k]; dup {
 				t.Fatalf("restore %d re-combined base pair %#x", i, k)
+			}
+		}
+	}
+}
+
+// TestRestoreSharesEntryLists pins the copy-on-write contract of a
+// restore (DESIGN.md D4): the range indexes of every optimizer restored
+// from a snapshot are windows of the snapshot's entry lists, and an
+// optimizer that drains candidates out of them and inserts results into
+// them copies the cells it changes first. One restored optimizer is
+// dragged through tighten, relax and unbounded regimes while a second is
+// only read (-race is the check that the first writes nothing the second
+// reads); afterwards the snapshot's lists and the second optimizer's
+// result sets are as they were.
+func TestRestoreSharesEntryLists(t *testing.T) {
+	q, cfg := chain4(t), defaultConfig()
+	rM := cfg.MaxResolution()
+	src := MustNewOptimizer(q, cfg)
+	src.Optimize(nil, 0) // parks candidates for the finer levels
+	snap := src.Snapshot()
+	type planSets = map[tableset.Set][]rangeindex.Entry
+	frozen := map[string]planSets{"result": {}, "candidate": {}}
+	for name, set := range map[string]planSets{"result": snap.res, "candidate": snap.cand} {
+		for sub, entries := range set {
+			frozen[name][sub] = slices.Clone(entries)
+		}
+	}
+
+	busy, err := NewOptimizerFromSnapshot(q, cfg, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle, err := NewOptimizerFromSnapshot(q, cfg, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sub, entries := range snap.res {
+		var first *rangeindex.Entry
+		idle.res[sub].All(func(e rangeindex.Entry) bool { first = &e; return false })
+		if first == nil || first.Payload != entries[0].Payload {
+			t.Fatalf("restored result set %v does not start with the snapshot's first entry", sub)
+		}
+	}
+	// candidateIDs reads every candidate entry of the idle optimizer.
+	candidateIDs := func() (sum uint64) {
+		for _, ix := range idle.cand {
+			ix.All(func(e rangeindex.Entry) bool { sum += uint64(e.Payload.ID()); return true })
+		}
+		return sum
+	}
+	before, beforeCand := resultDigest(idle), candidateIDs()
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tight := componentMedian(busy, 0).Scale(0.7)
+		for _, b := range []cost.Vector{tight, tight.Scale(1.6), nil} {
+			for r := 0; r <= rM; r++ {
+				busy.Optimize(b, r)
+			}
+		}
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		if got := resultDigest(idle); got != before {
+			t.Fatalf("the idle optimizer's result sets changed under it: digest %s, was %s", got, before)
+		}
+		if got := candidateIDs(); got != beforeCand {
+			t.Fatalf("the idle optimizer's candidate sets changed under it")
+		}
+	}
+
+	if st := busy.Stats(); st.CandidateRetrievals == 0 || st.ResultInserts == 0 {
+		t.Fatalf("the drag drained or inserted nothing (%v); the test lost its premise", st)
+	}
+	for name, set := range map[string]planSets{"result": snap.res, "candidate": snap.cand} {
+		for sub, entries := range set {
+			if !slices.EqualFunc(entries, frozen[name][sub], func(a, b rangeindex.Entry) bool {
+				return a.Payload == b.Payload && a.Resolution == b.Resolution && a.Epoch == b.Epoch && &a.Cost[0] == &b.Cost[0]
+			}) {
+				t.Errorf("a restored optimizer wrote the snapshot's %s list of %v", name, sub)
 			}
 		}
 	}

@@ -29,7 +29,8 @@
 // O(cells), and skipping its runs was measured not to pay (DESIGN.md
 // D9). Insertion into an existing cell is an O(log cells) search plus an
 // append; creating a new cell additionally shifts the tail of the sorted
-// directory.
+// directory. Load cuts an entry list in enumeration order into the
+// cells of an empty index in one pass, without copying an entry.
 //
 // Enumeration order is a contract, because the optimizer's tie-breaks
 // and insertion order — and so the plan sets it converges to — follow
@@ -104,6 +105,11 @@ type cell struct {
 	key      uint64
 	maxEpoch uint64
 	entries  []Entry
+	// borrowed marks entries as a window of a list given to Load: shared,
+	// read-only, with the list's owner and every other index loaded from
+	// it. A borrowed window is clipped to its length, so an append
+	// copies it; Drain copies it before compacting it.
+	borrowed bool
 }
 
 // level is the per-resolution cell directory, sorted by cell key.
@@ -123,7 +129,8 @@ type level struct {
 // Index is a cost×resolution range index. The zero value is not usable;
 // construct with New. Not safe for concurrent use: retrievals keep the
 // ledger Retrievals reports, so even read-only access must be
-// serialized.
+// serialized. Indexes loaded from one entry list may be used
+// concurrently with each other.
 type Index struct {
 	dims       int
 	cellsPerLg float64 // cells per unit of coord's fixed-point lg: 1/(log2(base)·2^52)
@@ -188,9 +195,9 @@ func (ix *Index) LenUpTo(maxRes int) int {
 	return n
 }
 
-// Insertions returns the total number of Insert calls over the index's
-// lifetime (drained entries still count). Used by the amortized-cost
-// analysis tests.
+// Insertions returns the total number of entries inserted or loaded over
+// the index's lifetime (drained entries still count). Used by the
+// amortized-cost analysis tests.
 func (ix *Index) Insertions() uint64 { return ix.insertions }
 
 // Retrievals returns the index's retrieval ledger: how many entries its
@@ -354,7 +361,7 @@ func (ix *Index) Insert(e Entry) {
 	i := sort.Search(len(lv.cells), func(i int) bool { return lv.cells[i].key >= key })
 	if i < len(lv.cells) && lv.cells[i].key == key {
 		c := &lv.cells[i]
-		c.entries = append(c.entries, e)
+		c.entries, c.borrowed = append(c.entries, e), false
 		if e.Epoch > c.maxEpoch {
 			c.maxEpoch = e.Epoch
 		}
@@ -377,6 +384,69 @@ func (ix *Index) Insert(e Entry) {
 	lv.size++
 	ix.size++
 	ix.insertions++
+}
+
+// Load adds the entries of a list, in the list's order, and leaves the
+// index as inserting them one by one would. When the index is empty and
+// the list is in enumeration order — as All emits it, so a list taken
+// from one index loads into another of the same geometry — every cell
+// becomes a window of the list instead of a copy of its entries: the
+// caller must not write the list again, and may load it into any number
+// of indexes, which then share its storage and never write it either
+// (see cell.borrowed). Any other list is inserted entry by entry. Load
+// panics on an entry Insert would panic on.
+func (ix *Index) Load(entries []Entry) {
+	if ix.size == 0 && ix.loadWindows(entries) {
+		return
+	}
+	for _, e := range entries {
+		ix.Insert(e)
+	}
+}
+
+// loadWindows is Load for an empty index and a list in enumeration
+// order: one pass that checks every entry as Insert would and cuts the
+// list into cells. It reports false, with the index still empty, for a
+// list in any other order.
+func (ix *Index) loadWindows(entries []Entry) bool {
+	// At the optimizer's cell width a cell holds two to three entries;
+	// room for one per two spares most lists a regrowth.
+	cells := make([]cell, 0, len(entries)/2+1)
+	start, res, key := 0, 0, uint64(0) // the open cell: its first entry, its level, its key
+	for i := range entries {
+		e := &entries[i]
+		ix.check(e)
+		k := ix.cellKey(e.Cost)
+		if i == 0 || e.Resolution != res || k != key {
+			if e.Resolution < res || e.Resolution == res && k < key {
+				return false
+			}
+			start, res, key = i, e.Resolution, k
+			cells = append(cells, cell{key: k, borrowed: true})
+		}
+		c := &cells[len(cells)-1]
+		c.entries = entries[start : i+1 : i+1]
+		c.maxEpoch = max(c.maxEpoch, e.Epoch)
+	}
+	// One array holds the directories of all levels. Like the cells'
+	// windows of the list, the levels' windows of it are clipped, so a
+	// directory that grows moves out of it.
+	for from := 0; from < len(cells); {
+		res, to := cells[from].entries[0].Resolution, from+1
+		for to < len(cells) && cells[to].entries[0].Resolution == res {
+			to++
+		}
+		lv := &ix.levels[res]
+		lv.cells = cells[from:to:to]
+		ix.tighten(lv)
+		for i := range lv.cells {
+			lv.size += len(lv.cells[i].entries)
+		}
+		from = to
+	}
+	ix.size = len(entries)
+	ix.insertions += uint64(len(entries))
+	return true
 }
 
 // Query calls fn for every entry whose cost is dominated by b, whose
@@ -481,18 +551,33 @@ func (ix *Index) Drain(b cost.Vector, maxRes int, dst []Entry) []Entry {
 }
 
 // drainCell moves the entries of c that are within b to dst and keeps
-// the others, in their order.
+// the others, in their order. A cell that borrows its entries is copied
+// before the first entry moves down: the list it is a window of is not
+// this index's to write.
 func (ix *Index) drainCell(c *cell, b cost.Vector, dst []Entry) []Entry {
 	ix.tested += len(c.entries)
-	kept := c.entries[:0]
-	for _, e := range c.entries {
-		if within(e.Cost, b) {
-			dst = append(dst, e)
-		} else {
-			kept = append(kept, e)
+	es := c.entries
+	kept := 0
+	for i := range es {
+		if within(es[i].Cost, b) {
+			dst = append(dst, es[i])
+			continue
 		}
+		if kept != i {
+			if c.borrowed {
+				es = append([]Entry(nil), es...)
+				c.borrowed = false
+			}
+			es[kept] = es[i]
+		}
+		kept++
 	}
-	c.entries = kept
+	if c.borrowed {
+		// Still a window of the loaded list: stay clipped, so that an
+		// append copies.
+		es = es[:kept:kept]
+	}
+	c.entries = es[:kept]
 	return dst
 }
 

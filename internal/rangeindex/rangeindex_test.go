@@ -1,8 +1,10 @@
 package rangeindex
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cost"
@@ -294,19 +296,47 @@ func (n *naive) drain(b cost.Vector, maxRes int) []Entry {
 	return out
 }
 
+// allOf returns the index's entries in enumeration order.
+func allOf(ix *Index) []Entry {
+	var out []Entry
+	ix.All(func(e Entry) bool {
+		out = append(out, e)
+		return true
+	})
+	return out
+}
+
+func payloads(entries []Entry) []int {
+	out := make([]int, len(entries))
+	for i, e := range entries {
+		out[i] = e.Payload.TableID
+	}
+	return out
+}
+
 // Property: the cell index agrees with the naive implementation under a
-// randomized workload of inserts, queries and drains.
+// randomized workload of inserts, queries and drains. Every other trial
+// also rebuilds its index through Load now and then, from the
+// enumeration of a twin that only ever saw Insert and Drain: the loaded
+// index must retrieve what the twin retrieves, in the twin's order, and
+// must leave the lists it was loaded from as it got them.
 func TestQuickAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(321))
 	for trial := 0; trial < 50; trial++ {
 		dims := 1 + rng.Intn(3)
 		maxLevel := rng.Intn(6)
-		ix := MustNew(dims, maxLevel, 1.05+rng.Float64()*2.5)
+		base := 1.05 + rng.Float64()*2.5
+		ix := MustNew(dims, maxLevel, base)
+		var twin *Index
+		if trial%2 == 1 {
+			twin = MustNew(dims, maxLevel, base)
+		}
+		var loaded, loadedCopies [][]Entry
 		ref := &naive{}
 		id := 0
 		for op := 0; op < 200; op++ {
-			switch rng.Intn(4) {
-			case 0, 1: // insert
+			switch rng.Intn(9) {
+			case 0, 1, 2, 3: // insert
 				v := make(cost.Vector, dims)
 				for d := range v {
 					v[d] = math.Pow(10, rng.Float64()*6) - 1
@@ -315,22 +345,31 @@ func TestQuickAgainstNaive(t *testing.T) {
 				id++
 				ix.Insert(e)
 				ref.insert(e)
-			case 2: // query
+				if twin != nil {
+					twin.Insert(e)
+				}
+			case 4, 5: // query
 				b := randomBound(rng, dims)
 				maxRes := rng.Intn(maxLevel + 2)
 				minEpoch := uint64(rng.Intn(5))
-				got := payloadSet(collect(ix, b, maxRes, minEpoch))
+				got := collect(ix, b, maxRes, minEpoch)
 				want := payloadSet(ref.query(b, maxRes, minEpoch))
-				if !sameSet(got, want) {
-					t.Fatalf("query mismatch: got %v want %v", got, want)
+				if !sameSet(payloadSet(got), want) {
+					t.Fatalf("query mismatch: got %v want %v", payloadSet(got), want)
 				}
-			case 3: // drain
+				if twin != nil && !slices.Equal(payloads(got), payloads(collect(twin, b, maxRes, minEpoch))) {
+					t.Fatalf("trial %d: a loaded index queries in another order than its twin", trial)
+				}
+			case 6, 7: // drain
 				b := randomBound(rng, dims)
 				maxRes := rng.Intn(maxLevel + 2)
-				got := payloadSet(ix.Drain(b, maxRes, nil))
+				got := ix.Drain(b, maxRes, nil)
 				want := payloadSet(ref.drain(b, maxRes))
-				if !sameSet(got, want) {
-					t.Fatalf("drain mismatch: got %v want %v", got, want)
+				if !sameSet(payloadSet(got), want) {
+					t.Fatalf("drain mismatch: got %v want %v", payloadSet(got), want)
+				}
+				if twin != nil && !slices.Equal(payloads(got), payloads(twin.Drain(b, maxRes, nil))) {
+					t.Fatalf("trial %d: a loaded index drains in another order than its twin", trial)
 				}
 				if ix.Len() != len(ref.entries) {
 					t.Fatalf("size mismatch after drain: %d vs %d", ix.Len(), len(ref.entries))
@@ -341,7 +380,151 @@ func TestQuickAgainstNaive(t *testing.T) {
 						t.Fatalf("LenUpTo(%d) = %d after drain, want %d", res, got, want)
 					}
 				}
+			case 8: // rebuild through Load
+				if twin == nil {
+					continue
+				}
+				list := allOf(twin)
+				loaded, loadedCopies = append(loaded, list), append(loadedCopies, slices.Clone(list))
+				ix = MustNew(dims, maxLevel, base)
+				ix.Load(list)
+				if len(list) > 0 && &ix.levels[list[0].Resolution].cells[0].entries[0] != &list[0] {
+					t.Fatalf("trial %d: Load copied a list in enumeration order", trial)
+				}
 			}
+			if twin != nil && !slices.Equal(payloads(allOf(ix)), payloads(allOf(twin))) {
+				t.Fatalf("trial %d op %d: a loaded index enumerates in another order than its twin", trial, op)
+			}
+		}
+		for i := range loaded {
+			if !slices.EqualFunc(loaded[i], loadedCopies[i], func(a, b Entry) bool { return a.Payload == b.Payload }) {
+				t.Fatalf("trial %d: an index wrote the list it was loaded from", trial)
+			}
+		}
+	}
+}
+
+// TestEnumerationOrder pins the order core's outcomes depend on: Query,
+// Drain and All enumerate ascending level, ascending cell key, insertion
+// order within a cell — whatever mix of Insert, Drain and Load put the
+// entries there. The model is the list of live entries in arrival order.
+func TestEnumerationOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	const dims, maxLevel = 2, 3
+	ix := MustNew(dims, maxLevel, 1.3)
+	var live []Entry // in arrival order
+	id := 0
+	fresh := func(n int) []Entry {
+		out := make([]Entry, n)
+		for i := range out {
+			// A coarse grid of costs: cells hold several entries, and
+			// several cells share each coordinate.
+			v := cost.Vec(float64(1+rng.Intn(6))*10, float64(1+rng.Intn(6))*10)
+			out[i] = Entry{Cost: v, Resolution: rng.Intn(maxLevel + 1), Payload: pn(id)}
+			id++
+		}
+		return out
+	}
+	// expected sorts a copy of the live entries within b into enumeration
+	// order; the sort is stable, so arrival order breaks ties.
+	expected := func(b cost.Vector, maxRes int) []int {
+		var in []Entry
+		for _, e := range live {
+			if e.Resolution <= maxRes && e.Cost.WithinBounds(b) {
+				in = append(in, e)
+			}
+		}
+		slices.SortStableFunc(in, func(x, y Entry) int {
+			if x.Resolution != y.Resolution {
+				return x.Resolution - y.Resolution
+			}
+			return cmp.Compare(ix.cellKey(x.Cost), ix.cellKey(y.Cost))
+		})
+		return payloads(in)
+	}
+	check := func(step string) {
+		t.Helper()
+		unbounded := cost.Unbounded(dims)
+		if got, want := payloads(allOf(ix)), expected(unbounded, maxLevel); !slices.Equal(got, want) {
+			t.Fatalf("after %s: All enumerates %v, want %v", step, got, want)
+		}
+		b, maxRes := cost.Vec(45, 35), 2
+		if got, want := payloads(collect(ix, b, maxRes, 0)), expected(b, maxRes); !slices.Equal(got, want) {
+			t.Fatalf("after %s: Query enumerates %v, want %v", step, got, want)
+		}
+	}
+	drain := func(b cost.Vector, maxRes int) {
+		t.Helper()
+		want := expected(b, maxRes)
+		if got := payloads(ix.Drain(b, maxRes, nil)); !slices.Equal(got, want) {
+			t.Fatalf("Drain enumerates %v, want %v", got, want)
+		}
+		live = slices.DeleteFunc(live, func(e Entry) bool { return e.Resolution <= maxRes && e.Cost.WithinBounds(b) })
+	}
+
+	for _, e := range fresh(60) {
+		ix.Insert(e)
+		live = append(live, e)
+	}
+	check("inserts")
+	drain(cost.Vec(35, 55), 1)
+	check("a drain")
+
+	// A list in enumeration order, loaded into an empty index: windows.
+	list := allOf(ix)
+	ix = MustNew(dims, maxLevel, 1.3)
+	ix.Load(list)
+	live = slices.Clone(list)
+	check("Load into an empty index")
+	for _, e := range fresh(40) {
+		ix.Insert(e)
+		live = append(live, e)
+	}
+	check("inserts into loaded cells")
+	drain(cost.Vec(25, 45), 3)
+	check("a drain of loaded cells")
+
+	// A list out of enumeration order, and a list loaded into an index
+	// that already holds entries: both arrive entry by entry.
+	shuffled := fresh(30)
+	ix.Load(shuffled)
+	live = append(live, shuffled...)
+	check("Load into a populated index")
+	drain(cost.Unbounded(dims), maxLevel)
+	if ix.Len() != 0 {
+		t.Fatalf("%d entries left after an unbounded drain", ix.Len())
+	}
+	ix.Load(shuffled)
+	live = slices.Clone(shuffled)
+	check("Load of an unordered list")
+	if got, want := ix.Insertions(), uint64(len(list)+40+2*len(shuffled)); got != want {
+		t.Errorf("Insertions = %d after %d loaded and inserted entries", got, want)
+	}
+}
+
+// TestLoadPanics: Load rejects what Insert rejects, on the path that
+// cuts windows and on the one that inserts.
+func TestLoadPanics(t *testing.T) {
+	good := Entry{Cost: cost.Vec(1, 2), Resolution: 0, Payload: pn(0)}
+	for name, bad := range map[string]Entry{
+		"wrong dim":      {Cost: cost.Vec(1), Resolution: 0},
+		"bad resolution": {Cost: cost.Vec(1, 2), Resolution: 4},
+		"negative res":   {Cost: cost.Vec(1, 2), Resolution: -1},
+		"infinite cost":  {Cost: cost.Vec(math.Inf(1), 2), Resolution: 0},
+	} {
+		for _, populated := range []bool{false, true} {
+			ix := MustNew(2, 3, 2)
+			if populated {
+				ix.Insert(good)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("Load of an entry with %s did not panic (populated %v)", name, populated)
+					}
+				}()
+				ix.Load([]Entry{good, bad})
+			}()
 		}
 	}
 }
