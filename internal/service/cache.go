@@ -44,7 +44,7 @@ import (
 // The snapshot store is the cache's cold tier (DESIGN.md D19): a record
 // it holds is admitted as a stub — the keys, no snapshot (Admit) — and
 // fetched from the store on its first use, or before the node reports
-// ready for the entries the previous life's shutdown hint names
+// ready for the entries the store checkpoint's hot set names
 // (FetchNow). Everything else about a stub — LRU position, tier
 // pointers, eviction — is an ordinary entry's.
 type PlanCache struct {
@@ -111,8 +111,8 @@ type cacheItem struct {
 	origin string
 
 	// used marks an entry this process hit (through any tier) or Put: the
-	// working set Shutdown hands to the store's hint so the next boot
-	// fetches it before reporting ready.
+	// working set Shutdown hands to the store's checkpoint so the next
+	// boot fetches it before reporting ready.
 	used bool
 }
 
@@ -293,7 +293,7 @@ func (c *PlanCache) materialize(fp string, st *stub, atBoot bool) (*core.Snapsho
 
 // FetchNow fetches fp's snapshot if its entry is a stub, leaving LRU
 // order, hit counters and the used mark alone: the boot-time half of
-// the shutdown hint (a hit would fetch the entry anyway; this moves the
+// the checkpoint's hot set (a hit would fetch the entry anyway; this moves the
 // cost in front of /readyz). It reports whether the record turned out
 // to be poison, for the caller to quarantine; a record that could not
 // be read stays a stub.
@@ -403,7 +403,7 @@ func (c *PlanCache) admit(in cacheItem) {
 
 // AppendUsed appends the fingerprints of the entries this process hit
 // or Put, most recently used first — what Shutdown hands to the store's
-// hint.
+// checkpoint as its hot set.
 func (c *PlanCache) AppendUsed(dst []string) []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -127,7 +127,7 @@ func flipBit(t *testing.T, path string, mask byte) {
 }
 
 // onlySegment returns the path of dir's single segment file.
-func onlySegment(t *testing.T, dir string) string {
+func onlySegment(t testing.TB, dir string) string {
 	t.Helper()
 	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.moqs"))
 	if err != nil || len(segs) != 1 {
@@ -147,9 +147,10 @@ func onlySegment(t *testing.T, dir string) string {
 //     error counted and reported — and when the failure struck the
 //     hinted load at boot, the node boots all the same, the stub stays,
 //     and its first hit on a disk that reads again starts warm;
-//   - the frame fails its checksum: cold, quarantined, tombstoned (and
-//     the next scan, which stops at the bad frame, loses the rest of the
-//     segment with it: that life starts cold too);
+//   - the frame fails its checksum: cold, quarantined, tombstoned; the
+//     next life adopts the checkpoint this one's shutdown leaves and
+//     starts warm from the cold session's fresh export (a scan, which
+//     stops at the bad frame, would have lost the rest of the segment);
 //   - the record was superseded since admission: warm, from the record
 //     that is live now;
 //   - the record was tombstoned since admission: the stub is dropped, the
@@ -175,7 +176,7 @@ func TestColdTierFaultMatrix(t *testing.T) {
 		name   string
 		hinted bool // the load happens inside New
 		script faultfs.Script
-		// afterBoot runs between New and the first create, without a hint
+		// afterBoot runs between New and the first create, without a hot set
 		// only: that is when the record is still a stub.
 		afterBoot func(t *testing.T, l life, dir string)
 		want      outcome
@@ -190,7 +191,7 @@ func TestColdTierFaultMatrix(t *testing.T) {
 			want: outcome{prov: "exact-replay", readErrors: 1, next: "exact-replay"}},
 		{name: "short read at boot", hinted: true, script: failLoads(faultfs.OpReadAt, faultfs.Fault{Err: io.ErrUnexpectedEOF, TornBytes: 1000}),
 			want: outcome{prov: "exact-replay", readErrors: 1, next: "exact-replay"}},
-		{name: "flipped byte, frame not resealed", want: outcome{prov: "cold", poisoned: 1, next: "cold"},
+		{name: "flipped byte, frame not resealed", want: outcome{prov: "cold", poisoned: 1, next: "exact-replay"},
 			afterBoot: func(t *testing.T, _ life, dir string) { flipBit(t, onlySegment(t, dir), 0x40) }},
 		{name: "superseded", want: outcome{prov: "exact-replay", next: "exact-replay"},
 			afterBoot: func(t *testing.T, l life, _ string) {
@@ -227,7 +228,7 @@ func TestColdTierFaultMatrix(t *testing.T) {
 			_, want := l1.serve("Q4")
 			l1.svc.Shutdown()
 			if !tc.hinted {
-				if err := os.Remove(filepath.Join(dir, hintFile)); err != nil {
+				if err := os.Remove(filepath.Join(dir, checkpointFile)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -308,23 +309,28 @@ func TestColdTierFaultMatrix(t *testing.T) {
 }
 
 // TestSegmentDamageBetweenLives is TestHintThreeGenerations with the
-// damage done to the segment instead of the hint: deleted, cut in half
-// or bit-flipped between lives 2 and 3 — with the hint still naming
+// damage done to the segment instead of the checkpoint: deleted, cut in
+// half or bit-flipped between lives 2 and 3 — with the hot set still naming
 // records that may be gone — the third life boots, and every session
 // succeeds with life 1's frontier. Damage to the log decides only which
-// sessions start warm.
+// sessions start warm. A halved or deleted segment no longer matches the
+// checkpoint, so the boot scans what is left; a flipped bit inside a
+// frame leaves the checkpoint's last-frame header intact, so the boot
+// adopts the index and Load finds the damaged frame at its first use:
+// that one record is quarantined and its session starts cold.
 func TestSegmentDamageBetweenLives(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		damage   func(t *testing.T, seg string)
-		wantWarm int // of life 3's three sessions
+		name         string
+		damage       func(t *testing.T, seg string)
+		wantWarm     int    // of life 3's three sessions
+		wantPoisoned uint64 // records life 3 quarantined
 	}{
-		{"intact", func(*testing.T, string) {}, 3},
+		{"intact", func(*testing.T, string) {}, 3, 0},
 		{"deleted", func(t *testing.T, seg string) {
 			if err := os.Remove(seg); err != nil {
 				t.Fatal(err)
 			}
-		}, 0},
+		}, 0, 0},
 		{"cut in half", func(t *testing.T, seg string) {
 			fi, err := os.Stat(seg)
 			if err != nil {
@@ -333,8 +339,8 @@ func TestSegmentDamageBetweenLives(t *testing.T) {
 			if err := os.Truncate(seg, fi.Size()/2); err != nil {
 				t.Fatal(err)
 			}
-		}, -1},
-		{"bit-flipped", func(t *testing.T, seg string) { flipBit(t, seg, 0x08) }, -1},
+		}, -1, 0},
+		{"bit-flipped", func(t *testing.T, seg string) { flipBit(t, seg, 0x08) }, 2, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -373,8 +379,8 @@ func TestSegmentDamageBetweenLives(t *testing.T) {
 			if tc.wantWarm < 0 && (warm == 0 || warm == 3) {
 				t.Errorf("%d of 3 sessions started warm: the damage took everything or nothing", warm)
 			}
-			if st := l3.svc.Stats(); st.Failed != 0 || st.Poisoned != 0 || st.StoreReadErrors != 0 {
-				t.Errorf("life 3: %d failed, %d poisoned, %d read errors", st.Failed, st.Poisoned, st.StoreReadErrors)
+			if st := l3.svc.Stats(); st.Failed != 0 || st.Poisoned != tc.wantPoisoned || st.StoreReadErrors != 0 {
+				t.Errorf("life 3: %d failed, %d poisoned (want %d), %d read errors", st.Failed, st.Poisoned, tc.wantPoisoned, st.StoreReadErrors)
 			}
 		})
 	}

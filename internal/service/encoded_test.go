@@ -27,9 +27,10 @@ import (
 	"repro/internal/workload"
 )
 
-// hintFile is the store's hint file name: part of the on-disk layout,
-// so pinned here rather than exported.
-const hintFile = "hint.moqh"
+// checkpointFile is the store's checkpoint file name: part of the
+// on-disk layout, so pinned here rather than exported. Deleting it makes
+// the next boot scan the whole log and fetch nothing before ready.
+const checkpointFile = "checkpoint.moqc"
 
 // encodedSnapshot converges block under cfg and returns the snapshot
 // with its wire form.
@@ -279,32 +280,24 @@ func (l life) wantResidency(boot, hit uint64, stubs int) {
 	}
 }
 
-// writeHintFile replaces dir's hint with one naming fps under the given
-// config echo, the way the store itself would write it.
-func writeHintFile(t *testing.T, dir, echo string, fps []string) {
+// writeHotSet replaces dir's checkpoint with one whose hot set is fps,
+// written under the given config echo by a store opened on dir and
+// closed the way Shutdown closes it.
+func writeHotSet(t testing.TB, dir, echo string, fps []string) {
 	t.Helper()
-	scratch := t.TempDir()
-	st, err := store.Open(store.Options{Dir: scratch, CfgEcho: echo})
+	st, err := store.Open(store.Options{Dir: dir, CfgEcho: echo})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	if err := st.WriteHint(fps); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(scratch, hintFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, hintFile), data, 0o644); err != nil {
+	if err := st.Close(fps...); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// mutateHint rewrites dir's hint file through fn.
-func mutateHint(t *testing.T, dir string, fn func([]byte) []byte) {
+// mutateCheckpoint rewrites dir's checkpoint file through fn.
+func mutateCheckpoint(t *testing.T, dir string, fn func([]byte) []byte) {
 	t.Helper()
-	path := filepath.Join(dir, hintFile)
+	path := filepath.Join(dir, checkpointFile)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -320,10 +313,12 @@ var hintBlocks = []string{"Q4", "Q13", "Q14"}
 // one directory. Life 1 converges A, B and C; life 2 boots with all
 // three resident (all were Put) and uses only A; life 3 boots with A
 // resident and B, C left in the store, and a first hit on B reports
-// exact-replay with life 1's frontier. The hint is advice only: with the
-// file deleted, truncated or bit-flipped between lives 2 and 3 every
-// answer, provenance and success is the same — reads and decodes just
-// move from boot to first hit.
+// exact-replay with life 1's frontier. Each life's hot set rides in the
+// checkpoint its shutdown leaves, and a boot behind a clean shutdown
+// scans nothing. The checkpoint is advice only: with the file deleted,
+// truncated or bit-flipped between lives 2 and 3 every answer,
+// provenance and success is the same — the boot scans the log, and reads
+// and decodes just move from boot to first hit.
 func TestHintThreeGenerations(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -332,15 +327,15 @@ func TestHintThreeGenerations(t *testing.T) {
 	}{
 		{"intact", func(*testing.T, string) {}, 1},
 		{"deleted", func(t *testing.T, dir string) {
-			if err := os.Remove(filepath.Join(dir, hintFile)); err != nil {
+			if err := os.Remove(filepath.Join(dir, checkpointFile)); err != nil {
 				t.Fatal(err)
 			}
 		}, 0},
 		{"truncated", func(t *testing.T, dir string) {
-			mutateHint(t, dir, func(b []byte) []byte { return b[:len(b)/2] })
+			mutateCheckpoint(t, dir, func(b []byte) []byte { return b[:len(b)/2] })
 		}, 0},
 		{"bit-flipped", func(t *testing.T, dir string) {
-			mutateHint(t, dir, func(b []byte) []byte { b[len(b)-3] ^= 0x10; return b })
+			mutateCheckpoint(t, dir, func(b []byte) []byte { b[len(b)-3] ^= 0x10; return b })
 		}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -359,6 +354,9 @@ func TestHintThreeGenerations(t *testing.T) {
 
 			l2 := startLife(t, dir, nil)
 			l2.wantResidency(3, 0, 0)
+			if st := l2.svc.Stats().Store; st.ScanBytes != 0 || st.AdoptedRecords != 3 {
+				t.Errorf("life 2 scanned %d bytes and adopted %d records; want 0 and 3", st.ScanBytes, st.AdoptedRecords)
+			}
 			if prov, frontier := l2.serve("Q4"); prov != "exact-replay" || !slices.Equal(frontier, want["Q4"]) {
 				t.Errorf("life 2 served Q4 as %s, frontier equal: %v", prov, slices.Equal(frontier, want["Q4"]))
 			}
@@ -369,6 +367,9 @@ func TestHintThreeGenerations(t *testing.T) {
 			l3 := startLife(t, dir, nil)
 			defer l3.svc.Shutdown()
 			l3.wantResidency(tc.wantBoot, 0, 3-int(tc.wantBoot))
+			if scanned := l3.svc.Stats().Store.ScanBytes; (scanned == 0) != (tc.wantBoot == 1) {
+				t.Errorf("life 3 scanned %d bytes", scanned)
+			}
 			for _, b := range []string{"Q4", "Q13"} {
 				if prov, frontier := l3.serve(b); prov != "exact-replay" || !slices.Equal(frontier, want[b]) {
 					t.Errorf("life 3 served %s as %s, frontier equal to life 1's: %v", b, prov, slices.Equal(frontier, want[b]))
@@ -385,12 +386,15 @@ func TestHintThreeGenerations(t *testing.T) {
 	}
 }
 
-// TestHintFaultMatrix breaks the hint in every way the design names —
-// at the write (torn write, failed rename, store degraded at shutdown)
-// and at rest (absent, garbage, foreign configuration, dead names) — and
-// requires the same of every case: the next life boots, fetches before
-// New returns no more than hint ∩ live, and serves the persisted query
-// warm as exact-replay.
+// TestHintFaultMatrix breaks the checkpoint that carries the hot set in
+// every way the design names — at the write (torn write, failed rename,
+// store degraded at shutdown) and at rest (absent, garbage, foreign
+// configuration, a hot set of dead names) — and requires the same of
+// every case: the next life boots, fetches before New returns no more
+// than hot set ∩ live, and serves the persisted query warm as
+// exact-replay. A failed write leaves the previous life's checkpoint,
+// which still covers the log: that boot scans nothing. An unusable one
+// costs a scan of the whole log.
 func TestHintFaultMatrix(t *testing.T) {
 	echo, err := core.ConfigFingerprint(storeConfig(t, "").Opt)
 	if err != nil {
@@ -398,9 +402,9 @@ func TestHintFaultMatrix(t *testing.T) {
 	}
 	q4 := testBlock(t, "Q4").Fingerprint()
 	enospc := errors.New("injected: no space left on device")
-	onHint := func(op faultfs.Op, fault faultfs.Fault) faultfs.Script {
+	onCheckpoint := func(op faultfs.Op, fault faultfs.Fault) faultfs.Script {
 		return func(o faultfs.Op, path string, _ uint64) faultfs.Fault {
-			if o == op && strings.Contains(path, hintFile) {
+			if o == op && strings.Contains(path, checkpointFile) {
 				return fault
 			}
 			return faultfs.Fault{}
@@ -408,41 +412,43 @@ func TestHintFaultMatrix(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		// atRest damages the hint the clean first life left (all three
-		// blocks); script instead faults a second life's shutdown, which
-		// used only Q4, so that life's hint never replaces the first's.
+		// atRest damages the checkpoint the clean first life left (hot
+		// set: all three blocks); script instead faults a second life's
+		// shutdown, which used only Q4, so that life's checkpoint never
+		// replaces the first's.
 		atRest   func(t *testing.T, dir string)
 		script   faultfs.Script
 		degrade  bool
 		wantBoot uint64
+		wantScan bool // the last life's boot reads the log
 	}{
-		{name: "absent", wantBoot: 0, atRest: func(t *testing.T, dir string) {
-			if err := os.Remove(filepath.Join(dir, hintFile)); err != nil {
+		{name: "absent", wantBoot: 0, wantScan: true, atRest: func(t *testing.T, dir string) {
+			if err := os.Remove(filepath.Join(dir, checkpointFile)); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{name: "garbage", wantBoot: 0, atRest: func(t *testing.T, dir string) {
-			mutateHint(t, dir, func(b []byte) []byte {
+		{name: "garbage", wantBoot: 0, wantScan: true, atRest: func(t *testing.T, dir string) {
+			mutateCheckpoint(t, dir, func(b []byte) []byte {
 				rand.New(rand.NewSource(3)).Read(b)
 				return b
 			})
 		}},
-		{name: "flipped byte", wantBoot: 0, atRest: func(t *testing.T, dir string) {
-			mutateHint(t, dir, func(b []byte) []byte { b[9] ^= 0x01; return b })
+		{name: "flipped byte", wantBoot: 0, wantScan: true, atRest: func(t *testing.T, dir string) {
+			mutateCheckpoint(t, dir, func(b []byte) []byte { b[9] ^= 0x01; return b })
 		}},
-		{name: "foreign config echo", wantBoot: 0, atRest: func(t *testing.T, dir string) {
-			writeHintFile(t, dir, "3x9|some-other-build", []string{q4})
+		{name: "foreign config echo", wantBoot: 0, wantScan: true, atRest: func(t *testing.T, dir string) {
+			writeHotSet(t, dir, "3x9|some-other-build", []string{q4})
 		}},
 		{name: "only dead fingerprints", wantBoot: 0, atRest: func(t *testing.T, dir string) {
-			writeHintFile(t, dir, echo, []string{"gone-1", "gone-2"})
+			writeHotSet(t, dir, echo, []string{"gone-1", "gone-2"})
 		}},
 		{name: "one live among dead", wantBoot: 1, atRest: func(t *testing.T, dir string) {
-			writeHintFile(t, dir, echo, []string{"gone-1", q4, "gone-2", q4})
+			writeHotSet(t, dir, echo, []string{"gone-1", q4, "gone-2", q4})
 		}},
 		{name: "torn write", wantBoot: 3,
-			script: onHint(faultfs.OpWrite, faultfs.Fault{Err: enospc, TornBytes: 11})},
+			script: onCheckpoint(faultfs.OpWrite, faultfs.Fault{Err: enospc, TornBytes: 11})},
 		{name: "failed rename", wantBoot: 3,
-			script: onHint(faultfs.OpRename, faultfs.Fault{Err: enospc})},
+			script: onCheckpoint(faultfs.OpRename, faultfs.Fault{Err: enospc})},
 		{name: "degraded at shutdown", wantBoot: 3, degrade: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -477,16 +483,16 @@ func TestHintFaultMatrix(t *testing.T) {
 						}
 						time.Sleep(time.Millisecond)
 					}
-					hintOps := 0
+					checkpointOps := 0
 					inj.SetScript(func(op faultfs.Op, path string, _ uint64) faultfs.Fault {
-						if strings.Contains(path, hintFile) {
-							hintOps++
+						if strings.Contains(path, checkpointFile) {
+							checkpointOps++
 						}
 						return faultfs.Fault{Err: enospc}
 					})
 					l2.svc.Shutdown()
-					if hintOps != 0 {
-						t.Errorf("a degraded store made %d filesystem calls for the hint, want none", hintOps)
+					if checkpointOps != 0 {
+						t.Errorf("a degraded store made %d filesystem calls for the checkpoint, want none", checkpointOps)
 					}
 				} else {
 					inj.SetScript(tc.script)
@@ -501,6 +507,9 @@ func TestHintFaultMatrix(t *testing.T) {
 				t.Fatalf("last life loaded %d records into %d entries, want 3/3", st.Store.Loaded, st.Cache.Entries)
 			}
 			l3.wantResidency(tc.wantBoot, 0, 3-int(tc.wantBoot))
+			if (st.Store.ScanBytes > 0) != tc.wantScan {
+				t.Errorf("last boot scanned %d bytes, want a scan: %v", st.Store.ScanBytes, tc.wantScan)
+			}
 			prov, frontier := l3.serve("Q4")
 			if prov != "exact-replay" || !slices.Equal(frontier, want) {
 				t.Errorf("served Q4 as %s, frontier equal to the first life's: %v", prov, slices.Equal(frontier, want))
@@ -531,7 +540,7 @@ func TestFirstUsePoisonQuarantined(t *testing.T) {
 			_, want := l1.serve("Q4")
 			l1.svc.Shutdown()
 			if !hinted {
-				if err := os.Remove(filepath.Join(dir, hintFile)); err != nil {
+				if err := os.Remove(filepath.Join(dir, checkpointFile)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -617,10 +626,15 @@ func poisonOnlyFrame(t *testing.T, dir string) {
 // BenchmarkServiceBoot is the layer bench of the boot path: service.New
 // on a directory in the state restart_cycle reaches late in a run — the
 // 19 small TPC-H blocks plus 240 three-table synthetic records, written
-// by moqod's default optimizer configuration, and a hint naming the 21
-// entries one life of that workload uses. Reports ms/boot, decodes/boot
-// (= the hint; each is one read of the store) and, with -benchmem, the
-// bytes a boot allocates.
+// by moqod's default optimizer configuration, and a checkpoint whose hot
+// set names the 21 entries one life of that workload uses. Two cases:
+// "checkpointed" boots after a clean shutdown (the checkpoint covers the
+// whole log, nothing is scanned), "scanned" after the segment has been
+// renumbered behind the checkpoint, as a compaction in a killed life
+// would leave it (the whole log is scanned; the hot set still applies).
+// Reports ms/boot, scanned bytes/boot, decodes/boot (= the hot set; each
+// is one read of the store), the checkpoint's bytes per live record and,
+// with -benchmem, the bytes a boot allocates.
 func BenchmarkServiceBoot(b *testing.B) {
 	dir := b.TempDir()
 	cfg := Config{
@@ -676,37 +690,61 @@ func BenchmarkServiceBoot(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	writeHint := func() {
-		st, err := store.Open(store.Options{Dir: dir, CfgEcho: echo})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := st.WriteHint(hint); err != nil {
-			b.Fatal(err)
-		}
-		st.Close()
+	for _, tc := range []struct {
+		name  string
+		stale bool
+	}{{"checkpointed", false}, {"scanned", true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var decodes uint64
+			var scanned, checkpointBytes, live int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				writeHotSet(b, dir, echo, hint) // an idle life's shutdown leaves an empty hot set
+				if fi, err := os.Stat(filepath.Join(dir, checkpointFile)); err == nil {
+					checkpointBytes += fi.Size()
+				}
+				if tc.stale {
+					renumberSegment(b, dir)
+				}
+				b.StartTimer()
+				svc, err := New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				decodes += svc.obs.DecodesBoot.Value()
+				st := svc.Stats()
+				scanned += st.Store.ScanBytes
+				live += int64(st.Store.LiveRecords)
+				if st.Cache.Entries == 0 || st.Cache.Entries != st.Cache.Encoded+len(hint) ||
+					st.StoreReadsBoot != uint64(len(hint)) || (st.Store.ScanBytes == 0) != !tc.stale {
+					b.Fatalf("boot left %d entries, %d stubs, %d reads, hint %d, scanned %d bytes",
+						st.Cache.Entries, st.Cache.Encoded, st.StoreReadsBoot, len(hint), st.Store.ScanBytes)
+				}
+				svc.Shutdown()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/boot")
+			b.ReportMetric(float64(scanned)/float64(b.N), "scanned-B/boot")
+			b.ReportMetric(float64(decodes)/float64(b.N), "decodes/boot")
+			b.ReportMetric(float64(checkpointBytes)/float64(live), "checkpoint-B/record")
+		})
 	}
+}
 
-	b.ReportAllocs()
-	var decodes uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		writeHint() // an idle life's shutdown leaves an empty hint
-		b.StartTimer()
-		svc, err := New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		decodes += svc.obs.DecodesBoot.Value()
-		if st := svc.Stats(); st.Cache.Entries == 0 || st.Cache.Entries != st.Cache.Encoded+len(hint) ||
-			st.StoreReadsBoot != uint64(len(hint)) {
-			b.Fatalf("boot left %d entries, %d stubs, %d reads, hint %d", st.Cache.Entries, st.Cache.Encoded, st.StoreReadsBoot, len(hint))
-		}
-		svc.Shutdown()
-		b.StartTimer()
+// renumberSegment gives dir's only segment the next sequence number, so
+// the checkpoint beside it describes a segment that is gone: the state a
+// compaction leaves when the process dies before its Close.
+func renumberSegment(t testing.TB, dir string) {
+	t.Helper()
+	seg := onlySegment(t, dir)
+	var seq int
+	if _, err := fmt.Sscanf(filepath.Base(seg), "seg-%d.moqs", &seq); err != nil {
+		t.Fatal(err)
 	}
-	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/boot")
-	b.ReportMetric(float64(decodes)/float64(b.N), "decodes/boot")
+	if err := os.Rename(seg, filepath.Join(dir, fmt.Sprintf("seg-%08d.moqs", seq+1))); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -128,11 +128,11 @@ func ladderBoot(t *testing.T, dir string, mutate func(*Config)) *Service {
 	return svc
 }
 
-// dropHint removes the shutdown hint, so the next life leaves every
-// record a stub until its first use.
-func dropHint(t *testing.T, dir string) {
+// dropCheckpoint removes the checkpoint and with it the hot set, so the next
+// life leaves every record a stub until its first use.
+func dropCheckpoint(t *testing.T, dir string) {
 	t.Helper()
-	if err := os.Remove(filepath.Join(dir, hintFile)); err != nil {
+	if err := os.Remove(filepath.Join(dir, checkpointFile)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -171,7 +171,7 @@ func TestCreateLadderGolden(t *testing.T) {
 		svc := ladderBoot(t, dir, mutate)
 		convergeAndClose(t, svc, prime)
 		svc.Shutdown()
-		dropHint(t, dir)
+		dropCheckpoint(t, dir)
 		if damage != nil {
 			damage(dir)
 		}

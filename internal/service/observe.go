@@ -63,7 +63,7 @@ type Observability struct {
 	// fetching a cache stub's snapshot — loading the record from the
 	// snapshot store, decoding it — and StoreReadsBoot/Hit and
 	// DecodesBoot/Hit count them by when they ran: before the node
-	// reported ready (the entries the shutdown hint named) or on a
+	// reported ready (the entries the checkpoint's hot set named) or on a
 	// session's first hit (DESIGN.md D19). StoreReadErrors counts the
 	// loads the filesystem failed: those sessions started cold, nothing
 	// was quarantined.

@@ -273,7 +273,7 @@ type Stats struct {
 	Store store.Stats
 	// StoreReadsBoot and StoreReadsHit count the records loaded from the
 	// store for a cache entry — before the node reported ready (the
-	// shutdown hint's entries) and on a session's first hit — and
+	// checkpoint's hot set) and on a session's first hit — and
 	// StoreReadErrors those of them the filesystem failed (the session
 	// started cold; nothing was quarantined).
 	StoreReadsBoot, StoreReadsHit, StoreReadErrors uint64
@@ -566,22 +566,23 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// replay pre-populates every cache tier from the index the store's scan
-// built, the way a buffer pool reloads after a restart (DESIGN.md D19):
-// each live record is admitted as a stub, in write order — so the
-// canonical tier ends up with each class's most recently persisted
-// representative, the same state live Puts would have left behind — and
-// only the entries the previous life's shutdown hint names are fetched
-// from the store before New returns; the rest stay on disk until their
-// first hit. The hint is advice about when to pay a read and a decode,
-// never about what is served: absent, damaged or stale, the node boots
-// all the same with more entries left as stubs.
+// replay pre-populates every cache tier from the store's index —
+// adopted from the checkpoint, scanned past it (DESIGN.md D22) — the way
+// a buffer pool reloads after a restart (D19): each live record is
+// admitted as a stub, in write order — so the canonical tier ends up
+// with each class's most recently persisted representative, the same
+// state live Puts would have left behind — and only the entries the
+// checkpoint's hot set names are fetched from the store before New
+// returns; the rest stay on disk until their first hit. The hot set is
+// advice about when to pay a read and a decode, never about what is
+// served: absent, damaged or stale, the node boots all the same with
+// more entries left as stubs.
 func (s *Service) replay() {
 	origin := s.cfg.ReplaySource
 	if origin == "" {
 		origin = "replay"
 	}
-	hint := s.store.Hint()
+	hint := s.store.Hot()
 	hinted := make(map[string]bool, len(hint))
 	for _, fp := range hint {
 		hinted[fp] = true
@@ -607,6 +608,8 @@ func (s *Service) replay() {
 	s.cfg.Events.Emit(eventlog.LevelInfo, "service", "snapshot store replayed",
 		eventlog.Fint("loaded", int64(st.Loaded)),
 		eventlog.Fint("live", int64(st.LiveRecords)),
+		eventlog.Fint("adopted_segments", int64(st.AdoptedSegments)),
+		eventlog.Fint("adopted_records", int64(st.AdoptedRecords)),
 		eventlog.F("scanned_mb", strconv.FormatFloat(float64(st.ScanBytes)/(1<<20), 'f', 1, 64)),
 		eventlog.F("scan_ms", strconv.FormatFloat(float64(st.ScanTotal)/float64(time.Millisecond), 'f', 1, 64)),
 		eventlog.Fint("rejected", int64(st.Rejected)),
@@ -710,22 +713,21 @@ func (s *Service) Shutdown() {
 	}
 	if s.store != nil && first {
 		// Workers are stopped: no further cache puts can race the walk.
-		// Leave the next boot the working set: the entries this life hit
-		// or Put, most recently used first within each cache shard. The
-		// next life fetches those before it reports ready and leaves the
-		// rest of the store on disk (D19). A lost hint costs fetches on
-		// first hits, nothing else, so a failure is reported and dropped.
+		// Close flushes the writer queue and leaves the checkpoint
+		// (D22), whose hot set is this life's working set: the entries
+		// it hit or Put, most recently used first within each cache
+		// shard. The next life fetches those before it reports ready
+		// and leaves the rest of the store on disk (D19). A lost
+		// checkpoint costs the next boot a scan and fetches on first
+		// hits, nothing else — the snapshots still live in this
+		// process's cache — so a failure is reported and dropped.
 		var used []string
 		for _, c := range s.caches {
 			used = c.AppendUsed(used)
 		}
-		if err := s.store.WriteHint(used); err != nil {
-			s.cfg.Events.Emit(eventlog.LevelWarn, "service", "shutdown hint not written", eventlog.Ferr(err))
+		if err := s.store.Close(used...); err != nil {
+			s.cfg.Events.Emit(eventlog.LevelWarn, "service", "snapshot store close failed", eventlog.Ferr(err))
 		}
-		// Close flushes the writer queue; errors are best effort — the
-		// snapshots still live in this process's cache, only restart
-		// durability degraded.
-		_ = s.store.Close()
 	}
 }
 

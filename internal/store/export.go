@@ -63,7 +63,7 @@ func (s *Store) ExportManifest() Manifest {
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	for _, seq := range seqs {
-		if size := s.segments[seq]; size > 0 {
+		if size := s.segments[seq].size; size > 0 {
 			m.Segments = append(m.Segments, SegmentInfo{Seq: seq, Size: size})
 		}
 	}
@@ -85,7 +85,11 @@ func (s *Store) ReadSegment(gen uint64, seq, off, n int64) ([]byte, error) {
 		s.mu.Unlock()
 		return nil, ErrExportStale
 	}
-	size, ok := s.segments[seq]
+	var size int64
+	seg, ok := s.segments[seq]
+	if ok {
+		size = seg.size
+	}
 	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("store: export: unknown segment %d", seq)

@@ -86,7 +86,7 @@ func TestLoadVerifiesFrame(t *testing.T) {
 			path := filepath.Join(dir, segName(1))
 			// After the scan, so that the scan accepts what Load is to refuse.
 			if tc.damage != nil {
-				tc.damage(t, path, s.segments[1]/2)
+				tc.damage(t, path, s.segments[1].size/2)
 			}
 			inj.SetScript(tc.script)
 			blob, err := s.Load("fpA")
@@ -113,7 +113,7 @@ func TestLoadVerifiesFrame(t *testing.T) {
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.Truncate(filepath.Join(dir, segName(1)), s.segments[1]-9); err != nil {
+		if err := os.Truncate(filepath.Join(dir, segName(1)), s.segments[1].size-9); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.Load("fpA"); !ioError(err) {

@@ -211,9 +211,9 @@ func TestScanMatchesWholeFileReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if s.segments[seq] != prefix[i] || fi.Size() != prefix[i] {
+				if s.segments[seq].size != prefix[i] || fi.Size() != prefix[i] {
 					t.Errorf("segment %d: recorded %d bytes, %d on disk, reference keeps %d of %d",
-						seq, s.segments[seq], fi.Size(), prefix[i], len(log))
+						seq, s.segments[seq].size, fi.Size(), prefix[i], len(log))
 				}
 				onDisk += int64(len(log))
 			}
@@ -262,11 +262,11 @@ func FuzzScanSegment(f *testing.F) {
 		if err := opts.defaults(); err != nil {
 			t.Fatal(err)
 		}
-		s := &Store{opts: opts, fs: opts.FS, index: map[string]location{}, segments: map[int64]int64{}}
+		s := &Store{opts: opts, fs: opts.FS, index: map[string]location{}, segments: map[int64]*segment{}}
 		if err := s.scan(); err != nil {
 			t.Fatal(err)
 		}
-		end := s.segments[1]
+		end := s.segments[1].size
 		if fi, err := os.Stat(path); err != nil || fi.Size() != end || end > int64(len(data)) {
 			t.Fatalf("segment recorded at %d bytes of %d, on disk: %v (%v)", end, len(data), fi.Size(), err)
 		}
@@ -319,6 +319,7 @@ func TestScanReadErrorSealsSegment(t *testing.T) {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
+			dropCheckpoint(t, dir)
 			path := filepath.Join(dir, segName(1))
 			before, err := os.Stat(path)
 			if err != nil {
@@ -381,37 +382,65 @@ func TestScanReadErrorSealsSegment(t *testing.T) {
 // BenchmarkStoreScan is the layer bench of the startup scan: Open on
 // one ≈ 24 MB segment of 650 frames, 370 of them live — the log
 // restart_cycle reaches around its 150th cycle — and on one twice as
-// long with the same 370 records live. With -benchmem, B/op is the
-// window and the index: the same for both.
+// long with the same 370 records live. "scanned" opens the log with no
+// checkpoint beside it; with -benchmem, B/op is the window and the
+// index: the same for both lengths. "checkpointed" opens it behind the
+// checkpoint a clean Close left: nothing is scanned, and the cost is
+// the checkpoint's read and decode — the same for both lengths.
+// Reports ms/boot and scanned-B/boot.
 func BenchmarkStoreScan(b *testing.B) {
 	const keys = 370
 	echo := "3x5|bench"
 	for _, frames := range []int{650, 1300} {
-		b.Run(fmt.Sprintf("frames=%d", frames), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			var log []byte
-			for i := 0; i < frames; i++ {
-				log = append(log, fakeFrame(rng, fmt.Sprintf("fp%03d", i%keys), echo, 36<<10)...)
+		rng := rand.New(rand.NewSource(1))
+		var log []byte
+		for i := 0; i < frames; i++ {
+			log = append(log, fakeFrame(rng, fmt.Sprintf("fp%03d", i%keys), echo, 36<<10)...)
+		}
+		for _, checkpointed := range []bool{false, true} {
+			name := fmt.Sprintf("frames=%d/scanned", frames)
+			if checkpointed {
+				name = fmt.Sprintf("frames=%d/checkpointed", frames)
 			}
-			dir := b.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, segName(1)), log, 0o644); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(log)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s, err := Open(Options{Dir: dir, CfgEcho: echo})
-				if err != nil {
+			b.Run(name, func(b *testing.B) {
+				dir := b.TempDir()
+				if err := os.WriteFile(filepath.Join(dir, segName(1)), log, 0o644); err != nil {
 					b.Fatal(err)
 				}
-				b.StopTimer()
-				if st := s.Stats(); st.LiveRecords != keys || st.Loaded != uint64(frames) || st.Corrupted != 0 {
-					b.Fatalf("scan indexed %+v", st)
+				wantLoaded := uint64(frames)
+				if checkpointed {
+					wantLoaded = keys
+					s, err := Open(Options{Dir: dir, CfgEcho: echo})
+					if err != nil {
+						b.Fatal(err)
+					}
+					s.Close()
 				}
-				s.Close()
-				b.StartTimer()
-			}
-		})
+				var scanned int64
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					if !checkpointed {
+						_ = os.Remove(filepath.Join(dir, checkpointName)) // the last iteration's Close left one
+					}
+					b.StartTimer()
+					s, err := Open(Options{Dir: dir, CfgEcho: echo})
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StopTimer()
+					st := s.Stats()
+					scanned += st.ScanBytes
+					if st.LiveRecords != keys || st.Loaded != wantLoaded || st.Corrupted != 0 {
+						b.Fatalf("boot indexed %+v", st)
+					}
+					s.Close()
+					b.StartTimer()
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/boot")
+				b.ReportMetric(float64(scanned)/float64(b.N), "scanned-B/boot")
+			})
+		}
 	}
 }

@@ -4,15 +4,19 @@
 // digest, structural fingerprint, canonical permutation,
 // snapcodec-encoded snapshot) — are appended to numbered segment files
 // by a background writer, so persistence never blocks the refinement or
-// session-creation paths; a startup scan rebuilds the live-record
-// index, truncating each segment at its first corrupt record (a crash
-// mid-append, a torn page). The index keeps every live record's keys
-// and location and nothing of its snapshot: Walk yields the keys in
-// write order without touching the disk, so the service can
-// pre-populate all cache tiers with stubs, and Load reads one record's
-// still-encoded snapshot back when something first uses it — before the
-// node reports ready for what the previous life's shutdown hint
-// (hint.go) says is hot, on the first hit for the rest (DESIGN.md D19).
+// session-creation paths. The store keeps an index of every live
+// record's keys and location and nothing of its snapshot. Close leaves
+// that index beside the log as a checkpoint (checkpoint.go); Open
+// adopts it for the prefix of segments that still matches and scans
+// only what follows — after a clean shutdown, nothing — validating each
+// frame and truncating a segment at its first corrupt one (a crash
+// mid-append, a torn page). Without a usable checkpoint the scan reads
+// the whole log (DESIGN.md D22). Walk yields the keys in write order
+// without touching the disk, so the service can pre-populate all cache
+// tiers with stubs, and Load reads one record's still-encoded snapshot
+// back, verified, when something first uses it — before the node
+// reports ready for what the checkpoint's hot set names, on the first
+// hit for the rest (DESIGN.md D19).
 // Records whose configuration echo does not match the restoring service
 // are dead on arrival: config drift degrades to a cold start, never to
 // a wrong restore. Statistics drift is deliberately softer: each frame
@@ -54,6 +58,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -191,11 +196,18 @@ type Stats struct {
 	LiveBytes, DeadBytes int64
 	// Persisted counts records appended since open.
 	Persisted uint64
-	// Loaded counts the frames the startup scan accepted, superseded
-	// ones included (LiveRecords is the number of records).
+	// Loaded counts the records adopted from the checkpoint plus the
+	// frames the startup scan accepted, superseded ones included
+	// (LiveRecords is the number of records).
 	Loaded uint64
+	// AdoptedSegments and AdoptedRecords are what Open took over from
+	// the checkpoint instead of scanning: the segments of the prefix
+	// that still matched it, and the live records located in them.
+	AdoptedSegments, AdoptedRecords int
 	// ScanBytes and ScanTotal are what the startup scan read from the
-	// segments and how long it took, directory listing to last frame.
+	// segments — 0 after a clean shutdown, when the checkpoint covers
+	// the whole log — and how long Open took from the directory listing
+	// to the last frame, checkpoint included.
 	ScanBytes int64
 	ScanTotal time.Duration `json:"ScanTotalNs"`
 	// Rejected counts scanned records refused for a configuration-echo
@@ -260,6 +272,19 @@ type location struct {
 	perm              []int
 }
 
+// segment is what the store knows of one segment file: the length of
+// its verified prefix, the header of the frame that ends there, and a
+// tally of the frames in that prefix a scan counts but the index does
+// not point at — so a boot that adopts the segment from the checkpoint
+// reports the Stats a scan of it would.
+type segment struct {
+	size     int64
+	lastHdr  [frameHeaderLen]byte // zero while size is 0
+	tombs    uint64               // tombstone frames
+	rejected uint64               // frames of another config echo or codec version
+	maxEpoch uint64               // newest statistics-epoch label of an accepted record
+}
+
 // Store is the disk-backed snapshot store. Open one per directory;
 // Put/Load/Flush/Stats are safe for concurrent use. Close flushes and
 // stops the writer.
@@ -277,11 +302,12 @@ type Store struct {
 	idxMu sync.Mutex
 	index map[string]location
 
-	nextOrder uint64          // next (re)write stamp
-	segments  map[int64]int64 // segment seq → byte size
-	active    int64           // active segment seq
-	file      faultfs.File    // active segment, owned by the writer
-	maxEpoch  uint64          // newest statistics-epoch label seen
+	nextOrder uint64             // next (re)write stamp
+	segments  map[int64]*segment // by segment seq
+	active    int64              // active segment seq
+	file      faultfs.File       // active segment, owned by the writer
+	maxEpoch  uint64             // newest statistics-epoch label seen
+	hot       []string           // the checkpoint's hot set, read by Open
 	stats     Stats
 	closed    bool
 
@@ -344,10 +370,11 @@ const frameHeaderLen = 8
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Open scans the directory's segments, rebuilds the live-record index
-// and starts the background writer. Corrupt segment tails are
-// truncated in place; a corrupt or unreadable directory entry is never
-// fatal (the contract is "degrade to cold start, never fail startup").
+// Open rebuilds the live-record index — adopted from the checkpoint as
+// far as it still matches the segments, scanned from there on — and
+// starts the background writer. Corrupt segment tails are truncated in
+// place; a corrupt or unreadable directory entry is never fatal (the
+// contract is "degrade to cold start, never fail startup").
 func Open(opts Options) (*Store, error) {
 	if err := opts.defaults(); err != nil {
 		return nil, err
@@ -359,7 +386,7 @@ func Open(opts Options) (*Store, error) {
 		opts:       opts,
 		fs:         opts.FS,
 		index:      map[string]location{},
-		segments:   map[int64]int64{},
+		segments:   map[int64]*segment{},
 		queue:      make(chan writeReq, opts.QueueDepth),
 		done:       make(chan struct{}),
 		appendHist: metrics.NewDuration(1),
@@ -376,6 +403,7 @@ func Open(opts Options) (*Store, error) {
 		eventlog.F("dir", opts.Dir),
 		eventlog.Fint("segments", int64(len(s.segments))),
 		eventlog.Fint("live_records", int64(len(s.index))),
+		eventlog.Fint("adopted_segments", int64(s.stats.AdoptedSegments)),
 		eventlog.Fint("corrupted", int64(s.stats.Corrupted)),
 		eventlog.Fint("tombstones", int64(s.stats.Tombstones)))
 	go s.writer()
@@ -400,10 +428,11 @@ func segSeq(name string) (int64, bool) {
 // page-faulting the buffer in).
 const scanWindowSize = 1 << 20
 
-// scan reads every segment in sequence order, validating frames and
-// building the index. The first bad frame of a segment truncates the
-// file there; later segments still load (each record is
-// self-contained, and later segments hold strictly newer records).
+// scan adopts what the checkpoint still describes and reads every
+// segment after it in sequence order, validating frames and building
+// the index. The first bad frame of a segment truncates the file there;
+// later segments still load (each record is self-contained, and later
+// segments hold strictly newer records).
 func (s *Store) scan() error {
 	t0 := time.Now()
 	entries, err := s.fs.ReadDir(s.opts.Dir)
@@ -418,31 +447,39 @@ func (s *Store) scan() error {
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	s.active = 1
+	next, from := s.adopt(seqs)
 	var w scanWindow
-	for _, seq := range seqs {
+	for _, seq := range seqs[next:] {
 		// The writer continues in the newest segment only if the scan
 		// knows exactly where that file ends.
 		s.active = seq
-		if !s.scanSegment(seq, &w) {
+		if !s.scanSegment(seq, from, &w) {
 			s.active = seq + 1
 		}
+		from = 0
 	}
 	s.stats.ScanBytes = w.read
 	s.stats.ScanTotal = time.Since(t0)
 	return nil
 }
 
-// scanSegment indexes one segment file and reports whether the file now
+// scanSegment indexes one segment file from offset from on (the end of
+// what the checkpoint covered, or 0) and reports whether the file now
 // ends where its recorded size says — what appending to it requires. A
 // corrupt or torn frame truncates the file there. A read error is not
 // corruption: the frames verified before it stay indexed, the file is
 // left alone for a later boot to read, and the segment is not
 // appendable — its real length is unknown, and a record appended to it
 // would be indexed at the wrong offset. Neither fails the open.
-func (s *Store) scanSegment(seq int64, w *scanWindow) (appendable bool) {
+func (s *Store) scanSegment(seq, from int64, w *scanWindow) (appendable bool) {
 	path := filepath.Join(s.opts.Dir, segName(seq))
-	off, size, err := s.indexFrames(seq, path, w)
-	s.segments[seq] = off
+	seg := s.segments[seq]
+	if seg == nil {
+		seg = &segment{}
+		s.segments[seq] = seg
+	}
+	off, size, err := s.indexFrames(seq, from, path, w)
+	seg.size = off
 	if err != nil {
 		s.stats.Corrupted++
 		return false
@@ -461,21 +498,22 @@ func (s *Store) scanSegment(seq int64, w *scanWindow) (appendable bool) {
 }
 
 // indexFrames applies the per-frame rules to one segment in file order
-// — whole frame inside the file, CRC32C over the payload, payload
-// parses — and indexes each frame that passes, up to the first that
-// does not or the first read error. It returns the end of the last good
-// frame and the file's size.
-func (s *Store) indexFrames(seq int64, path string, w *scanWindow) (off, size int64, err error) {
+// from offset off on — whole frame inside the file, CRC32C over the
+// payload, payload parses — and indexes each frame that passes, up to
+// the first that does not or the first read error. It returns the end
+// of the last good frame and the file's size.
+func (s *Store) indexFrames(seq, off int64, path string, w *scanWindow) (int64, int64, error) {
 	f, err := s.fs.Open(path)
 	if err != nil {
-		return 0, 0, err
+		return off, 0, err
 	}
 	defer f.Close()
 	info, err := f.Stat()
 	if err != nil {
-		return 0, 0, err
+		return off, 0, err
 	}
-	size = info.Size()
+	size := info.Size()
+	seg := s.segments[seq]
 	w.reset(f, size)
 	for size-off >= frameHeaderLen {
 		hdr, err := w.bytes(off, frameHeaderLen)
@@ -499,15 +537,32 @@ func (s *Store) indexFrames(seq int64, path string, w *scanWindow) (off, size in
 		if !ok {
 			break
 		}
-		s.indexFrame(rec, cfgEcho, blob, location{seg: seq, off: off, size: end - off})
+		switch s.indexFrame(rec, cfgEcho, blob, location{seg: seq, off: off, size: end - off}) {
+		case frameLive:
+			s.stats.Loaded++
+		case frameKilled:
+			s.stats.Loaded--
+		}
+		copy(seg.lastHdr[:], frame)
 		off = end
 	}
 	return off, size, nil
 }
 
+// What indexFrame did with a frame.
+const (
+	frameDead   = iota // a rejected record, or a tombstone with nothing to kill
+	frameLive          // a record now live
+	frameKilled        // a tombstone that dropped a live record
+)
+
 // indexFrame classifies one verified frame found at loc — tombstone,
-// foreign record or live record — and updates the index and counters.
-func (s *Store) indexFrame(rec Record, cfgEcho string, blob []byte, loc location) {
+// foreign record or live record — and updates the index, the segment's
+// tally and the counters. The scan and the writer's appends both go
+// through it, so the index a life ends with is the one a scan of its
+// log would build.
+func (s *Store) indexFrame(rec Record, cfgEcho string, blob []byte, loc location) int {
+	seg := s.segments[loc.seg]
 	switch {
 	case len(blob) == 0:
 		// Quarantine tombstone: the fingerprint's earlier records are
@@ -516,22 +571,26 @@ func (s *Store) indexFrame(rec Record, cfgEcho string, blob []byte, loc location
 		// change (D14: monotonic). A record scanned *after* the
 		// tombstone is a fresh post-quarantine re-export and loads
 		// normally.
+		seg.tombs++
 		s.stats.Tombstones++
 		s.stats.DeadBytes += loc.size
 		if s.unindex(rec.FP) {
-			s.stats.Loaded--
+			return frameKilled
 		}
 	case cfgEcho != s.opts.CfgEcho || !snapcodec.CompatibleHeader(blob):
 		// A different optimizer configuration or a different
 		// binary's wire format wrote this record; it can never
 		// restore here. Marking it dead (not live) keeps the
 		// Loaded count honest and lets compaction reclaim it.
+		seg.rejected++
 		s.stats.Rejected++
 		s.stats.DeadBytes += loc.size
 	default:
+		seg.maxEpoch = max(seg.maxEpoch, rec.StatsEpoch)
 		s.indexRecord(rec, loc)
-		s.stats.Loaded++
+		return frameLive
 	}
+	return frameDead
 }
 
 // scanWindow is the scan's forward-only view of a segment file:
@@ -789,7 +848,10 @@ func (s *Store) Load(fp string) ([]byte, error) {
 }
 
 // readSnapshot reads the frame at loc and returns its snapshot blob if
-// the frame is whole, CRC-clean and fp's.
+// the frame is whole, CRC-clean, fp's and carries the keys the index
+// holds for it — which came from this frame's scan or append, or from
+// the checkpoint (D22): a checkpoint cannot make Walk's keys and Load's
+// snapshot disagree.
 func (s *Store) readSnapshot(fp string, loc location) ([]byte, error) {
 	name := segName(loc.seg)
 	f, err := s.fs.Open(filepath.Join(s.opts.Dir, name))
@@ -806,7 +868,8 @@ func (s *Store) readSnapshot(fp string, loc location) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s@%d: frame length or checksum", ErrCorrupt, name, loc.off)
 	}
 	rec, _, blob, ok := parseFrame(payload)
-	if !ok || rec.FP != fp || len(blob) == 0 {
+	if !ok || rec.FP != fp || len(blob) == 0 || rec.CanonFP != loc.canonFp || rec.StructFP != loc.structFp ||
+		rec.StatsEpoch != loc.epoch || !slices.Equal(rec.Perm, loc.perm) {
 		return nil, fmt.Errorf("%w: %s@%d: not a record of %q", ErrCorrupt, name, loc.off, fp)
 	}
 	return blob, nil
@@ -913,9 +976,14 @@ func (s *Store) Flush() error {
 	}
 }
 
-// Close flushes pending writes and stops the writer. The store is
-// unusable afterwards.
-func (s *Store) Close() error {
+// Close flushes pending writes, stops the writer and leaves the
+// checkpoint: the index as it stands after the final flush, with hot
+// (the fingerprints this life used, most recently used first) as the
+// next life's hot set. A store that is degraded or whose final flush
+// failed writes no checkpoint; the previous one, if any, still
+// describes a prefix of the log and stays. The store is unusable
+// afterwards.
+func (s *Store) Close(hot ...string) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -932,9 +1000,23 @@ func (s *Store) Close() error {
 		}
 		s.file = nil
 	}
+	var cp []byte
+	if err == nil && !s.degraded {
+		cp = s.encodeCheckpointLocked(hot)
+	}
 	s.mu.Unlock()
+	if cp != nil {
+		err = s.writeCheckpoint(cp)
+	}
 	return err
 }
+
+// Hot returns the hot set of the checkpoint Open read, in the order the
+// previous life's Close got it, or nil when there was no usable
+// checkpoint. The fingerprints are not checked against the index: the
+// caller applies them to the records Walk yields, so dead names fall
+// away there.
+func (s *Store) Hot() []string { return s.hot }
 
 // Instruments returns the store's histograms — record-append latency,
 // fsync latency, and the writer backlog sampled at each Put — for
@@ -1055,7 +1137,8 @@ func (s *Store) append(rec Record, tomb bool) {
 		emit = s.noteIOFailureLocked()
 		return
 	}
-	off := s.segments[s.active]
+	seg := s.segments[s.active]
+	off := seg.size
 	if _, err := s.file.Write(frame); err != nil {
 		s.stats.WriteErrors++
 		// The segment tail may now hold a torn frame. The next startup
@@ -1072,21 +1155,20 @@ func (s *Store) append(rec Record, tomb bool) {
 		if terr := s.fs.Truncate(filepath.Join(s.opts.Dir, segName(s.active)), off); terr != nil {
 			s.stats.WriteErrors++
 		}
-		s.segments[s.active] = off
+		seg.size = off
 		s.active++
 		emit = s.noteIOFailureLocked()
 		return
 	}
 	emit = s.noteIOSuccessLocked()
-	s.segments[s.active] = off + int64(len(frame))
-	if tomb {
-		// The tombstone's own bytes are dead by definition; the live
-		// record it supersedes was already removed by Quarantine.
-		s.stats.Tombstones++
-		s.stats.DeadBytes += int64(len(frame))
-	} else {
-		rec.StatsEpoch = rec.Snap.StatsEpoch()
-		s.indexRecord(rec, location{seg: s.active, off: off, size: int64(len(frame))})
+	seg.size = off + int64(len(frame))
+	copy(seg.lastHdr[:], frame)
+	// Classified as the scan will: a tombstone's own bytes are dead (the
+	// record it supersedes was already unindexed by Quarantine), and so
+	// is a record of another configuration.
+	rec, cfgEcho, blob, _ := parseFrame(frame[frameHeaderLen:])
+	s.indexFrame(rec, cfgEcho, blob, location{seg: s.active, off: off, size: int64(len(frame))})
+	if !tomb {
 		s.stats.Persisted++
 	}
 	s.maybeCompactLocked()
@@ -1155,7 +1237,7 @@ func (s *Store) jitterLocked(d time.Duration) time.Duration {
 // ensureActiveLocked opens the active segment, rolling to a new one if
 // the next frame would push it past MaxSegmentBytes.
 func (s *Store) ensureActiveLocked(next int64) error {
-	if s.file != nil && s.segments[s.active]+next > s.opts.MaxSegmentBytes && s.segments[s.active] > 0 {
+	if s.file != nil && s.segments[s.active].size+next > s.opts.MaxSegmentBytes && s.segments[s.active].size > 0 {
 		// Sync before retiring the segment: Flush only ever syncs the
 		// active file, so without this a rolled segment's frames could
 		// sit in the page cache past a flush ack and be lost to a
@@ -1175,7 +1257,7 @@ func (s *Store) ensureActiveLocked(next int64) error {
 		}
 		s.file = f
 		if _, ok := s.segments[s.active]; !ok {
-			s.segments[s.active] = 0
+			s.segments[s.active] = &segment{}
 		}
 	}
 	return nil
@@ -1249,7 +1331,8 @@ func (s *Store) maybeCompactLocked() {
 		}
 	}()
 	newIndex := make(map[string]location, len(s.index))
-	newOff := int64(0)
+	compacted := &segment{}
+	var frame []byte
 	for _, l := range s.liveInOrder() {
 		loc := l.loc
 		f, ok := readers[loc.seg]
@@ -1260,14 +1343,20 @@ func (s *Store) maybeCompactLocked() {
 			}
 			readers[loc.seg] = f
 		}
-		if _, err = io.Copy(out, io.NewSectionReader(f, loc.off, loc.size)); err != nil {
+		frame = slices.Grow(frame[:0], int(loc.size))[:loc.size]
+		if _, err = f.ReadAt(frame, loc.off); err != nil {
+			break
+		}
+		if _, err = out.Write(frame); err != nil {
 			break
 		}
 		// Only the address changes: the write stamp carries over, so
 		// compaction leaves the walk order alone, and so do the keys.
-		loc.seg, loc.off = newSeq, newOff
+		loc.seg, loc.off = newSeq, compacted.size
 		newIndex[l.fp] = loc
-		newOff += loc.size
+		compacted.size += loc.size
+		copy(compacted.lastHdr[:], frame)
+		compacted.maxEpoch = max(compacted.maxEpoch, loc.epoch)
 	}
 	if err == nil {
 		err = out.Sync()
@@ -1291,9 +1380,9 @@ func (s *Store) maybeCompactLocked() {
 	s.idxMu.Lock()
 	s.index = newIndex
 	s.idxMu.Unlock()
-	s.segments = map[int64]int64{newSeq: newOff}
+	s.segments = map[int64]*segment{newSeq: compacted}
 	s.active = newSeq
-	s.stats.LiveBytes = newOff
+	s.stats.LiveBytes = compacted.size
 	s.stats.DeadBytes = 0
 	s.stats.Compactions++
 	// Old segment bytes are about to disappear; invalidate every

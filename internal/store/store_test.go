@@ -67,6 +67,16 @@ func openTestStore(t *testing.T, dir string, mutate func(*Options)) *Store {
 	return s
 }
 
+// dropCheckpoint deletes the checkpoint the last Close left, so the next
+// Open scans the whole log: what a test of the scan's own rules needs
+// (TestCheckpointFaultMatrix covers damage behind a checkpoint).
+func dropCheckpoint(t *testing.T, dir string) {
+	t.Helper()
+	if err := os.Remove(filepath.Join(dir, checkpointName)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // replayAll drains the store's live records into a map.
 func replayAll(t *testing.T, s *Store) map[string]Record {
 	t.Helper()
@@ -154,17 +164,13 @@ func TestStoreSupersedeAndCompact(t *testing.T) {
 	// On-disk state must match: compaction deleted the superseded
 	// segments (only post-compaction ones remain) and a reopen loads
 	// the live records plus at most the post-compaction supersedes.
-	entries, err := os.ReadDir(dir)
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.moqs"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != st.Segments {
-		var names []string
-		for _, e := range entries {
-			names = append(names, e.Name())
-		}
-		sort.Strings(names)
-		t.Fatalf("directory has %d segments, stats say %d: %v", len(entries), st.Segments, names)
+	if len(segs) != st.Segments {
+		sort.Strings(segs)
+		t.Fatalf("directory has %d segments, stats say %d: %v", len(segs), st.Segments, segs)
 	}
 	re := openTestStore(t, dir, nil)
 	defer re.Close()
@@ -224,6 +230,7 @@ func TestStoreCorruptionTruncates(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	dropCheckpoint(t, dir)
 
 	re := openTestStore(t, dir, nil)
 	defer re.Close()
@@ -326,7 +333,9 @@ func TestStoreRejectsForeignFormatVersion(t *testing.T) {
 	}
 	// Rewrite the record as if a future binary had written it: bump the
 	// version inside the snapshot blob and reseal both checksums, so
-	// only the version gate can reject it.
+	// only the version gate can reject it. That binary leaves no
+	// checkpoint this one reads.
+	dropCheckpoint(t, dir)
 	path := filepath.Join(dir, segName(1))
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -373,6 +382,8 @@ func TestStoreBootsColdOnPreviousVersion(t *testing.T) {
 	}
 	// Stamp every frame's snapshot blob with the previous version and
 	// reseal both checksums; the scan gate reads no further than that.
+	// The previous version left no checkpoint.
+	dropCheckpoint(t, dir)
 	path := filepath.Join(dir, segName(1))
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -6,14 +6,17 @@
 # restart tests: no shutdown path runs, so whatever the background
 # writer managed to append is all the restart gets — and it must be
 # either absent or correct, never wrong. The second half pins the
-# shutdown hint and the store as the cache's cold tier (DESIGN.md D19):
-# the killed life left no hint, so the survivor boots with its records
-# still on disk — nothing read back, nothing decoded — and the warm
-# session pays one store read and one decode on its first hit; after a
-# SIGTERM the next life finds a hint, reads and decodes before it is
+# boot checkpoint and the store as the cache's cold tier (DESIGN.md D19,
+# D22): the killed life left no checkpoint, so the survivor scans the
+# log and boots with its records still on disk — nothing read back,
+# nothing decoded — and the warm session pays one store read and one
+# decode on its first hit; after a SIGTERM the next life adopts the
+# checkpoint, scans nothing, reads and decodes its hot set before it is
 # ready, and the same session pays nothing — with the same frontier both
-# times. CI runs this (see
-# .github/workflows/ci.yml); it only needs curl + jq.
+# times. Finally that life writes one new query through and is killed:
+# the next boot adopts the checkpoint and scans only the tail the killed
+# life appended, and both queries start warm with their frontiers. CI
+# runs this (see .github/workflows/ci.yml); it only needs curl + jq.
 set -euo pipefail
 
 ADDR="${ADDR:-127.0.0.1:18081}"
@@ -117,22 +120,28 @@ require 'moqod_store_reads_total{when="hit"}' -eq 0
 require 'moqod_cache_decodes_total{when="boot"}' -eq 0
 require 'moqod_cache_decodes_total{when="hit"}' -eq 0
 
-# check_warm LABEL: the reference query must start warm and converge to
-# the byte-identical pre-crash frontier.
+# check_warm LABEL [BLOCK FRONTIER]: the query (default: the reference
+# query) must start warm and converge to the byte-identical frontier it
+# had before the restart.
 check_warm() {
-    local warm warm_frontier
-    warm=$(drive Q4)
+    local block="${2:-Q4}" want="${3:-$ref_frontier}" warm warm_frontier
+    warm=$(drive "$block")
     if [ "$(printf '%s' "$warm" | jq -re '.warm')" != "true" ]; then
-        echo "chaos_smoke: $1: server did not warm-start the reference query" >&2
+        echo "chaos_smoke: $1: server did not warm-start $block" >&2
         exit 1
     fi
     warm_frontier=$(printf '%s' "$warm" | jq -S '[.frontier[] | {plan, cost}] | sort_by(.plan)')
-    if [ "$warm_frontier" != "$ref_frontier" ]; then
-        echo "chaos_smoke: $1: warm frontier diverges from the pre-crash reference" >&2
-        diff <(printf '%s\n' "$ref_frontier") <(printf '%s\n' "$warm_frontier") >&2 || true
+    if [ "$warm_frontier" != "$want" ]; then
+        echo "chaos_smoke: $1: warm frontier of $block diverges from its pre-restart one" >&2
+        diff <(printf '%s\n' "$want") <(printf '%s\n' "$warm_frontier") >&2 || true
         exit 1
     fi
-    echo "chaos_smoke: $1: warm frontier matches the pre-crash reference"
+    echo "chaos_smoke: $1: warm frontier of $block matches its pre-restart one"
+}
+
+# scanned: the bytes this life's boot read from the segments.
+scanned() {
+    curl -fsS "http://$ADDR/statz" | jq -re '.Store.ScanBytes'
 }
 
 check_warm "after SIGKILL"
@@ -142,14 +151,47 @@ require 'moqod_store_reads_total{when="hit"}' -eq 1
 require 'moqod_cache_decodes_total{when="hit"}' -eq 1
 require moqod_store_read_errors_total -eq 0
 
-# Graceful stop: the drain writes the hint naming what this life used.
+# Graceful stop: Close leaves the checkpoint — the index and the hot
+# set, what this life used.
 kill -TERM "$MOQOD"
 wait "$MOQOD" 2>/dev/null || true
 start_moqod
+if [ "$(scanned)" -ne 0 ]; then
+    echo "chaos_smoke: the boot after SIGTERM scanned $(scanned) bytes, want 0" >&2
+    exit 1
+fi
 require 'moqod_store_reads_total{when="boot"}' -ge 1
 require 'moqod_cache_decodes_total{when="boot"}' -ge 1
 check_warm "after SIGTERM"
 # Read and decoded before ready: the same session does neither.
 require 'moqod_store_reads_total{when="hit"}' -eq 0
 require 'moqod_cache_decodes_total{when="hit"}' -eq 0
+
+# A new query writes through behind the checkpoint; then the plug.
+new=$(drive Q10)
+new_frontier=$(printf '%s' "$new" | jq -S '[.frontier[] | {plan, cost}] | sort_by(.plan)')
+persisted=0
+for _ in $(seq 1 100); do
+    persisted=$(curl -fsS "http://$ADDR/statz" | jq -re '.Store.Persisted')
+    [ "$persisted" -ge 1 ] && break
+    sleep 0.1
+done
+if [ "$persisted" -lt 1 ]; then
+    echo "chaos_smoke: store never persisted the new query" >&2
+    exit 1
+fi
+kill -9 "$MOQOD"
+wait "$MOQOD" 2>/dev/null || true
+echo "chaos_smoke: SIGKILLed moqod after a write-through behind the checkpoint"
+
+start_moqod
+log_bytes=$(cat "$DIR"/seg-*.moqs | wc -c)
+tail_bytes=$(scanned)
+if [ "$tail_bytes" -le 0 ] || [ "$tail_bytes" -ge "$log_bytes" ]; then
+    echo "chaos_smoke: the boot scanned $tail_bytes of $log_bytes log bytes, want only the tail" >&2
+    exit 1
+fi
+echo "chaos_smoke: the boot scanned the $tail_bytes-byte tail of a $log_bytes-byte log"
+check_warm "after the tail scan"
+check_warm "after the tail scan" Q10 "$new_frontier"
 echo "chaos_smoke: OK"
