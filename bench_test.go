@@ -17,16 +17,12 @@ package repro
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/harness"
-	"repro/internal/service"
 	"repro/internal/workload"
 )
 
@@ -255,369 +251,5 @@ func BenchmarkDensitySweep(b *testing.B) {
 				b.ReportMetric(osNS/iamaNS, "os/iama")
 			}
 		})
-	}
-}
-
-// benchServiceSessions drives `sessions` concurrent anytime-optimization
-// sessions through the multi-tenant service to target precision and
-// reports throughput plus frontier-poll latency percentiles. With
-// warmCache, every query shape is pre-converged once before the timed
-// loop so all sessions hit the warm-start cache; without it the cache
-// is disabled entirely.
-func benchServiceSessions(b *testing.B, sessions int, warmCache bool) {
-	b.Helper()
-	b.ReportAllocs()
-	blocks := workload.MustTPCHBlocks(1)
-	// Workload spec shared with cmd/benchjson (harness.ServiceBench*),
-	// so BENCH_core.json records the same benchmark.
-	names := harness.ServiceBenchNames()
-	svc, err := service.New(harness.ServiceBenchConfig(warmCache))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer svc.Shutdown()
-
-	// WaitTarget blocks on the service's step-completion broadcast, so
-	// neither the warm-up nor the timed sessions burn worker cycles in
-	// a poll loop (they used to spin on Poll at 50µs intervals, which
-	// both wasted a core and perturbed the latency percentiles).
-	if warmCache {
-		for _, name := range names {
-			blk, _ := workload.Find(blocks, name)
-			id, err := svc.Create(blk.Query)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := svc.WaitTarget(id); err != nil {
-				b.Fatal(err)
-			}
-			if err := svc.Close(id); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-
-	driveServiceSessions(b, svc, blocks, names, sessions, warmCache)
-}
-
-// driveServiceSessions is the shared timed loop of the service
-// benchmarks: b.N batches of `sessions` concurrent create→converge→
-// close session lifecycles over the caller's workload mix.
-func driveServiceSessions(b *testing.B, svc *service.Service, blocks []workload.Block, names []string, sessions int, warmCache bool) {
-	b.Helper()
-	var mu sync.Mutex
-	var pollLats, firstLats []time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		errs := make(chan error, sessions)
-		for s := 0; s < sessions; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				blk, _ := workload.Find(blocks, names[s%len(names)])
-				id, err := svc.Create(blk.Query)
-				if err != nil {
-					errs <- err
-					return
-				}
-				pollStart := time.Now()
-				st, err := svc.WaitTarget(id)
-				pollLat := time.Since(pollStart)
-				if err != nil {
-					errs <- err
-					return
-				}
-				mu.Lock()
-				pollLats = append(pollLats, pollLat)
-				firstLats = append(firstLats, st.FirstFrontier)
-				mu.Unlock()
-				errs <- svc.Close(id)
-			}(s)
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.StopTimer()
-	total := float64(b.N * sessions)
-	b.ReportMetric(total/b.Elapsed().Seconds(), "sessions/sec")
-	b.ReportMetric(float64(harness.Percentile(firstLats, 0.95).Nanoseconds()), "p95-first-frontier-ns")
-	b.ReportMetric(float64(harness.Percentile(pollLats, 0.95).Nanoseconds()), "p95-converge-ns")
-	if warmCache {
-		st := svc.Stats()
-		b.ReportMetric(float64(st.Cache.Hits), "cache-hits")
-	}
-}
-
-// BenchmarkServiceSessions measures multi-tenant service throughput and
-// p95 latency at 1, 8 and 64 concurrent sessions, with and without the
-// warm-start plan cache (the ROADMAP's serve-many-users direction).
-func BenchmarkServiceSessions(b *testing.B) {
-	for _, n := range []int{1, 8, 64} {
-		for _, warm := range []bool{false, true} {
-			label := "cold"
-			if warm {
-				label = "warm"
-			}
-			b.Run(fmt.Sprintf("sessions=%d/%s", n, label), func(b *testing.B) {
-				benchServiceSessions(b, n, warm)
-			})
-		}
-	}
-}
-
-// benchServiceIsomorphic measures the cross-shape warm-start tier on a
-// workload with zero exact repeats and 100% shape repeats: every
-// session optimizes a distinct table-ID-permuted variant of one base
-// block. Three modes bound the result:
-//
-//	iso    cache warmed with the base variant only — every session is
-//	       an isomorphic (canonical-tier) hit restored via remap;
-//	exact  the driven variants themselves pre-converged — every
-//	       session is an exact-tier hit (the warm upper bound);
-//	cold   cache disabled (the lower bound).
-//
-// The acceptance target is iso within 2x of exact and ≥5x over cold.
-func benchServiceIsomorphic(b *testing.B, sessions int, mode string) {
-	b.Helper()
-	b.ReportAllocs()
-	pool, err := harness.ServiceIsoBenchPool()
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := harness.ServiceBenchIsoConfig()
-	if mode == "cold" {
-		cfg = harness.ServiceBenchConfig(false)
-	}
-	newSvc := func() *service.Service {
-		svc, err := service.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		switch mode {
-		case "iso":
-			// Warm only the base: the canonical tier serves the rest.
-			if err := harness.ConvergeOnce(svc, pool[0].Query); err != nil {
-				b.Fatal(err)
-			}
-		case "exact":
-			// Pre-converge exactly the variants the timed loop drives.
-			if _, _, err := harness.DriveIsoSessions(svc, pool, 0, sessions); err != nil {
-				b.Fatal(err)
-			}
-		case "cold":
-		default:
-			b.Fatalf("unknown mode %q", mode)
-		}
-		return svc
-	}
-	svc := newSvc()
-	defer func() { svc.Shutdown() }()
-	var exactHits, isoHits, isoStarts uint64
-	var remapNS time.Duration
-	account := func(svc *service.Service) {
-		st := svc.Stats()
-		exactHits += st.Cache.ExactHits
-		isoHits += st.Cache.IsoHits
-		isoStarts += st.IsoWarmStarts
-		remapNS += st.RemapTotal
-	}
-	warmupHits := svc.Stats().Cache // exclude the warm-up drive's hits
-	cursor := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		start := cursor
-		if mode == "exact" {
-			start = 0 // repeat the pre-converged slice: all exact hits
-		} else if cursor+sessions > len(pool)-1 {
-			// The variant pool would wrap and earlier variants would hit
-			// the exact tier, corrupting the "zero exact repeats"
-			// premise under go test's adaptive b.N. Restart from a
-			// fresh service (and cursor) outside the timed region.
-			b.StopTimer()
-			account(svc)
-			exactHits -= warmupHits.ExactHits // warm-up drives repeat per service
-			isoHits -= warmupHits.IsoHits
-			svc.Shutdown()
-			svc = newSvc()
-			cursor, start = 0, 0
-			b.StartTimer()
-		}
-		next, _, err := harness.DriveIsoSessions(svc, pool, start, sessions)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cursor = next
-	}
-	b.StopTimer()
-	account(svc)
-	exactHits -= warmupHits.ExactHits
-	isoHits -= warmupHits.IsoHits
-	total := float64(b.N * sessions)
-	b.ReportMetric(total/b.Elapsed().Seconds(), "sessions/sec")
-	b.ReportMetric(float64(exactHits)/float64(b.N), "exact-hits/op")
-	b.ReportMetric(float64(isoHits)/float64(b.N), "iso-hits/op")
-	if isoStarts > 0 {
-		b.ReportMetric(float64(remapNS.Nanoseconds())/float64(isoStarts), "remap-ns/hit")
-	}
-}
-
-// BenchmarkServiceIsomorphic measures warm-start throughput when no
-// query ever repeats exactly but every query's shape repeats — the
-// fleet-scale pattern the canonical cache tier exists for (ROADMAP
-// "Cross-shape cache reuse").
-func BenchmarkServiceIsomorphic(b *testing.B) {
-	for _, mode := range []string{"iso", "exact", "cold"} {
-		b.Run(fmt.Sprintf("sessions=64/%s", mode), func(b *testing.B) {
-			benchServiceIsomorphic(b, 64, mode)
-		})
-	}
-}
-
-// benchServiceRestart measures the restart-heavy scenario the snapshot
-// store exists for: every iteration tears the service down and
-// rebuilds it before driving a batch of sessions. Three modes bound
-// the result:
-//
-//	cold  rebuilt with no store — every restart pays the cold-start
-//	      cliff (the lower bound);
-//	disk  rebuilt on a pre-warmed store directory — the replay
-//	      pre-populates the cache, so sessions warm-start across the
-//	      restart;
-//	mem   never restarted, cache in memory (the upper bound).
-//
-// The acceptance target is disk first-frontier p95 within 2x of mem
-// and ≥5x better than cold.
-func benchServiceRestart(b *testing.B, sessions int, mode string) {
-	b.Helper()
-	b.ReportAllocs()
-	blocks := workload.MustTPCHBlocks(1)
-	names := harness.ServiceBenchNames()
-	var dir string
-	newSvc := func() *service.Service {
-		cfg := harness.ServiceBenchConfig(mode == "mem")
-		if mode == "disk" {
-			cfg = harness.ServiceBenchPersistConfig(dir)
-		}
-		svc, err := service.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return svc
-	}
-	var memSvc *service.Service
-	switch mode {
-	case "disk":
-		dir = b.TempDir()
-		if err := harness.WarmPersistStore(dir); err != nil {
-			b.Fatal(err)
-		}
-	case "mem":
-		memSvc = newSvc()
-		defer memSvc.Shutdown()
-		for _, name := range names {
-			blk, _ := workload.Find(blocks, name)
-			if err := harness.ConvergeOnce(memSvc, blk.Query); err != nil {
-				b.Fatal(err)
-			}
-		}
-	case "cold":
-	default:
-		b.Fatalf("unknown mode %q", mode)
-	}
-	var firstLats []time.Duration
-	var replayed uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		svc := memSvc
-		if svc == nil {
-			svc = newSvc() // the restart under measurement (incl. replay)
-		}
-		// Collect the previous iteration's garbage (torn-down service,
-		// replay buffers, finished sessions) before the drive, so the
-		// latency percentiles measure serving, not a GC sweep landing
-		// mid-batch on a single-core host and smearing the tail. All
-		// three modes pay the same collection point.
-		runtime.GC()
-		_, firsts, err := harness.DriveSessionsFF(svc, blocks, names, sessions)
-		if err != nil {
-			b.Fatal(err)
-		}
-		firstLats = append(firstLats, firsts...)
-		if svc != memSvc {
-			replayed += svc.Stats().Store.Loaded
-			svc.Shutdown()
-		}
-	}
-	b.StopTimer()
-	total := float64(b.N * sessions)
-	b.ReportMetric(total/b.Elapsed().Seconds(), "sessions/sec")
-	b.ReportMetric(float64(harness.Percentile(firstLats, 0.95).Nanoseconds()), "p95-first-frontier-ns")
-	b.ReportMetric(float64(replayed)/float64(b.N), "replayed/op")
-}
-
-// BenchmarkServiceRestart measures first-frontier latency and
-// throughput when the service restarts between session batches, with
-// the warm-start cache rebuilt from the persistent snapshot store
-// versus cold restarts and a never-restarted in-memory-warm control
-// (ROADMAP "Persistent warm-start cache").
-func BenchmarkServiceRestart(b *testing.B) {
-	for _, mode := range []string{"cold", "disk", "mem"} {
-		b.Run(fmt.Sprintf("sessions=64/%s", mode), func(b *testing.B) {
-			benchServiceRestart(b, 64, mode)
-		})
-	}
-}
-
-// benchServiceContention drives the cold-cache session workload through
-// a service with an explicit shard count, reporting throughput plus the
-// scheduler's contention counters. GOMAXPROCS (and with it the worker
-// pool and the shards=auto count) comes from the -cpu flag.
-func benchServiceContention(b *testing.B, sessions, shards int) {
-	b.Helper()
-	b.ReportAllocs()
-	svc, err := service.New(harness.ServiceBenchContentionConfig(shards))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer svc.Shutdown()
-	driveServiceSessions(b, svc, workload.MustTPCHBlocks(1), harness.ServiceBenchNames(), sessions, false)
-	st := svc.Stats()
-	var steals, pops uint64
-	for _, ss := range st.Shards {
-		steals += ss.Steals
-		pops += ss.Pops
-	}
-	b.ReportMetric(float64(steals), "steals")
-	if pops > 0 {
-		b.ReportMetric(float64(st.Steps)/float64(pops), "steps/pop")
-	}
-	b.ReportMetric(float64(st.StepGapP99.Nanoseconds()), "p99-step-gap-ns")
-}
-
-// BenchmarkServiceContention isolates the multi-core scaling of the
-// sharded scheduler: the same cold 64–512-session workload against the
-// single-queue control (shards=1) and the per-core sharded
-// configuration (shards=auto). Run it across core counts with
-//
-//	go test -cpu 1,4,8 -bench 'BenchmarkServiceContention' -benchtime 3x -run '^$' .
-//
-// The acceptance target is sharded ≥2x the shards=1 control at ≥4
-// cores and within noise of it at 1 core.
-func BenchmarkServiceContention(b *testing.B) {
-	for _, cfg := range []struct {
-		label  string
-		shards int
-	}{{"single", 1}, {"sharded", 0}} {
-		for _, n := range []int{64, 512} {
-			b.Run(fmt.Sprintf("shards=%s/sessions=%d", cfg.label, n), func(b *testing.B) {
-				benchServiceContention(b, n, cfg.shards)
-			})
-		}
 	}
 }

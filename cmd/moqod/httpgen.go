@@ -15,9 +15,9 @@ import (
 	"repro/internal/workload"
 )
 
-// HTTP load generator: the in-process loadgen's counterpart for driving
-// a running moqod node (or a pair) from outside, used by the handoff
-// smoke test to show a drain is invisible to clients. The drain-aware
+// HTTP load generator: drives a running moqod node (or a pair) from
+// outside, as clients would; the handoff smoke test uses it to show a
+// drain is invisible to clients. The drain-aware
 // part is the retry policy: a 429 means "this node, later" and retries
 // in place with backoff; a 503 (draining or bootstrapping) or a
 // connection error means "not this node" — the generator flips its

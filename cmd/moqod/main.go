@@ -21,7 +21,6 @@
 //	moqod -addr :8080 -cache-dir /var/moqod  # …with warm starts surviving restarts
 //	moqod -addr :8081 -cache-dir /var/moqod2 -bootstrap-peer 127.0.0.1:8080
 //	                                      # …warm state pulled from a peer
-//	moqod -loadgen -sessions 64           # drive 64 concurrent sessions in-process
 //	moqod -loadgen -target-addr 127.0.0.1:8080 -failover-addr 127.0.0.1:8081
 //	                                      # drive over HTTP with drain-aware failover
 //
@@ -76,11 +75,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
@@ -90,9 +87,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/eventlog"
-	"repro/internal/harness"
-	"repro/internal/plan"
-	"repro/internal/query"
 	"repro/internal/service"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -117,18 +111,15 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persist warm-start snapshots under this directory (survives restarts; empty disables)")
 	bootstrapPeer := flag.String("bootstrap-peer", "", "pull the snapshot store from this peer's /admin/store export before serving (requires -cache-dir; falls back to cold start on failure)")
 	drainGrace := flag.Duration("drain-grace", 30*time.Second, "drain: how long in-flight sessions get to converge before being checkpointed")
-	seed := flag.Int64("seed", 1, "seed for synthetic queries and the load-generator mix")
+	seed := flag.Int64("seed", 1, "seed for synthetic queries and the load generator's block choice")
 	sf := flag.Float64("sf", 1, "TPC-H scale factor for -block queries")
 	statsFile := flag.String("stats-file", "", "apply a catalog statistics update (JSON StatsUpdate) at boot; SIGHUP re-reads it")
 	driftThreshold := flag.Float64("drift-threshold", 0, "relative stats change separating small (re-cost in place) from large (resume refinement) drift (0 = default 0.5)")
-	loadgen := flag.Bool("loadgen", false, "run the load generator instead of serving (in-process, or over HTTP with -target-addr)")
-	targetAddr := flag.String("target-addr", "", "loadgen: drive this moqod node over HTTP instead of in-process")
+	loadgen := flag.Bool("loadgen", false, "drive the moqod node at -target-addr over HTTP instead of serving")
+	targetAddr := flag.String("target-addr", "", "loadgen: the moqod node to drive (required with -loadgen)")
 	failoverAddr := flag.String("failover-addr", "", "loadgen: second node to retry against when the target drains or dies")
 	sessions := flag.Int("sessions", 64, "loadgen: concurrent sessions to drive")
 	total := flag.Int("requests", 0, "loadgen: total sessions to run (0 = 3× -sessions)")
-	isomorph := flag.Float64("isomorph", 0, "loadgen: fraction of sessions running a table-ID-permuted (isomorphic) variant of their block")
-	aliasCopies := flag.Int("alias-copies", 3, "loadgen: statistically identical copies per base table the -isomorph variants draw from")
-	driftMode := flag.Bool("drift", false, "loadgen: mutate catalog statistics mid-run and report drift-recovery quality vs a cold control")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiles under /debug/pprof/")
 	slowSession := flag.Duration("slow-session", 0, "log the lifecycle trace of sessions slower than this end to end (0 disables)")
 	flag.Parse()
@@ -137,24 +128,11 @@ func main() {
 		fail(fmt.Errorf("-bootstrap-peer requires -cache-dir (nowhere to install the pulled store)"))
 	}
 
-	// The structured event log replaces ad-hoc log.Printf across the
-	// daemon: every subsystem emits leveled, rate-limited events into one
-	// bounded ring served at GET /debug/events, with a plain-text mirror
-	// on stderr so the operator view stays what it always was. The
-	// loadgen modes skip the mirror (their report goes to stdout; the
-	// drop counters are printed at the end instead).
-	node, _ := os.Hostname()
-	if node == "" {
-		node = "moqod"
-	}
-	evOpts := eventlog.Options{Node: node, Mirror: os.Stderr}
 	if *loadgen {
-		evOpts.Mirror = nil
-	}
-	events := eventlog.New(evOpts)
-
-	if *loadgen && *targetAddr != "" {
-		// HTTP loadgen needs no local service at all — it exercises a
+		if *targetAddr == "" {
+			fail(fmt.Errorf("-loadgen requires -target-addr (the moqod node to drive over HTTP)"))
+		}
+		// The loadgen needs no local service at all — it exercises a
 		// running node (or a draining/failing-over pair) from outside.
 		n := *total
 		if n <= 0 {
@@ -165,6 +143,16 @@ func main() {
 		}
 		return
 	}
+
+	// The structured event log replaces ad-hoc log.Printf across the
+	// daemon: every subsystem emits leveled, rate-limited events into one
+	// bounded ring served at GET /debug/events, with a plain-text mirror
+	// on stderr so the operator view stays what it always was.
+	node, _ := os.Hostname()
+	if node == "" {
+		node = "moqod"
+	}
+	events := eventlog.New(eventlog.Options{Node: node, Mirror: os.Stderr})
 
 	// The versioned statistics epoch the TPC-H blocks are built from.
 	// -stats-file seeds a drifted epoch before anything is costed; later
@@ -207,31 +195,6 @@ func main() {
 				d.ID, "", "", eventlog.Fdur("total", total), eventlog.Fdur("threshold", threshold),
 				eventlog.F("provenance", d.Provenance), eventlog.F("trace", d.Format()))
 		}
-	}
-
-	if *loadgen {
-		svc, err := service.New(cfg)
-		if err != nil {
-			fail(err)
-		}
-		defer svc.Shutdown()
-		n := *total
-		if n <= 0 {
-			n = 3 * *sessions
-		}
-		if *driftMode {
-			if err := runDriftLoadgen(svc, stats, cfg.Opt, *sessions, *sf); err != nil {
-				fail(err)
-			}
-			reportEventDrops(events)
-			return
-		}
-		mixOpt := workload.MixOptions{IsomorphRate: *isomorph, AliasCopies: *aliasCopies}
-		if err := runLoadgen(svc, *sessions, n, *sf, *seed, mixOpt); err != nil {
-			fail(err)
-		}
-		reportEventDrops(events)
-		return
 	}
 
 	// Serving mode: the HTTP surface comes up first, in the Bootstrapping
@@ -392,14 +355,6 @@ func main() {
 	}
 }
 
-// reportEventDrops summarizes rate-limited event loss at the end of a
-// loadgen run (the serving mode exposes the same counters as metrics).
-func reportEventDrops(ev *eventlog.Log) {
-	if d := ev.DroppedTotal(); d > 0 {
-		fmt.Printf("eventlog: %d events dropped by rate limiting (bounded ring kept the rest)\n", d)
-	}
-}
-
 func fail(err error) {
 	fmt.Fprintf(os.Stderr, "moqod: %v\n", err)
 	os.Exit(1)
@@ -417,367 +372,4 @@ func loadStatsUpdate(path string) (catalog.StatsUpdate, error) {
 		return u, fmt.Errorf("stats file %s: %w", path, err)
 	}
 	return u, nil
-}
-
-// runLoadgen drives the service with concurrent simulated users and
-// reports throughput and latency percentiles — the paper's interactive
-// regime at service scale.
-func runLoadgen(svc *service.Service, concurrency, total int, sf float64, seed int64, mixOpt workload.MixOptions) error {
-	blocks := workload.MustTPCHBlocks(sf)
-	profiles, err := workload.MixWith(blocks, total, mixOpt, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		return err
-	}
-	fmt.Printf("loadgen: %d sessions, %d concurrent, seed %d, isomorph rate %g\n",
-		total, concurrency, seed, mixOpt.IsomorphRate)
-
-	work := make(chan workload.SessionProfile)
-	var (
-		mu        sync.Mutex
-		firstLats []time.Duration
-		totalLats []time.Duration
-		failures  int
-		retries   int
-		sampleErr []error
-	)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < concurrency; c++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			// Per-worker RNG for the retry jitter: no sharing, and runs
-			// stay reproducible under -seed.
-			rng := rand.New(rand.NewSource(seed + int64(worker)))
-			for p := range work {
-				first, dur, tries, err := driveSession(svc, p, rng)
-				mu.Lock()
-				retries += tries
-				if err != nil {
-					failures++
-					if len(sampleErr) < 3 {
-						sampleErr = append(sampleErr, err)
-					}
-				} else {
-					firstLats = append(firstLats, first)
-					totalLats = append(totalLats, dur)
-				}
-				mu.Unlock()
-			}
-		}(c)
-	}
-	for _, p := range profiles {
-		work <- p
-	}
-	close(work)
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	if failures > 0 {
-		return fmt.Errorf("loadgen: %d/%d sessions failed (e.g. %v)", failures, total, sampleErr)
-	}
-	st := svc.Stats()
-	fmt.Printf("completed %d sessions in %v (%.1f sessions/sec, %d refinement steps)\n",
-		total, elapsed.Round(time.Millisecond), float64(total)/elapsed.Seconds(), st.Steps)
-	if retries > 0 || st.Rejected > 0 {
-		// Recovered throughput, not error soup: overloaded creates were
-		// retried with backoff and still completed above.
-		fmt.Printf("admission: %d rejections absorbed by %d backoff retries\n", st.Rejected, retries)
-	}
-	fmt.Printf("first-frontier latency: p50=%v p95=%v p99=%v max=%v\n",
-		harness.Percentile(firstLats, 0.50), harness.Percentile(firstLats, 0.95),
-		harness.Percentile(firstLats, 0.99), harness.Percentile(firstLats, 1))
-	fmt.Printf("session duration:       p50=%v p95=%v p99=%v max=%v\n",
-		harness.Percentile(totalLats, 0.50), harness.Percentile(totalLats, 0.95),
-		harness.Percentile(totalLats, 0.99), harness.Percentile(totalLats, 1))
-	// The same two distributions as the service's own histograms record
-	// them (/metrics methodology): first-frontier is stamped inside the
-	// step that produced the frontier, end-to-end at the terminal
-	// transition, so these exclude the loadgen's client-side overhead
-	// that the lines above include.
-	obs := svc.Observability()
-	ff, ee := obs.FirstFrontier.Snapshot(), obs.EndToEnd.Snapshot()
-	fmt.Printf("service histograms:     first-frontier p50=%v p95=%v p99=%v (n=%d), end-to-end p50=%v p95=%v p99=%v (n=%d)\n",
-		ff.QuantileDuration(0.50).Round(time.Microsecond), ff.QuantileDuration(0.95).Round(time.Microsecond),
-		ff.QuantileDuration(0.99).Round(time.Microsecond), ff.Count,
-		ee.QuantileDuration(0.50).Round(time.Microsecond), ee.QuantileDuration(0.95).Round(time.Microsecond),
-		ee.QuantileDuration(0.99).Round(time.Microsecond), ee.Count)
-	fmt.Printf("warm starts: %d (%d cross-shape, remap total %v), cache: %d entries (%d shapes), %d exact + %d isomorphic hits, %d misses\n",
-		st.WarmStarts, st.IsoWarmStarts, st.RemapTotal.Round(time.Microsecond),
-		st.Cache.Entries, st.Cache.CanonEntries, st.Cache.ExactHits, st.Cache.IsoHits, st.Cache.Misses)
-	var steals, pops uint64
-	for _, ss := range st.Shards {
-		steals += ss.Steals
-		pops += ss.Pops
-	}
-	stepsPerPop := 0.0
-	if pops > 0 {
-		stepsPerPop = float64(st.Steps) / float64(pops)
-	}
-	fmt.Printf("shards: %d, steals: %d, steps/pop: %.2f, p99 inter-step gap: %v\n",
-		len(st.Shards), steals, stepsPerPop, st.StepGapP99.Round(time.Microsecond))
-	if st.Store.Persisted+st.Store.Loaded > 0 {
-		fmt.Printf("store: %d persisted, %d loaded, %d rejected, %d segments (%d live / %d dead bytes), %d compactions\n",
-			st.Store.Persisted, st.Store.Loaded, st.Store.Rejected,
-			st.Store.Segments, st.Store.LiveBytes, st.Store.DeadBytes, st.Store.Compactions)
-	}
-	if st.DriftRecosted+st.DriftResumed+st.DriftQuarantined > 0 {
-		fmt.Printf("drift: recosted=%d resumed=%d quarantined=%d, stale hits=%d, stats epoch=%d\n",
-			st.DriftRecosted, st.DriftResumed, st.DriftQuarantined, st.Cache.StaleHits, st.StatsEpoch)
-	}
-	return nil
-}
-
-// runDriftLoadgen exercises the statistics-drift path end to end: it
-// converges every TPC-H block to populate the warm-start cache, then
-// applies a small, a large, and an incompatible statistics update in
-// turn, re-driving the blocks after each. Per phase it reports the
-// invalidation-class split (recosted / resumed / quarantined / exact)
-// and — for the re-costed and resumed phases — the recovered plan
-// quality: each drift-recovered frontier's per-dimension minimum cost
-// against a from-scratch control optimization of the same query under
-// the same (new) statistics. A worst ratio of 1.000 means drift
-// recovery lost nothing.
-func runDriftLoadgen(svc *service.Service, stats *catalog.Versioned, optCfg core.Config, concurrency int, sf float64) error {
-	// The cache-less control service pays the cold path for every block —
-	// the quality baseline drift recovery is measured against.
-	control, err := service.New(service.Config{Opt: optCfg, CacheCapacity: -1})
-	if err != nil {
-		return err
-	}
-	defer control.Shutdown()
-
-	buildBlocks := func() ([]workload.Block, error) {
-		ep := stats.Current()
-		return workload.BlocksFor(ep.Catalog, sf, ep.EdgeSel)
-	}
-	scaleRows := func(table string, factor float64) catalog.StatsUpdate {
-		cat := stats.Current().Catalog
-		rows := cat.Table(cat.MustID(table)).Rows * factor
-		return catalog.StatsUpdate{Tables: []catalog.TableStats{{Name: table, Rows: rows}}}
-	}
-	noIndex := false
-
-	blocks, err := buildBlocks()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("drift loadgen: %d blocks per phase, concurrency %d\n", len(blocks), concurrency)
-
-	phases := []struct {
-		name    string
-		update  func() catalog.StatsUpdate
-		quality bool
-	}{
-		// Cold population: fills the warm-start cache under epoch 1.
-		{name: "baseline"},
-		// orders +20%, customer +10%: every affected snapshot re-costs in
-		// place (small), untouched blocks warm-start exactly.
-		{name: "small-drift", quality: true, update: func() catalog.StatsUpdate {
-			u := scaleRows("orders", 1.2)
-			u.Tables = append(u.Tables, scaleRows("customer", 1.1).Tables...)
-			return u
-		}},
-		// lineitem ×4: past the threshold, refinement resumes from the
-		// cached plan set.
-		{name: "large-drift", quality: true, update: func() catalog.StatsUpdate {
-			return scaleRows("lineitem", 4)
-		}},
-		// part loses its index: cached access paths are unsalvageable, the
-		// stale entries are quarantined and those blocks start cold.
-		{name: "incompatible", update: func() catalog.StatsUpdate {
-			return catalog.StatsUpdate{Tables: []catalog.TableStats{{Name: "part", HasIndex: &noIndex}}}
-		}},
-	}
-	for _, ph := range phases {
-		if ph.update != nil {
-			if _, err := stats.Apply(ph.update()); err != nil {
-				return fmt.Errorf("phase %s: %w", ph.name, err)
-			}
-			if blocks, err = buildBlocks(); err != nil {
-				return fmt.Errorf("phase %s: %w", ph.name, err)
-			}
-		}
-		before := svc.Stats()
-		warm, err := driveBlocks(svc, blocks, concurrency)
-		if err != nil {
-			return fmt.Errorf("phase %s: %w", ph.name, err)
-		}
-		after := svc.Stats()
-		fmt.Printf("phase %-12s (epoch %d): recosted=%d resumed=%d quarantined=%d exact=%d, stale hits=%d\n",
-			ph.name, stats.Version(),
-			after.DriftRecosted-before.DriftRecosted,
-			after.DriftResumed-before.DriftResumed,
-			after.DriftQuarantined-before.DriftQuarantined,
-			after.Cache.ExactHits-before.Cache.ExactHits,
-			after.Cache.StaleHits-before.Cache.StaleHits)
-		if ph.quality {
-			cold, err := driveBlocks(control, blocks, concurrency)
-			if err != nil {
-				return fmt.Errorf("phase %s control: %w", ph.name, err)
-			}
-			worst, worstBlock := frontierQuality(warm, cold)
-			fmt.Printf("  frontier quality vs cold control: worst min-cost ratio %.3f (block %s)\n", worst, worstBlock)
-		}
-	}
-	return nil
-}
-
-// driveBlocks converges one session per block (bounded concurrency) and
-// returns each block's converged status.
-func driveBlocks(svc *service.Service, blocks []workload.Block, concurrency int) (map[string]service.Status, error) {
-	if concurrency < 1 {
-		concurrency = 1
-	}
-	sem := make(chan struct{}, concurrency)
-	var (
-		mu       sync.Mutex
-		out      = make(map[string]service.Status, len(blocks))
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for _, b := range blocks {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(b workload.Block) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			id, err := svc.Create(b.Query)
-			if err == nil {
-				var st service.Status
-				st, err = awaitTarget(svc, id)
-				if cerr := svc.Close(id); err == nil {
-					err = cerr
-				}
-				if err == nil {
-					mu.Lock()
-					out[b.Name] = st
-					mu.Unlock()
-					return
-				}
-			}
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("block %s: %w", b.Name, err)
-			}
-			mu.Unlock()
-		}(b)
-	}
-	wg.Wait()
-	return out, firstErr
-}
-
-// frontierQuality compares drift-recovered frontiers against cold
-// controls: for every block and cost dimension it takes the ratio of
-// the warm frontier's minimum cost to the cold one's and returns the
-// worst deviation from 1 (in either direction) and the block showing it.
-func frontierQuality(warm, cold map[string]service.Status) (worst float64, worstBlock string) {
-	worst = 1
-	for name, c := range cold {
-		w, ok := warm[name]
-		if !ok || len(w.Frontier) == 0 || len(c.Frontier) == 0 {
-			continue
-		}
-		dim := len(c.Frontier[0].Cost)
-		for d := 0; d < dim; d++ {
-			wmin, cmin := minCost(w.Frontier, d), minCost(c.Frontier, d)
-			if wmin <= 0 || cmin <= 0 {
-				continue
-			}
-			dev := wmin / cmin
-			if dev < 1 {
-				dev = 1 / dev
-			}
-			if dev > worst {
-				worst, worstBlock = dev, name
-			}
-		}
-	}
-	return worst, worstBlock
-}
-
-func minCost(frontier []*plan.Node, d int) float64 {
-	min := frontier[0].Cost[d]
-	for _, p := range frontier[1:] {
-		if p.Cost[d] < min {
-			min = p.Cost[d]
-		}
-	}
-	return min
-}
-
-// driveSession plays one profile: create (retrying overload refusals
-// with backoff), poll to the first frontier, drag bounds BoundsResets
-// times (each re-converging to target), then select or abandon.
-// Returns first-frontier and total latency plus the creates retried.
-func driveSession(svc *service.Service, p workload.SessionProfile, rng *rand.Rand) (first, total time.Duration, tries int, err error) {
-	start := time.Now()
-	id, tries, err := createWithRetry(svc, p.Block.Query, rng)
-	if err != nil {
-		return 0, 0, tries, err
-	}
-	st, err := awaitTarget(svc, id)
-	if err != nil {
-		return 0, 0, tries, err
-	}
-	first = st.FirstFrontier
-	for i := 0; i < p.BoundsResets && len(st.Frontier) > 0; i++ {
-		b := st.Frontier[0].Cost.Scale(p.BoundsScale)
-		if err := svc.SetBounds(id, b); err != nil {
-			return 0, 0, tries, err
-		}
-		if st, err = awaitTarget(svc, id); err != nil {
-			return 0, 0, tries, err
-		}
-	}
-	if p.Selects && len(st.Frontier) > 0 {
-		_, err = svc.Select(id, 0, st.Steps)
-	} else {
-		err = svc.Close(id)
-	}
-	if err != nil {
-		return 0, 0, tries, err
-	}
-	return first, time.Since(start), tries, nil
-}
-
-// createWithRetry is the recommended 429 client behavior, exercised
-// in-process: overload refusals back off exponentially with ±50%
-// jitter, capped at the 1s Retry-After the HTTP surface advertises, so
-// shed load turns into recovered throughput instead of failures.
-func createWithRetry(svc *service.Service, q *query.Query, rng *rand.Rand) (string, int, error) {
-	const (
-		retryAfter = time.Second // cap: what the 429 Retry-After promises
-		maxTries   = 50
-	)
-	backoff := 5 * time.Millisecond
-	for tries := 0; ; tries++ {
-		id, err := svc.Create(q)
-		if err == nil || !errors.Is(err, service.ErrOverloaded) || tries == maxTries {
-			return id, tries, err
-		}
-		d := backoff/2 + time.Duration(rng.Int63n(int64(backoff)))
-		time.Sleep(d)
-		if backoff *= 2; backoff > retryAfter {
-			backoff = retryAfter
-		}
-	}
-}
-
-// awaitTarget blocks on the service's step-completion signal until the
-// session's current regime reaches target precision: WaitTargetTimeout
-// parks on a condition variable instead of polling, so many waiting
-// clients cost the refinement workers nothing and a waited-on session
-// cannot idle-expire; service shutdown releases the wait with an
-// error. The deadline only guards against hangs (under heavy fan-out
-// on few cores a fair-shared session legitimately takes minutes).
-func awaitTarget(svc *service.Service, id string) (service.Status, error) {
-	st, err := svc.WaitTargetTimeout(id, 15*time.Minute)
-	if err != nil {
-		return st, err
-	}
-	if st.State != service.AtTarget {
-		return st, fmt.Errorf("session %s ended in state %v", id, st.State)
-	}
-	return st, nil
 }

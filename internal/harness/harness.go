@@ -23,7 +23,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/pareto"
 	"repro/internal/query"
-	"repro/internal/service"
 	"repro/internal/workload"
 )
 
@@ -146,202 +145,9 @@ func InvocationTimes(q *query.Query, model *costmodel.Model, levels int, alphaT,
 }
 
 // AggregateNS reduces a per-invocation duration series to its average
-// or maximum in nanoseconds. Shared by the Figure benchmarks and the
-// benchjson recorder so both aggregate identically and cannot drift.
+// or maximum in nanoseconds, as the Figure benchmarks report it.
 func AggregateNS(ds []time.Duration, useMax bool) float64 {
 	return float64(aggregate(ds, useMax).Nanoseconds())
-}
-
-// ServiceBenchNames is the session mix of the multi-tenant service
-// benchmark: small interactive blocks, as in an ad-hoc workload. It is
-// shared by BenchmarkServiceSessions and the benchjson recorder so the
-// recorded trajectory measures the same workload as the go-test
-// benchmark.
-func ServiceBenchNames() []string {
-	return []string{"Q4", "Q12", "Q13", "Q14"}
-}
-
-// ServiceBenchConfig is the service configuration of the multi-tenant
-// service benchmark (shared for the same reason as ServiceBenchNames).
-// warmCache selects between the warm-start cache enabled and the cache
-// disabled entirely.
-func ServiceBenchConfig(warmCache bool) service.Config {
-	cfg := service.Config{
-		Opt: core.Config{
-			Model:            costmodel.Default(),
-			ResolutionLevels: 3,
-			TargetPrecision:  1.05,
-			PrecisionStep:    0.1,
-		},
-		IdleTimeout: -1,
-	}
-	if !warmCache {
-		cfg.CacheCapacity = -1
-	}
-	return cfg
-}
-
-// ServiceIsoBenchPool is the workload of the cross-shape warm-start
-// benchmark (BenchmarkServiceIsomorphic and benchjson's isomorphic/*
-// records): the 3-table Q3 block plus distinct table-ID-permuted
-// variants of it over an alias catalog, all isomorphic (equal
-// canonical digest) and pairwise distinct in their exact fingerprint.
-// Variant 0 is the base the bench warms the cache with; driving the
-// remaining variants one-per-session yields a workload with zero
-// exact repeats and 100% shape repeats.
-func ServiceIsoBenchPool() ([]workload.Block, error) {
-	blk, ok := workload.Find(workload.MustTPCHBlocks(1), "Q3")
-	if !ok {
-		return nil, fmt.Errorf("harness: missing block Q3")
-	}
-	// 12 copies × 3 tables = 36 alias tables (within the 64-ID space),
-	// 12³ = 1728 possible variants; 1024 covers every recorded
-	// benchjson configuration (64 sessions × (iterations+warm-up) ≤
-	// 384) without wrapping. Drivers that cannot bound their iteration
-	// count (go test's adaptive b.N) must restart from a fresh service
-	// before the cursor wraps, or wrapped variants hit the exact tier
-	// and the workload is no longer zero-exact-repeat
-	// (benchServiceIsomorphic does exactly that).
-	return workload.IsoVariants(blk, 12, 1024)
-}
-
-// ServiceBenchIsoConfig is the service configuration of the
-// cross-shape benchmark: the warm-cache config with cache-capacity
-// headroom. Every variant in the iso pool shares one canonical digest
-// and therefore one cache shard, so the per-shard capacity slice
-// (CacheCapacity / GOMAXPROCS shards) must still hold the whole driven
-// variant set on many-core hosts — otherwise the "exact" mode's
-// pre-converged entries evict and its upper bound silently degrades to
-// canonical-tier hits.
-func ServiceBenchIsoConfig() service.Config {
-	cfg := ServiceBenchConfig(true)
-	cfg.CacheCapacity = 8192
-	return cfg
-}
-
-// DriveIsoSessions runs one batch of n concurrent create→converge→
-// close session lifecycles over pool, assigning session i the variant
-// pool[1 + (start+i) mod (len(pool)-1)] — the base variant 0 is
-// reserved for cache warm-up — and returns the advanced cursor with
-// the batch duration. Shared by BenchmarkServiceIsomorphic and the
-// benchjson recorder so both measure the same workload.
-func DriveIsoSessions(svc *service.Service, pool []workload.Block, start, n int) (int, time.Duration, error) {
-	t0 := time.Now()
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			q := pool[1+(start+i)%(len(pool)-1)].Query
-			id, err := svc.Create(q)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if _, err := svc.WaitTarget(id); err != nil {
-				errs <- err
-				return
-			}
-			errs <- svc.Close(id)
-		}(i)
-	}
-	for i := 0; i < n; i++ {
-		if err := <-errs; err != nil {
-			return 0, 0, err
-		}
-	}
-	return start + n, time.Since(t0), nil
-}
-
-// ConvergeOnce drives one session for q to target precision and closes
-// it — the cache warm-up step of the service benchmarks.
-func ConvergeOnce(svc *service.Service, q *query.Query) error {
-	id, err := svc.Create(q)
-	if err != nil {
-		return err
-	}
-	if _, err := svc.WaitTarget(id); err != nil {
-		return err
-	}
-	return svc.Close(id)
-}
-
-// ServiceBenchPersistConfig is the service configuration of the
-// restart benchmark's persisted modes: the warm-cache bench config
-// backed by the snapshot store at dir (write-through persistence).
-func ServiceBenchPersistConfig(dir string) service.Config {
-	cfg := ServiceBenchConfig(true)
-	cfg.StoreDir = dir
-	return cfg
-}
-
-// WarmPersistStore converges every shape of the shared service bench
-// mix against a store-backed service and shuts it down (flushing the
-// store), leaving dir populated — the setup step of the restart
-// benchmark's persisted-warm mode.
-func WarmPersistStore(dir string) error {
-	svc, err := service.New(ServiceBenchPersistConfig(dir))
-	if err != nil {
-		return err
-	}
-	defer svc.Shutdown()
-	blocks := workload.MustTPCHBlocks(1)
-	for _, name := range ServiceBenchNames() {
-		blk, ok := workload.Find(blocks, name)
-		if !ok {
-			return fmt.Errorf("harness: missing block %s", name)
-		}
-		if err := ConvergeOnce(svc, blk.Query); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DriveSessionsFF runs one batch of n concurrent create→converge→close
-// session lifecycles over the shared bench mix and returns the batch
-// duration plus every session's first-frontier latency. It is the
-// timed loop of the restart benchmark (BenchmarkServiceRestart and
-// benchjson's persist/* records), which compares first-frontier
-// latency — not just throughput — across cold, persisted-warm and
-// in-memory-warm services.
-func DriveSessionsFF(svc *service.Service, blocks []workload.Block, names []string, n int) (time.Duration, []time.Duration, error) {
-	t0 := time.Now()
-	firsts := make([]time.Duration, n)
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			blk, _ := workload.Find(blocks, names[i%len(names)])
-			id, err := svc.Create(blk.Query)
-			if err != nil {
-				errs <- err
-				return
-			}
-			st, err := svc.WaitTarget(id)
-			if err != nil {
-				errs <- err
-				return
-			}
-			firsts[i] = st.FirstFrontier
-			errs <- svc.Close(id)
-		}(i)
-	}
-	for i := 0; i < n; i++ {
-		if err := <-errs; err != nil {
-			return 0, nil, err
-		}
-	}
-	return time.Since(t0), firsts, nil
-}
-
-// ServiceBenchContentionConfig is the configuration of the multi-core
-// contention benchmark (BenchmarkServiceContention and the benchjson
-// recorder): the cold-cache service workload with an explicit shard
-// count — 1 is the serialized single-queue control, 0 shards per
-// GOMAXPROCS. Workers default to GOMAXPROCS, so `go test -cpu 1,4,8`
-// scales the worker pool and the shard count together.
-func ServiceBenchContentionConfig(shards int) service.Config {
-	cfg := ServiceBenchConfig(false)
-	cfg.Shards = shards
-	return cfg
 }
 
 // aggregate selects the average or maximum of a duration series.

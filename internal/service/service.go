@@ -1442,9 +1442,9 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// percentileDur is the nearest-rank percentile of ds (p in [0,1]); it
-// mirrors harness.Percentile, which service cannot import (the harness
-// imports service).
+// percentileDur is the nearest-rank p-quantile of ds (p in [0,1]): the
+// ⌈p·n⌉-th smallest sample, clamped to the first and last; 0 for an
+// empty slice. It sorts ds in place.
 func percentileDur(ds []time.Duration, p float64) time.Duration {
 	if len(ds) == 0 {
 		return 0

@@ -4,15 +4,14 @@
 // with identical statistics. This file models that: alias catalogs with
 // statistically identical table copies, and table-ID-permuted variants
 // of base blocks that are isomorphic to them (equal
-// query.CanonicalFingerprint, distinct query.Fingerprint), so benches
-// and the moqod load generator can exercise the service's cross-shape
+// query.CanonicalFingerprint, distinct query.Fingerprint), so tests and
+// the end-to-end benchmark can exercise the service's cross-shape
 // warm-start tier.
 
 package workload
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/query"
@@ -57,17 +56,17 @@ func aliasCatalog(cat *catalog.Catalog, names []string, copies int) (*catalog.Ca
 }
 
 // relabel rebuilds q over aliasCat with each table mapped to the copy
-// chosen by pick (base table name → copy index), carrying edges and
+// chosen by picks (base table name → copy index), carrying edges and
 // filters along. The result is isomorphic to q: every target table has
 // identical statistics, so canonical digests agree while exact
-// fingerprints differ whenever pick is not identically zero.
-func relabel(q *query.Query, aliasCat *catalog.Catalog, pick func(name string) int, name string) (*query.Query, error) {
+// fingerprints differ whenever some pick is non-zero.
+func relabel(q *query.Query, aliasCat *catalog.Catalog, picks map[string]int, name string) (*query.Query, error) {
 	srcCat := q.Catalog()
 	idFor := func(id int) (int, error) {
 		base := srcCat.Table(id).Name
-		nid, ok := aliasCat.ID(aliasName(base, pick(base)))
+		nid, ok := aliasCat.ID(aliasName(base, picks[base]))
 		if !ok {
-			return 0, fmt.Errorf("workload: alias catalog misses copy %d of %q", pick(base), base)
+			return 0, fmt.Errorf("workload: alias catalog misses copy %d of %q", picks[base], base)
 		}
 		return nid, nil
 	}
@@ -121,8 +120,8 @@ func relabel(q *query.Query, aliasCat *catalog.Catalog, pick func(name string) i
 // identity relabeling onto the alias catalog (the "base"); variant v
 // assigns table j its (v / copies^j) mod copies-th copy, so n is
 // bounded by copies^tables (and by the tableset ID space via the alias
-// catalog). Benches warm the cache with variant 0 and drive the rest
-// for a zero-exact-repeat, 100%-shape-repeat workload.
+// catalog). Warming the cache with variant 0 and driving the rest gives
+// a zero-exact-repeat, 100%-shape-repeat workload.
 func IsoVariants(block Block, copies, n int) ([]Block, error) {
 	if copies < 1 {
 		return nil, fmt.Errorf("workload: alias copies %d < 1", copies)
@@ -156,7 +155,7 @@ func IsoVariants(block Block, copies, n int) ([]Block, error) {
 			x /= copies
 		}
 		name := fmt.Sprintf("%s~iso%d", block.Name, v)
-		q, err := relabel(block.Query, aliasCat, func(n string) int { return picks[n] }, name)
+		q, err := relabel(block.Query, aliasCat, picks, name)
 		if err != nil {
 			return nil, err
 		}
@@ -164,31 +163,3 @@ func IsoVariants(block Block, copies, n int) ([]Block, error) {
 	}
 	return out, nil
 }
-
-// MustIsoVariants is IsoVariants but panics on error.
-func MustIsoVariants(block Block, copies, n int) []Block {
-	out, err := IsoVariants(block, copies, n)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// sharedCatalog returns the single catalog all blocks are built over,
-// or an error if they disagree (alias relabeling needs one universe).
-func sharedCatalog(blocks []Block) (*catalog.Catalog, error) {
-	cat := blocks[0].Query.Catalog()
-	for _, b := range blocks {
-		if b.Query.Catalog() != cat {
-			return nil, fmt.Errorf("workload: blocks %s and %s use different catalogs", blocks[0].Name, b.Name)
-		}
-	}
-	return cat, nil
-}
-
-// isoSuffix tags relabeled session queries in reports.
-const isoSuffix = "~iso"
-
-// IsIsomorphName reports whether a query name was produced by the
-// isomorphic relabeling (Mix's IsomorphRate or IsoVariants).
-func IsIsomorphName(name string) bool { return strings.Contains(name, isoSuffix) }

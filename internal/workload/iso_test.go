@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // TestIsoVariantsPairwiseDistinctAndIsomorphic: every variant shares
 // the base's canonical digest (they are isomorphic, so cached plan
@@ -50,69 +47,6 @@ func TestIsoVariantsBounds(t *testing.T) {
 		t.Error("zero copies accepted")
 	}
 	if _, err := IsoVariants(blk, 30, 1); err == nil {
-		t.Error("alias catalog beyond the tableset ID space accepted")
-	}
-}
-
-// TestMixIsomorphRate: the knob is deterministic, produces roughly the
-// requested fraction of permuted sessions, and permuted sessions stay
-// isomorphic to their base block.
-func TestMixIsomorphRate(t *testing.T) {
-	blocks := MustTPCHBlocks(1)
-	opt := MixOptions{IsomorphRate: 0.5, AliasCopies: 3}
-	a, err := MixWith(blocks, 400, opt, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := MixWith(blocks, 400, opt, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	iso := 0
-	for i := range a {
-		if a[i].Block.Name != b[i].Block.Name || a[i].Block.Query.Fingerprint() != b[i].Block.Query.Fingerprint() {
-			t.Fatalf("profile %d differs across same-seed runs", i)
-		}
-		if IsIsomorphName(a[i].Block.Name) {
-			iso++
-			base, ok := Find(blocks, a[i].Block.Name[:len(a[i].Block.Name)-len("~iso")])
-			if !ok {
-				t.Fatalf("permuted session %s has no base block", a[i].Block.Name)
-			}
-			dv, _ := a[i].Block.Query.CanonicalFingerprint()
-			db, _ := base.Query.CanonicalFingerprint()
-			if dv != db {
-				t.Errorf("permuted session %s is not isomorphic to its base", a[i].Block.Name)
-			}
-		}
-	}
-	if iso < 120 || iso > 280 {
-		t.Errorf("isomorph rate 0.5 produced %d/400 permuted sessions", iso)
-	}
-}
-
-// TestMixZeroRateMatchesLegacy: IsomorphRate 0 must reproduce Mix's
-// exact stream (same rng draws), so recorded seeds stay valid.
-func TestMixZeroRateMatchesLegacy(t *testing.T) {
-	blocks := MustTPCHBlocks(1)
-	a := MustMix(blocks, 50, rand.New(rand.NewSource(4)))
-	b, err := MixWith(blocks, 50, MixOptions{}, rand.New(rand.NewSource(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("profile %d differs between Mix and zero-rate MixWith", i)
-		}
-	}
-}
-
-func TestMixWithErrors(t *testing.T) {
-	blocks := MustTPCHBlocks(1)
-	if _, err := MixWith(blocks, 10, MixOptions{IsomorphRate: 1.5}, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("IsomorphRate > 1 accepted")
-	}
-	if _, err := MixWith(blocks, 10, MixOptions{IsomorphRate: 0.5, AliasCopies: 50}, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("alias catalog beyond the tableset ID space accepted")
 	}
 }
