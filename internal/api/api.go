@@ -181,10 +181,6 @@ func (a *API) service() *service.Service {
 	return a.svc
 }
 
-// Service returns the installed service (nil while bootstrapping) for
-// callers outside the request path (loadgen, tests).
-func (a *API) Service() *service.Service { return a.service() }
-
 // Bootstrap returns the recorded bootstrap status.
 func (a *API) Bootstrap() BootstrapStatus {
 	a.mu.Lock()

@@ -71,7 +71,7 @@ func (s *Snapshot) Wire() SnapshotWire {
 // SnapshotFromWire rebuilds a Snapshot from a decoded wire view, taking
 // ownership of w's maps and slices (the caller must not retain them).
 // Only shape-level invariants are checked here; structural validation
-// of the plan DAG is the decoder's job (plan.Unflatten), and
+// of the plan DAG is the decoder's job (plan.NodeTable), and
 // configuration compatibility is re-validated by
 // NewOptimizerFromSnapshot.
 func SnapshotFromWire(w SnapshotWire) (*Snapshot, error) {

@@ -75,80 +75,106 @@ func (f *Flattener) Add(n *Node) uint32 {
 }
 
 // Nodes returns the collected node table sorted by ID (children before
-// parents — the order Unflatten requires).
+// parents — the order a NodeTable requires).
 func (f *Flattener) Nodes() []Flat {
 	sort.Slice(f.nodes, func(i, j int) bool { return f.nodes[i].ID < f.nodes[j].ID })
 	return f.nodes
 }
 
-// Unflatten rebuilds the shared node DAG from its flat form: one
-// individually allocated Node per Flat entry, children resolved by ID,
-// sub-plan sharing restored exactly. flat must be sorted by strictly
-// increasing ID with every join's children present at smaller IDs;
-// every structural invariant of Node.Validate is re-checked per node,
-// so corrupted input yields an error, never an inconsistent DAG. The
-// rebuilt nodes own their Flat's cost vectors (the caller must not
-// reuse them) and are immutable from here on, like any detached
-// snapshot node.
-func Unflatten(flat []Flat) (map[uint32]*Node, error) {
-	nodes := make(map[uint32]*Node, len(flat))
-	prevID, first := uint32(0), true
-	for i := range flat {
-		f := &flat[i]
-		if !first && f.ID <= prevID {
-			return nil, fmt.Errorf("plan: flat node IDs not strictly increasing at %d", f.ID)
-		}
-		prevID, first = f.ID, false
-		if f.Cost == nil || !f.Cost.IsFinite() {
-			return nil, fmt.Errorf("plan: flat node %d with non-finite cost %v", f.ID, f.Cost)
-		}
-		if f.Rows < 0 {
-			return nil, fmt.Errorf("plan: flat node %d with negative rows %g", f.ID, f.Rows)
-		}
-		if f.Order != OrderNone {
-			if t := int(f.Order) - 1; t < 0 || t >= tableset.MaxTables || !f.Tables.Contains(t) {
-				return nil, fmt.Errorf("plan: flat node %d ordered on table outside its set", f.ID)
-			}
-		}
-		n := &Node{
-			Tables: f.Tables,
-			Rows:   f.Rows,
-			Cost:   f.Cost,
-			Order:  f.Order,
-			id:     f.ID,
-		}
-		if f.IsScan() {
-			n.TableID = int(f.TableID)
-			n.Scan = f.Scan
-			n.SampleRate = f.SampleRate
-			if n.TableID < 0 || n.TableID >= tableset.MaxTables ||
-				f.Tables != tableset.Singleton(n.TableID) {
-				return nil, fmt.Errorf("plan: flat scan %d tables %v != {%d}", f.ID, f.Tables, n.TableID)
-			}
-			if n.SampleRate <= 0 || n.SampleRate > 1 {
-				return nil, fmt.Errorf("plan: flat scan %d sample rate %g outside (0,1]", f.ID, n.SampleRate)
-			}
-		} else {
-			if f.Tables.IsEmpty() {
-				return nil, fmt.Errorf("plan: flat node %d with empty table set", f.ID)
-			}
-			n.Join = f.Join
-			n.Degree = int(f.Degree)
-			if n.Degree < 1 {
-				return nil, fmt.Errorf("plan: flat join %d degree %d < 1", f.ID, n.Degree)
-			}
-			l, lok := nodes[f.Left]
-			r, rok := nodes[f.Right]
-			if !lok || !rok {
-				return nil, fmt.Errorf("plan: flat join %d references missing child", f.ID)
-			}
-			if !l.Tables.Disjoint(r.Tables) || l.Tables.Union(r.Tables) != f.Tables {
-				return nil, fmt.Errorf("plan: flat join %d children %v ∪ %v != %v",
-					f.ID, l.Tables, r.Tables, f.Tables)
-			}
-			n.Left, n.Right = l, r
-		}
-		nodes[f.ID] = n
+// NodeTable rebuilds the shared node DAG from its flat form one node
+// at a time, as a decoder parses them: the nodes live in one slab sized
+// up front and are found by ID through an index into it. Every
+// structural invariant of Node.Validate is re-checked as a node is
+// added, so corrupted input yields an error, never an inconsistent DAG;
+// children resolve by ID against the nodes added before, so sub-plan
+// sharing is restored exactly. Nodes are immutable once added, like any
+// detached snapshot node, and share one allocation: any one of them
+// keeps the slab alive.
+type NodeTable struct {
+	nodes []Node
+	// index maps a node ID to its slab position. It holds no pointers,
+	// so the collector never scans it.
+	index map[uint32]int32
+}
+
+// NewNodeTable returns an empty table with room for n nodes; Add
+// refuses a node beyond that, since growing the slab would move the
+// nodes already handed out.
+func NewNodeTable(n int) *NodeTable {
+	return &NodeTable{nodes: make([]Node, 0, n), index: make(map[uint32]int32, n)}
+}
+
+// Add checks f against the nodes added before it — IDs strictly
+// increasing, a finite cost, rows ≥ 0, the order inside the table set,
+// the scan or join shape, children present and partitioning the table
+// set — and appends its node. The node takes f.Cost as it is (the
+// caller must not reuse the vector); f itself may be reused.
+func (t *NodeTable) Add(f *Flat) error {
+	k := len(t.nodes)
+	if k == cap(t.nodes) {
+		return fmt.Errorf("plan: node table full at %d nodes", k)
 	}
-	return nodes, nil
+	if k > 0 && f.ID <= t.nodes[k-1].id {
+		return fmt.Errorf("plan: flat node IDs not strictly increasing at %d", f.ID)
+	}
+	if f.Cost == nil || !f.Cost.IsFinite() {
+		return fmt.Errorf("plan: flat node %d with non-finite cost %v", f.ID, f.Cost)
+	}
+	if f.Rows < 0 {
+		return fmt.Errorf("plan: flat node %d with negative rows %g", f.ID, f.Rows)
+	}
+	if f.Order != OrderNone {
+		if o := int(f.Order) - 1; o < 0 || o >= tableset.MaxTables || !f.Tables.Contains(o) {
+			return fmt.Errorf("plan: flat node %d ordered on table outside its set", f.ID)
+		}
+	}
+	n := Node{
+		Tables: f.Tables,
+		Rows:   f.Rows,
+		Cost:   f.Cost,
+		Order:  f.Order,
+		id:     f.ID,
+	}
+	if f.IsScan() {
+		n.TableID = int(f.TableID)
+		n.Scan = f.Scan
+		n.SampleRate = f.SampleRate
+		if n.TableID < 0 || n.TableID >= tableset.MaxTables ||
+			f.Tables != tableset.Singleton(n.TableID) {
+			return fmt.Errorf("plan: flat scan %d tables %v != {%d}", f.ID, f.Tables, n.TableID)
+		}
+		if n.SampleRate <= 0 || n.SampleRate > 1 {
+			return fmt.Errorf("plan: flat scan %d sample rate %g outside (0,1]", f.ID, n.SampleRate)
+		}
+	} else {
+		if f.Tables.IsEmpty() {
+			return fmt.Errorf("plan: flat node %d with empty table set", f.ID)
+		}
+		n.Join = f.Join
+		n.Degree = int(f.Degree)
+		if n.Degree < 1 {
+			return fmt.Errorf("plan: flat join %d degree %d < 1", f.ID, n.Degree)
+		}
+		l, r := t.Lookup(f.Left), t.Lookup(f.Right)
+		if l == nil || r == nil {
+			return fmt.Errorf("plan: flat join %d references missing child", f.ID)
+		}
+		if !l.Tables.Disjoint(r.Tables) || l.Tables.Union(r.Tables) != f.Tables {
+			return fmt.Errorf("plan: flat join %d children %v ∪ %v != %v",
+				f.ID, l.Tables, r.Tables, f.Tables)
+		}
+		n.Left, n.Right = l, r
+	}
+	t.nodes = append(t.nodes, n)
+	t.index[f.ID] = int32(k)
+	return nil
+}
+
+// Lookup returns the node added under id, or nil.
+func (t *NodeTable) Lookup(id uint32) *Node {
+	i, ok := t.index[id]
+	if !ok {
+		return nil
+	}
+	return &t.nodes[i]
 }

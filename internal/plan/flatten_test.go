@@ -34,7 +34,18 @@ func flattenFixture() (roots []*Node, distinct int) {
 	return []*Node{j2, j3}, 6
 }
 
-func TestFlattenUnflattenRoundTrip(t *testing.T) {
+// rebuild adds every flat node to a table sized for exactly them.
+func rebuild(flat []Flat) (*NodeTable, error) {
+	t := NewNodeTable(len(flat))
+	for i := range flat {
+		if err := t.Add(&flat[i]); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
+}
+
+func TestFlattenNodeTableRoundTrip(t *testing.T) {
 	roots, distinct := flattenFixture()
 	fl := NewFlattener()
 	for _, r := range roots {
@@ -49,14 +60,22 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 			t.Fatalf("node table not sorted by ID at %d", i)
 		}
 	}
-	nodes, err := Unflatten(flat)
+	nodes, err := rebuild(flat)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i := range flat {
+		if n := nodes.Lookup(flat[i].ID); n == nil || n.ID() != flat[i].ID {
+			t.Fatalf("node %d not found by its ID", flat[i].ID)
+		}
+	}
 	for _, r := range roots {
-		got, ok := nodes[r.ID()]
-		if !ok {
+		got := nodes.Lookup(r.ID())
+		if got == nil {
 			t.Fatalf("root %d missing after round trip", r.ID())
+		}
+		if got.ID() != r.ID() {
+			t.Errorf("root %d came back as ID %d", r.ID(), got.ID())
 		}
 		if got.Signature() != r.Signature() {
 			t.Errorf("root %d signature %q, want %q", r.ID(), got.Signature(), r.Signature())
@@ -69,13 +88,16 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 		}
 	}
 	// Sub-plan sharing must be restored as sharing, not copies.
-	r0, r1 := nodes[roots[0].ID()], nodes[roots[1].ID()]
+	r0, r1 := nodes.Lookup(roots[0].ID()), nodes.Lookup(roots[1].ID())
 	if r0.Left != r1.Right {
-		t.Error("shared sub-plan duplicated by Unflatten")
+		t.Error("shared sub-plan duplicated by the node table")
+	}
+	if nodes.Lookup(1<<20) != nil {
+		t.Error("lookup of an ID never added found a node")
 	}
 }
 
-func TestUnflattenRejectsCorruptTables(t *testing.T) {
+func TestNodeTableRejectsCorruptTables(t *testing.T) {
 	roots, _ := flattenFixture()
 	fresh := func() []Flat {
 		fl := NewFlattener()
@@ -139,8 +161,17 @@ func TestUnflattenRejectsCorruptTables(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		if _, err := Unflatten(tc.corrupt(fresh())); err == nil {
+		if _, err := rebuild(tc.corrupt(fresh())); err == nil {
 			t.Errorf("%s: corrupt input accepted", tc.name)
+		}
+	}
+	// A node beyond the room the table was made with is refused: growing
+	// the slab would move the nodes already handed out.
+	flat := fresh()
+	full := NewNodeTable(len(flat) - 1)
+	for i := range flat {
+		if err := full.Add(&flat[i]); (err != nil) != (i == len(flat)-1) {
+			t.Errorf("table made for %d nodes: node %d added with error %v", len(flat)-1, i, err)
 		}
 	}
 }

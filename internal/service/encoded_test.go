@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -602,26 +603,86 @@ func TestFirstUsePoisonQuarantined(t *testing.T) {
 	}
 }
 
-// poisonOnlyFrame flips one byte in the middle of the snapshot blob of
-// the single frame in dir's single segment and reseals the frame's
-// CRC32C (u32 payload length | u32 CRC32C | payload, the blob last).
-func poisonOnlyFrame(t *testing.T, dir string) {
+// TestConcurrentHotSetPoison boots, many times over, a store whose hot
+// set holds six records, the middle one poisoned the way
+// poisonOnlyFrame poisons one: the boot fetches the hot set on several
+// goroutines at once, and every boot must still bury the poison exactly
+// once — one quarantine, one warning, one corrupted record — with every
+// other hot entry resident and decoded before New returns. Run under
+// -race in CI.
+func TestConcurrentHotSetPoison(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
+	blocks := []string{"Q4", "Q12", "Q13", "Q14", "Q3", "Q19"}
+	seed := t.TempDir()
+	l1 := startLife(t, seed, nil)
+	for _, b := range blocks {
+		l1.serve(b)
+	}
+	l1.svc.Shutdown()
+	poisonMiddleFrame(t, seed, len(blocks))
+
+	for boot := 0; boot < 20; boot++ {
+		dir := filepath.Join(t.TempDir(), "store")
+		if err := os.CopyFS(dir, os.DirFS(seed)); err != nil {
+			t.Fatal(err)
+		}
+		events := eventlog.New(eventlog.Options{})
+		l := startLife(t, dir, func(cfg *Config) { cfg.Events = events })
+		warnings := 0
+		for _, ev := range events.Snapshot(0, eventlog.LevelWarn) {
+			if strings.Contains(ev.Msg, "failed to decode") {
+				warnings++
+			}
+		}
+		st := l.svc.Stats()
+		if st.Poisoned != 1 || st.Cache.Poisoned != 1 || warnings != 1 || st.Store.Corrupted != 1 {
+			t.Fatalf("boot %d: poisoned %d/%d, %d warnings, corrupted %d; want 1/1, 1, 1",
+				boot, st.Poisoned, st.Cache.Poisoned, warnings, st.Store.Corrupted)
+		}
+		if st.Cache.Entries != len(blocks)-1 {
+			t.Fatalf("boot %d: %d cache entries, want %d", boot, st.Cache.Entries, len(blocks)-1)
+		}
+		l.wantResidency(uint64(len(blocks)), 0, 0)
+		l.svc.Shutdown()
+	}
+}
+
+// poisonMiddleFrame flips one byte in the middle of the snapshot blob
+// of the middle frame of dir's single segment, which must hold n frames
+// (u32 payload length | u32 CRC32C | payload, the blob last), and
+// reseals that frame's CRC32C.
+func poisonMiddleFrame(t *testing.T, dir string, n int) {
 	t.Helper()
 	seg := onlySegment(t, dir)
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := data[8:]
-	if int(binary.LittleEndian.Uint32(data)) != len(payload) {
-		t.Fatalf("segment holds more than one frame (%d payload bytes of %d)", binary.LittleEndian.Uint32(data), len(payload))
+	var frames [][2]int // [start, end) of each frame's payload
+	for off := 0; off+8 <= len(data); {
+		end := off + 8 + int(binary.LittleEndian.Uint32(data[off:]))
+		if end > len(data) {
+			t.Fatalf("frame at %d overruns the segment", off)
+		}
+		frames = append(frames, [2]int{off + 8, end})
+		off = end
 	}
+	if len(frames) != n {
+		t.Fatalf("segment holds %d frames, want %d", len(frames), n)
+	}
+	f := frames[n/2]
+	payload := data[f[0]:f[1]]
 	payload[len(payload)/2] ^= 0x40
-	binary.LittleEndian.PutUint32(data[4:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	binary.LittleEndian.PutUint32(data[f[0]-4:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
+
+// poisonOnlyFrame flips one byte in the middle of the snapshot blob of
+// the single frame in dir's single segment and reseals the frame's
+// CRC32C.
+func poisonOnlyFrame(t *testing.T, dir string) { poisonMiddleFrame(t, dir, 1) }
 
 // BenchmarkServiceBoot is the layer bench of the boot path: service.New
 // on a directory in the state restart_cycle reaches late in a run — the

@@ -4,8 +4,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"testing"
 
+	"repro/internal/eventlog"
 	"repro/internal/query"
 	"repro/internal/workload"
 )
@@ -78,13 +80,30 @@ func TestServiceRestartWarm(t *testing.T) {
 	}
 	svc1.Shutdown() // flushes the store
 
-	svc2, err := New(storeConfig(t, dir))
+	cfg2 := storeConfig(t, dir)
+	cfg2.Events = eventlog.New(eventlog.Options{})
+	svc2, err := New(cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc2.Shutdown()
 	if st := svc2.Stats(); st.Store.Loaded == 0 || st.Cache.Entries == 0 {
 		t.Fatalf("restart did not replay the store: %+v", st.Store)
+	}
+	// The replay event attributes the boot: the hot set's fetch time
+	// rides in it as fetch_ms.
+	fetchMs := ""
+	for _, ev := range cfg2.Events.Snapshot(0, eventlog.LevelInfo) {
+		if ev.Msg == "snapshot store replayed" {
+			for _, f := range ev.Fields {
+				if f.Key == "fetch_ms" {
+					fetchMs = f.Value
+				}
+			}
+		}
+	}
+	if v, err := strconv.ParseFloat(fetchMs, 64); err != nil || v < 0 {
+		t.Errorf("replay event fetch_ms = %q, want a duration in ms", fetchMs)
 	}
 	disk, diskFrontier := convergeAndClose(t, svc2, q)
 	if !disk.WarmStarted {

@@ -383,7 +383,7 @@ func (r *reader) vector(dim int) cost.Vector {
 // envelope failures, and a descriptive error for any structural
 // violation behind a valid checksum; it never panics on arbitrary
 // input and never returns a snapshot that violates the plan-DAG
-// invariants (plan.Unflatten re-checks them node by node).
+// invariants (a plan.NodeTable re-checks them node by node).
 func Decode(data []byte) (*core.Snapshot, error) {
 	if len(data) < headerLen+trailerLen {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTooShort, len(data))
@@ -533,17 +533,28 @@ func Decode(data []byte) (*core.Snapshot, error) {
 		w.EdgeStats = append(w.EdgeStats, es)
 	}
 
+	// One pass over the node table: each node is parsed into the one
+	// reused Flat and added to the table at once, its cost vector a
+	// cap-clipped window of one slab per record (appending to one vector
+	// can never write into its neighbour). No node encodes in fewer than
+	// 16 + 8·dim bytes (a join: eight one-byte fields, rows and cost),
+	// so a corrupted count cannot size the slabs past the input.
 	nNodes := r.count()
-	flat := make([]plan.Flat, 0, nNodes)
-	for i := 0; i < nNodes && r.err == nil; i++ {
-		var f plan.Flat
+	if r.err == nil && nNodes > (len(r.data)-r.off)/(16+8*dim) {
+		r.fail(fmt.Errorf("snapcodec: %d nodes exceed remaining input", nNodes))
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	nodes := plan.NewNodeTable(nNodes)
+	costs := make([]float64, nNodes*dim)
+	var f plan.Flat
+	for i := 0; i < nNodes; i++ {
 		id := r.uvarint()
-		if id >= math.MaxUint32 {
-			r.fail(fmt.Errorf("snapcodec: node ID %d out of range", id))
-			break
+		if r.err == nil && id >= nextID {
+			r.fail(fmt.Errorf("snapcodec: node ID %d at or above nextID %d", id, nextID))
 		}
-		f.ID = uint32(id)
-		f.Tables = tableset.Set(r.uvarint())
+		f = plan.Flat{ID: uint32(id), Tables: tableset.Set(r.uvarint())}
 		switch kind := r.byte(); kind {
 		case 0:
 			f.TableID = int32(r.uvarint())
@@ -564,28 +575,25 @@ func Decode(data []byte) (*core.Snapshot, error) {
 			r.fail(fmt.Errorf("snapcodec: node %d with unknown kind %d", f.ID, kind))
 		}
 		f.Rows = r.float()
-		f.Cost = r.vector(dim)
+		f.Cost = cost.Vector(costs[i*dim : (i+1)*dim : (i+1)*dim])
+		for d := range f.Cost {
+			f.Cost[d] = r.float()
+		}
 		f.Order = plan.Order(r.uvarint())
-		// The kind byte and the table-set cardinality must agree, or
-		// Unflatten's scan/join discrimination would misparse the node.
+		// The kind byte and the table-set cardinality must agree, or the
+		// table's scan/join discrimination would misparse the node.
 		if r.err == nil && (f.Tables.Len() == 1) != f.IsScan() {
 			r.fail(fmt.Errorf("snapcodec: node %d kind disagrees with its table set", f.ID))
 		}
-		flat = append(flat, f)
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	nodes, err := plan.Unflatten(flat)
-	if err != nil {
-		return nil, err
-	}
-	for _, n := range nodes {
-		if uint64(n.ID()) >= nextID {
-			return nil, fmt.Errorf("snapcodec: node ID %d at or above nextID %d", n.ID(), nextID)
+		if r.err != nil {
+			return nil, r.err
+		}
+		if err := nodes.Add(&f); err != nil {
+			return nil, err
 		}
 	}
 
+	var err error
 	if w.Res, err = readPlanSets(r, nodes, echoLevels); err != nil {
 		return nil, err
 	}
@@ -593,16 +601,29 @@ func Decode(data []byte) (*core.Snapshot, error) {
 		return nil, err
 	}
 
+	// The pair memo is the bulk of a record's varints, most of them one
+	// byte: read them straight off the slice, not through the cursor.
 	nPairs := r.count()
-	w.Pairs = make([]uint64, 0, nPairs)
-	prev := uint64(0)
-	for i := 0; i < nPairs && r.err == nil; i++ {
-		prev += r.uvarint()
-		w.Pairs = append(w.Pairs, prev)
-	}
 	if r.err != nil {
 		return nil, r.err
 	}
+	w.Pairs = make([]uint64, nPairs)
+	data, off, prev := r.data, r.off, uint64(0)
+	for i := range w.Pairs {
+		if off < len(data) && data[off] < 0x80 {
+			prev += uint64(data[off])
+			off++
+		} else {
+			d, n := binary.Uvarint(data[off:])
+			if n <= 0 {
+				return nil, fmt.Errorf("snapcodec: truncated varint at offset %d", off)
+			}
+			prev += d
+			off += n
+		}
+		w.Pairs[i] = prev
+	}
+	r.off = off
 	if r.off != len(r.data) {
 		return nil, fmt.Errorf("snapcodec: %d trailing bytes after record", len(r.data)-r.off)
 	}
@@ -612,7 +633,7 @@ func Decode(data []byte) (*core.Snapshot, error) {
 // readPlanSets decodes one plan-set map, resolving entry payloads
 // through the node table and restoring the cost aliasing invariant
 // (Entry.Cost == Entry.Payload.Cost).
-func readPlanSets(r *reader, nodes map[uint32]*plan.Node, levels int) (map[tableset.Set][]rangeindex.Entry, error) {
+func readPlanSets(r *reader, nodes *plan.NodeTable, levels int) (map[tableset.Set][]rangeindex.Entry, error) {
 	nSets := r.count()
 	sets := make(map[tableset.Set][]rangeindex.Entry, nSets)
 	for i := 0; i < nSets && r.err == nil; i++ {
@@ -635,8 +656,8 @@ func readPlanSets(r *reader, nodes map[uint32]*plan.Node, levels int) (map[table
 			}
 			epoch := r.uvarint()
 			id := uint32(r.uvarint())
-			n, ok := nodes[id]
-			if !ok {
+			n := nodes.Lookup(id)
+			if n == nil {
 				r.fail(fmt.Errorf("snapcodec: entry references missing node %d", id))
 				break
 			}

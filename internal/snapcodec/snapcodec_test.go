@@ -16,7 +16,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/costmodel"
+	"repro/internal/plan"
 	"repro/internal/query"
+	"repro/internal/rangeindex"
+	"repro/internal/tableset"
 	"repro/internal/workload"
 )
 
@@ -430,4 +433,94 @@ func FuzzSnapshotCodec(f *testing.F) {
 			t.Fatalf("single-byte corruption at %d accepted", int(flip)%len(mut))
 		}
 	})
+}
+
+// TestDecodeCostsClippedAndAliased pins the two properties of the cost
+// vectors a decode carves from one slab per record: each is cap-clipped,
+// so appending to one reallocates instead of overwriting its neighbour,
+// and every entry's Cost is its payload's vector (D12's aliasing).
+func TestDecodeCostsClippedAndAliased(t *testing.T) {
+	_, snap := convergedSnapshot(t, "Q4", testConfig(3))
+	data, err := Encode(nil, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[*plan.Node]cost.Vector{}
+	var walk func(n *plan.Node)
+	walk = func(n *plan.Node) {
+		if _, ok := seen[n]; ok {
+			return
+		}
+		seen[n] = slices.Clone(n.Cost)
+		if !n.IsScan() {
+			walk(n.Left)
+			walk(n.Right)
+		}
+	}
+	w := decoded.Wire()
+	entries := 0
+	for _, set := range []map[tableset.Set][]rangeindex.Entry{w.Res, w.Cand} {
+		for _, es := range set {
+			for i := range es {
+				e := &es[i]
+				entries++
+				if len(e.Cost) == 0 || len(e.Cost) != len(e.Payload.Cost) || &e.Cost[0] != &e.Payload.Cost[0] {
+					t.Fatalf("entry of node %d: Cost does not alias Payload.Cost", e.Payload.ID())
+				}
+				walk(e.Payload)
+			}
+		}
+	}
+	if entries == 0 || len(seen) < 2 {
+		t.Fatalf("%d entries over %d nodes: nothing to check", entries, len(seen))
+	}
+	for n := range seen {
+		if cap(n.Cost) != len(n.Cost) {
+			t.Fatalf("node %d cost has cap %d, len %d: not clipped", n.ID(), cap(n.Cost), len(n.Cost))
+		}
+		_ = append(n.Cost, -1)
+	}
+	for n, want := range seen {
+		if !n.Cost.Equal(want) {
+			t.Fatalf("node %d cost %v, was %v before its neighbours were appended to", n.ID(), n.Cost, want)
+		}
+	}
+}
+
+// BenchmarkDecode is the layer bench of one boot-time fetch's decode:
+// a converged chain4 snapshot and a converged TPC-H block (Q10) at
+// moqod's default five resolution levels, decoded from their wire form.
+func BenchmarkDecode(b *testing.B) {
+	cfg := testConfig(5)
+	chain, err := query.Synthetic(catalog.TPCH(1), 4, query.Chain, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := core.MustNewOptimizer(chain, cfg)
+	for r := 0; r <= cfg.MaxResolution(); r++ {
+		opt.Optimize(nil, r)
+	}
+	_, q10 := convergedSnapshot(b, "Q10", cfg)
+	for _, tc := range []struct {
+		name string
+		snap *core.Snapshot
+	}{{"chain4", opt.Snapshot()}, {"Q10", q10}} {
+		data, err := Encode(nil, tc.snap)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			for b.Loop() {
+				if _, err := Decode(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
