@@ -94,9 +94,10 @@ func Optimize(q *query.Query, model *costmodel.Model, alpha float64, b cost.Vect
 				if _, edges := q.CrossSelectivity(q1, q2); edges == 0 {
 					return true
 				}
+				s := model.NewSplit(q, q1, q2)
 				for _, l := range res.Plans[q1] {
 					for _, r := range res.Plans[q2] {
-						alts = model.AppendJoinAlternatives(alts[:0], q, l, r, arena)
+						alts = model.AppendSplitAlternatives(alts[:0], &s, l, r, arena)
 						for _, p := range alts {
 							res.PlansGenerated++
 							res.insert(sub, p, alpha, b)

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/rangeindex"
 	"repro/internal/tableset"
@@ -205,5 +208,68 @@ func BenchmarkReinvokeCovered(b *testing.B) {
 			}
 			b.ReportMetric(float64(covered)/float64(b.N), "covered/op")
 		})
+	}
+}
+
+// BenchmarkFrontierFilter times the frontier filter of DESIGN.md D6 on
+// the inputs of its two callers at the target resolution of converged
+// chain4 and star4 (filterInputs): visible/ filters one table set's
+// visible result plans per op, batch/ one pair's 12 join alternatives,
+// cycling through all of them. sweep is the optimizer's sort-then-sweep,
+// quadratic the all-pairs filter it replaced. plans/op is the mean input
+// size.
+//
+// sort/ times the two sorts sortByCost chooses between on random plan
+// sets of n plans; insertionSortMax is where they cross.
+func BenchmarkFrontierFilter(b *testing.B) {
+	cfg := defaultConfig()
+	for _, shape := range benchShapes(b) {
+		visible, batches := filterInputs(b, shape.q, cfg)
+		o := MustNewOptimizer(shape.q, cfg)
+		for _, caller := range []struct {
+			name   string
+			inputs [][]*plan.Node
+		}{{"visible", visible}, {"batch", batches}} {
+			plans := 0
+			for _, all := range caller.inputs {
+				plans += len(all)
+			}
+			for _, impl := range []struct {
+				name   string
+				filter func(all []*plan.Node, keep []bool) []bool
+			}{
+				{"sweep", o.frontierFilter},
+				{"quadratic", func(all []*plan.Node, keep []bool) []bool { return quadraticFrontierFilter(cfg, all, keep) }},
+			} {
+				b.Run(caller.name+"/"+shape.name+"/"+impl.name, func(b *testing.B) {
+					b.ReportAllocs()
+					var keep []bool
+					for i := 0; i < b.N; i++ {
+						keep = impl.filter(caller.inputs[i%len(caller.inputs)], keep)
+					}
+					b.ReportMetric(float64(plans)/float64(len(caller.inputs)), "plans/op")
+				})
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{8, 12, 16, 24, 32, 48, 64, 96, 128} {
+		all := randomPlans(rng, n, cfg.Model.Space().Dim(), false)
+		keys := make([]sortKey, n)
+		for _, sort := range []struct {
+			name string
+			fn   func([]*plan.Node, []sortKey)
+		}{{"insertion", insertionSortByCost}, {"pdq", pdqSortByCost}} {
+			b.Run(fmt.Sprintf("sort/%s/n=%d", sort.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for j, p := range all {
+						keys[j] = sortKey{p.Cost[0], int32(j)}
+					}
+					sort.fn(all, keys)
+				}
+			})
+		}
 	}
 }

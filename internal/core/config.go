@@ -64,11 +64,14 @@ type Config struct {
 
 	// DisableVisibleFrontierFilter is an ablation switch (DESIGN.md
 	// D6): it makes Fresh combine every visible result plan, including
-	// plans that a newer visible result plan dominates outright. The
-	// default filters each side of a sub-plan pairing to its Pareto
-	// frontier first — sound because a join built from a dominated,
-	// order-covered, no-smaller-rows sub-plan is itself dominated by
-	// the join built from the dominator.
+	// plans that another visible result plan — older or newer — makes
+	// redundant (covers its order, produces no more rows, dominates its
+	// cost). The default filters each side of a sub-plan pairing to its
+	// Pareto frontier first — sound because a join built from a
+	// dominated, order-covered, no-smaller-rows sub-plan is itself
+	// dominated by the join built from the dominator. The same filter
+	// drops the alternatives of one pair that another alternative of the
+	// pair makes redundant; the switch turns that off too.
 	DisableVisibleFrontierFilter bool
 
 	// Hooks receives debug callbacks; all fields may be nil. Used by

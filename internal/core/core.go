@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cost"
+	"repro/internal/costmodel"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/rangeindex"
@@ -81,6 +82,9 @@ type Optimizer struct {
 	altFloats     []float64          // backing store of altNodes' cost vectors
 	altsScratch   []*plan.Node       // scan plans, or pointers into altNodes
 	altsKeep      []bool             // frontier filter over altsScratch
+	split         costmodel.Split    // the split of the last pair combinePairs enumerated
+	sortKeys      []sortKey          // frontierFilter's input, sorted by cost
+	sweepKept     []*plan.Node       // frontierFilter's kept plans, in sorted order
 	visAll        []*plan.Node       // visible-set collection
 	visEpochs     []uint64           // insertion epochs of visAll
 	visKeep       []bool             // frontier filter over visAll
@@ -155,7 +159,7 @@ func NewOptimizer(q *query.Query, cfg Config) (*Optimizer, error) {
 		if o.cfg.RetainDominatedCandidates {
 			return false
 		}
-		if pA.Rows <= o.pruneP.Rows && pA.Cost.Dominates(o.pruneP.Cost) {
+		if o.redundant(pA, o.pruneP) {
 			o.pruneExact = true
 			o.noteWitness(pA)
 			return false

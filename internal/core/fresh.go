@@ -64,15 +64,26 @@ func (o *Optimizer) visible(q tableset.Set, b cost.Vector, r int) *visibleSets {
 }
 
 // frontierFilter marks which plans to keep for pair formation: a plan is
-// dropped when another kept plan covers its order, produces no more
-// rows, and dominates its cost (first occurrence wins ties). Joining a
-// dropped plan can never produce anything its dominator's join would not
-// dominate, so dropping is sound; it keeps pair formation quadratic in
-// the frontier size rather than in the accumulated result-set size.
+// dropped when another plan makes it redundant and either differs from
+// it in cost or has the smaller index (so that exactly one
+// representative of each tie group survives). Joining a dropped plan
+// can never produce anything its dominator's join would not dominate,
+// so dropping is sound; it keeps pair formation quadratic in the
+// frontier size rather than in the accumulated result-set size. It
+// serves the visible sets of Fresh and each pair's batch of join
+// alternatives.
+//
+// The drop relation is a strict partial order (transitive and
+// irreflexive), so every dropped plan is dropped by a kept one, and
+// every plan that drops another sorts ahead of it by (lexicographic
+// cost, index). A sweep in that order therefore only compares each plan
+// with the plans already kept (DESIGN.md D6), and there non-strict
+// dominance suffices: a kept plan of equal cost has the smaller index.
 //
 // The verdicts are written into the caller-owned keep scratch slice
-// (grown as needed) and the possibly-reallocated slice is returned; the
-// caller stores it back into the scratch field it came from.
+// (grown as needed), in the original order, and the possibly-
+// reallocated slice is returned; the caller stores it back into the
+// scratch field it came from.
 func (o *Optimizer) frontierFilter(all []*plan.Node, keep []bool) []bool {
 	keep = keep[:0]
 	for range all {
@@ -81,30 +92,90 @@ func (o *Optimizer) frontierFilter(all []*plan.Node, keep []bool) []bool {
 	if o.cfg.DisableVisibleFrontierFilter {
 		return keep
 	}
-	// A plan is dropped when another plan with covering order and no
-	// more rows strictly dominates it, or equals it with a smaller
-	// index (so exactly one representative of each tie group survives).
-	// Every dropped plan is transitively covered by a kept plan: the
-	// drop relation is a strict partial order whose maximal elements
-	// are kept.
+	keys := o.sortKeys[:0]
 	for i, p := range all {
-		for j, q := range all {
-			if i == j {
-				continue
-			}
-			if !o.cfg.DisableOrderAwarePruning && !q.Order.Covers(p.Order) {
-				continue
-			}
-			if q.Rows > p.Rows {
-				continue
-			}
-			if q.Cost.StrictlyDominates(p.Cost) || (j < i && q.Cost.Equal(p.Cost)) {
-				keep[i] = false
+		keys = append(keys, sortKey{p.Cost[0], int32(i)})
+	}
+	sortByCost(all, keys)
+	kept := o.sweepKept[:0]
+	for _, k := range keys {
+		p := all[k.i]
+		// Nearest first: the plans kept last lie closest in cost.
+		for j := len(kept) - 1; j >= 0; j-- {
+			if o.redundant(kept[j], p) {
+				keep[k.i] = false
 				break
 			}
 		}
+		if keep[k.i] {
+			kept = append(kept, p)
+		}
 	}
+	o.sortKeys, o.sweepKept = keys, kept
 	return keep
+}
+
+// sortKey is one plan of frontierFilter's input: its index and its first
+// cost component, which settles most comparisons without a pointer
+// chase.
+type sortKey struct {
+	c0 float64
+	i  int32
+}
+
+// insertionSortMax is the largest input sortByCost sorts by insertion.
+// A pair's alternative batch (|joinOps| × |Degrees| = 12 plans) lies
+// below it, most visible sets above. On BenchmarkFrontierFilter's
+// sort/ sub-benchmarks insertion sort led by 20–30 % at 32 plans and
+// pdqsort by 10–15 % at 64; at 48 the lead changed sides between runs.
+const insertionSortMax = 32
+
+// sortByCost sorts keys, which index into all, by the plans' costs in
+// lexicographic order, ties by index. Costs are finite, so plain float
+// comparisons order them.
+func sortByCost(all []*plan.Node, keys []sortKey) {
+	if len(keys) <= insertionSortMax {
+		insertionSortByCost(all, keys)
+	} else {
+		pdqSortByCost(all, keys)
+	}
+}
+
+// insertionSortByCost is sortByCost for short inputs.
+func insertionSortByCost(all []*plan.Node, keys []sortKey) {
+	for i := 1; i < len(keys); i++ {
+		v := keys[i]
+		j := i
+		for ; j > 0 && compareKeys(all, v, keys[j-1]) < 0; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = v
+	}
+}
+
+// pdqSortByCost is sortByCost for long inputs.
+func pdqSortByCost(all []*plan.Node, keys []sortKey) {
+	slices.SortFunc(keys, func(a, b sortKey) int { return compareKeys(all, a, b) })
+}
+
+// compareKeys orders two keys of all by (lexicographic cost, index).
+func compareKeys(all []*plan.Node, a, b sortKey) int {
+	if a.c0 != b.c0 {
+		if a.c0 < b.c0 {
+			return -1
+		}
+		return 1
+	}
+	x, y := all[a.i].Cost, all[b.i].Cost
+	for d := 1; d < len(x); d++ {
+		if x[d] != y[d] {
+			if x[d] < y[d] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return int(a.i - b.i)
 }
 
 // hasFresh reports whether subset q's result set can hold a plan
@@ -188,6 +259,11 @@ func leftRun(base []uint64, left uint32) []uint64 {
 // pairs with l on the left are one contiguous run, narrowed once per l
 // and binary-searched per rt. A cold optimizer has no base and goes
 // straight to its own memo.
+//
+// What the enumeration reads of the two table sets alone — the union,
+// the logical output rows, the merge keys — is prepared once per split
+// (costmodel.Split), on the split's first fresh pair, so a split whose
+// pairs are all memo-stale pays nothing for it.
 func (o *Optimizer) combinePairs(sub tableset.Set, b cost.Vector, r int, lefts, rights []*plan.Node) {
 	if len(lefts) == 0 || len(rights) == 0 {
 		return
@@ -209,10 +285,18 @@ func (o *Optimizer) combinePairs(sub tableset.Set, b cost.Vector, r int, lefts, 
 			if o.cfg.Hooks.PairCombined != nil {
 				o.cfg.Hooks.PairCombined(l, rt)
 			}
-			o.altNodes, o.altFloats = o.cfg.Model.JoinAlternativesInto(o.altNodes, o.altFloats, o.q, l, rt)
-			o.altsScratch = o.altsScratch[:0]
-			for i := range o.altNodes {
-				o.altsScratch = append(o.altsScratch, &o.altNodes[i])
+			if o.split.Left != l.Tables || o.split.Right != rt.Tables {
+				o.split = o.cfg.Model.NewSplit(o.q, l.Tables, rt.Tables)
+			}
+			o.altNodes, o.altFloats = o.cfg.Model.JoinAlternativesInto(o.altNodes, o.altFloats, &o.split, l, rt)
+			// The pointers into altNodes stay valid from pair to pair;
+			// they are retaken only when the enumeration regrew the
+			// scratch or initScans borrowed altsScratch.
+			if len(o.altsScratch) != len(o.altNodes) || o.altsScratch[0] != &o.altNodes[0] {
+				o.altsScratch = o.altsScratch[:0]
+				for i := range o.altNodes {
+					o.altsScratch = append(o.altsScratch, &o.altNodes[i])
+				}
 			}
 			o.altsKeep = o.frontierFilter(o.altsScratch, o.altsKeep)
 			for i, p := range o.altsScratch {

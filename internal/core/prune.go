@@ -138,10 +138,7 @@ func (o *Optimizer) witnessDominates(sub tableset.Set, p *plan.Node) bool {
 	}
 	for i, w := range o.witnesses[:o.witN] {
 		o.stats.DominanceChecks++
-		if !o.cfg.DisableOrderAwarePruning && !w.Order.Covers(p.Order) {
-			continue
-		}
-		if w.Rows <= p.Rows && w.Cost.Dominates(p.Cost) {
+		if o.redundant(w, p) {
 			copy(o.witnesses[1:i+1], o.witnesses[:i])
 			o.witnesses[0] = w
 			return true
@@ -158,4 +155,23 @@ func (o *Optimizer) noteWitness(w *plan.Node) {
 	}
 	copy(o.witnesses[1:o.witN], o.witnesses[:o.witN-1])
 	o.witnesses[0] = w
+}
+
+// redundant reports whether plan q makes plan p redundant: q can stand
+// in for p (its order covers p's, unless DisableOrderAwarePruning), it
+// produces no more rows, and its cost dominates p's. Joining p can then
+// produce nothing the same join of q would not dominate (DESIGN.md D5,
+// D6). The relation is transitive.
+func (o *Optimizer) redundant(q, p *plan.Node) bool {
+	if q.Rows > p.Rows || !q.Order.Covers(p.Order) && !o.cfg.DisableOrderAwarePruning {
+		return false
+	}
+	// q.Cost.Dominates(p.Cost), spelled out so that the test inlines.
+	pc := p.Cost[:len(q.Cost)]
+	for d, c := range q.Cost {
+		if c > pc[d] {
+			return false
+		}
+	}
+	return true
 }

@@ -266,14 +266,63 @@ func (m *Model) JoinAlternatives(q *query.Query, left, right *plan.Node) []*plan
 	return m.AppendJoinAlternatives(nil, q, left, right, nil)
 }
 
+// Split holds what a join's enumeration reads of its two input table
+// sets rather than of its two input plans: the union, the logical output
+// cardinality and the merge keys. Every pair of plans for one split
+// (Left, Right) of a table set shares them, so callers that join many
+// pairs of one split prepare it once with NewSplit and pass it to
+// JoinAlternativesInto or AppendSplitAlternatives.
+type Split struct {
+	// Left and Right are the table sets of the joined sub-plans.
+	Left, Right tableset.Set
+
+	union tableset.Set
+	// rows is the logical output cardinality; sel is the crossing
+	// edges' selectivity, which PropagateSampling multiplies into each
+	// pair's own input rows instead.
+	rows, sel  float64
+	keyL, keyR plan.Order
+}
+
+// NewSplit prepares the split (left, right) of query q.
+func (m *Model) NewSplit(q *query.Query, left, right tableset.Set) Split {
+	s := Split{Left: left, Right: right, union: left.Union(right)}
+	if m.params.PropagateSampling {
+		s.sel, _ = q.CrossSelectivity(left, right)
+	} else {
+		// Logical cardinality: a pure function of the joined table set,
+		// so all plans for the same set share downstream work (exact
+		// PONO).
+		s.rows = q.Cardinality(s.union)
+	}
+	s.keyL, s.keyR = mergeKeys(q, left, right)
+	return s
+}
+
+// outputRows estimates the output cardinality of joining left and right,
+// a pair of split s.
+func (m *Model) outputRows(s *Split, left, right *plan.Node) float64 {
+	if m.params.PropagateSampling {
+		return max(left.Rows*right.Rows*s.sel, 1)
+	}
+	return s.rows
+}
+
 // AppendJoinAlternatives is JoinAlternatives appending into dst,
 // allocating nodes and cost vectors from arena a (both may be nil).
 // Every alternative is materialised; callers that discard most of what
 // they enumerate (the optimizer's inner loop) use JoinAlternativesInto
 // and copy only the survivors.
 func (m *Model) AppendJoinAlternatives(dst []*plan.Node, q *query.Query, left, right *plan.Node, a *plan.Arena) []*plan.Node {
+	s := m.NewSplit(q, left.Tables, right.Tables)
+	return m.AppendSplitAlternatives(dst, &s, left, right, a)
+}
+
+// AppendSplitAlternatives is AppendJoinAlternatives for a pair of the
+// prepared split s.
+func (m *Model) AppendSplitAlternatives(dst []*plan.Node, s *Split, left, right *plan.Node, a *plan.Arena) []*plan.Node {
 	dim := m.space.Dim()
-	m.fillJoinAlternatives(q, left, right, func() *plan.Node {
+	m.fillJoinAlternatives(s, left, right, func() *plan.Node {
 		n := a.NewNode(plan.Node{Cost: a.NewVector(dim)})
 		dst = append(dst, n)
 		return n
@@ -282,12 +331,13 @@ func (m *Model) AppendJoinAlternatives(dst []*plan.Node, q *query.Query, left, r
 }
 
 // JoinAlternativesInto enumerates the same alternatives, in the same
-// order, as values into caller-owned scratch: nodes is overwritten from
-// its start and every node's Cost views a window of floats, so a caller
-// that reuses both slices enumerates without touching the heap. The
-// (possibly regrown) slices are returned; the nodes carry no arena ID
-// and are valid until the scratch is reused.
-func (m *Model) JoinAlternativesInto(nodes []plan.Node, floats []float64, q *query.Query, left, right *plan.Node) ([]plan.Node, []float64) {
+// order, for a pair of the prepared split s, as values into caller-owned
+// scratch: nodes is overwritten from its start and every node's Cost
+// views a window of floats, so a caller that reuses both slices
+// enumerates without touching the heap. The (possibly regrown) slices
+// are returned; the nodes carry no arena ID and are valid until the
+// scratch is reused.
+func (m *Model) JoinAlternativesInto(nodes []plan.Node, floats []float64, s *Split, left, right *plan.Node) ([]plan.Node, []float64) {
 	dim := m.space.Dim()
 	n := len(joinOps) * len(m.params.Degrees)
 	// Sized up front: the loop below hands out pointers into both.
@@ -299,9 +349,16 @@ func (m *Model) JoinAlternativesInto(nodes []plan.Node, floats []float64, q *que
 	}
 	nodes, floats = nodes[:n], floats[:n*dim]
 	i := 0
-	m.fillJoinAlternatives(q, left, right, func() *plan.Node {
+	m.fillJoinAlternatives(s, left, right, func() *plan.Node {
 		p := &nodes[i]
-		*p = plan.Node{Cost: floats[i*dim : (i+1)*dim : (i+1)*dim]}
+		if p.ID() != 0 {
+			*p = plan.Node{} // not a slot of this scratch
+		}
+		// fill sets the join fields. The scan fields are cleared one
+		// by one: storing a whole zero node would take a write barrier
+		// over all of it whenever the GC is marking.
+		p.TableID, p.Scan, p.SampleRate = 0, 0, 0
+		p.Cost = floats[i*dim : (i+1)*dim : (i+1)*dim]
 		i++
 		return p
 	})
@@ -309,19 +366,20 @@ func (m *Model) JoinAlternativesInto(nodes []plan.Node, floats []float64, q *que
 }
 
 // fillJoinAlternatives is the one op×degree enumeration body behind
-// both forms above (so the two can never drift apart): for every
-// alternative it takes a node from slot — zero but for a Cost vector of
-// the model's dimension — and fills in the join fields and the cost.
-func (m *Model) fillJoinAlternatives(q *query.Query, left, right *plan.Node, slot func() *plan.Node) {
-	union := left.Tables.Union(right.Tables)
-	outRows := m.joinOutputRows(q, left, right)
-	sortKeyL, sortKeyR := m.mergeKeys(q, left, right)
-
+// the forms above (so they can never drift apart): for every
+// alternative it takes a node from slot — zero but for its join fields
+// and a Cost vector of the model's dimension — and fills in the join
+// fields and the cost.
+func (m *Model) fillJoinAlternatives(s *Split, left, right *plan.Node, slot func() *plan.Node) {
+	if left.Tables != s.Left || right.Tables != s.Right {
+		panic(fmt.Sprintf("costmodel: pair %v × %v is not of split %v × %v", left.Tables, right.Tables, s.Left, s.Right))
+	}
+	outRows := m.outputRows(s, left, right)
 	for _, op := range joinOps {
-		work, order := m.localWork(op, left, right, outRows, sortKeyL, sortKeyR)
+		work, order := m.localWork(op, left, right, outRows, s.keyL, s.keyR)
 		for _, d := range m.params.Degrees {
 			n := slot()
-			n.Tables, n.Join, n.Degree = union, op, d
+			n.Tables, n.Join, n.Degree = s.union, op, d
 			n.Left, n.Right = left, right
 			n.Rows, n.Order = outRows, order
 			m.joinCostInto(n.Cost, left, right, work, d)
@@ -329,23 +387,12 @@ func (m *Model) fillJoinAlternatives(q *query.Query, left, right *plan.Node, slo
 	}
 }
 
-// joinOutputRows estimates the join's output cardinality from the
-// children's row estimates and the selectivity of the crossing edges.
-func (m *Model) joinOutputRows(q *query.Query, left, right *plan.Node) float64 {
-	if m.params.PropagateSampling {
-		sel, _ := q.CrossSelectivity(left.Tables, right.Tables)
-		return math.Max(left.Rows*right.Rows*sel, 1)
-	}
-	// Logical cardinality: a pure function of the joined table set, so
-	// all plans for the same set share downstream work (exact PONO).
-	return q.Cardinality(left.Tables.Union(right.Tables))
-}
-
-// mergeKeys picks the sort keys a merge join would use: the endpoints of
-// the lexicographically smallest crossing join edge. Returns OrderNone
-// keys when the inputs are not connected (cartesian product).
-func (m *Model) mergeKeys(q *query.Query, left, right *plan.Node) (plan.Order, plan.Order) {
-	a, b, ok := q.MinCrossEdge(left.Tables, right.Tables)
+// mergeKeys picks the sort keys a merge join of left and right would
+// use: the endpoints of the lexicographically smallest crossing join
+// edge. Returns OrderNone keys when the inputs are not connected
+// (cartesian product).
+func mergeKeys(q *query.Query, left, right tableset.Set) (plan.Order, plan.Order) {
+	a, b, ok := q.MinCrossEdge(left, right)
 	if !ok {
 		return plan.OrderNone, plan.OrderNone
 	}
@@ -355,7 +402,7 @@ func (m *Model) mergeKeys(q *query.Query, left, right *plan.Node) (plan.Order, p
 // localWork computes an operator's local effort and output order.
 func (m *Model) localWork(op plan.JoinOp, left, right *plan.Node, outRows float64, keyL, keyR plan.Order) (float64, plan.Order) {
 	p := &m.params
-	nL, nR := math.Max(left.Rows, 1), math.Max(right.Rows, 1)
+	nL, nR := max(left.Rows, 1), max(right.Rows, 1)
 	outCost := p.OutputPerRow * outRows
 	switch op {
 	case plan.HashJoin:
@@ -391,7 +438,7 @@ func (m *Model) joinCostInto(v cost.Vector, left, right *plan.Node, work float64
 		case cost.Time:
 			v[i] = l + r + work/d
 		case cost.Cores:
-			v[i] = math.Max(math.Max(l, r), d)
+			v[i] = max(l, r, d)
 		case cost.PrecisionLoss:
 			v[i] = l + r
 		case cost.Fees:

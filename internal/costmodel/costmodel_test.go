@@ -11,6 +11,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/tableset"
+	"repro/internal/workload"
 )
 
 func testQuery(t *testing.T) *query.Query {
@@ -168,40 +169,182 @@ func TestJoinAlternativesEnumeration(t *testing.T) {
 // TestJoinAlternativesIntoMatchesAppend checks the scratch form against
 // the materialising one — same alternatives, same order, same costs —
 // and its storage contract: reused backing arrays, cost windows that do
-// not overlap and cannot grow into each other.
+// not overlap and cannot grow into each other. It covers both
+// cardinality modes and a split that no join edge crosses (tables 0 and
+// 2), whose merge keys are OrderNone.
 func TestJoinAlternativesIntoMatchesAppend(t *testing.T) {
 	q := testQuery(t)
-	m := Default()
-	dim := m.Space().Dim()
-	l := m.ScanPlans(q, 0)[1]
+	propagate := DefaultParams()
+	propagate.PropagateSampling = true
+	for _, mode := range []struct {
+		name string
+		m    *Model
+	}{
+		{"logical", Default()},
+		{"propagate", MustNew(cost.EvaluationSpace(), propagate)},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			m := mode.m
+			dim := m.Space().Dim()
+			l := m.ScanPlans(q, 0)[1]
+			// The first round's scratch holds arena scan nodes, ID and
+			// scan fields set: the enumeration must overwrite them all.
+			scans := m.AppendScanPlans(nil, q, 0, plan.NewArena())
+			nodes := make([]plan.Node, 3*len(m.Params().Degrees))
+			for i := range nodes {
+				nodes[i] = *scans[len(scans)-1-i%len(scans)]
+			}
+			if nodes[0].ID() == 0 {
+				t.Fatal("the stale scratch carries no ID")
+			}
+			var floats []float64
+			round := 0
+			for _, right := range []int{1, 2} {
+				s := m.NewSplit(q, l.Tables, tableset.Singleton(right))
+				if right == 2 && (s.keyL != plan.OrderNone || s.keyR != plan.OrderNone) {
+					t.Errorf("split without a crossing edge has merge keys %v, %v", s.keyL, s.keyR)
+				}
+				for _, r := range m.ScanPlans(q, right) {
+					want := m.AppendJoinAlternatives(nil, q, l, r, plan.NewArena())
+					prevNodes, prevFloats := nodes, floats
+					nodes, floats = m.JoinAlternativesInto(nodes, floats, &s, l, r)
+					for i := range nodes {
+						if got, w := nodes[i], *want[i]; got.TableID != w.TableID || got.Scan != w.Scan ||
+							got.SampleRate != w.SampleRate || got.Join != w.Join || got.Degree != w.Degree ||
+							got.Left != w.Left || got.Right != w.Right {
+							t.Errorf("round %d alt %d: scratch %+v, materialised %+v", round, i, got, w)
+						}
+					}
+					if len(nodes) != len(want) || len(floats) != len(want)*dim {
+						t.Fatalf("round %d: %d nodes over %d floats, want %d over %d",
+							round, len(nodes), len(floats), len(want), len(want)*dim)
+					}
+					if round > 0 && (&nodes[0] != &prevNodes[0] || &floats[0] != &prevFloats[0]) {
+						t.Errorf("round %d: scratch was reallocated", round)
+					}
+					for i := range nodes {
+						got := &nodes[i]
+						if got.Signature() != want[i].Signature() || !got.Cost.Equal(want[i].Cost) ||
+							got.Rows != want[i].Rows || got.Order != want[i].Order || got.Tables != want[i].Tables {
+							t.Errorf("round %d alt %d: scratch %v %v, materialised %v %v",
+								round, i, got, got.Cost, want[i], want[i].Cost)
+						}
+						if got.ID() != 0 {
+							t.Errorf("round %d alt %d: scratch node carries ID %d", round, i, got.ID())
+						}
+						if &got.Cost[0] != &floats[i*dim] || len(got.Cost) != dim || cap(got.Cost) != dim {
+							t.Errorf("round %d alt %d: cost is not its own window of the scratch", round, i)
+						}
+					}
+					round++
+				}
+			}
+		})
+	}
+}
+
+// perPairRows and perPairKeys are the per-pair computations a Split
+// replaces, kept as the reference it must agree with: a join's output
+// rows from the two plans, its merge keys from their table sets.
+func perPairRows(m *Model, q *query.Query, l, r *plan.Node) float64 {
+	if m.params.PropagateSampling {
+		sel, _ := q.CrossSelectivity(l.Tables, r.Tables)
+		return math.Max(l.Rows*r.Rows*sel, 1)
+	}
+	return q.Cardinality(l.Tables.Union(r.Tables))
+}
+
+func perPairKeys(q *query.Query, l, r *plan.Node) (plan.Order, plan.Order) {
+	a, b, ok := q.MinCrossEdge(l.Tables, r.Tables)
+	if !ok {
+		return plan.OrderNone, plan.OrderNone
+	}
+	return plan.OrderOn(a), plan.OrderOn(b)
+}
+
+// TestSplitMatchesPerPair checks, for every split of every table subset
+// of a 4-table chain, a 4-table star and the 8-table TPC-H Q8 block,
+// that what the split prepares once equals what each pair computed for
+// itself: the output rows (logical and propagated) and the merge keys,
+// read both off the split and off the enumerated alternatives.
+func TestSplitMatchesPerPair(t *testing.T) {
+	queries := map[string]*query.Query{}
+	for name, tp := range map[string]query.Topology{"chain4": query.Chain, "star4": query.Star} {
+		q, err := query.Synthetic(catalog.TPCH(1), 4, tp, rand.New(rand.NewSource(11)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries[name] = q
+	}
+	q8, ok := workload.Find(workload.MustTPCHBlocks(1), "Q8")
+	if !ok {
+		t.Fatal("no Q8 block")
+	}
+	queries["Q8"] = q8.Query
+	propagate := DefaultParams()
+	propagate.PropagateSampling = true
+	models := map[string]*Model{"logical": Default(), "propagate": MustNew(cost.EvaluationSpace(), propagate)}
+
 	var nodes []plan.Node
 	var floats []float64
-	for round, r := range m.ScanPlans(q, 1) {
-		want := m.AppendJoinAlternatives(nil, q, l, r, plan.NewArena())
-		prevNodes, prevFloats := nodes, floats
-		nodes, floats = m.JoinAlternativesInto(nodes, floats, q, l, r)
-		if len(nodes) != len(want) || len(floats) != len(want)*dim {
-			t.Fatalf("round %d: %d nodes over %d floats, want %d over %d",
-				round, len(nodes), len(floats), len(want), len(want)*dim)
-		}
-		if round > 0 && (&nodes[0] != &prevNodes[0] || &floats[0] != &prevFloats[0]) {
-			t.Errorf("round %d: scratch was reallocated", round)
-		}
-		for i := range nodes {
-			got := &nodes[i]
-			if got.Signature() != want[i].Signature() || !got.Cost.Equal(want[i].Cost) ||
-				got.Rows != want[i].Rows || got.Order != want[i].Order || got.Tables != want[i].Tables {
-				t.Errorf("round %d alt %d: scratch %v %v, materialised %v %v",
-					round, i, got, got.Cost, want[i], want[i].Cost)
-			}
-			if got.ID() != 0 {
-				t.Errorf("round %d alt %d: scratch node carries ID %d", round, i, got.ID())
-			}
-			if &got.Cost[0] != &floats[i*dim] || len(got.Cost) != dim || cap(got.Cost) != dim {
-				t.Errorf("round %d alt %d: cost is not its own window of the scratch", round, i)
+	for qname, q := range queries {
+		for mname, m := range models {
+			splits := 0
+			q.Tables().Subsets(func(sub tableset.Set) bool {
+				sub.AllSplits(func(q1, q2 tableset.Set) bool {
+					splits++
+					s := m.NewSplit(q, q1, q2)
+					keyL, keyR := perPairKeys(q, &plan.Node{Tables: q1}, &plan.Node{Tables: q2})
+					if s.keyL != keyL || s.keyR != keyR {
+						t.Errorf("%s/%s %v×%v: split keys %v, %v; per pair %v, %v",
+							qname, mname, q1, q2, s.keyL, s.keyR, keyL, keyR)
+					}
+					if s.union != sub {
+						t.Errorf("%s/%s %v×%v: split union %v", qname, mname, q1, q2, s.union)
+					}
+					// Two pairs of different input rows: under logical
+					// cardinalities they share the split's rows.
+					for _, rows := range [][2]float64{{1, 1}, {3e4, 250}} {
+						l := &plan.Node{Tables: q1, Rows: rows[0], Cost: cost.NewVector(m.Space().Dim())}
+						r := &plan.Node{Tables: q2, Rows: rows[1], Cost: cost.NewVector(m.Space().Dim())}
+						want := perPairRows(m, q, l, r)
+						if !m.params.PropagateSampling && s.rows != want {
+							t.Errorf("%s/%s %v×%v: split rows %g, per pair %g", qname, mname, q1, q2, s.rows, want)
+						}
+						nodes, floats = m.JoinAlternativesInto(nodes, floats, &s, l, r)
+						for i := range nodes {
+							n := &nodes[i]
+							if n.Rows != want {
+								t.Errorf("%s/%s %v×%v alt %d: rows %g, per pair %g", qname, mname, q1, q2, i, n.Rows, want)
+							}
+							if n.Join == plan.MergeJoin && n.Order != keyL {
+								t.Errorf("%s/%s %v×%v alt %d: merge order %v, per pair %v", qname, mname, q1, q2, i, n.Order, keyL)
+							}
+						}
+					}
+					return true
+				})
+				return true
+			})
+			if splits == 0 {
+				t.Errorf("%s/%s: no splits enumerated", qname, mname)
 			}
 		}
 	}
+}
+
+// TestSplitRejectsForeignPair pins the guard against a stale split: a
+// pair whose table sets are not the split's is a caller bug.
+func TestSplitRejectsForeignPair(t *testing.T) {
+	q := testQuery(t)
+	m := Default()
+	s := m.NewSplit(q, tableset.Singleton(0), tableset.Singleton(1))
+	defer func() {
+		if recover() == nil {
+			t.Error("a pair of another split was enumerated")
+		}
+	}()
+	m.JoinAlternativesInto(nil, nil, &s, m.ScanPlans(q, 1)[0], m.ScanPlans(q, 0)[0])
 }
 
 func TestJoinCostMonotone(t *testing.T) {

@@ -70,7 +70,7 @@ func (m *Model) RecostScan(q *query.Query, n *plan.Node) error {
 // RecostJoin recomputes n.Rows, n.Cost and n.Order from q's statistics
 // and the already re-costed children n.Left/n.Right, into a freshly
 // allocated cost vector. It reuses the exact enumeration pipeline
-// (joinOutputRows → mergeKeys → localWork → joinCostInto) with the
+// (NewSplit → outputRows → localWork → joinCostInto) with the
 // node's pinned operator and degree, so recombining a plan DAG
 // bottom-up under statistics S reproduces the costs enumeration would
 // assign under S. Under value-only drift the merge keys — and hence the
@@ -83,9 +83,9 @@ func (m *Model) RecostJoin(q *query.Query, n *plan.Node) error {
 	if n.Left == nil || n.Right == nil {
 		return fmt.Errorf("costmodel: RecostJoin: join node missing a child")
 	}
-	outRows := m.joinOutputRows(q, n.Left, n.Right)
-	keyL, keyR := m.mergeKeys(q, n.Left, n.Right)
-	work, order := m.localWork(n.Join, n.Left, n.Right, outRows, keyL, keyR)
+	s := m.NewSplit(q, n.Left.Tables, n.Right.Tables)
+	outRows := m.outputRows(&s, n.Left, n.Right)
+	work, order := m.localWork(n.Join, n.Left, n.Right, outRows, s.keyL, s.keyR)
 	v := make(cost.Vector, m.space.Dim())
 	m.joinCostInto(v, n.Left, n.Right, work, n.Degree)
 	n.Rows, n.Cost, n.Order = outRows, v, order

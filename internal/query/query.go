@@ -200,7 +200,7 @@ func (q *Query) Cardinality(sub tableset.Set) float64 {
 			card *= e.Selectivity
 		}
 	}
-	return math.Max(card, 1)
+	return max(card, 1)
 }
 
 // CrossSelectivity returns the product of selectivities of all join edges
