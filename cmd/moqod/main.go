@@ -1,10 +1,10 @@
 // Command moqod serves concurrent anytime multi-objective optimization
 // sessions over HTTP/JSON — the multi-tenant daemon counterpart of the
 // interactive moqo CLI. Each client session owns an incremental
-// optimizer whose refinement steps sharded fair-share worker pools
-// time-slice across all tenants (sessions hash onto per-core
-// manager/scheduler shards with work stealing; see -shards and
-// -quantum); repeated query shapes warm-start from a plan-set cache.
+// optimizer whose refinement steps one fair-share worker pool
+// time-slices across all tenants (hot sessions first, bounded quanta;
+// see -workers and -quantum); repeated query shapes warm-start from a
+// plan-set cache.
 // Admission control (-max-sessions, -max-queue) sheds load with
 // HTTP 429 + Retry-After instead of queueing without bound. With
 // -cache-dir the warm-start cache is backed by a persistent snapshot
@@ -44,12 +44,12 @@
 //	                                re-costed, resumed or quarantined
 //	                                (-stats-file loads the same JSON at boot,
 //	                                 SIGHUP re-reads it)
-//	GET    /statz                   → service counters, incl. per-shard
-//	                                  queue/steal/preempt breakdown, drain
-//	                                  progress and the lifecycle phase
+//	GET    /statz                   → service counters, incl. scheduler
+//	                                  pops/preempts, drain progress and
+//	                                  the lifecycle phase
 //	GET    /metrics                 → Prometheus text exposition (lifecycle
 //	                                  counters, latency histograms,
-//	                                  per-shard queue gauges)
+//	                                  queue gauges)
 //	GET    /healthz                 → liveness (200 in every phase)
 //	GET    /readyz                  → readiness (503 while bootstrapping,
 //	                                  draining or store-degraded)
@@ -95,7 +95,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	workers := flag.Int("workers", 0, "refinement worker-pool size (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "manager/scheduler shards (0 = GOMAXPROCS, 1 = single queue)")
 	quantum := flag.Int("quantum", 4, "max consecutive cold steps per scheduler pop (1 = strict round-robin)")
 	maxSessions := flag.Int("max-sessions", 0, "admission limit on live sessions (0 = unlimited)")
 	maxQueue := flag.Int("max-queue", 0, "admission limit on queued sessions (0 = unlimited)")
@@ -175,7 +174,6 @@ func main() {
 			PrecisionStep:    *alphaS,
 		},
 		Workers:           *workers,
-		Shards:            *shards,
 		Quantum:           *quantum,
 		MaxActiveSessions: *maxSessions,
 		MaxQueueDepth:     *maxQueue,
@@ -287,11 +285,9 @@ func main() {
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	a.Ready(svc, blocks)
 
-	st := svc.Stats()
 	events.Emit(eventlog.LevelInfo, "moqod", "serving",
 		eventlog.F("addr", *addr),
 		eventlog.Fint("workers", int64(cfg.Workers)),
-		eventlog.Fint("shards", int64(len(st.Shards))),
 		eventlog.Fint("quantum", int64(cfg.Quantum)),
 		eventlog.Fint("levels", int64(*levels)),
 		eventlog.F("target", fmt.Sprintf("%g", *alphaT)),

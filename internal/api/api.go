@@ -126,12 +126,11 @@ func New(cfg Config) *API {
 		cfg.DrainGrace = 30 * time.Second
 	}
 	return &API{
-		cfg:     cfg,
-		seed:    cfg.Seed,
-		boot:    BootstrapStatus{Mode: "none"},
-		drained: make(chan struct{}),
-		pollBytes: metrics.NewValues(1,
-			1<<8, 1<<10, 1<<12, 1<<14, 1<<16, 1<<18, 1<<20),
+		cfg:       cfg,
+		seed:      cfg.Seed,
+		boot:      BootstrapStatus{Mode: "none"},
+		drained:   make(chan struct{}),
+		pollBytes: metrics.NewValues(1<<8, 1<<10, 1<<12, 1<<14, 1<<16, 1<<18, 1<<20),
 	}
 }
 

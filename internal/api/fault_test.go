@@ -27,7 +27,6 @@ func newFaultServer(t *testing.T, mutate func(*service.Config)) *httptest.Server
 			PrecisionStep:    0.1,
 		},
 		Workers:       2,
-		Shards:        2,
 		CacheCapacity: 16,
 		IdleTimeout:   -1,
 	}
@@ -60,7 +59,7 @@ func createSession(t *testing.T, ts *httptest.Server, block string) *http.Respon
 
 // TestOverloadResponseBody checks the structured 429: the Retry-After
 // header, and a JSON body carrying the machine-readable code, the
-// retry hint, the tripped limit and the hottest shard.
+// retry hint and the tripped limit.
 func TestOverloadResponseBody(t *testing.T) {
 	ts := newFaultServer(t, func(cfg *service.Config) { cfg.MaxActiveSessions = 1 })
 
@@ -82,7 +81,6 @@ func TestOverloadResponseBody(t *testing.T) {
 		Code              string `json:"code"`
 		RetryAfterSeconds int    `json:"retryAfterSeconds"`
 		Kind              string `json:"kind"`
-		Shard             *int   `json:"shard"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
@@ -92,9 +90,6 @@ func TestOverloadResponseBody(t *testing.T) {
 	}
 	if body.Kind != "sessions" {
 		t.Errorf("kind %q, want sessions (MaxActiveSessions tripped)", body.Kind)
-	}
-	if body.Shard == nil || *body.Shard < 0 || *body.Shard > 1 {
-		t.Errorf("shard %v, want 0 or 1", body.Shard)
 	}
 	if body.Error == "" || !strings.Contains(body.Error, "overloaded") {
 		t.Errorf("error %q does not describe the refusal", body.Error)

@@ -124,7 +124,7 @@ func (a *API) handleCreate(w http.ResponseWriter, r *http.Request) {
 			// Admission control shed the session; tell clients when to
 			// come back instead of letting them hammer the queue. The
 			// body mirrors the Retry-After header in structured form,
-			// plus which limit tripped and which shard was hottest.
+			// plus which limit tripped.
 			body := map[string]any{
 				"error":             err.Error(),
 				"code":              "overloaded",
@@ -133,7 +133,6 @@ func (a *API) handleCreate(w http.ResponseWriter, r *http.Request) {
 			var oe *service.OverloadError
 			if errors.As(err, &oe) {
 				body["kind"] = oe.Kind
-				body["shard"] = oe.Shard
 			}
 			w.Header().Set("Retry-After", "1")
 			writeJSON(w, http.StatusTooManyRequests, body)

@@ -29,7 +29,6 @@ func storeSvcConfig(dir string) service.Config {
 			PrecisionStep:    0.1,
 		},
 		Workers:       2,
-		Shards:        2,
 		CacheCapacity: 16,
 		IdleTimeout:   -1,
 		StoreDir:      dir,

@@ -19,7 +19,7 @@ import (
 	"repro/internal/workload"
 )
 
-// newTestServer boots a small sharded service (warm-start cache on, so
+// newTestServer boots a small service (warm-start cache on, so
 // the cache metric families register) behind the real mux.
 func newTestServer(t *testing.T, pprofOn bool) (*httptest.Server, *service.Service) {
 	t.Helper()
@@ -31,7 +31,6 @@ func newTestServer(t *testing.T, pprofOn bool) (*httptest.Server, *service.Servi
 			PrecisionStep:    0.1,
 		},
 		Workers:       2,
-		Shards:        2,
 		CacheCapacity: 16,
 		IdleTimeout:   -1,
 	})
@@ -143,8 +142,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"moqod_sessions_created_total 1\n",
 		"moqod_sessions_selected_total 1\n",
-		`moqod_shard_sessions{shard="0"}`,
-		`moqod_shard_sessions{shard="1"}`,
+		"moqod_scheduler_pops_total ",
+		"moqod_hot_queue_depth 0\n",
 		`moqod_cache_hits_total{tier="exact"}`,
 		"moqod_cache_misses_total 1\n",
 		"moqod_active_sessions 0\n",
@@ -295,8 +294,8 @@ func TestPprofGating(t *testing.T) {
 
 // TestScrapeDuringLoad hammers /metrics and the trace endpoints while
 // sessions run — under -race this pins scrape-time reads against the
-// lock-free record paths end to end (histogram stripes, atomic
-// counters, the trace ring and archive).
+// lock-free record paths end to end (histograms, atomic counters, the
+// trace ring and archive).
 func TestScrapeDuringLoad(t *testing.T) {
 	ts, _ := newTestServer(t, false)
 	stop := make(chan struct{})

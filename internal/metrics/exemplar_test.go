@@ -13,22 +13,22 @@ import (
 // with a session ID lands in its bucket's slot, a later observation in
 // the same bucket replaces it, and untagged observations never capture.
 func TestExemplarCapture(t *testing.T) {
-	h := NewValues(2, 10, 100, 1000)
+	h := NewValues(10, 100, 1000)
 	h.EnableExemplars(0)
-	h.ObserveShard(0, 5) // untagged
+	h.Observe(5) // untagged
 	if _, _, _, ok := h.Exemplar(0); ok {
 		t.Fatal("untagged observation captured an exemplar")
 	}
-	h.ObserveShardExemplar(0, 5, "s-1")
+	h.ObserveExemplar(5, "s-1")
 	id, v, tns, ok := h.Exemplar(0)
 	if !ok || id != "s-1" || v != 5 || tns == 0 {
 		t.Fatalf("exemplar = (%q,%d,%d,%v), want s-1/5 captured", id, v, tns, ok)
 	}
-	h.ObserveShardExemplar(1, 7, "s-2") // same bucket, different stripe
+	h.ObserveExemplar(7, "s-2") // same bucket
 	if id, _, _, _ := h.Exemplar(0); id != "s-2" {
 		t.Fatalf("exemplar not replaced: %q", id)
 	}
-	h.ObserveShardExemplar(0, 5000, "s-inf") // +Inf bucket
+	h.ObserveExemplar(5000, "s-inf") // +Inf bucket
 	if id, _, _, ok := h.Exemplar(3); !ok || id != "s-inf" {
 		t.Fatal("+Inf bucket did not capture")
 	}
@@ -37,23 +37,23 @@ func TestExemplarCapture(t *testing.T) {
 // TestExemplarFloor pins the tail-only mode: buckets below the floor
 // never capture, buckets at or above it do.
 func TestExemplarFloor(t *testing.T) {
-	h := NewValues(1, 10, 100, 1000)
+	h := NewValues(10, 100, 1000)
 	h.EnableExemplars(100) // capture only the le=100 bucket and up
-	h.ObserveShardExemplar(0, 5, "s-low")
+	h.ObserveExemplar(5, "s-low")
 	if _, _, _, ok := h.Exemplar(0); ok {
 		t.Fatal("bucket below floor captured an exemplar")
 	}
-	h.ObserveShardExemplar(0, 50, "s-tail")
+	h.ObserveExemplar(50, "s-tail")
 	if id, _, _, ok := h.Exemplar(1); !ok || id != "s-tail" {
 		t.Fatal("bucket at floor did not capture")
 	}
 }
 
 // TestExemplarDisabledIsNoop: without EnableExemplars the tagged form
-// is just ObserveShard.
+// is just Observe.
 func TestExemplarDisabledIsNoop(t *testing.T) {
-	h := NewValues(1, 10)
-	h.ObserveShardExemplar(0, 5, "s-1")
+	h := NewValues(10)
+	h.ObserveExemplar(5, "s-1")
 	if h.Snapshot().Count != 1 {
 		t.Fatal("observation lost")
 	}
@@ -65,13 +65,13 @@ func TestExemplarDisabledIsNoop(t *testing.T) {
 // TestExemplarObserveAllocFree extends the D13 pin to the tagged
 // observation: capturing an exemplar must not allocate.
 func TestExemplarObserveAllocFree(t *testing.T) {
-	h := NewDuration(4)
+	h := NewDuration()
 	h.EnableExemplars(0)
 	id := "s-alloc"
 	if allocs := testing.AllocsPerRun(1000, func() {
-		h.ObserveShardExemplar(3, int64(time.Millisecond), id)
+		h.ObserveExemplar(int64(time.Millisecond), id)
 	}); allocs != 0 {
-		t.Errorf("ObserveShardExemplar allocates %.2f per call, want 0", allocs)
+		t.Errorf("ObserveExemplar allocates %.2f per call, want 0", allocs)
 	}
 }
 
@@ -82,10 +82,10 @@ func TestExemplarObserveAllocFree(t *testing.T) {
 // malformed timestamp and fails the whole scrape).
 func TestExemplarExposition(t *testing.T) {
 	r := NewRegistry()
-	h := NewDuration(2)
+	h := NewDuration()
 	h.EnableExemplars(0)
 	r.Histogram("app_latency_seconds", "latency", "", h)
-	h.ObserveShardExemplar(0, int64(3*time.Millisecond), "s-42")
+	h.ObserveExemplar(int64(3*time.Millisecond), "s-42")
 
 	var om bytes.Buffer
 	if err := r.WriteOpenMetrics(&om); err != nil {
@@ -112,15 +112,15 @@ func TestExemplarExposition(t *testing.T) {
 	}
 }
 
-// TestExemplarIDEscaped: ObserveShardExemplar is a generic API, so an
+// TestExemplarIDEscaped: ObserveExemplar is a generic API, so an
 // ID carrying quote/backslash/newline bytes must render escaped
 // instead of corrupting the exposition.
 func TestExemplarIDEscaped(t *testing.T) {
 	r := NewRegistry()
-	h := NewDuration(1)
+	h := NewDuration()
 	h.EnableExemplars(0)
 	r.Histogram("app_latency_seconds", "latency", "", h)
-	h.ObserveShardExemplar(0, int64(3*time.Millisecond), "s-\"q\\b\nnl")
+	h.ObserveExemplar(int64(3*time.Millisecond), "s-\"q\\b\nnl")
 
 	var buf bytes.Buffer
 	if err := r.WriteOpenMetrics(&buf); err != nil {
@@ -196,7 +196,7 @@ func TestCheckExpositionRejectsMalformedExemplars(t *testing.T) {
 // this pins the TryLock write path vs the locked scrape read path.
 func TestExemplarConcurrentScrape(t *testing.T) {
 	r := NewRegistry()
-	h := NewDuration(4)
+	h := NewDuration()
 	h.EnableExemplars(0)
 	r.Histogram("app_latency_seconds", "latency", "", h)
 	stop := make(chan struct{})
@@ -204,14 +204,14 @@ func TestExemplarConcurrentScrape(t *testing.T) {
 	ids := [4]string{"s-0", "s-1", "s-2", "s-3"}
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
-		go func(shard int) {
+		go func(i int) {
 			defer wg.Done()
 			for {
 				select {
 				case <-stop:
 					return
 				default:
-					h.ObserveShardExemplar(shard, int64(time.Microsecond)<<uint(shard), ids[shard])
+					h.ObserveExemplar(int64(time.Microsecond)<<uint(i), ids[i])
 				}
 			}
 		}(i)

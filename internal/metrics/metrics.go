@@ -10,11 +10,9 @@
 //   - Counter and Gauge are single atomic words;
 //   - Histogram holds a fixed, sorted bound slice chosen at
 //     construction (log-scale for durations) and one atomic bucket
-//     array per stripe. Observe is a bounded binary search plus two
-//     atomic adds: zero allocation, no lock, safe under any number of
-//     concurrent recorders. Stripes let shard-local writers (the
-//     service's per-shard scheduler workers) record into disjoint
-//     cache lines; scrapes sum across stripes.
+//     array. Observe is a bounded binary search plus two atomic adds:
+//     zero allocation, no lock, safe under any number of concurrent
+//     recorders.
 //
 // The Registry groups samples into named families (one HELP/TYPE
 // header per family, any number of labeled samples under it) and
@@ -58,32 +56,20 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// stripeStride rounds a histogram's bucket count up to a multiple of
-// eight uint64s (one cache line), so concurrent stripes never share a
-// line through the bucket array.
-func stripeStride(buckets int) int { return (buckets + 7) &^ 7 }
-
 // Histogram is a fixed-bucket histogram safe for concurrent recording:
 // bounds are chosen once at construction (ascending, the implicit last
 // bucket is +Inf) and each observation is a binary search plus two
 // atomic adds — no lock, no allocation. Values are recorded in base
 // units (nanoseconds for durations); the scale factor converts bounds
 // to exposition units (seconds) at scrape time only.
-//
-// A histogram built with more than one stripe spreads recorders across
-// independent bucket arrays: ObserveShard(i, v) records into stripe
-// i%stripes, so per-shard scheduler workers never contend on one
-// cache line. Scrapes and quantiles sum across stripes.
 type Histogram struct {
-	bounds  []int64 // ascending upper bounds (le), base units
-	scale   float64 // base unit → exposition unit (1e-9 for ns → s)
-	stripes int
-	stride  int             // padded per-stripe slot count
-	counts  []atomic.Uint64 // stripes × stride, stripe-major
-	sums    []atomic.Int64  // per stripe, index i*8 (line-padded)
+	bounds []int64         // ascending upper bounds (le), base units
+	scale  float64         // base unit → exposition unit (1e-9 for ns → s)
+	counts []atomic.Uint64 // one per bucket, +Inf last
+	sum    atomic.Int64    // base units
 
 	// Exemplar slots, one per bucket, in a separate allocation so a
-	// capture never dirties a cache line readers of counts/sums touch.
+	// capture never dirties a cache line readers of counts/sum touch.
 	// nil unless EnableExemplars was called.
 	ex      []exemplar
 	exFloor int // first bucket index that captures exemplars
@@ -101,9 +87,9 @@ type exemplar struct {
 }
 
 // NewHistogram builds a histogram over the given ascending bounds in
-// base units, with the exposition scale factor and stripe count
-// (clamped to at least 1). Panics on unsorted or empty bounds.
-func NewHistogram(stripes int, scale float64, bounds []int64) *Histogram {
+// base units, with the exposition scale factor. Panics on unsorted or
+// empty bounds.
+func NewHistogram(scale float64, bounds []int64) *Histogram {
 	if len(bounds) == 0 {
 		panic("metrics: histogram needs at least one bound")
 	}
@@ -112,19 +98,12 @@ func NewHistogram(stripes int, scale float64, bounds []int64) *Histogram {
 			panic("metrics: histogram bounds must be strictly ascending")
 		}
 	}
-	if stripes < 1 {
-		stripes = 1
-	}
 	b := make([]int64, len(bounds))
 	copy(b, bounds)
-	stride := stripeStride(len(b) + 1) // +1: the +Inf bucket
 	return &Histogram{
-		bounds:  b,
-		scale:   scale,
-		stripes: stripes,
-		stride:  stride,
-		counts:  make([]atomic.Uint64, stripes*stride),
-		sums:    make([]atomic.Int64, stripes*8),
+		bounds: b,
+		scale:  scale,
+		counts: make([]atomic.Uint64, len(b)+1), // +1: the +Inf bucket
 	}
 }
 
@@ -140,15 +119,15 @@ func DurationBounds() []int64 {
 	return bounds
 }
 
-// NewDuration builds a striped duration histogram over DurationBounds,
+// NewDuration builds a duration histogram over DurationBounds,
 // recording nanoseconds and exposing seconds.
-func NewDuration(stripes int) *Histogram {
-	return NewHistogram(stripes, 1e-9, DurationBounds())
+func NewDuration() *Histogram {
+	return NewHistogram(1e-9, DurationBounds())
 }
 
-// NewValues builds a striped unit-less histogram over explicit bounds.
-func NewValues(stripes int, bounds ...int64) *Histogram {
-	return NewHistogram(stripes, 1, bounds)
+// NewValues builds a unit-less histogram over explicit bounds.
+func NewValues(bounds ...int64) *Histogram {
+	return NewHistogram(1, bounds)
 }
 
 // bucketIndex returns the index of the first bound >= v, or
@@ -167,26 +146,15 @@ func (h *Histogram) bucketIndex(v int64) int {
 	return lo
 }
 
-// Observe records v (base units) into stripe 0. Zero allocation; safe
-// for any number of concurrent callers.
-func (h *Histogram) Observe(v int64) { h.ObserveShard(0, v) }
-
-// ObserveDuration records a duration into stripe 0.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.ObserveShard(0, int64(d)) }
-
-// ObserveShard records v (base units) into stripe shard%stripes —
-// the shard-friendly form for per-shard writers. Zero allocation.
-func (h *Histogram) ObserveShard(shard int, v int64) {
-	s := shard
-	if s >= h.stripes || s < 0 {
-		s = s % h.stripes
-		if s < 0 {
-			s += h.stripes
-		}
-	}
-	h.counts[s*h.stride+h.bucketIndex(v)].Add(1)
-	h.sums[s*8].Add(v)
+// Observe records v (base units). Zero allocation; safe for any number
+// of concurrent callers.
+func (h *Histogram) Observe(v int64) {
+	h.counts[h.bucketIndex(v)].Add(1)
+	h.sum.Add(v)
 }
+
+// ObserveDuration records a duration.
+func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
 // EnableExemplars allocates one exemplar slot per bucket. Buckets at
 // or above floor (base units) capture; floor <= 0 enables every bucket.
@@ -200,14 +168,14 @@ func (h *Histogram) EnableExemplars(floor int64) *Histogram {
 	return h
 }
 
-// ObserveShardExemplar is ObserveShard plus a best-effort exemplar
+// ObserveExemplar is Observe plus a best-effort exemplar
 // capture tagging the observation with id (a session ID). The capture
 // is zero-allocation and never blocks: slots are guarded by TryLock,
 // and a contended slot simply keeps its previous exemplar. No-op
 // beyond the plain observation when exemplars are disabled, id is
 // empty, or the bucket is below the configured floor.
-func (h *Histogram) ObserveShardExemplar(shard int, v int64, id string) {
-	h.ObserveShard(shard, v)
+func (h *Histogram) ObserveExemplar(v int64, id string) {
+	h.Observe(v)
 	if h.ex == nil || id == "" {
 		return
 	}
@@ -237,18 +205,12 @@ func (h *Histogram) Exemplar(b int) (id string, v int64, tns int64, ok bool) {
 	return id, v, tns, ok
 }
 
-// Sum returns the sum of all observations so far, in base units, across
-// stripes. Allocation-free, for callers that Snapshot is too heavy for.
-func (h *Histogram) Sum() int64 {
-	var sum int64
-	for st := 0; st < h.stripes; st++ {
-		sum += h.sums[st*8].Load()
-	}
-	return sum
-}
+// Sum returns the sum of all observations so far, in base units.
+// Allocation-free, for callers that Snapshot is too heavy for.
+func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
-// Snapshot is a scrape-time copy of a histogram's state, summed across
-// stripes. Counts are per-bucket (not cumulative); Count is the total.
+// Snapshot is a scrape-time copy of a histogram's state. Counts are
+// per-bucket (not cumulative); Count is the total.
 type Snapshot struct {
 	Bounds []int64  // upper bounds, base units; implicit +Inf last
 	Counts []uint64 // len(Bounds)+1 per-bucket counts
@@ -256,7 +218,7 @@ type Snapshot struct {
 	Count  uint64
 }
 
-// Snapshot sums the stripes into a consistent-enough copy (concurrent
+// Snapshot copies the buckets into a consistent-enough copy (concurrent
 // records may land between bucket reads; each bucket is individually
 // exact). Allocates; call from scrape/report paths only.
 func (h *Histogram) Snapshot() Snapshot {
@@ -264,11 +226,8 @@ func (h *Histogram) Snapshot() Snapshot {
 		Bounds: h.bounds,
 		Counts: make([]uint64, len(h.bounds)+1),
 	}
-	for st := 0; st < h.stripes; st++ {
-		base := st * h.stride
-		for i := range s.Counts {
-			s.Counts[i] += h.counts[base+i].Load()
-		}
+	for i := range s.Counts {
+		s.Counts[i] = h.counts[i].Load()
 	}
 	s.Sum = h.Sum()
 	for _, c := range s.Counts {
@@ -337,7 +296,7 @@ type FloatSnapshot struct {
 }
 
 type sample struct {
-	labels    string // raw label pairs, e.g. `shard="0"`; may be empty
+	labels    string // raw label pairs, e.g. `tier="exact"`; may be empty
 	kind      int
 	counterFn func() uint64
 	gaugeFn   func() float64
@@ -416,7 +375,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 
 // CounterFunc registers a counter sample read from fn at scrape time
 // (the bridge for counters that already live elsewhere as atomics).
-// labels is a raw label-pair string like `shard="0"`, or empty.
+// labels is a raw label-pair string like `tier="exact"`, or empty.
 func (r *Registry) CounterFunc(name, help, labels string, fn func() uint64) {
 	r.register(name, help, "counter", sample{labels: labels, kind: kindCounterFunc, counterFn: fn})
 }
@@ -441,9 +400,9 @@ func (r *Registry) Histogram(name, help, labels string, h *Histogram) {
 }
 
 // NewDurationHistogram creates, registers and returns an unlabeled
-// striped duration histogram (ns recorded, seconds exposed).
-func (r *Registry) NewDurationHistogram(name, help string, stripes int) *Histogram {
-	h := NewDuration(stripes)
+// duration histogram (ns recorded, seconds exposed).
+func (r *Registry) NewDurationHistogram(name, help string) *Histogram {
+	h := NewDuration()
 	r.Histogram(name, help, "", h)
 	return h
 }
@@ -620,7 +579,7 @@ func (h *Histogram) appendExemplar(buf []byte, b int) []byte {
 
 // appendEscapedLabelValue escapes a label value per the exposition
 // rules (backslash, double quote, newline). Session IDs are safe
-// today, but ObserveShardExemplar accepts any string and one bad ID
+// today, but ObserveExemplar accepts any string and one bad ID
 // must not corrupt the whole scrape.
 func appendEscapedLabelValue(buf []byte, v string) []byte {
 	for i := 0; i < len(v); i++ {
@@ -661,6 +620,3 @@ func appendFloatHistogram(buf []byte, name, labels string, snap FloatSnapshot) [
 // Bounds returns the histogram's upper bounds in base units (shared;
 // callers must not mutate). Exposed for tests and reporting.
 func (h *Histogram) Bounds() []int64 { return h.bounds }
-
-// Stripes returns the stripe count.
-func (h *Histogram) Stripes() int { return h.stripes }

@@ -27,7 +27,7 @@ func TestCounterGauge(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	h := NewValues(1, 10, 100, 1000)
+	h := NewValues(10, 100, 1000)
 	for _, v := range []int64{1, 10, 11, 100, 5000, -2} {
 		h.Observe(v)
 	}
@@ -48,19 +48,29 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestHistogramStripesMerge: observations from concurrent recorders
+// all land in the one bucket array, none lost.
 func TestHistogramStripesMerge(t *testing.T) {
-	h := NewValues(4, 10, 100)
-	for shard := 0; shard < 8; shard++ {
-		h.ObserveShard(shard, 5)
+	h := NewValues(10, 100)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				h.Observe(5)
+			}
+		}()
 	}
+	wg.Wait()
 	s := h.Snapshot()
-	if s.Counts[0] != 8 || s.Count != 8 {
-		t.Fatalf("striped counts did not merge: %+v", s)
+	if s.Counts[0] != 800 || s.Count != 800 || s.Sum != 4000 {
+		t.Fatalf("concurrent observations did not merge: %+v", s)
 	}
 }
 
 func TestHistogramQuantile(t *testing.T) {
-	h := NewDuration(1)
+	h := NewDuration()
 	// 100 samples at ~1ms, 10 at ~100ms: p50 lands in the 1ms bucket,
 	// p99 in the 100ms one.
 	for i := 0; i < 100; i++ {
@@ -84,20 +94,20 @@ func TestHistogramQuantile(t *testing.T) {
 }
 
 // TestHistogramObserveAllocFree pins the hot-path contract: recording
-// into a histogram — striped or not — performs zero heap allocations.
+// into a histogram performs zero heap allocations.
 // The service records an observation per refinement step (DESIGN.md
 // D13), so any allocation here multiplies across every session.
 func TestHistogramObserveAllocFree(t *testing.T) {
-	h := NewDuration(4)
-	if allocs := testing.AllocsPerRun(1000, func() {
-		h.ObserveShard(3, int64(time.Millisecond))
-	}); allocs != 0 {
-		t.Errorf("ObserveShard allocates %.2f per call, want 0", allocs)
-	}
+	h := NewDuration()
 	if allocs := testing.AllocsPerRun(1000, func() {
 		h.Observe(123456)
 	}); allocs != 0 {
 		t.Errorf("Observe allocates %.2f per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		h.ObserveDuration(time.Millisecond)
+	}); allocs != 0 {
+		t.Errorf("ObserveDuration allocates %.2f per call, want 0", allocs)
 	}
 }
 
@@ -107,20 +117,20 @@ func TestHistogramObserveAllocFree(t *testing.T) {
 // path.
 func TestConcurrentRecordDuringScrape(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewDurationHistogram("test_latency_seconds", "latency", 4)
+	h := r.NewDurationHistogram("test_latency_seconds", "latency")
 	c := r.Counter("test_ops_total", "ops")
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
-		go func(shard int) {
+		go func(i int) {
 			defer wg.Done()
 			for {
 				select {
 				case <-stop:
 					return
 				default:
-					h.ObserveShard(shard, int64(time.Microsecond)<<uint(shard))
+					h.Observe(int64(time.Microsecond) << uint(i))
 					c.Inc()
 				}
 			}
@@ -203,11 +213,11 @@ func TestWriteTextWellFormed(t *testing.T) {
 	c.Add(42)
 	r.GaugeFunc("app_queue_depth", "queue depth", `shard="0"`, func() float64 { return 3 })
 	r.GaugeFunc("app_queue_depth", "queue depth", `shard="1"`, func() float64 { return 1.5 })
-	h := r.NewDurationHistogram("app_latency_seconds", "latency with \\ and\nnewline", 2)
+	h := r.NewDurationHistogram("app_latency_seconds", "latency with \\ and\nnewline")
 	h.ObserveDuration(3 * time.Millisecond)
-	h.ObserveShard(1, int64(2*time.Second))
+	h.Observe(int64(2 * time.Second))
 	h.ObserveDuration(5 * time.Minute) // +Inf bucket
-	sp := NewValues(2, 1, 2, 4, 8)
+	sp := NewValues(1, 2, 4, 8)
 	sp.Observe(3)
 	r.Histogram("app_steps", "steps per pop", "", sp)
 
@@ -241,7 +251,7 @@ func TestHistogramBadBoundsPanic(t *testing.T) {
 					t.Errorf("bounds %v: expected panic", bounds)
 				}
 			}()
-			NewHistogram(1, 1, bounds)
+			NewHistogram(1, bounds)
 		}()
 	}
 }

@@ -24,22 +24,12 @@ import (
 // still reaches the pre-drift snapshot for the caller to classify and
 // re-cost (LookupStale). Safe for concurrent use.
 //
-// The service shards the cache by canonical digest — one PlanCache per
-// shard, each owning a slice of the total capacity — so isomorphic
-// queries always land on the same shard (their exact fingerprints
-// differ, their digest does not) and concurrent warm starts on
-// unrelated shapes do not serialize on one mutex. Structural digests
-// do not determine the shard (the same structure under different
-// statistics hashes to different canonical shards), so the service
-// probes every shard's structural tier on a drift lookup — an
-// accepted cost on a path that only runs after both real tiers miss.
-//
-// Eviction is LRU within a shard over the exact-tier entries; the
-// canonical and structural tiers hold no snapshots of their own, only
-// a pointer to the class's most recent exact entry, so one snapshot
-// reachable from all tiers is counted once, and evicting the exact
-// entry removes each pointer iff it still refers to it (no
-// double-count, no dangling tier entry).
+// Eviction is LRU over the exact-tier entries; the canonical and
+// structural tiers hold no snapshots of their own, only a pointer to
+// the class's most recent exact entry, so one snapshot reachable from
+// all tiers is counted once, and evicting the exact entry removes each
+// pointer iff it still refers to it (no double-count, no dangling tier
+// entry).
 //
 // The snapshot store is the cache's cold tier (DESIGN.md D19): a record
 // it holds is admitted as a stub — the keys, no snapshot (Admit) — and
@@ -90,7 +80,7 @@ func poisonous(err error) bool {
 // tiers, the store's record, the session that exported it.
 type cacheKey struct {
 	fp       string // exact query fingerprint (exact tier, store record)
-	canonFp  string // canonical digest (cache shard + isomorphism tier)
+	canonFp  string // canonical digest (isomorphism tier)
 	structFp string // statistics-free structural digest (drift tier)
 	perm     []int  // the query's table-ID → canonical-position map
 }
@@ -455,24 +445,6 @@ type CacheStats struct {
 	// Plans is the total number of plan entries across the resident
 	// snapshots; a stub's plans are unknown until its first use.
 	Plans int
-}
-
-// add accumulates another shard's counters into cs (Stats aggregation
-// across cache shards).
-func (cs *CacheStats) add(o CacheStats) {
-	cs.Entries += o.Entries
-	cs.Encoded += o.Encoded
-	cs.CanonEntries += o.CanonEntries
-	cs.Hits += o.Hits
-	cs.Misses += o.Misses
-	cs.ExactHits += o.ExactHits
-	cs.IsoHits += o.IsoHits
-	cs.StaleHits += o.StaleHits
-	cs.StructEntries += o.StructEntries
-	cs.Puts += o.Puts
-	cs.Evictions += o.Evictions
-	cs.Poisoned += o.Poisoned
-	cs.Plans += o.Plans
 }
 
 // Stats returns a consistent snapshot of the cache counters. O(1): the

@@ -73,19 +73,17 @@ func (s *Service) Drain(grace time.Duration) (converged, checkpointed int) {
 	// Checkpoint the stragglers. Taking m.mu serializes against the
 	// scheduler's step loop, so each snapshot is taken at a step
 	// boundary — the same consistency the convergence export gets.
-	for _, sh := range s.shards {
-		for _, m := range sh.mgr.all() {
-			m.mu.Lock()
-			switch {
-			case m.state == Refining:
-				if s.checkpointLocked(m) {
-					checkpointed++
-				}
-			case m.state == AtTarget:
-				converged++
+	for _, m := range s.mgr.all() {
+		m.mu.Lock()
+		switch {
+		case m.state == Refining:
+			if s.checkpointLocked(m) {
+				checkpointed++
 			}
-			m.mu.Unlock()
+		case m.state == AtTarget:
+			converged++
 		}
+		m.mu.Unlock()
 	}
 	s.drainConverged.Store(uint64(converged))
 	s.drainCheckpointed.Store(uint64(checkpointed))
@@ -96,16 +94,14 @@ func (s *Service) Drain(grace time.Duration) (converged, checkpointed int) {
 	return converged, checkpointed
 }
 
-// anyRefining reports whether any shard still holds a Refining session.
+// anyRefining reports whether any session is still Refining.
 func (s *Service) anyRefining() bool {
-	for _, sh := range s.shards {
-		for _, m := range sh.mgr.all() {
-			m.mu.Lock()
-			refining := m.state == Refining
-			m.mu.Unlock()
-			if refining {
-				return true
-			}
+	for _, m := range s.mgr.all() {
+		m.mu.Lock()
+		refining := m.state == Refining
+		m.mu.Unlock()
+		if refining {
+			return true
 		}
 	}
 	return false
@@ -118,7 +114,7 @@ func (s *Service) anyRefining() bool {
 // checkpointed optimizer state and deterministically reaches the same
 // final frontier a cold run would. Callers hold m.mu.
 func (s *Service) checkpointLocked(m *managed) bool {
-	if s.caches == nil || m.sess == nil {
+	if s.cache == nil || m.sess == nil {
 		return false
 	}
 	t0 := time.Now()

@@ -165,9 +165,9 @@ func TestEncodedAdmissionMatchesDecoded(t *testing.T) {
 
 // TestDecodeOnceConcurrentFirstHits: 16 goroutines first-hitting one
 // stub through all three tiers produce one fetch — one load, one decode —
-// and 16 usable snapshots, and the fetch runs outside the shard mutex:
-// while it is parked, a lookup of another fingerprint on the same shard
-// and a Stats call both complete.
+// and 16 usable snapshots, and the fetch runs outside the cache mutex:
+// while it is parked, a lookup of another fingerprint and a Stats call
+// both complete.
 func TestDecodeOnceConcurrentFirstHits(t *testing.T) {
 	snap, blob := encodedSnapshot(t, testConfig(2).Opt, "Q4")
 	c := NewPlanCache(4)
@@ -217,7 +217,7 @@ func TestDecodeOnceConcurrentFirstHits(t *testing.T) {
 			t.Error("lookup of the other fingerprint missed")
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("a lookup of another fingerprint blocked behind the fetch: it runs under the shard mutex")
+		t.Fatal("a lookup of another fingerprint blocked behind the fetch: it runs under the cache mutex")
 	}
 	close(release)
 	wg.Wait()
@@ -701,7 +701,6 @@ func BenchmarkServiceBoot(b *testing.B) {
 	cfg := Config{
 		Opt:         core.Config{Model: costmodel.Default(), ResolutionLevels: 5, TargetPrecision: 1.01, PrecisionStep: 0.05},
 		Workers:     2,
-		Shards:      2,
 		IdleTimeout: -1,
 		StoreDir:    dir,
 	}

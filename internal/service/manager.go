@@ -66,12 +66,11 @@ func (s State) Live() bool { return s == Refining || s == AtTarget }
 // the bookkeeping the scheduler, janitor and cache need. mu serializes
 // all access to sess and the fields below it — optimizer state is not
 // concurrency-safe, so scheduler steps, polls, bounds changes and
-// snapshots all take the lock. queued/hot/seq are owned by the owning
-// shard's scheduler mutex instead (lock order: scheduler.mu is never
-// held while taking m.mu and vice versa; see DESIGN.md D10).
+// snapshots all take the lock. queued/hot/seq are owned by the
+// scheduler's mutex instead (lock order: scheduler.mu is never held
+// while taking m.mu and vice versa; see DESIGN.md D10).
 type managed struct {
-	id    string
-	shard int // owning shard index (fixed at create: hash of id)
+	id string
 
 	// key is what the session's exports are admitted under; its perm is
 	// exported with them so isomorphic lookups can compose the rewriting
@@ -120,7 +119,7 @@ type managed struct {
 	// latest (re-)enqueue, taken by scheduler.enqueue before it acquires
 	// the scheduler lock and claimed (Swap(0)) by the first step of the
 	// servicing pop — the queue-wait metric rides these two reads
-	// without extending any shard lock's critical section.
+	// without extending the scheduler lock's critical section.
 	enqueuedNS atomic.Int64
 
 	// cond (on mu) is broadcast on every state transition; WaitTarget
@@ -131,10 +130,10 @@ type managed struct {
 	// expires it (lastTouch is only updated on call boundaries).
 	waiters int
 
-	// Scheduler-owned state, guarded by the owning shard's
-	// scheduler.mu: queue membership, priority, and the enqueue stamp
-	// that validates queue entries (only the entry carrying the current
-	// seq is live; stale entries from O(1) hot promotion are skipped).
+	// Scheduler-owned state, guarded by scheduler.mu: queue membership,
+	// priority, and the enqueue stamp that validates queue entries (only
+	// the entry carrying the current seq is live; stale entries from O(1)
+	// hot promotion are skipped).
 	queued, hot bool
 	seq         uint64
 }
@@ -169,20 +168,19 @@ func (m *managed) noteStep(now time.Time) time.Duration {
 	return gap
 }
 
-// gapRingSize bounds the per-shard ring of finished sessions' max
-// inter-step gaps kept for the starvation-audit percentile.
+// gapRingSize bounds the ring of finished sessions' max inter-step gaps
+// kept for the starvation-audit percentile.
 const gapRingSize = 256
 
-// manager is one shard's session registry: id → managed session, plus
-// idle expiry and the shard's slice of the starvation audit. Safe for
-// concurrent use.
+// manager is the session registry: id → managed session, plus idle
+// expiry and the starvation audit's samples. Safe for concurrent use.
 type manager struct {
 	mu       sync.RWMutex
 	sessions map[string]*managed
 
 	// live mirrors len(sessions) lock-free, so admission control and
-	// Stats read the shard's session count without touching mu (the
-	// same gauge pattern as scheduler.qLen).
+	// Stats read the session count without touching mu (the same gauge
+	// pattern as scheduler.qLen).
 	live atomic.Int32
 
 	// gaps is a ring of max inter-step gaps of finished (selected,
@@ -195,7 +193,7 @@ type manager struct {
 	// liveScratch is appendGaps' reusable snapshot of the live sessions.
 	// It is serialized by the service's statsMu (appendGaps is only
 	// reached from Stats), so the stats path settles into zero
-	// steady-state allocation without widening any shard lock.
+	// steady-state allocation without widening the registry lock.
 	liveScratch []*managed
 }
 
@@ -217,7 +215,7 @@ func (mg *manager) recordGap(d time.Duration) {
 	mg.mu.Unlock()
 }
 
-// appendGaps appends the shard's starvation samples — archived rings
+// appendGaps appends the starvation samples — archived rings
 // plus every live session's current maximum — to dst.
 func (mg *manager) appendGaps(dst []time.Duration) []time.Duration {
 	mg.mu.RLock()
@@ -282,7 +280,7 @@ func (mg *manager) all() []*managed {
 	return out
 }
 
-// sweep is the janitor pass over the shard: live sessions untouched
+// sweep is the janitor pass over the registry: live sessions untouched
 // for at least ttl become Expired, live sessions older than deadline
 // become TimedOut (a hard wall clock — waiters are woken, not
 // honored), and Failed sessions whose error has lingered unread past

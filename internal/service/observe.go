@@ -28,8 +28,7 @@ type Observability struct {
 	// starvation audit whose p99 Stats reports).
 	StepGap *metrics.Histogram
 	// QueueWait is the time between a session's (re-)enqueue and the
-	// first step of the pop that serviced it, striped by the executing
-	// shard.
+	// first step of the pop that serviced it.
 	QueueWait *metrics.Histogram
 	// QuantumSteps is the steps-per-pop distribution (how much of the
 	// configured quantum batches actually use before convergence or a
@@ -77,31 +76,26 @@ type Observability struct {
 
 // archiveCap bounds the recent-traces archive: 256 traces × up to 2 KiB
 // of spans each ≈ 0.5 MiB, the finished-session analogue of the
-// per-shard step-gap rings.
+// step-gap ring.
 const archiveCap = 256
 
-// newObservability builds the instruments. Striped histograms use one
-// stripe per scheduler shard so concurrent workers never contend on a
-// bucket cache line.
-func newObservability(shards int) *Observability {
+// newObservability builds the instruments.
+func newObservability() *Observability {
 	o := &Observability{
-		Registry:      metrics.NewRegistry(),
-		FirstFrontier: metrics.NewDuration(1),
-		StepGap:       metrics.NewDuration(shards),
-		QueueWait:     metrics.NewDuration(shards),
-		QuantumSteps:  metrics.NewValues(shards, 1, 2, 4, 8, 16, 32),
-		EndToEnd:      metrics.NewDuration(1),
-		Remap:         metrics.NewDuration(1),
-		Recost:        metrics.NewDuration(1),
-		DriftMagnitude: metrics.NewValues(1,
-			10, 25, 50, 100, 250, 500, 1000, 2500, 5000),
-		StepsToEpsilon: metrics.NewValues(1,
-			1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
-		QualityAtDeadline: metrics.NewValues(1,
-			100, 250, 500, 750, 900, 950, 990, 1000),
-		StoreRead: metrics.NewDuration(1),
-		Decode:    metrics.NewDuration(1),
-		archive:   trace.NewArchive(archiveCap),
+		Registry:          metrics.NewRegistry(),
+		FirstFrontier:     metrics.NewDuration(),
+		StepGap:           metrics.NewDuration(),
+		QueueWait:         metrics.NewDuration(),
+		QuantumSteps:      metrics.NewValues(1, 2, 4, 8, 16, 32),
+		EndToEnd:          metrics.NewDuration(),
+		Remap:             metrics.NewDuration(),
+		Recost:            metrics.NewDuration(),
+		DriftMagnitude:    metrics.NewValues(10, 25, 50, 100, 250, 500, 1000, 2500, 5000),
+		StepsToEpsilon:    metrics.NewValues(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
+		QualityAtDeadline: metrics.NewValues(100, 250, 500, 750, 900, 950, 990, 1000),
+		StoreRead:         metrics.NewDuration(),
+		Decode:            metrics.NewDuration(),
+		archive:           trace.NewArchive(archiveCap),
 	}
 	// Exemplars link a slow bucket to the session that filled it
 	// (GET /debug/sessions/{id}/trace). FirstFrontier captures in every
@@ -123,7 +117,7 @@ func (s *Service) Registry() *metrics.Registry { return s.obs.Registry }
 // SessionTrace returns the lifecycle trace of a live session, falling
 // back to the recent-traces archive for sessions that already finished.
 func (s *Service) SessionTrace(id string) (trace.Data, error) {
-	if m, ok := s.shardFor(id).mgr.get(id); ok {
+	if m, ok := s.mgr.get(id); ok {
 		m.mu.Lock()
 		tr := m.trace
 		var d trace.Data
@@ -233,11 +227,16 @@ func (s *Service) registerMetrics() {
 		return float64(s.statsEpoch())
 	})
 	r.GaugeFunc("moqod_active_sessions", "Current live sessions.", "", func() float64 {
-		return float64(s.activeSessions())
+		return float64(s.mgr.count())
 	})
-	r.GaugeFunc("moqod_queued_sessions", "Current combined scheduler backlog.", "", func() float64 {
-		return float64(s.queuedSessions())
+	r.GaugeFunc("moqod_queued_sessions", "Current scheduler backlog.", "", func() float64 {
+		return float64(s.sched.queueLen())
 	})
+	r.GaugeFunc("moqod_hot_queue_depth", "Live hot-queue entries.", "", func() float64 {
+		return float64(s.sched.hotLen.Load())
+	})
+	r.CounterFunc("moqod_scheduler_pops_total", "Queue pops serviced by the workers.", "", s.sched.pops.Load)
+	r.CounterFunc("moqod_scheduler_preempts_total", "Cold quanta cut short by a hot arrival.", "", s.sched.preempts.Load)
 	r.GaugeFunc("moqod_draining", "1 once a drain has started (monotonic).", "", func() float64 {
 		if s.draining.Load() {
 			return 1
@@ -268,52 +267,33 @@ func (s *Service) registerMetrics() {
 		}
 	}
 
-	for i, sh := range s.shards {
-		lbl := fmt.Sprintf(`shard="%d"`, i)
-		mgr, sc := sh.mgr, sh.sched
-		r.GaugeFunc("moqod_shard_sessions", "Live sessions registered on the shard.", lbl, func() float64 {
-			return float64(mgr.count())
-		})
-		r.GaugeFunc("moqod_shard_queue_depth", "Live run-queue entries on the shard (hot plus cold).", lbl, func() float64 {
-			return float64(sc.queueLen())
-		})
-		r.GaugeFunc("moqod_shard_hot_depth", "Live hot-queue entries on the shard.", lbl, func() float64 {
-			return float64(sc.hotLen.Load())
-		})
-		r.CounterFunc("moqod_shard_steps_total", "Steps executed by the shard's workers.", lbl, sc.stepsDone.Load)
-		r.CounterFunc("moqod_shard_pops_total", "Queue pops serviced by the shard's workers.", lbl, sc.pops.Load)
-		r.CounterFunc("moqod_shard_steals_total", "Cold sessions stolen from peer shards.", lbl, sc.steals.Load)
-		r.CounterFunc("moqod_shard_preempts_total", "Cold quanta cut short by a hot arrival.", lbl, sc.preempts.Load)
-		r.CounterFunc("moqod_shard_rejected_total", "Admissions refused while the shard was hottest.", lbl, sc.rejects.Load)
-	}
-
-	if s.caches != nil {
-		r.GaugeFunc("moqod_cache_entries", "Cached snapshots across cache shards.", "", func() float64 {
-			return float64(s.cacheTotals().Entries)
+	if c := s.cache; c != nil {
+		r.GaugeFunc("moqod_cache_entries", "Cached snapshots.", "", func() float64 {
+			return float64(c.Stats().Entries)
 		})
 		r.CounterFunc("moqod_cache_hits_total", "Warm-start cache hits by tier.", `tier="exact"`, func() uint64 {
-			return s.cacheTotals().ExactHits
+			return c.Stats().ExactHits
 		})
 		r.CounterFunc("moqod_cache_hits_total", "Warm-start cache hits by tier.", `tier="iso"`, func() uint64 {
-			return s.cacheTotals().IsoHits
+			return c.Stats().IsoHits
 		})
 		r.CounterFunc("moqod_cache_stale_hits_total", "Structural-tier hits on pre-drift snapshots (resolved by the drift counters).", "", func() uint64 {
-			return s.cacheTotals().StaleHits
+			return c.Stats().StaleHits
 		})
 		r.CounterFunc("moqod_cache_misses_total", "Warm-start cache misses.", "", func() uint64 {
-			return s.cacheTotals().Misses
+			return c.Stats().Misses
 		})
 		r.CounterFunc("moqod_cache_puts_total", "Snapshot admissions (inserts and refreshes).", "", func() uint64 {
-			return s.cacheTotals().Puts
+			return c.Stats().Puts
 		})
-		r.CounterFunc("moqod_cache_evictions_total", "LRU evictions across cache shards.", "", func() uint64 {
-			return s.cacheTotals().Evictions
+		r.CounterFunc("moqod_cache_evictions_total", "LRU evictions.", "", func() uint64 {
+			return c.Stats().Evictions
 		})
 		r.CounterFunc("moqod_cache_poisoned_total", "Entries quarantined from the cache after a restore or first-step failure.", "", func() uint64 {
-			return s.cacheTotals().Poisoned
+			return c.Stats().Poisoned
 		})
 		r.GaugeFunc("moqod_cache_encoded_entries", "Cache entries of the snapshot store's records not used yet: their snapshot is still encoded, on disk.", "", func() float64 {
-			return float64(s.cacheTotals().Encoded)
+			return float64(c.Stats().Encoded)
 		})
 		r.CounterFunc("moqod_cache_decodes_total", "Replayed cache entries decoded, by when: before ready (hinted) or on first hit.", `when="boot"`, s.obs.DecodesBoot.Value)
 		r.CounterFunc("moqod_cache_decodes_total", "Replayed cache entries decoded, by when: before ready (hinted) or on first hit.", `when="hit"`, s.obs.DecodesHit.Value)
@@ -365,14 +345,4 @@ func (s *Service) registerMetrics() {
 		r.CounterFunc("moqod_store_read_errors_total", "Record loads the filesystem failed (the session started cold; nothing was quarantined).", "", s.obs.StoreReadErrors.Value)
 		r.Histogram("moqod_store_read_seconds", "Latency of loading one record from the store.", "", s.obs.StoreRead)
 	}
-}
-
-// cacheTotals sums the cache shards' stats (scrape path only).
-func (s *Service) cacheTotals() CacheStats {
-	var total CacheStats
-	for _, c := range s.caches {
-		cs := c.Stats()
-		total.add(cs)
-	}
-	return total
 }

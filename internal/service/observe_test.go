@@ -186,11 +186,11 @@ func TestStepsSpanCoversLastStep(t *testing.T) {
 
 // TestObserveStepPathAllocFree pins the PR's hard constraint: the exact
 // recording sequence runSteps performs per step — starvation
-// bookkeeping, striped histogram records, ring-buffer span append —
+// bookkeeping, histogram records, ring-buffer span append —
 // allocates nothing. Any allocation here multiplies by every step of
 // every session (compare TestPruneAllocsSteadyState in core).
 func TestObserveStepPathAllocFree(t *testing.T) {
-	obs := newObservability(2)
+	obs := newObservability()
 	obs.StepGap.EnableExemplars(int64(time.Millisecond))
 	obs.FirstFrontier.EnableExemplars(0)
 	m := &managed{id: "alloc-probe", created: time.Now()}
@@ -201,22 +201,22 @@ func TestObserveStepPathAllocFree(t *testing.T) {
 		now := time.Now()
 		if enq := m.enqueuedNS.Swap(0); enq != 0 {
 			if wait := now.UnixNano() - enq; wait > 0 {
-				obs.QueueWait.ObserveShard(1, wait)
+				obs.QueueWait.Observe(wait)
 				m.trace.AppendAt(trace.KindQueueWait,
 					now.Sub(m.created)-time.Duration(wait), time.Duration(wait), 1)
 			}
 		}
 		if gap := m.noteStep(now); gap > 0 {
-			obs.StepGap.ObserveShardExemplar(1, int64(gap), m.id)
+			obs.StepGap.ObserveExemplar(int64(gap), m.id)
 		}
 		start := now.Sub(m.created)
-		obs.QuantumSteps.ObserveShard(1, 1)
+		obs.QuantumSteps.Observe(1)
 		m.trace.AppendAt(trace.KindSteps, start, 0, 1)
 		// Convergence-curve sample: the frontier scalarization and packed
 		// resolution|size ride the same 32-byte span as every other kind.
 		m.trace.AppendAt(trace.KindCurve, start,
 			trace.PackCurveScalar(42.5), trace.PackCurveN(3, 17))
-		obs.FirstFrontier.ObserveShardExemplar(1, int64(time.Millisecond), m.id)
+		obs.FirstFrontier.ObserveExemplar(int64(time.Millisecond), m.id)
 		m.mu.Unlock()
 	}); allocs != 0 {
 		t.Errorf("step-path observation allocates %.2f per step, want 0", allocs)
@@ -321,17 +321,14 @@ func TestStatsScratchReuse(t *testing.T) {
 	// percentile — must be alloc-free once the scratch has grown.
 	if allocs := testing.AllocsPerRun(100, func() {
 		svc.statsMu.Lock()
-		gaps := svc.gapScratch[:0]
-		for _, sh := range svc.shards {
-			gaps = sh.mgr.appendGaps(gaps)
-		}
+		gaps := svc.mgr.appendGaps(svc.gapScratch[:0])
 		percentileDur(gaps, 0.99)
 		svc.gapScratch = gaps
 		svc.statsMu.Unlock()
 	}); allocs > 0 {
 		t.Errorf("starvation audit allocates %.2f per Stats at steady state, want 0", allocs)
 	}
-	// Full Stats only allocates the result's per-shard slice.
+	// Full Stats only allocates the result's one-element Shards slice.
 	if allocs := testing.AllocsPerRun(100, func() {
 		svc.Stats()
 	}); allocs > 2 {

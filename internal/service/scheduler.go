@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// scheduler is one shard's fair-share refinement scheduler: a worker
+// scheduler is the service's fair-share refinement scheduler: a worker
 // pool that time-slices bounded refinement quanta (up to a few
 // consecutive session.Step calls, see Service.runSteps) across the
-// shard's active sessions. Two FIFO run queues implement the policy:
+// active sessions. Two FIFO run queues implement the policy:
 //
 //   - hot holds sessions whose bounds just changed — the paper's regime
 //     rule resets their resolution to 0, so their frontier is coarsest
@@ -29,25 +29,14 @@ import (
 // stamp is live, so promoting a cold session to hot is O(1) — push a
 // freshly stamped hot entry and let pop skip the stale cold one.
 //
-// Schedulers are sharded (one per shard, linked as peers). A worker
-// whose own queues are empty steals one session from a peer's cold
-// queue before sleeping, so an idle shard drains a loaded shard's
-// backlog instead of parking. Stealing is cold-only: hot sessions stay
-// with their shard's workers, who reach them within one bounded
-// quantum. The ticket counter closes the sleep/steal race: every
-// enqueue bumps the tickets of (potentially) stealing peers under their
-// own locks, and a worker only parks if no ticket moved since it last
-// scanned, so work published during a scan is never slept through.
+// Every worker waits on the one cond, and every push signals it under
+// the same mutex the waiter checks the queues under, so a push is never
+// slept through (DESIGN.md D10).
 type scheduler struct {
-	id    int
-	peers []*scheduler // all shards' schedulers, including this one
-
 	mu      sync.Mutex
 	cond    *sync.Cond
 	hot     entryQueue
 	cold    entryQueue
-	ticket  uint64 // bumped whenever runnable work may have appeared
-	idle    int    // workers parked in cond.Wait
 	stopped bool
 	wg      sync.WaitGroup
 
@@ -56,20 +45,9 @@ type scheduler struct {
 	hotLen atomic.Int32
 	qLen   atomic.Int32
 
-	// idleGauge mirrors idle lock-free so pokePeers can skip peers with
-	// no parked workers without touching their mutexes.
-	idleGauge atomic.Int32
-
-	// pokeCursor rotates which peer an overloaded enqueue pokes first,
-	// spreading wakeups across shards.
-	pokeCursor atomic.Uint32
-
-	// Observability counters (ShardStats).
-	steals    atomic.Uint64 // cold sessions this shard's workers took from peers
-	pops      atomic.Uint64 // queue pops serviced by this shard's workers
-	preempts  atomic.Uint64 // cold quanta cut short by a hot arrival
-	stepsDone atomic.Uint64 // steps executed by this shard's workers
-	rejects   atomic.Uint64 // admissions refused while this shard was hottest
+	// Observability counters (Stats, /metrics).
+	pops     atomic.Uint64 // queue pops serviced by the workers
+	preempts atomic.Uint64 // cold quanta cut short by a hot arrival
 }
 
 // entry is one queue slot; it is live iff seq matches the session's
@@ -110,23 +88,15 @@ func (q *entryQueue) pop() (entry, bool) {
 
 func (q *entryQueue) reset() { q.buf, q.head = nil, 0 }
 
-// newScheduler constructs shard id's scheduler. Callers link the peer
-// slice (shared across all shards, self included) and then start the
-// workers; linking must precede start so stealing never observes a nil
-// peer set.
-func newScheduler(id int) *scheduler {
-	sc := &scheduler{id: id}
+func newScheduler() *scheduler {
+	sc := &scheduler{}
 	sc.cond = sync.NewCond(&sc.mu)
 	return sc
 }
 
-// link installs the peer set (all shards' schedulers in shard order).
-func (sc *scheduler) link(peers []*scheduler) { sc.peers = peers }
-
-// start launches the shard's workers. run executes one scheduling
-// quantum: sc is the executing (not necessarily owning) scheduler and
-// hot reports which queue the session was popped from.
-func (sc *scheduler) start(workers int, run func(sc *scheduler, m *managed, hot bool)) {
+// start launches the workers. run executes one scheduling quantum; hot
+// reports which queue the session was popped from.
+func (sc *scheduler) start(workers int, run func(m *managed, hot bool)) {
 	for i := 0; i < workers; i++ {
 		sc.wg.Add(1)
 		go func() {
@@ -136,16 +106,16 @@ func (sc *scheduler) start(workers int, run func(sc *scheduler, m *managed, hot 
 				if !ok {
 					return
 				}
-				run(sc, m, hot)
+				run(m, hot)
 			}
 		}()
 	}
 }
 
-// enqueue makes the session runnable on this (its owning) shard. hot
-// selects the priority queue; enqueueing an already-queued session is a
-// no-op except that a hot request promotes a cold entry in place — O(1)
-// via a fresh stamp, the stale cold entry is skipped on pop.
+// enqueue makes the session runnable. hot selects the priority queue;
+// enqueueing an already-queued session is a no-op except that a hot
+// request promotes a cold entry in place — O(1) via a fresh stamp, the
+// stale cold entry is skipped on pop.
 func (sc *scheduler) enqueue(m *managed, hot bool) {
 	// Queue-wait stamp, taken before the lock so the critical section
 	// stays exactly as long as before instrumentation (DESIGN.md D13).
@@ -154,8 +124,8 @@ func (sc *scheduler) enqueue(m *managed, hot bool) {
 	// serviced.
 	m.enqueuedNS.Store(time.Now().UnixNano())
 	sc.mu.Lock()
+	defer sc.mu.Unlock()
 	if sc.stopped {
-		sc.mu.Unlock()
 		return
 	}
 	if m.queued {
@@ -164,10 +134,8 @@ func (sc *scheduler) enqueue(m *managed, hot bool) {
 			m.seq++
 			sc.hot.push(entry{m, m.seq})
 			sc.hotLen.Add(1)
-			sc.ticket++
 			sc.cond.Signal()
 		}
-		sc.mu.Unlock()
 		return
 	}
 	m.queued, m.hot = true, hot
@@ -179,60 +147,7 @@ func (sc *scheduler) enqueue(m *managed, hot bool) {
 		sc.cold.push(entry{m, m.seq})
 	}
 	sc.qLen.Add(1)
-	sc.ticket++
 	sc.cond.Signal()
-	poke := sc.idle == 0 && len(sc.peers) > 1
-	sc.mu.Unlock()
-	if poke {
-		sc.pokePeers()
-	}
-}
-
-// pokePeers wakes one peer's parked worker (round-robin) after work
-// arrived on a shard whose own workers are all busy. The scan reads
-// each peer's lock-free idle gauge first, so when the whole pool is
-// saturated — the common case on every cold requeue under load — the
-// poke costs O(shards) atomic loads plus at most one mutex, not a
-// sweep of every peer's lock. Bumping the chosen peer's ticket under
-// its lock — never while holding our own — guarantees that peer
-// re-scans before parking if it was mid steal-scan; other peers may
-// park past this particular enqueue, but every enqueue pokes again and
-// the owning shard's workers drain their own queues regardless, so
-// stealing stays best-effort without being lossy.
-func (sc *scheduler) pokePeers() {
-	n := len(sc.peers)
-	// Modulo in uint32 before converting: a plain int(cursor) goes
-	// negative on 32-bit platforms after 2^31 pokes.
-	start := int(sc.pokeCursor.Add(1) % uint32(n))
-	var fallback *scheduler
-	for i := 0; i < n; i++ {
-		p := sc.peers[(sc.id+start+i)%n]
-		if p == sc {
-			continue
-		}
-		if fallback == nil {
-			fallback = p
-		}
-		if p.idleGauge.Load() > 0 {
-			p.mu.Lock()
-			p.ticket++
-			if p.idle > 0 {
-				p.cond.Signal()
-			}
-			p.mu.Unlock()
-			return
-		}
-	}
-	// Nobody reports idle; bump one peer anyway so a worker that was
-	// mid steal-scan (idle not yet set) re-scans instead of parking.
-	if fallback != nil {
-		fallback.mu.Lock()
-		fallback.ticket++
-		if fallback.idle > 0 {
-			fallback.cond.Signal()
-		}
-		fallback.mu.Unlock()
-	}
 }
 
 // popLocked takes the next live entry, preferring hot; callers hold mu.
@@ -249,11 +164,6 @@ func (sc *scheduler) popLocked() (*managed, bool, bool) {
 			return e.m, true, true
 		}
 	}
-	return sc.popColdLocked()
-}
-
-// popColdLocked takes the next live cold entry; callers hold mu.
-func (sc *scheduler) popColdLocked() (*managed, bool, bool) {
 	for {
 		e, ok := sc.cold.pop()
 		if !ok {
@@ -267,63 +177,23 @@ func (sc *scheduler) popColdLocked() (*managed, bool, bool) {
 	}
 }
 
-// steal scans the peer shards once, round-robin from this shard's
-// successor, and takes one session from the first non-empty cold queue.
-// Hot queues are never stolen from: hot work is latency-sensitive and
-// its own shard's workers reach it within a bounded quantum. Callers
-// hold no locks; exactly one peer lock is held at a time, so stealing
-// cannot deadlock with peers stealing back.
-func (sc *scheduler) steal() (*managed, bool) {
-	n := len(sc.peers)
-	for i := 1; i < n; i++ {
-		p := sc.peers[(sc.id+i)%n]
-		p.mu.Lock()
-		if !p.stopped {
-			if m, _, ok := p.popColdLocked(); ok {
-				p.mu.Unlock()
-				sc.steals.Add(1)
-				return m, true
-			}
-		}
-		p.mu.Unlock()
-	}
-	return nil, false
-}
-
-// next blocks for the next runnable session: own queues first, then one
-// steal scan over the peers, then park until a ticket moves. Returns
-// ok=false once the scheduler stops.
+// next blocks for the next runnable session, waiting on cond until a
+// push or a stop. Returns ok=false once the scheduler stops.
 func (sc *scheduler) next() (*managed, bool, bool) {
 	sc.mu.Lock()
-	for {
-		if sc.stopped {
-			sc.mu.Unlock()
-			return nil, false, false
-		}
+	defer sc.mu.Unlock()
+	for !sc.stopped {
 		if m, hot, ok := sc.popLocked(); ok {
-			sc.mu.Unlock()
 			sc.pops.Add(1)
 			return m, hot, true
 		}
-		ticket := sc.ticket
-		sc.mu.Unlock()
-		if m, ok := sc.steal(); ok {
-			sc.pops.Add(1)
-			return m, false, true
-		}
-		sc.mu.Lock()
-		if sc.ticket == ticket && !sc.stopped {
-			sc.idle++
-			sc.idleGauge.Add(1)
-			sc.cond.Wait()
-			sc.idle--
-			sc.idleGauge.Add(-1)
-		}
+		sc.cond.Wait()
 	}
+	return nil, false, false
 }
 
-// hotPending reports whether a hot session awaits this shard's workers
-// (the quantum-preemption signal; lock-free).
+// hotPending reports whether a hot session awaits a worker (the
+// quantum-preemption signal; lock-free).
 func (sc *scheduler) hotPending() bool { return sc.hotLen.Load() > 0 }
 
 // queueLen returns the live queue length (instrumentation, admission).
@@ -337,7 +207,6 @@ func (sc *scheduler) stop() {
 	sc.cold.reset()
 	sc.hotLen.Store(0)
 	sc.qLen.Store(0)
-	sc.ticket++
 	sc.cond.Broadcast()
 	sc.mu.Unlock()
 	sc.wg.Wait()

@@ -2,27 +2,25 @@
 // one process: the multi-tenant subsystem behind the moqod server. It
 // combines
 //
-//   - a sharded session manager with a full lifecycle (create, poll
-//     frontier, set bounds, select plan, close, idle expiry) — sessions
-//     hash by ID onto GOMAXPROCS-sized shards so registry access never
-//     serializes on one lock,
-//   - per-shard fair-share schedulers whose worker pools time-slice
-//     bounded refinement quanta across sessions, prioritizing sessions
-//     whose bounds just changed (their resolution resets to 0 per the
-//     paper's regime rule) over idle-refining ones, with bounded work
-//     stealing so an idle shard drains a loaded shard's cold queue, and
-//   - a two-tier warm-start plan cache sharded by canonical query
-//     digest, so a session on an already-seen query shape restores
-//     cached scan and join plan sets instead of rebuilding them from
-//     scratch — and a session on a *new* shape that is isomorphic to a
-//     cached one (the same join graph under a permutation of table
-//     IDs, query.CanonicalFingerprint) restores the cached snapshot
-//     rewritten onto its labeling (core.Snapshot.Remap) — without
-//     cache hits serializing either. With Config.StoreDir set, the
-//     cache is backed by a persistent snapshot store (internal/store):
-//     admitted snapshots are written to disk off the hot path and
-//     replayed into both tiers at the next New on the same directory,
-//     so warm starts survive process restarts (DESIGN.md D12).
+//   - a session manager with a full lifecycle (create, poll frontier,
+//     set bounds, select plan, close, idle expiry),
+//   - a fair-share scheduler whose worker pool time-slices bounded
+//     refinement quanta across sessions, prioritizing sessions whose
+//     bounds just changed (their resolution resets to 0 per the
+//     paper's regime rule) over idle-refining ones, and
+//   - a warm-start plan cache, so a session on an already-seen query
+//     shape restores cached scan and join plan sets instead of
+//     rebuilding them from scratch, a session on a *new* shape that is
+//     isomorphic to a cached one (the same join graph under a
+//     permutation of table IDs, query.CanonicalFingerprint) restores
+//     the cached snapshot rewritten onto its labeling
+//     (core.Snapshot.Remap), and a session whose statistics drifted
+//     re-costs the pre-drift snapshot. With Config.StoreDir set, the
+//     persistent snapshot store (internal/store) is the cache's cold
+//     tier: admitted snapshots are written through to disk off the hot
+//     path, and the next New on the same directory admits the
+//     surviving records as stubs that are read back on first use, so
+//     warm starts survive process restarts (DESIGN.md D12, D19).
 //
 // The paper's interactive-speed guarantee is per optimizer invocation;
 // this package extends it to many users by making one invocation
@@ -36,6 +34,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -63,14 +62,13 @@ type Config struct {
 	// unset: they would be invoked concurrently from many workers.
 	Opt core.Config
 
-	// Workers is the total refinement worker-pool size, distributed
-	// across the shards; defaults to runtime.GOMAXPROCS(0).
+	// Workers is the refinement worker-pool size; defaults to
+	// runtime.GOMAXPROCS(0).
 	Workers int
 
-	// Shards is the number of manager/scheduler shards sessions hash
-	// onto; defaults to runtime.GOMAXPROCS(0) and is clamped to
-	// Workers (a shard needs at least one worker). 1 restores the
-	// single-queue behaviour.
+	// Shards is ignored: the service runs one scheduler, one session
+	// registry and one cache (DESIGN.md D10). It stays only so callers
+	// that still set it compile.
 	Shards int
 
 	// Quantum is the maximum number of consecutive refinement steps a
@@ -84,14 +82,13 @@ type Config struct {
 
 	// MaxActiveSessions bounds the number of live sessions; Create
 	// fails with ErrOverloaded at the limit. 0 means unlimited. The
-	// check reads sharded gauges without a global lock, so concurrent
-	// creates can overshoot the limit by at most the create
-	// concurrency — admission control is load shedding, not a hard
-	// resource cap.
+	// check reads a lock-free gauge, so concurrent creates can
+	// overshoot the limit by at most the create concurrency —
+	// admission control is load shedding, not a hard resource cap.
 	MaxActiveSessions int
 
-	// MaxQueueDepth bounds the combined scheduler backlog (queued, not
-	// yet running sessions) across shards; Create fails with
+	// MaxQueueDepth bounds the scheduler backlog (queued, not yet
+	// running sessions); Create fails with
 	// ErrOverloaded at the limit. 0 means unlimited. Approximate under
 	// concurrency, like MaxActiveSessions.
 	MaxQueueDepth int
@@ -106,20 +103,22 @@ type Config struct {
 	// not honored — the deadline is a hard resource cap). 0 disables.
 	SessionDeadline time.Duration
 
-	// JanitorInterval is the expiry sweep period; defaults to
-	// IdleTimeout/4.
+	// JanitorInterval is the expiry sweep period; defaults to a quarter
+	// of the tighter of IdleTimeout and SessionDeadline, and never to
+	// less than a millisecond.
 	JanitorInterval time.Duration
 
-	// CacheCapacity bounds the warm-start cache (snapshots) across all
-	// cache shards; 0 defaults to 256, negative disables the cache.
+	// CacheCapacity bounds the warm-start cache (snapshots); 0 defaults
+	// to 256, negative disables the cache.
 	CacheCapacity int
 
 	// StoreDir, when non-empty, enables the persistent snapshot store
 	// (internal/store) rooted at this directory: cache-admitted
 	// snapshots are written through to disk off the hot path, and New
-	// replays the surviving records into both cache tiers, so
-	// a restarted service (or a fresh process on the same directory)
-	// keeps its warm starts. Requires the cache (CacheCapacity >= 0).
+	// admits the surviving records into the cache as stubs that are
+	// read back on first use, so a restarted service (or a fresh
+	// process on the same directory) keeps its warm starts. Requires
+	// the cache (CacheCapacity >= 0).
 	StoreDir string
 
 	// StoreOptions tunes the store's segment size, compaction
@@ -179,29 +178,11 @@ type Config struct {
 	ReplaySource string
 }
 
-// ShardStats are one shard's gauges and counters.
+// ShardStats repeats the scheduler's counters from Stats as the one
+// element of Stats.Shards, the shape /statz readers written for a
+// sharded scheduler still parse.
 type ShardStats struct {
-	// Workers is the shard's worker count.
-	Workers int
-	// Sessions is the shard's current live-session count.
-	Sessions int
-	// Queued is the shard's current run-queue length.
-	Queued int
-	// Steps counts refinement steps executed by this shard's workers
-	// (including steps on sessions stolen from other shards).
-	Steps uint64
-	// Pops counts queue pops serviced by this shard's workers; the
-	// Steps/Pops ratio shows the quantum's round-trip amortization.
-	Pops uint64
-	// Steals counts cold sessions this shard's workers took from
-	// loaded peers instead of sleeping.
-	Steals uint64
-	// Preempts counts cold quanta cut short by a hot arrival.
-	Preempts uint64
-	// Rejected counts admissions refused while this shard was the
-	// hottest (most loaded) one — the per-shard attribution of the
-	// service-wide Rejected counter.
-	Rejected uint64
+	Steps, Pops, Preempts uint64
 }
 
 // Stats are cumulative service counters plus current gauges.
@@ -219,8 +200,11 @@ type Stats struct {
 	Poisoned uint64
 	// Rejected counts Create calls refused by admission control.
 	Rejected uint64
-	// Steps counts scheduler-executed refinement steps.
-	Steps uint64
+	// Steps counts scheduler-executed refinement steps, Pops the queue
+	// pops that ran them (the Steps/Pops ratio shows the quantum's
+	// round-trip amortization), and Preempts the cold quanta a hot
+	// arrival cut short.
+	Steps, Pops, Preempts uint64
 	// WarmStarts counts sessions created from a cached snapshot
 	// (exact and isomorphic combined).
 	WarmStarts uint64
@@ -252,7 +236,7 @@ type Stats struct {
 	RemapTotal time.Duration `json:"RemapTotalNs"`
 	// Active is the current number of live sessions.
 	Active int
-	// Queued is the current combined scheduler run-queue length.
+	// Queued is the current scheduler run-queue length.
 	Queued int
 	// StepGapP99 is the starvation audit: the 99th percentile, across
 	// recent and live sessions, of each session's maximum start-to-start
@@ -260,14 +244,8 @@ type Stats struct {
 	// starved sessions waited for service while runnable. Serialized in
 	// explicit nanoseconds, like RemapTotal.
 	StepGapP99 time.Duration `json:"StepGapP99Ns"`
-	// Cache summarizes the warm-start cache across its shards (zero
-	// value if disabled).
+	// Cache summarizes the warm-start cache (zero value if disabled).
 	Cache CacheStats
-	// CacheShards holds the per-cache-shard breakdown (cache shards
-	// are keyed by canonical digest and independent of the
-	// scheduler shards in Shards). The monotonic Puts/Evictions split
-	// per shard shows which digest ranges churn at capacity.
-	CacheShards []CacheStats
 	// Store summarizes the persistent snapshot store (zero value when
 	// StoreDir is unset).
 	Store store.Stats
@@ -284,7 +262,7 @@ type Stats struct {
 	// drain found: those that reached their target inside the grace
 	// window versus those checkpointed mid-refinement to the store.
 	DrainConverged, DrainCheckpointed uint64
-	// Shards holds the per-shard breakdown.
+	// Shards holds Steps, Pops and Preempts once more, as one element.
 	Shards []ShardStats
 }
 
@@ -307,17 +285,13 @@ var ErrOverloaded = errors.New("service: overloaded")
 
 // OverloadError is the structured admission refusal: errors.Is(err,
 // ErrOverloaded) still matches, and moqod serializes the fields into
-// the 429 JSON body so clients can log which limit tripped and which
-// shard was hottest.
+// the 429 JSON body so clients can log which limit tripped.
 type OverloadError struct {
 	// Kind names the limit that refused the create: "sessions"
 	// (MaxActiveSessions) or "queue" (MaxQueueDepth).
 	Kind string
 	// N and Limit are the observed load and the configured cap.
 	N, Limit int
-	// Shard is the hottest shard (most sessions plus queue entries) at
-	// refusal time — where the congestion lives.
-	Shard int
 }
 
 // Error formats the refusal; the prefix matches errors.Is via Unwrap.
@@ -380,29 +354,20 @@ type Status struct {
 	Err string
 }
 
-// shard pairs one slice of the session registry with the scheduler that
-// serves it. A session's shard is fixed at creation (hash of its ID),
-// so every registry and queue operation for it touches only this
-// shard's locks.
-type shard struct {
-	mgr   *manager
-	sched *scheduler
-}
-
 // Service is the concurrent anytime-optimization subsystem. Create one
 // with New and release it with Shutdown.
 type Service struct {
-	cfg        Config
-	shards     []*shard
-	caches     []*PlanCache // fingerprint-sharded; nil when disabled
-	store      *store.Store // persistent snapshot store; nil when disabled
-	quantum    int
-	shardSizes []int          // workers per shard (ShardStats)
-	obs        *Observability // metric instruments + trace archive (never nil)
+	cfg     Config
+	mgr     *manager
+	sched   *scheduler
+	cache   *PlanCache   // nil when disabled
+	store   *store.Store // persistent snapshot store; nil when disabled
+	quantum int
+	obs     *Observability // metric instruments + trace archive (never nil)
 
 	// statsMu serializes Stats callers so the starvation-audit scratch
-	// (gapScratch here, each manager's liveScratch) can be reused
-	// without racing; it is never held with any shard lock.
+	// (gapScratch here, the manager's liveScratch) can be reused
+	// without racing; it is never held with the registry lock.
 	statsMu    sync.Mutex
 	gapScratch []time.Duration
 
@@ -435,8 +400,8 @@ type Service struct {
 	drainCheckpointed atomic.Uint64
 }
 
-// New validates the configuration, starts the sharded worker pools and
-// the idle janitor, and returns the running service.
+// New validates the configuration, starts the worker pool and the idle
+// janitor, and returns the running service.
 func New(cfg Config) (*Service, error) {
 	if cfg.Opt.Hooks.PlanGenerated != nil || cfg.Opt.Hooks.PairCombined != nil ||
 		cfg.Opt.Hooks.CandidateRetrieved != nil {
@@ -447,15 +412,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("service: Workers %d < 1", cfg.Workers)
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("service: Shards %d < 1", cfg.Shards)
-	}
-	if cfg.Shards > cfg.Workers {
-		cfg.Shards = cfg.Workers // every shard needs at least one worker
 	}
 	if cfg.Quantum == 0 {
 		cfg.Quantum = 4
@@ -470,43 +426,27 @@ func New(cfg Config) (*Service, error) {
 		// Sweep at a quarter of the tightest enabled window so neither
 		// idle expiry nor the session deadline overshoots by more than
 		// ~25% (the janitor also runs with expiry disabled when only a
-		// deadline is configured).
+		// deadline is configured). The floor keeps a nanosecond-scale
+		// window from deriving the zero period NewTicker panics on.
 		base := cfg.IdleTimeout
 		if base <= 0 || (cfg.SessionDeadline > 0 && cfg.SessionDeadline < base) {
 			base = cfg.SessionDeadline
 		}
-		cfg.JanitorInterval = base / 4
+		cfg.JanitorInterval = max(base/4, time.Millisecond)
 	}
 	s := &Service{cfg: cfg, quantum: cfg.Quantum, janitorStop: make(chan struct{})}
 	// The instruments must exist before any worker can run a step
 	// (runSteps records into them unconditionally).
-	s.obs = newObservability(cfg.Shards)
+	s.obs = newObservability()
 	if cfg.CacheCapacity >= 0 {
-		total := cfg.CacheCapacity
-		if total < 1 {
-			total = 256
+		capacity := cfg.CacheCapacity
+		if capacity < 1 {
+			capacity = 256
 		}
-		// Never more cache shards than capacity: a tiny cache split
-		// across many single-entry shards would thrash two popular
-		// shapes hashing to the same shard while the rest sit empty.
-		// The remainder spreads one entry at a time so the aggregate
-		// capacity equals the configured budget exactly.
-		n := cfg.Shards
-		if n > total {
-			n = total
-		}
-		s.caches = make([]*PlanCache, n)
-		base, extra := total/n, total%n
-		for i := range s.caches {
-			c := base
-			if i < extra {
-				c++
-			}
-			s.caches[i] = NewPlanCache(c)
-		}
+		s.cache = NewPlanCache(capacity)
 	}
 	if cfg.StoreDir != "" {
-		if s.caches == nil {
+		if s.cache == nil {
 			return nil, fmt.Errorf("service: StoreDir requires the warm-start cache (CacheCapacity >= 0)")
 		}
 		echo, err := core.ConfigFingerprint(cfg.Opt)
@@ -524,9 +464,7 @@ func New(cfg Config) (*Service, error) {
 			return nil, err
 		}
 		s.store = st
-		for _, c := range s.caches {
-			c.fetch = s.fetchSnapshot
-		}
+		s.cache.fetch = s.fetchSnapshot
 		s.replay()
 		// Epoch labels must stay monotonic across restarts: raise the
 		// versioned catalog to the newest label the store has seen, so a
@@ -536,27 +474,9 @@ func New(cfg Config) (*Service, error) {
 			cfg.Stats.EnsureAtLeast(st.MaxStatsEpoch())
 		}
 	}
-	// Build every shard's scheduler and link the peer set before any
-	// worker starts, so stealing never observes a partial peer slice.
-	scheds := make([]*scheduler, cfg.Shards)
-	s.shards = make([]*shard, cfg.Shards)
-	for i := range s.shards {
-		scheds[i] = newScheduler(i)
-		s.shards[i] = &shard{mgr: newManager(), sched: scheds[i]}
-	}
-	for _, sc := range scheds {
-		sc.link(scheds)
-	}
-	s.shardSizes = make([]int, cfg.Shards)
-	base, extra := cfg.Workers/cfg.Shards, cfg.Workers%cfg.Shards
-	for i, sc := range scheds {
-		n := base
-		if i < extra {
-			n++
-		}
-		s.shardSizes[i] = n
-		sc.start(n, s.runSteps)
-	}
+	s.mgr = newManager()
+	s.sched = newScheduler()
+	s.sched.start(cfg.Workers, s.runSteps)
 	if cfg.IdleTimeout > 0 || cfg.SessionDeadline > 0 {
 		go s.janitor()
 	} else {
@@ -566,7 +486,7 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// replay pre-populates every cache tier from the store's index —
+// replay pre-populates the cache from the store's index —
 // adopted from the checkpoint, scanned past it (DESIGN.md D22) — the way
 // a buffer pool reloads after a restart (D19): each live record is
 // admitted as a stub, in write order — so the canonical tier ends up
@@ -590,7 +510,7 @@ func (s *Service) replay() {
 	var hot []cacheKey
 	s.store.Walk(func(r store.Record) bool {
 		k := cacheKey{fp: r.FP, canonFp: r.CanonFP, structFp: r.StructFP, perm: r.Perm}
-		s.cacheFor(k.canonFp).Admit(k, origin)
+		s.cache.Admit(k, origin)
 		if hinted[k.fp] {
 			hot = append(hot, k)
 		}
@@ -602,7 +522,7 @@ func (s *Service) replay() {
 	t0 := time.Now()
 	s.fetchHot(hot)
 	fetch := time.Since(t0)
-	ct, st := s.cacheTotals(), s.store.Stats()
+	ct, st := s.cache.Stats(), s.store.Stats()
 	s.cfg.Events.Emit(eventlog.LevelInfo, "service", "snapshot store replayed",
 		eventlog.Fint("loaded", int64(st.Loaded)),
 		eventlog.Fint("live", int64(st.LiveRecords)),
@@ -639,7 +559,7 @@ func (s *Service) fetchHot(hot []cacheKey) {
 				if i >= len(hot) {
 					return
 				}
-				if k := hot[i]; s.cacheFor(k.canonFp).FetchNow(k.fp) {
+				if k := hot[i]; s.cache.FetchNow(k.fp) {
 					s.quarantine(k, true)
 				}
 			}
@@ -648,7 +568,7 @@ func (s *Service) fetchHot(hot []cacheKey) {
 	wg.Wait()
 }
 
-// fetchSnapshot is the cache shards' cold tier: the store's Load, then
+// fetchSnapshot is the cache's cold tier: the store's Load, then
 // snapcodec.Decode with every check it has, each timed and counted by
 // when it ran. The encoded bytes live from the one to the other and no
 // longer. A read the filesystem failed is counted, reported — one warn
@@ -681,33 +601,6 @@ func (s *Service) fetchSnapshot(fp string, atBoot bool) (*core.Snapshot, error) 
 	return snap, err
 }
 
-// shardIndex hashes a key (session ID or query fingerprint) onto a
-// shard with FNV-1a.
-func shardIndex(key string, n int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return int(h % uint32(n))
-}
-
-// shardFor returns the shard owning the session ID.
-func (s *Service) shardFor(id string) *shard {
-	return s.shards[shardIndex(id, len(s.shards))]
-}
-
-// cacheFor returns the cache shard owning the query's canonical
-// digest, or nil when the cache is disabled. Sharding by canonical
-// digest (not exact fingerprint) puts every member of an isomorphism
-// class on the same shard, so cross-shape lookups stay shard-local.
-func (s *Service) cacheFor(canonFp string) *PlanCache {
-	if s.caches == nil {
-		return nil
-	}
-	return s.caches[shardIndex(canonFp, len(s.caches))]
-}
-
 // ErrShutdown reports that the service stopped while the call was in
 // progress (e.g. a WaitTarget whose session can no longer converge
 // because the workers are gone).
@@ -726,33 +619,24 @@ func (s *Service) Shutdown() {
 	first := !s.stopping.Swap(true)
 	// Wake blocked WaitTarget callers: with the workers stopping, a
 	// Refining session may never transition again.
-	for _, sh := range s.shards {
-		for _, m := range sh.mgr.all() {
-			m.mu.Lock()
-			if m.cond != nil {
-				m.cond.Broadcast()
-			}
-			m.mu.Unlock()
+	for _, m := range s.mgr.all() {
+		m.mu.Lock()
+		if m.cond != nil {
+			m.cond.Broadcast()
 		}
+		m.mu.Unlock()
 	}
-	for _, sh := range s.shards {
-		sh.sched.stop()
-	}
+	s.sched.stop()
 	if s.store != nil && first {
 		// Workers are stopped: no further cache puts can race the walk.
 		// Close flushes the writer queue and leaves the checkpoint
 		// (D22), whose hot set is this life's working set: the entries
-		// it hit or Put, most recently used first within each cache
-		// shard. The next life fetches those before it reports ready
+		// it hit or Put, most recently used first. The next life fetches those before it reports ready
 		// and leaves the rest of the store on disk (D19). A lost
 		// checkpoint costs the next boot a scan and fetches on first
 		// hits, nothing else — the snapshots still live in this
 		// process's cache — so a failure is reported and dropped.
-		var used []string
-		for _, c := range s.caches {
-			used = c.AppendUsed(used)
-		}
-		if err := s.store.Close(used...); err != nil {
+		if err := s.store.Close(s.cache.AppendUsed(nil)...); err != nil {
 			s.cfg.Events.Emit(eventlog.LevelWarn, "service", "snapshot store close failed", eventlog.Ferr(err))
 		}
 	}
@@ -770,62 +654,27 @@ func (s *Service) janitor() {
 		case <-s.janitorStop:
 			return
 		case <-t.C:
-			for _, sh := range s.shards {
-				expired, timedOut := sh.mgr.sweep(ttl, s.cfg.SessionDeadline)
-				s.expired.Add(uint64(len(expired)))
-				s.timedOut.Add(uint64(len(timedOut)))
-				// sweep already removed the sessions and recorded their
-				// starvation gaps; what remains is the terminal
-				// observability (trace archive, end-to-end histogram,
-				// slow-session hook).
-				for _, m := range expired {
-					s.observeEnd(m, trace.KindExpired)
-				}
-				for _, m := range timedOut {
-					s.observeEnd(m, trace.KindTimedOut)
-				}
+			expired, timedOut := s.mgr.sweep(ttl, s.cfg.SessionDeadline)
+			s.expired.Add(uint64(len(expired)))
+			s.timedOut.Add(uint64(len(timedOut)))
+			// sweep already removed the sessions and recorded their
+			// starvation gaps; what remains is the terminal observability
+			// (trace archive, end-to-end histogram, slow-session hook).
+			for _, m := range expired {
+				s.observeEnd(m, trace.KindExpired)
+			}
+			for _, m := range timedOut {
+				s.observeEnd(m, trace.KindTimedOut)
 			}
 		}
 	}
 }
 
-// activeSessions returns the current live-session count across shards.
-func (s *Service) activeSessions() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.mgr.count()
-	}
-	return n
-}
-
-// queuedSessions returns the combined scheduler backlog across shards.
-func (s *Service) queuedSessions() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.sched.queueLen()
-	}
-	return n
-}
-
-// reject counts one admission refusal — service-wide and against the
-// hottest shard — and builds the structured overload error.
+// reject counts one admission refusal and builds the structured
+// overload error.
 func (s *Service) reject(kind string, n, lim int) error {
 	s.rejected.Add(1)
-	hot := s.hottestShard()
-	s.shards[hot].sched.rejects.Add(1)
-	return &OverloadError{Kind: kind, N: n, Limit: lim, Shard: hot}
-}
-
-// hottestShard returns the most loaded shard (live sessions plus queue
-// entries) — the congestion an overload refusal names.
-func (s *Service) hottestShard() int {
-	best, bestLoad := 0, -1
-	for i, sh := range s.shards {
-		if load := sh.mgr.count() + sh.sched.queueLen(); load > bestLoad {
-			best, bestLoad = i, load
-		}
-	}
-	return best
+	return &OverloadError{Kind: kind, N: n, Limit: lim}
 }
 
 // quarantine buries a poisoned warm-start source: the entry leaves
@@ -842,8 +691,8 @@ func (s *Service) quarantine(src cacheKey, corrupt bool) {
 	if corrupt {
 		s.store.NoteCorrupt() // stubs only ever stand for the store's records
 	}
-	if c := s.cacheFor(src.canonFp); c != nil {
-		c.Quarantine(src.fp)
+	if s.cache != nil {
+		s.cache.Quarantine(src.fp)
 	}
 	if s.store != nil {
 		s.store.Quarantine(src.fp)
@@ -861,7 +710,7 @@ func (s *Service) quarantine(src cacheKey, corrupt bool) {
 // writer is backlogged; blocking is for the caller that must not shed.
 // Callers have checked that the cache is on.
 func (s *Service) admit(k cacheKey, snap *core.Snapshot, blocking bool) {
-	s.cacheFor(k.canonFp).Put(k, snap)
+	s.cache.Put(k, snap)
 	switch {
 	case s.store == nil:
 	case blocking:
@@ -880,22 +729,8 @@ func (s *Service) statsEpoch() uint64 {
 	return s.cfg.Stats.Version()
 }
 
-// lookupStale probes every cache shard's structural tier for a
-// pre-drift snapshot of structFp. Cache shards are keyed by canonical
-// digest, and the same structure under different statistics hashes to
-// different canonical shards, so the probe cannot stay shard-local; it
-// runs only after both real tiers missed, on the session-creation path.
-func (s *Service) lookupStale(structFp string) (Hit, bool) {
-	for _, c := range s.caches {
-		if h, ok := c.LookupStale(structFp); ok {
-			return h, true
-		}
-	}
-	return Hit{}, false
-}
-
 // Create registers a new session for q and schedules its first
-// refinement step at hot priority on its shard. Where the session's plan
+// refinement step at hot priority. Where the session's plan
 // state comes from — the cache's snapshot for q's exact fingerprint, an
 // isomorphic query's rewritten onto q's labels, a pre-drift one re-costed,
 // or a cold build — is the resolver's business (warmstart.go). At
@@ -913,21 +748,20 @@ func (s *Service) Create(q *query.Query) (string, error) {
 		return "", ErrDraining
 	}
 	if lim := s.cfg.MaxActiveSessions; lim > 0 {
-		if n := s.activeSessions(); n >= lim {
+		if n := s.mgr.count(); n >= lim {
 			return "", s.reject("sessions", n, lim)
 		}
 	}
 	if lim := s.cfg.MaxQueueDepth; lim > 0 {
-		if n := s.queuedSessions(); n >= lim {
+		if n := s.sched.queueLen(); n >= lim {
 			return "", s.reject("queue", n, lim)
 		}
 	}
 	k := cacheKey{fp: q.Fingerprint()}
-	if s.caches != nil {
-		// One canonicalization per session creation; the digest also
-		// picks the cache shard, so isomorphic queries meet there. The
-		// structural digest feeds the drift tier: it survives statistics
-		// changes that move both of the other keys.
+	if s.cache != nil {
+		// One canonicalization per session creation. The structural
+		// digest feeds the drift tier: it survives statistics changes
+		// that move both of the other keys.
 		k.canonFp, k.perm = q.CanonicalFingerprint()
 		k.structFp = q.StructuralFingerprint()
 	}
@@ -949,7 +783,6 @@ func (s *Service) Create(q *query.Query) (string, error) {
 	m := &managed{
 		id:         id,
 		key:        k,
-		shard:      shardIndex(id, len(s.shards)),
 		sess:       st.sess,
 		state:      Refining,
 		lastTouch:  now,
@@ -972,37 +805,32 @@ func (s *Service) Create(q *query.Query) (string, error) {
 	m.cond = sync.NewCond(&m.mu)
 	// No lock needed yet: m is not published until mgr.add.
 	tr := trace.Get(id, now)
-	tr.AppendAt(trace.KindAdmit, 0, now.Sub(callStart), int64(m.shard))
-	if s.caches != nil {
+	tr.AppendAt(trace.KindAdmit, 0, now.Sub(callStart), 0)
+	if s.cache != nil {
 		st.seed(tr)
 	}
 	tr.SetProvenance(m.provLabel)
 	m.trace = tr
-	sh := s.shards[m.shard]
-	sh.mgr.add(m)
+	s.mgr.add(m)
 	s.created.Add(1)
-	sh.sched.enqueue(m, true)
+	s.sched.enqueue(m, true)
 	s.cfg.Events.EmitSession(eventlog.LevelInfo, "service", "session created", id, k.fp, Refining.String(),
-		eventlog.F("provenance", m.provLabel), eventlog.Fint("shard", int64(m.shard)))
+		eventlog.F("provenance", m.provLabel))
 	return m.id, nil
 }
 
 // runSteps executes one scheduling quantum for a popped session and
-// decides its next scheduling: re-enqueue cold on its owning shard
-// while refining, park it once the regime reaches maximal resolution
-// (exporting a snapshot to the warm-start cache the first time), drop
-// it when terminal. sc is the executing scheduler — the owner's, or a
-// thief's when the session was stolen.
+// decides its next scheduling: re-enqueue cold while refining, park it
+// once the regime reaches maximal resolution (exporting a snapshot to
+// the warm-start cache the first time), drop it when terminal.
 //
 // Hot pops run exactly one step (the regime's coarsest, most
 // user-visible one) and requeue, keeping first-frontier latency low.
 // Cold pops run up to the configured quantum of consecutive steps to
 // amortize queue round-trips, releasing m.mu between steps so polls
-// never wait for a whole batch, and re-check both the executing and the
-// owning shard for hot arrivals at every step boundary — a waiting hot
-// session preempts the quantum.
-func (s *Service) runSteps(sc *scheduler, m *managed, hot bool) {
-	owner := s.shards[m.shard].sched
+// never wait for a whole batch, and re-check for hot arrivals at every
+// step boundary — a waiting hot session preempts the quantum.
+func (s *Service) runSteps(m *managed, hot bool) {
 	k := s.quantum
 	if hot {
 		k = 1
@@ -1018,7 +846,7 @@ func (s *Service) runSteps(sc *scheduler, m *managed, hot bool) {
 	for i := 0; i < k; i++ {
 		m.mu.Lock()
 		if m.state != Refining {
-			s.endBatch(sc, m, batchStart, batchEnd, ran)
+			s.endBatch(m, batchStart, batchEnd, ran)
 			m.mu.Unlock()
 			return
 		}
@@ -1030,16 +858,16 @@ func (s *Service) runSteps(sc *scheduler, m *managed, hot bool) {
 			// or lock was added for this.
 			if enq := m.enqueuedNS.Swap(0); enq != 0 {
 				if wait := now.UnixNano() - enq; wait > 0 {
-					s.obs.QueueWait.ObserveShard(sc.id, wait)
+					s.obs.QueueWait.Observe(wait)
 					if m.trace != nil {
 						m.trace.AppendAt(trace.KindQueueWait,
-							now.Sub(m.created)-time.Duration(wait), time.Duration(wait), int64(sc.id))
+							now.Sub(m.created)-time.Duration(wait), time.Duration(wait), 0)
 					}
 				}
 			}
 		}
 		if gap := m.noteStep(now); gap > 0 {
-			s.obs.StepGap.ObserveShardExemplar(sc.id, int64(gap), m.id)
+			s.obs.StepGap.ObserveExemplar(int64(gap), m.id)
 		}
 		start := now.Sub(m.created)
 		if ran == 0 {
@@ -1049,16 +877,15 @@ func (s *Service) runSteps(sc *scheduler, m *managed, hot bool) {
 		ran++
 		frontier, failure, stack := s.stepSession(m)
 		if failure != nil {
-			s.failLocked(sc, m, failure, stack, batchStart, batchEnd, ran)
+			s.failLocked(m, failure, stack, batchStart, batchEnd, ran)
 			return
 		}
 		batchEnd = start + m.sess.LastDuration()
 		m.steps++
 		s.steps.Add(1)
-		sc.stepsDone.Add(1)
 		if m.firstFrontier == 0 && len(frontier) > 0 {
 			m.firstFrontier = time.Since(m.created)
-			s.obs.FirstFrontier.ObserveShardExemplar(0, int64(m.firstFrontier), m.id)
+			s.obs.FirstFrontier.ObserveExemplar(int64(m.firstFrontier), m.id)
 			if m.trace != nil {
 				m.trace.AppendAt(trace.KindFirstFrontier, m.firstFrontier, m.firstFrontier, 0)
 			}
@@ -1076,7 +903,7 @@ func (s *Service) runSteps(sc *scheduler, m *managed, hot bool) {
 		}
 		if m.sess.AtMaxResolution() {
 			m.setState(AtTarget)
-			s.endBatch(sc, m, batchStart, batchEnd, ran)
+			s.endBatch(m, batchStart, batchEnd, ran)
 			if m.trace != nil {
 				m.trace.AppendAt(trace.KindConverged, batchEnd, 0, int64(m.steps))
 				// Convergence speed: how many curve samples it took to get
@@ -1086,7 +913,7 @@ func (s *Service) runSteps(sc *scheduler, m *managed, hot bool) {
 					s.obs.StepsToEpsilon.Observe(int64(n))
 				}
 			}
-			if s.caches != nil && !m.snapshotted {
+			if s.cache != nil && !m.snapshotted {
 				// The export also makes this session the representative
 				// of its isomorphism class, so later isomorphic queries
 				// warm-start from it via remap.
@@ -1107,20 +934,25 @@ func (s *Service) runSteps(sc *scheduler, m *managed, hot bool) {
 			m.mu.Unlock()
 			return
 		}
-		// Decide the continuation while still holding m.mu (hotPending
-		// is lock-free) so a preempted or exhausted batch seals its span
-		// without re-acquiring the lock.
-		preempt := i+1 < k && (owner.hotPending() || sc.hotPending())
-		if preempt || i+1 == k {
-			s.endBatch(sc, m, batchStart, batchEnd, ran)
+		// Decide the continuation while still holding m.mu (both checks
+		// are lock-free) so a cut-short or exhausted batch seals its span
+		// without re-acquiring the lock. A hot arrival preempts the
+		// batch; a shutdown ends it, so Shutdown waits for one step, not
+		// a whole quantum.
+		preempt := i+1 < k && s.sched.hotPending()
+		last := preempt || i+1 == k || s.stopping.Load()
+		if last {
+			s.endBatch(m, batchStart, batchEnd, ran)
 		}
 		m.mu.Unlock()
 		if preempt {
-			sc.preempts.Add(1)
+			s.sched.preempts.Add(1)
+		}
+		if last {
 			break
 		}
 	}
-	owner.enqueue(m, false)
+	s.sched.enqueue(m, false)
 }
 
 // stepSession runs one refinement step under m.mu, converting a panic
@@ -1147,19 +979,18 @@ func (s *Service) stepSession(m *managed) (frontier []*plan.Node, failure error,
 // error and stack are captured for Poll and the trace archive, a
 // poisoned warm start is quarantined, and the session stays in the
 // registry so the client can read the failure over the API (Close or
-// the janitor reaps it later). The worker returns to its queue — one
-// tenant's panic never takes the daemon, the shard, or a sibling
-// session with it. Called with m.mu held; returns with it released.
-func (s *Service) failLocked(sc *scheduler, m *managed, failure error, stack []byte, first, last time.Duration, ran int) {
+// the janitor reaps it later). The worker returns to the queue — one
+// tenant's panic never takes the daemon, a worker, or a sibling session
+// with it. Called with m.mu held; returns with it released.
+func (s *Service) failLocked(m *managed, failure error, stack []byte, first, last time.Duration, ran int) {
 	m.failErr = failure.Error()
 	m.failStack = string(stack)
 	m.setState(Failed)
-	s.endBatch(sc, m, first, last, ran)
+	s.endBatch(m, first, last, ran)
 	// A warm session whose very first step panics indicts the restored
 	// snapshot, not the session's own refinement: quarantine the source
-	// (under its own canonical digest — a drift restore's source lives
-	// on a different cache shard than this session's digest). A re-cost
-	// session admitted that same state under its own keys at the create,
+	// (under its own keys — a drift restore's source is another query's
+	// entry). A re-cost session admitted that same state under its own keys at the create,
 	// and the copy is no better than the original.
 	poisoned := m.prov != provCold && m.steps == 0
 	// Counted before the unlock publishes the state: a client that polls
@@ -1173,19 +1004,18 @@ func (s *Service) failLocked(sc *scheduler, m *managed, failure error, stack []b
 			s.quarantine(m.key, false)
 		}
 	}
-	gap := s.observeEnd(m, trace.KindFailed)
-	s.shards[m.shard].mgr.recordGap(gap)
+	s.mgr.recordGap(s.observeEnd(m, trace.KindFailed))
 }
 
 // endBatch seals one scheduling quantum: the steps-per-pop histogram
 // sample and the batch's KindSteps span, which runs from the first
 // step's start to the last step's end. Callers hold m.mu; a no-step
 // batch records nothing.
-func (s *Service) endBatch(sc *scheduler, m *managed, first, end time.Duration, ran int) {
+func (s *Service) endBatch(m *managed, first, end time.Duration, ran int) {
 	if ran == 0 {
 		return
 	}
-	s.obs.QuantumSteps.ObserveShard(sc.id, int64(ran))
+	s.obs.QuantumSteps.Observe(int64(ran))
 	if m.trace != nil {
 		m.trace.AppendAt(trace.KindSteps, first, end-first, int64(ran))
 	}
@@ -1193,21 +1023,20 @@ func (s *Service) endBatch(sc *scheduler, m *managed, first, end time.Duration, 
 
 // lookup fetches a live session or fails with a not-found error.
 func (s *Service) lookup(id string) (*managed, error) {
-	m, ok := s.shardFor(id).mgr.get(id)
+	m, ok := s.mgr.get(id)
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrNoSession, id)
 	}
 	return m, nil
 }
 
-// finish removes a terminal session from its shard's registry and
+// finish removes a terminal session from the registry and
 // archives its starvation sample and lifecycle trace. k is the terminal
 // span kind (selected/closed). Callers must not hold m.mu.
 func (s *Service) finish(m *managed, k trace.Kind) {
 	gap := s.observeEnd(m, k)
-	sh := s.shards[m.shard]
-	sh.mgr.remove(m.id)
-	sh.mgr.recordGap(gap)
+	s.mgr.remove(m.id)
+	s.mgr.recordGap(gap)
 }
 
 // statusLocked builds a Status snapshot; callers hold m.mu.
@@ -1300,7 +1129,7 @@ func (s *Service) WaitTargetTimeout(id string, d time.Duration) (Status, error) 
 
 // SetBounds changes a live session's cost bounds. Per the paper's
 // regime rule the next step restarts at resolution 0, so the session is
-// (re)scheduled at hot priority on its shard.
+// (re)scheduled at hot priority.
 func (s *Service) SetBounds(id string, b cost.Vector) error {
 	m, err := s.lookup(id)
 	if err != nil {
@@ -1327,7 +1156,7 @@ func (s *Service) SetBounds(id string, b cost.Vector) error {
 		m.trace.Append(trace.KindBounds, m.lastTouch, 0, 0)
 	}
 	m.mu.Unlock()
-	s.shards[m.shard].sched.enqueue(m, true)
+	s.sched.enqueue(m, true)
 	return nil
 }
 
@@ -1388,7 +1217,7 @@ func (s *Service) Close(id string) error {
 	m.mu.Lock()
 	if m.state == Failed {
 		m.mu.Unlock()
-		s.shards[m.shard].mgr.remove(m.id)
+		s.mgr.remove(m.id)
 		s.closed.Add(1)
 		return nil
 	}
@@ -1404,7 +1233,7 @@ func (s *Service) Close(id string) error {
 }
 
 // Stats returns the service counters and gauges, including the
-// per-shard breakdown and the starvation-audit percentile.
+// starvation-audit percentile.
 func (s *Service) Stats() Stats {
 	st := Stats{
 		Created:           s.created.Load(),
@@ -1416,6 +1245,8 @@ func (s *Service) Stats() Stats {
 		Poisoned:          s.poisoned.Load(),
 		Rejected:          s.rejected.Load(),
 		Steps:             s.steps.Load(),
+		Pops:              s.sched.pops.Load(),
+		Preempts:          s.sched.preempts.Load(),
 		WarmStarts:        s.warmStarts.Load(),
 		IsoWarmStarts:     s.isoWarmStarts.Load(),
 		DriftRecosted:     s.driftCounts[driftRecosted].Load(),
@@ -1423,42 +1254,23 @@ func (s *Service) Stats() Stats {
 		DriftQuarantined:  s.driftCounts[driftQuarantined].Load(),
 		StatsEpoch:        s.statsEpoch(),
 		RemapTotal:        time.Duration(s.obs.Remap.Sum()),
+		Active:            s.mgr.count(),
+		Queued:            s.sched.queueLen(),
 		Draining:          s.draining.Load(),
 		DrainConverged:    s.drainConverged.Load(),
 		DrainCheckpointed: s.drainCheckpointed.Load(),
-		Shards:            make([]ShardStats, len(s.shards)),
 	}
+	st.Shards = []ShardStats{{Steps: st.Steps, Pops: st.Pops, Preempts: st.Preempts}}
 	// statsMu serializes concurrent Stats callers over the reusable gap
-	// scratch (this slice and each shard's liveScratch); the sort and
-	// percentile below run with no shard lock held.
+	// scratch (this slice and the manager's liveScratch); the sort and
+	// percentile below run with no registry lock held.
 	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	gaps := s.gapScratch[:0]
-	for i, sh := range s.shards {
-		sc := sh.sched
-		ss := ShardStats{
-			Workers:  s.shardSizes[i],
-			Sessions: sh.mgr.count(),
-			Queued:   sc.queueLen(),
-			Steps:    sc.stepsDone.Load(),
-			Pops:     sc.pops.Load(),
-			Steals:   sc.steals.Load(),
-			Preempts: sc.preempts.Load(),
-			Rejected: sc.rejects.Load(),
-		}
-		st.Shards[i] = ss
-		st.Active += ss.Sessions
-		st.Queued += ss.Queued
-		gaps = sh.mgr.appendGaps(gaps)
-	}
+	gaps := s.mgr.appendGaps(s.gapScratch[:0])
 	st.StepGapP99 = percentileDur(gaps, 0.99)
 	s.gapScratch = gaps
-	if s.caches != nil {
-		st.CacheShards = make([]CacheStats, len(s.caches))
-		for i, c := range s.caches {
-			st.CacheShards[i] = c.Stats()
-			st.Cache.add(st.CacheShards[i])
-		}
+	s.statsMu.Unlock()
+	if s.cache != nil {
+		st.Cache = s.cache.Stats()
 	}
 	if s.store != nil {
 		st.Store = s.store.Stats()
@@ -1477,12 +1289,6 @@ func percentileDur(ds []time.Duration, p float64) time.Duration {
 		return 0
 	}
 	slices.Sort(ds)
-	i := int(p*float64(len(ds))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(ds) {
-		i = len(ds) - 1
-	}
-	return ds[i]
+	i := int(math.Ceil(p*float64(len(ds)))) - 1
+	return ds[min(max(i, 0), len(ds)-1)]
 }

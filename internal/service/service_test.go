@@ -23,7 +23,6 @@ func testConfig(levels int) Config {
 			PrecisionStep:    0.1,
 		},
 		Workers:     4,
-		Shards:      4,  // exercise sharding + stealing regardless of GOMAXPROCS
 		IdleTimeout: -1, // tests control expiry explicitly
 	}
 }
@@ -136,7 +135,7 @@ func TestBoundsChangeResetsResolution(t *testing.T) {
 	}
 	awaitState(t, svc, id, AtTarget)
 
-	m, ok := svc.shardFor(id).mgr.get(id)
+	m, ok := svc.mgr.get(id)
 	if !ok {
 		t.Fatal("session vanished")
 	}
@@ -193,6 +192,39 @@ func TestIdleExpiry(t *testing.T) {
 	}
 	if st := svc.Stats(); st.Expired != 1 || st.Active != 0 {
 		t.Errorf("stats after expiry: expired=%d active=%d, want 1/0", st.Expired, st.Active)
+	}
+}
+
+// TestIdleExpiryNanosecondTimeout: an idle timeout under 4 ns derived
+// a zero janitor period, and NewTicker panicked in the janitor
+// goroutine, killing the process. The derived period is floored at a
+// millisecond: the service boots, expires the session and shuts down.
+func TestIdleExpiryNanosecondTimeout(t *testing.T) {
+	cfg := testConfig(3)
+	cfg.IdleTimeout = 3 * time.Nanosecond
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Shutdown()
+	if got := svc.cfg.JanitorInterval; got != time.Millisecond {
+		t.Errorf("derived janitor interval %v, want the 1ms floor", got)
+	}
+
+	blk, _ := workload.Find(workload.MustTPCHBlocks(1), "Q4")
+	id, err := svc.Create(blk.Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for svc.Stats().Expired == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("session never expired")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := svc.Poll(id); !errors.Is(err, ErrNoSession) {
+		t.Errorf("poll after expiry: %v, want ErrNoSession", err)
 	}
 }
 

@@ -99,11 +99,11 @@ func (st *start) seed(tr *trace.Trace) {
 func (s *Service) resolve(q *query.Query, k cacheKey) (start, error) {
 	var st start
 	var err error
-	if cache := s.cacheFor(k.canonFp); cache != nil {
-		h, found := cache.Lookup(k.fp, k.canonFp)
+	if s.cache != nil {
+		h, found := s.cache.Lookup(k.fp, k.canonFp)
 		stale := !found
 		if stale {
-			h, found = s.lookupStale(k.structFp)
+			h, found = s.cache.LookupStale(k.structFp)
 		}
 		var snap *core.Snapshot
 		var prov provenance

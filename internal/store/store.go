@@ -335,8 +335,7 @@ type Store struct {
 	// Latency and backlog instruments, recorded on the writer goroutine
 	// (appendHist: whole-record append; flushHist: every fsync) and at
 	// enqueue time (depthHist samples the backlog each Put observed).
-	// Single-stripe: only the writer and Put callers touch them, and
-	// recording is atomics-only either way.
+	// Recording is atomics-only.
 	appendHist *metrics.Histogram
 	flushHist  *metrics.Histogram
 	depthHist  *metrics.Histogram
@@ -389,9 +388,9 @@ func Open(opts Options) (*Store, error) {
 		segments:   map[int64]*segment{},
 		queue:      make(chan writeReq, opts.QueueDepth),
 		done:       make(chan struct{}),
-		appendHist: metrics.NewDuration(1),
-		flushHist:  metrics.NewDuration(1),
-		depthHist:  metrics.NewValues(1, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
+		appendHist: metrics.NewDuration(),
+		flushHist:  metrics.NewDuration(),
+		depthHist:  metrics.NewValues(1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
 		// Probe jitter only needs spread, not secrecy or replay: a fixed
 		// seed keeps runs reproducible.
 		jitterRng: rand.New(rand.NewSource(1)),

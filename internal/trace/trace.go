@@ -31,8 +31,7 @@ type Kind uint8
 
 const (
 	// KindAdmit is session creation; Dur covers the whole Create call
-	// (admission checks, cache lookup, remap or cold optimizer build)
-	// and N is the owning shard.
+	// (admission checks, cache lookup, remap or cold optimizer build).
 	KindAdmit Kind = iota
 	// KindCacheExact, KindCacheIso and KindCacheMiss record the
 	// warm-start cache outcome at creation.
@@ -43,9 +42,7 @@ const (
 	// wall time (session-creation path, never the refinement path).
 	KindRemap
 	// KindQueueWait is the interval between a (re-)enqueue and the
-	// first refinement step of the pop that serviced it; N is the
-	// executing shard (which differs from the owning shard when the
-	// session was stolen).
+	// first refinement step of the pop that serviced it.
 	KindQueueWait
 	// KindSteps is one scheduler quantum batch: N consecutive
 	// refinement steps; Dur spans the first step's start to the last

@@ -16,7 +16,7 @@ DIR="$(mktemp -d /tmp/moqod-drift.XXXXXX)"
 go build -o "$BIN" ./cmd/moqod
 
 start_moqod() {
-    "$BIN" -addr "$ADDR" -workers 2 -shards 2 -levels 3 -cache-dir "$DIR" &
+    "$BIN" -addr "$ADDR" -workers 2 -levels 3 -cache-dir "$DIR" &
     MOQOD=$!
     for _ in $(seq 1 100); do
         curl -fsS "http://$ADDR/statz" >/dev/null 2>&1 && return

@@ -30,7 +30,7 @@ trap 'kill -9 "${PIDS[@]}" 2>/dev/null || true; rm -rf "$DIR_A" "$DIR_B" "$DIR_C
 start_node() {
     local addr=$1
     shift
-    "$BIN" -addr "$addr" -workers 2 -shards 2 -levels 3 "$@" &
+    "$BIN" -addr "$addr" -workers 2 -levels 3 "$@" &
     PIDS+=($!)
     for _ in $(seq 1 200); do
         curl -fsS "http://$addr/readyz" >/dev/null 2>&1 && return

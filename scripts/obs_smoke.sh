@@ -16,7 +16,7 @@ go build -o "$BIN" ./cmd/moqod
 
 # -cache-dir brings the snapshot store up so its events (subsystem
 # "store") appear alongside service and api events.
-"$BIN" -addr "$ADDR" -workers 2 -shards 2 -levels 3 -pprof -slow-session 1ns \
+"$BIN" -addr "$ADDR" -workers 2 -levels 3 -pprof -slow-session 1ns \
     -cache-dir "$CACHE_DIR" &
 MOQOD=$!
 # Wait for the child before removing its store directory: a SIGTERMed
