@@ -101,6 +101,10 @@ type Optimizer struct {
 	pruneExact bool
 	pruneAppr  bool
 
+	// rootCollect is AppendResultsAt's visitor, appending to rootOut.
+	rootCollect func(rangeindex.Entry) bool
+	rootOut     []*plan.Node
+
 	// witnesses[:witN] are the result plans of table set witSub that
 	// most recently proved an exact dominance in the current invocation,
 	// most recent first; prune probes them before querying the index
@@ -169,6 +173,10 @@ func NewOptimizer(q *query.Query, cfg Config) (*Optimizer, error) {
 	o.visCollect = func(e rangeindex.Entry) bool {
 		o.visAll = append(o.visAll, e.Payload)
 		o.visEpochs = append(o.visEpochs, e.Epoch)
+		return true
+	}
+	o.rootCollect = func(e rangeindex.Entry) bool {
+		o.rootOut = append(o.rootOut, e.Payload)
 		return true
 	}
 	o.subsetsBySize = connectedSubsets(q)
@@ -404,6 +412,31 @@ func (o *Optimizer) ResultsFor(sub tableset.Set, b cost.Vector, r int) []*plan.N
 	})
 	return out
 }
+
+// AppendResultsAt appends to dst the root result plans within bounds b
+// registered for exactly resolution r and inserted by invocation
+// minEpoch or a later one (0 takes them all), in the order Results
+// enumerates them, and returns the extended slice. A result plan enters
+// at its invocation's own resolution and is never removed, so these are
+// what Results(b, r) holds beyond Results(b, r-1), or beyond what it
+// held before invocation minEpoch. Bounds may be nil for "no bounds".
+func (o *Optimizer) AppendResultsAt(dst []*plan.Node, b cost.Vector, r int, minEpoch uint64) []*plan.Node {
+	if b == nil {
+		b = o.unbounded
+	}
+	ix, ok := o.res[o.q.Tables()]
+	if !ok {
+		return dst
+	}
+	o.rootOut = dst
+	ix.QueryLevel(b, r, minEpoch, o.rootCollect)
+	dst, o.rootOut = o.rootOut, nil
+	return dst
+}
+
+// Epoch returns the number of the most recent invocation (0 before the
+// first); the result plans it inserted carry it.
+func (o *Optimizer) Epoch() uint64 { return o.epoch }
 
 // CandidateCount returns the total number of stored candidate plans
 // across all table subsets (space instrumentation, Section 5.2).

@@ -22,29 +22,95 @@ import (
 // by an output plan. Like slices.Compact it works in place: it reorders
 // plans and returns the skyline as a prefix of it, capacity clipped.
 //
-// It is a sort-then-sweep: after a stable sort in that order a plan can
-// only be dominated by one sorted before it, and — dominance being
+// It is a sort-then-sweep: after sorting in that order a plan can only
+// be dominated by one sorted before it, and — dominance being
 // transitive — only by one of those the sweep kept, so each plan is
 // compared against the kept prefix alone, nearest first: a dominator is
-// usually a close neighbour in the order.
+// usually a close neighbour in the order. The sort is an unstable
+// pdqsort of pointer-free keys — a plan's first cost component and its
+// input index — tie-broken by the full cost, the node ID and the index,
+// which orders exactly as a stable sort by (cost, ID) would; the plans
+// are then permuted into that order once.
 func Filter(plans []*plan.Node) []*plan.Node {
-	slices.SortStableFunc(plans, func(p, q *plan.Node) int {
-		if c := slices.Compare(p.Cost, q.Cost); c != 0 {
-			return c
+	keys := make([]sortKey, len(plans))
+	for i, p := range plans {
+		keys[i] = sortKey{p.Cost[0], int32(i)}
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		switch {
+		case a.c0 < b.c0:
+			return -1
+		case a.c0 > b.c0:
+			return 1
 		}
-		return cmp.Compare(p.ID(), q.ID())
+		return compareTied(plans, a, b)
 	})
+	permute(plans, keys)
 	kept := plans[:min(1, len(plans))]
 next:
 	for _, p := range plans[len(kept):] {
 		for i := len(kept) - 1; i >= 0; i-- {
-			if kept[i].Cost.Dominates(p.Cost) {
+			if dominates(kept[i].Cost, p.Cost) {
 				continue next
 			}
 		}
 		kept = append(kept, p)
 	}
 	return slices.Clip(kept)
+}
+
+// dominates is q.Dominates(p), spelled out so that the sweep's test
+// inlines.
+func dominates(q, p cost.Vector) bool {
+	p = p[:len(q)]
+	for d, c := range q {
+		if c > p[d] {
+			return false
+		}
+	}
+	return true
+}
+
+// sortKey is one plan of Filter's input: its first cost component,
+// which settles most comparisons without a pointer chase, and its index.
+type sortKey struct {
+	c0 float64
+	i  int32
+}
+
+// compareTied orders two keys of plans with equal first cost components
+// by the rest of the cost vector, then node ID, then index.
+func compareTied(plans []*plan.Node, a, b sortKey) int {
+	p, q := plans[a.i], plans[b.i]
+	if c := slices.Compare(p.Cost[1:], q.Cost[1:]); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(p.ID(), q.ID()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.i, b.i)
+}
+
+// permute moves plans[keys[j].i] to plans[j] for every j, following
+// each cycle of the permutation once; it overwrites keys.
+func permute(plans []*plan.Node, keys []sortKey) {
+	for start := range keys {
+		if int(keys[start].i) == start {
+			continue
+		}
+		moving := plans[start]
+		j := start
+		for {
+			from := int(keys[j].i)
+			keys[j].i = int32(j) // placed
+			if from == start {
+				plans[j] = moving
+				break
+			}
+			plans[j] = plans[from]
+			j = from
+		}
+	}
 }
 
 // FilterVectors returns the non-dominated vectors of vs in input order,

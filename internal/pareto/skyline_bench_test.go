@@ -72,7 +72,9 @@ var skylineSink []*plan.Node
 
 // BenchmarkSkyline is the pareto layer's line in the ledger: one skyline
 // of a converged chain4/star4 root result set — what a session pays when
-// it publishes — and of a 2 048-plan synthetic set.
+// a regime's first step publishes — and of a 2 048-plan synthetic set,
+// by Filter's keyed sort (keyed/) and by the stable sort of pointers it
+// replaced (stable/, the test-only reference).
 func BenchmarkSkyline(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
@@ -82,17 +84,23 @@ func BenchmarkSkyline(b *testing.B) {
 		{"star4", convergedResults(b, query.Star)},
 		{"synthetic2048", syntheticResults(2048)},
 	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			// Filter reorders its input: every iteration gets the range
-			// query's order back (the copy is noise next to the sort).
-			buf := make([]*plan.Node, len(bc.plans))
-			for i := 0; i < b.N; i++ {
-				copy(buf, bc.plans)
-				skylineSink = Filter(buf)
-			}
-			b.ReportMetric(float64(len(bc.plans)), "plans")
-			b.ReportMetric(float64(len(skylineSink)), "kept")
-		})
+		for _, f := range []struct {
+			name   string
+			filter func([]*plan.Node) []*plan.Node
+		}{{"keyed", Filter}, {"stable", stableFilter}} {
+			b.Run(f.name+"/"+bc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				// Filter reorders its input: every iteration gets the
+				// range query's order back (the copy is noise next to
+				// the sort).
+				buf := make([]*plan.Node, len(bc.plans))
+				for i := 0; i < b.N; i++ {
+					copy(buf, bc.plans)
+					skylineSink = f.filter(buf)
+				}
+				b.ReportMetric(float64(len(bc.plans)), "plans")
+				b.ReportMetric(float64(len(skylineSink)), "kept")
+			})
+		}
 	}
 }

@@ -34,8 +34,9 @@
 //
 // Enumeration order is a contract, because the optimizer's tie-breaks
 // and insertion order — and so the plan sets it converges to — follow
-// it: Query, Drain and All enumerate ascending resolution level, within
-// a level ascending cell key, within a cell insertion order.
+// it: Query, QueryLevel, Drain and All enumerate ascending resolution
+// level, within a level ascending cell key, within a cell insertion
+// order.
 //
 // Directory-level refinements (DESIGN.md D9):
 //
@@ -466,37 +467,58 @@ func (ix *Index) Query(b cost.Vector, maxRes int, minEpoch uint64, fn func(Entry
 	}
 	bk := ix.boundKey(b)
 	for res := 0; res <= maxRes; res++ {
-		lv := &ix.levels[res]
-		if !ix.levelMayMatch(lv, bk) || lv.maxEpoch < minEpoch {
+		if !ix.queryLevel(&ix.levels[res], b, bk, minEpoch, fn) {
+			return
+		}
+	}
+}
+
+// QueryLevel is Query restricted to the entries registered for exactly
+// resolution res (none when res lies outside [0, maxLevel]): the plans a
+// focus at resolution res sees that one at res-1 does not.
+func (ix *Index) QueryLevel(b cost.Vector, res int, minEpoch uint64, fn func(Entry) bool) {
+	if b.Dim() != ix.dims {
+		panic(fmt.Sprintf("rangeindex: bound dim %d, index dim %d", b.Dim(), ix.dims))
+	}
+	if res < 0 || res > ix.maxLevel {
+		return
+	}
+	ix.queryLevel(&ix.levels[res], b, ix.boundKey(b), minEpoch, fn)
+}
+
+// queryLevel is one level's part of a retrieval with bound b, bound key
+// bk and minimum epoch minEpoch. It reports false when fn stopped it.
+func (ix *Index) queryLevel(lv *level, b cost.Vector, bk, minEpoch uint64, fn func(Entry) bool) bool {
+	if !ix.levelMayMatch(lv, bk) || lv.maxEpoch < minEpoch {
+		return true
+	}
+	for i := range lv.cells {
+		c := &lv.cells[i]
+		pos := ix.locate(c.key, bk)
+		if pos == past {
+			break
+		}
+		if pos == outside || c.maxEpoch < minEpoch {
 			continue
 		}
-		for i := range lv.cells {
-			c := &lv.cells[i]
-			pos := ix.locate(c.key, bk)
-			if pos == past {
-				break
-			}
-			if pos == outside || c.maxEpoch < minEpoch {
+		for j := range c.entries {
+			e := &c.entries[j]
+			if e.Epoch < minEpoch {
 				continue
 			}
-			for j := range c.entries {
-				e := &c.entries[j]
-				if e.Epoch < minEpoch {
+			if pos == boundary {
+				ix.tested++
+				if !within(e.Cost, b) {
 					continue
 				}
-				if pos == boundary {
-					ix.tested++
-					if !within(e.Cost, b) {
-						continue
-					}
-				}
-				ix.matched++
-				if !fn(*e) {
-					return
-				}
+			}
+			ix.matched++
+			if !fn(*e) {
+				return false
 			}
 		}
 	}
+	return true
 }
 
 // Drain removes all entries whose cost is dominated by b and whose

@@ -264,6 +264,11 @@ func TestQueryAllocFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("steady-state minEpoch Query allocates %.1f times per call, want 0", allocs)
 	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		ix.QueryLevel(bound, 7, 1, visit)
+	}); allocs != 0 {
+		t.Errorf("steady-state QueryLevel allocates %.1f times per call, want 0", allocs)
+	}
 	_ = sink
 }
 
@@ -359,6 +364,20 @@ func TestQuickAgainstNaive(t *testing.T) {
 				}
 				if twin != nil && !slices.Equal(payloads(got), payloads(collect(twin, b, maxRes, minEpoch))) {
 					t.Fatalf("trial %d: a loaded index queries in another order than its twin", trial)
+				}
+				// One level of the same retrieval, in the same order.
+				var level, wantLevel []int
+				ix.QueryLevel(b, maxRes, minEpoch, func(e Entry) bool {
+					level = append(level, e.Payload.TableID)
+					return true
+				})
+				for _, e := range got {
+					if e.Resolution == maxRes {
+						wantLevel = append(wantLevel, e.Payload.TableID)
+					}
+				}
+				if !slices.Equal(level, wantLevel) {
+					t.Fatalf("trial %d: QueryLevel(%d) = %v, want Query's level-%d entries %v", trial, maxRes, level, maxRes, wantLevel)
 				}
 			case 6, 7: // drain
 				b := randomBound(rng, dims)

@@ -1,10 +1,13 @@
 package service
 
 import (
+	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/pareto"
 	"repro/internal/query"
 )
 
@@ -42,18 +45,60 @@ func frontierSig(st Status) []string {
 	return out
 }
 
+// checkPublished checks that the frontier m's last step published is,
+// pointer for pointer and in order, the skyline of the full root result
+// set within the session's focus — what a recompute would publish
+// (DESIGN.md D20). The caller holds m.mu or runs m's step.
+func checkPublished(t *testing.T, m *managed) {
+	t.Helper()
+	s := m.sess
+	if s.Resolution() < 0 {
+		return // nothing published yet
+	}
+	want := pareto.Filter(slices.Clone(s.Optimizer().Results(s.Bounds(), s.Resolution())))
+	if got := s.Frontier(); !slices.Equal(got, want) {
+		t.Errorf("session %s (%v) r=%d: published %d plans, the full recompute %d",
+			m.id, m.prov, s.Resolution(), len(got), len(want))
+	}
+}
+
 // TestServiceIsomorphicWarmStart drives the full cross-shape path:
 // converge one query, then create a session for an isomorphic query
 // with a different exact fingerprint — it must warm-start through the
 // canonical tier, converge to a cost-identical frontier, and the stats
-// must attribute the hit to the isomorphic tier.
+// must attribute the hit to the isomorphic tier. Every session, the
+// cold one, the iso-remapped and the exact-tier warm start, publishes
+// at every step what a full recompute would (checked before each step
+// through the fault hook, and after the last).
 func TestServiceIsomorphicWarmStart(t *testing.T) {
 	qa, qb := isoServiceQueries(t)
-	svc, err := New(testConfig(3))
+	cfg := testConfig(3)
+	var svc *Service
+	var checks atomic.Int64
+	cfg.FaultHook = func(id string, _ int) {
+		m, err := svc.lookup(id)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		checkPublished(t, m)
+		checks.Add(1)
+	}
+	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Shutdown()
+	checkLast := func(id string) {
+		t.Helper()
+		m, err := svc.lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.mu.Lock()
+		checkPublished(t, m)
+		m.mu.Unlock()
+	}
 
 	ida, err := svc.Create(qa)
 	if err != nil {
@@ -66,6 +111,7 @@ func TestServiceIsomorphicWarmStart(t *testing.T) {
 	if sta.WarmStarted {
 		t.Fatal("first session unexpectedly warm-started")
 	}
+	checkLast(ida)
 	if err := svc.Close(ida); err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +127,7 @@ func TestServiceIsomorphicWarmStart(t *testing.T) {
 	if !stb.WarmStarted {
 		t.Error("isomorphic session did not warm-start")
 	}
+	checkLast(idb)
 	ga, gb := frontierSig(sta), frontierSig(stb)
 	if len(ga) == 0 || len(ga) != len(gb) {
 		t.Fatalf("frontier sizes differ: %d vs %d", len(ga), len(gb))
@@ -119,10 +166,15 @@ func TestServiceIsomorphicWarmStart(t *testing.T) {
 	if _, err := svc.WaitTarget(idc); err != nil {
 		t.Fatal(err)
 	}
+	checkLast(idc)
 	if err := svc.Close(idc); err != nil {
 		t.Fatal(err)
 	}
 	if st := svc.Stats(); st.Cache.ExactHits != 1 {
 		t.Errorf("exact hits = %d after repeat of qb, want 1", st.Cache.ExactHits)
+	}
+	// Each session's steps after its first: r = 1..3, three apiece.
+	if n := checks.Load(); n < 9 {
+		t.Errorf("%d publications checked before a step, want at least 9", n)
 	}
 }

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -24,15 +25,32 @@ func sortedCosts(plans []*plan.Node) []cost.Vector {
 	return vs
 }
 
+// recomputed checks that the frontier s's last Step published is,
+// pointer for pointer and in order, the skyline of the full result set
+// Res^Q[0..b, 0..r] — what publication computed before it merged the
+// newly visible plans into the last skyline (DESIGN.md D20).
+func recomputed(t *testing.T, s *Session, what string) {
+	t.Helper()
+	want := pareto.Filter(slices.Clone(s.opt.Results(s.Bounds(), s.Resolution())))
+	if got := s.Frontier(); !slices.Equal(got, want) {
+		t.Fatalf("%s r=%d b=%v: published %d plans %v, the full recompute %d plans %v",
+			what, s.Resolution(), s.Bounds(), len(got), pareto.Vectors(got), len(want), pareto.Vectors(want))
+	}
+}
+
 // TestPublishedFrontierProperties is the differential check of skyline
 // publication (DESIGN.md D20) over seeded random 3–4-table queries and a
-// refine → tighten → relax → unbounded series. After every Step the
-// published frontier (a) is mutually non-dominated and in ascending
-// lexicographic cost order, (b) covers the unfiltered Res^Q[0..b, 0..r] at
-// factor 1, (c) on 3-table queries covers the exhaustive Pareto set
-// within the invocation series' guarantee — α_r^k inside the first
-// regime, Γ^k once bounds have changed; and (d) a session restored from
-// the first regime's snapshot publishes the cold session's cost multiset.
+// refine → tighten → relax → unbounded series, each regime stepped once
+// past its target (r stays at r_M). After every Step the published
+// frontier (a) is the skyline of the full Res^Q[0..b, 0..r], the very
+// plans in the very order a recompute publishes; (b) is mutually
+// non-dominated and in ascending lexicographic cost order; (c) covers
+// the unfiltered Res^Q[0..b, 0..r] at factor 1; (d) on 3-table queries
+// covers the exhaustive Pareto set within the invocation series'
+// guarantee — α_r^k inside the first regime, Γ^k once bounds have
+// changed; and (e) a session restored from the first regime's snapshot
+// publishes, at every step, what a recompute would, and at the target
+// the cold session's cost multiset.
 func TestPublishedFrontierProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	cfg := core.Config{
@@ -63,6 +81,7 @@ func TestPublishedFrontierProperties(t *testing.T) {
 			if got := s.Frontier(); len(got) != len(pub) || (len(pub) > 0 && &got[0] != &pub[0]) {
 				t.Fatalf("trial %d: Frontier() is not the slice Step published", trial)
 			}
+			recomputed(t, s, fmt.Sprintf("trial %d regime %d", trial, regime))
 			for i, p := range pub {
 				if i > 0 && slices.Compare(pub[i-1].Cost, p.Cost) >= 0 {
 					t.Fatalf("trial %d r=%d: published costs out of order at %d: %v, %v", trial, r, i, pub[i-1].Cost, p.Cost)
@@ -121,8 +140,9 @@ func TestPublishedFrontierProperties(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for !warm.AtMaxResolution() {
+		for i := 0; i <= cfg.ResolutionLevels; i++ { // and one step past the target
 			warm.Step()
+			recomputed(t, warm, fmt.Sprintf("trial %d restored", trial))
 		}
 		if got, want := sortedCosts(warm.Frontier()), sortedCosts(cold); !slices.EqualFunc(got, want, cost.Vector.Equal) {
 			t.Fatalf("trial %d: restored session published %d plans %v, the cold one %d plans %v", trial, len(got), got, len(want), want)
