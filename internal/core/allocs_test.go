@@ -180,7 +180,7 @@ func TestCombinePairsAllocsSteadyState(t *testing.T) {
 				}
 				before := o.Stats()
 				delete(o.pairMemo, pairID(l, rt))
-				o.combinePairs(full, b, rM, []*plan.Node{l}, []*plan.Node{rt})
+				o.combinePairs(full, b, rM, []*plan.Node{l}, []*plan.Node{rt}, false)
 				d := o.Stats().Minus(before)
 				if d.PlansGenerated > 0 && d.ExactDominated == d.PlansGenerated {
 					lefts, rights = []*plan.Node{l}, []*plan.Node{rt}
@@ -197,7 +197,7 @@ func TestCombinePairsAllocsSteadyState(t *testing.T) {
 	before := o.Stats()
 	if allocs := testing.AllocsPerRun(200, func() {
 		delete(o.pairMemo, key)
-		o.combinePairs(full, b, rM, lefts, rights)
+		o.combinePairs(full, b, rM, lefts, rights, false)
 	}); allocs != 0 {
 		t.Errorf("re-combining an all-dominated pair allocates %.2f per call, want 0", allocs)
 	}

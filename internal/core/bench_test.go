@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/rangeindex"
@@ -135,10 +136,74 @@ func BenchmarkRestoreExact(b *testing.B) {
 	}
 }
 
+// BenchmarkReexport is what a warm session's re-export costs: a
+// snapshot of each shape restored, run through a covered regime — the
+// snapshot's own, so no invocation writes — and exported again. covered
+// starts from a converged snapshot, as an exact-tier hit does; drag
+// starts from the first frontier's snapshot and adds a drag regime
+// (tight, relaxed, unbounded bounds) that inserts and drains before the
+// export. Only the export is timed; allocs/op are its allocations.
+// untouched is the number of plan sets no write changed since the
+// restore, which export the very list they were restored from.
+func BenchmarkReexport(b *testing.B) {
+	cfg := defaultConfig()
+	rM := cfg.MaxResolution()
+	for _, shape := range benchShapes(b) {
+		for _, regime := range []struct {
+			name  string
+			upTo  int  // the source's and the covered regime's last resolution
+			drags bool // a drag regime follows the covered one
+		}{
+			{"covered", rM, false},
+			{"drag", 0, true},
+		} {
+			src := MustNewOptimizer(shape.q, cfg)
+			for r := 0; r <= regime.upTo; r++ {
+				src.Optimize(nil, r)
+			}
+			snap := src.Snapshot()
+			bounds := []cost.Vector{nil}
+			if regime.drags {
+				tight := componentMedian(src, 0).Scale(0.7)
+				bounds = append(bounds, tight, tight.Scale(1.6), nil)
+			}
+			b.Run(shape.name+"/"+regime.name, func(b *testing.B) {
+				b.ReportAllocs()
+				untouched := 0
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					o, err := NewOptimizerFromSnapshot(shape.q, cfg, snap)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for j, bounds := range bounds {
+						upTo := rM
+						if j == 0 {
+							upTo = regime.upTo
+						}
+						for r := 0; r <= upTo; r++ {
+							o.Optimize(bounds, r)
+						}
+					}
+					b.StartTimer()
+					o.Snapshot()
+					b.StopTimer()
+					res, cand := FrozenSets(o)
+					untouched = len(res) + len(cand)
+					b.StartTimer()
+				}
+				b.ReportMetric(float64(untouched), "untouched")
+			})
+		}
+	}
+}
+
 // BenchmarkIndexLoad is the range-index share of a restore: the plan
-// sets of a converged chain4 snapshot put into empty indexes, by Load —
-// cells that are windows of the snapshot's lists — and, for comparison,
-// by the entry-by-entry Insert that Load replaced.
+// sets of a converged chain4 snapshot put into empty indexes. freeze is
+// what a snapshot pays once, at its first restore — cutting its lists
+// into cell directories whose cells are windows of them; adopt is what
+// every restore pays; insert is the entry-by-entry Insert that both
+// replaced.
 func BenchmarkIndexLoad(b *testing.B) {
 	cfg := defaultConfig()
 	src := MustNewOptimizer(chain4(b), cfg)
@@ -147,27 +212,30 @@ func BenchmarkIndexLoad(b *testing.B) {
 	}
 	snap := src.Snapshot()
 	var lists [][]rangeindex.Entry
+	var images []*rangeindex.Image
 	for _, set := range []map[tableset.Set][]rangeindex.Entry{snap.res, snap.cand} {
 		for _, entries := range set {
 			lists = append(lists, entries)
+			images = append(images, src.newIndex().Freeze(entries))
 		}
 	}
 	for _, how := range []struct {
 		name string
-		fill func(*rangeindex.Index, []rangeindex.Entry)
+		fill func(ix *rangeindex.Index, i int)
 	}{
-		{"load", (*rangeindex.Index).Load},
-		{"insert", func(ix *rangeindex.Index, entries []rangeindex.Entry) {
-			for _, e := range entries {
+		{"freeze", func(ix *rangeindex.Index, i int) { ix.Freeze(lists[i]) }},
+		{"adopt", func(ix *rangeindex.Index, i int) { ix.Adopt(images[i]) }},
+		{"insert", func(ix *rangeindex.Index, i int) {
+			for _, e := range lists[i] {
 				ix.Insert(e)
 			}
 		}},
 	} {
 		b.Run(how.name, func(b *testing.B) {
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, entries := range lists {
-					how.fill(src.newIndex(), entries)
+			for n := 0; n < b.N; n++ {
+				for i := range lists {
+					how.fill(src.newIndex(), i)
 				}
 			}
 			b.ReportMetric(float64(snap.PlanCount()), "entries")

@@ -39,6 +39,14 @@ type Optimizer struct {
 	// inserts them into a plan set — assigning dense uint32 IDs
 	// (DESIGN.md D8). Plans prune discards never reach it.
 	arena *plan.Arena
+	// shared is the numbering watermark of the snapshot the optimizer
+	// was restored from (0 for a cold one): every node below it is the
+	// snapshot's, detached and immutable, and Snapshot shares it rather
+	// than copy it (DESIGN.md D8).
+	shared uint32
+	// echo is the configuration echo (cfgFingerprint), rendered at the
+	// first export or taken from the snapshot a restore validated.
+	echo string
 
 	// pairBase and pairMemo together implement predicate IsFresh: a
 	// sub-plan pair, packed as leftID<<32|rightID of the arena's dense

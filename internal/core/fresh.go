@@ -219,12 +219,15 @@ func (o *Optimizer) combineFresh(sub, q1, q2 tableset.Set, b cost.Vector, r int,
 		return
 	}
 
+	// A pair with a fresh member is new: its member entered the result
+	// set in this invocation, so no earlier one can have combined it.
 	if !deltaOK {
-		// Δ = S: consider the full cross product, memo-guarded.
-		o.combinePairs(sub, b, r, v1.fresh, v2.fresh)
-		o.combinePairs(sub, b, r, v1.fresh, v2.old)
-		o.combinePairs(sub, b, r, v1.old, v2.fresh)
-		o.combinePairs(sub, b, r, v1.old, v2.old)
+		// Δ = S: consider the full cross product, memo-guarded where
+		// both members are old.
+		o.combinePairs(sub, b, r, v1.fresh, v2.fresh, true)
+		o.combinePairs(sub, b, r, v1.fresh, v2.old, true)
+		o.combinePairs(sub, b, r, v1.old, v2.fresh, true)
+		o.combinePairs(sub, b, r, v1.old, v2.old, false)
 		return
 	}
 
@@ -232,11 +235,11 @@ func (o *Optimizer) combineFresh(sub, q1, q2 tableset.Set, b cost.Vector, r int,
 		return
 	}
 	// ΔP1 × (P2 \ ΔP2)
-	o.combinePairs(sub, b, r, v1.fresh, v2.old)
+	o.combinePairs(sub, b, r, v1.fresh, v2.old, true)
 	// (P1 \ ΔP1) × ΔP2
-	o.combinePairs(sub, b, r, v1.old, v2.fresh)
+	o.combinePairs(sub, b, r, v1.old, v2.fresh, true)
 	// ΔP1 × ΔP2
-	o.combinePairs(sub, b, r, v1.fresh, v2.fresh)
+	o.combinePairs(sub, b, r, v1.fresh, v2.fresh, true)
 }
 
 // leftRun returns the sub-slice of the ascending packed-pair slice base
@@ -258,27 +261,37 @@ func leftRun(base []uint64, left uint32) []uint64 {
 // IsFresh consults the frozen base first: the base is ascending, so the
 // pairs with l on the left are one contiguous run, narrowed once per l
 // and binary-searched per rt. A cold optimizer has no base and goes
-// straight to its own memo.
+// straight to its own memo. When fresh says one side holds only plans
+// this invocation inserted, no lookup can hit: a result plan is paired
+// only once it is visible as a result, results enter only through
+// prune, and prune registers them with the invocation's epoch — a
+// drained candidate promoted now was never a result before. Such pairs
+// skip both lookups and go straight to the insert.
 //
 // What the enumeration reads of the two table sets alone — the union,
 // the logical output rows, the merge keys — is prepared once per split
 // (costmodel.Split), on the split's first fresh pair, so a split whose
 // pairs are all memo-stale pays nothing for it.
-func (o *Optimizer) combinePairs(sub tableset.Set, b cost.Vector, r int, lefts, rights []*plan.Node) {
+func (o *Optimizer) combinePairs(sub tableset.Set, b cost.Vector, r int, lefts, rights []*plan.Node, fresh bool) {
 	if len(lefts) == 0 || len(rights) == 0 {
 		return
 	}
 	for _, l := range lefts {
-		run := leftRun(o.pairBase, l.ID())
+		var run []uint64
+		if !fresh {
+			run = leftRun(o.pairBase, l.ID())
+		}
 		for _, rt := range rights {
 			key := pairID(l, rt)
-			_, stale := slices.BinarySearch(run, key)
-			if !stale {
-				_, stale = o.pairMemo[key]
-			}
-			if stale {
-				o.stats.PairsSkippedStale++
-				continue
+			if !fresh {
+				_, stale := slices.BinarySearch(run, key)
+				if !stale {
+					_, stale = o.pairMemo[key]
+				}
+				if stale {
+					o.stats.PairsSkippedStale++
+					continue
+				}
 			}
 			o.pairMemo[key] = struct{}{}
 			o.stats.PairsCombined++

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
+	"sync"
 
 	"repro/internal/cost"
 	"repro/internal/plan"
@@ -20,15 +23,19 @@ import (
 // and cost model) resume where the snapshotted one left off instead of
 // regenerating every plan from scratch — the service's warm-start path.
 //
-// A Snapshot deep-copies the reachable plan nodes (preserving their
-// IDs and sub-plan sharing) into detached, individually allocated
-// nodes: the source optimizer's arena allocates in 512-node chunks of
-// which only a fraction stays reachable after pruning, so sharing
-// nodes would pin every chunk — and its cost-vector slabs — for as
+// A Snapshot deep-copies the reachable plan nodes of the source's own
+// arena (preserving their IDs and sub-plan sharing) into detached,
+// individually allocated nodes: the arena allocates in 512-node chunks
+// of which only a fraction stays reachable after pruning, so sharing
+// its nodes would pin every chunk — and its cost-vector slabs — for as
 // long as the snapshot sits in the service's warm-start cache. The
 // copies are immutable after construction, so a snapshot may be
-// restored into many optimizers running on different goroutines. The
-// Snapshot itself is immutable once created. Taking a snapshot must
+// restored into many optimizers running on different goroutines. An
+// optimizer restored from a snapshot shares that snapshot's nodes
+// instead of copying them again, and the plan sets it left untouched
+// export the very lists they were restored from (DESIGN.md D8). The
+// Snapshot itself is immutable once created, apart from the frozen
+// cell directories its first restore builds. Taking a snapshot must
 // not race with Optimize on the source (the caller serializes, e.g.
 // the service holds the session lock).
 //
@@ -43,16 +50,24 @@ type Snapshot struct {
 	// res and cand hold each plan set's entries in the range index's
 	// enumeration order (Snapshot takes them from Index.All, and Remap
 	// keeps the order: relabeling moves no cost). Never written after
-	// export: the indexes of every optimizer restored from the snapshot
-	// are windows of these lists (rangeindex.Index.Load, DESIGN.md D4).
-	// A re-costed snapshot's lists are in no particular order and are
+	// export: the cells of every optimizer restored from the snapshot
+	// are windows of these lists (rangeindex.Image, DESIGN.md D4). A
+	// re-costed snapshot's lists are in no particular order and are
 	// inserted entry by entry instead.
-	res, cand  map[tableset.Set][]rangeindex.Entry
-	pairs      []uint64
-	nextID     uint32
-	epoch      uint64
-	prevBounds []float64
-	prevRes    int
+	res, cand map[tableset.Set][]rangeindex.Entry
+	// resImg and candImg are the frozen cell directories of res and
+	// cand, one rangeindex.Image per list (nil for a list that is not in
+	// enumeration order), which every restore adopts (DESIGN.md D4).
+	// They are built lazily, at the first restore, under frozen, so a
+	// snapshot that is never restored pays nothing for them; an export
+	// seeds them with the images of the lists it reused.
+	frozen          sync.Once
+	resImg, candImg map[tableset.Set]*rangeindex.Image
+	pairs           []uint64
+	nextID          uint32
+	epoch           uint64
+	prevBounds      []float64
+	prevRes         int
 
 	// done is the source's completed-focus ledger (Optimizer.done): one
 	// slot per resolution level, nil where nothing is recorded. Never
@@ -76,14 +91,45 @@ type Snapshot struct {
 
 // cfgFingerprint captures every Config field that shapes optimizer
 // state, including the cost-model parameters (which determine every
-// plan's cost vector). Hooks are observational and excluded.
+// plan's cost vector). Hooks are observational and excluded. The
+// model's part is rendered once per model (costmodel.Model.Echo); the
+// string is the one fmt.Sprintf("%dx%d|%g|%g|%v%v%v%v%v|%+v|%v", …)
+// renders, which is what stores compare.
 func cfgFingerprint(c Config) string {
-	return fmt.Sprintf("%dx%d|%g|%g|%v%v%v%v%v|%+v|%v",
-		c.Model.Space().Dim(), c.ResolutionLevels, c.TargetPrecision,
-		c.PrecisionStep,
-		c.PruneAgainstAll, c.DisableDeltaFilter, c.DisableOrderAwarePruning,
-		c.RetainDominatedCandidates, c.DisableVisibleFrontierFilter,
-		c.Model.Params(), c.Model.Space())
+	var buf [128]byte
+	prefix := appendCfgPrefix(buf[:0], c)
+	var sb strings.Builder
+	sb.Grow(len(prefix) + len(c.Model.Echo()))
+	sb.Write(prefix)
+	sb.WriteString(c.Model.Echo())
+	return sb.String()
+}
+
+// cfgMatches reports whether echo is cfgFingerprint(c), without
+// rendering it.
+func cfgMatches(c Config, echo string) bool {
+	var buf [128]byte
+	prefix, model := appendCfgPrefix(buf[:0], c), c.Model.Echo()
+	return len(echo) == len(prefix)+len(model) &&
+		echo[:len(prefix)] == string(prefix) && echo[len(prefix):] == model
+}
+
+// appendCfgPrefix appends the part of cfgFingerprint(c) before the
+// model's echo.
+func appendCfgPrefix(dst []byte, c Config) []byte {
+	dst = strconv.AppendInt(dst, int64(c.Model.Space().Dim()), 10)
+	dst = append(dst, 'x')
+	dst = strconv.AppendInt(dst, int64(c.ResolutionLevels), 10)
+	dst = append(dst, '|')
+	dst = strconv.AppendFloat(dst, c.TargetPrecision, 'g', -1, 64)
+	dst = append(dst, '|')
+	dst = strconv.AppendFloat(dst, c.PrecisionStep, 'g', -1, 64)
+	dst = append(dst, '|')
+	for _, f := range [...]bool{c.PruneAgainstAll, c.DisableDeltaFilter, c.DisableOrderAwarePruning,
+		c.RetainDominatedCandidates, c.DisableVisibleFrontierFilter} {
+		dst = strconv.AppendBool(dst, f)
+	}
+	return append(dst, '|')
 }
 
 // Snapshot exports the optimizer's current plan-set state. Returns nil
@@ -91,6 +137,9 @@ func cfgFingerprint(c Config) string {
 func (o *Optimizer) Snapshot() *Snapshot {
 	if !o.initialized {
 		return nil
+	}
+	if o.echo == "" {
+		o.echo = cfgFingerprint(o.cfg)
 	}
 	s := &Snapshot{
 		res:        make(map[tableset.Set][]rangeindex.Entry, len(o.res)),
@@ -101,31 +150,68 @@ func (o *Optimizer) Snapshot() *Snapshot {
 		prevBounds: append([]float64(nil), o.prevBounds...),
 		prevRes:    o.prevRes,
 		done:       o.exportDone(),
-		cfgEcho:    cfgFingerprint(o.cfg),
+		cfgEcho:    o.echo,
 		tableStats: captureTableStats(o.q),
 		edgeStats:  captureEdgeStats(o.q),
 	}
 	// Detach every entry off the source arena, preserving node IDs and
-	// sub-plan sharing (one shared memo across all plan sets).
+	// sub-plan sharing (one shared memo across all plan sets). Nodes
+	// below the restore's watermark are the restored snapshot's, already
+	// detached and immutable: they are shared, not copied. A plan set
+	// no write has changed since the restore exports the list it was
+	// restored from, with that list's image.
 	copies := map[*plan.Node]*plan.Node{}
-	collect := func(src map[tableset.Set]*rangeindex.Index, dst map[tableset.Set][]rangeindex.Entry) {
+	collect := func(src map[tableset.Set]*rangeindex.Index, dst map[tableset.Set][]rangeindex.Entry) map[tableset.Set]*rangeindex.Image {
+		var imgs map[tableset.Set]*rangeindex.Image
 		for sub, ix := range src {
 			if ix.Len() == 0 {
 				continue
 			}
+			if img := ix.Frozen(); img != nil {
+				if imgs == nil {
+					imgs = map[tableset.Set]*rangeindex.Image{}
+				}
+				dst[sub], imgs[sub] = img.Entries(), img
+				continue
+			}
 			entries := make([]rangeindex.Entry, 0, ix.Len())
 			ix.All(func(e rangeindex.Entry) bool {
-				e.Payload = plan.DetachInto(copies, e.Payload)
+				e.Payload = plan.DetachInto(copies, e.Payload, o.shared)
 				e.Cost = e.Payload.Cost
 				entries = append(entries, e)
 				return true
 			})
 			dst[sub] = entries
 		}
+		return imgs
 	}
-	collect(o.res, s.res)
-	collect(o.cand, s.cand)
+	s.resImg = collect(o.res, s.res)
+	s.candImg = collect(o.cand, s.cand)
 	return s
+}
+
+// images returns the frozen cell directories of the snapshot's plan
+// sets, building them at the first call at the geometry of an index
+// newIndex returns (the configuration echo fixes it for every restore).
+// A list whose image an export carried over keeps it.
+func (s *Snapshot) images(newIndex func() *rangeindex.Index) (res, cand map[tableset.Set]*rangeindex.Image) {
+	s.frozen.Do(func() {
+		ix := newIndex()
+		freeze := func(lists map[tableset.Set][]rangeindex.Entry, carried map[tableset.Set]*rangeindex.Image) map[tableset.Set]*rangeindex.Image {
+			imgs := make(map[tableset.Set]*rangeindex.Image, len(lists))
+			for sub, entries := range lists {
+				img := carried[sub]
+				if img == nil {
+					img = ix.Freeze(entries)
+				}
+				imgs[sub] = img
+			}
+			return imgs
+		}
+		s.resImg = freeze(s.res, s.resImg)
+		s.candImg = freeze(s.cand, s.candImg)
+	})
+	return s.resImg, s.candImg
 }
 
 // exportDone returns a detached copy of the completed-focus ledger.
@@ -319,31 +405,44 @@ func NewOptimizerFromSnapshot(q *query.Query, cfg Config, s *Snapshot) (*Optimiz
 	if err != nil {
 		return nil, err
 	}
-	if got := cfgFingerprint(o.cfg); got != s.cfgEcho {
-		return nil, fmt.Errorf("core: snapshot config mismatch: snapshot %q, restore %q", s.cfgEcho, got)
+	if !cfgMatches(o.cfg, s.cfgEcho) {
+		return nil, fmt.Errorf("core: snapshot config mismatch: snapshot %q, restore %q", s.cfgEcho, cfgFingerprint(o.cfg))
 	}
+	o.echo = s.cfgEcho
 	// Continue the snapshot's dense node numbering: restored entries
 	// keep their source-arena IDs, so fresh allocations must start
-	// above them for the packed pair memo to stay collision-free.
+	// above them for the packed pair memo to stay collision-free. Every
+	// node below the watermark is the snapshot's, and a re-export
+	// shares it (DESIGN.md D8).
 	o.arena = plan.NewArenaFrom(s.nextID)
-	// The plan sets are shared like the memo below: Load makes the
-	// index's cells windows of the snapshot's entry lists, and the index
-	// copies a cell before it changes one.
-	restore := func(src map[tableset.Set][]rangeindex.Entry, dst func(tableset.Set) *rangeindex.Index) error {
-		for sub, entries := range src {
+	o.shared = s.nextID
+	for _, lists := range [...]map[tableset.Set][]rangeindex.Entry{s.res, s.cand} {
+		for sub := range lists {
 			if !sub.SubsetOf(q.Tables()) {
-				return fmt.Errorf("core: snapshot subset %v outside query tables %v", sub, q.Tables())
+				return nil, fmt.Errorf("core: snapshot subset %v outside query tables %v", sub, q.Tables())
 			}
-			dst(sub).Load(entries)
 		}
-		return nil
 	}
-	if err := restore(s.res, o.resFor); err != nil {
-		return nil, err
+	// The plan sets are shared like the memo below: each index adopts
+	// its list's frozen cell directory, whose cells are windows of the
+	// snapshot's list, and copies a directory or a cell before it
+	// changes one (DESIGN.md D4). A list out of enumeration order (a
+	// re-costed snapshot's) has no image and is inserted entry by entry.
+	resImg, candImg := s.images(o.newIndex)
+	restore := func(src map[tableset.Set][]rangeindex.Entry, imgs map[tableset.Set]*rangeindex.Image, dst func(tableset.Set) *rangeindex.Index) {
+		for sub, entries := range src {
+			ix := dst(sub)
+			if img := imgs[sub]; img != nil {
+				ix.Adopt(img)
+				continue
+			}
+			for _, e := range entries {
+				ix.Insert(e)
+			}
+		}
 	}
-	if err := restore(s.cand, o.candFor); err != nil {
-		return nil, err
-	}
+	restore(s.res, resImg, o.resFor)
+	restore(s.cand, candImg, o.candFor)
 	// The memo is shared, not copied: the snapshot's ascending pairs
 	// become the read-only base, and pairs this optimizer combines go
 	// to its own (still empty) overlay.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -196,6 +198,50 @@ func TestSnapshotConfigMismatch(t *testing.T) {
 	}
 }
 
+// TestConfigEchoFormat pins the configuration echo stores compare: the
+// string cfgFingerprint assembles from the model's echo is the one
+// fmt.Sprintf rendered before the model rendered its part once, for
+// every field that enters it; and cfgMatches agrees with comparing it.
+func TestConfigEchoFormat(t *testing.T) {
+	base := defaultConfig()
+	configs := map[string]Config{"default": base}
+	for name, mutate := range map[string]func(*Config){
+		"levels":   func(c *Config) { c.ResolutionLevels = 11 },
+		"target":   func(c *Config) { c.TargetPrecision = 1.0000001 },
+		"step":     func(c *Config) { c.PrecisionStep = 1e-7 },
+		"large":    func(c *Config) { c.TargetPrecision = 1e21 },
+		"pruneall": func(c *Config) { c.PruneAgainstAll = true },
+		"nodelta":  func(c *Config) { c.DisableDeltaFilter = true },
+		"noorder":  func(c *Config) { c.DisableOrderAwarePruning = true },
+		"retain":   func(c *Config) { c.RetainDominatedCandidates = true },
+		"nofilter": func(c *Config) { c.DisableVisibleFrontierFilter = true },
+		"model":    func(c *Config) { c.Model = costmodel.MustNew(c.Model.Space(), altParams()) },
+		"twometric": func(c *Config) {
+			c.Model = costmodel.MustNew(cost.NewSpace(cost.Time, cost.Cores), costmodel.DefaultParams())
+		},
+	} {
+		c := base
+		mutate(&c)
+		configs[name] = c
+	}
+	for name, c := range configs {
+		want := fmt.Sprintf("%dx%d|%g|%g|%v%v%v%v%v|%+v|%v",
+			c.Model.Space().Dim(), c.ResolutionLevels, c.TargetPrecision,
+			c.PrecisionStep,
+			c.PruneAgainstAll, c.DisableDeltaFilter, c.DisableOrderAwarePruning,
+			c.RetainDominatedCandidates, c.DisableVisibleFrontierFilter,
+			c.Model.Params(), c.Model.Space())
+		if got := cfgFingerprint(c); got != want {
+			t.Errorf("%s: echo %q, want %q", name, got, want)
+		}
+		for other, o := range configs {
+			if got := cfgMatches(c, cfgFingerprint(o)); got != (cfgFingerprint(c) == cfgFingerprint(o)) {
+				t.Errorf("cfgMatches(%s, echo of %s) = %v", name, other, got)
+			}
+		}
+	}
+}
+
 func altParams() costmodel.Params {
 	p := costmodel.DefaultParams()
 	p.HashPerRow *= 2
@@ -309,15 +355,19 @@ func TestRestoreSharesFrozenPairs(t *testing.T) {
 	if re := idle.Snapshot(); &re.pairs[0] != &snap.pairs[0] {
 		t.Error("re-export with an empty overlay copied the memo")
 	}
-	// The entry lists are borrowed like the memo: what a restore allocates
-	// is a directory per plan set, whatever the number of entries in it.
+	// The entry lists and their cell directories are borrowed like the
+	// memo: beyond a cold optimizer, a restore allocates an index per plan
+	// set (the index and its level headers) and the maps that hold them,
+	// whatever the number of cells or entries in it.
 	sets := len(snap.res) + len(snap.cand)
+	cold := testing.AllocsPerRun(20, func() { MustNewOptimizer(q, cfg) })
 	if allocs := testing.AllocsPerRun(20, func() {
 		if _, err := NewOptimizerFromSnapshot(q, cfg, snap); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs > float64(4*sets+40) || allocs > float64(snap.PlanCount()/8) {
-		t.Errorf("a restore of %d plan sets holding %d entries allocates %.0f times", sets, snap.PlanCount(), allocs)
+	}); allocs > cold+float64(2*sets+8) {
+		t.Errorf("a restore of %d plan sets holding %d entries allocates %.0f times, a cold optimizer %.0f",
+			sets, snap.PlanCount(), allocs, cold)
 	}
 
 	// Two sessions dragged out of the snapshot's regime at the same time.
@@ -455,5 +505,102 @@ func TestRestoreSharesEntryLists(t *testing.T) {
 				t.Errorf("a restored optimizer wrote the snapshot's %s list of %v", name, sub)
 			}
 		}
+	}
+}
+
+// TestAdoptedImagesCopyOnWrite pins the copy-on-write contract of the
+// frozen cell directories (DESIGN.md D4): optimizers on several
+// goroutines restore one snapshot — adopting the same images — and drag
+// it through regimes that insert and drain. Run it under -race. The
+// snapshot's lists, and what a fresh restore enumerates and how many
+// entries its retrievals test and match, must be as before.
+func TestAdoptedImagesCopyOnWrite(t *testing.T) {
+	q, cfg := chain4(t), defaultConfig()
+	rM := cfg.MaxResolution()
+	src := MustNewOptimizer(q, cfg)
+	src.Optimize(nil, 0) // parks candidates for the finer levels
+	snap := src.Snapshot()
+
+	// observe restores the snapshot afresh and returns its enumeration
+	// and the retrieval ledger of one query per plan set.
+	type seen struct {
+		payload    *plan.Node
+		cost       *float64
+		resolution int
+		epoch      uint64
+	}
+	observe := func() (map[string][]seen, int, int) {
+		o, err := NewOptimizerFromSnapshot(q, cfg, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := map[string][]seen{}
+		for name, set := range map[string]map[tableset.Set]*rangeindex.Index{"res": o.res, "cand": o.cand} {
+			for sub, ix := range set {
+				key := name + sub.String()
+				ix.All(func(e rangeindex.Entry) bool {
+					all[key] = append(all[key], seen{e.Payload, &e.Cost[0], e.Resolution, e.Epoch})
+					return true
+				})
+			}
+		}
+		tight := componentMedian(o, 0).Scale(0.7)
+		for sub := range o.res {
+			o.ResultsFor(sub, tight, rM)
+		}
+		st := o.Stats()
+		return all, st.EntriesTested, st.EntriesMatched
+	}
+	lists := func() map[string][]seen {
+		out := map[string][]seen{}
+		for name, set := range map[string]map[tableset.Set][]rangeindex.Entry{"res": snap.res, "cand": snap.cand} {
+			for sub, entries := range set {
+				for _, e := range entries {
+					out[name+sub.String()] = append(out[name+sub.String()], seen{e.Payload, &e.Cost[0], e.Resolution, e.Epoch})
+				}
+			}
+		}
+		return out
+	}
+	wantLists := lists()
+	wantAll, wantTested, wantMatched := observe()
+
+	const n = 4
+	var wg sync.WaitGroup
+	stats := make([]Stats, n)
+	for i := range stats {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o, err := NewOptimizerFromSnapshot(q, cfg, snap)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			tight := componentMedian(o, 0).Scale(0.6 + 0.1*float64(i))
+			for _, b := range []cost.Vector{tight, tight.Scale(1.6), nil} {
+				for r := 0; r <= rM; r++ {
+					o.Optimize(b, r)
+				}
+			}
+			stats[i] = o.Stats()
+		}()
+	}
+	wg.Wait()
+	for i, st := range stats {
+		if st.ResultInserts == 0 || st.CandidateRetrievals == 0 {
+			t.Fatalf("drag %d inserted or drained nothing (%v); the test lost its premise", i, st)
+		}
+	}
+	if got := lists(); !maps.EqualFunc(got, wantLists, slices.Equal) {
+		t.Error("a restored optimizer wrote the snapshot's lists")
+	}
+	gotAll, tested, matched := observe()
+	if !maps.EqualFunc(gotAll, wantAll, slices.Equal) {
+		t.Error("a fresh restore enumerates other entries than before the drags")
+	}
+	if tested != wantTested || matched != wantMatched {
+		t.Errorf("a fresh restore's retrievals tested %d and matched %d entries, before the drags %d and %d",
+			tested, matched, wantTested, wantMatched)
 	}
 }

@@ -111,6 +111,8 @@ func DefaultParams() Params {
 type Model struct {
 	space  *cost.Space
 	params Params
+	// echo renders params and space once, for Echo.
+	echo string
 }
 
 // New builds a model over the given metric space.
@@ -141,7 +143,7 @@ func New(space *cost.Space, params Params) (*Model, error) {
 			return nil, fmt.Errorf("costmodel: %s must be positive", name)
 		}
 	}
-	return &Model{space: space, params: params}, nil
+	return &Model{space: space, params: params, echo: fmt.Sprintf("%+v|%v", params, space)}, nil
 }
 
 // MustNew is New but panics on error.
@@ -164,6 +166,11 @@ func (m *Model) Space() *cost.Space { return m.space }
 
 // Params returns the model's parameters.
 func (m *Model) Params() Params { return m.params }
+
+// Echo returns the model's part of a snapshot's configuration echo: its
+// parameters and its space, rendered as fmt's "%+v|%v" renders them. A
+// model is immutable, so the string is rendered once, at construction.
+func (m *Model) Echo() string { return m.echo }
 
 // ScanPlans enumerates all physical scan alternatives for table id of
 // query q, fully costed. The alternatives are: a sequential scan, an

@@ -112,9 +112,16 @@ func (n *Node) ID() uint32 { return n.id }
 // sub-plans). Use it before letting a reference outlive the arena's
 // owning optimizer, so a single retained plan cannot pin whole arena
 // chunks.
-func DetachInto(memo map[*Node]*Node, n *Node) *Node {
-	if n == nil {
-		return nil
+//
+// Nodes whose ID lies below shared are returned as they are, and their
+// sub-plans are not visited: the caller vouches that every such node is
+// already detached and immutable. An optimizer restored from a snapshot
+// passes the snapshot's numbering watermark, below which every node it
+// can reach is one of the snapshot's (its own arena numbers from the
+// watermark up); pass 0 to copy every node.
+func DetachInto(memo map[*Node]*Node, n *Node, shared uint32) *Node {
+	if n == nil || n.id < shared {
+		return n
 	}
 	if c, ok := memo[n]; ok {
 		return c
@@ -123,8 +130,8 @@ func DetachInto(memo map[*Node]*Node, n *Node) *Node {
 	*c = *n
 	c.Cost = n.Cost.Clone() // off the arena's float slab too
 	memo[n] = c
-	c.Left = DetachInto(memo, n.Left)
-	c.Right = DetachInto(memo, n.Right)
+	c.Left = DetachInto(memo, n.Left, shared)
+	c.Right = DetachInto(memo, n.Right, shared)
 	return c
 }
 

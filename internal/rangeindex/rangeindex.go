@@ -29,8 +29,10 @@
 // O(cells), and skipping its runs was measured not to pay (DESIGN.md
 // D9). Insertion into an existing cell is an O(log cells) search plus an
 // append; creating a new cell additionally shifts the tail of the sorted
-// directory. Load cuts an entry list in enumeration order into the
-// cells of an empty index in one pass, without copying an entry.
+// directory. Freeze cuts an entry list in enumeration order into cells
+// in one pass, without copying an entry, and any number of empty indexes
+// adopt the resulting Image by reference, each copying a level's
+// directory only before it first writes to it.
 //
 // Enumeration order is a contract, because the optimizer's tie-breaks
 // and insertion order — and so the plan sets it converges to — follow
@@ -62,6 +64,7 @@ package rangeindex
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cost"
@@ -106,10 +109,10 @@ type cell struct {
 	key      uint64
 	maxEpoch uint64
 	entries  []Entry
-	// borrowed marks entries as a window of a list given to Load: shared,
-	// read-only, with the list's owner and every other index loaded from
-	// it. A borrowed window is clipped to its length, so an append
-	// copies it; Drain copies it before compacting it.
+	// borrowed marks entries as a window of a frozen list (Image):
+	// shared, read-only, with the list's owner and every index that
+	// adopted its image. A borrowed window is clipped to its length, so
+	// an append copies it; Drain copies it before compacting it.
 	borrowed bool
 }
 
@@ -125,13 +128,17 @@ type level struct {
 	// maxEpoch is the largest insertion epoch the level holds
 	// (recomputed from cell watermarks on compaction).
 	maxEpoch uint64
+	// frozen marks cells as an Image's directory: shared, read-only,
+	// with the image and every index that adopted it. thaw copies it
+	// before the first write.
+	frozen bool
 }
 
 // Index is a cost×resolution range index. The zero value is not usable;
 // construct with New. Not safe for concurrent use: retrievals keep the
 // ledger Retrievals reports, so even read-only access must be
-// serialized. Indexes loaded from one entry list may be used
-// concurrently with each other.
+// serialized. Indexes adopting one Image may be used concurrently with
+// each other.
 type Index struct {
 	dims       int
 	cellsPerLg float64 // cells per unit of coord's fixed-point lg: 1/(log2(base)·2^52)
@@ -141,6 +148,7 @@ type Index struct {
 	levels     []level
 	size       int
 	insertions uint64 // statistics: total inserts ever
+	img        *Image // the adopted image, until the first write (Frozen)
 
 	// tested and matched are the retrieval ledger: entries a Query or
 	// Drain compared against its bound, and entries it retrieved. Plain
@@ -359,6 +367,7 @@ func (ix *Index) Insert(e Entry) {
 	ix.check(&e)
 	key := ix.cellKey(e.Cost)
 	lv := &ix.levels[e.Resolution]
+	ix.thaw(lv)
 	i := sort.Search(len(lv.cells), func(i int) bool { return lv.cells[i].key >= key })
 	if i < len(lv.cells) && lv.cells[i].key == key {
 		c := &lv.cells[i]
@@ -387,29 +396,28 @@ func (ix *Index) Insert(e Entry) {
 	ix.insertions++
 }
 
-// Load adds the entries of a list, in the list's order, and leaves the
-// index as inserting them one by one would. When the index is empty and
-// the list is in enumeration order — as All emits it, so a list taken
-// from one index loads into another of the same geometry — every cell
-// becomes a window of the list instead of a copy of its entries: the
-// caller must not write the list again, and may load it into any number
-// of indexes, which then share its storage and never write it either
-// (see cell.borrowed). Any other list is inserted entry by entry. Load
-// panics on an entry Insert would panic on.
-func (ix *Index) Load(entries []Entry) {
-	if ix.size == 0 && ix.loadWindows(entries) {
-		return
-	}
-	for _, e := range entries {
-		ix.Insert(e)
-	}
+// Image is the frozen cell directory of one entry list in enumeration
+// order: per level, the cells as windows of the list, their keys, the
+// level's minimum coordinates and its epoch watermarks. It is immutable
+// once built, so one image may be adopted by any number of indexes of
+// its geometry, on any goroutines (Adopt). It holds the list, which
+// nothing may write once frozen.
+type Image struct {
+	dims       int
+	cellsPerLg float64
+	entries    []Entry
+	levels     []level
 }
 
-// loadWindows is Load for an empty index and a list in enumeration
-// order: one pass that checks every entry as Insert would and cuts the
-// list into cells. It reports false, with the index still empty, for a
-// list in any other order.
-func (ix *Index) loadWindows(entries []Entry) bool {
+// Entries returns the list the image was frozen from. It is shared: the
+// caller must not write it.
+func (img *Image) Entries() []Entry { return img.entries }
+
+// Freeze builds the image of a list at the index's geometry, checking
+// every entry as Insert would, in one pass that cuts the list into
+// cells. It returns nil for a list that is not in enumeration order. The
+// index itself is neither read nor changed beyond its geometry.
+func (ix *Index) Freeze(entries []Entry) *Image {
 	// At the optimizer's cell width a cell holds two to three entries;
 	// room for one per two spares most lists a regrowth.
 	cells := make([]cell, 0, len(entries)/2+1)
@@ -420,7 +428,7 @@ func (ix *Index) loadWindows(entries []Entry) bool {
 		k := ix.cellKey(e.Cost)
 		if i == 0 || e.Resolution != res || k != key {
 			if e.Resolution < res || e.Resolution == res && k < key {
-				return false
+				return nil
 			}
 			start, res, key = i, e.Resolution, k
 			cells = append(cells, cell{key: k, borrowed: true})
@@ -429,25 +437,58 @@ func (ix *Index) loadWindows(entries []Entry) bool {
 		c.entries = entries[start : i+1 : i+1]
 		c.maxEpoch = max(c.maxEpoch, e.Epoch)
 	}
-	// One array holds the directories of all levels. Like the cells'
-	// windows of the list, the levels' windows of it are clipped, so a
-	// directory that grows moves out of it.
+	img := &Image{dims: ix.dims, cellsPerLg: ix.cellsPerLg, entries: entries, levels: make([]level, len(ix.levels))}
+	// One array holds the directories of all levels; thaw copies a
+	// level's out of it before the level is written.
 	for from := 0; from < len(cells); {
 		res, to := cells[from].entries[0].Resolution, from+1
 		for to < len(cells) && cells[to].entries[0].Resolution == res {
 			to++
 		}
-		lv := &ix.levels[res]
-		lv.cells = cells[from:to:to]
+		lv := &img.levels[res]
+		lv.cells, lv.frozen = cells[from:to:to], true
 		ix.tighten(lv)
 		for i := range lv.cells {
 			lv.size += len(lv.cells[i].entries)
 		}
 		from = to
 	}
-	ix.size = len(entries)
-	ix.insertions += uint64(len(entries))
-	return true
+	return img
+}
+
+// Adopt makes an empty index hold the entries of an image built at its
+// geometry, by reference, and leaves it as inserting the image's list
+// entry by entry would: the levels' directories are the image's, and
+// the index copies a level's directory before the first Insert or Drain
+// that writes to it, as its cells copy the list's windows. It panics
+// when the index is not empty or its geometry is not the image's.
+func (ix *Index) Adopt(img *Image) {
+	if ix.size != 0 {
+		panic("rangeindex: Adopt into a populated index")
+	}
+	if img.dims != ix.dims || img.cellsPerLg != ix.cellsPerLg || len(img.levels) != len(ix.levels) {
+		panic("rangeindex: Adopt of an image of another geometry")
+	}
+	copy(ix.levels, img.levels)
+	ix.size = len(img.entries)
+	ix.insertions += uint64(len(img.entries))
+	ix.img = img
+}
+
+// Frozen returns the image the index adopted, while no Insert or Drain
+// has changed the index since; nil otherwise. The index then enumerates
+// exactly the image's list.
+func (ix *Index) Frozen() *Image { return ix.img }
+
+// thaw gives lv a directory of its own before a write to it, when its
+// directory is an image's. The cells keep borrowing their windows of the
+// image's list. Any write ends the index's claim to the image.
+func (ix *Index) thaw(lv *level) {
+	ix.img = nil
+	if lv.frozen {
+		lv.cells = slices.Clone(lv.cells)
+		lv.frozen = false
+	}
 }
 
 // Query calls fn for every entry whose cost is dominated by b, whose
@@ -544,8 +585,7 @@ func (ix *Index) Drain(b cost.Vector, maxRes int, dst []Entry) []Entry {
 		}
 		dirty, before := false, len(dst)
 		for i := range lv.cells {
-			c := &lv.cells[i]
-			pos := ix.locate(c.key, bk)
+			pos := ix.locate(lv.cells[i].key, bk)
 			if pos == past {
 				break
 			}
@@ -553,12 +593,14 @@ func (ix *Index) Drain(b cost.Vector, maxRes int, dst []Entry) []Entry {
 				continue
 			}
 			if pos == inside {
+				ix.thaw(lv)
+				c := &lv.cells[i]
 				dst = append(dst, c.entries...)
 				c.entries = nil
 			} else {
-				dst = ix.drainCell(c, b, dst)
+				dst = ix.drainCell(lv, i, b, dst)
 			}
-			if len(c.entries) == 0 {
+			if len(lv.cells[i].entries) == 0 {
 				dirty = true
 			}
 		}
@@ -572,25 +614,35 @@ func (ix *Index) Drain(b cost.Vector, maxRes int, dst []Entry) []Entry {
 	return dst
 }
 
-// drainCell moves the entries of c that are within b to dst and keeps
-// the others, in their order. A cell that borrows its entries is copied
-// before the first entry moves down: the list it is a window of is not
-// this index's to write.
-func (ix *Index) drainCell(c *cell, b cost.Vector, dst []Entry) []Entry {
-	ix.tested += len(c.entries)
-	es := c.entries
-	kept := 0
-	for i := range es {
-		if within(es[i].Cost, b) {
-			dst = append(dst, es[i])
+// drainCell moves the entries of cell i of lv that are within b to dst
+// and keeps the others, in their order. A cell that drains nothing is
+// not written. Otherwise the level's directory is thawed first, and a
+// cell that borrows its entries is copied before the first entry moves
+// down: the list it is a window of is not this index's to write.
+func (ix *Index) drainCell(lv *level, i int, b cost.Vector, dst []Entry) []Entry {
+	es := lv.cells[i].entries
+	ix.tested += len(es)
+	first := 0
+	for first < len(es) && !within(es[first].Cost, b) {
+		first++
+	}
+	if first == len(es) {
+		return dst
+	}
+	ix.thaw(lv)
+	c := &lv.cells[i]
+	kept := first
+	for j := first; j < len(es); j++ {
+		if within(es[j].Cost, b) {
+			dst = append(dst, es[j])
 			continue
 		}
-		if kept != i {
+		if kept != j {
 			if c.borrowed {
 				es = append([]Entry(nil), es...)
 				c.borrowed = false
 			}
-			es[kept] = es[i]
+			es[kept] = es[j]
 		}
 		kept++
 	}

@@ -321,10 +321,11 @@ func payloads(entries []Entry) []int {
 
 // Property: the cell index agrees with the naive implementation under a
 // randomized workload of inserts, queries and drains. Every other trial
-// also rebuilds its index through Load now and then, from the
-// enumeration of a twin that only ever saw Insert and Drain: the loaded
-// index must retrieve what the twin retrieves, in the twin's order, and
-// must leave the lists it was loaded from as it got them.
+// also rebuilds its index now and then by adopting the Image of the
+// enumeration of a twin that only ever saw Insert and Drain, which a
+// bystander index adopts too: the rebuilt index must retrieve what the
+// twin retrieves, in the twin's order, and must leave the lists it was
+// built from, and the bystanders, as they were.
 func TestQuickAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(321))
 	for trial := 0; trial < 50; trial++ {
@@ -337,6 +338,7 @@ func TestQuickAgainstNaive(t *testing.T) {
 			twin = MustNew(dims, maxLevel, base)
 		}
 		var loaded, loadedCopies [][]Entry
+		var bystanders []*Index
 		ref := &naive{}
 		id := 0
 		for op := 0; op < 200; op++ {
@@ -399,16 +401,23 @@ func TestQuickAgainstNaive(t *testing.T) {
 						t.Fatalf("LenUpTo(%d) = %d after drain, want %d", res, got, want)
 					}
 				}
-			case 8: // rebuild through Load
+			case 8: // rebuild by adopting the twin's image
 				if twin == nil {
 					continue
 				}
 				list := allOf(twin)
 				loaded, loadedCopies = append(loaded, list), append(loadedCopies, slices.Clone(list))
 				ix = MustNew(dims, maxLevel, base)
-				ix.Load(list)
+				img := ix.Freeze(list)
+				if img == nil {
+					t.Fatalf("trial %d: Freeze refused a list in enumeration order", trial)
+				}
+				ix.Adopt(img)
+				bystander := MustNew(dims, maxLevel, base)
+				bystander.Adopt(img)
+				bystanders = append(bystanders, bystander)
 				if len(list) > 0 && &ix.levels[list[0].Resolution].cells[0].entries[0] != &list[0] {
-					t.Fatalf("trial %d: Load copied a list in enumeration order", trial)
+					t.Fatalf("trial %d: Adopt copied a list in enumeration order", trial)
 				}
 			}
 			if twin != nil && !slices.Equal(payloads(allOf(ix)), payloads(allOf(twin))) {
@@ -420,12 +429,29 @@ func TestQuickAgainstNaive(t *testing.T) {
 				t.Fatalf("trial %d: an index wrote the list it was loaded from", trial)
 			}
 		}
+		for _, by := range bystanders {
+			img := by.Frozen()
+			if img == nil || !slices.Equal(payloads(allOf(by)), payloads(img.Entries())) {
+				t.Fatalf("trial %d: a bystander no longer enumerates the image it adopted", trial)
+			}
+			fresh := MustNew(dims, maxLevel, base)
+			for _, e := range img.Entries() {
+				fresh.Insert(e)
+			}
+			for q := 0; q < 10; q++ {
+				b := randomBound(rng, dims)
+				maxRes, minEpoch := rng.Intn(maxLevel+2), uint64(rng.Intn(5))
+				if !slices.Equal(payloads(collect(by, b, maxRes, minEpoch)), payloads(collect(fresh, b, maxRes, minEpoch))) {
+					t.Fatalf("trial %d: a bystander retrieves other entries than a fresh load of its image", trial)
+				}
+			}
+		}
 	}
 }
 
 // TestEnumerationOrder pins the order core's outcomes depend on: Query,
 // Drain and All enumerate ascending level, ascending cell key, insertion
-// order within a cell — whatever mix of Insert, Drain and Load put the
+// order within a cell — whatever mix of Insert, Drain and Adopt put the
 // entries there. The model is the list of live entries in arrival order.
 func TestEnumerationOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -489,12 +515,12 @@ func TestEnumerationOrder(t *testing.T) {
 	drain(cost.Vec(35, 55), 1)
 	check("a drain")
 
-	// A list in enumeration order, loaded into an empty index: windows.
+	// A list in enumeration order, adopted by an empty index: windows.
 	list := allOf(ix)
 	ix = MustNew(dims, maxLevel, 1.3)
-	ix.Load(list)
+	ix.Adopt(ix.Freeze(list))
 	live = slices.Clone(list)
-	check("Load into an empty index")
+	check("Adopt into an empty index")
 	for _, e := range fresh(40) {
 		ix.Insert(e)
 		live = append(live, e)
@@ -503,27 +529,17 @@ func TestEnumerationOrder(t *testing.T) {
 	drain(cost.Vec(25, 45), 3)
 	check("a drain of loaded cells")
 
-	// A list out of enumeration order, and a list loaded into an index
-	// that already holds entries: both arrive entry by entry.
-	shuffled := fresh(30)
-	ix.Load(shuffled)
-	live = append(live, shuffled...)
-	check("Load into a populated index")
 	drain(cost.Unbounded(dims), maxLevel)
 	if ix.Len() != 0 {
 		t.Fatalf("%d entries left after an unbounded drain", ix.Len())
 	}
-	ix.Load(shuffled)
-	live = slices.Clone(shuffled)
-	check("Load of an unordered list")
-	if got, want := ix.Insertions(), uint64(len(list)+40+2*len(shuffled)); got != want {
-		t.Errorf("Insertions = %d after %d loaded and inserted entries", got, want)
+	if got, want := ix.Insertions(), uint64(len(list)+40); got != want {
+		t.Errorf("Insertions = %d after %d adopted and inserted entries", got, want)
 	}
 }
 
-// TestLoadPanics: Load rejects what Insert rejects, on the path that
-// cuts windows and on the one that inserts.
-func TestLoadPanics(t *testing.T) {
+// TestFreezePanics: Freeze rejects what Insert rejects.
+func TestFreezePanics(t *testing.T) {
 	good := Entry{Cost: cost.Vec(1, 2), Resolution: 0, Payload: pn(0)}
 	for name, bad := range map[string]Entry{
 		"wrong dim":      {Cost: cost.Vec(1), Resolution: 0},
@@ -531,20 +547,14 @@ func TestLoadPanics(t *testing.T) {
 		"negative res":   {Cost: cost.Vec(1, 2), Resolution: -1},
 		"infinite cost":  {Cost: cost.Vec(math.Inf(1), 2), Resolution: 0},
 	} {
-		for _, populated := range []bool{false, true} {
-			ix := MustNew(2, 3, 2)
-			if populated {
-				ix.Insert(good)
-			}
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("Load of an entry with %s did not panic (populated %v)", name, populated)
-					}
-				}()
-				ix.Load([]Entry{good, bad})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Freeze of an entry with %s did not panic", name)
+				}
 			}()
-		}
+			MustNew(2, 3, 2).Freeze([]Entry{good, bad})
+		}()
 	}
 }
 
@@ -609,5 +619,62 @@ func BenchmarkQuery1000(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n := 0
 		ix.Query(bound, 10, 0, func(Entry) bool { n++; return true })
+	}
+}
+
+// TestAdoptContract: Freeze refuses a list out of enumeration order,
+// Adopt refuses a populated index and an image of another geometry, and
+// Frozen reports the adopted image until the first write — an Insert,
+// or a Drain that removes something — and nil after it.
+func TestAdoptContract(t *testing.T) {
+	ix := MustNew(2, 3, 2)
+	for i := 0; i < 20; i++ {
+		ix.Insert(Entry{Cost: cost.Vec(float64(i*i), float64(20-i)), Resolution: i % 4, Payload: pn(i)})
+	}
+	list := allOf(ix)
+	reversed := slices.Clone(list)
+	slices.Reverse(reversed)
+	if MustNew(2, 3, 2).Freeze(reversed) != nil {
+		t.Error("Freeze accepted a list out of enumeration order")
+	}
+	img := MustNew(2, 3, 2).Freeze(list)
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	mustPanic("Adopt into a populated index", func() { ix.Adopt(img) })
+	mustPanic("Adopt at another base", func() { MustNew(2, 3, 3).Adopt(img) })
+	mustPanic("Adopt at another dimension", func() { MustNew(3, 3, 2).Adopt(img) })
+	mustPanic("Adopt at another level count", func() { MustNew(2, 2, 2).Adopt(img) })
+
+	a := MustNew(2, 3, 2)
+	a.Adopt(img)
+	if a.Frozen() != img || a.Len() != len(list) {
+		t.Fatalf("an adopted index reports image %p of %d entries", a.Frozen(), a.Len())
+	}
+	if got := a.Drain(cost.Vec(-1, -1), 3, nil); len(got) != 0 || a.Frozen() != img {
+		t.Error("a Drain that removed nothing ended the index's claim to its image")
+	}
+	if got := a.Drain(cost.Vec(10, 30), 3, nil); len(got) == 0 || a.Frozen() != nil {
+		t.Errorf("a Drain that removed %d entries left the image claimed", len(got))
+	}
+	b := MustNew(2, 3, 2)
+	b.Adopt(img)
+	b.Insert(Entry{Cost: cost.Vec(1, 1), Resolution: 0, Payload: pn(99)})
+	if b.Frozen() != nil {
+		t.Error("an Insert left the image claimed")
+	}
+	if !slices.Equal(payloads(img.Entries()), payloads(list)) || !slices.Equal(payloads(allOf(ix)), payloads(list)) {
+		t.Error("writes to adopting indexes changed the image's list")
+	}
+	c := MustNew(2, 3, 2)
+	c.Adopt(img)
+	if !slices.Equal(payloads(allOf(c)), payloads(list)) {
+		t.Error("a later adopter does not enumerate the image's list")
 	}
 }

@@ -1203,7 +1203,7 @@ func (s *Service) Select(id string, index, expectSteps int) (*plan.Node, error) 
 	// The session is finished: hand back a copy detached from the
 	// optimizer's arena, so a client keeping the plan does not pin the
 	// dead session's node chunks (see plan.DetachInto).
-	return plan.DetachInto(map[*plan.Node]*plan.Node{}, p), nil
+	return plan.DetachInto(map[*plan.Node]*plan.Node{}, p, 0), nil
 }
 
 // Close drops a live session without selecting a plan. Closing a

@@ -82,7 +82,8 @@ type Record struct {
 	Iteration int
 	// Resolution is the resolution used by the iteration's invocation.
 	Resolution int
-	// Bounds is the bound vector used (never nil; unbounded = +Inf).
+	// Bounds is the bound vector used (never nil; unbounded = +Inf). The
+	// records of one bounds regime share it: read-only.
 	Bounds cost.Vector
 	// Duration is the optimizer invocation's wall-clock time.
 	Duration time.Duration
@@ -173,7 +174,8 @@ func (s *Session) AtMaxResolution() bool {
 	return s.started && s.res >= s.opt.Config().MaxResolution()
 }
 
-// Records returns the per-iteration instrumentation.
+// Records returns a copy of the per-iteration instrumentation. The
+// Bounds vectors are shared with the session and must not be written.
 func (s *Session) Records() []Record {
 	return append([]Record(nil), s.records...)
 }
@@ -234,7 +236,7 @@ func (s *Session) Step() []*plan.Node {
 	s.records = append(s.records, Record{
 		Iteration:     len(s.records) + 1,
 		Resolution:    s.res,
-		Bounds:        s.bounds.Clone(),
+		Bounds:        s.bounds, // replaced by SetBounds, never written
 		Duration:      dur,
 		FrontierSize:  len(s.frontier),
 		BoundsChanged: boundsChanged,
