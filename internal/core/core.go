@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/costmodel"
+	"repro/internal/pareto"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/rangeindex"
@@ -44,6 +45,13 @@ type Optimizer struct {
 	// snapshot's, detached and immutable, and Snapshot shares it rather
 	// than copy it (DESIGN.md D8).
 	shared uint32
+	// skylines[r] is the skyline of the root result plans at level r
+	// that the snapshot this optimizer was restored from held, shared
+	// read-only with it (nil for a cold optimizer), and restoredEpoch
+	// that snapshot's epoch: every root result with a later epoch is
+	// this optimizer's own (AppendSkylineAt, DESIGN.md D20).
+	skylines      [][]*plan.Node
+	restoredEpoch uint64
 	// echo is the configuration echo (cfgFingerprint), rendered at the
 	// first export or taken from the snapshot a restore validated.
 	echo string
@@ -440,6 +448,37 @@ func (o *Optimizer) AppendResultsAt(dst []*plan.Node, b cost.Vector, r int, minE
 	ix.QueryLevel(b, r, minEpoch, o.rootCollect)
 	dst, o.rootOut = o.rootOut, nil
 	return dst
+}
+
+// AppendSkylineAt appends to dst the skyline (pareto.Filter) of the
+// plans AppendResultsAt(nil, b, r, minEpoch) returns, in Filter's
+// order, and returns the extended slice. The plans an optimizer was
+// restored with come from its snapshot's level-r skyline, cut to the
+// bounds: the box {c : c ⪯ b} is down-closed, so the skyline of the
+// plans inside it is the part of the whole skyline inside it. Its own
+// plans are retrieved and filtered, and the two runs merged. A cold
+// optimizer, and a minEpoch that splits the restored plans, take only
+// the second path. Bounds may be nil for "no bounds".
+func (o *Optimizer) AppendSkylineAt(dst []*plan.Node, b cost.Vector, r int, minEpoch uint64) []*plan.Node {
+	n := len(dst)
+	if minEpoch == 0 && o.skylines != nil && r >= 0 && r < len(o.skylines) {
+		for _, p := range o.skylines[r] {
+			if b == nil || p.Cost.Dominates(b) {
+				dst = append(dst, p)
+			}
+		}
+		minEpoch = o.restoredEpoch + 1
+	}
+	m := len(dst)
+	dst = o.AppendResultsAt(dst, b, r, minEpoch)
+	if len(dst) == m {
+		return dst
+	}
+	own := pareto.Filter(dst[m:])
+	if m == n {
+		return dst[:m+len(own)]
+	}
+	return append(dst[:n], pareto.Merge(dst[n:m], own)...)
 }
 
 // Epoch returns the number of the most recent invocation (0 before the

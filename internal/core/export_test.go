@@ -89,6 +89,15 @@ func FrozenSets(o *Optimizer) (res, cand []tableset.Set) {
 	return res, cand
 }
 
+// LevelSkylines returns the per-level skylines of s's root result
+// list: nil until its first restore builds them, unless an export
+// carried them.
+func LevelSkylines(s *Snapshot) [][]*plan.Node { return s.skylines }
+
+// RestoredEpoch returns the epoch of the snapshot o was restored from
+// (0 for a cold optimizer): root results of later epochs are o's own.
+func RestoredEpoch(o *Optimizer) uint64 { return o.restoredEpoch }
+
 // RemapQueryPair returns two isomorphic queries, their configuration
 // and the permutation that rewrites the first's snapshots onto the
 // second.
@@ -102,5 +111,14 @@ func RemapQueryPair(t *testing.T) (src, dst *query.Query, cfg Config, perm []int
 func DriftQueryPair(t *testing.T) (old, drifted *query.Query, cfg Config) {
 	old = driftQuery(remapCatalog(), 0.5, 1e-3)
 	drifted = driftQuery(driftedCatalog(t, catalog.TableStats{Name: "fact0", Rows: 1.01e6}), 0.5, 1e-3)
+	return old, drifted, driftConfig()
+}
+
+// LargeDriftQueryPair returns a query, the same query under statistics
+// that drifted far enough for a resumed refinement, and their
+// configuration.
+func LargeDriftQueryPair(t *testing.T) (old, drifted *query.Query, cfg Config) {
+	old = driftQuery(remapCatalog(), 0.5, 1e-3)
+	drifted = driftQuery(driftedCatalog(t, catalog.TableStats{Name: "fact0", Rows: 4e6}), 0.5, 1e-3)
 	return old, drifted, driftConfig()
 }

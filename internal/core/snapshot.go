@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/cost"
+	"repro/internal/pareto"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/rangeindex"
@@ -35,9 +36,9 @@ import (
 // instead of copying them again, and the plan sets it left untouched
 // export the very lists they were restored from (DESIGN.md D8). The
 // Snapshot itself is immutable once created, apart from the frozen
-// cell directories its first restore builds. Taking a snapshot must
-// not race with Optimize on the source (the caller serializes, e.g.
-// the service holds the session lock).
+// cell directories and level skylines its first restore builds. Taking
+// a snapshot must not race with Optimize on the source (the caller
+// serializes, e.g. the service holds the session lock).
 //
 // The pair memo travels as packed leftID<<32|rightID keys of the
 // source arena's dense node IDs, in one strictly ascending slice that
@@ -68,6 +69,14 @@ type Snapshot struct {
 	epoch           uint64
 	prevBounds      []float64
 	prevRes         int
+
+	// skylines[r] is the skyline (pareto.Filter) of the root result
+	// plans registered at level r, skyRoot the root table set: built
+	// under frozen with the images and shared read-only by every
+	// restore, which publishes from them (DESIGN.md D20). An export
+	// whose root list is the one it was restored from carries them.
+	skylines [][]*plan.Node
+	skyRoot  tableset.Set
 
 	// done is the source's completed-focus ledger (Optimizer.done): one
 	// slot per resolution level, nil where nothing is recorded. Never
@@ -187,16 +196,20 @@ func (o *Optimizer) Snapshot() *Snapshot {
 	}
 	s.resImg = collect(o.res, s.res)
 	s.candImg = collect(o.cand, s.cand)
+	if root := o.q.Tables(); s.resImg[root] != nil && o.skylines != nil {
+		s.skylines, s.skyRoot = o.skylines, root
+	}
 	return s
 }
 
-// images returns the frozen cell directories of the snapshot's plan
-// sets, building them at the first call at the geometry of an index
-// newIndex returns (the configuration echo fixes it for every restore).
-// A list whose image an export carried over keeps it.
-func (s *Snapshot) images(newIndex func() *rangeindex.Index) (res, cand map[tableset.Set]*rangeindex.Image) {
+// derived returns the frozen cell directories of the snapshot's plan
+// sets and the per-level skylines of its root result list, building
+// them at the first call at the geometry of the restoring optimizer o
+// (the configuration echo fixes it for every restore). A list whose
+// image an export carried over keeps it, and so do carried skylines.
+func (s *Snapshot) derived(o *Optimizer) (res, cand map[tableset.Set]*rangeindex.Image, skylines [][]*plan.Node, root tableset.Set) {
 	s.frozen.Do(func() {
-		ix := newIndex()
+		ix := o.newIndex()
 		freeze := func(lists map[tableset.Set][]rangeindex.Entry, carried map[tableset.Set]*rangeindex.Image) map[tableset.Set]*rangeindex.Image {
 			imgs := make(map[tableset.Set]*rangeindex.Image, len(lists))
 			for sub, entries := range lists {
@@ -210,8 +223,46 @@ func (s *Snapshot) images(newIndex func() *rangeindex.Index) (res, cand map[tabl
 		}
 		s.resImg = freeze(s.res, s.resImg)
 		s.candImg = freeze(s.cand, s.candImg)
+		if s.skylines == nil {
+			for sub := range s.res {
+				s.skyRoot = s.skyRoot.Union(sub)
+			}
+			s.skylines = levelSkylines(s.res[s.skyRoot], o.cfg.MaxResolution()+1)
+		}
 	})
-	return s.resImg, s.candImg
+	return s.resImg, s.candImg, s.skylines, s.skyRoot
+}
+
+// levelSkylines returns, for each of the given number of levels, the
+// skyline of the plans of the entries registered at it, in one slab.
+func levelSkylines(entries []rangeindex.Entry, levels int) [][]*plan.Node {
+	start := make([]int, levels+1)
+	for _, e := range entries {
+		start[e.Resolution+1]++
+	}
+	for r := 1; r <= levels; r++ {
+		start[r] += start[r-1]
+	}
+	byLevel := make([]*plan.Node, len(entries))
+	next := slices.Clone(start[:levels])
+	for _, e := range entries {
+		byLevel[next[e.Resolution]] = e.Payload
+		next[e.Resolution]++
+	}
+	kept := 0
+	sky := make([][]*plan.Node, levels)
+	for r := range sky {
+		sky[r] = pareto.Filter(byLevel[start[r]:start[r+1]])
+		kept += len(sky[r])
+	}
+	// The levels' dominated plans are most of the list: keep only the
+	// skylines.
+	slab := make([]*plan.Node, 0, kept)
+	for r, level := range sky {
+		slab = append(slab, level...)
+		sky[r] = slab[len(slab)-len(level) : len(slab) : len(slab)]
+	}
+	return sky
 }
 
 // exportDone returns a detached copy of the completed-focus ledger.
@@ -428,7 +479,7 @@ func NewOptimizerFromSnapshot(q *query.Query, cfg Config, s *Snapshot) (*Optimiz
 	// snapshot's list, and copies a directory or a cell before it
 	// changes one (DESIGN.md D4). A list out of enumeration order (a
 	// re-costed snapshot's) has no image and is inserted entry by entry.
-	resImg, candImg := s.images(o.newIndex)
+	resImg, candImg, skylines, root := s.derived(o)
 	restore := func(src map[tableset.Set][]rangeindex.Entry, imgs map[tableset.Set]*rangeindex.Image, dst func(tableset.Set) *rangeindex.Index) {
 		for sub, entries := range src {
 			ix := dst(sub)
@@ -448,6 +499,11 @@ func NewOptimizerFromSnapshot(q *query.Query, cfg Config, s *Snapshot) (*Optimiz
 	// to its own (still empty) overlay.
 	o.pairBase = s.pairs
 	o.epoch = s.epoch
+	// Every entry of the root list carries an epoch up to the
+	// snapshot's: later ones are this optimizer's own.
+	if root == q.Tables() {
+		o.skylines, o.restoredEpoch = skylines, s.epoch
+	}
 	o.prevBounds = append([]float64(nil), s.prevBounds...)
 	o.prevRes = s.prevRes
 	// The ledger is copied into this optimizer's own buffer: recording

@@ -1,4 +1,4 @@
-package pareto
+package pareto_test
 
 import (
 	"cmp"
@@ -7,9 +7,15 @@ import (
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/pareto"
 	"repro/internal/plan"
 	"repro/internal/query"
 )
+
+// costPlan is a node outside any arena (ID 0) with the given cost.
+func costPlan(vals ...float64) *plan.Node {
+	return &plan.Node{SampleRate: 1, Cost: cost.Vec(vals...)}
+}
 
 // stableFilter is Filter as it was before its sort became a keyed
 // pdqsort: a stable merge sort of the pointers by (lexicographic cost,
@@ -45,7 +51,7 @@ func tiedPlans(rng *rand.Rand, n int) []*plan.Node {
 	for i := range plans {
 		c := cost.Vec(float64(rng.Intn(8)), float64(rng.Intn(4)), float64(rng.Intn(6)))
 		if rng.Intn(5) == 0 {
-			plans[i] = mkPlan(c...)
+			plans[i] = costPlan(c...)
 		} else {
 			plans[i] = arena.NewNode(plan.Node{Cost: c})
 		}
@@ -66,11 +72,11 @@ func TestFilterMatchesStableReference(t *testing.T) {
 	check := func(name string, in []*plan.Node) {
 		t.Helper()
 		buf := slices.Clone(in)
-		got := Filter(buf)
+		got := pareto.Filter(buf)
 		want := stableFilter(slices.Clone(in))
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: keyed Filter keeps %d plans %v, the stable reference %d plans %v",
-				name, len(got), Vectors(got), len(want), Vectors(want))
+				name, len(got), pareto.Vectors(got), len(want), pareto.Vectors(want))
 		}
 		if len(got) > 0 && (&got[0] != &buf[0] || cap(got) != len(got)) {
 			t.Fatalf("%s: skyline is not a capacity-clipped prefix of its argument", name)
@@ -84,4 +90,43 @@ func TestFilterMatchesStableReference(t *testing.T) {
 	for _, tp := range []query.Topology{query.Chain, query.Star} {
 		check(tp.String(), convergedResults(t, tp))
 	}
+}
+
+// TestMergeMatchesFilter pins Merge against Filter of the union: every
+// seeded input of TestFilterMatchesStableReference's sizes is cut at a
+// random point, each part filtered, and Merge of the two skylines must
+// return Filter of their concatenation pointer for pointer and in
+// order, in a slice of its own, without writing either argument. A
+// run listed twice, and a run merged with an empty one, are covered
+// too.
+func TestMergeMatchesFilter(t *testing.T) {
+	check := func(name string, a, b []*plan.Node) {
+		t.Helper()
+		a0, b0 := slices.Clone(a), slices.Clone(b)
+		got := pareto.Merge(a, b)
+		want := pareto.Filter(append(slices.Clone(a), b...))
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: Merge keeps %d plans %v, Filter of the union %d plans %v",
+				name, len(got), pareto.Vectors(got), len(want), pareto.Vectors(want))
+		}
+		if !slices.Equal(a, a0) || !slices.Equal(b, b0) {
+			t.Fatalf("%s: Merge wrote an argument", name)
+		}
+		if len(got) > 0 && (len(a) > 0 && &got[0] == &a[0] || len(b) > 0 && &got[0] == &b[0]) {
+			t.Fatalf("%s: Merge returned an argument's array", name)
+		}
+	}
+	rng := rand.New(rand.NewSource(41))
+	for n := 0; n <= 1000; n++ {
+		in := tiedPlans(rng, n)
+		cut := rng.Intn(n + 1)
+		a := pareto.Filter(slices.Clone(in[:cut]))
+		b := pareto.Filter(slices.Clone(in[cut:]))
+		check("tied", a, b)
+		check("tied/swapped", b, a)
+		check("tied/twice", a, a)
+		check("tied/empty", a, nil)
+	}
+	syn := syntheticResults(2048)
+	check("synthetic2048", pareto.Filter(slices.Clone(syn[:1024])), pareto.Filter(slices.Clone(syn[1024:])))
 }

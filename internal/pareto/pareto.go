@@ -59,6 +59,72 @@ next:
 	return slices.Clip(kept)
 }
 
+// Merge returns Filter(a ∪ b) — the skyline of a's plans followed by
+// b's — where a and b are each an output of Filter, in a fresh slice;
+// neither argument is written. It walks both runs in Filter's order
+// (cost, then node ID, then input position, so a's plan first of an
+// equal pair) and sweeps as Filter does, except that a plan is tested
+// only against the kept plans of the other run, nearest first: a run is
+// an output of Filter, so no plan of it dominates another, and a plan
+// of the other run that was dropped was dropped by one of the plan's
+// own run, so it cannot dominate the plan either. An empty run leaves
+// the other as it is, copied without a sweep.
+func Merge(a, b []*plan.Node) []*plan.Node {
+	out := make([]*plan.Node, 0, len(a)+len(b))
+	if len(a) == 0 || len(b) == 0 {
+		return append(append(out, a...), b...)
+	}
+	// The indexes of each run's kept plans: a's below len(a), b's above.
+	var stack [256]int32
+	kept := stack[:]
+	if len(a)+len(b) > len(stack) {
+		kept = make([]int32, len(a)+len(b))
+	}
+	keptA, keptB := kept[:0:len(a)], kept[len(a):len(a)]
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		if j == len(b) || i < len(a) && precedes(a[i], b[j]) {
+			if !dominatedByKept(b, keptB, a[i].Cost) {
+				keptA = append(keptA, int32(i))
+				out = append(out, a[i])
+			}
+			i++
+		} else {
+			if !dominatedByKept(a, keptA, b[j].Cost) {
+				keptB = append(keptB, int32(j))
+				out = append(out, b[j])
+			}
+			j++
+		}
+	}
+	return slices.Clip(out)
+}
+
+// precedes reports whether p sorts before q in Filter's order when p
+// stands before q in the input: by cost, then node ID.
+func precedes(p, q *plan.Node) bool {
+	switch {
+	case p.Cost[0] < q.Cost[0]:
+		return true
+	case p.Cost[0] > q.Cost[0]:
+		return false
+	}
+	if c := slices.Compare(p.Cost[1:], q.Cost[1:]); c != 0 {
+		return c < 0
+	}
+	return p.ID() <= q.ID()
+}
+
+// dominatedByKept reports whether a plan of run at one of the indexes
+// kept, tried last first, dominates c.
+func dominatedByKept(run []*plan.Node, kept []int32, c cost.Vector) bool {
+	for k := len(kept) - 1; k >= 0; k-- {
+		if dominates(run[kept[k]].Cost, c) {
+			return true
+		}
+	}
+	return false
+}
+
 // dominates is q.Dominates(p), spelled out so that the sweep's test
 // inlines.
 func dominates(q, p cost.Vector) bool {

@@ -1,4 +1,4 @@
-package pareto
+package pareto_test
 
 import (
 	"math"
@@ -9,6 +9,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/pareto"
 	"repro/internal/plan"
 	"repro/internal/query"
 )
@@ -35,7 +36,7 @@ func syntheticResults(n int) []*plan.Node {
 	rng := rand.New(rand.NewSource(7))
 	plans := make([]*plan.Node, n)
 	for i := range plans {
-		plans[i] = mkPlan(math.Exp(rng.Float64()*20), math.Exp(rng.Float64()*4), math.Exp(rng.Float64()*10))
+		plans[i] = costPlan(math.Exp(rng.Float64()*20), math.Exp(rng.Float64()*4), math.Exp(rng.Float64()*10))
 	}
 	return plans
 }
@@ -47,14 +48,14 @@ func TestFilterOnConvergedResults(t *testing.T) {
 	for _, tp := range []query.Topology{query.Chain, query.Star} {
 		in := convergedResults(t, tp)
 		buf := slices.Clone(in)
-		out := Filter(buf)
+		out := pareto.Filter(buf)
 		if len(out) == 0 || len(out) >= len(in) {
 			t.Fatalf("%v: skyline keeps %d of %d result plans", tp, len(out), len(in))
 		}
 		if &out[0] != &buf[0] || cap(out) != len(out) {
 			t.Errorf("%v: skyline is not a capacity-clipped prefix of its argument", tp)
 		}
-		if !Covers(Vectors(out), Vectors(in), 1) {
+		if !pareto.Covers(pareto.Vectors(out), pareto.Vectors(in), 1) {
 			t.Errorf("%v: skyline does not cover the result set", tp)
 		}
 		for i, p := range out {
@@ -71,8 +72,8 @@ func TestFilterOnConvergedResults(t *testing.T) {
 var skylineSink []*plan.Node
 
 // BenchmarkSkyline is the pareto layer's line in the ledger: one skyline
-// of a converged chain4/star4 root result set — what a session pays when
-// a regime's first step publishes — and of a 2 048-plan synthetic set,
+// of a converged chain4/star4 root result set — what a snapshot pays
+// once per level (DESIGN.md D20) — and of a 2 048-plan synthetic set,
 // by Filter's keyed sort (keyed/) and by the stable sort of pointers it
 // replaced (stable/, the test-only reference).
 func BenchmarkSkyline(b *testing.B) {
@@ -87,7 +88,7 @@ func BenchmarkSkyline(b *testing.B) {
 		for _, f := range []struct {
 			name   string
 			filter func([]*plan.Node) []*plan.Node
-		}{{"keyed", Filter}, {"stable", stableFilter}} {
+		}{{"keyed", pareto.Filter}, {"stable", stableFilter}} {
 			b.Run(f.name+"/"+bc.name, func(b *testing.B) {
 				b.ReportAllocs()
 				// Filter reorders its input: every iteration gets the
@@ -102,5 +103,35 @@ func BenchmarkSkyline(b *testing.B) {
 				b.ReportMetric(float64(len(skylineSink)), "kept")
 			})
 		}
+	}
+}
+
+// BenchmarkMerge is what a publication step pays beside it: Merge of
+// two skylines of a converged chain4/star4 root result set, its plans
+// cut in half in the range query's order (merge/), against Filter of
+// the two skylines' union (filter/, what publication did before).
+func BenchmarkMerge(b *testing.B) {
+	for _, tp := range []query.Topology{query.Chain, query.Star} {
+		in := convergedResults(b, tp)
+		half := len(in) / 2
+		x := pareto.Filter(slices.Clone(in[:half]))
+		y := pareto.Filter(slices.Clone(in[half:]))
+		name := tp.String() + "4"
+		b.Run("merge/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				skylineSink = pareto.Merge(x, y)
+			}
+			b.ReportMetric(float64(len(x)+len(y)), "plans")
+			b.ReportMetric(float64(len(skylineSink)), "kept")
+		})
+		b.Run("filter/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				skylineSink = pareto.Filter(append(append(make([]*plan.Node, 0, len(x)+len(y)), x...), y...))
+			}
+			b.ReportMetric(float64(len(x)+len(y)), "plans")
+			b.ReportMetric(float64(len(skylineSink)), "kept")
+		})
 	}
 }

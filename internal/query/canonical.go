@@ -1,12 +1,12 @@
 package query
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
+	"bytes"
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 
 	"repro/internal/tableset"
 )
@@ -45,7 +45,6 @@ import (
 func (q *Query) CanonicalFingerprint() (string, []int) {
 	c := newCanonicalizer(q)
 	c.search(c.initial())
-	sum := sha256.Sum256([]byte(c.best))
 	perm := make([]int, tableset.MaxTables)
 	for i := range perm {
 		perm[i] = -1
@@ -53,7 +52,7 @@ func (q *Query) CanonicalFingerprint() (string, []int) {
 	for m, p := range c.bestPos {
 		perm[c.ids[m]] = p
 	}
-	return hex.EncodeToString(sum[:]), perm
+	return hashText(c.best), perm
 }
 
 // ComposeRemap combines the canonical permutations of two queries that
@@ -114,59 +113,64 @@ type canonAdj struct {
 type canonicalizer struct {
 	q   *Query
 	ids []int
-	pos map[int]int // table ID → member index
+	pos [tableset.MaxTables]int // table ID → member index
 	adj [][]canonAdj
 
-	// statSig is each member's planning-statistics signature. It is
-	// the single source for both the initial refinement coloring
-	// (hashed) and the canonical encoding (verbatim), so the two can
-	// never drift apart.
-	statSig []string
+	// statSig is each member's planning-statistics signature
+	// (Query.appendStatSig). It is the single source for both the
+	// initial refinement coloring (hashed) and the canonical encoding
+	// (verbatim), so the two can never drift apart.
+	statSig [][]byte
 
 	leaves  int
-	best    string
+	best    []byte
 	bestPos []int // member index → canonical position
 
-	// scratch reused across refinement rounds and search branches.
+	// scratch reused across refinement rounds, search branches and
+	// leaf encodings.
 	hashes []uint64
 	pairs  []uint64
+	uniq   []uint64
+	enc    []byte
+	inv    []int
+	cedges []canonEdge
+}
+
+// canonEdge is one join edge between canonical positions a < b.
+type canonEdge struct {
+	a, b int
+	sel  float64
 }
 
 func newCanonicalizer(q *Query) *canonicalizer {
 	ids := q.tables.Indices()
-	pos := make(map[int]int, len(ids))
-	for m, id := range ids {
-		pos[id] = m
-	}
 	c := &canonicalizer{
 		q:       q,
 		ids:     ids,
-		pos:     pos,
 		adj:     make([][]canonAdj, len(ids)),
-		statSig: make([]string, len(ids)),
+		statSig: make([][]byte, len(ids)),
 		hashes:  make([]uint64, len(ids)),
+		inv:     make([]int, len(ids)),
+	}
+	for m, id := range ids {
+		c.pos[id] = m
 	}
 	for _, e := range q.edges {
-		a, b := pos[e.A], pos[e.B]
+		a, b := c.pos[e.A], c.pos[e.B]
 		c.adj[a] = append(c.adj[a], canonAdj{other: b, sel: e.Selectivity})
 		c.adj[b] = append(c.adj[b], canonAdj{other: a, sel: e.Selectivity})
 	}
+	// The signatures share one buffer, each clipped to its own bytes.
+	sigs := make([]byte, 0, 64*len(ids))
 	for m, id := range ids {
-		t := q.catalog.Table(id)
-		var b strings.Builder
-		fmt.Fprintf(&b, "%g:%g:%v:%g:[", t.Rows, t.RowWidth, t.HasIndex, q.FilterSelectivity(id))
-		rates := append([]float64(nil), t.SamplingRates...)
-		sort.Float64s(rates)
-		for _, r := range rates {
-			fmt.Fprintf(&b, "%g,", r)
-		}
-		b.WriteString("]")
-		c.statSig[m] = b.String()
+		start := len(sigs)
+		sigs = q.appendStatSig(sigs, id)
+		c.statSig[m] = sigs[start:len(sigs):len(sigs)]
 	}
 	return c
 }
 
-func fnv64(s string) uint64 {
+func fnv64[T string | []byte](s T) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
@@ -194,18 +198,11 @@ func (c *canonicalizer) initial() []int {
 // 0..k-1 ordered by hash value. Hash values depend only on label-
 // invariant inputs, so the rank order is itself invariant.
 func (c *canonicalizer) normalize(hashes []uint64, dst []int) []int {
-	uniq := append([]uint64(nil), hashes...)
-	sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
-	n := 0
-	for i, v := range uniq {
-		if i == 0 || uniq[i-1] != v {
-			uniq[n] = v
-			n++
-		}
-	}
-	uniq = uniq[:n]
+	c.uniq = append(c.uniq[:0], hashes...)
+	slices.Sort(c.uniq)
+	c.uniq = slices.Compact(c.uniq)
 	for m, v := range hashes {
-		dst[m] = sort.Search(n, func(i int) bool { return uniq[i] >= v })
+		dst[m], _ = slices.BinarySearch(c.uniq, v)
 	}
 	return dst
 }
@@ -235,7 +232,7 @@ func (c *canonicalizer) refine(colors []int) []int {
 				// packed words sorts the multiset canonically.
 				c.pairs = append(c.pairs, mix64(math.Float64bits(a.sel), uint64(colors[a.other])))
 			}
-			sort.Slice(c.pairs, func(i, j int) bool { return c.pairs[i] < c.pairs[j] })
+			slices.Sort(c.pairs)
 			h := mix64(fnv64("r"), uint64(colors[m]))
 			for _, p := range c.pairs {
 				h = mix64(h, p)
@@ -272,10 +269,10 @@ func (c *canonicalizer) search(colors []int) {
 		}
 	}
 	if discrete {
-		enc := c.encode(colors)
-		if c.best == "" || enc < c.best {
-			c.best = enc
-			c.bestPos = append([]int(nil), colors...)
+		c.enc = c.encode(c.enc[:0], colors)
+		if len(c.best) == 0 || bytes.Compare(c.enc, c.best) < 0 {
+			c.best = append(c.best[:0], c.enc...)
+			c.bestPos = append(c.bestPos[:0], colors...)
 		}
 		c.leaves++
 		return
@@ -298,7 +295,7 @@ func (c *canonicalizer) search(colors []int) {
 		if v != target {
 			continue
 		}
-		if c.leaves >= tieBreakLeafBudget && c.best != "" {
+		if c.leaves >= tieBreakLeafBudget && len(c.best) > 0 {
 			return
 		}
 		child := append([]int(nil), colors...)
@@ -307,44 +304,41 @@ func (c *canonicalizer) search(colors []int) {
 	}
 }
 
-// encode renders the query relabeled to canonical positions: per
-// position the table's planning statistics and filter, then the sorted
-// canonical edge list. The encoding fully determines the relabeled
+// encode appends the query relabeled to canonical positions: per
+// position "t<position>:<stats signature>;", then per edge in
+// canonical order "e<a>-<b>:<selectivity>;" (the text fmt rendered when
+// the digest was defined). The encoding fully determines the relabeled
 // query, which is what makes the digest sound: equal encodings imply a
 // stats- and edge-preserving bijection through the canonical positions.
-func (c *canonicalizer) encode(pos []int) string {
-	n := len(c.ids)
-	inv := make([]int, n)
+func (c *canonicalizer) encode(dst []byte, pos []int) []byte {
 	for m, p := range pos {
-		inv[p] = m
+		c.inv[p] = m
 	}
-	var b strings.Builder
-	for p := 0; p < n; p++ {
-		fmt.Fprintf(&b, "t%d:%s;", p, c.statSig[inv[p]])
+	for p, m := range c.inv {
+		dst = strconv.AppendInt(append(dst, 't'), int64(p), 10)
+		dst = append(append(append(dst, ':'), c.statSig[m]...), ';')
 	}
-	type cedge struct {
-		a, b int
-		sel  float64
-	}
-	edges := make([]cedge, 0, len(c.q.edges))
+	edges := c.cedges[:0]
 	for _, e := range c.q.edges {
-		a, b2 := pos[c.pos[e.A]], pos[c.pos[e.B]]
-		if a > b2 {
-			a, b2 = b2, a
+		a, b := pos[c.pos[e.A]], pos[c.pos[e.B]]
+		if a > b {
+			a, b = b, a
 		}
-		edges = append(edges, cedge{a: a, b: b2, sel: e.Selectivity})
+		edges = append(edges, canonEdge{a: a, b: b, sel: e.Selectivity})
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].a != edges[j].a {
-			return edges[i].a < edges[j].a
+	slices.SortFunc(edges, func(x, y canonEdge) int {
+		if c := cmp.Compare(x.a, y.a); c != 0 {
+			return c
 		}
-		if edges[i].b != edges[j].b {
-			return edges[i].b < edges[j].b
+		if c := cmp.Compare(x.b, y.b); c != 0 {
+			return c
 		}
-		return edges[i].sel < edges[j].sel
+		return cmp.Compare(x.sel, y.sel)
 	})
+	c.cedges = edges
 	for _, e := range edges {
-		fmt.Fprintf(&b, "e%d-%d:%g;", e.a, e.b, e.sel)
+		dst = appendEdge(dst, e.a, e.b)
+		dst = append(appendFloat(append(dst, ':'), e.sel), ';')
 	}
-	return b.String()
+	return dst
 }

@@ -1,11 +1,12 @@
 package query
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Fingerprint returns a canonical digest of everything that determines
@@ -25,35 +26,80 @@ import (
 // join graph under a table-ID permutation — goes through
 // CanonicalFingerprint plus core.Snapshot.Remap instead.
 func (q *Query) Fingerprint() string {
-	var b strings.Builder
-	q.tables.ForEach(func(id int) {
-		t := q.catalog.Table(id)
-		fmt.Fprintf(&b, "t%d:%g:%g:%v:%g:[", id, t.Rows, t.RowWidth, t.HasIndex, q.FilterSelectivity(id))
-		rates := append([]float64(nil), t.SamplingRates...)
-		sort.Float64s(rates)
-		for _, r := range rates {
-			fmt.Fprintf(&b, "%g,", r)
-		}
-		b.WriteString("];")
-	})
-	edges := append([]JoinEdge(nil), q.edges...)
+	var buf [1024]byte
+	return hashText(q.appendFingerprint(buf[:0]))
+}
+
+// appendFingerprint appends the text Fingerprint hashes: per member
+// table "t<id>:<stats signature>;", then per edge in canonical order
+// "e<a>-<b>:<selectivity>;". The digests are persisted store keys, so
+// the text is byte for byte what fmt's %d, %g and %v rendered when the
+// digest was defined.
+func (q *Query) appendFingerprint(dst []byte) []byte {
+	for s := q.tables; !s.IsEmpty(); {
+		id := s.Min()
+		s = s.Remove(id)
+		dst = strconv.AppendInt(append(dst, 't'), int64(id), 10)
+		dst = append(q.appendStatSig(append(dst, ':'), id), ';')
+	}
+	var buf [16]JoinEdge
+	edges := append(buf[:0], q.edges...)
 	for i, e := range edges {
 		if e.A > e.B {
 			edges[i].A, edges[i].B = e.B, e.A
 		}
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].A != edges[j].A {
-			return edges[i].A < edges[j].A
+	slices.SortFunc(edges, func(x, y JoinEdge) int {
+		if c := cmp.Compare(x.A, y.A); c != 0 {
+			return c
 		}
-		if edges[i].B != edges[j].B {
-			return edges[i].B < edges[j].B
+		if c := cmp.Compare(x.B, y.B); c != 0 {
+			return c
 		}
-		return edges[i].Selectivity < edges[j].Selectivity
+		return cmp.Compare(x.Selectivity, y.Selectivity)
 	})
 	for _, e := range edges {
-		fmt.Fprintf(&b, "e%d-%d:%g;", e.A, e.B, e.Selectivity)
+		dst = appendEdge(dst, e.A, e.B)
+		dst = append(appendFloat(append(dst, ':'), e.Selectivity), ';')
 	}
-	sum := sha256.Sum256([]byte(b.String()))
+	return dst
+}
+
+// appendStatSig appends table id's planning-statistics signature,
+// "<rows>:<row width>:<has index>:<filter selectivity>:[<rate>,…]" with
+// the sampling rates ascending. Fingerprint and the canonical encoding
+// both render a table's statistics through it.
+func (q *Query) appendStatSig(dst []byte, id int) []byte {
+	t := q.catalog.Table(id)
+	dst = append(appendFloat(dst, t.Rows), ':')
+	dst = append(appendFloat(dst, t.RowWidth), ':')
+	dst = append(strconv.AppendBool(dst, t.HasIndex), ':')
+	dst = append(appendFloat(dst, q.FilterSelectivity(id)), ":["...)
+	rates := t.SamplingRates
+	if !slices.IsSorted(rates) {
+		rates = append([]float64(nil), rates...)
+		sort.Float64s(rates)
+	}
+	for _, r := range rates {
+		dst = append(appendFloat(dst, r), ',')
+	}
+	return append(dst, ']')
+}
+
+// appendFloat appends f as fmt's %g renders it: strconv's shortest 'g'
+// form, so 1e-07 and 1e+21 in exponent form.
+func appendFloat(dst []byte, f float64) []byte {
+	return strconv.AppendFloat(dst, f, 'g', -1, 64)
+}
+
+// appendEdge appends "e<a>-<b>".
+func appendEdge(dst []byte, a, b int) []byte {
+	dst = strconv.AppendInt(append(dst, 'e'), int64(a), 10)
+	return strconv.AppendInt(append(dst, '-'), int64(b), 10)
+}
+
+// hashText is the hex SHA-256 of a fingerprint's text.
+func hashText(text []byte) string {
+	sum := sha256.Sum256(text)
 	return hex.EncodeToString(sum[:])
 }

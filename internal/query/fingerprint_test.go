@@ -89,3 +89,31 @@ func TestFingerprintDeterministic(t *testing.T) {
 		t.Error("different seeds produced equal fingerprints")
 	}
 }
+
+// keySink keeps the compiler from discarding the measured call.
+var keySink string
+
+// BenchmarkKeys is the query layer's line in the ledger: the three
+// cache keys the service derives for every session it creates, on a
+// star4 query of the end-to-end benchmark's shape (TPC-H catalog).
+func BenchmarkKeys(b *testing.B) {
+	q, err := Synthetic(catalog.TPCH(1), 4, Star, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []struct {
+		name string
+		key  func() string
+	}{
+		{"exact", q.Fingerprint},
+		{"canonical", func() string { d, _ := q.CanonicalFingerprint(); return d }},
+		{"structural", q.StructuralFingerprint},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				keySink = k.key()
+			}
+		})
+	}
+}

@@ -1,11 +1,9 @@
 package query
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-	"sort"
-	"strings"
+	"cmp"
+	"slices"
+	"strconv"
 )
 
 // StructuralFingerprint digests only the parts of the query the
@@ -23,12 +21,23 @@ import (
 // (core.Snapshot.ClassifyDrift). Table names are included so two
 // different catalogs that happen to assign the same IDs do not collide.
 func (q *Query) StructuralFingerprint() string {
-	var b strings.Builder
-	q.tables.ForEach(func(id int) {
-		fmt.Fprintf(&b, "t%d:%s;", id, q.catalog.Table(id).Name)
-	})
+	var buf [512]byte
+	return hashText(q.appendStructural(buf[:0]))
+}
+
+// appendStructural appends the text StructuralFingerprint hashes: per
+// member table "t<id>:<name>;", then per edge in ascending order
+// "e<a>-<b>;".
+func (q *Query) appendStructural(dst []byte) []byte {
+	for s := q.tables; !s.IsEmpty(); {
+		id := s.Min()
+		s = s.Remove(id)
+		dst = strconv.AppendInt(append(dst, 't'), int64(id), 10)
+		dst = append(append(append(dst, ':'), q.catalog.Table(id).Name...), ';')
+	}
 	type pair struct{ a, b int }
-	edges := make([]pair, 0, len(q.edges))
+	var buf [16]pair
+	edges := buf[:0]
 	for _, e := range q.edges {
 		p := pair{e.A, e.B}
 		if p.a > p.b {
@@ -36,15 +45,14 @@ func (q *Query) StructuralFingerprint() string {
 		}
 		edges = append(edges, p)
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].a != edges[j].a {
-			return edges[i].a < edges[j].a
+	slices.SortFunc(edges, func(x, y pair) int {
+		if c := cmp.Compare(x.a, y.a); c != 0 {
+			return c
 		}
-		return edges[i].b < edges[j].b
+		return cmp.Compare(x.b, y.b)
 	})
 	for _, e := range edges {
-		fmt.Fprintf(&b, "e%d-%d;", e.a, e.b)
+		dst = append(appendEdge(dst, e.a, e.b), ';')
 	}
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:])
+	return dst
 }

@@ -104,8 +104,8 @@ type Session struct {
 	// root result plans within the current focus (DESIGN.md D20). It is
 	// replaced, never written, so readers may keep it without copying.
 	frontier []*plan.Node
-	// delta is publish's scratch: the root result plans the last step
-	// made visible.
+	// delta is publish's scratch: the skyline of the root result plans
+	// the last step made visible.
 	delta []*plan.Node
 	// Visualize, when non-nil, receives the frontier after every
 	// iteration (the paper's Visualize procedure).
@@ -249,29 +249,27 @@ func (s *Session) Step() []*plan.Node {
 
 // publish returns the skyline of the root result plans within the
 // current focus, Res^Q[0..b, 0..r], after the step's invocation. It
-// merges the last publication with Δ, the plans of level r within the
-// bounds that the last publication could not see (DESIGN.md D20): all
-// of them when level r has just become visible (a regime's first step,
-// where nothing is published yet, or a step that raised r), only the
-// invocation's own inserts when r stayed at its maximum. Result plans
-// are never removed, within a regime the bounds are fixed and r never
-// falls, and an invocation registers results at its own level only, so
-// the union is Res^Q[0..b, 0..r]; and the skyline of a union is the
-// skyline of one part's skyline and the other part.
+// merges the last publication with the skyline of Δ, the plans of
+// level r within the bounds that the last publication could not see
+// (DESIGN.md D20): all of them when level r has just become visible (a
+// regime's first step, where nothing is published yet, or a step that
+// raised r), only the invocation's own inserts when r stayed at its
+// maximum. Result plans are never removed, within a regime the bounds
+// are fixed and r never falls, and an invocation registers results at
+// its own level only, so the union is Res^Q[0..b, 0..r]; and the
+// skyline of a union is the merge of its parts' skylines.
 func (s *Session) publish(newLevel bool) []*plan.Node {
 	prev, minEpoch := s.frontier, s.opt.Epoch()
 	if newLevel {
 		minEpoch = 0
 	}
-	s.delta = s.opt.AppendResultsAt(s.delta[:0], s.bounds, s.res, minEpoch)
+	s.delta = s.opt.AppendSkylineAt(s.delta[:0], s.bounds, s.res, minEpoch)
 	if len(s.delta) == 0 && prev != nil {
 		return prev
 	}
-	// Filter reorders its argument, and prev is published: merge into a
-	// fresh slice.
-	merged := make([]*plan.Node, 0, len(prev)+len(s.delta))
-	merged = append(append(merged, prev...), s.delta...)
-	return pareto.Filter(merged)
+	// prev is published and delta is scratch: Merge returns a fresh
+	// slice.
+	return pareto.Merge(prev, s.delta)
 }
 
 // Apply processes one user event against the given frontier: a no-op
