@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cost"
@@ -171,21 +172,29 @@ func TestCombinePairsAllocsSteadyState(t *testing.T) {
 
 	// Find a split of the full query and a pair of its operands' result
 	// plans whose every alternative an existing result plan dominates.
+	// The pair is taken out of a copy of the folded base, so the lookup
+	// misses and the pair is combined again; truncating the log, empty
+	// since the fold, forgets it.
+	o.foldPairs()
+	held := o.pairBase
 	var lefts, rights []*plan.Node
 	full.AllSplits(func(q1, q2 tableset.Set) bool {
 		for _, l := range o.ResultsFor(q1, nil, rM) {
 			for _, rt := range o.ResultsFor(q2, nil, rM) {
-				if _, combined := o.pairMemo[pairID(l, rt)]; !combined {
+				i, combined := slices.BinarySearch(held, pairID(l, rt))
+				if !combined {
 					continue
 				}
 				before := o.Stats()
-				delete(o.pairMemo, pairID(l, rt))
+				o.pairBase = slices.Delete(slices.Clone(held), i, i+1)
 				o.combinePairs(full, b, rM, []*plan.Node{l}, []*plan.Node{rt}, false)
+				o.pairLog = o.pairLog[:0]
 				d := o.Stats().Minus(before)
 				if d.PlansGenerated > 0 && d.ExactDominated == d.PlansGenerated {
 					lefts, rights = []*plan.Node{l}, []*plan.Node{rt}
 					return false
 				}
+				o.pairBase = held
 			}
 		}
 		return true
@@ -193,11 +202,10 @@ func TestCombinePairsAllocsSteadyState(t *testing.T) {
 	if lefts == nil {
 		t.Fatal("no pair with only exactly dominated alternatives")
 	}
-	key := pairID(lefts[0], rights[0])
 	before := o.Stats()
 	if allocs := testing.AllocsPerRun(200, func() {
-		delete(o.pairMemo, key)
 		o.combinePairs(full, b, rM, lefts, rights, false)
+		o.pairLog = o.pairLog[:0]
 	}); allocs != 0 {
 		t.Errorf("re-combining an all-dominated pair allocates %.2f per call, want 0", allocs)
 	}

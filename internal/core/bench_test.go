@@ -198,13 +198,13 @@ func BenchmarkReexport(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexLoad is the range-index share of a restore: the plan
+// BenchmarkIndexAdopt is the range-index share of a restore: the plan
 // sets of a converged chain4 snapshot put into empty indexes. freeze is
 // what a snapshot pays once, at its first restore — cutting its lists
 // into cell directories whose cells are windows of them; adopt is what
 // every restore pays; insert is the entry-by-entry Insert that both
 // replaced.
-func BenchmarkIndexLoad(b *testing.B) {
+func BenchmarkIndexAdopt(b *testing.B) {
 	cfg := defaultConfig()
 	src := MustNewOptimizer(chain4(b), cfg)
 	for r := 0; r <= cfg.MaxResolution(); r++ {

@@ -56,16 +56,16 @@ type Optimizer struct {
 	// first export or taken from the snapshot a restore validated.
 	echo string
 
-	// pairBase and pairMemo together implement predicate IsFresh: a
+	// pairBase and pairLog together implement predicate IsFresh: a
 	// sub-plan pair, packed as leftID<<32|rightID of the arena's dense
 	// node IDs, is in one of them once its join alternatives have been
-	// generated. pairBase is the frozen memo of the snapshot this
-	// optimizer was restored from — ascending, shared read-only with
-	// that snapshot and every other optimizer restored from it, nil for
-	// a cold optimizer; pairMemo is the private overlay holding the
-	// pairs this optimizer combined itself. The two are disjoint.
+	// generated. pairBase is strictly ascending and never written in
+	// place: a restore starts from its snapshot's, and a snapshot taken
+	// here and every optimizer restored from it share it. pairLog holds,
+	// unsorted, the pairs combined since the last foldPairs, which
+	// merges them into a new base. The two are disjoint.
 	pairBase []uint64
-	pairMemo map[uint64]struct{}
+	pairLog  []uint64
 
 	// prevBounds/prevRes record the previous invocation's focus to
 	// decide whether the Δ filter is sound (the bounds-tightening,
@@ -160,7 +160,6 @@ func NewOptimizer(q *query.Query, cfg Config) (*Optimizer, error) {
 		res:           map[tableset.Set]*rangeindex.Index{},
 		cand:          map[tableset.Set]*rangeindex.Index{},
 		arena:         plan.NewArena(),
-		pairMemo:      map[uint64]struct{}{},
 		done:          make([]cost.Vector, cfg.ResolutionLevels),
 		doneBuf:       make([]float64, cfg.ResolutionLevels*dim),
 		unbounded:     cost.Unbounded(dim),
@@ -337,6 +336,10 @@ func (o *Optimizer) record(r int, b cost.Vector) {
 
 // refine runs the two phases of Algorithm 2 for the focus (b, r).
 func (o *Optimizer) refine(b cost.Vector, r int, deltaOK bool) {
+	if !deltaOK {
+		// The memo-guarded old × old pairs search the base alone.
+		o.foldPairs()
+	}
 	if !o.initialized {
 		o.initScans(b, r)
 		o.initialized = true

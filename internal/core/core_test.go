@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/baseline"
@@ -323,24 +324,74 @@ func TestEachPlanGeneratedOnce(t *testing.T) {
 	}
 }
 
-// Lemma 6: each sub-plan pair is combined at most once.
+// Lemma 6: each sub-plan pair is combined at most once. The series
+// alternates tightening, whose Δ-filtered invocations add pairs to the
+// log, with relaxing, whose invocations run without the Δ filter: they
+// fold the log and look old × old pairs up in the base. It runs cold and
+// restored from a snapshot converged under the tight bounds, and the
+// memo exported afterwards is the restored base plus exactly the pairs
+// combined.
 func TestEachPairCombinedOnce(t *testing.T) {
-	q := smallQuery(t)
-	cfg := defaultConfig()
-	type pair struct{ l, r *plan.Node }
-	seen := map[pair]int{}
-	cfg.Hooks.PairCombined = func(l, r *plan.Node) {
-		seen[pair{l, r}]++
+	queries := []struct {
+		name string
+		q    *query.Query
+	}{
+		{"small", smallQuery(t)},
+		{"chain4", chain4(t)},
+		{"star4", star4(t)},
 	}
-	o := MustNewOptimizer(q, cfg)
-	for r := 0; r <= cfg.MaxResolution(); r++ {
-		o.Optimize(nil, r)
-	}
-	o.Optimize(cost.Vec(1e7, 4, 0.5), 0)
-	o.Optimize(nil, cfg.MaxResolution())
-	for p, count := range seen {
-		if count > 1 {
-			t.Errorf("pair (%v, %v) combined %d times", p.l, p.r, count)
+	for _, qc := range queries {
+		cfg := defaultConfig()
+		rM := cfg.MaxResolution()
+		src := MustNewOptimizer(qc.q, cfg)
+		src.Optimize(nil, 0)
+		tight := componentMedian(src, 0)
+		for r := 0; r <= rM; r++ {
+			src.Optimize(tight, r)
+		}
+		snap := src.Snapshot()
+		for _, restored := range []bool{false, true} {
+			seen := map[uint64]int{}
+			c := cfg
+			c.Hooks.PairCombined = func(l, r *plan.Node) { seen[pairID(l, r)]++ }
+			name, o, base := qc.name+"/cold", MustNewOptimizer(qc.q, c), []uint64(nil)
+			if restored {
+				var err error
+				if o, err = NewOptimizerFromSnapshot(qc.q, c, snap); err != nil {
+					t.Fatal(err)
+				}
+				name, base = qc.name+"/restored", snap.pairs
+			}
+			// folded records an invocation that looked pairs up after
+			// folding a non-empty log.
+			folded := false
+			step := func(b cost.Vector, r int) {
+				logged, before := len(o.pairLog), o.Stats().PairsSkippedStale
+				o.Optimize(b, r)
+				folded = folded || logged > 0 && o.Stats().PairsSkippedStale > before
+			}
+			for r := 0; r <= rM; r++ {
+				step(tight, r)
+				step(nil, r)
+			}
+			step(tight, 0)
+			step(nil, rM)
+
+			want := slices.Clone(base)
+			for k, n := range seen {
+				if n > 1 {
+					t.Errorf("%s: pair %#x combined %d times", name, k, n)
+				}
+				want = append(want, k)
+			}
+			slices.Sort(want)
+			if got := o.exportPairs(); !strictlyAscending(got) || !slices.Equal(got, want) {
+				t.Errorf("%s: exported %d pairs (strictly ascending %v), want %d restored + %d combined",
+					name, len(got), strictlyAscending(got), len(base), len(seen))
+			}
+			if !folded {
+				t.Errorf("%s: no invocation looked a pair up after a fold; the series lost its premise", name)
+			}
 		}
 	}
 }

@@ -250,6 +250,27 @@ func leftRun(base []uint64, left uint32) []uint64 {
 	return base[lo : lo+n]
 }
 
+// foldPairs sorts the pair log and merges it with the base into a new
+// base. The old base is never written: snapshots and the optimizers
+// restored from them may share it.
+func (o *Optimizer) foldPairs() {
+	if len(o.pairLog) == 0 {
+		return
+	}
+	slices.Sort(o.pairLog)
+	base, log := o.pairBase, o.pairLog
+	merged := make([]uint64, 0, len(base)+len(log))
+	for len(base) > 0 && len(log) > 0 {
+		if base[0] < log[0] {
+			merged, base = append(merged, base[0]), base[1:]
+		} else {
+			merged, log = append(merged, log[0]), log[1:]
+		}
+	}
+	merged = append(merged, base...)
+	o.pairBase, o.pairLog = append(merged, log...), o.pairLog[:0]
+}
+
 // combinePairs joins every (left, right) pair that the IsFresh memo has
 // not seen and prunes the resulting plans. A pair's join alternatives
 // are enumerated by value into the optimizer's scratch and pruned from
@@ -258,15 +279,16 @@ func leftRun(base []uint64, left uint32) []uint64 {
 // (the paper's Lemma 5 and Section 5.2 bound what is generated and what
 // is retained, not what is allocated).
 //
-// IsFresh consults the frozen base first: the base is ascending, so the
-// pairs with l on the left are one contiguous run, narrowed once per l
-// and binary-searched per rt. A cold optimizer has no base and goes
-// straight to its own memo. When fresh says one side holds only plans
-// this invocation inserted, no lookup can hit: a result plan is paired
-// only once it is visible as a result, results enter only through
-// prune, and prune registers them with the invocation's epoch — a
-// drained candidate promoted now was never a result before. Such pairs
-// skip both lookups and go straight to the insert.
+// IsFresh searches the base alone, which the invocation folded the log
+// into first (refine): the pairs with l on the left are one contiguous
+// run, narrowed once per l and binary-searched per rt. Within one
+// invocation a pair is never looked up after being combined: it belongs
+// to one ordered split, whose four fresh/old blocks are disjoint. When
+// fresh says one side holds only plans this invocation inserted, no
+// lookup can hit: a result plan is paired only once it is visible as a
+// result, results enter only through prune, and prune registers them
+// with the invocation's epoch — a drained candidate promoted now was
+// never a result before. Such pairs go straight to the log.
 //
 // What the enumeration reads of the two table sets alone — the union,
 // the logical output rows, the merge keys — is prepared once per split
@@ -284,16 +306,12 @@ func (o *Optimizer) combinePairs(sub tableset.Set, b cost.Vector, r int, lefts, 
 		for _, rt := range rights {
 			key := pairID(l, rt)
 			if !fresh {
-				_, stale := slices.BinarySearch(run, key)
-				if !stale {
-					_, stale = o.pairMemo[key]
-				}
-				if stale {
+				if _, stale := slices.BinarySearch(run, key); stale {
 					o.stats.PairsSkippedStale++
 					continue
 				}
 			}
-			o.pairMemo[key] = struct{}{}
+			o.pairLog = append(o.pairLog, key)
 			o.stats.PairsCombined++
 			if o.cfg.Hooks.PairCombined != nil {
 				o.cfg.Hooks.PairCombined(l, rt)

@@ -276,33 +276,12 @@ func (o *Optimizer) exportDone() []cost.Vector {
 	return out
 }
 
-// exportPairs returns the whole IsFresh memo as one ascending slice the
-// caller may share but not write: the frozen base itself while this
-// optimizer combined nothing new, otherwise a fresh slice merging the
-// base with the sorted overlay (the two are disjoint).
+// exportPairs folds the pair log and returns the base: the whole IsFresh
+// memo as one strictly ascending slice the caller may share but not
+// write.
 func (o *Optimizer) exportPairs() []uint64 {
-	if len(o.pairMemo) == 0 {
-		return o.pairBase
-	}
-	own := make([]uint64, 0, len(o.pairMemo))
-	for k := range o.pairMemo {
-		own = append(own, k)
-	}
-	slices.Sort(own)
-	base := o.pairBase
-	if len(base) == 0 {
-		return own
-	}
-	merged := make([]uint64, 0, len(base)+len(own))
-	for len(base) > 0 && len(own) > 0 {
-		if base[0] < own[0] {
-			merged, base = append(merged, base[0]), base[1:]
-		} else {
-			merged, own = append(merged, own[0]), own[1:]
-		}
-	}
-	merged = append(merged, base...)
-	return append(merged, own...)
+	o.foldPairs()
+	return o.pairBase
 }
 
 // Remap returns a copy of the snapshot rewritten onto a new table
@@ -495,8 +474,8 @@ func NewOptimizerFromSnapshot(q *query.Query, cfg Config, s *Snapshot) (*Optimiz
 	restore(s.res, resImg, o.resFor)
 	restore(s.cand, candImg, o.candFor)
 	// The memo is shared, not copied: the snapshot's ascending pairs
-	// become the read-only base, and pairs this optimizer combines go
-	// to its own (still empty) overlay.
+	// become the base, and pairs this optimizer combines go to its own
+	// (still empty) log.
 	o.pairBase = s.pairs
 	o.epoch = s.epoch
 	// Every entry of the root list carries an epoch up to the

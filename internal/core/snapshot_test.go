@@ -306,14 +306,29 @@ func TestSnapshotRestoreContinuesSparseIDs(t *testing.T) {
 	if minted == 0 {
 		t.Error("no plan was minted after the restore")
 	}
-	// The restored memo is the shared base plus the private overlay; a
-	// minted ID colliding with a snapshot ID would merge two keys.
-	if got, want := len(restored.pairMemo), restored.Stats().PairsCombined; got != want {
-		t.Errorf("overlay holds %d keys, want the %d pairs combined since the restore", got, want)
+	// The restored memo is the shared base plus the pairs combined
+	// since; a minted ID colliding with a snapshot ID would merge two
+	// keys.
+	if own := pairsBeyond(restored, snap.pairs); len(own) != restored.Stats().PairsCombined || !strictlyAscending(own) {
+		t.Errorf("memo holds %d keys beyond the base (strictly ascending %v), want the %d pairs combined since the restore",
+			len(own), strictlyAscending(own), restored.Stats().PairsCombined)
 	}
 	if got, want := len(restored.Snapshot().pairs), len(snap.pairs)+restored.Stats().PairsCombined; got != want {
 		t.Errorf("re-exported memo holds %d keys, want %d restored + combined (a key collided)", got, want)
 	}
+}
+
+// pairsBeyond returns, ascending, the pairs o's IsFresh memo (base and
+// log) holds that base does not. A pair o holds twice appears twice.
+func pairsBeyond(o *Optimizer, base []uint64) []uint64 {
+	var own []uint64
+	for _, k := range slices.Concat(o.pairBase, o.pairLog) {
+		if _, in := slices.BinarySearch(base, k); !in {
+			own = append(own, k)
+		}
+	}
+	slices.Sort(own)
+	return own
 }
 
 // TestRestoreSharesFrozenPairs pins the shared-memo contract (DESIGN.md
@@ -321,8 +336,8 @@ func TestSnapshotRestoreContinuesSparseIDs(t *testing.T) {
 // (D4), optimizers restored from one
 // snapshot may run concurrently without ever writing its pair slice
 // (-race is the check), and the memo a restored optimizer re-exports is
-// the base itself while nothing was combined and base ∪ overlay,
-// strictly ascending, afterwards.
+// the base itself while nothing was combined and base ∪ the pairs
+// combined since, strictly ascending, afterwards.
 func TestRestoreSharesFrozenPairs(t *testing.T) {
 	q, cfg := chain4(t), defaultConfig()
 	rM := cfg.MaxResolution()
@@ -342,9 +357,9 @@ func TestRestoreSharesFrozenPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(idle.pairMemo) != 0 || &idle.pairBase[0] != &snap.pairs[0] {
-		t.Errorf("restore built a memo of its own: %d overlay keys, base shared %v",
-			len(idle.pairMemo), &idle.pairBase[0] == &snap.pairs[0])
+	if len(idle.pairLog) != 0 || &idle.pairBase[0] != &snap.pairs[0] {
+		t.Errorf("restore built a memo of its own: %d logged keys, base shared %v",
+			len(idle.pairLog), &idle.pairBase[0] == &snap.pairs[0])
 	}
 	for r := 0; r <= rM; r++ {
 		idle.Optimize(tight, r)
@@ -353,7 +368,7 @@ func TestRestoreSharesFrozenPairs(t *testing.T) {
 		t.Errorf("re-converging the snapshot's own regime: %v", st)
 	}
 	if re := idle.Snapshot(); &re.pairs[0] != &snap.pairs[0] {
-		t.Error("re-export with an empty overlay copied the memo")
+		t.Error("re-export with an empty log copied the memo")
 	}
 	// The entry lists and their cell directories are borrowed like the
 	// memo: beyond a cold optimizer, a restore allocates an index per plan
@@ -410,15 +425,13 @@ func TestRestoreSharesFrozenPairs(t *testing.T) {
 		if !sameSignatures(resultSignatures(o, nil, rM), want) {
 			t.Errorf("restore %d diverged from the uninterrupted source", i)
 		}
+		// A re-combined base pair would appear twice, and the export
+		// would not be strictly ascending.
+		own := pairsBeyond(o, frozen)
 		re := o.Snapshot().pairs
-		if !strictlyAscending(re) || len(re) != len(frozen)+len(o.pairMemo) {
-			t.Errorf("restore %d re-exported %d pairs (strictly ascending %v), want %d base + %d overlay",
-				i, len(re), strictlyAscending(re), len(frozen), len(o.pairMemo))
-		}
-		for _, k := range frozen {
-			if _, dup := o.pairMemo[k]; dup {
-				t.Fatalf("restore %d re-combined base pair %#x", i, k)
-			}
+		if !strictlyAscending(re) || len(own) != o.Stats().PairsCombined || len(re) != len(frozen)+len(own) {
+			t.Errorf("restore %d re-exported %d pairs (strictly ascending %v), want %d base + %d combined, held %d beyond the base",
+				i, len(re), strictlyAscending(re), len(frozen), o.Stats().PairsCombined, len(own))
 		}
 	}
 }

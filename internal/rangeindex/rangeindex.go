@@ -147,7 +147,6 @@ type Index struct {
 	maxLevel   int
 	levels     []level
 	size       int
-	insertions uint64 // statistics: total inserts ever
 	img        *Image // the adopted image, until the first write (Frozen)
 
 	// tested and matched are the retrieval ledger: entries a Query or
@@ -203,11 +202,6 @@ func (ix *Index) LenUpTo(maxRes int) int {
 	}
 	return n
 }
-
-// Insertions returns the total number of entries inserted or loaded over
-// the index's lifetime (drained entries still count). Used by the
-// amortized-cost analysis tests.
-func (ix *Index) Insertions() uint64 { return ix.insertions }
 
 // Retrievals returns the index's retrieval ledger: how many entries its
 // Query and Drain calls have compared against their bound, and how many
@@ -393,7 +387,6 @@ func (ix *Index) Insert(e Entry) {
 	}
 	lv.size++
 	ix.size++
-	ix.insertions++
 }
 
 // Image is the frozen cell directory of one entry list in enumeration
@@ -471,7 +464,6 @@ func (ix *Index) Adopt(img *Image) {
 	}
 	copy(ix.levels, img.levels)
 	ix.size = len(img.entries)
-	ix.insertions += uint64(len(img.entries))
 	ix.img = img
 }
 
