@@ -9,6 +9,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/cost"
@@ -144,15 +145,27 @@ func (a *API) handleCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, map[string]string{"id": id})
 }
 
+// tpch is the TPC-H catalog synthetic queries run on. A catalog is
+// immutable once built, so every query shares the one.
+var tpch = sync.OnceValue(func() *catalog.Catalog { return catalog.TPCH(1) })
+
+// rngs recycles the generators synthetic queries are drawn with: a
+// source's state is kilobytes, and Seed resets all of it.
+var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // syntheticQuery builds the deterministic synthetic query for a
 // (tables, topology, seed) triple — the TPC-H catalog when it is large
 // enough, a seeded random catalog beyond it.
 func syntheticQuery(tables int, tp query.Topology, seed int64) (*query.Query, error) {
-	cat := catalog.TPCH(1)
+	rng := rngs.Get().(*rand.Rand)
+	defer rngs.Put(rng)
+	cat := tpch()
 	if tables > cat.NumTables() {
-		cat = catalog.Random(rand.New(rand.NewSource(seed)), tables, 100, 1e7)
+		rng.Seed(seed)
+		cat = catalog.Random(rng, tables, 100, 1e7)
 	}
-	return query.Synthetic(cat, tables, tp, rand.New(rand.NewSource(seed)))
+	rng.Seed(seed)
+	return query.Synthetic(cat, tables, tp, rng)
 }
 
 // handleStatsUpdate installs a statistics update (the same JSON shape

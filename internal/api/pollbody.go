@@ -21,7 +21,8 @@ var pollBufs = sync.Pool{New: func() any { return new([]byte) }}
 // with "drift", "provenance" and "error" only when set, strings
 // HTML-escaped, floats in ES6 form, a trailing newline. It allocates
 // nothing beyond growing dst. A non-finite cost or row estimate — which
-// JSON cannot carry — is an error.
+// JSON cannot carry — is an error. Each plan is plan.Node.AppendJSON's
+// object, copied from st.Rendered when the table holds the plan.
 func appendPollBody(dst []byte, st *service.Status) ([]byte, error) {
 	dst = append(dst, '{')
 	if st.Drift != "" {
@@ -41,31 +42,19 @@ func appendPollBody(dst []byte, st *service.Status) ([]byte, error) {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		// A rendered plan is operator names, digits and punctuation that
-		// JSON passes through unescaped.
-		dst = append(dst, `{"plan":"`...)
-		dst = p.AppendString(dst)
-		if p.Cost == nil {
-			dst = append(dst, `","cost":null`...)
-		} else {
-			dst = append(dst, `","cost":[`...)
-			for j, c := range p.Cost {
-				if j > 0 {
-					dst = append(dst, ',')
-				}
-				var ok bool
-				if dst, ok = appendJSONFloat(dst, c); !ok {
-					return dst, fmt.Errorf("api: session %s: frontier plan %d has non-finite cost %v", st.ID, i, p.Cost)
-				}
-			}
-			dst = append(dst, ']')
+		// A plan a restored session publishes from its snapshot was
+		// rendered once for every session restored from it.
+		if b, ok := st.Rendered.Lookup(p); ok {
+			dst = append(dst, b...)
+			continue
 		}
-		dst = append(dst, `,"rows":`...)
 		var ok bool
-		if dst, ok = appendJSONFloat(dst, p.Rows); !ok {
+		if dst, ok = p.AppendJSON(dst); !ok {
+			if !jsonFinite(p.Cost) {
+				return dst, fmt.Errorf("api: session %s: frontier plan %d has non-finite cost %v", st.ID, i, p.Cost)
+			}
 			return dst, fmt.Errorf("api: session %s: frontier plan %d has non-finite row estimate %v", st.ID, i, p.Rows)
 		}
-		dst = append(dst, '}')
 	}
 	dst = append(dst, `],"id":`...)
 	dst = appendJSONString(dst, st.ID)
@@ -86,27 +75,14 @@ func appendPollBody(dst []byte, st *service.Status) ([]byte, error) {
 	return append(dst, '}', '\n'), nil
 }
 
-// appendJSONFloat appends f the way encoding/json formats a float64:
-// shortest round-trip digits, exponent form below 1e-6 and from 1e21,
-// two-digit exponents trimmed of their leading zero. It reports false,
-// appending nothing, for NaN and ±Inf.
-func appendJSONFloat(dst []byte, f float64) ([]byte, bool) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return dst, false
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		// e-09 → e-9
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && (dst[n-3] == '-' || dst[n-3] == '+') && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
+// jsonFinite reports whether JSON can carry every component of c.
+func jsonFinite(c []float64) bool {
+	for _, x := range c {
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			return false
 		}
 	}
-	return dst, true
+	return true
 }
 
 const hexDigits = "0123456789abcdef"

@@ -8,12 +8,19 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
+	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/costmodel"
 	"repro/internal/plan"
+	"repro/internal/query"
 	"repro/internal/service"
+	"repro/internal/session"
 	"repro/internal/tableset"
 )
 
@@ -120,6 +127,46 @@ func checkPollBody(t *testing.T, st *service.Status) {
 	}
 }
 
+// tabled returns a copy of st whose frontier mixes, as copies of st's
+// plans, the three kinds of node a restored session publishes: plans of
+// its snapshot's skylines, which the render table holds; the session's
+// own plans, numbered above the snapshot's watermark; and foreign nodes
+// that share their ID with a table entry of other content, which must be
+// rendered, not copied. The table also holds plans the frontier does not
+// publish. It returns the number of foreign nodes.
+func tabled(rng *rand.Rand, st *service.Status) (*service.Status, int) {
+	// shared and foreign number in step, so a foreign node takes the ID
+	// of the decoy allocated beside it.
+	shared, foreign, own := plan.NewArena(), plan.NewArena(), plan.NewArenaFrom(1<<20)
+	var levels [3][]*plan.Node
+	add := func(p *plan.Node) *plan.Node {
+		q, l := shared.NewNode(*p), rng.Intn(len(levels))
+		levels[l] = append(levels[l], q)
+		return q
+	}
+	out := *st
+	out.Frontier = make([]*plan.Node, len(st.Frontier))
+	collisions := 0
+	for i, p := range st.Frontier {
+		switch rng.Intn(3) {
+		case 0:
+			out.Frontier[i] = add(p)
+			foreign.NewNode(*p)
+		case 1:
+			out.Frontier[i] = own.NewNode(*p)
+		default:
+			add(randomPlan(rng, rng.Intn(4)))
+			out.Frontier[i] = foreign.NewNode(*p)
+			collisions++
+		}
+	}
+	for n := rng.Intn(4); n > 0; n-- {
+		add(randomPlan(rng, rng.Intn(4)))
+	}
+	out.Rendered = core.NewRenderTable(levels[:])
+	return &out, collisions
+}
+
 // statusStrings are field values that need every escape encoding/json
 // applies, and the empty string that drops the optional keys.
 var statusStrings = []string{
@@ -132,11 +179,13 @@ var statusStrings = []string{
 // TestPollBodyMatchesEncodingJSON is the seeded table behind
 // FuzzPollBody: random statuses — optional fields present and absent,
 // strings that need escapes, floats across the format switches, nil cost
-// vectors, empty and wide frontiers — encode to the reference's bytes.
+// vectors, empty and wide frontiers — encode to the reference's bytes,
+// and so does each status again with a render table (tabled).
 func TestPollBodyMatchesEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
+	tableRng := rand.New(rand.NewSource(17))
 	pick := func() string { return statusStrings[rng.Intn(len(statusStrings))] }
-	encoded := 0
+	encoded, collisions := 0, 0
 	for i := 0; i < 3000; i++ {
 		st := &service.Status{
 			ID:            pick(),
@@ -160,9 +209,12 @@ func TestPollBodyMatchesEncodingJSON(t *testing.T) {
 			encoded++
 		}
 		checkPollBody(t, st)
+		withTable, n := tabled(tableRng, st)
+		checkPollBody(t, withTable)
+		collisions += n
 	}
-	if encoded < 1000 {
-		t.Errorf("only %d of 3000 statuses were encodable; the table lost its premise", encoded)
+	if encoded < 1000 || collisions < 1000 {
+		t.Errorf("only %d of 3000 statuses were encodable, with %d foreign nodes; the table lost its premise", encoded, collisions)
 	}
 }
 
@@ -191,6 +243,8 @@ func FuzzPollBody(f *testing.F) {
 			st.Frontier = append(st.Frontier, randomPlan(rng, rng.Intn(4)))
 		}
 		checkPollBody(t, st)
+		withTable, _ := tabled(rng, st)
+		checkPollBody(t, withTable)
 	})
 }
 
@@ -204,11 +258,25 @@ func TestPollNonFiniteAnswers500(t *testing.T) {
 		"cost": {Tables: tableset.Singleton(1), TableID: 1, SampleRate: 1, Rows: 10, Cost: cost.Vec(1, math.Inf(1), 0)},
 		"rows": {Tables: tableset.Singleton(1), TableID: 1, SampleRate: 1, Rows: math.NaN(), Cost: cost.Vec(1, 2, 0)},
 	} {
-		rec := httptest.NewRecorder()
-		a.writePoll(rec, &service.Status{ID: "s-1", Frontier: []*plan.Node{good, bad}})
-		var body struct{ Error string }
-		if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || body.Error == "" {
-			t.Errorf("non-finite %s: status %d, body %q (%v), want 500 with a JSON error", name, rec.Code, rec.Body, err)
+		// The bad plan in a render table as well: it gets no entry, and
+		// the poll fails as it does without one.
+		arena := plan.NewArena()
+		tabledGood, tabledBad := arena.NewNode(*good), arena.NewNode(*bad)
+		table := core.NewRenderTable([][]*plan.Node{{tabledGood, tabledBad}})
+		for _, st := range []*service.Status{
+			{ID: "s-1", Frontier: []*plan.Node{good, bad}},
+			{ID: "s-1", Frontier: []*plan.Node{tabledGood, tabledBad}, Rendered: table},
+		} {
+			rec := httptest.NewRecorder()
+			a.writePoll(rec, st)
+			var body struct{ Error string }
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil ||
+				!strings.Contains(body.Error, "non-finite") {
+				t.Errorf("non-finite %s (table %v): status %d, body %q (%v), want 500 with a JSON error", name, st.Rendered != nil, rec.Code, rec.Body, err)
+			}
+		}
+		if _, ok := table.Lookup(tabledBad); ok {
+			t.Errorf("non-finite %s: the render table holds the plan", name)
 		}
 	}
 	st := &service.Status{ID: "s-2", Query: "Q3", Resolution: 2, Frontier: []*plan.Node{good}}
@@ -243,18 +311,32 @@ func wideStatus(n int) *service.Status {
 	return st
 }
 
-// TestPollEncodeAllocFree pins the encoder's steady state: into a buffer
-// that has already grown to the body's size it allocates nothing.
-func TestPollEncodeAllocFree(t *testing.T) {
-	st := wideStatus(600)
-	buf, err := appendPollBody(nil, st)
-	if err != nil {
-		t.Fatal(err)
+// tabledWide is wideStatus(n) with every frontier plan in a render
+// table, the way a restored session that generated nothing publishes.
+func tabledWide(n int) *service.Status {
+	st := wideStatus(n)
+	arena := plan.NewArena()
+	for i, p := range st.Frontier {
+		st.Frontier[i] = arena.NewNode(*p)
 	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		buf, _ = appendPollBody(buf[:0], st)
-	}); allocs != 0 {
-		t.Errorf("encoding a 600-plan poll body allocates %.1f times per call, want 0", allocs)
+	st.Rendered = core.NewRenderTable([][]*plan.Node{st.Frontier})
+	return st
+}
+
+// TestPollEncodeAllocFree pins the encoder's steady state: into a buffer
+// that has already grown to the body's size it allocates nothing, with
+// every plan rendered and with every plan copied from a render table.
+func TestPollEncodeAllocFree(t *testing.T) {
+	for name, st := range map[string]*service.Status{"render": wideStatus(600), "table": tabledWide(600)} {
+		buf, err := appendPollBody(nil, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			buf, _ = appendPollBody(buf[:0], st)
+		}); allocs != 0 {
+			t.Errorf("%s: encoding a 600-plan poll body allocates %.1f times per call, want 0", name, allocs)
+		}
 	}
 }
 
@@ -287,8 +369,35 @@ func BenchmarkPollEncode(b *testing.B) {
 
 // BenchmarkPollBody sizes what skyline publication (DESIGN.md D20) takes
 // off a poll: one body at the 70 plans a converged 4-table chain query
-// publishes, against one at the 562 result plans it used to carry.
+// publishes, against one at the 562 result plans it used to carry. The
+// restored/ cases poll the frontier of a session restored from a
+// converged chain4 or star4 snapshot, with its plans copied from the
+// snapshot's render table (table) and rendered as a cold session's are
+// (render).
 func BenchmarkPollBody(b *testing.B) {
+	for _, tp := range []query.Topology{query.Chain, query.Star} {
+		s := restoredSessions(b, tp, 1)[0]
+		for _, mode := range []struct {
+			name  string
+			table *core.RenderTable
+		}{{"table", s.Optimizer().RenderTable()}, {"render", nil}} {
+			b.Run("restored/"+tp.String()+"4/"+mode.name, func(b *testing.B) {
+				st := &service.Status{ID: "s-4711", Query: tp.String(), State: service.AtTarget, WarmStarted: true,
+					Provenance: "exact", Resolution: s.Resolution(), Frontier: s.Frontier(), Rendered: mode.table}
+				buf, err := appendPollBody(nil, st)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					buf, _ = appendPollBody(buf[:0], st)
+				}
+				b.ReportMetric(float64(len(buf)), "B/body")
+				b.ReportMetric(float64(len(st.Frontier)), "plans")
+			})
+		}
+	}
 	for _, bc := range []struct {
 		name  string
 		plans int
@@ -306,5 +415,79 @@ func BenchmarkPollBody(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(buf)), "B/body")
 		})
+	}
+}
+
+// restoredSessions converges a 4-table query of the end-to-end
+// benchmark's shape cold, exports its snapshot, and returns n sessions
+// restored from it, each stepped through its regime as an exact-tier
+// hit steps it. No plan of theirs has been looked up in the snapshot's
+// render table yet.
+func restoredSessions(tb testing.TB, tp query.Topology, n int) []*session.Session {
+	tb.Helper()
+	cfg := core.Config{Model: costmodel.Default(), ResolutionLevels: 5, TargetPrecision: 1.01, PrecisionStep: 0.05}
+	q, err := query.Synthetic(catalog.TPCH(1), 4, tp, rand.New(rand.NewSource(11)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	src := core.MustNewOptimizer(q, cfg)
+	for r := 0; r <= cfg.MaxResolution(); r++ {
+		src.Optimize(nil, r)
+	}
+	snap := src.Snapshot()
+	out := make([]*session.Session, n)
+	for i := range out {
+		opt, err := core.NewOptimizerFromSnapshot(q, cfg, snap)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		s, err := session.NewWithOptimizer(opt, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for !s.AtMaxResolution() {
+			s.Step()
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// TestFirstPollsShareRenderTable has several goroutines make the first
+// polls of sessions restored from one snapshot at once: the render
+// table they share is built by exactly one of them while the others
+// wait for it (-race is the check), every body equals encoding/json's,
+// and every published plan is a table hit.
+func TestFirstPollsShareRenderTable(t *testing.T) {
+	for _, tp := range []query.Topology{query.Chain, query.Star} {
+		sessions := restoredSessions(t, tp, 4)
+		table := sessions[0].Optimizer().RenderTable()
+		if table == nil {
+			t.Fatal("a restored optimizer has no render table")
+		}
+		var wg sync.WaitGroup
+		for i, s := range sessions {
+			if s.Optimizer().RenderTable() != table {
+				t.Fatalf("%v: restore %d has a render table of its own", tp, i)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				st := &service.Status{ID: "s-" + strconv.Itoa(i), Query: tp.String(), State: service.AtTarget,
+					WarmStarted: true, Provenance: "exact", Resolution: s.Resolution(), Frontier: s.Frontier(), Rendered: table}
+				got, err := appendPollBody(nil, st)
+				want, wantErr := referencePollBody(st)
+				if err != nil || wantErr != nil || !bytes.Equal(got, want) {
+					t.Errorf("%v: restore %d: poll body differs from encoding/json (%v, %v)\n got %s\nwant %s", tp, i, err, wantErr, got, want)
+				}
+				for j, p := range s.Frontier() {
+					if _, ok := table.Lookup(p); !ok {
+						t.Errorf("%v: restore %d: published plan %d is not in the render table", tp, i, j)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -5,16 +5,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/metrics"
+	"repro/internal/query"
 	"repro/internal/service"
 	"repro/internal/workload"
 )
@@ -330,5 +334,50 @@ func TestScrapeDuringLoad(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "moqod_sessions_selected_total 8\n") {
 		t.Errorf("expected 8 selected sessions in final scrape")
+	}
+}
+
+// TestSyntheticQueryKeysMatchFreshCatalog pins the create path's shared
+// inputs: a synthetic query built on the one TPC-H catalog with a
+// recycled generator has the cache keys of the query built on a fresh
+// catalog with a fresh generator, over a seeded sweep of (tables,
+// topology, seed) visited in random order and twice, so that no call
+// sees the state another left behind.
+func TestSyntheticQueryKeysMatchFreshCatalog(t *testing.T) {
+	type spec struct {
+		tables int
+		tp     query.Topology
+		seed   int64
+	}
+	var specs []spec
+	for tables := 2; tables <= 10; tables++ {
+		for _, tp := range []query.Topology{query.Chain, query.Star, query.Cycle, query.Clique} {
+			for seed := int64(1); seed <= 3; seed++ {
+				specs = append(specs, spec{tables, tp, seed})
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	order := append(rng.Perm(len(specs)), rng.Perm(len(specs))...)
+	for _, i := range order {
+		sp := specs[i]
+		got, err := syntheticQuery(sp.tables, sp.tp, sp.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cat := catalog.TPCH(1)
+		if sp.tables > cat.NumTables() {
+			cat = catalog.Random(rand.New(rand.NewSource(sp.seed)), sp.tables, 100, 1e7)
+		}
+		want, err := query.Synthetic(cat, sp.tables, sp.tp, rand.New(rand.NewSource(sp.seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotCanon, gotPerm := got.CanonicalFingerprint()
+		wantCanon, wantPerm := want.CanonicalFingerprint()
+		if got.Fingerprint() != want.Fingerprint() || gotCanon != wantCanon ||
+			!slices.Equal(gotPerm, wantPerm) || got.StructuralFingerprint() != want.StructuralFingerprint() {
+			t.Fatalf("%+v: the keys differ from a fresh catalog's", sp)
+		}
 	}
 }

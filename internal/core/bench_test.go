@@ -245,10 +245,10 @@ func BenchmarkIndexAdopt(b *testing.B) {
 
 // BenchmarkReinvokeCovered is what an exact-tier hit pays in core end to
 // end: the converged snapshot restored, then the five invocations of the
-// regime it was converged for. The opening one is covered by the
-// completed-focus ledger (DESIGN.md D18), the Δ-filtered rest find no
-// fresh plan. covered/op counts the covered invocations; allocs/op is
-// the restore's alone, since none of the invocations allocates.
+// regime it was converged for. The cold convergence was an anchored
+// series, so the completed-focus ledger (DESIGN.md D18) covers all five.
+// covered/op counts the covered invocations; allocs/op is the restore's
+// alone, since none of the invocations allocates.
 func BenchmarkReinvokeCovered(b *testing.B) {
 	cfg := defaultConfig()
 	for _, shape := range benchShapes(b) {

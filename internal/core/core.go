@@ -52,6 +52,11 @@ type Optimizer struct {
 	// this optimizer's own (AppendSkylineAt, DESIGN.md D20).
 	skylines      [][]*plan.Node
 	restoredEpoch uint64
+	// frontiers[r] is the skyline of the snapshot's root result plans
+	// at levels 0..r (RestoredFrontier), and renders the render table
+	// of skylines; both shared with the snapshot.
+	frontiers [][]*plan.Node
+	renders   *RenderTable
 	// echo is the configuration echo (cfgFingerprint), rendered at the
 	// first export or taken from the snapshot a restore validated.
 	echo string
@@ -82,6 +87,14 @@ type Optimizer struct {
 	// of doneBuf, so recording never allocates.
 	done    []cost.Vector
 	doneBuf []float64
+	// anchored says that the previous invocation left the state a full
+	// walk at its focus (prevBounds, prevRes) would leave, with no
+	// result entry above level prevRes; resTop is the highest level of
+	// any result entry (-1 when there is none). A Δ-filtered invocation
+	// of an anchored series completes its focus as a full walk would,
+	// so it records too (DESIGN.md D18).
+	anchored bool
+	resTop   int
 
 	initialized bool
 	stats       Stats
@@ -162,6 +175,7 @@ func NewOptimizer(q *query.Query, cfg Config) (*Optimizer, error) {
 		arena:         plan.NewArena(),
 		done:          make([]cost.Vector, cfg.ResolutionLevels),
 		doneBuf:       make([]float64, cfg.ResolutionLevels*dim),
+		resTop:        -1,
 		unbounded:     cost.Unbounded(dim),
 		scaledScratch: cost.NewVector(dim),
 		boundScratch:  cost.NewVector(dim),
@@ -306,14 +320,23 @@ func (o *Optimizer) Optimize(b cost.Vector, r int) {
 	o.stats.Invocations++
 	o.witN = 0 // witnesses were retrieved under the previous focus
 
-	if d := o.done[r]; d != nil && b.Dominates(d) {
+	switch d := o.done[r]; {
+	case d != nil && b.Dominates(d):
 		// The ledger covers the focus: no candidate lies within it and
 		// every pair of visible result plans is in the memo, so both
-		// phases would come up empty.
+		// phases would come up empty, as a full walk's would.
 		o.stats.CoveredInvocations++
-	} else {
-		o.refine(b, r, deltaOK)
-		if !deltaOK {
+		o.anchored = o.resTop <= r
+	case !deltaOK:
+		o.refine(b, r, false)
+		o.record(r, b)
+		o.anchored = o.resTop <= r
+	default:
+		// Every old plan visible now was visible and kept under the
+		// previous focus, which an anchored series has completed, so
+		// its old × old pairs are in the memo (DESIGN.md D18).
+		o.refine(b, r, true)
+		if o.anchored {
 			o.record(r, b)
 		}
 	}
@@ -483,6 +506,44 @@ func (o *Optimizer) AppendSkylineAt(dst []*plan.Node, b cost.Vector, r int, minE
 	}
 	return append(dst[:n], pareto.Merge(dst[n:m], own)...)
 }
+
+// RestoredFrontier returns the skyline of Results(b, r), in Filter's
+// order, when the optimizer can read it off the snapshot it was restored
+// from: it holds the snapshot's level skylines and none of its own
+// result plans sits at a level ≤ r. The box {c : c ⪯ b} is down-closed,
+// so the skyline of the plans inside it is the part inside it of the
+// snapshot's skyline of levels 0..r (AppendSkylineAt's argument). When
+// b cuts no plan of that skyline, the snapshot's slice itself is
+// returned, shared and read-only; else a fresh one. ok is false when
+// the optimizer's own plans may count. Bounds may be nil for "no
+// bounds".
+func (o *Optimizer) RestoredFrontier(b cost.Vector, r int) (frontier []*plan.Node, ok bool) {
+	if r < 0 || r >= len(o.frontiers) {
+		return nil, false
+	}
+	if ix := o.res[o.q.Tables()]; ix != nil && ix.EpochWatermark(r) > o.restoredEpoch {
+		return nil, false
+	}
+	all := o.frontiers[r]
+	for i, p := range all {
+		if b == nil || p.Cost.Dominates(b) {
+			continue
+		}
+		out := append(make([]*plan.Node, 0, len(all)-1), all[:i]...)
+		for _, p := range all[i+1:] {
+			if p.Cost.Dominates(b) {
+				out = append(out, p)
+			}
+		}
+		return out, true
+	}
+	return all[:len(all):len(all)], true
+}
+
+// RenderTable returns the render table of the skylines the optimizer
+// publishes its restored plans from (AppendSkylineAt), shared with every
+// other restore of its snapshot; nil for a cold optimizer.
+func (o *Optimizer) RenderTable() *RenderTable { return o.renders }
 
 // Epoch returns the number of the most recent invocation (0 before the
 // first); the result plans it inserted carry it.

@@ -90,6 +90,29 @@ func nextFocus(rng *rand.Rand, o *Optimizer, prevB cost.Vector, prevR int) (cost
 	}
 }
 
+// nextAnchoredFocus draws the next invocation of a cold-start series
+// that stays anchored (DESIGN.md D18): repeats and tightenings at the
+// same resolution, which the ledger covers once the focus is recorded,
+// and refinements with or without a tightening, which run Δ-filtered.
+// No step relaxes the bounds or coarsens the resolution.
+func nextAnchoredFocus(rng *rand.Rand, o *Optimizer, prevB cost.Vector, prevR int) (cost.Vector, int) {
+	rM := o.cfg.MaxResolution()
+	b, r := prevB, prevR
+	if x := rng.Float64(); x < 0.2 && r < rM {
+		r++
+		if rng.Intn(2) == 0 {
+			return b, r
+		}
+	} else if x < 0.35 {
+		return b, r
+	}
+	if b == nil {
+		plans := o.Results(nil, rM)
+		return plans[rng.Intn(len(plans))].Cost.Scale(1 + 2*rng.Float64()), r
+	}
+	return b.Scale(0.6 + 0.4*rng.Float64()), r
+}
+
 // TestCoveredInvocationIsNoOp pins the exactness of the completed-focus
 // ledger: over random invocation series, an optimizer that consults the
 // ledger and one that forgets it before every call hold the same result
@@ -97,6 +120,11 @@ func nextFocus(rng *rand.Rand, o *Optimizer, prevB cost.Vector, prevR int) (cost
 // every single invocation. Only the stale-pair look-ups and the index
 // retrievals the covered invocations skipped (and the frontier reads this
 // test drives the ledger's series with), and their own count, may differ.
+//
+// Beside the random series, which anchor and lose their anchor at
+// random, run cold-start anchored series, whose Δ-filtered steps record
+// their foci, and a series whose relaxing full walk meets entries above
+// its level, which must not anchor.
 func TestCoveredInvocationIsNoOp(t *testing.T) {
 	queries := []struct {
 		name string
@@ -120,20 +148,18 @@ func TestCoveredInvocationIsNoOp(t *testing.T) {
 	if testing.Short() {
 		steps = 25
 	}
+	unanchored := 0
 	for _, qc := range queries {
 		for _, cc := range configs {
-			for seed := int64(1); seed <= 2; seed++ {
-				name := fmt.Sprintf("%s/%s/seed%d", qc.name, cc.name, seed)
-				cfg := defaultConfig()
-				cc.set(&cfg)
-				ledger, control := MustNewOptimizer(qc.q, cfg), MustNewOptimizer(qc.q, cfg)
-				rng := rand.New(rand.NewSource(seed))
-				var b cost.Vector
-				r := 0
+			cfg := defaultConfig()
+			cc.set(&cfg)
+			// run drives one series through a ledger optimizer and a
+			// control that forgets its ledger before every call;
+			// focus(ledger, step) draws the step's focus.
+			run := func(name string, steps int, focus func(ledger *Optimizer, step int) (cost.Vector, int)) (ledger, control *Optimizer) {
+				ledger, control = MustNewOptimizer(qc.q, cfg), MustNewOptimizer(qc.q, cfg)
 				for step := 0; step < steps; step++ {
-					if step > 0 {
-						b, r = nextFocus(rng, ledger, b, r)
-					}
+					b, r := focus(ledger, step)
 					ledger.Optimize(b, r)
 					clear(control.done)
 					control.Optimize(b, r)
@@ -165,16 +191,110 @@ func TestCoveredInvocationIsNoOp(t *testing.T) {
 				if !slices.Equal(ledger.exportPairs(), control.exportPairs()) {
 					t.Fatalf("%s: exported pair memos differ", name)
 				}
+				return ledger, control
+			}
+			// powered reports the series' ledger numbers and fails a
+			// series in which the ledger covered nothing or everything,
+			// or, when the series has stale look-ups to save, saved none.
+			powered := func(name string, ledger, control *Optimizer) {
 				st := ledger.Stats()
 				t.Logf("%s: %d of %d invocations covered, %d of %d stale look-ups", name, st.CoveredInvocations, st.Invocations, st.PairsSkippedStale, control.Stats().PairsSkippedStale)
 				if st.CoveredInvocations == 0 || st.CoveredInvocations == st.Invocations {
 					t.Errorf("%s: %d of %d invocations covered; the series has no power", name, st.CoveredInvocations, st.Invocations)
 				}
-				if st.PairsSkippedStale >= control.Stats().PairsSkippedStale {
+				if ctl := control.Stats().PairsSkippedStale; ctl > 0 && st.PairsSkippedStale >= ctl {
 					t.Errorf("%s: the ledger saved no look-ups (%d vs %d)", name, st.PairsSkippedStale, control.Stats().PairsSkippedStale)
 				}
 			}
+
+			for seed := int64(1); seed <= 2; seed++ {
+				name := fmt.Sprintf("%s/%s/seed%d", qc.name, cc.name, seed)
+				rng := rand.New(rand.NewSource(seed))
+				var b cost.Vector
+				r := 0
+				ledger, control := run(name, steps, func(ledger *Optimizer, step int) (cost.Vector, int) {
+					if step > 0 {
+						b, r = nextFocus(rng, ledger, b, r)
+					}
+					return b, r
+				})
+				powered(name, ledger, control)
+
+				// A cold start anchors the series: after every
+				// invocation the ledger covers its focus, so repeats and
+				// tightenings at one level are covered.
+				name = fmt.Sprintf("%s/%s/anchored%d", qc.name, cc.name, seed)
+				b, r = nil, 0
+				refined := 0
+				ledger, control = run(name, steps, func(ledger *Optimizer, step int) (cost.Vector, int) {
+					if step > 0 {
+						bb := b
+						if bb == nil {
+							bb = ledger.unbounded
+						}
+						if d := ledger.done[r]; d == nil || !bb.Dominates(d) {
+							t.Fatalf("%s step %d: the ledger does not cover the anchored focus (%v, r%d): done[%d] = %v", name, step-1, b, r, r, d)
+						}
+						prevR := r
+						b, r = nextAnchoredFocus(rng, ledger, b, r)
+						if r > prevR {
+							refined++
+						}
+					}
+					return b, r
+				})
+				powered(name, ledger, control)
+				if refined == 0 {
+					t.Errorf("%s: the series never refined", name)
+				}
+			}
+
+			// A relaxing walk on a state that holds entries above its
+			// level does not anchor: the refinement after it runs
+			// Δ-filtered and records nothing. A scout runs the sweep
+			// first: where it leaves no entry above level 0, the walk
+			// would anchor rightly, and the series is skipped.
+			name := fmt.Sprintf("%s/%s/unanchored", qc.name, cc.name)
+			rM := cfg.MaxResolution()
+			scout := MustNewOptimizer(qc.q, cfg)
+			scout.Optimize(nil, 0)
+			tight := componentMedian(scout, 0)
+			scout = MustNewOptimizer(qc.q, cfg)
+			for r := 0; r <= rM; r++ {
+				scout.Optimize(tight, r)
+			}
+			if scout.resTop == 0 {
+				t.Logf("%s: the sweep left no entry above level 0; skipped", name)
+				continue
+			}
+			unanchored++
+			relaxed := tight.Scale(4)
+			ledger, _ := run(name, rM+3, func(ledger *Optimizer, step int) (cost.Vector, int) {
+				switch {
+				case step <= rM:
+					return tight, step
+				case step == rM+1:
+					if got := recorded(ledger); len(got) != rM+1 {
+						t.Fatalf("%s: the anchored sweep recorded levels %v, want all %d", name, got, rM+1)
+					}
+					return relaxed, 0
+				default:
+					if ledger.stats.CoveredInvocations != 0 {
+						t.Fatalf("%s: the relaxing step was covered; the series lost its premise", name)
+					}
+					if ledger.anchored {
+						t.Fatalf("%s: a walk below entries at level %d anchored the series", name, ledger.resTop)
+					}
+					return relaxed, 1
+				}
+			})
+			if d := ledger.done[1]; d != nil && d.Equal(relaxed) && !cfg.DisableDeltaFilter {
+				t.Errorf("%s: the unanchored refinement recorded its focus", name)
+			}
 		}
+	}
+	if unanchored == 0 {
+		t.Error("no configuration left entries above level 0; the unanchored series never ran")
 	}
 }
 

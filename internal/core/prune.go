@@ -87,6 +87,7 @@ func (o *Optimizer) prune(sub tableset.Set, b cost.Vector, r int, p *plan.Node, 
 		o.stats.CandidateInserts++
 	default:
 		o.stats.ResultInserts++
+		o.resTop = max(o.resTop, resolution)
 	}
 	if scratch {
 		p = o.materialize(p)

@@ -21,8 +21,10 @@ import (
 // seeded random bounds, every resolution and the epochs a session asks
 // for (0 and the current one), plus one that splits the restored plans
 // (the path without the snapshot's skylines). It appends to a non-empty
-// prefix, which must stay as it was.
-func checkSkylineAt(t *testing.T, o *core.Optimizer, rng *rand.Rand) {
+// prefix, which must stay as it was. Where RestoredFrontier answers, it
+// must give the skyline of Results too; checkSkylineAt returns how often
+// it answered.
+func checkSkylineAt(t *testing.T, o *core.Optimizer, rng *rand.Rand) (restored int) {
 	t.Helper()
 	rM := o.Config().MaxResolution()
 	all := o.Results(nil, rM)
@@ -50,6 +52,13 @@ func checkSkylineAt(t *testing.T, o *core.Optimizer, rng *rand.Rand) {
 	prefix := []*plan.Node{all[0]}
 	for _, b := range bounds {
 		for r := 0; r <= rM; r++ {
+			if got, ok := o.RestoredFrontier(b, r); ok {
+				restored++
+				if want := pareto.Filter(o.Results(b, r)); !slices.Equal(got, want) {
+					t.Fatalf("bounds %v, r %d: RestoredFrontier gives %v, the skyline of Results %v",
+						b, r, pareto.Vectors(got), pareto.Vectors(want))
+				}
+			}
 			for _, e := range epochs {
 				want := pareto.Filter(o.AppendResultsAt(nil, b, r, e))
 				got := o.AppendSkylineAt(slices.Clone(prefix), b, r, e)
@@ -60,6 +69,7 @@ func checkSkylineAt(t *testing.T, o *core.Optimizer, rng *rand.Rand) {
 			}
 		}
 	}
+	return restored
 }
 
 // TestSkylineAtMatchesFilter pins an optimizer's publication input
@@ -107,9 +117,11 @@ func TestSkylineAtMatchesFilter(t *testing.T) {
 		t.Run(tc.name+"/cold", func(t *testing.T) {
 			o := core.MustNewOptimizer(tc.q, tc.cfg)
 			converge(o)
-			checkSkylineAt(t, o, rng)
+			n := checkSkylineAt(t, o, rng)
 			drag(o)
-			checkSkylineAt(t, o, rng)
+			if n += checkSkylineAt(t, o, rng); n != 0 {
+				t.Fatalf("a cold optimizer read %d frontiers off a snapshot", n)
+			}
 		})
 	}
 
@@ -135,7 +147,9 @@ func TestSkylineAtMatchesFilter(t *testing.T) {
 			}
 			before := o.Stats()
 			o.Optimize(nil, 0)
-			checkSkylineAt(t, o, rng)
+			if checkSkylineAt(t, o, rng) == 0 {
+				t.Fatal("a fresh restore read no frontier off its snapshot")
+			}
 			converge(o)
 			checkSkylineAt(t, o, rng)
 			drag(o)

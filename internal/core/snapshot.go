@@ -77,6 +77,16 @@ type Snapshot struct {
 	// whose root list is the one it was restored from carries them.
 	skylines [][]*plan.Node
 	skyRoot  tableset.Set
+	// frontiers[r] is the skyline of the root result plans at levels
+	// 0..r, the merge of skylines[0..r]: what a restore that generated
+	// nothing publishes at r. renders is the render table of skylines,
+	// filled at its first lookup. Both are built and travel with
+	// skylines.
+	frontiers [][]*plan.Node
+	renders   *RenderTable
+	// resTop is the highest level of any result entry (-1 when there
+	// is none), found under frozen: a restore's Optimizer.resTop.
+	resTop int
 
 	// done is the source's completed-focus ledger (Optimizer.done): one
 	// slot per resolution level, nil where nothing is recorded. Never
@@ -197,17 +207,20 @@ func (o *Optimizer) Snapshot() *Snapshot {
 	s.resImg = collect(o.res, s.res)
 	s.candImg = collect(o.cand, s.cand)
 	if root := o.q.Tables(); s.resImg[root] != nil && o.skylines != nil {
-		s.skylines, s.skyRoot = o.skylines, root
+		s.skylines, s.skyRoot, s.frontiers, s.renders = o.skylines, root, o.frontiers, o.renders
 	}
 	return s
 }
 
-// derived returns the frozen cell directories of the snapshot's plan
-// sets and the per-level skylines of its root result list, building
-// them at the first call at the geometry of the restoring optimizer o
-// (the configuration echo fixes it for every restore). A list whose
-// image an export carried over keeps it, and so do carried skylines.
-func (s *Snapshot) derived(o *Optimizer) (res, cand map[tableset.Set]*rangeindex.Image, skylines [][]*plan.Node, root tableset.Set) {
+// derive builds, at its first call, the frozen cell directories of
+// the snapshot's plan sets (resImg, candImg), the per-level skylines of
+// its root result list (skylines, skyRoot) with their prefix skylines
+// (frontiers) and render table (renders, empty until a poll needs it)
+// and resTop, at the geometry
+// of the restoring optimizer o (the configuration echo fixes it for
+// every restore). A list whose image an export carried over keeps it,
+// and so do carried skylines. The fields are read-only once it returns.
+func (s *Snapshot) derive(o *Optimizer) {
 	s.frozen.Do(func() {
 		ix := o.newIndex()
 		freeze := func(lists map[tableset.Set][]rangeindex.Entry, carried map[tableset.Set]*rangeindex.Image) map[tableset.Set]*rangeindex.Image {
@@ -223,14 +236,26 @@ func (s *Snapshot) derived(o *Optimizer) (res, cand map[tableset.Set]*rangeindex
 		}
 		s.resImg = freeze(s.res, s.resImg)
 		s.candImg = freeze(s.cand, s.candImg)
+		s.resTop = -1
+		for _, entries := range s.res {
+			for _, e := range entries {
+				s.resTop = max(s.resTop, e.Resolution)
+			}
+		}
 		if s.skylines == nil {
 			for sub := range s.res {
 				s.skyRoot = s.skyRoot.Union(sub)
 			}
 			s.skylines = levelSkylines(s.res[s.skyRoot], o.cfg.MaxResolution()+1)
+			s.frontiers = make([][]*plan.Node, len(s.skylines))
+			var f []*plan.Node
+			for r, level := range s.skylines {
+				f = pareto.Merge(f, level)
+				s.frontiers[r] = f
+			}
+			s.renders = NewRenderTable(s.skylines)
 		}
 	})
-	return s.resImg, s.candImg, s.skylines, s.skyRoot
 }
 
 // levelSkylines returns, for each of the given number of levels, the
@@ -458,7 +483,7 @@ func NewOptimizerFromSnapshot(q *query.Query, cfg Config, s *Snapshot) (*Optimiz
 	// snapshot's list, and copies a directory or a cell before it
 	// changes one (DESIGN.md D4). A list out of enumeration order (a
 	// re-costed snapshot's) has no image and is inserted entry by entry.
-	resImg, candImg, skylines, root := s.derived(o)
+	s.derive(o)
 	restore := func(src map[tableset.Set][]rangeindex.Entry, imgs map[tableset.Set]*rangeindex.Image, dst func(tableset.Set) *rangeindex.Index) {
 		for sub, entries := range src {
 			ix := dst(sub)
@@ -471,8 +496,8 @@ func NewOptimizerFromSnapshot(q *query.Query, cfg Config, s *Snapshot) (*Optimiz
 			}
 		}
 	}
-	restore(s.res, resImg, o.resFor)
-	restore(s.cand, candImg, o.candFor)
+	restore(s.res, s.resImg, o.resFor)
+	restore(s.cand, s.candImg, o.candFor)
 	// The memo is shared, not copied: the snapshot's ascending pairs
 	// become the base, and pairs this optimizer combines go to its own
 	// (still empty) log.
@@ -480,9 +505,11 @@ func NewOptimizerFromSnapshot(q *query.Query, cfg Config, s *Snapshot) (*Optimiz
 	o.epoch = s.epoch
 	// Every entry of the root list carries an epoch up to the
 	// snapshot's: later ones are this optimizer's own.
-	if root == q.Tables() {
-		o.skylines, o.restoredEpoch = skylines, s.epoch
+	if s.skyRoot == q.Tables() {
+		o.skylines, o.restoredEpoch = s.skylines, s.epoch
+		o.frontiers, o.renders = s.frontiers, s.renders
 	}
+	o.resTop = s.resTop
 	o.prevBounds = append([]float64(nil), s.prevBounds...)
 	o.prevRes = s.prevRes
 	// The ledger is copied into this optimizer's own buffer: recording

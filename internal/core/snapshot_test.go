@@ -364,7 +364,9 @@ func TestRestoreSharesFrozenPairs(t *testing.T) {
 	for r := 0; r <= rM; r++ {
 		idle.Optimize(tight, r)
 	}
-	if st := idle.Stats(); st.PairsCombined != 0 || st.CoveredInvocations == 0 {
+	// The source's regime was anchored by its unbounded first walk, so
+	// the ledger covers every step of it.
+	if st := idle.Stats(); st.PairsCombined != 0 || st.CoveredInvocations != rM+1 {
 		t.Errorf("re-converging the snapshot's own regime: %v", st)
 	}
 	if re := idle.Snapshot(); &re.pairs[0] != &snap.pairs[0] {
@@ -407,6 +409,10 @@ func TestRestoreSharesFrozenPairs(t *testing.T) {
 			}
 			for r := 1; r <= rM; r++ {
 				o.Optimize(nil, r)
+			}
+			// Only the bounded foci above level 0 are recorded.
+			if st := o.Stats(); st.CoveredInvocations != 1 {
+				t.Errorf("the relax was covered beyond its opening step: %v", st)
 			}
 		}()
 	}

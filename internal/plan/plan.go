@@ -12,6 +12,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -257,6 +258,63 @@ func (n *Node) AppendString(dst []byte) []byte {
 	dst = append(dst, ", "...)
 	dst = n.Right.AppendString(dst)
 	return append(dst, ')')
+}
+
+// AppendJSON appends the plan as the JSON object a poll body carries
+// for it, {"plan":"<String>","cost":[…],"rows":…}, byte for byte what
+// encoding/json writes for that struct: a nil cost vector as null,
+// numbers as shortest round-trip floats in ES6 form. A rendered plan is
+// operator names, digits and punctuation that JSON passes through
+// unescaped. A non-finite cost component or row estimate, which JSON
+// cannot carry, appends nothing and reports false.
+func (n *Node) AppendJSON(dst []byte) ([]byte, bool) {
+	start := len(dst)
+	dst = append(dst, `{"plan":"`...)
+	dst = n.AppendString(dst)
+	if n.Cost == nil {
+		dst = append(dst, `","cost":null`...)
+	} else {
+		dst = append(dst, `","cost":[`...)
+		for j, c := range n.Cost {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			var ok bool
+			if dst, ok = appendJSONFloat(dst, c); !ok {
+				return dst[:start], false
+			}
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"rows":`...)
+	dst, ok := appendJSONFloat(dst, n.Rows)
+	if !ok {
+		return dst[:start], false
+	}
+	return append(dst, '}'), true
+}
+
+// appendJSONFloat appends f the way encoding/json formats a float64:
+// shortest round-trip digits, exponent form below 1e-6 and from 1e21,
+// two-digit exponents trimmed of their leading zero. It reports false,
+// appending nothing, for NaN and ±Inf.
+func appendJSONFloat(dst []byte, f float64) ([]byte, bool) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return dst, false
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 → e-9
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && (dst[n-3] == '-' || dst[n-3] == '+') && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst, true
 }
 
 // Indented renders the plan as a multi-line tree for CLI display.

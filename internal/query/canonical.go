@@ -40,9 +40,15 @@ import (
 // can only cost completeness (two isomorphic queries hashing apart, a
 // missed cache hit, never a wrong one).
 //
-// Not on any refinement hot path: the service computes it once per
-// session creation.
+// Both are computed at the first call and remembered; every call
+// returns the same permutation, which callers share and must not write.
 func (q *Query) CanonicalFingerprint() (string, []int) {
+	q.canonOnce.Do(func() { q.canonFp, q.perm = q.canonical() })
+	return q.canonFp, q.perm
+}
+
+// canonical computes CanonicalFingerprint's digest and permutation.
+func (q *Query) canonical() (string, []int) {
 	c := newCanonicalizer(q)
 	c.search(c.initial())
 	perm := make([]int, tableset.MaxTables)

@@ -25,7 +25,15 @@ import (
 // Cross-shape reuse — sharing state between queries that are the same
 // join graph under a table-ID permutation — goes through
 // CanonicalFingerprint plus core.Snapshot.Remap instead.
+//
+// The digest is computed at the first call and remembered.
 func (q *Query) Fingerprint() string {
+	q.fpOnce.Do(func() { q.fp = q.fingerprint() })
+	return q.fp
+}
+
+// fingerprint computes Fingerprint's digest.
+func (q *Query) fingerprint() string {
 	var buf [1024]byte
 	return hashText(q.appendFingerprint(buf[:0]))
 }

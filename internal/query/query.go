@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/tableset"
@@ -38,6 +39,13 @@ type Query struct {
 	edges    []JoinEdge
 	filters  map[int]float64 // table ID → filter selectivity (0,1]
 	edgesFor map[int][]int   // table ID → indices into edges
+
+	// The three cache keys, each computed at its first call: only New
+	// and its options write the fields they digest, so a query that is
+	// reused across sessions (a TPC-H block) is hashed once.
+	fpOnce, canonOnce, structOnce sync.Once
+	fp, canonFp, structFp         string
+	perm                          []int
 }
 
 // Option configures a query under construction.

@@ -20,7 +20,14 @@ import (
 // routes to re-cost, resumed refinement, or quarantine
 // (core.Snapshot.ClassifyDrift). Table names are included so two
 // different catalogs that happen to assign the same IDs do not collide.
+// The digest is computed at the first call and remembered.
 func (q *Query) StructuralFingerprint() string {
+	q.structOnce.Do(func() { q.structFp = q.structural() })
+	return q.structFp
+}
+
+// structural computes StructuralFingerprint's digest.
+func (q *Query) structural() string {
 	var buf [512]byte
 	return hashText(q.appendStructural(buf[:0]))
 }

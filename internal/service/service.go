@@ -342,6 +342,10 @@ type Status struct {
 	// detached copy for exactly this reason); callers serializing to a
 	// wire format (moqod) are unaffected.
 	Frontier []*plan.Node
+	// Rendered holds the rendered JSON of the plans the session
+	// publishes from its snapshot, shared by every session restored from
+	// it (core.RenderTable); nil for a cold session.
+	Rendered *core.RenderTable
 	// FirstFrontier is the creation→first-non-empty-frontier latency
 	// (0 until one exists).
 	FirstFrontier time.Duration
@@ -779,7 +783,7 @@ func (s *Service) Create(q *query.Query) (string, error) {
 		s.driftCounts[st.drift].Add(1)
 	}
 	now := time.Now()
-	id := fmt.Sprintf("s-%d", s.nextID.Add(1))
+	id := "s-" + strconv.FormatUint(s.nextID.Add(1), 10)
 	m := &managed{
 		id:         id,
 		key:        k,
@@ -1052,6 +1056,7 @@ func (m *managed) statusLocked() Status {
 		Steps:         m.steps,
 		Bounds:        m.sess.Bounds(),
 		Frontier:      m.sess.Frontier(),
+		Rendered:      m.sess.Optimizer().RenderTable(),
 		FirstFrontier: m.firstFrontier,
 		MaxStepGap:    m.maxStepGap,
 		Err:           m.failErr,

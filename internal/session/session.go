@@ -261,6 +261,11 @@ func (s *Session) Step() []*plan.Node {
 func (s *Session) publish(newLevel bool) []*plan.Node {
 	prev, minEpoch := s.frontier, s.opt.Epoch()
 	if newLevel {
+		// A restored optimizer that generated nothing up to level r
+		// publishes its snapshot's skyline of levels 0..r.
+		if f, ok := s.opt.RestoredFrontier(s.bounds, s.res); ok {
+			return f
+		}
 		minEpoch = 0
 	}
 	s.delta = s.opt.AppendSkylineAt(s.delta[:0], s.bounds, s.res, minEpoch)

@@ -167,8 +167,10 @@ func TestRestoredReexportMatchesUnsharedControl(t *testing.T) {
 		for r := 1; r <= rM; r++ {
 			opt.Optimize(nil, r)
 		}
-		if st := opt.Stats(); st.PairsCombined == 0 {
-			t.Fatal("the relax combined no pairs; the test lost its premise")
+		// The source's anchored series recorded its bounded foci; the
+		// unbounded ones above level 0 are this regime's to walk.
+		if st := opt.Stats(); st.PairsCombined == 0 || st.CoveredInvocations != 1 {
+			t.Fatalf("the relax combined no pairs, or more than its opening step was covered; the test lost its premise: %v", st)
 		}
 		re, err := Encode(nil, opt.Snapshot())
 		if err != nil {
@@ -299,6 +301,12 @@ func TestLedgerSurvivesCodec(t *testing.T) {
 	if len(want) != cfg.ResolutionLevels || want[0] == nil || !math.IsInf(want[0][0], 1) {
 		t.Fatalf("source ledger %v does not record the unbounded opening focus", want)
 	}
+	// The cold convergence is an anchored series: every level records.
+	for r, d := range want {
+		if d == nil || !math.IsInf(d[0], 1) {
+			t.Fatalf("source ledger %v does not record the unbounded focus at level %d", want, r)
+		}
+	}
 	data, err := Encode(nil, snap)
 	if err != nil {
 		t.Fatal(err)
@@ -323,6 +331,12 @@ func TestLedgerSurvivesCodec(t *testing.T) {
 	opt.Optimize(nil, 0)
 	if st := opt.Stats(); st.CoveredInvocations != 1 || st.PairsSkippedStale != 0 {
 		t.Errorf("the decoded record's opening step was not covered: %v", st)
+	}
+	for r := 1; r <= cfg.MaxResolution(); r++ {
+		opt.Optimize(nil, r)
+	}
+	if st := opt.Stats(); st.CoveredInvocations != cfg.ResolutionLevels || st.PairsSkippedStale != 0 {
+		t.Errorf("the decoded record's regime was not covered at every step: %v", st)
 	}
 
 	at := ledgerOffset(t, data)
@@ -522,5 +536,61 @@ func BenchmarkDecode(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestRestoredRegimeIsCovered pins what an exact-tier hit costs in
+// core: a converged chain4 or star4 snapshot — as exported, decoded,
+// and re-exported by an optimizer restored from it — restores into an
+// optimizer whose whole regime r = 0 … r_M is covered by the ledger
+// the cold convergence recorded (DESIGN.md D18), generating nothing.
+func TestRestoredRegimeIsCovered(t *testing.T) {
+	cfg := testConfig(5)
+	rM := cfg.MaxResolution()
+	for _, shape := range []struct {
+		name string
+		tp   query.Topology
+		seed int64
+	}{{"chain4", query.Chain, 11}, {"star4", query.Star, 12}} {
+		q, err := query.Synthetic(catalog.TPCH(1), 4, shape.tp, rand.New(rand.NewSource(shape.seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := core.MustNewOptimizer(q, cfg)
+		for r := 0; r <= rM; r++ {
+			src.Optimize(nil, r)
+		}
+		snap := src.Snapshot()
+		data, err := Encode(nil, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// regime restores s and runs the regime it was converged for.
+		regime := func(s *core.Snapshot) *core.Optimizer {
+			t.Helper()
+			o, err := core.NewOptimizerFromSnapshot(q, cfg, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r <= rM; r++ {
+				o.Optimize(nil, r)
+			}
+			return o
+		}
+		reexported := regime(snap).Snapshot()
+		for _, from := range []struct {
+			name string
+			snap *core.Snapshot
+		}{{"exact", snap}, {"decoded", decoded}, {"reexported", reexported}} {
+			st := regime(from.snap).Stats()
+			if st.Invocations != rM+1 || st.CoveredInvocations != rM+1 || st.PlansGenerated != 0 ||
+				st.PairsSkippedStale != 0 || st.CandidateRetrievals != 0 {
+				t.Errorf("%s/%s: the restored regime was not covered at every step: %v", shape.name, from.name, st)
+			}
+		}
 	}
 }
