@@ -21,8 +21,6 @@
 //	moqod -addr :8080 -cache-dir /var/moqod  # …with warm starts surviving restarts
 //	moqod -addr :8081 -cache-dir /var/moqod2 -bootstrap-peer 127.0.0.1:8080
 //	                                      # …warm state pulled from a peer
-//	moqod -loadgen -target-addr 127.0.0.1:8080 -failover-addr 127.0.0.1:8081
-//	                                      # drive over HTTP with drain-aware failover
 //
 // API sketch (all JSON):
 //
@@ -110,37 +108,16 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persist warm-start snapshots under this directory (survives restarts; empty disables)")
 	bootstrapPeer := flag.String("bootstrap-peer", "", "pull the snapshot store from this peer's /admin/store export before serving (requires -cache-dir; falls back to cold start on failure)")
 	drainGrace := flag.Duration("drain-grace", 30*time.Second, "drain: how long in-flight sessions get to converge before being checkpointed")
-	seed := flag.Int64("seed", 1, "seed for synthetic queries and the load generator's block choice")
+	seed := flag.Int64("seed", 1, "seed for synthetic queries")
 	sf := flag.Float64("sf", 1, "TPC-H scale factor for -block queries")
 	statsFile := flag.String("stats-file", "", "apply a catalog statistics update (JSON StatsUpdate) at boot; SIGHUP re-reads it")
 	driftThreshold := flag.Float64("drift-threshold", 0, "relative stats change separating small (re-cost in place) from large (resume refinement) drift (0 = default 0.5)")
-	loadgen := flag.Bool("loadgen", false, "drive the moqod node at -target-addr over HTTP instead of serving")
-	targetAddr := flag.String("target-addr", "", "loadgen: the moqod node to drive (required with -loadgen)")
-	failoverAddr := flag.String("failover-addr", "", "loadgen: second node to retry against when the target drains or dies")
-	sessions := flag.Int("sessions", 64, "loadgen: concurrent sessions to drive")
-	total := flag.Int("requests", 0, "loadgen: total sessions to run (0 = 3× -sessions)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiles under /debug/pprof/")
 	slowSession := flag.Duration("slow-session", 0, "log the lifecycle trace of sessions slower than this end to end (0 disables)")
 	flag.Parse()
 
 	if *bootstrapPeer != "" && *cacheDir == "" {
 		fail(fmt.Errorf("-bootstrap-peer requires -cache-dir (nowhere to install the pulled store)"))
-	}
-
-	if *loadgen {
-		if *targetAddr == "" {
-			fail(fmt.Errorf("-loadgen requires -target-addr (the moqod node to drive over HTTP)"))
-		}
-		// The loadgen needs no local service at all — it exercises a
-		// running node (or a draining/failing-over pair) from outside.
-		n := *total
-		if n <= 0 {
-			n = 3 * *sessions
-		}
-		if err := runHTTPLoadgen(*targetAddr, *failoverAddr, *sessions, n, *sf, *seed); err != nil {
-			fail(err)
-		}
-		return
 	}
 
 	// The structured event log replaces ad-hoc log.Printf across the
@@ -195,9 +172,9 @@ func main() {
 		}
 	}
 
-	// Serving mode: the HTTP surface comes up first, in the Bootstrapping
-	// phase, so /healthz answers (and /readyz says "not yet") while the
-	// node pulls peer state and builds the service.
+	// The HTTP surface comes up first, in the Bootstrapping phase, so
+	// /healthz answers (and /readyz says "not yet") while the node pulls
+	// peer state and builds the service.
 	a := api.New(api.Config{
 		SF:         *sf,
 		Seed:       *seed,

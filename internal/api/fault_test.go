@@ -1,8 +1,10 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -166,11 +168,9 @@ func TestSelectStatusCodes(t *testing.T) {
 		}
 	})
 	type pollState struct {
-		State    string `json:"state"`
-		Steps    int    `json:"steps"`
-		Frontier []struct {
-			Plan string `json:"plan"`
-		} `json:"frontier"`
+		State    string     `json:"state"`
+		Steps    int        `json:"steps"`
+		Frontier []planJSON `json:"frontier"`
 	}
 	// settle creates a session and polls it until it stops refining.
 	settle := func(want string) (string, pollState) {
@@ -222,17 +222,29 @@ func TestSelectStatusCodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 		var body struct {
 			Error string `json:"error"`
 			Plan  string `json:"plan"`
 		}
-		err = json.NewDecoder(resp.Body).Decode(&body)
-		resp.Body.Close()
+		err = json.Unmarshal(raw, &body)
 		if resp.StatusCode != tc.want || err != nil {
 			t.Errorf("%s: status %d (%v), want %d; error %q", tc.name, resp.StatusCode, err, tc.want, body.Error)
 		}
-		if tc.want == http.StatusOK && body.Plan != st.Frontier[len(st.Frontier)-1].Plan {
-			t.Errorf("%s: selected %q, the poll showed %q", tc.name, body.Plan, st.Frontier[len(st.Frontier)-1].Plan)
+		if tc.want == http.StatusOK {
+			// The selected plan is the poll's last one, in the bytes
+			// encoding/json writes for it.
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(st.Frontier[len(st.Frontier)-1]); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(raw, want.Bytes()) {
+				t.Errorf("%s: select body %q, encoding/json writes %q", tc.name, raw, want.Bytes())
+			}
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/cost"
 	"repro/internal/eventlog"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/service"
 	"repro/internal/store"
@@ -209,12 +210,6 @@ func parseTopology(s string) (query.Topology, error) {
 	}
 }
 
-type planJSON struct {
-	Plan string    `json:"plan"`
-	Cost []float64 `json:"cost"`
-	Rows float64   `json:"rows"`
-}
-
 func (a *API) handlePoll(w http.ResponseWriter, r *http.Request) {
 	svc, ok := a.ensureService(w)
 	if !ok {
@@ -238,13 +233,18 @@ func (a *API) writePoll(w http.ResponseWriter, st *service.Status) {
 		writeErr(w, http.StatusInternalServerError, err)
 	} else {
 		a.pollBytes.Observe(int64(len(body)))
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(body) // a failed write means the client went away
+		writeBody(w, body)
 	}
 	*buf = body
 	pollBufs.Put(buf)
+}
+
+// writeBody answers 200 with a JSON body in one write of known length.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // a failed write means the client went away
 }
 
 func (a *API) handleBounds(w http.ResponseWriter, r *http.Request) {
@@ -309,7 +309,20 @@ func (a *API) handleSelect(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, planJSON{Plan: p.String(), Cost: p.Cost, Rows: p.Rows})
+	writeSelected(w, r.PathValue("id"), p)
+}
+
+// writeSelected answers a select with the plan as a poll body carries
+// it (plan.Node.AppendJSON) and encoding/json's trailing newline. A
+// plan JSON cannot carry is a 500 with a JSON error, as in a poll.
+func writeSelected(w http.ResponseWriter, id string, p *plan.Node) {
+	body, ok := p.AppendJSON(make([]byte, 0, 256))
+	if !ok {
+		writeErr(w, http.StatusInternalServerError,
+			fmt.Errorf("api: session %s: selected plan has non-finite cost %v or row estimate %v", id, p.Cost, p.Rows))
+		return
+	}
+	writeBody(w, append(body, '\n'))
 }
 
 func (a *API) handleClose(w http.ResponseWriter, r *http.Request) {

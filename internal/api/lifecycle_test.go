@@ -3,12 +3,16 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -374,6 +378,170 @@ func TestHandoffEndToEnd(t *testing.T) {
 	}
 	if _, err := svcJoiner.Create(mustBlock(t, "Q12")); err != nil {
 		t.Errorf("joiner refused a create during donor drain: %v", err)
+	}
+}
+
+// drainClient is a drain-aware client of a pair of nodes, the policy a
+// client follows across a handoff. A 429 means "this node, later": the
+// create retries in place with jittered backoff. A 503 (draining or
+// bootstrapping) or a connection error means "not this node": new
+// creates move to the other node. Sessions stay on the node that
+// created them, since a drained node keeps answering polls for its
+// sessions.
+type drainClient struct {
+	nodes     [2]string // base URLs
+	preferred atomic.Int32
+	client    *http.Client
+}
+
+func (c *drainClient) do(method, url string, body []byte) (int, []byte, error) {
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, err
+	}
+	resp, err := c.client.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, data, err
+}
+
+// create posts a create for block and returns the node that took it
+// and the session's ID; any status the policy does not absorb is an
+// error.
+func (c *drainClient) create(block string, rng *rand.Rand) (int, string, error) {
+	backoff := 5 * time.Millisecond
+	body := []byte(`{"block":"` + block + `"}`)
+	for tries := 0; tries < 100; tries++ {
+		node := int(c.preferred.Load())
+		status, resp, err := c.do(http.MethodPost, c.nodes[node]+"/sessions", body)
+		switch {
+		case err == nil && status == http.StatusCreated:
+			var out struct {
+				ID string `json:"id"`
+			}
+			if err := json.Unmarshal(resp, &out); err != nil || out.ID == "" {
+				return node, "", fmt.Errorf("create %s: bad response %q", block, resp)
+			}
+			return node, out.ID, nil
+		case err == nil && status == http.StatusTooManyRequests:
+			// Overload passes; stay on this node.
+		case err != nil || status == http.StatusServiceUnavailable:
+			c.preferred.CompareAndSwap(int32(node), int32(1-node))
+		default:
+			return node, "", fmt.Errorf("create %s: status %d: %s", block, status, resp)
+		}
+		time.Sleep(backoff/2 + time.Duration(rng.Int63n(int64(backoff))))
+		backoff = min(2*backoff, time.Second)
+	}
+	return 0, "", fmt.Errorf("create %s: gave up", block)
+}
+
+// finish polls session id on node to its target and deletes it.
+func (c *drainClient) finish(node int, id string) error {
+	url := c.nodes[node] + "/sessions/" + id
+	deadline := time.Now().Add(time.Minute)
+	for time.Now().Before(deadline) {
+		status, resp, err := c.do(http.MethodGet, url, nil)
+		if err != nil || status != http.StatusOK {
+			return fmt.Errorf("poll %s: status %d: %v %s", id, status, err, resp)
+		}
+		var st struct {
+			State string `json:"state"`
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(resp, &st); err != nil {
+			return fmt.Errorf("poll %s: %v", id, err)
+		}
+		switch st.State {
+		case "at-target":
+			if status, resp, err := c.do(http.MethodDelete, url, nil); err != nil || status != http.StatusOK {
+				return fmt.Errorf("delete %s: status %d: %v %s", id, status, err, resp)
+			}
+			return nil
+		case "failed", "expired", "timed-out":
+			return fmt.Errorf("session %s ended %s: %s", id, st.State, st.Error)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	return fmt.Errorf("session %s: target not reached in time", id)
+}
+
+// TestHandoffDrainUnderLoad drains a donor while drain-aware clients
+// drive the donor and a second node over HTTP: no client sees an error,
+// the donor reaches drained with no failed session, and the second node
+// takes the creates that failed over. The drain starts right after the
+// donor's drainAfter-th create, and that session is polled only once
+// the drain has finished, so at least one session is live on the donor
+// throughout it.
+func TestHandoffDrainUnderLoad(t *testing.T) {
+	const clients, sessions, drainAfter = 6, 36, 8
+	aDonor, _, tsDonor := newNode(t, t.TempDir())
+	_, _, tsJoiner := newNode(t, t.TempDir())
+	c := &drainClient{nodes: [2]string{tsDonor.URL, tsJoiner.URL}, client: &http.Client{Timeout: 30 * time.Second}}
+	blocks := []string{"Q3", "Q4", "Q12", "Q14"}
+
+	var donorCreates, done atomic.Int32
+	work := make(chan string)
+	var wg sync.WaitGroup
+	for w := 0; w < clients; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for block := range work {
+				node, id, err := c.create(block, rng)
+				if err != nil {
+					t.Error(err)
+					continue
+				}
+				if node == 0 && donorCreates.Add(1) == drainAfter {
+					if status, resp, err := c.do(http.MethodPost, tsDonor.URL+"/admin/drain", nil); err != nil || status != http.StatusAccepted {
+						t.Errorf("drain trigger: status %d: %v %s", status, err, resp)
+					}
+					// The drain runs off the request. Hold this session
+					// until it has finished: the sweep must find it live,
+					// and the drained donor must still poll and delete it.
+					aDonor.Drain()
+				}
+				if err := c.finish(node, id); err != nil {
+					t.Error(err)
+					continue
+				}
+				done.Add(1)
+			}
+		}(w)
+	}
+	for i := 0; i < sessions; i++ {
+		work <- blocks[i%len(blocks)]
+	}
+	close(work)
+	wg.Wait()
+	if n := done.Load(); n != sessions {
+		t.Fatalf("%d of %d sessions reached their target", n, sessions)
+	}
+
+	var donor struct {
+		Failed, DrainConverged, DrainCheckpointed uint64
+		Lifecycle                                 Lifecycle
+	}
+	if code := getJSON(t, tsDonor.URL+"/statz", &donor); code != http.StatusOK {
+		t.Fatalf("donor statz: %d", code)
+	}
+	if donor.Lifecycle.Phase != "drained" || donor.Failed != 0 {
+		t.Errorf("donor phase %q, failed %d: want drained, 0", donor.Lifecycle.Phase, donor.Failed)
+	}
+	if donor.DrainConverged+donor.DrainCheckpointed == 0 {
+		t.Error("the drain found no live session on the donor")
+	}
+	var joiner struct{ Created uint64 }
+	if code := getJSON(t, tsJoiner.URL+"/statz", &joiner); code != http.StatusOK {
+		t.Fatalf("joiner statz: %d", code)
+	}
+	if joiner.Created == 0 {
+		t.Error("the joiner took no create after the donor drained")
 	}
 }
 

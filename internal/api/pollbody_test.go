@@ -24,6 +24,14 @@ import (
 	"repro/internal/tableset"
 )
 
+// planJSON is a plan as encoding/json writes it, the reference for
+// plan.Node.AppendJSON in poll and select bodies.
+type planJSON struct {
+	Plan string    `json:"plan"`
+	Cost []float64 `json:"cost"`
+	Rows float64   `json:"rows"`
+}
+
 // referencePollBody is the poll body as the handler wrote it before
 // appendPollBody: a map[string]any through encoding/json's Encoder. It is
 // the reference the append encoder must match byte for byte.
@@ -277,6 +285,14 @@ func TestPollNonFiniteAnswers500(t *testing.T) {
 		}
 		if _, ok := table.Lookup(tabledBad); ok {
 			t.Errorf("non-finite %s: the render table holds the plan", name)
+		}
+		// A select of the plan fails the same way.
+		rec := httptest.NewRecorder()
+		writeSelected(rec, "s-1", bad)
+		var body struct{ Error string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil ||
+			!strings.Contains(body.Error, "non-finite") {
+			t.Errorf("select of non-finite %s: status %d, body %q (%v), want 500 with a JSON error", name, rec.Code, rec.Body, err)
 		}
 	}
 	st := &service.Status{ID: "s-2", Query: "Q3", Resolution: 2, Frontier: []*plan.Node{good}}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/costmodel"
-	"repro/internal/pareto"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/rangeindex"
@@ -45,18 +44,15 @@ type Optimizer struct {
 	// snapshot's, detached and immutable, and Snapshot shares it rather
 	// than copy it (DESIGN.md D8).
 	shared uint32
-	// skylines[r] is the skyline of the root result plans at level r
-	// that the snapshot this optimizer was restored from held, shared
-	// read-only with it (nil for a cold optimizer), and restoredEpoch
-	// that snapshot's epoch: every root result with a later epoch is
-	// this optimizer's own (AppendSkylineAt, DESIGN.md D20).
-	skylines      [][]*plan.Node
+	// frontiers[r] is the skyline of the root result plans at levels
+	// 0..r that the snapshot this optimizer was restored from held
+	// (RestoredFrontier, DESIGN.md D20), and renders the render table
+	// of their plans: both shared read-only with the snapshot, nil for
+	// a cold optimizer. restoredEpoch is that snapshot's epoch: every
+	// root result with a later epoch is this optimizer's own.
+	frontiers     [][]*plan.Node
+	renders       *RenderTable
 	restoredEpoch uint64
-	// frontiers[r] is the skyline of the snapshot's root result plans
-	// at levels 0..r (RestoredFrontier), and renders the render table
-	// of skylines; both shared with the snapshot.
-	frontiers [][]*plan.Node
-	renders   *RenderTable
 	// echo is the configuration echo (cfgFingerprint), rendered at the
 	// first export or taken from the snapshot a restore validated.
 	echo string
@@ -476,47 +472,15 @@ func (o *Optimizer) AppendResultsAt(dst []*plan.Node, b cost.Vector, r int, minE
 	return dst
 }
 
-// AppendSkylineAt appends to dst the skyline (pareto.Filter) of the
-// plans AppendResultsAt(nil, b, r, minEpoch) returns, in Filter's
-// order, and returns the extended slice. The plans an optimizer was
-// restored with come from its snapshot's level-r skyline, cut to the
-// bounds: the box {c : c ⪯ b} is down-closed, so the skyline of the
-// plans inside it is the part of the whole skyline inside it. Its own
-// plans are retrieved and filtered, and the two runs merged. A cold
-// optimizer, and a minEpoch that splits the restored plans, take only
-// the second path. Bounds may be nil for "no bounds".
-func (o *Optimizer) AppendSkylineAt(dst []*plan.Node, b cost.Vector, r int, minEpoch uint64) []*plan.Node {
-	n := len(dst)
-	if minEpoch == 0 && o.skylines != nil && r >= 0 && r < len(o.skylines) {
-		for _, p := range o.skylines[r] {
-			if b == nil || p.Cost.Dominates(b) {
-				dst = append(dst, p)
-			}
-		}
-		minEpoch = o.restoredEpoch + 1
-	}
-	m := len(dst)
-	dst = o.AppendResultsAt(dst, b, r, minEpoch)
-	if len(dst) == m {
-		return dst
-	}
-	own := pareto.Filter(dst[m:])
-	if m == n {
-		return dst[:m+len(own)]
-	}
-	return append(dst[:n], pareto.Merge(dst[n:m], own)...)
-}
-
 // RestoredFrontier returns the skyline of Results(b, r), in Filter's
 // order, when the optimizer can read it off the snapshot it was restored
-// from: it holds the snapshot's level skylines and none of its own
-// result plans sits at a level ≤ r. The box {c : c ⪯ b} is down-closed,
-// so the skyline of the plans inside it is the part inside it of the
-// snapshot's skyline of levels 0..r (AppendSkylineAt's argument). When
-// b cuts no plan of that skyline, the snapshot's slice itself is
-// returned, shared and read-only; else a fresh one. ok is false when
-// the optimizer's own plans may count. Bounds may be nil for "no
-// bounds".
+// from: it holds the snapshot's frontiers and none of its own result
+// plans sits at a level ≤ r. The box {c : c ⪯ b} is down-closed, so the
+// skyline of the plans inside it is the part inside it of the
+// snapshot's skyline of levels 0..r. When b cuts no plan of that
+// skyline, the snapshot's slice itself is returned, shared and
+// read-only; else a fresh one. ok is false when the optimizer's own
+// plans may count. Bounds may be nil for "no bounds".
 func (o *Optimizer) RestoredFrontier(b cost.Vector, r int) (frontier []*plan.Node, ok bool) {
 	if r < 0 || r >= len(o.frontiers) {
 		return nil, false
@@ -540,9 +504,9 @@ func (o *Optimizer) RestoredFrontier(b cost.Vector, r int) (frontier []*plan.Nod
 	return all[:len(all):len(all)], true
 }
 
-// RenderTable returns the render table of the skylines the optimizer
-// publishes its restored plans from (AppendSkylineAt), shared with every
-// other restore of its snapshot; nil for a cold optimizer.
+// RenderTable returns the render table of the frontiers the optimizer
+// publishes its restored plans from (RestoredFrontier), shared with
+// every other restore of its snapshot; nil for a cold optimizer.
 func (o *Optimizer) RenderTable() *RenderTable { return o.renders }
 
 // Epoch returns the number of the most recent invocation (0 before the

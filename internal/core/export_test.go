@@ -89,14 +89,9 @@ func FrozenSets(o *Optimizer) (res, cand []tableset.Set) {
 	return res, cand
 }
 
-// LevelSkylines returns the per-level skylines of s's root result
-// list: nil until its first restore builds them, unless an export
-// carried them.
-func LevelSkylines(s *Snapshot) [][]*plan.Node { return s.skylines }
-
-// RestoredEpoch returns the epoch of the snapshot o was restored from
-// (0 for a cold optimizer): root results of later epochs are o's own.
-func RestoredEpoch(o *Optimizer) uint64 { return o.restoredEpoch }
+// Frontiers returns the prefix skylines of s's root result list: nil
+// until its first restore builds them, unless an export carried them.
+func Frontiers(s *Snapshot) [][]*plan.Node { return s.frontiers }
 
 // RemapQueryPair returns two isomorphic queries, their configuration
 // and the permutation that rewrites the first's snapshots onto the

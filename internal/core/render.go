@@ -9,30 +9,30 @@ import (
 )
 
 // RenderTable holds the JSON object (plan.Node.AppendJSON) of every
-// plan of a snapshot's level skylines, in one slab, built at the first
+// plan of a snapshot's frontiers, in one slab, built at the first
 // Lookup. Those are the plans every optimizer restored from the snapshot
-// publishes from (AppendSkylineAt): detached, immutable, and the very
+// publishes from (RestoredFrontier): detached, immutable, and the very
 // same nodes in every restore, so their bytes are rendered once per
 // snapshot, not once per poll (DESIGN.md D20). A table is shared
 // read-only by every restore of its snapshot and by a re-export that
-// carries the skylines; it is safe for concurrent use.
+// carries the frontiers; it is safe for concurrent use.
 type RenderTable struct {
-	once     sync.Once
-	skylines [][]*plan.Node
+	once sync.Once
+	sets [][]*plan.Node
 
-	// Built by once: ids is ascending; plan i is nodes[i], whose bytes
-	// are slab[ends[i-1]:ends[i]] (from 0 for the first).
+	// Built by once: ids is strictly ascending; plan i is nodes[i],
+	// whose bytes are slab[ends[i-1]:ends[i]] (from 0 for the first).
 	ids   []uint32
 	nodes []*plan.Node
 	ends  []uint32
 	slab  []byte
 }
 
-// NewRenderTable returns the table of the plans of skylines, which it
-// holds and the caller must not write. Nothing is rendered until the
-// first Lookup.
-func NewRenderTable(skylines [][]*plan.Node) *RenderTable {
-	return &RenderTable{skylines: skylines}
+// NewRenderTable returns the table of the plans of sets, which it holds
+// and the caller must not write; a plan may be in several sets. Nothing
+// is rendered until the first Lookup.
+func NewRenderTable(sets [][]*plan.Node) *RenderTable {
+	return &RenderTable{sets: sets}
 }
 
 // Lookup returns the bytes plan.Node.AppendJSON appends for p when the
@@ -56,17 +56,15 @@ func (t *RenderTable) Lookup(p *plan.Node) ([]byte, bool) {
 	return t.slab[start:t.ends[i]:t.ends[i]], true
 }
 
-// build renders every skyline plan, in ID order.
+// build renders every plan of the sets once, in ID order.
 func (t *RenderTable) build() {
-	n := 0
-	for _, level := range t.skylines {
-		n += len(level)
-	}
-	nodes := make([]*plan.Node, 0, n)
-	for _, level := range t.skylines {
-		nodes = append(nodes, level...)
+	var nodes []*plan.Node
+	for _, set := range t.sets {
+		nodes = append(nodes, set...)
 	}
 	slices.SortFunc(nodes, func(a, b *plan.Node) int { return cmp.Compare(a.ID(), b.ID()) })
+	nodes = slices.CompactFunc(nodes, func(a, b *plan.Node) bool { return a.ID() == b.ID() })
+	n := len(nodes)
 	t.ids, t.ends = make([]uint32, 0, n), make([]uint32, 0, n)
 	// A plan of a 4-table query renders to about 140 bytes.
 	slab := make([]byte, 0, 160*n)

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"slices"
@@ -16,14 +17,15 @@ import (
 	"repro/internal/query"
 )
 
-// checkSkylineAt compares AppendSkylineAt with the skyline of
-// AppendResultsAt, pointer for pointer and in order, for unbounded and
-// seeded random bounds, every resolution and the epochs a session asks
-// for (0 and the current one), plus one that splits the restored plans
-// (the path without the snapshot's skylines). It appends to a non-empty
-// prefix, which must stay as it was. Where RestoredFrontier answers, it
-// must give the skyline of Results too; checkSkylineAt returns how often
-// it answered.
+// checkSkylineAt checks an optimizer's publication inputs for
+// unbounded and seeded random bounds and every resolution. The skyline
+// of Results(b, r) must be the merge of the skylines of Results(b, r-1)
+// and of AppendResultsAt(b, r, 0), pointer for pointer and in order:
+// the split a session publishes a raised level by. Where
+// RestoredFrontier answers, it must give the skyline of Results(b, r)
+// too, and the render table must hold every plan it gives, with
+// plan.Node.AppendJSON's bytes. checkSkylineAt returns how often
+// RestoredFrontier answered.
 func checkSkylineAt(t *testing.T, o *core.Optimizer, rng *rand.Rand) (restored int) {
 	t.Helper()
 	rM := o.Config().MaxResolution()
@@ -45,26 +47,29 @@ func checkSkylineAt(t *testing.T, o *core.Optimizer, rng *rand.Rand) (restored i
 		}
 		bounds = append(bounds, b)
 	}
-	epochs := []uint64{0, o.Epoch()}
-	if e := core.RestoredEpoch(o); e > 1 {
-		epochs = append(epochs, e/2+1)
-	}
-	prefix := []*plan.Node{all[0]}
 	for _, b := range bounds {
+		var below []*plan.Node
 		for r := 0; r <= rM; r++ {
-			if got, ok := o.RestoredFrontier(b, r); ok {
-				restored++
-				if want := pareto.Filter(o.Results(b, r)); !slices.Equal(got, want) {
-					t.Fatalf("bounds %v, r %d: RestoredFrontier gives %v, the skyline of Results %v",
-						b, r, pareto.Vectors(got), pareto.Vectors(want))
-				}
+			want := pareto.Filter(o.Results(b, r))
+			if got := pareto.Merge(below, pareto.Filter(o.AppendResultsAt(nil, b, r, 0))); !slices.Equal(got, want) {
+				t.Fatalf("bounds %v, r %d: the level split gives %v, the skyline of Results %v",
+					b, r, pareto.Vectors(got), pareto.Vectors(want))
 			}
-			for _, e := range epochs {
-				want := pareto.Filter(o.AppendResultsAt(nil, b, r, e))
-				got := o.AppendSkylineAt(slices.Clone(prefix), b, r, e)
-				if got[0] != prefix[0] || !slices.Equal(got[1:], want) {
-					t.Fatalf("bounds %v, r %d, epoch %d: AppendSkylineAt gives %v, the skyline of AppendResultsAt %v",
-						b, r, e, pareto.Vectors(got[1:]), pareto.Vectors(want))
+			below = want
+			got, ok := o.RestoredFrontier(b, r)
+			if !ok {
+				continue
+			}
+			restored++
+			if !slices.Equal(got, want) {
+				t.Fatalf("bounds %v, r %d: RestoredFrontier gives %v, the skyline of Results %v",
+					b, r, pareto.Vectors(got), pareto.Vectors(want))
+			}
+			for _, p := range got {
+				rendered, ok := o.RenderTable().Lookup(p)
+				if want, _ := p.AppendJSON(nil); !ok || !bytes.Equal(rendered, want) {
+					t.Fatalf("bounds %v, r %d: the render table gives %q (%v) for a restored plan, AppendJSON %q",
+						b, r, rendered, ok, want)
 				}
 			}
 		}
@@ -72,13 +77,14 @@ func checkSkylineAt(t *testing.T, o *core.Optimizer, rng *rand.Rand) (restored i
 	return restored
 }
 
-// TestSkylineAtMatchesFilter pins an optimizer's publication input
-// (DESIGN.md D20) against its definition: for cold optimizers and for
-// exact, iso-remapped, re-costed and decoded restores of a converged
-// and of a first-frontier snapshot — at the first frontier, converged
-// (which inserts, from a first-frontier snapshot) and after a drag —
-// and for a resumed large-drift snapshot that regenerates plans,
-// AppendSkylineAt equals pareto.Filter of AppendResultsAt.
+// TestSkylineAtMatchesFilter pins an optimizer's publication inputs
+// (DESIGN.md D20) against their definition (checkSkylineAt): for cold
+// optimizers and for exact, iso-remapped, re-costed and decoded
+// restores of a converged and of a first-frontier snapshot — at the
+// first frontier, converged (which inserts, from a first-frontier
+// snapshot) and after a drag — and for a resumed large-drift snapshot
+// that regenerates plans. A cold optimizer must never read a frontier
+// off a snapshot, and a fresh restore must.
 func TestSkylineAtMatchesFilter(t *testing.T) {
 	qa, qb, remapCfg, perm := core.RemapQueryPair(t)
 	qOld, qDrift, driftCfg := core.DriftQueryPair(t)
@@ -142,8 +148,8 @@ func TestSkylineAtMatchesFilter(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if core.LevelSkylines(rc.snap) == nil {
-				t.Fatal("the restore built no level skylines")
+			if core.Frontiers(rc.snap) == nil {
+				t.Fatal("the restore built no frontiers")
 			}
 			before := o.Stats()
 			o.Optimize(nil, 0)
@@ -185,9 +191,10 @@ func TestSkylineAtMatchesFilter(t *testing.T) {
 }
 
 // TestReexportCarriesSkylines pins that an export whose root list is
-// the one its optimizer was restored from carries that snapshot's level
-// skylines, the very slices, so the next restore does not rebuild them;
-// and that an export after the root list changed carries none.
+// the one its optimizer was restored from carries that snapshot's
+// frontiers and render table, the very ones, so the next restore
+// neither rebuilds nor re-renders them; and that an export after the
+// root list changed carries none.
 func TestReexportCarriesSkylines(t *testing.T) {
 	chain, err := query.Synthetic(catalog.TPCH(1), 4, query.Chain, rand.New(rand.NewSource(1)))
 	if err != nil {
@@ -197,18 +204,26 @@ func TestReexportCarriesSkylines(t *testing.T) {
 	src := core.MustNewOptimizer(chain, cfg)
 	src.Optimize(nil, 0)
 	snap := src.Snapshot()
-	if core.LevelSkylines(snap) != nil {
-		t.Fatal("a cold export carries level skylines")
+	if core.Frontiers(snap) != nil {
+		t.Fatal("a cold export carries frontiers")
 	}
 	o, err := core.NewOptimizerFromSnapshot(chain, cfg, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.Optimize(nil, 0) // covered: nothing changes
-	want := core.LevelSkylines(snap)
-	got := core.LevelSkylines(o.Snapshot())
+	reexport := o.Snapshot()
+	want := core.Frontiers(snap)
+	got := core.Frontiers(reexport)
 	if len(got) != len(want) || &got[0] != &want[0] {
-		t.Fatal("the untouched re-export does not carry the restored snapshot's level skylines")
+		t.Fatal("the untouched re-export does not carry the restored snapshot's frontiers")
+	}
+	again, err := core.NewOptimizerFromSnapshot(chain, cfg, reexport)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.RenderTable() == nil || again.RenderTable() != o.RenderTable() {
+		t.Fatal("a restore of the untouched re-export does not share the render table")
 	}
 
 	before := o.Stats()
@@ -218,15 +233,17 @@ func TestReexportCarriesSkylines(t *testing.T) {
 	if o.Stats().Minus(before).ResultInserts == 0 {
 		t.Fatal("refining the first frontier inserted no result plan; the test lost its premise")
 	}
-	if core.LevelSkylines(o.Snapshot()) != nil {
-		t.Fatal("an export whose root list changed carries the old level skylines")
+	if core.Frontiers(o.Snapshot()) != nil {
+		t.Fatal("an export whose root list changed carries the old frontiers")
 	}
 }
 
 // TestConcurrentFirstRestores restores one never-restored snapshot on
-// several goroutines at once, so that the lazy build of its images and
-// level skylines races with itself and with their readers (run under
-// -race); every restore must publish as its own result set says.
+// several goroutines at once, so that the lazy build of its images,
+// frontiers and render table races with itself and with their readers
+// (run under -race); every restore must read its frontier off the
+// snapshot as its own result set says, and find each plan's bytes in
+// the render table.
 func TestConcurrentFirstRestores(t *testing.T) {
 	star, err := query.Synthetic(catalog.TPCH(1), 4, query.Star, rand.New(rand.NewSource(1)))
 	if err != nil {
@@ -250,9 +267,15 @@ func TestConcurrentFirstRestores(t *testing.T) {
 			}
 			for r := 0; r <= cfg.MaxResolution(); r++ {
 				o.Optimize(nil, r)
-				want := pareto.Filter(o.AppendResultsAt(nil, nil, r, 0))
-				if got := o.AppendSkylineAt(nil, nil, r, 0); !slices.Equal(got, want) {
-					t.Errorf("r %d: a concurrent restore publishes %d plans, its result set %d", r, len(got), len(want))
+				want := pareto.Filter(o.Results(nil, r))
+				got, ok := o.RestoredFrontier(nil, r)
+				if !ok || !slices.Equal(got, want) {
+					t.Errorf("r %d: a concurrent restore reads %d plans (%v), its result set %d", r, len(got), ok, len(want))
+				}
+				for _, p := range got {
+					if _, ok := o.RenderTable().Lookup(p); !ok {
+						t.Errorf("r %d: the render table misses a restored plan", r)
+					}
 				}
 			}
 		}()

@@ -36,7 +36,7 @@ import (
 // instead of copying them again, and the plan sets it left untouched
 // export the very lists they were restored from (DESIGN.md D8). The
 // Snapshot itself is immutable once created, apart from the frozen
-// cell directories and level skylines its first restore builds. Taking
+// cell directories and frontiers its first restore builds. Taking
 // a snapshot must not race with Optimize on the source (the caller
 // serializes, e.g. the service holds the session lock).
 //
@@ -70,19 +70,15 @@ type Snapshot struct {
 	prevBounds      []float64
 	prevRes         int
 
-	// skylines[r] is the skyline (pareto.Filter) of the root result
-	// plans registered at level r, skyRoot the root table set: built
-	// under frozen with the images and shared read-only by every
-	// restore, which publishes from them (DESIGN.md D20). An export
-	// whose root list is the one it was restored from carries them.
-	skylines [][]*plan.Node
-	skyRoot  tableset.Set
-	// frontiers[r] is the skyline of the root result plans at levels
-	// 0..r, the merge of skylines[0..r]: what a restore that generated
-	// nothing publishes at r. renders is the render table of skylines,
-	// filled at its first lookup. Both are built and travel with
-	// skylines.
+	// frontiers[r] is the skyline (pareto.Filter) of the root result
+	// plans at levels 0..r, what a restore that generated nothing
+	// publishes at r, and skyRoot the root table set: built under
+	// frozen with the images and shared read-only by every restore
+	// (DESIGN.md D20). renders is the render table of their plans,
+	// filled at its first lookup. An export whose root list is the one
+	// it was restored from carries all three.
 	frontiers [][]*plan.Node
+	skyRoot   tableset.Set
 	renders   *RenderTable
 	// resTop is the highest level of any result entry (-1 when there
 	// is none), found under frozen: a restore's Optimizer.resTop.
@@ -206,20 +202,19 @@ func (o *Optimizer) Snapshot() *Snapshot {
 	}
 	s.resImg = collect(o.res, s.res)
 	s.candImg = collect(o.cand, s.cand)
-	if root := o.q.Tables(); s.resImg[root] != nil && o.skylines != nil {
-		s.skylines, s.skyRoot, s.frontiers, s.renders = o.skylines, root, o.frontiers, o.renders
+	if root := o.q.Tables(); s.resImg[root] != nil && o.frontiers != nil {
+		s.frontiers, s.skyRoot, s.renders = o.frontiers, root, o.renders
 	}
 	return s
 }
 
 // derive builds, at its first call, the frozen cell directories of
-// the snapshot's plan sets (resImg, candImg), the per-level skylines of
-// its root result list (skylines, skyRoot) with their prefix skylines
-// (frontiers) and render table (renders, empty until a poll needs it)
-// and resTop, at the geometry
-// of the restoring optimizer o (the configuration echo fixes it for
-// every restore). A list whose image an export carried over keeps it,
-// and so do carried skylines. The fields are read-only once it returns.
+// the snapshot's plan sets (resImg, candImg), the prefix skylines of
+// its root result list (frontiers, skyRoot) with their render table
+// (renders, empty until a poll needs it) and resTop, at the geometry of
+// the restoring optimizer o (the configuration echo fixes it for every
+// restore). A list whose image an export carried over keeps it, and so
+// do carried frontiers. The fields are read-only once it returns.
 func (s *Snapshot) derive(o *Optimizer) {
 	s.frozen.Do(func() {
 		ix := o.newIndex()
@@ -242,24 +237,24 @@ func (s *Snapshot) derive(o *Optimizer) {
 				s.resTop = max(s.resTop, e.Resolution)
 			}
 		}
-		if s.skylines == nil {
+		if s.frontiers == nil {
 			for sub := range s.res {
 				s.skyRoot = s.skyRoot.Union(sub)
 			}
-			s.skylines = levelSkylines(s.res[s.skyRoot], o.cfg.MaxResolution()+1)
-			s.frontiers = make([][]*plan.Node, len(s.skylines))
+			levels := levelSkylines(s.res[s.skyRoot], o.cfg.MaxResolution()+1)
+			s.frontiers = make([][]*plan.Node, len(levels))
 			var f []*plan.Node
-			for r, level := range s.skylines {
+			for r, level := range levels {
 				f = pareto.Merge(f, level)
 				s.frontiers[r] = f
 			}
-			s.renders = NewRenderTable(s.skylines)
+			s.renders = NewRenderTable(s.frontiers)
 		}
 	})
 }
 
 // levelSkylines returns, for each of the given number of levels, the
-// skyline of the plans of the entries registered at it, in one slab.
+// skyline of the plans of the entries registered at it.
 func levelSkylines(entries []rangeindex.Entry, levels int) [][]*plan.Node {
 	start := make([]int, levels+1)
 	for _, e := range entries {
@@ -274,18 +269,9 @@ func levelSkylines(entries []rangeindex.Entry, levels int) [][]*plan.Node {
 		byLevel[next[e.Resolution]] = e.Payload
 		next[e.Resolution]++
 	}
-	kept := 0
 	sky := make([][]*plan.Node, levels)
 	for r := range sky {
 		sky[r] = pareto.Filter(byLevel[start[r]:start[r+1]])
-		kept += len(sky[r])
-	}
-	// The levels' dominated plans are most of the list: keep only the
-	// skylines.
-	slab := make([]*plan.Node, 0, kept)
-	for r, level := range sky {
-		slab = append(slab, level...)
-		sky[r] = slab[len(slab)-len(level) : len(slab) : len(slab)]
 	}
 	return sky
 }
@@ -506,8 +492,7 @@ func NewOptimizerFromSnapshot(q *query.Query, cfg Config, s *Snapshot) (*Optimiz
 	// Every entry of the root list carries an epoch up to the
 	// snapshot's: later ones are this optimizer's own.
 	if s.skyRoot == q.Tables() {
-		o.skylines, o.restoredEpoch = s.skylines, s.epoch
-		o.frontiers, o.renders = s.frontiers, s.renders
+		o.frontiers, o.renders, o.restoredEpoch = s.frontiers, s.renders, s.epoch
 	}
 	o.resTop = s.resTop
 	o.prevBounds = append([]float64(nil), s.prevBounds...)

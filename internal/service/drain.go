@@ -54,10 +54,13 @@ func (s *Service) Drain(grace time.Duration) (converged, checkpointed int) {
 	s.drainMu.Unlock()
 	defer close(done)
 
-	// Refuse new sessions before looking at existing ones: any Create
-	// that begins after this store sees ErrDraining, so the sweep below
-	// observes a set of sessions that can only shrink.
+	// Refuse new sessions before looking at existing ones: a Create
+	// either registered its session before this flip or sees
+	// ErrDraining (admitMu), so the sweep below observes a set of
+	// sessions that can only shrink.
+	s.admitMu.Lock()
 	s.draining.Store(true)
+	s.admitMu.Unlock()
 	drainStart := time.Now()
 	s.cfg.Events.Emit(eventlog.LevelInfo, "service", "drain started",
 		eventlog.Fdur("grace", grace))
@@ -119,6 +122,11 @@ func (s *Service) checkpointLocked(m *managed) bool {
 	}
 	t0 := time.Now()
 	snap := m.sess.Optimizer().Snapshot()
+	if snap == nil {
+		// A cold session the workers have not stepped yet holds no
+		// plan state to save.
+		return false
+	}
 	snap.SetStatsEpoch(m.statsEpoch)
 	s.admit(m.key, snap, true)
 	// m.snapshotted stays as-is: if the workers push this session to

@@ -3,8 +3,11 @@ package service
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/query"
 )
 
 // TestDrainRefusesCreates pins the drain admission contract: once Drain
@@ -155,5 +158,84 @@ func TestDrainIdempotent(t *testing.T) {
 		if r != (counts{1, 0}) {
 			t.Errorf("caller %d saw counts %+v, want {1 0}", i, r)
 		}
+	}
+}
+
+// floodCreates runs four goroutines that create sessions for q until
+// the service refuses them with ErrDraining, counting each success in
+// admitted; it returns once admitted reaches atLeast (or a create
+// failed), and wait returns once every goroutine has stopped.
+func floodCreates(t *testing.T, svc *Service, q *query.Query, admitted *atomic.Int32, atLeast int32) (wait func()) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				_, err := svc.Create(q)
+				if errors.Is(err, ErrDraining) {
+					return
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				admitted.Add(1)
+			}
+		}()
+	}
+	for admitted.Load() < atLeast && !t.Failed() {
+		time.Sleep(time.Millisecond)
+	}
+	return wg.Wait
+}
+
+// TestDrainSweepsEveryAdmittedSession races creates against a drain:
+// the session of every Create that succeeds must be in the drain's
+// sweep, never registered after it, where no worker would step it once
+// Shutdown follows. The creators run until they are refused, so some
+// are inside Create when the drain flips. Every create is an exact
+// warm start, whose optimizer a zero-grace sweep can checkpoint before
+// its first step, so the sweep must count each admitted session once.
+func TestDrainSweepsEveryAdmittedSession(t *testing.T) {
+	svc, err := New(testConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Shutdown()
+	q := testBlock(t, "Q12")
+	convergeAndClose(t, svc, q)
+	var admitted atomic.Int32
+	wait := floodCreates(t, svc, q, &admitted, 8)
+	converged, checkpointed := svc.Drain(0)
+	wait()
+	if n := int(admitted.Load()); converged+checkpointed != n {
+		t.Fatalf("the drain swept %d converged and %d checkpointed sessions of %d admitted", converged, checkpointed, n)
+	}
+}
+
+// TestDrainSkipsUnsteppedSessions drains with no grace while cold
+// creates flood the queue of one slowed worker, so the sweep finds
+// sessions the worker has not stepped: they hold no plan state, and the
+// drain must pass over them instead of checkpointing nothing.
+func TestDrainSkipsUnsteppedSessions(t *testing.T) {
+	cfg := testConfig(3)
+	cfg.Workers = 1
+	cfg.FaultHook = func(string, int) { time.Sleep(10 * time.Millisecond) }
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Shutdown()
+	var admitted atomic.Int32
+	wait := floodCreates(t, svc, testBlock(t, "Q4"), &admitted, 16)
+	converged, checkpointed := svc.Drain(0)
+	wait()
+	if n := int(admitted.Load()); converged+checkpointed >= n {
+		t.Fatalf("the drain counted %d converged and %d checkpointed of %d sessions; some must have been unstepped", converged, checkpointed, n)
+	}
+	if st := svc.Stats(); st.Failed != 0 {
+		t.Fatalf("%d failed sessions after the drain", st.Failed)
 	}
 }

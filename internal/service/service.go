@@ -396,8 +396,12 @@ type Service struct {
 	// which in-flight ones converge or checkpoint; it never flips back.
 	// drainMu/drainDone make Drain idempotent: the first caller runs the
 	// drain, later callers block until it finishes and read the same
-	// counts.
+	// counts. admitMu orders admission against the flip: Create checks
+	// draining again and registers and queues the session under its read
+	// lock, and Drain flips draining under its write lock, so every
+	// session admitted before the flip is in the drain's sweep.
 	draining          atomic.Bool
+	admitMu           sync.RWMutex
 	drainMu           sync.Mutex
 	drainDone         chan struct{}
 	drainConverged    atomic.Uint64
@@ -747,8 +751,8 @@ func (s *Service) Create(q *query.Query) (string, error) {
 	}
 	if s.draining.Load() {
 		// Draining is monotonic: once flipped, no session is ever
-		// admitted again, so nothing created here can race the drain's
-		// checkpoint sweep or the store flush behind it.
+		// admitted again. The check below, under admitMu, is the one
+		// that decides; this one saves a draining node the resolve.
 		return "", ErrDraining
 	}
 	if lim := s.cfg.MaxActiveSessions; lim > 0 {
@@ -772,6 +776,14 @@ func (s *Service) Create(q *query.Query) (string, error) {
 	st, err := s.resolve(q, k)
 	if err != nil {
 		return "", err
+	}
+	// A drain that flipped during the resolve has swept without this
+	// session and may have stopped the workers: refuse it instead of
+	// queueing it where nothing will step it.
+	s.admitMu.RLock()
+	defer s.admitMu.RUnlock()
+	if s.draining.Load() {
+		return "", ErrDraining
 	}
 	if st.prov != provCold {
 		s.warmStarts.Add(1)

@@ -104,8 +104,8 @@ type Session struct {
 	// root result plans within the current focus (DESIGN.md D20). It is
 	// replaced, never written, so readers may keep it without copying.
 	frontier []*plan.Node
-	// delta is publish's scratch: the skyline of the root result plans
-	// the last step made visible.
+	// delta is publish's scratch: the root result plans the last step
+	// made visible, filtered in place to their skyline.
 	delta []*plan.Node
 	// Visualize, when non-nil, receives the frontier after every
 	// iteration (the paper's Visualize procedure).
@@ -268,13 +268,14 @@ func (s *Session) publish(newLevel bool) []*plan.Node {
 		}
 		minEpoch = 0
 	}
-	s.delta = s.opt.AppendSkylineAt(s.delta[:0], s.bounds, s.res, minEpoch)
-	if len(s.delta) == 0 && prev != nil {
+	s.delta = s.opt.AppendResultsAt(s.delta[:0], s.bounds, s.res, minEpoch)
+	delta := pareto.Filter(s.delta)
+	if len(delta) == 0 && prev != nil {
 		return prev
 	}
 	// prev is published and delta is scratch: Merge returns a fresh
 	// slice.
-	return pareto.Merge(prev, s.delta)
+	return pareto.Merge(prev, delta)
 }
 
 // Apply processes one user event against the given frontier: a no-op

@@ -3,10 +3,12 @@
 # A donor converges a query and persists its snapshot; a joiner started
 # with -bootstrap-peer pulls the donor's store over HTTP and must serve
 # the same query warm with a frontier byte-identical (after jq
-# normalization) to the donor's. Then an HTTP load generator drives the
-# pair while the donor drains: zero client-visible errors, zero failed
-# sessions on the drained donor. Finally a node bootstrapping from a
-# dead peer must come up cold with the fallback visible in /metrics.
+# normalization) to the donor's. Then the donor drains on
+# POST /admin/drain: it must reach phase drained with zero failed
+# sessions. Finally a node bootstrapping from a dead peer must come up
+# cold with the fallback visible in /metrics. The drain under client
+# load, with drain-aware failover to the joiner, is checked in process
+# by TestHandoffDrainUnderLoad (internal/api/lifecycle_test.go).
 # CI runs this (see .github/workflows/ci.yml); it needs curl + jq.
 set -euo pipefail
 
@@ -101,16 +103,8 @@ if [ "$warm_frontier" != "$ref_frontier" ]; then
 fi
 echo "handoff_smoke: joiner frontier matches the donor's"
 
-# --- Drain under load: clients must not notice the donor leaving ---
-"$BIN" -loadgen -target-addr "$ADDR_A" -failover-addr "$ADDR_B" \
-    -sessions 8 -requests 120 -seed 7 &
-LG=$!
-sleep 0.3
+# --- Drain: the donor leaves with zero failed sessions ---
 curl -fsS -X POST "http://$ADDR_A/admin/drain" >/dev/null
-if ! wait "$LG"; then
-    echo "handoff_smoke: loadgen saw client-visible errors across the drain" >&2
-    exit 1
-fi
 
 # The drain runs off the trigger request; wait for the settled phase.
 phase=""
@@ -127,13 +121,6 @@ if [ "$phase" != "drained" ] || [ "$failed" != "0" ]; then
 fi
 echo "handoff_smoke: donor drained ($(printf '%s' "$astatz" | jq -re '.DrainConverged') converged," \
     "$(printf '%s' "$astatz" | jq -re '.DrainCheckpointed') checkpointed), zero failed sessions"
-
-taken=$(curl -fsS "http://$ADDR_B/statz" | jq -re '.Created')
-if [ "$taken" -lt 1 ]; then
-    echo "handoff_smoke: joiner took no failover traffic (created $taken)" >&2
-    exit 1
-fi
-echo "handoff_smoke: joiner took $taken creates across the handoff"
 
 # --- Dead peer: bootstrap must degrade to cold, visibly ---
 start_node "$ADDR_C" -cache-dir "$DIR_C" -bootstrap-peer "$DEAD_PEER"
