@@ -138,7 +138,7 @@ func TestExemplarIDEscaped(t *testing.T) {
 // keeps the full name in both places.
 func TestOpenMetricsCounterFamilies(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("app_requests_total", "requests served").Add(7)
+	r.Counter("app_requests_total", "requests served", "").Add(7)
 
 	var om bytes.Buffer
 	if err := r.WriteOpenMetrics(&om); err != nil {

@@ -1,13 +1,14 @@
 // Package metrics is the service's dependency-free metrics layer: a
-// registry of atomic counters, gauges and fixed-bucket log-scale
-// histograms, rendered in the Prometheus text exposition format.
+// registry of atomic counters, scrape-time gauges and fixed-bucket
+// log-scale histograms, rendered in the Prometheus text exposition
+// format.
 //
 // The package exists because the refinement step path (DESIGN.md D9)
 // cannot afford a general-purpose metrics dependency: recording a
 // sample must not allocate and must not take a lock. Every instrument
 // here is built on sync/atomic only —
 //
-//   - Counter and Gauge are single atomic words;
+//   - Counter is a single atomic word;
 //   - Histogram holds a fixed, sorted bound slice chosen at
 //     construction (log-scale for durations) and one atomic bucket
 //     array. Observe is a bounded binary search plus two atomic adds:
@@ -43,18 +44,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is an atomic instantaneous value.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram is a fixed-bucket histogram safe for concurrent recording:
 // bounds are chosen once at construction (ascending, the implicit last
@@ -366,25 +355,21 @@ func (r *Registry) register(name, help, typ string, s sample) {
 	f.samples = append(f.samples, s)
 }
 
-// Counter creates, registers and returns an unlabeled counter.
-func (r *Registry) Counter(name, help string) *Counter {
+// Counter creates, registers and returns a counter: the one word its
+// owner increments, reads back for its own reports and the scrape
+// renders. labels is a raw label-pair string like `tier="exact"`, or
+// empty.
+func (r *Registry) Counter(name, help, labels string) *Counter {
 	c := &Counter{}
-	r.CounterFunc(name, help, "", c.Value)
+	r.CounterFunc(name, help, labels, c.Value)
 	return c
 }
 
-// CounterFunc registers a counter sample read from fn at scrape time
-// (the bridge for counters that already live elsewhere as atomics).
-// labels is a raw label-pair string like `tier="exact"`, or empty.
+// CounterFunc registers a counter sample read from fn at scrape time:
+// the bridge for counts another package keeps under its own lock.
+// labels is as for Counter.
 func (r *Registry) CounterFunc(name, help, labels string, fn func() uint64) {
 	r.register(name, help, "counter", sample{labels: labels, kind: kindCounterFunc, counterFn: fn})
-}
-
-// Gauge creates, registers and returns an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.GaugeFunc(name, help, "", func() float64 { return float64(g.Value()) })
-	return g
 }
 
 // GaugeFunc registers a gauge sample read from fn at scrape time.
@@ -392,18 +377,11 @@ func (r *Registry) GaugeFunc(name, help, labels string, fn func() float64) {
 	r.register(name, help, "gauge", sample{labels: labels, kind: kindGaugeFunc, gaugeFn: fn})
 }
 
-// Histogram registers an existing histogram under name (with optional
-// labels), so one histogram can be constructed where it is recorded
-// (e.g. inside the store) and exposed here.
-func (r *Registry) Histogram(name, help, labels string, h *Histogram) {
+// Histogram registers h under name (with optional labels) and returns
+// it, so an instrument is built and registered in one expression, and
+// one constructed elsewhere (e.g. inside the store) is exposed here.
+func (r *Registry) Histogram(name, help, labels string, h *Histogram) *Histogram {
 	r.register(name, help, "histogram", sample{labels: labels, kind: kindHistogram, hist: h})
-}
-
-// NewDurationHistogram creates, registers and returns an unlabeled
-// duration histogram (ns recorded, seconds exposed).
-func (r *Registry) NewDurationHistogram(name, help string) *Histogram {
-	h := NewDuration()
-	r.Histogram(name, help, "", h)
 	return h
 }
 

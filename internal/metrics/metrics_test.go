@@ -10,19 +10,26 @@ import (
 	"time"
 )
 
+// TestCounterGauge: a registered counter is one word — what its owner
+// reads back is what the scrape renders, under its labels.
 func TestCounterGauge(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("test_events_total", "events")
-	g := r.Gauge("test_depth", "depth")
+	c := r.Counter("test_events_total", "events", "")
+	hit := r.Counter("test_hits_total", "hits", `tier="exact"`)
 	c.Inc()
 	c.Add(4)
+	hit.Inc()
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Value(); got != 4 {
-		t.Fatalf("gauge = %d, want 4", got)
+	var buf bytes.Buffer
+	if err := r.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"test_events_total 5\n", `test_hits_total{tier="exact"} 1` + "\n"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, buf.String())
+		}
 	}
 }
 
@@ -117,8 +124,8 @@ func TestHistogramObserveAllocFree(t *testing.T) {
 // path.
 func TestConcurrentRecordDuringScrape(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewDurationHistogram("test_latency_seconds", "latency")
-	c := r.Counter("test_ops_total", "ops")
+	h := r.Histogram("test_latency_seconds", "latency", "", NewDuration())
+	c := r.Counter("test_ops_total", "ops", "")
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -154,11 +161,11 @@ func TestConcurrentRecordDuringScrape(t *testing.T) {
 
 func TestRegistryPanicsOnConflicts(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("dup_total", "a")
+	r.Counter("dup_total", "a", "")
 	for name, fn := range map[string]func(){
-		"duplicate sample": func() { r.Counter("dup_total", "a") },
+		"duplicate sample": func() { r.Counter("dup_total", "a", "") },
 		"type conflict":    func() { r.GaugeFunc("dup_total", "a", `x="1"`, func() float64 { return 0 }) },
-		"invalid name":     func() { r.Counter("9bad", "a") },
+		"invalid name":     func() { r.Counter("9bad", "a", "") },
 	} {
 		func() {
 			defer func() {
@@ -209,11 +216,11 @@ func TestCheckExpositionRejectsMalformed(t *testing.T) {
 
 func TestWriteTextWellFormed(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("app_requests_total", "requests served")
+	c := r.Counter("app_requests_total", "requests served", "")
 	c.Add(42)
 	r.GaugeFunc("app_queue_depth", "queue depth", `shard="0"`, func() float64 { return 3 })
 	r.GaugeFunc("app_queue_depth", "queue depth", `shard="1"`, func() float64 { return 1.5 })
-	h := r.NewDurationHistogram("app_latency_seconds", "latency with \\ and\nnewline")
+	h := r.Histogram("app_latency_seconds", "latency with \\ and\nnewline", "", NewDuration())
 	h.ObserveDuration(3 * time.Millisecond)
 	h.Observe(int64(2 * time.Second))
 	h.ObserveDuration(5 * time.Minute) // +Inf bucket
@@ -273,7 +280,7 @@ func TestDurationBoundsShape(t *testing.T) {
 
 func ExampleRegistry_WriteText() {
 	r := NewRegistry()
-	c := r.Counter("example_total", "an example counter")
+	c := r.Counter("example_total", "an example counter", "")
 	c.Add(2)
 	var buf bytes.Buffer
 	_ = r.WriteText(&buf)

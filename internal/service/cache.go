@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/store"
 )
 
@@ -45,15 +46,13 @@ type PlanCache struct {
 	canon    map[string]*list.Element // canonical digest → class representative
 	structm  map[string]*list.Element // structural digest → class representative
 
-	exactHits uint64
-	isoHits   uint64
-	staleHits uint64
-	misses    uint64
-	puts      uint64
-	evictions uint64
-	poisoned  uint64
-	plans     int // running sum of PlanCount over resident snapshots
-	encoded   int // stubs: entries whose snapshot is still encoded, in the store
+	plans   int // running sum of PlanCount over resident snapshots
+	encoded int // stubs: entries whose snapshot is still encoded, in the store
+
+	// The counters CacheStats reports, created on the registry by
+	// NewPlanCache; they need no lock.
+	exactHits, isoHits, staleHits, misses *metrics.Counter
+	puts, evictions, poisoned             *metrics.Counter
 
 	// fetch produces a stub's snapshot from the cold tier — the store's
 	// Load, then snapcodec.Decode; atBoot tells a fetch made before the
@@ -125,12 +124,13 @@ type stub struct {
 	poison error
 }
 
-// NewPlanCache creates a cache holding at most capacity snapshots;
-// capacity < 1 defaults to 256.
-func NewPlanCache(capacity int) *PlanCache {
+// NewPlanCache creates a cache holding at most capacity snapshots, its
+// counters registered on r; capacity < 1 defaults to 256.
+func NewPlanCache(capacity int, r *metrics.Registry) *PlanCache {
 	if capacity < 1 {
 		capacity = 256
 	}
+	const hitsHelp = "Warm-start cache hits by tier."
 	return &PlanCache{
 		capacity: capacity,
 		ll:       list.New(),
@@ -140,6 +140,13 @@ func NewPlanCache(capacity int) *PlanCache {
 		fetch: func(string, bool) (*core.Snapshot, error) {
 			return nil, store.ErrNotStored
 		},
+		exactHits: r.Counter("moqod_cache_hits_total", hitsHelp, `tier="exact"`),
+		isoHits:   r.Counter("moqod_cache_hits_total", hitsHelp, `tier="iso"`),
+		staleHits: r.Counter("moqod_cache_stale_hits_total", "Structural-tier hits on pre-drift snapshots (resolved by the drift counters).", ""),
+		misses:    r.Counter("moqod_cache_misses_total", "Warm-start cache misses.", ""),
+		puts:      r.Counter("moqod_cache_puts_total", "Snapshot admissions (inserts and refreshes).", ""),
+		evictions: r.Counter("moqod_cache_evictions_total", "LRU evictions.", ""),
+		poisoned:  r.Counter("moqod_cache_poisoned_total", "Entries quarantined from the cache after a restore or first-step failure.", ""),
 	}
 }
 
@@ -179,15 +186,15 @@ func (c *PlanCache) Lookup(fp, canonFp string) (Hit, bool) {
 		el = c.canon[canonFp]
 	}
 	if el == nil {
-		c.misses++
 		c.mu.Unlock()
+		c.misses.Inc()
 		return Hit{}, false
 	}
-	tier := &c.isoHits
+	tier := c.isoHits
 	if exact {
-		tier = &c.exactHits
+		tier = c.exactHits
 	}
-	h, ok := c.hit(el, tier, &c.misses)
+	h, ok := c.hit(el, tier, c.misses)
 	h.Exact = exact && ok
 	return h, ok
 }
@@ -206,37 +213,35 @@ func (c *PlanCache) LookupStale(structFp string) (Hit, bool) {
 		c.mu.Unlock()
 		return Hit{}, false
 	}
-	return c.hit(el, &c.staleHits, nil)
+	return c.hit(el, c.staleHits, nil)
 }
 
-// hit completes a lookup that found el: the tier's hit is counted, the
-// entry becomes the most recently used and is marked used, and if it is
-// a stub its snapshot is fetched. Called with c.mu held; returns with it
-// released — the fetch must not run under it. When the fetch finds the
-// record gone from the store the hit is taken back: the tier's count is
-// restored, miss (if the tier keeps one) counted, and hit reports false.
-func (c *PlanCache) hit(el *list.Element, tier, miss *uint64) (Hit, bool) {
-	*tier++
+// hit completes a lookup that found el: the entry becomes the most
+// recently used and is marked used, and if it is a stub its snapshot is
+// fetched. Called with c.mu held; returns with it released — the fetch
+// must not run under it. The outcome is counted once it is known: a
+// fetch that finds the record gone from the store counts miss (if the
+// tier keeps one) and reports false, anything else counts the tier's
+// hit. A counter that went up and came back down would read as a
+// counter reset to a scrape in between.
+func (c *PlanCache) hit(el *list.Element, tier, miss *metrics.Counter) (Hit, bool) {
 	c.ll.MoveToFront(el)
 	item := el.Value.(*cacheItem)
 	item.used = true
 	h := Hit{Snap: item.snap, Src: item.cacheKey, Origin: item.origin}
 	st := item.stub
 	c.mu.Unlock()
-	if st == nil {
-		return h, true
-	}
-	var err error
-	if h.Snap, err = c.materialize(h.Src.fp, st, false); errors.Is(err, store.ErrNotStored) {
-		c.mu.Lock()
-		*tier--
-		if miss != nil {
-			*miss++
+	if st != nil {
+		var err error
+		if h.Snap, err = c.materialize(h.Src.fp, st, false); errors.Is(err, store.ErrNotStored) {
+			if miss != nil {
+				miss.Inc()
+			}
+			return Hit{}, false
 		}
-		c.mu.Unlock()
-		return Hit{}, false
+		h.Poison = poisonous(err)
 	}
-	h.Poison = poisonous(err)
+	tier.Inc()
 	return h, true
 }
 
@@ -329,7 +334,7 @@ func (c *PlanCache) Quarantine(fp string) {
 	defer c.mu.Unlock()
 	if el, ok := c.items[fp]; ok {
 		c.removeLocked(el)
-		c.poisoned++
+		c.poisoned.Inc()
 	}
 }
 
@@ -355,7 +360,7 @@ func (c *PlanCache) Admit(k cacheKey, origin string) {
 func (c *PlanCache) admit(in cacheItem) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.puts++
+	c.puts.Inc()
 	c.plans += in.planCount()
 	if in.stub != nil {
 		c.encoded++
@@ -387,7 +392,7 @@ func (c *PlanCache) admit(in cacheItem) {
 	// store already, if there is one.
 	for c.ll.Len() > c.capacity {
 		c.removeLocked(c.ll.Back())
-		c.evictions++
+		c.evictions.Inc()
 	}
 }
 
@@ -447,25 +452,32 @@ type CacheStats struct {
 	Plans int
 }
 
-// Stats returns a consistent snapshot of the cache counters. O(1): the
-// plan total is maintained on Put/evict so monitoring polls never hold
-// the mutex against the warm-start path for a full cache walk.
+// Stats returns the cache's sizes, a consistent snapshot taken under the
+// lock, and its counters, read from the registry words /metrics renders.
+// O(1): the plan total is maintained on Put/evict so monitoring polls
+// never hold the mutex against the warm-start path for a full cache
+// walk.
 func (c *PlanCache) Stats() CacheStats {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
+	st := CacheStats{
 		Entries:       c.ll.Len(),
 		Encoded:       c.encoded,
 		CanonEntries:  len(c.canon),
 		StructEntries: len(c.structm),
-		Hits:          c.exactHits + c.isoHits,
-		Misses:        c.misses,
-		ExactHits:     c.exactHits,
-		IsoHits:       c.isoHits,
-		StaleHits:     c.staleHits,
-		Puts:          c.puts,
-		Evictions:     c.evictions,
-		Poisoned:      c.poisoned,
 		Plans:         c.plans,
 	}
+	c.mu.Unlock()
+	st.ExactHits, st.IsoHits = c.exactHits.Value(), c.isoHits.Value()
+	st.Hits = st.ExactHits + st.IsoHits
+	st.Misses, st.StaleHits = c.misses.Value(), c.staleHits.Value()
+	st.Puts, st.Evictions, st.Poisoned = c.puts.Value(), c.evictions.Value(), c.poisoned.Value()
+	return st
+}
+
+// sizes returns the entry count and how many of the entries are stubs,
+// the two gauges /metrics samples.
+func (c *PlanCache) sizes() (entries, encoded int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len(), c.encoded
 }

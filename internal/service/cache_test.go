@@ -1,10 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
+	"repro/internal/store"
 )
 
 // getExact is Lookup restricted to the exact tier, the shape most of
@@ -18,7 +23,7 @@ func getExact(c *PlanCache, fp string) (*core.Snapshot, bool) {
 }
 
 func TestPlanCacheLRU(t *testing.T) {
-	c := NewPlanCache(2)
+	c := NewPlanCache(2, metrics.NewRegistry())
 	snaps := make([]*core.Snapshot, 3)
 	for i := range snaps {
 		snaps[i] = &core.Snapshot{}
@@ -57,7 +62,7 @@ func TestPlanCacheLRU(t *testing.T) {
 }
 
 func TestPlanCacheIgnoresNil(t *testing.T) {
-	c := NewPlanCache(4)
+	c := NewPlanCache(4, metrics.NewRegistry())
 	c.Put(cacheKey{"fp", "c", "", nil}, nil)
 	if _, ok := getExact(c, "fp"); ok {
 		t.Error("nil snapshot was cached")
@@ -68,7 +73,7 @@ func TestPlanCacheIgnoresNil(t *testing.T) {
 // through the canonical digest and hands back the representative's
 // source permutation; the hit split records it as isomorphic.
 func TestPlanCacheCanonicalTier(t *testing.T) {
-	c := NewPlanCache(4)
+	c := NewPlanCache(4, metrics.NewRegistry())
 	snap := &core.Snapshot{}
 	perm := []int{2, 0, 1}
 	c.Put(cacheKey{"fpA", "shape", "", perm}, snap)
@@ -96,7 +101,7 @@ func TestPlanCacheCanonicalTier(t *testing.T) {
 // representative itself removes the canonical entry (no dangling
 // pointer).
 func TestPlanCacheEvictionAccounting(t *testing.T) {
-	c := NewPlanCache(2)
+	c := NewPlanCache(2, metrics.NewRegistry())
 	// Two isomorphic entries (same canonical digest, different exact
 	// fingerprints): the later Put represents the class.
 	c.Put(cacheKey{"fpA", "shape", "", []int{0}}, &core.Snapshot{})
@@ -130,7 +135,7 @@ func TestPlanCacheEvictionAccounting(t *testing.T) {
 	// A stub evicted before anything used it leaves the same way: its
 	// tier pointers dropped, one eviction counted, no plans to give back,
 	// the encoded gauge back at zero.
-	c = NewPlanCache(1)
+	c = NewPlanCache(1, metrics.NewRegistry())
 	c.Admit(cacheKey{"fpE", "encShape", "encStruct", nil}, "replay")
 	if st := c.Stats(); st.Entries != 1 || st.Encoded != 1 || st.Plans != 0 {
 		t.Fatalf("stats = %+v, want one stub and no plans", st)
@@ -152,7 +157,7 @@ func TestPlanCacheEvictionAccounting(t *testing.T) {
 // plan count delta, and re-putting under the same exact fingerprint
 // does not duplicate canonical entries.
 func TestPlanCacheRefreshKeepsPlanTotal(t *testing.T) {
-	c := NewPlanCache(2)
+	c := NewPlanCache(2, metrics.NewRegistry())
 	c.Put(cacheKey{"fp", "shape", "", nil}, &core.Snapshot{})
 	c.Put(cacheKey{"fp", "shape", "", nil}, &core.Snapshot{})
 	st := c.Stats()
@@ -165,7 +170,7 @@ func TestPlanCacheRefreshKeepsPlanTotal(t *testing.T) {
 // Entries gauge alone cannot distinguish a stable cache from one
 // churning at capacity.
 func TestPlanCachePutEvictCounters(t *testing.T) {
-	c := NewPlanCache(2)
+	c := NewPlanCache(2, metrics.NewRegistry())
 	for i := 0; i < 4; i++ {
 		c.Put(cacheKey{fmt.Sprintf("fp%d", i), fmt.Sprintf("c%d", i), "", nil}, &core.Snapshot{})
 	}
@@ -180,4 +185,71 @@ func TestPlanCachePutEvictCounters(t *testing.T) {
 	if st.Entries != 2 {
 		t.Errorf("entries = %d, want 2", st.Entries)
 	}
+}
+
+// TestCacheHitCountedWhenKnown: a hit on a stub is counted once its
+// fetch has said what the hit was. A fetch that finds the record gone
+// from the store makes the lookup a miss, and no read of the counters —
+// Stats or a scrape, taken while the fetch runs or after it returns —
+// may see the exact-tier hit count go down: a scrape would read that as
+// a counter reset.
+func TestCacheHitCountedWhenKnown(t *testing.T) {
+	r := metrics.NewRegistry()
+	c := NewPlanCache(4, r)
+	entered, release := make(chan struct{}), make(chan struct{})
+	c.fetch = func(string, bool) (*core.Snapshot, error) {
+		close(entered)
+		<-release
+		return nil, store.ErrNotStored
+	}
+	c.Admit(cacheKey{"fpA", "canonA", "structA", []int{1, 0}}, "replay")
+	found := make(chan bool)
+	go func() {
+		_, ok := c.Lookup("fpA", "canonA")
+		found <- ok
+	}()
+
+	var lastStats, lastScrape uint64
+	read := func(when string) CacheStats {
+		t.Helper()
+		st := c.Stats()
+		scraped := scrapeSample(t, r, `moqod_cache_hits_total{tier="exact"}`)
+		if st.ExactHits < lastStats || scraped < lastScrape {
+			t.Errorf("%s: exact hits %d, scraped %d, after reads of %d and %d", when, st.ExactHits, scraped, lastStats, lastScrape)
+		}
+		lastStats, lastScrape = st.ExactHits, scraped
+		return st
+	}
+	<-entered
+	for range 3 {
+		read("during the fetch")
+	}
+	close(release)
+	if <-found {
+		t.Fatal("a lookup whose record left the store reported a hit")
+	}
+	if st := read("after the fetch"); st.ExactHits != 0 || st.Misses != 1 || st.Entries != 0 {
+		t.Errorf("after the fetch: %+v, want no hit, one miss, the stub gone", st)
+	}
+}
+
+// scrapeSample renders r and returns the value of the sample whose name
+// and labels are key.
+func scrapeSample(t *testing.T, r *metrics.Registry, key string) uint64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, key+" "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatalf("sample %s: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("no sample %s in the exposition", key)
+	return 0
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/eventlog"
 	"repro/internal/faultfs"
+	"repro/internal/metrics"
 	"repro/internal/snapcodec"
 	"repro/internal/store"
 )
@@ -32,7 +33,7 @@ func TestStubFetchOutcomes(t *testing.T) {
 	}
 	for tier, lookup := range lookups {
 		t.Run(tier, func(t *testing.T) {
-			c := NewPlanCache(4)
+			c := NewPlanCache(4, metrics.NewRegistry())
 			var fetches int
 			var next error
 			c.fetch = func(fp string, atBoot bool) (*core.Snapshot, error) {

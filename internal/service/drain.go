@@ -47,7 +47,7 @@ func (s *Service) Drain(grace time.Duration) (converged, checkpointed int) {
 		done := s.drainDone
 		s.drainMu.Unlock()
 		<-done
-		return int(s.drainConverged.Load()), int(s.drainCheckpointed.Load())
+		return int(s.obs.drainConverged.Value()), int(s.obs.drainCheckpointed.Value())
 	}
 	done := make(chan struct{})
 	s.drainDone = done
@@ -88,8 +88,8 @@ func (s *Service) Drain(grace time.Duration) (converged, checkpointed int) {
 		}
 		m.mu.Unlock()
 	}
-	s.drainConverged.Store(uint64(converged))
-	s.drainCheckpointed.Store(uint64(checkpointed))
+	s.obs.drainConverged.Add(uint64(converged))
+	s.obs.drainCheckpointed.Add(uint64(checkpointed))
 	s.cfg.Events.Emit(eventlog.LevelInfo, "service", "drain finished",
 		eventlog.Fint("converged", int64(converged)),
 		eventlog.Fint("checkpointed", int64(checkpointed)),

@@ -22,6 +22,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/eventlog"
 	"repro/internal/faultfs"
+	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/snapcodec"
 	"repro/internal/store"
@@ -100,7 +101,7 @@ func TestEncodedAdmissionMatchesDecoded(t *testing.T) {
 		}
 	}
 
-	dec, enc := NewPlanCache(5), NewPlanCache(5)
+	dec, enc := NewPlanCache(5, metrics.NewRegistry()), NewPlanCache(5, metrics.NewRegistry())
 	stored := map[string][]byte{} // the stand-in store: fingerprint → its live record's blob
 	enc.fetch = func(fp string, _ bool) (*core.Snapshot, error) {
 		return snapcodec.Decode(stored[fp])
@@ -170,7 +171,7 @@ func TestEncodedAdmissionMatchesDecoded(t *testing.T) {
 // both complete.
 func TestDecodeOnceConcurrentFirstHits(t *testing.T) {
 	snap, blob := encodedSnapshot(t, testConfig(2).Opt, "Q4")
-	c := NewPlanCache(4)
+	c := NewPlanCache(4, metrics.NewRegistry())
 	var decodes atomic.Int32
 	entered, release := make(chan struct{}), make(chan struct{})
 	c.fetch = func(fp string, atBoot bool) (*core.Snapshot, error) {

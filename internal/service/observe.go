@@ -10,10 +10,12 @@ import (
 )
 
 // Observability bundles the service's metric instruments and the
-// finished-session trace archive. The histograms are recorded on hot
-// paths (zero allocation, atomics only — DESIGN.md D13) and exposed by
-// moqod's GET /metrics via Registry; the archive backs the trace
-// endpoint and the slow-session log.
+// finished-session trace archive. Each instrument is created on the
+// registry under its family name where it is declared (newObservability,
+// newScheduler, NewPlanCache): one word that the paths record into,
+// Stats reads back and moqod's GET /metrics renders (DESIGN.md D13).
+// Recording is atomics only, zero allocation; the archive backs the
+// trace endpoint and the slow-session log.
 type Observability struct {
 	// Registry holds every registered metric family; moqod renders it
 	// in Prometheus text exposition at GET /metrics.
@@ -65,11 +67,18 @@ type Observability struct {
 	// reported ready (the entries the checkpoint's hot set named) or on a
 	// session's first hit (DESIGN.md D19). StoreReadErrors counts the
 	// loads the filesystem failed: those sessions started cold, nothing
-	// was quarantined.
+	// was quarantined. The decode instruments exist with the cache, the
+	// store-read ones with the store; nil otherwise.
 	StoreRead, Decode             *metrics.Histogram
-	StoreReadsBoot, StoreReadsHit metrics.Counter
-	DecodesBoot, DecodesHit       metrics.Counter
-	StoreReadErrors               metrics.Counter
+	StoreReadsBoot, StoreReadsHit *metrics.Counter
+	DecodesBoot, DecodesHit       *metrics.Counter
+	StoreReadErrors               *metrics.Counter
+
+	// Session lifecycle counters, each one Stats field (see there).
+	created, selected, closed, expired, failed, timedOut *metrics.Counter
+	poisoned, rejected, steps, warmStarts, isoWarmStarts *metrics.Counter
+	drift                                                [driftQuarantined + 1]*metrics.Counter // creates by driftOutcome; driftNone unused
+	drainConverged, drainCheckpointed                    *metrics.Counter
 
 	archive *trace.Archive
 }
@@ -79,31 +88,66 @@ type Observability struct {
 // step-gap ring.
 const archiveCap = 256
 
-// newObservability builds the instruments.
-func newObservability() *Observability {
+// newObservability builds the service's instruments on a new registry.
+// cache and store say whether the node has a warm-start cache and a
+// snapshot store: the cold tier's families exist only with them.
+func newObservability(cache, store bool) *Observability {
+	r := metrics.NewRegistry()
 	o := &Observability{
-		Registry:          metrics.NewRegistry(),
-		FirstFrontier:     metrics.NewDuration(),
-		StepGap:           metrics.NewDuration(),
-		QueueWait:         metrics.NewDuration(),
-		QuantumSteps:      metrics.NewValues(1, 2, 4, 8, 16, 32),
-		EndToEnd:          metrics.NewDuration(),
-		Remap:             metrics.NewDuration(),
-		Recost:            metrics.NewDuration(),
-		DriftMagnitude:    metrics.NewValues(10, 25, 50, 100, 250, 500, 1000, 2500, 5000),
-		StepsToEpsilon:    metrics.NewValues(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
-		QualityAtDeadline: metrics.NewValues(100, 250, 500, 750, 900, 950, 990, 1000),
-		StoreRead:         metrics.NewDuration(),
-		Decode:            metrics.NewDuration(),
-		archive:           trace.NewArchive(archiveCap),
+		Registry:          r,
+		created:           r.Counter("moqod_sessions_created_total", "Sessions created.", ""),
+		selected:          r.Counter("moqod_sessions_selected_total", "Sessions finished by plan selection.", ""),
+		closed:            r.Counter("moqod_sessions_closed_total", "Sessions closed without selecting.", ""),
+		expired:           r.Counter("moqod_sessions_expired_total", "Sessions reclaimed by the idle janitor.", ""),
+		failed:            r.Counter("moqod_sessions_failed_total", "Sessions killed by a recovered step panic.", ""),
+		timedOut:          r.Counter("moqod_sessions_timed_out_total", "Sessions reclaimed at their wall-clock deadline.", ""),
+		poisoned:          r.Counter("moqod_snapshots_poisoned_total", "Warm-start sources quarantined after a restore or first-step failure.", ""),
+		rejected:          r.Counter("moqod_sessions_rejected_total", "Create calls refused by admission control.", ""),
+		steps:             r.Counter("moqod_steps_total", "Refinement steps executed by the scheduler.", ""),
+		warmStarts:        r.Counter("moqod_warm_starts_total", "Sessions created from a cached snapshot (exact and isomorphic).", ""),
+		isoWarmStarts:     r.Counter("moqod_iso_warm_starts_total", "Warm starts restored via the isomorphism tier (snapshot remap).", ""),
+		drainConverged:    r.Counter("moqod_drain_converged_total", "Live sessions that reached target inside the drain grace window.", ""),
+		drainCheckpointed: r.Counter("moqod_drain_checkpointed_total", "Sessions checkpointed mid-refinement by the drain.", ""),
+
+		// Exemplars link a slow bucket to the session that filled it
+		// (GET /debug/sessions/{id}/trace). FirstFrontier captures in
+		// every bucket — it is observed once per session, so any bucket's
+		// exemplar is representative; StepGap only bothers the tail (a
+		// sub-millisecond gap is healthy scheduling, not worth a slot
+		// update per step).
+		FirstFrontier: r.Histogram("moqod_first_frontier_seconds", "Creation to first non-empty frontier.", "",
+			metrics.NewDuration().EnableExemplars(0)),
+		StepGap: r.Histogram("moqod_step_gap_seconds", "Start-to-start interval between a session's consecutive refinement steps.", "",
+			metrics.NewDuration().EnableExemplars(int64(time.Millisecond))),
+		QueueWait:    r.Histogram("moqod_queue_wait_seconds", "Enqueue to first step of the servicing pop.", "", metrics.NewDuration()),
+		QuantumSteps: r.Histogram("moqod_quantum_steps", "Refinement steps executed per queue pop.", "", metrics.NewValues(1, 2, 4, 8, 16, 32)),
+		EndToEnd:     r.Histogram("moqod_session_duration_seconds", "Creation to terminal transition of finished sessions.", "", metrics.NewDuration()),
+		Remap:        r.Histogram("moqod_remap_seconds", "Isomorphic snapshot rewrite latency at session creation.", "", metrics.NewDuration()),
+		Recost:       r.Histogram("moqod_recost_seconds", "Statistics-drift re-cost latency at session creation.", "", metrics.NewDuration()),
+		DriftMagnitude: r.Histogram("moqod_drift_magnitude_permille", "Maximum relative statistic change at stale-tier hits (permille).", "",
+			metrics.NewValues(10, 25, 50, 100, 250, 500, 1000, 2500, 5000)),
+		StepsToEpsilon: r.Histogram("moqod_steps_to_epsilon", "Frontier-producing steps until the running-best scalarization reached the target precision factor of the regime's final value.", "",
+			metrics.NewValues(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)),
+		QualityAtDeadline: r.Histogram("moqod_quality_at_deadline_permille", "Resolution-ladder progress at the terminal transition (1000 = last regime converged).", "",
+			metrics.NewValues(100, 250, 500, 750, 900, 950, 990, 1000)),
+		archive: trace.NewArchive(archiveCap),
 	}
-	// Exemplars link a slow bucket to the session that filled it
-	// (GET /debug/sessions/{id}/trace). FirstFrontier captures in every
-	// bucket — it is observed once per session, so any bucket's exemplar
-	// is representative; StepGap only bothers the tail (a sub-millisecond
-	// gap is healthy scheduling, not worth a slot update per step).
-	o.FirstFrontier.EnableExemplars(0)
-	o.StepGap.EnableExemplars(int64(time.Millisecond))
+	for d := driftRecosted; d <= driftQuarantined; d++ {
+		o.drift[d] = r.Counter("moqod_drift_total", "Statistics-drift resolutions by class.", `class="`+d.String()+`"`)
+	}
+	if cache {
+		const help = "Replayed cache entries decoded, by when: before ready (hinted) or on first hit."
+		o.DecodesBoot = r.Counter("moqod_cache_decodes_total", help, `when="boot"`)
+		o.DecodesHit = r.Counter("moqod_cache_decodes_total", help, `when="hit"`)
+		o.Decode = r.Histogram("moqod_cache_decode_seconds", "Latency of decoding one replayed cache entry's snapshot.", "", metrics.NewDuration())
+	}
+	if store {
+		const help = "Records loaded from the store for a cache entry, by when: before ready (hinted) or on first hit."
+		o.StoreReadsBoot = r.Counter("moqod_store_reads_total", help, `when="boot"`)
+		o.StoreReadsHit = r.Counter("moqod_store_reads_total", help, `when="hit"`)
+		o.StoreReadErrors = r.Counter("moqod_store_read_errors_total", "Record loads the filesystem failed (the session started cold; nothing was quarantined).", "")
+		o.StoreRead = r.Histogram("moqod_store_read_seconds", "Latency of loading one record from the store.", "", metrics.NewDuration())
+	}
 	return o
 }
 
@@ -202,27 +246,14 @@ func (s *Service) observeEnd(m *managed, k trace.Kind) time.Duration {
 	return gap
 }
 
-// registerMetrics wires every instrument and pre-existing atomic
-// counter into the registry. Called once at the end of New; scrape-time
-// closures read lock-free gauges or take only cold-path locks (cache
-// and store stats mutexes).
+// registerMetrics adds what newObservability, newScheduler and
+// NewPlanCache do not create: scrape-time gauges over live state, and
+// the bridges to counts other packages keep under their own locks (the
+// store's, the event log's, the runtime's). Called once at the end of
+// New; the closures read lock-free gauges or take only cold-path locks.
 func (s *Service) registerMetrics() {
 	r := s.obs.Registry
 
-	r.CounterFunc("moqod_sessions_created_total", "Sessions created.", "", s.created.Load)
-	r.CounterFunc("moqod_sessions_selected_total", "Sessions finished by plan selection.", "", s.selected.Load)
-	r.CounterFunc("moqod_sessions_closed_total", "Sessions closed without selecting.", "", s.closed.Load)
-	r.CounterFunc("moqod_sessions_expired_total", "Sessions reclaimed by the idle janitor.", "", s.expired.Load)
-	r.CounterFunc("moqod_sessions_failed_total", "Sessions killed by a recovered step panic.", "", s.failed.Load)
-	r.CounterFunc("moqod_sessions_timed_out_total", "Sessions reclaimed at their wall-clock deadline.", "", s.timedOut.Load)
-	r.CounterFunc("moqod_snapshots_poisoned_total", "Warm-start sources quarantined after a restore or first-step failure.", "", s.poisoned.Load)
-	r.CounterFunc("moqod_sessions_rejected_total", "Create calls refused by admission control.", "", s.rejected.Load)
-	r.CounterFunc("moqod_steps_total", "Refinement steps executed by the scheduler.", "", s.steps.Load)
-	r.CounterFunc("moqod_warm_starts_total", "Sessions created from a cached snapshot (exact and isomorphic).", "", s.warmStarts.Load)
-	r.CounterFunc("moqod_iso_warm_starts_total", "Warm starts restored via the isomorphism tier (snapshot remap).", "", s.isoWarmStarts.Load)
-	for d := driftRecosted; d <= driftQuarantined; d++ {
-		r.CounterFunc("moqod_drift_total", "Statistics-drift resolutions by class.", `class="`+d.String()+`"`, s.driftCounts[d].Load)
-	}
 	r.GaugeFunc("moqod_stats_epoch", "Current statistics-epoch label of the versioned catalog.", "", func() float64 {
 		return float64(s.statsEpoch())
 	})
@@ -235,27 +266,12 @@ func (s *Service) registerMetrics() {
 	r.GaugeFunc("moqod_hot_queue_depth", "Live hot-queue entries.", "", func() float64 {
 		return float64(s.sched.hotLen.Load())
 	})
-	r.CounterFunc("moqod_scheduler_pops_total", "Queue pops serviced by the workers.", "", s.sched.pops.Load)
-	r.CounterFunc("moqod_scheduler_preempts_total", "Cold quanta cut short by a hot arrival.", "", s.sched.preempts.Load)
 	r.GaugeFunc("moqod_draining", "1 once a drain has started (monotonic).", "", func() float64 {
 		if s.draining.Load() {
 			return 1
 		}
 		return 0
 	})
-	r.CounterFunc("moqod_drain_converged_total", "Live sessions that reached target inside the drain grace window.", "", s.drainConverged.Load)
-	r.CounterFunc("moqod_drain_checkpointed_total", "Sessions checkpointed mid-refinement by the drain.", "", s.drainCheckpointed.Load)
-
-	r.Histogram("moqod_first_frontier_seconds", "Creation to first non-empty frontier.", "", s.obs.FirstFrontier)
-	r.Histogram("moqod_step_gap_seconds", "Start-to-start interval between a session's consecutive refinement steps.", "", s.obs.StepGap)
-	r.Histogram("moqod_queue_wait_seconds", "Enqueue to first step of the servicing pop.", "", s.obs.QueueWait)
-	r.Histogram("moqod_quantum_steps", "Refinement steps executed per queue pop.", "", s.obs.QuantumSteps)
-	r.Histogram("moqod_session_duration_seconds", "Creation to terminal transition of finished sessions.", "", s.obs.EndToEnd)
-	r.Histogram("moqod_remap_seconds", "Isomorphic snapshot rewrite latency at session creation.", "", s.obs.Remap)
-	r.Histogram("moqod_recost_seconds", "Statistics-drift re-cost latency at session creation.", "", s.obs.Recost)
-	r.Histogram("moqod_drift_magnitude_permille", "Maximum relative statistic change at stale-tier hits (permille).", "", s.obs.DriftMagnitude)
-	r.Histogram("moqod_steps_to_epsilon", "Frontier-producing steps until the running-best scalarization reached the target precision factor of the regime's final value.", "", s.obs.StepsToEpsilon)
-	r.Histogram("moqod_quality_at_deadline_permille", "Resolution-ladder progress at the terminal transition (1000 = last regime converged).", "", s.obs.QualityAtDeadline)
 
 	metrics.RegisterRuntime(r)
 
@@ -269,35 +285,13 @@ func (s *Service) registerMetrics() {
 
 	if c := s.cache; c != nil {
 		r.GaugeFunc("moqod_cache_entries", "Cached snapshots.", "", func() float64 {
-			return float64(c.Stats().Entries)
-		})
-		r.CounterFunc("moqod_cache_hits_total", "Warm-start cache hits by tier.", `tier="exact"`, func() uint64 {
-			return c.Stats().ExactHits
-		})
-		r.CounterFunc("moqod_cache_hits_total", "Warm-start cache hits by tier.", `tier="iso"`, func() uint64 {
-			return c.Stats().IsoHits
-		})
-		r.CounterFunc("moqod_cache_stale_hits_total", "Structural-tier hits on pre-drift snapshots (resolved by the drift counters).", "", func() uint64 {
-			return c.Stats().StaleHits
-		})
-		r.CounterFunc("moqod_cache_misses_total", "Warm-start cache misses.", "", func() uint64 {
-			return c.Stats().Misses
-		})
-		r.CounterFunc("moqod_cache_puts_total", "Snapshot admissions (inserts and refreshes).", "", func() uint64 {
-			return c.Stats().Puts
-		})
-		r.CounterFunc("moqod_cache_evictions_total", "LRU evictions.", "", func() uint64 {
-			return c.Stats().Evictions
-		})
-		r.CounterFunc("moqod_cache_poisoned_total", "Entries quarantined from the cache after a restore or first-step failure.", "", func() uint64 {
-			return c.Stats().Poisoned
+			entries, _ := c.sizes()
+			return float64(entries)
 		})
 		r.GaugeFunc("moqod_cache_encoded_entries", "Cache entries of the snapshot store's records not used yet: their snapshot is still encoded, on disk.", "", func() float64 {
-			return float64(c.Stats().Encoded)
+			_, encoded := c.sizes()
+			return float64(encoded)
 		})
-		r.CounterFunc("moqod_cache_decodes_total", "Replayed cache entries decoded, by when: before ready (hinted) or on first hit.", `when="boot"`, s.obs.DecodesBoot.Value)
-		r.CounterFunc("moqod_cache_decodes_total", "Replayed cache entries decoded, by when: before ready (hinted) or on first hit.", `when="hit"`, s.obs.DecodesHit.Value)
-		r.Histogram("moqod_cache_decode_seconds", "Latency of decoding one replayed cache entry's snapshot.", "", s.obs.Decode)
 	}
 
 	if s.store != nil {
@@ -339,10 +333,5 @@ func (s *Service) registerMetrics() {
 		r.CounterFunc("moqod_store_tombstones_total", "Quarantine tombstones written or scanned.", "", func() uint64 {
 			return st.Stats().Tombstones
 		})
-		const readsHelp = "Records loaded from the store for a cache entry, by when: before ready (hinted) or on first hit."
-		r.CounterFunc("moqod_store_reads_total", readsHelp, `when="boot"`, s.obs.StoreReadsBoot.Value)
-		r.CounterFunc("moqod_store_reads_total", readsHelp, `when="hit"`, s.obs.StoreReadsHit.Value)
-		r.CounterFunc("moqod_store_read_errors_total", "Record loads the filesystem failed (the session started cold; nothing was quarantined).", "", s.obs.StoreReadErrors.Value)
-		r.Histogram("moqod_store_read_seconds", "Latency of loading one record from the store.", "", s.obs.StoreRead)
 	}
 }

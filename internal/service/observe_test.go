@@ -190,7 +190,7 @@ func TestStepsSpanCoversLastStep(t *testing.T) {
 // allocates nothing. Any allocation here multiplies by every step of
 // every session (compare TestPruneAllocsSteadyState in core).
 func TestObserveStepPathAllocFree(t *testing.T) {
-	obs := newObservability()
+	obs := newObservability(false, false)
 	obs.StepGap.EnableExemplars(int64(time.Millisecond))
 	obs.FirstFrontier.EnableExemplars(0)
 	m := &managed{id: "alloc-probe", created: time.Now()}

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // scheduler is the service's fair-share refinement scheduler: a worker
@@ -45,9 +47,10 @@ type scheduler struct {
 	hotLen atomic.Int32
 	qLen   atomic.Int32
 
-	// Observability counters (Stats, /metrics).
-	pops     atomic.Uint64 // queue pops serviced by the workers
-	preempts atomic.Uint64 // cold quanta cut short by a hot arrival
+	// Observability counters (Stats, /metrics), created on the
+	// registry by newScheduler.
+	pops     *metrics.Counter // queue pops serviced by the workers
+	preempts *metrics.Counter // cold quanta cut short by a hot arrival
 }
 
 // entry is one queue slot; it is live iff seq matches the session's
@@ -88,8 +91,11 @@ func (q *entryQueue) pop() (entry, bool) {
 
 func (q *entryQueue) reset() { q.buf, q.head = nil, 0 }
 
-func newScheduler() *scheduler {
-	sc := &scheduler{}
+func newScheduler(r *metrics.Registry) *scheduler {
+	sc := &scheduler{
+		pops:     r.Counter("moqod_scheduler_pops_total", "Queue pops serviced by the workers.", ""),
+		preempts: r.Counter("moqod_scheduler_preempts_total", "Cold quanta cut short by a hot arrival.", ""),
+	}
 	sc.cond = sync.NewCond(&sc.mu)
 	return sc
 }
@@ -184,7 +190,7 @@ func (sc *scheduler) next() (*managed, bool, bool) {
 	defer sc.mu.Unlock()
 	for !sc.stopped {
 		if m, hot, ok := sc.popLocked(); ok {
-			sc.pops.Add(1)
+			sc.pops.Inc()
 			return m, hot, true
 		}
 		sc.cond.Wait()

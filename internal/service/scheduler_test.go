@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
@@ -20,7 +21,7 @@ func (sc *scheduler) tryPop() (*managed, bool) {
 }
 
 func TestSchedulerHotPriority(t *testing.T) {
-	sc := newScheduler()
+	sc := newScheduler(metrics.NewRegistry())
 	defer sc.stop()
 
 	a, b, hot := &managed{id: "a"}, &managed{id: "b"}, &managed{id: "hot"}
@@ -59,7 +60,7 @@ func TestSchedulerHotPriority(t *testing.T) {
 // stale cold entry left behind by a promotion is skipped, and the
 // session can be re-enqueued cold afterwards without duplication.
 func TestSchedulerPromotionStampsStale(t *testing.T) {
-	sc := newScheduler()
+	sc := newScheduler(metrics.NewRegistry())
 	defer sc.stop()
 
 	m := &managed{id: "m"}

@@ -140,10 +140,6 @@ type Config struct {
 	// <= 0 uses core.DefaultDriftThreshold.
 	DriftThreshold float64
 
-	// DefaultBounds are the initial cost bounds of new sessions; nil
-	// means unbounded.
-	DefaultBounds cost.Vector
-
 	// SlowSession, when positive, invokes SlowSessionLog for every
 	// session whose creation→terminal wall time reaches the threshold,
 	// handing over the session's full lifecycle trace (moqod wires this
@@ -375,37 +371,24 @@ type Service struct {
 	statsMu    sync.Mutex
 	gapScratch []time.Duration
 
-	nextID        atomic.Uint64
-	created       atomic.Uint64
-	selected      atomic.Uint64
-	closed        atomic.Uint64
-	expired       atomic.Uint64
-	failed        atomic.Uint64
-	timedOut      atomic.Uint64
-	poisoned      atomic.Uint64
-	rejected      atomic.Uint64
-	steps         atomic.Uint64
-	warmStarts    atomic.Uint64
-	isoWarmStarts atomic.Uint64
-	driftCounts   [driftQuarantined + 1]atomic.Uint64 // creates by driftOutcome
-	stopping      atomic.Bool
-	janitorStop   chan struct{}
+	nextID      atomic.Uint64
+	stopping    atomic.Bool
+	janitorStop chan struct{}
 
 	// Drain state (DESIGN.md D16). draining flips once, before any other
 	// drain work, so Create refuses new sessions for the entire window in
 	// which in-flight ones converge or checkpoint; it never flips back.
 	// drainMu/drainDone make Drain idempotent: the first caller runs the
 	// drain, later callers block until it finishes and read the same
-	// counts. admitMu orders admission against the flip: Create checks
-	// draining again and registers and queues the session under its read
-	// lock, and Drain flips draining under its write lock, so every
-	// session admitted before the flip is in the drain's sweep.
-	draining          atomic.Bool
-	admitMu           sync.RWMutex
-	drainMu           sync.Mutex
-	drainDone         chan struct{}
-	drainConverged    atomic.Uint64
-	drainCheckpointed atomic.Uint64
+	// counts (obs.drainConverged, obs.drainCheckpointed). admitMu orders
+	// admission against the flip: Create checks draining again and
+	// registers and queues the session under its read lock, and Drain
+	// flips draining under its write lock, so every session admitted
+	// before the flip is in the drain's sweep.
+	draining  atomic.Bool
+	admitMu   sync.RWMutex
+	drainMu   sync.Mutex
+	drainDone chan struct{}
 }
 
 // New validates the configuration, starts the worker pool and the idle
@@ -445,13 +428,9 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{cfg: cfg, quantum: cfg.Quantum, janitorStop: make(chan struct{})}
 	// The instruments must exist before any worker can run a step
 	// (runSteps records into them unconditionally).
-	s.obs = newObservability()
+	s.obs = newObservability(cfg.CacheCapacity >= 0, cfg.StoreDir != "")
 	if cfg.CacheCapacity >= 0 {
-		capacity := cfg.CacheCapacity
-		if capacity < 1 {
-			capacity = 256
-		}
-		s.cache = NewPlanCache(capacity)
+		s.cache = NewPlanCache(cfg.CacheCapacity, s.obs.Registry)
 	}
 	if cfg.StoreDir != "" {
 		if s.cache == nil {
@@ -483,7 +462,7 @@ func New(cfg Config) (*Service, error) {
 		}
 	}
 	s.mgr = newManager()
-	s.sched = newScheduler()
+	s.sched = newScheduler(s.obs.Registry)
 	s.sched.start(cfg.Workers, s.runSteps)
 	if cfg.IdleTimeout > 0 || cfg.SessionDeadline > 0 {
 		go s.janitor()
@@ -585,9 +564,9 @@ func (s *Service) fetchHot(hot []cacheKey) {
 // which stays a stub. What Load or Decode rejected comes back as it is,
 // for the caller to treat as poison.
 func (s *Service) fetchSnapshot(fp string, atBoot bool) (*core.Snapshot, error) {
-	reads, decodes := &s.obs.StoreReadsHit, &s.obs.DecodesHit
+	reads, decodes := s.obs.StoreReadsHit, s.obs.DecodesHit
 	if atBoot {
-		reads, decodes = &s.obs.StoreReadsBoot, &s.obs.DecodesBoot
+		reads, decodes = s.obs.StoreReadsBoot, s.obs.DecodesBoot
 	}
 	t0 := time.Now()
 	blob, err := s.store.Load(fp)
@@ -663,8 +642,8 @@ func (s *Service) janitor() {
 			return
 		case <-t.C:
 			expired, timedOut := s.mgr.sweep(ttl, s.cfg.SessionDeadline)
-			s.expired.Add(uint64(len(expired)))
-			s.timedOut.Add(uint64(len(timedOut)))
+			s.obs.expired.Add(uint64(len(expired)))
+			s.obs.timedOut.Add(uint64(len(timedOut)))
 			// sweep already removed the sessions and recorded their
 			// starvation gaps; what remains is the terminal observability
 			// (trace archive, end-to-end histogram, slow-session hook).
@@ -681,7 +660,7 @@ func (s *Service) janitor() {
 // reject counts one admission refusal and builds the structured
 // overload error.
 func (s *Service) reject(kind string, n, lim int) error {
-	s.rejected.Add(1)
+	s.obs.rejected.Inc()
 	return &OverloadError{Kind: kind, N: n, Limit: lim}
 }
 
@@ -705,7 +684,7 @@ func (s *Service) quarantine(src cacheKey, corrupt bool) {
 	if s.store != nil {
 		s.store.Quarantine(src.fp)
 	}
-	s.poisoned.Add(1)
+	s.obs.poisoned.Inc()
 	if corrupt {
 		s.cfg.Events.Emit(eventlog.LevelWarn, "service", "replayed record failed to decode, quarantined",
 			eventlog.F("fingerprint", src.fp))
@@ -786,13 +765,13 @@ func (s *Service) Create(q *query.Query) (string, error) {
 		return "", ErrDraining
 	}
 	if st.prov != provCold {
-		s.warmStarts.Add(1)
+		s.obs.warmStarts.Inc()
 	}
 	if st.prov == provIso {
-		s.isoWarmStarts.Add(1)
+		s.obs.isoWarmStarts.Inc()
 	}
 	if st.drift != driftNone {
-		s.driftCounts[st.drift].Add(1)
+		s.obs.drift[st.drift].Inc()
 	}
 	now := time.Now()
 	id := "s-" + strconv.FormatUint(s.nextID.Add(1), 10)
@@ -808,9 +787,9 @@ func (s *Service) Create(q *query.Query) (string, error) {
 		src:        st.src,
 		drift:      st.drift,
 		statsEpoch: s.statsEpoch(),
-		// An exact warm restore re-converging under the default bounds
-		// ends in the very state the cached snapshot holds, so
-		// re-exporting (a full deep copy, plus a store write) buys
+		// An exact warm restore re-converging unbounded, as every new
+		// session starts, ends in the very state the cached snapshot
+		// holds, so re-exporting (a full deep copy, plus a store write) buys
 		// nothing; skip it. A small-drift restore already admitted its
 		// re-costed state under this session's own keys, so it skips too.
 		// Isomorphic restores still export — they seed the exact tier for
@@ -828,7 +807,7 @@ func (s *Service) Create(q *query.Query) (string, error) {
 	tr.SetProvenance(m.provLabel)
 	m.trace = tr
 	s.mgr.add(m)
-	s.created.Add(1)
+	s.obs.created.Inc()
 	s.sched.enqueue(m, true)
 	s.cfg.Events.EmitSession(eventlog.LevelInfo, "service", "session created", id, k.fp, Refining.String(),
 		eventlog.F("provenance", m.provLabel))
@@ -898,7 +877,7 @@ func (s *Service) runSteps(m *managed, hot bool) {
 		}
 		batchEnd = start + m.sess.LastDuration()
 		m.steps++
-		s.steps.Add(1)
+		s.obs.steps.Inc()
 		if m.firstFrontier == 0 && len(frontier) > 0 {
 			m.firstFrontier = time.Since(m.created)
 			s.obs.FirstFrontier.ObserveExemplar(int64(m.firstFrontier), m.id)
@@ -962,7 +941,7 @@ func (s *Service) runSteps(m *managed, hot bool) {
 		}
 		m.mu.Unlock()
 		if preempt {
-			s.sched.preempts.Add(1)
+			s.sched.preempts.Inc()
 		}
 		if last {
 			break
@@ -1012,7 +991,7 @@ func (s *Service) failLocked(m *managed, failure error, stack []byte, first, las
 	// Counted before the unlock publishes the state: a client that polls
 	// Failed never reads a failure count that does not include it yet.
 	// The quarantine takes cache and store locks, so it stays outside.
-	s.failed.Add(1)
+	s.obs.failed.Inc()
 	m.mu.Unlock()
 	if poisoned {
 		s.quarantine(m.src, false)
@@ -1216,7 +1195,7 @@ func (s *Service) Select(id string, index, expectSteps int) (*plan.Node, error) 
 	m.setState(Selected)
 	m.mu.Unlock()
 	s.finish(m, trace.KindSelected)
-	s.selected.Add(1)
+	s.obs.selected.Inc()
 	// The session is finished: hand back a copy detached from the
 	// optimizer's arena, so a client keeping the plan does not pin the
 	// dead session's node chunks (see plan.DetachInto).
@@ -1235,7 +1214,7 @@ func (s *Service) Close(id string) error {
 	if m.state == Failed {
 		m.mu.Unlock()
 		s.mgr.remove(m.id)
-		s.closed.Add(1)
+		s.obs.closed.Inc()
 		return nil
 	}
 	if !m.state.Live() {
@@ -1245,37 +1224,39 @@ func (s *Service) Close(id string) error {
 	m.setState(Closed)
 	m.mu.Unlock()
 	s.finish(m, trace.KindClosed)
-	s.closed.Add(1)
+	s.obs.closed.Inc()
 	return nil
 }
 
 // Stats returns the service counters and gauges, including the
-// starvation-audit percentile.
+// starvation-audit percentile. Every counter is read from the registry
+// word /metrics renders.
 func (s *Service) Stats() Stats {
+	o := s.obs
 	st := Stats{
-		Created:           s.created.Load(),
-		Selected:          s.selected.Load(),
-		Closed:            s.closed.Load(),
-		Expired:           s.expired.Load(),
-		Failed:            s.failed.Load(),
-		TimedOut:          s.timedOut.Load(),
-		Poisoned:          s.poisoned.Load(),
-		Rejected:          s.rejected.Load(),
-		Steps:             s.steps.Load(),
-		Pops:              s.sched.pops.Load(),
-		Preempts:          s.sched.preempts.Load(),
-		WarmStarts:        s.warmStarts.Load(),
-		IsoWarmStarts:     s.isoWarmStarts.Load(),
-		DriftRecosted:     s.driftCounts[driftRecosted].Load(),
-		DriftResumed:      s.driftCounts[driftResumed].Load(),
-		DriftQuarantined:  s.driftCounts[driftQuarantined].Load(),
+		Created:           o.created.Value(),
+		Selected:          o.selected.Value(),
+		Closed:            o.closed.Value(),
+		Expired:           o.expired.Value(),
+		Failed:            o.failed.Value(),
+		TimedOut:          o.timedOut.Value(),
+		Poisoned:          o.poisoned.Value(),
+		Rejected:          o.rejected.Value(),
+		Steps:             o.steps.Value(),
+		Pops:              s.sched.pops.Value(),
+		Preempts:          s.sched.preempts.Value(),
+		WarmStarts:        o.warmStarts.Value(),
+		IsoWarmStarts:     o.isoWarmStarts.Value(),
+		DriftRecosted:     o.drift[driftRecosted].Value(),
+		DriftResumed:      o.drift[driftResumed].Value(),
+		DriftQuarantined:  o.drift[driftQuarantined].Value(),
 		StatsEpoch:        s.statsEpoch(),
-		RemapTotal:        time.Duration(s.obs.Remap.Sum()),
+		RemapTotal:        time.Duration(o.Remap.Sum()),
 		Active:            s.mgr.count(),
 		Queued:            s.sched.queueLen(),
 		Draining:          s.draining.Load(),
-		DrainConverged:    s.drainConverged.Load(),
-		DrainCheckpointed: s.drainCheckpointed.Load(),
+		DrainConverged:    o.drainConverged.Value(),
+		DrainCheckpointed: o.drainCheckpointed.Value(),
 	}
 	st.Shards = []ShardStats{{Steps: st.Steps, Pops: st.Pops, Preempts: st.Preempts}}
 	// statsMu serializes concurrent Stats callers over the reusable gap
@@ -1291,9 +1272,9 @@ func (s *Service) Stats() Stats {
 	}
 	if s.store != nil {
 		st.Store = s.store.Stats()
-		st.StoreReadsBoot = s.obs.StoreReadsBoot.Value()
-		st.StoreReadsHit = s.obs.StoreReadsHit.Value()
-		st.StoreReadErrors = s.obs.StoreReadErrors.Value()
+		st.StoreReadsBoot = o.StoreReadsBoot.Value()
+		st.StoreReadsHit = o.StoreReadsHit.Value()
+		st.StoreReadErrors = o.StoreReadErrors.Value()
 	}
 	return st
 }

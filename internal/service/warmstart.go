@@ -124,7 +124,7 @@ func (s *Service) resolve(q *query.Query, k cacheKey) (start, error) {
 		if snap != nil {
 			opt, rerr := restoreFromSnapshot(q, s.cfg.Opt, snap)
 			if rerr == nil {
-				if st.sess, err = session.NewWithOptimizer(opt, s.cfg.DefaultBounds); err != nil {
+				if st.sess, err = session.NewWithOptimizer(opt, nil); err != nil {
 					return st, err
 				}
 				st.prov, st.drift, st.src, st.origin = prov, driftOf[prov], h.Src, h.Origin
@@ -150,7 +150,7 @@ func (s *Service) resolve(q *query.Query, k cacheKey) (start, error) {
 			}
 		}
 	}
-	st.sess, err = session.New(q, s.cfg.Opt, s.cfg.DefaultBounds)
+	st.sess, err = session.New(q, s.cfg.Opt, nil)
 	return st, err
 }
 
