@@ -83,10 +83,13 @@ type Config struct {
 type Hooks struct {
 	// PlanGenerated fires for every plan enumerated (scan enumeration
 	// and join combination), before pruning. Join alternatives are
-	// passed from the optimizer's enumeration scratch: p and p.Cost are
-	// valid only for the duration of the callback (p.Left and p.Right
-	// are retained plans and stay valid); a callback that keeps a plan
-	// must copy it, e.g. through Signature().
+	// passed from the optimizer's enumeration scratch, which holds them
+	// without sub-plans; the optimizer attaches p.Left and p.Right for
+	// the callback alone, so the hook sees a complete plan. p and p.Cost
+	// are valid only for the duration of the callback (p.Left and
+	// p.Right are retained plans and stay valid); a callback that keeps
+	// a plan must copy it, e.g. through Signature(), and must not write
+	// it.
 	PlanGenerated func(p *plan.Node)
 	// PairCombined fires for every sub-plan pair passed to the join
 	// enumeration.

@@ -108,8 +108,9 @@ type Optimizer struct {
 	altsScratch   []*plan.Node       // scan plans, or pointers into altNodes
 	altsKeep      []bool             // frontier filter over altsScratch
 	split         costmodel.Split    // the split of the last pair combinePairs enumerated
+	pairL, pairR  *plan.Node         // that pair: the sub-plans of the scratch alternatives
 	sortKeys      []sortKey          // frontierFilter's input, sorted by cost
-	sweepKept     []*plan.Node       // frontierFilter's kept plans, in sorted order
+	sweepKept     []planRec          // frontierFilter's kept plans, in sorted order
 	visAll        []*plan.Node       // visible-set collection
 	visEpochs     []uint64           // insertion epochs of visAll
 	visKeep       []bool             // frontier filter over visAll
@@ -117,14 +118,9 @@ type Optimizer struct {
 	visPool       []*visibleSets // recycled visibleSets across invocations
 	visUsed       int
 
-	// Persistent range-query visitors (allocated once, so Query calls
-	// in the hot path create no closures), plus the state they operate
-	// on. Valid only during the call that set them.
-	pruneVisit func(rangeindex.Entry) bool
+	// visCollect is visible's range-query visitor, allocated once so
+	// that Query calls in the hot path create no closures.
 	visCollect func(rangeindex.Entry) bool
-	pruneP     *plan.Node
-	pruneExact bool
-	pruneAppr  bool
 
 	// rootCollect is AppendResultsAt's visitor, appending to rootOut.
 	rootCollect func(rangeindex.Entry) bool
@@ -132,9 +128,9 @@ type Optimizer struct {
 
 	// witnesses[:witN] are the result plans of table set witSub that
 	// most recently proved an exact dominance in the current invocation,
-	// most recent first; prune probes them before querying the index
+	// most recent first, by value; prune probes them before the index
 	// (DESIGN.md D9). Emptied whenever witSub or the invocation changes.
-	witnesses [witnessCap]*plan.Node
+	witnesses [witnessCap]planRec
 	witN      int
 	witSub    tableset.Set
 }
@@ -176,24 +172,6 @@ func NewOptimizer(q *query.Query, cfg Config) (*Optimizer, error) {
 		scaledScratch: cost.NewVector(dim),
 		boundScratch:  cost.NewVector(dim),
 		visCache:      map[tableset.Set]*visibleSets{},
-	}
-	o.pruneVisit = func(e rangeindex.Entry) bool {
-		o.stats.DominanceChecks++
-		pA := e.Payload
-		if !o.cfg.DisableOrderAwarePruning && !pA.Order.Covers(o.pruneP.Order) {
-			return true
-		}
-		// Cost ⪯ α_r·c(p) is guaranteed by the query box.
-		o.pruneAppr = true
-		if o.cfg.RetainDominatedCandidates {
-			return false
-		}
-		if o.redundant(pA, o.pruneP) {
-			o.pruneExact = true
-			o.noteWitness(pA)
-			return false
-		}
-		return true
 	}
 	o.visCollect = func(e rangeindex.Entry) bool {
 		o.visAll = append(o.visAll, e.Payload)

@@ -102,13 +102,13 @@ func (o *Optimizer) frontierFilter(all []*plan.Node, keep []bool) []bool {
 		p := all[k.i]
 		// Nearest first: the plans kept last lie closest in cost.
 		for j := len(kept) - 1; j >= 0; j-- {
-			if o.redundant(kept[j], p) {
+			if o.recRedundant(&kept[j], p) {
 				keep[k.i] = false
 				break
 			}
 		}
 		if keep[k.i] {
-			kept = append(kept, p)
+			kept = append(kept, recOf(p))
 		}
 	}
 	o.sortKeys, o.sweepKept = keys, kept
@@ -320,6 +320,7 @@ func (o *Optimizer) combinePairs(sub tableset.Set, b cost.Vector, r int, lefts, 
 				o.split = o.cfg.Model.NewSplit(o.q, l.Tables, rt.Tables)
 			}
 			o.altNodes, o.altFloats = o.cfg.Model.JoinAlternativesInto(o.altNodes, o.altFloats, &o.split, l, rt)
+			o.pairL, o.pairR = l, rt
 			// The pointers into altNodes stay valid from pair to pair;
 			// they are retaken only when the enumeration regrew the
 			// scratch or initScans borrowed altsScratch.
@@ -333,7 +334,11 @@ func (o *Optimizer) combinePairs(sub tableset.Set, b cost.Vector, r int, lefts, 
 			for i, p := range o.altsScratch {
 				o.stats.PlansGenerated++
 				if o.cfg.Hooks.PlanGenerated != nil {
+					// The hook sees a complete plan; the scratch
+					// stays childless.
+					p.Left, p.Right = l, rt
 					o.cfg.Hooks.PlanGenerated(p)
+					p.Left, p.Right = nil, nil
 				}
 				if !o.altsKeep[i] {
 					// Dominated within its own alternative batch:

@@ -35,14 +35,17 @@ import (
 // prune is the single hottest procedure of the system (every generated
 // plan passes through it), so it works exclusively on per-optimizer
 // scratch state: the scaled vector and the query box live in reusable
-// buffers, and the range query dispatches through the pre-allocated
-// pruneVisit visitor rather than a per-call closure (DESIGN.md D9).
+// buffers, and the result set answers one typed question, the range
+// index's order-aware dominance probe, rather than handing every entry
+// of the box to a visitor (DESIGN.md D9).
 //
-// scratch says p lives in the enumeration scratch of combinePairs, not
-// in the arena; such a plan is copied into the arena (receiving its
-// dense ID) only on the two branches that keep it. The discard branches
-// therefore touch no heap at all, and the keeping branches pay one
-// arena bump plus amortized growth of the index cell.
+// scratch says p lives in the enumeration scratch of combinePairs,
+// without its sub-plans, which are the pair combinePairs recorded
+// (pairL, pairR). Such a plan is copied into the arena (receiving its
+// dense ID and its sub-plans) only on the two branches that keep it. The
+// discard branches therefore touch no heap and store no pointer, and
+// the keeping branches pay one arena bump plus amortized growth of the
+// index cell.
 func (o *Optimizer) prune(sub tableset.Set, b cost.Vector, r int, p *plan.Node, scratch bool) {
 	o.stats.PruneCalls++
 	if o.witnessDominates(sub, p) {
@@ -53,26 +56,29 @@ func (o *Optimizer) prune(sub tableset.Set, b cost.Vector, r int, p *plan.Node, 
 	alpha := o.cfg.AlphaFor(r)
 	scaled := p.Cost.ScaleInto(o.scaledScratch, alpha)
 
-	// One range query serves both checks. A result plan pA approximates
-	// p iff c(pA) ⪯ α_r·c(p); since pA must also respect the bounds,
-	// the query box is the component-wise minimum of both vectors.
-	// Exact dominators (c(pA) ⪯ c(p), order covered, rows ≤) lie inside
-	// the same box whenever they respect the bounds themselves.
+	// One probe serves both checks. A result plan pA approximates p iff
+	// c(pA) ⪯ α_r·c(p); since pA must also respect the bounds, the
+	// query box is the component-wise minimum of both vectors. Exact
+	// dominators (c(pA) ⪯ c(p), order covered, rows ≤) lie inside the
+	// same box whenever they respect the bounds themselves.
 	queryBound := scaled.MinInto(o.boundScratch, b)
 	maxRes := r
 	if o.cfg.PruneAgainstAll {
 		maxRes = o.cfg.MaxResolution()
 	}
-	o.pruneP, o.pruneExact, o.pruneAppr = p, false, false
+	var exact *plan.Node
+	approximated := false
 	if ix, ok := o.res[sub]; ok {
-		ix.Query(queryBound, maxRes, 0, o.pruneVisit)
+		var visited int
+		exact, approximated, visited = ix.Dominance(queryBound, maxRes, p,
+			!o.cfg.DisableOrderAwarePruning, o.cfg.RetainDominatedCandidates)
+		o.stats.DominanceChecks += visited
 	}
-	exact, approximated := o.pruneExact, o.pruneAppr
-	o.pruneP = nil
 
 	resolution, toCand := r, false
 	switch {
-	case exact:
+	case exact != nil:
+		o.noteWitness(exact)
 		o.stats.ExactDominated++
 		return
 	case approximated:
@@ -107,9 +113,11 @@ func (o *Optimizer) prune(sub tableset.Set, b cost.Vector, r int, p *plan.Node, 
 	})
 }
 
-// materialize copies a scratch plan and its cost vector into the arena.
+// materialize copies a scratch plan and its cost vector into the arena,
+// with the pair combinePairs is enumerating as its sub-plans.
 func (o *Optimizer) materialize(p *plan.Node) *plan.Node {
 	n := *p
+	n.Left, n.Right = o.pairL, o.pairR
 	n.Cost = o.arena.NewVector(len(p.Cost))
 	copy(n.Cost, p.Cost)
 	o.stats.PlansMaterialized++
@@ -119,58 +127,77 @@ func (o *Optimizer) materialize(p *plan.Node) *plan.Node {
 // witnessCap bounds the witness set. Exact dominators repeat heavily
 // within one table set (the alternatives of neighbouring pairs fall
 // under the same few result plans), so a handful of recent ones settles
-// most discards; a miss costs witnessCap comparisons before the query.
+// most discards; a miss costs witnessCap comparisons before the probe.
 const witnessCap = 8
 
 // witnessDominates reports whether one of the recent exact dominators
 // of sub's plans dominates p exactly too, moving the one that does to
-// the front. It answers what the range query of prune would: a witness
-// w was retrieved by a query of this invocation, so it is a result plan
-// of sub (result plans are never removed) registered for a resolution
-// the query admits with c(w) ⪯ b; if also w.Order ⊒ p.Order,
+// the front. It answers what the dominance probe of prune would: a
+// witness w was found by a probe of this invocation, so it is a result
+// plan of sub (result plans are never removed) registered for a
+// resolution the probe admits with c(w) ⪯ b; if also w.Order ⊒ p.Order,
 // w.Rows ≤ p.Rows and c(w) ⪯ c(p) ⪯ α_r·c(p), then w lies in p's query
-// box and the visitor would have reached the exact verdict on w or on
-// an entry before it. RetainDominatedCandidates has no exact verdict,
-// so it never records a witness and the probe finds the set empty.
+// box and the probe would have reached the exact verdict on w or on an
+// entry before it. RetainDominatedCandidates has no exact verdict, so it
+// never records a witness and the probe finds the set empty.
 func (o *Optimizer) witnessDominates(sub tableset.Set, p *plan.Node) bool {
 	if o.witSub != sub {
 		o.witSub, o.witN = sub, 0
 		return false
 	}
-	for i, w := range o.witnesses[:o.witN] {
+	for i := range o.witN {
 		o.stats.DominanceChecks++
-		if o.redundant(w, p) {
+		if w := &o.witnesses[i]; o.recRedundant(w, p) {
+			hit := *w
 			copy(o.witnesses[1:i+1], o.witnesses[:i])
-			o.witnesses[0] = w
+			o.witnesses[0] = hit
 			return true
 		}
 	}
 	return false
 }
 
-// noteWitness records w, which the range query just found to dominate a
-// plan of table set witSub exactly, as the most recent witness.
+// noteWitness records w, which the dominance probe just found to
+// dominate a plan of table set witSub exactly, as the most recent
+// witness.
 func (o *Optimizer) noteWitness(w *plan.Node) {
 	if o.witN < witnessCap {
 		o.witN++
 	}
 	copy(o.witnesses[1:o.witN], o.witnesses[:o.witN-1])
-	o.witnesses[0] = w
+	o.witnesses[0] = recOf(w)
 }
 
-// redundant reports whether plan q makes plan p redundant: q can stand
-// in for p (its order covers p's, unless DisableOrderAwarePruning), it
-// produces no more rows, and its cost dominates p's. Joining p can then
-// produce nothing the same join of q would not dominate (DESIGN.md D5,
-// D6). The relation is transitive.
-func (o *Optimizer) redundant(q, p *plan.Node) bool {
-	if q.Rows > p.Rows || !q.Order.Covers(p.Order) && !o.cfg.DisableOrderAwarePruning {
+// planRec is what the redundancy test reads of a plan, by value: the
+// witness set and the frontier filter's sweep keep their plans as
+// records, so they hold no pointer — recording one stores none, and
+// testing one chases none.
+type planRec struct {
+	rows  float64
+	order plan.Order
+	cost  [rangeindex.MaxDims]float64
+}
+
+// recOf returns q's record.
+func recOf(q *plan.Node) planRec {
+	r := planRec{rows: q.Rows, order: q.Order}
+	copy(r.cost[:], q.Cost)
+	return r
+}
+
+// recRedundant reports whether the plan q recorded in rec makes plan p
+// redundant: q can stand in for p (its order covers p's, unless
+// DisableOrderAwarePruning), it produces no more rows, and its cost
+// dominates p's. Joining p can then produce nothing the same join of q
+// would not dominate (DESIGN.md D5, D6). The relation is transitive.
+// The range index's dominance probe asks the same of its entries.
+func (o *Optimizer) recRedundant(rec *planRec, p *plan.Node) bool {
+	if rec.rows > p.Rows || !rec.order.Covers(p.Order) && !o.cfg.DisableOrderAwarePruning {
 		return false
 	}
-	// q.Cost.Dominates(p.Cost), spelled out so that the test inlines.
-	pc := p.Cost[:len(q.Cost)]
-	for d, c := range q.Cost {
-		if c > pc[d] {
+	qc := rec.cost[:len(p.Cost)]
+	for d, c := range p.Cost {
+		if qc[d] > c {
 			return false
 		}
 	}

@@ -41,8 +41,11 @@ type Stats struct {
 	// ExactDominated counts plans discarded as globally redundant: an
 	// existing result plan dominated them at factor 1 (DESIGN.md D5).
 	ExactDominated int
-	// DominanceChecks counts plan-against-plan cost comparisons in Prune,
-	// witness probes included.
+	// DominanceChecks counts plan-against-plan comparisons in Prune: the
+	// witness probes, plus the result plans of a covering order that the
+	// range index's dominance probe examined inside the query box. Plans
+	// whose order cannot cover the pruned plan's are passed over unread
+	// and not counted (DESIGN.md D9).
 	DominanceChecks int
 	// WitnessHits counts the exact-dominance verdicts (a subset of
 	// ExactDominated) that a recent witness settled without a range
@@ -50,9 +53,11 @@ type Stats struct {
 	WitnessHits int
 	// EntriesTested and EntriesMatched sum the range indexes' retrieval
 	// ledgers over every result and candidate plan set: the entries the
-	// queries and drains compared against their bounds, and the entries
-	// they retrieved. Their ratio is how far retrieval is from the O(F)
-	// the paper's analysis assumes (DESIGN.md D4).
+	// queries, dominance probes and drains compared against their
+	// bounds, and the entries they retrieved. A dominance probe counts
+	// only entries whose order can cover its plan. Their ratio is how far
+	// retrieval is from the O(F) the paper's analysis assumes (DESIGN.md
+	// D4).
 	EntriesTested  int
 	EntriesMatched int
 }

@@ -329,8 +329,8 @@ func (m *Model) AppendJoinAlternatives(dst []*plan.Node, q *query.Query, left, r
 // prepared split s.
 func (m *Model) AppendSplitAlternatives(dst []*plan.Node, s *Split, left, right *plan.Node, a *plan.Arena) []*plan.Node {
 	dim := m.space.Dim()
-	m.fillJoinAlternatives(s, left, right, func() *plan.Node {
-		n := a.NewNode(plan.Node{Cost: a.NewVector(dim)})
+	m.fillJoinAlternatives(s, left, right, func(int) *plan.Node {
+		n := a.NewNode(plan.Node{Left: left, Right: right, Cost: a.NewVector(dim)})
 		dst = append(dst, n)
 		return n
 	})
@@ -339,55 +339,68 @@ func (m *Model) AppendSplitAlternatives(dst []*plan.Node, s *Split, left, right 
 
 // JoinAlternativesInto enumerates the same alternatives, in the same
 // order, for a pair of the prepared split s, as values into caller-owned
-// scratch: nodes is overwritten from its start and every node's Cost
-// views a window of floats, so a caller that reuses both slices
-// enumerates without touching the heap. The (possibly regrown) slices
-// are returned; the nodes carry no arena ID and are valid until the
-// scratch is reused.
+// scratch, and returns the (possibly rebuilt) scratch. The nodes carry
+// no arena ID and no sub-plans: a caller that needs a complete plan
+// attaches (Left, Right) = (left, right) itself, and clears them again
+// before the next call. The scratch is built once — every node zero but
+// for a Cost view of its own window of floats — when the slices passed
+// are not one this method returned (or a caller left sub-plans in it);
+// each later call writes only the join fields and the cost values, no
+// pointer, so it neither touches the heap nor takes a write barrier.
+// The nodes are valid until the scratch is reused.
 func (m *Model) JoinAlternativesInto(nodes []plan.Node, floats []float64, s *Split, left, right *plan.Node) ([]plan.Node, []float64) {
 	dim := m.space.Dim()
 	n := len(joinOps) * len(m.params.Degrees)
-	// Sized up front: the loop below hands out pointers into both.
-	if cap(nodes) < n {
-		nodes = make([]plan.Node, n)
-	}
-	if cap(floats) < n*dim {
-		floats = make([]float64, n*dim)
-	}
-	nodes, floats = nodes[:n], floats[:n*dim]
-	i := 0
-	m.fillJoinAlternatives(s, left, right, func() *plan.Node {
-		p := &nodes[i]
-		if p.ID() != 0 {
-			*p = plan.Node{} // not a slot of this scratch
+	if !scratchBuilt(nodes, floats, n, dim) {
+		if cap(nodes) < n {
+			nodes = make([]plan.Node, n)
 		}
-		// fill sets the join fields. The scan fields are cleared one
-		// by one: storing a whole zero node would take a write barrier
-		// over all of it whenever the GC is marking.
-		p.TableID, p.Scan, p.SampleRate = 0, 0, 0
-		p.Cost = floats[i*dim : (i+1)*dim : (i+1)*dim]
-		i++
-		return p
-	})
+		if cap(floats) < n*dim {
+			floats = make([]float64, n*dim)
+		}
+		nodes, floats = nodes[:n], floats[:n*dim]
+		for i := range nodes {
+			nodes[i] = plan.Node{Cost: floats[i*dim : (i+1)*dim : (i+1)*dim]}
+		}
+	}
+	m.fillJoinAlternatives(s, left, right, func(i int) *plan.Node { return &nodes[i] })
 	return nodes, floats
 }
 
+// scratchBuilt reports whether nodes and floats are a scratch of n
+// alternatives of dimension dim that JoinAlternativesInto built: every
+// node's Cost views its own window of floats, and no node has
+// sub-plans.
+func scratchBuilt(nodes []plan.Node, floats []float64, n, dim int) bool {
+	if len(nodes) != n || len(floats) != n*dim {
+		return false
+	}
+	for i := range nodes {
+		p := &nodes[i]
+		if len(p.Cost) != dim || &p.Cost[0] != &floats[i*dim] || p.Left != nil || p.Right != nil {
+			return false
+		}
+	}
+	return true
+}
+
 // fillJoinAlternatives is the one op×degree enumeration body behind
-// the forms above (so they can never drift apart): for every
-// alternative it takes a node from slot — zero but for its join fields
-// and a Cost vector of the model's dimension — and fills in the join
-// fields and the cost.
-func (m *Model) fillJoinAlternatives(s *Split, left, right *plan.Node, slot func() *plan.Node) {
+// the forms above (so they can never drift apart): for the i-th
+// alternative it takes a node from slot(i) — zero but for its join
+// fields, its sub-plans and a Cost vector of the model's dimension — and
+// fills in the join fields and the cost. It writes no pointer.
+func (m *Model) fillJoinAlternatives(s *Split, left, right *plan.Node, slot func(i int) *plan.Node) {
 	if left.Tables != s.Left || right.Tables != s.Right {
 		panic(fmt.Sprintf("costmodel: pair %v × %v is not of split %v × %v", left.Tables, right.Tables, s.Left, s.Right))
 	}
 	outRows := m.outputRows(s, left, right)
+	i := 0
 	for _, op := range joinOps {
 		work, order := m.localWork(op, left, right, outRows, s.keyL, s.keyR)
 		for _, d := range m.params.Degrees {
-			n := slot()
+			n := slot(i)
+			i++
 			n.Tables, n.Join, n.Degree = s.union, op, d
-			n.Left, n.Right = left, right
 			n.Rows, n.Order = outRows, order
 			m.joinCostInto(n.Cost, left, right, work, d)
 		}

@@ -167,11 +167,13 @@ func TestJoinAlternativesEnumeration(t *testing.T) {
 }
 
 // TestJoinAlternativesIntoMatchesAppend checks the scratch form against
-// the materialising one — same alternatives, same order, same costs —
-// and its storage contract: reused backing arrays, cost windows that do
-// not overlap and cannot grow into each other. It covers both
-// cardinality modes and a split that no join edge crosses (tables 0 and
-// 2), whose merge keys are OrderNone.
+// the materialising one — same alternatives, same order, same costs,
+// same sub-plans once the caller attached the pair — and its storage
+// contract: reused backing arrays, cost windows that do not overlap and
+// cannot grow into each other, nodes that carry no sub-plans, and Cost
+// views that are set when the scratch is built and not rewritten by
+// later pairs. It covers both cardinality modes and a split that no
+// join edge crosses (tables 0 and 2), whose merge keys are OrderNone.
 func TestJoinAlternativesIntoMatchesAppend(t *testing.T) {
 	q := testQuery(t)
 	propagate := DefaultParams()
@@ -207,7 +209,20 @@ func TestJoinAlternativesIntoMatchesAppend(t *testing.T) {
 				for _, r := range m.ScanPlans(q, right) {
 					want := m.AppendJoinAlternatives(nil, q, l, r, plan.NewArena())
 					prevNodes, prevFloats := nodes, floats
+					if round > 0 {
+						// Widen each Cost view's capacity: a call that
+						// rewrote the view would clip it again.
+						for i := range nodes {
+							nodes[i].Cost = floats[i*dim : (i+1)*dim]
+						}
+					}
 					nodes, floats = m.JoinAlternativesInto(nodes, floats, &s, l, r)
+					for i := range nodes {
+						if nodes[i].Left != nil || nodes[i].Right != nil {
+							t.Errorf("round %d alt %d: scratch node carries sub-plans", round, i)
+						}
+						nodes[i].Left, nodes[i].Right = l, r
+					}
 					for i := range nodes {
 						if got, w := nodes[i], *want[i]; got.TableID != w.TableID || got.Scan != w.Scan ||
 							got.SampleRate != w.SampleRate || got.Join != w.Join || got.Degree != w.Degree ||
@@ -232,11 +247,33 @@ func TestJoinAlternativesIntoMatchesAppend(t *testing.T) {
 						if got.ID() != 0 {
 							t.Errorf("round %d alt %d: scratch node carries ID %d", round, i, got.ID())
 						}
-						if &got.Cost[0] != &floats[i*dim] || len(got.Cost) != dim || cap(got.Cost) != dim {
-							t.Errorf("round %d alt %d: cost is not its own window of the scratch", round, i)
+						wantCap := dim // built by this call
+						if round > 0 {
+							wantCap = len(floats) - i*dim // the widened view, untouched
+						}
+						if &got.Cost[0] != &floats[i*dim] || len(got.Cost) != dim || cap(got.Cost) != wantCap {
+							t.Errorf("round %d alt %d: cost is not its own window of the scratch, set once", round, i)
 						}
 					}
+					for i := range nodes {
+						nodes[i].Left, nodes[i].Right = nil, nil
+					}
 					round++
+				}
+			}
+			// A caller that leaves sub-plans in the scratch gets it
+			// rebuilt: every view clipped again, no node with children.
+			for i := range nodes {
+				nodes[i].Cost = floats[i*dim : (i+1)*dim]
+			}
+			r := m.ScanPlans(q, 1)[0]
+			nodes[3].Left, nodes[3].Right = l, r
+			s := m.NewSplit(q, l.Tables, r.Tables)
+			nodes, floats = m.JoinAlternativesInto(nodes, floats, &s, l, r)
+			for i := range nodes {
+				if got := &nodes[i]; got.Left != nil || got.Right != nil || cap(got.Cost) != dim {
+					t.Errorf("alt %d after a call that left sub-plans: children %v, %v, cost capacity %d",
+						i, got.Left, got.Right, cap(got.Cost))
 				}
 			}
 		})

@@ -36,9 +36,9 @@
 //
 // Enumeration order is a contract, because the optimizer's tie-breaks
 // and insertion order — and so the plan sets it converges to — follow
-// it: Query, QueryLevel, Drain and All enumerate ascending resolution
-// level, within a level ascending cell key, within a cell insertion
-// order.
+// it: Query, QueryLevel, Dominance, Drain and All enumerate ascending
+// resolution level, within a level ascending cell key, within a cell
+// insertion order.
 //
 // Directory-level refinements (DESIGN.md D9):
 //
@@ -50,7 +50,10 @@
 //     region in any dimension;
 //   - each cell and level carries an epoch watermark (the largest
 //     insertion epoch it holds), so minimum-epoch queries — the Δ
-//     operator of function Fresh — skip cells with no fresh entries.
+//     operator of function Fresh — skip cells with no fresh entries;
+//   - each cell carries a mask of its payloads' interesting orders, so
+//     the dominance probe for an ordered plan skips cells that hold no
+//     plan of its order.
 //
 // Entries carry the insertion epoch (the optimizer invocation number),
 // which supports the Δ operator: "plans inserted in the current
@@ -102,13 +105,18 @@ type Entry struct {
 	Payload *plan.Node
 }
 
-// cell is one directory slot: a cell key plus its entries and the
-// largest epoch among them (a conservative watermark: removals never
-// lower it).
+// cell is one directory slot: a cell key plus its entries, the largest
+// epoch among them and the orders they carry (both conservative:
+// removals never lower the watermark or clear a bit).
 type cell struct {
 	key      uint64
 	maxEpoch uint64
-	entries  []Entry
+	// orders has bit orderBit(o) set for the interesting order o of
+	// every payload the cell has held. Orders alias modulo 64, so a set
+	// bit means "maybe"; a clear one proves that no entry has order o
+	// (Dominance).
+	orders  uint64
+	entries []Entry
 	// borrowed marks entries as a window of a frozen list (Image):
 	// shared, read-only, with the list's owner and every index that
 	// adopted its image. A borrowed window is clipped to its length, so
@@ -149,9 +157,9 @@ type Index struct {
 	size       int
 	img        *Image // the adopted image, until the first write (Frozen)
 
-	// tested and matched are the retrieval ledger: entries a Query or
-	// Drain compared against its bound, and entries it retrieved. Plain
-	// ints — an index is single-threaded.
+	// tested and matched are the retrieval ledger: entries a Query,
+	// Dominance or Drain compared against its bound, and entries it
+	// retrieved. Plain ints — an index is single-threaded.
 	tested, matched int
 }
 
@@ -204,9 +212,10 @@ func (ix *Index) LenUpTo(maxRes int) int {
 }
 
 // Retrievals returns the index's retrieval ledger: how many entries its
-// Query and Drain calls have compared against their bound, and how many
-// entries they retrieved. tested ÷ matched is the index's distance from
-// the paper's O(F) retrieval assumption.
+// Query, Dominance and Drain calls have compared against their bound,
+// and how many entries they retrieved (Dominance counts only entries of
+// an order that can cover its plan). tested ÷ matched is the index's
+// distance from the paper's O(F) retrieval assumption.
 func (ix *Index) Retrievals() (tested, matched int) { return ix.tested, ix.matched }
 
 // EpochWatermark returns the largest insertion epoch among levels
@@ -366,13 +375,14 @@ func (ix *Index) Insert(e Entry) {
 	if i < len(lv.cells) && lv.cells[i].key == key {
 		c := &lv.cells[i]
 		c.entries, c.borrowed = append(c.entries, e), false
+		c.orders |= payloadOrderBit(e.Payload)
 		if e.Epoch > c.maxEpoch {
 			c.maxEpoch = e.Epoch
 		}
 	} else {
 		lv.cells = append(lv.cells, cell{})
 		copy(lv.cells[i+1:], lv.cells[i:])
-		lv.cells[i] = cell{key: key, maxEpoch: e.Epoch, entries: []Entry{e}}
+		lv.cells[i] = cell{key: key, maxEpoch: e.Epoch, orders: payloadOrderBit(e.Payload), entries: []Entry{e}}
 	}
 	// Maintain the per-dimension minimum coordinates and the epoch
 	// watermark. A level with exactly one cell (the one just touched)
@@ -429,6 +439,7 @@ func (ix *Index) Freeze(entries []Entry) *Image {
 		c := &cells[len(cells)-1]
 		c.entries = entries[start : i+1 : i+1]
 		c.maxEpoch = max(c.maxEpoch, e.Epoch)
+		c.orders |= payloadOrderBit(e.Payload)
 	}
 	img := &Image{dims: ix.dims, cellsPerLg: ix.cellsPerLg, entries: entries, levels: make([]level, len(ix.levels))}
 	// One array holds the directories of all levels; thaw copies a
@@ -552,6 +563,84 @@ func (ix *Index) queryLevel(lv *level, b cost.Vector, bk, minEpoch uint64, fn fu
 		}
 	}
 	return true
+}
+
+// orderBit returns the bit of a cell's order mask that stands for order o.
+func orderBit(o plan.Order) uint64 { return 1 << (uint64(o) & 63) }
+
+// payloadOrderBit is orderBit of p's order, or no bit for a nil payload.
+func payloadOrderBit(p *plan.Node) uint64 {
+	if p == nil {
+		return 0
+	}
+	return orderBit(p.Order)
+}
+
+// Dominance is the question Prune asks of a result set (DESIGN.md D5,
+// D9): does a plan registered for a level ≤ maxRes, with cost in the box
+// {c : c ⪯ b}, cover plan p, and does one make p redundant? An entry
+// covers p when its order covers p's (any entry does when orderAware is
+// false); a covering entry makes p redundant when it also produces no
+// more rows than p and its cost dominates p's. The probe walks the box
+// in enumeration order and returns at the first redundant-making entry
+// (exact), or at the first covering one when stopAtCover is set, so its
+// verdict is the one a Query visitor asking the same of every entry
+// would reach. visited counts the covering entries it examined.
+//
+// An ordered p passes over cells whose order mask lacks its order and
+// entries of another order unread, and the retrieval ledger counts
+// neither. Every payload in the box must be non-nil. Like Query, the
+// probe allocates nothing.
+func (ix *Index) Dominance(b cost.Vector, maxRes int, p *plan.Node, orderAware, stopAtCover bool) (exact *plan.Node, covered bool, visited int) {
+	if b.Dim() != ix.dims {
+		panic(fmt.Sprintf("rangeindex: bound dim %d, index dim %d", b.Dim(), ix.dims))
+	}
+	if maxRes > ix.maxLevel {
+		maxRes = ix.maxLevel
+	}
+	bk := ix.boundKey(b)
+	// Only entries of p's own order cover an ordered p.
+	want, selective := p.Order, orderAware && p.Order != plan.OrderNone
+	bit := orderBit(want)
+	for res := 0; res <= maxRes; res++ {
+		lv := &ix.levels[res]
+		if !ix.levelMayMatch(lv, bk) {
+			continue
+		}
+		for i := range lv.cells {
+			c := &lv.cells[i]
+			pos := ix.locate(c.key, bk)
+			if pos == past {
+				break
+			}
+			if pos == outside || selective && c.orders&bit == 0 {
+				continue
+			}
+			for j := range c.entries {
+				e := &c.entries[j]
+				q := e.Payload
+				if selective && q.Order != want {
+					continue
+				}
+				if pos == boundary {
+					ix.tested++
+					if !within(e.Cost, b) {
+						continue
+					}
+				}
+				ix.matched++
+				visited++
+				if stopAtCover {
+					return nil, true, visited
+				}
+				covered = true
+				if !(q.Rows > p.Rows) && within(e.Cost, p.Cost) {
+					return q, true, visited
+				}
+			}
+		}
+	}
+	return nil, covered, visited
 }
 
 // Drain removes all entries whose cost is dominated by b and whose

@@ -303,35 +303,37 @@ func (s *Service) registerMetrics() {
 		r.GaugeFunc("moqod_store_pending", "Current writer-queue backlog.", "", func() float64 {
 			return float64(st.QueueDepth())
 		})
+		// The store's counters are read with Counters, which copies them
+		// under the store's lock; Stats would walk every live record.
 		r.CounterFunc("moqod_store_persisted_total", "Records appended since open.", "", func() uint64 {
-			return st.Stats().Persisted
+			return st.Counters().Persisted
 		})
 		r.CounterFunc("moqod_store_dropped_total", "Puts shed because the writer queue was full.", "", func() uint64 {
-			return st.Stats().Dropped
+			return st.Counters().Dropped
 		})
 		r.CounterFunc("moqod_store_write_errors_total", "Failed appends and syncs.", "", func() uint64 {
-			return st.Stats().WriteErrors
+			return st.Counters().WriteErrors
 		})
 		r.CounterFunc("moqod_store_flushes_total", "Explicit flush acks served.", "", func() uint64 {
-			return st.Stats().Flushes
+			return st.Counters().Flushes
 		})
 		r.GaugeFunc("moqod_store_degraded", "1 while the store is in memory-only degraded mode.", "", func() float64 {
-			if st.Stats().Degraded {
+			if st.Counters().Degraded {
 				return 1
 			}
 			return 0
 		})
 		r.CounterFunc("moqod_store_degraded_enters_total", "Transitions into degraded (memory-only) mode.", "", func() uint64 {
-			return st.Stats().DegradedEnters
+			return st.Counters().DegradedEnters
 		})
 		r.CounterFunc("moqod_store_degraded_drops_total", "Records dropped while the store was degraded.", "", func() uint64 {
-			return st.Stats().DegradedDrops
+			return st.Counters().DegradedDrops
 		})
 		r.CounterFunc("moqod_store_probes_total", "Disk re-probe attempts while degraded.", "", func() uint64 {
-			return st.Stats().Probes
+			return st.Counters().Probes
 		})
 		r.CounterFunc("moqod_store_tombstones_total", "Quarantine tombstones written or scanned.", "", func() uint64 {
-			return st.Stats().Tombstones
+			return st.Counters().Tombstones
 		})
 	}
 }

@@ -1028,6 +1028,18 @@ func (s *Store) Instruments() (appendH, flushH, depthH *metrics.Histogram) {
 // QueueDepth returns the writer queue's current backlog (lock-free).
 func (s *Store) QueueDepth() int { return len(s.queue) }
 
+// Counters returns the store's event counters (Persisted, Dropped,
+// WriteErrors, Flushes, the degraded-mode counters, Tombstones and the
+// rest that events advance) and Degraded, without the fields Stats
+// derives from the index, the segments and the queue: an O(1) read for
+// a metrics scrape, which Stats, walking every live record for
+// StaleEpoch, is not.
+func (s *Store) Counters() Stats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
+}
+
 // Stats returns a consistent snapshot of the store counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
