@@ -306,29 +306,32 @@ func (a *API) registerMetrics(svc *service.Service) {
 				return 0
 			})
 	}
+	// The bootstrap status is final before Ready (SetBootstrap's
+	// contract), so the samples read one copy of it.
+	boot := a.Bootstrap()
 	for _, m := range []string{"none", "warm", "cold-fallback", "local"} {
 		m := m
 		r.GaugeFunc("moqod_bootstrap_mode", "1 for how this node obtained its warm state.",
 			fmt.Sprintf(`mode="%s"`, m), func() float64 {
-				if a.Bootstrap().Mode == m {
+				if boot.Mode == m {
 					return 1
 				}
 				return 0
 			})
 	}
 	r.CounterFunc("moqod_bootstrap_segments_total", "Segments pulled from the bootstrap peer.", "", func() uint64 {
-		return uint64(a.Bootstrap().Segments)
+		return uint64(boot.Segments)
 	})
 	r.CounterFunc("moqod_bootstrap_frames_total", "Frames verified during peer bootstrap.", "", func() uint64 {
-		return uint64(a.Bootstrap().Frames)
+		return uint64(boot.Frames)
 	})
 	r.CounterFunc("moqod_bootstrap_bytes_total", "Bytes verified and installed during peer bootstrap.", "", func() uint64 {
-		return uint64(a.Bootstrap().Bytes)
+		return uint64(boot.Bytes)
 	})
 	r.CounterFunc("moqod_bootstrap_attempts_total", "Segment fetch attempts during peer bootstrap.", "", func() uint64 {
-		return uint64(a.Bootstrap().Attempts)
+		return uint64(boot.Attempts)
 	})
 	r.CounterFunc("moqod_bootstrap_resumed_total", "Segment fetches resumed from a verified offset.", "", func() uint64 {
-		return uint64(a.Bootstrap().Resumed)
+		return uint64(boot.Resumed)
 	})
 }

@@ -23,7 +23,7 @@ import (
 // drift: exact and canonical fingerprints embed statistic values, so a
 // stats change misses both, while the stats-free structural digest
 // still reaches the pre-drift snapshot for the caller to classify and
-// re-cost (LookupStale). Safe for concurrent use.
+// re-cost. Safe for concurrent use.
 //
 // Eviction is LRU over the exact-tier entries; the canonical and
 // structural tiers hold no snapshots of their own, only a pointer to
@@ -32,38 +32,24 @@ import (
 // pointer iff it still refers to it (no double-count, no dangling tier
 // entry).
 //
-// The snapshot store is the cache's cold tier (DESIGN.md D19): a record
-// it holds is admitted as a stub — the keys, no snapshot (Admit) — and
-// fetched from the store on its first use, or before the node reports
-// ready for the entries the store checkpoint's hot set names
-// (FetchNow). Everything else about a stub — LRU position, tier
-// pointers, eviction — is an ordinary entry's.
+// Every entry holds a decoded snapshot. The snapshot store, when there
+// is one, is the cold tier below all three (DESIGN.md D19): Lookup asks
+// it on each tier's miss, and what it answers is admitted like a Put.
 type PlanCache struct {
 	mu       sync.Mutex
 	capacity int
-	ll       *list.List               // front = most recently used
-	items    map[string]*list.Element // exact fingerprint → element
-	canon    map[string]*list.Element // canonical digest → class representative
-	structm  map[string]*list.Element // structural digest → class representative
+	ll       *list.List // front = most recently used
+	// tiers maps each tier's key to its entry, indexed by store.Tier:
+	// the exact fingerprint to the entry itself, a canonical or
+	// structural digest to its class's representative.
+	tiers [3]map[string]*list.Element
 
-	plans   int // running sum of PlanCount over resident snapshots
-	encoded int // stubs: entries whose snapshot is still encoded, in the store
+	plans int // running sum of PlanCount over the entries
 
 	// The counters CacheStats reports, created on the registry by
-	// NewPlanCache; they need no lock.
-	exactHits, isoHits, staleHits, misses *metrics.Counter
-	puts, evictions, poisoned             *metrics.Counter
-
-	// fetch produces a stub's snapshot from the cold tier — the store's
-	// Load, then snapcodec.Decode; atBoot tells a fetch made before the
-	// node reports ready (FetchNow) from one a session's first hit pays
-	// for. Its error says whose fault a failure is: store.ErrNotStored —
-	// nobody's, the record is no longer live; errStoreRead — the disk's,
-	// and nothing is known about the record; anything else — the
-	// record's: a failed checksum, parse or decode. The service installs
-	// an instrumented one before the cache sees concurrent use; tests
-	// substitute their own. A cache on its own has no cold tier.
-	fetch func(fp string, atBoot bool) (*core.Snapshot, error)
+	// NewPlanCache; they need no lock. hits is indexed by store.Tier.
+	hits                              [3]*metrics.Counter
+	misses, puts, evictions, poisoned *metrics.Counter
 }
 
 // errStoreRead marks a fetch that failed reading the store, as opposed
@@ -84,44 +70,25 @@ type cacheKey struct {
 	perm     []int  // the query's table-ID → canonical-position map
 }
 
-// cacheItem is the one entry type: it holds a snapshot or, for a record
-// of the store nothing has used since boot, nothing but its keys
-// (DESIGN.md D19). Exactly one of snap and stub is set.
+// keys returns k's key in each tier, indexed by store.Tier.
+func (k *cacheKey) keys() [3]string { return [3]string{k.fp, k.canonFp, k.structFp} }
+
+// cacheItem is one entry: a snapshot under its keys.
 type cacheItem struct {
 	cacheKey
 	snap *core.Snapshot
-	stub *stub
 
 	// origin labels how the entry got here when it did not come from a
-	// live session export: "replay" (local store replay at startup) or
-	// "bootstrap" (pulled from a peer's store). Sessions warm-starting
-	// from the entry append it to their provenance; a Put from a live
-	// export clears it.
+	// live session export: "replay" (read from the local store) or
+	// "bootstrap" (read from a record pulled from a peer's store).
+	// Sessions warm-starting from the entry append it to their
+	// provenance; a Put from a live export clears it.
 	origin string
 
 	// used marks an entry this process hit (through any tier) or Put: the
 	// working set Shutdown hands to the store's checkpoint so the next
 	// boot fetches it before reporting ready.
 	used bool
-}
-
-func (it *cacheItem) planCount() int {
-	if it.snap == nil {
-		return 0
-	}
-	return it.snap.PlanCount()
-}
-
-// stub stands in for a snapshot that is in the store and not in memory.
-// It holds no bytes, only the guard that makes the fetch happen once per
-// entry: whichever hit or boot-time FetchNow gets there first runs it
-// under mu, the rest wait there and find the outcome latched — a
-// snapshot or a poison verdict. A fetch that failed reading the disk
-// latches nothing; the next caller tries again.
-type stub struct {
-	mu     sync.Mutex
-	snap   *core.Snapshot
-	poison error
 }
 
 // NewPlanCache creates a cache holding at most capacity snapshots, its
@@ -134,15 +101,12 @@ func NewPlanCache(capacity int, r *metrics.Registry) *PlanCache {
 	return &PlanCache{
 		capacity: capacity,
 		ll:       list.New(),
-		items:    map[string]*list.Element{},
-		canon:    map[string]*list.Element{},
-		structm:  map[string]*list.Element{},
-		fetch: func(string, bool) (*core.Snapshot, error) {
-			return nil, store.ErrNotStored
+		tiers:    [3]map[string]*list.Element{{}, {}, {}},
+		hits: [3]*metrics.Counter{
+			store.TierExact:  r.Counter("moqod_cache_hits_total", hitsHelp, `tier="exact"`),
+			store.TierCanon:  r.Counter("moqod_cache_hits_total", hitsHelp, `tier="iso"`),
+			store.TierStruct: r.Counter("moqod_cache_stale_hits_total", "Structural-tier hits on pre-drift snapshots (resolved by the drift counters).", ""),
 		},
-		exactHits: r.Counter("moqod_cache_hits_total", hitsHelp, `tier="exact"`),
-		isoHits:   r.Counter("moqod_cache_hits_total", hitsHelp, `tier="iso"`),
-		staleHits: r.Counter("moqod_cache_stale_hits_total", "Structural-tier hits on pre-drift snapshots (resolved by the drift counters).", ""),
 		misses:    r.Counter("moqod_cache_misses_total", "Warm-start cache misses.", ""),
 		puts:      r.Counter("moqod_cache_puts_total", "Snapshot admissions (inserts and refreshes).", ""),
 		evictions: r.Counter("moqod_cache_evictions_total", "LRU evictions.", ""),
@@ -152,17 +116,13 @@ func NewPlanCache(capacity int, r *metrics.Registry) *PlanCache {
 
 // Hit is what a lookup found.
 type Hit struct {
-	// Snap is the entry's snapshot. Nil means the entry was a stub and its
-	// fetch failed on this use: the caller starts cold, and — iff Poison —
-	// quarantines Src first.
+	// Snap is the entry's snapshot. Nil means the cold tier answered but
+	// its record could not be used this time — the disk failed the read,
+	// or the record failed its checks and has been quarantined: the
+	// caller starts cold.
 	Snap *core.Snapshot
-	// Poison reports that the stub's record was read and found bad: a
-	// failed frame check or a failed decode (DESIGN.md D14). Snap nil
-	// without Poison means the store could not be read; the stub stays
-	// for a later attempt.
-	Poison bool
-	// Exact reports that the exact-fingerprint tier satisfied the lookup.
-	Exact bool
+	// Tier is the tier that satisfied the lookup.
+	Tier store.Tier
 	// Src is the key of the entry that satisfied the hit: what a caller
 	// quarantines if the restored snapshot turns out to be poison, and —
 	// on a canonical-tier hit — the source permutation it composes with
@@ -173,137 +133,50 @@ type Hit struct {
 	Origin string
 }
 
-// Lookup returns the entry cached for the exact fingerprint, or —
-// failing that — the representative of the canonical digest's
-// isomorphism class (Hit.Exact tells which). A hit or miss is recorded
-// either way; a hit marks the entry used and, if the entry is a stub,
-// fetches its snapshot before returning. A stub whose record the store
-// no longer holds is dropped, and the lookup is a miss.
-func (c *PlanCache) Lookup(fp, canonFp string) (Hit, bool) {
-	c.mu.Lock()
-	el, exact := c.items[fp]
-	if !exact {
-		el = c.canon[canonFp]
+// Lookup walks the tiers for k (DESIGN.md D21): the exact fingerprint,
+// then the canonical digest — an isomorphic query's entry — then, both
+// having missed, the structural digest — a pre-drift entry (Hit.Tier
+// tells which). cold, when not nil, answers each tier's miss before the
+// next tier is tried (Service.fromStore: a hit, or false for a miss).
+// The first answer ends the walk and counts as its tier's hit, once it
+// is known; a miss is counted when the exact and canonical tiers both
+// missed. A hit in the cache marks the entry used and makes it the most
+// recently used.
+func (c *PlanCache) Lookup(k cacheKey, cold func(store.Tier, string) (Hit, bool)) (Hit, bool) {
+	for t, key := range k.keys() {
+		t := store.Tier(t)
+		if t == store.TierStruct {
+			c.misses.Inc()
+		}
+		if key == "" {
+			continue
+		}
+		h, ok := c.lookup(t, key)
+		if !ok && cold != nil {
+			h, ok = cold(t, key)
+		}
+		if ok {
+			h.Tier = t
+			c.hits[t].Inc()
+			return h, true
+		}
 	}
-	if el == nil {
-		c.mu.Unlock()
-		c.misses.Inc()
-		return Hit{}, false
-	}
-	tier := c.isoHits
-	if exact {
-		tier = c.exactHits
-	}
-	h, ok := c.hit(el, tier, c.misses)
-	h.Exact = exact && ok
-	return h, ok
+	return Hit{}, false
 }
 
-// LookupStale returns the structural tier's representative for the
-// statistics-free structural digest: a cached entry whose source query
-// had the same tables and join topology but (necessarily, since the
-// exact and canonical tiers missed) different statistics. The caller
-// classifies the drift against the snapshot's recorded statistics and
-// re-costs or quarantines accordingly. Misses are not counted (the
-// preceding Lookup already recorded one).
-func (c *PlanCache) LookupStale(structFp string) (Hit, bool) {
+// lookup returns the entry under key in tier t, marked used and moved to
+// the front, without counting anything.
+func (c *PlanCache) lookup(t store.Tier, key string) (Hit, bool) {
 	c.mu.Lock()
-	el := c.structm[structFp]
+	defer c.mu.Unlock()
+	el := c.tiers[t][key]
 	if el == nil {
-		c.mu.Unlock()
 		return Hit{}, false
 	}
-	return c.hit(el, c.staleHits, nil)
-}
-
-// hit completes a lookup that found el: the entry becomes the most
-// recently used and is marked used, and if it is a stub its snapshot is
-// fetched. Called with c.mu held; returns with it released — the fetch
-// must not run under it. The outcome is counted once it is known: a
-// fetch that finds the record gone from the store counts miss (if the
-// tier keeps one) and reports false, anything else counts the tier's
-// hit. A counter that went up and came back down would read as a
-// counter reset to a scrape in between.
-func (c *PlanCache) hit(el *list.Element, tier, miss *metrics.Counter) (Hit, bool) {
 	c.ll.MoveToFront(el)
 	item := el.Value.(*cacheItem)
 	item.used = true
-	h := Hit{Snap: item.snap, Src: item.cacheKey, Origin: item.origin}
-	st := item.stub
-	c.mu.Unlock()
-	if st != nil {
-		var err error
-		if h.Snap, err = c.materialize(h.Src.fp, st, false); errors.Is(err, store.ErrNotStored) {
-			if miss != nil {
-				miss.Inc()
-			}
-			return Hit{}, false
-		}
-		h.Poison = poisonous(err)
-	}
-	tier.Inc()
-	return h, true
-}
-
-// materialize fetches a stub's snapshot — once, however many callers
-// race to it, and never under c.mu: a fetch is a disk read and a decode,
-// as long as hundreds of lookups — and installs it in fp's entry if that
-// entry still holds this stub (a concurrent Put may have refreshed it,
-// the LRU may have evicted it; the snapshot is good either way). A
-// store.ErrNotStored drops the entry instead, under the same condition.
-// The error is the fetch's, or the poison verdict an earlier one
-// latched.
-func (c *PlanCache) materialize(fp string, st *stub, atBoot bool) (*core.Snapshot, error) {
-	st.mu.Lock()
-	var err error
-	switch {
-	case st.snap != nil:
-	case st.poison != nil:
-		err = st.poison
-	default:
-		if st.snap, err = c.fetch(fp, atBoot); poisonous(err) {
-			st.poison = err
-		}
-	}
-	snap := st.snap
-	st.mu.Unlock()
-	if snap == nil && !errors.Is(err, store.ErrNotStored) {
-		return nil, err
-	}
-	c.mu.Lock()
-	if el, ok := c.items[fp]; ok {
-		if item := el.Value.(*cacheItem); item.stub == st {
-			if snap == nil {
-				c.removeLocked(el)
-			} else {
-				item.snap, item.stub = snap, nil
-				c.plans += item.planCount()
-				c.encoded--
-			}
-		}
-	}
-	c.mu.Unlock()
-	return snap, err
-}
-
-// FetchNow fetches fp's snapshot if its entry is a stub, leaving LRU
-// order, hit counters and the used mark alone: the boot-time half of
-// the checkpoint's hot set (a hit would fetch the entry anyway; this moves the
-// cost in front of /readyz). It reports whether the record turned out
-// to be poison, for the caller to quarantine; a record that could not
-// be read stays a stub.
-func (c *PlanCache) FetchNow(fp string) (poison bool) {
-	c.mu.Lock()
-	var st *stub
-	if el, ok := c.items[fp]; ok {
-		st = el.Value.(*cacheItem).stub
-	}
-	c.mu.Unlock()
-	if st == nil {
-		return false
-	}
-	_, err := c.materialize(fp, st, true)
-	return poisonous(err)
+	return Hit{Snap: item.snap, Src: item.cacheKey, Origin: item.origin}, true
 }
 
 // removeLocked unlinks el from the LRU list and every tier. The
@@ -312,30 +185,25 @@ func (c *PlanCache) FetchNow(fp string) (poison bool) {
 // entry must stay reachable through those tiers.
 func (c *PlanCache) removeLocked(el *list.Element) {
 	item := c.ll.Remove(el).(*cacheItem)
-	delete(c.items, item.fp)
-	if c.canon[item.canonFp] == el {
-		delete(c.canon, item.canonFp)
+	for t, key := range item.keys() {
+		if c.tiers[t][key] == el {
+			delete(c.tiers[t], key)
+		}
 	}
-	if c.structm[item.structFp] == el {
-		delete(c.structm, item.structFp)
-	}
-	c.plans -= item.planCount()
-	if item.stub != nil {
-		c.encoded--
-	}
+	c.plans -= item.snap.PlanCount()
 }
 
-// Quarantine evicts fp's entry from every tier: the entry is poison (its
-// fetch, its restore or its first post-restore step failed). Unknown
-// fingerprints are a no-op (a concurrent LRU eviction may have raced the
-// quarantine).
+// Quarantine evicts fp's entry from every tier, if it has one (a
+// concurrent LRU eviction may have raced the quarantine, and a record
+// the cold tier found bad never became an entry), and counts a poisoned
+// source either way.
 func (c *PlanCache) Quarantine(fp string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[fp]; ok {
+	if el, ok := c.tiers[store.TierExact][fp]; ok {
 		c.removeLocked(el)
-		c.poisoned.Inc()
 	}
+	c.poisoned.Inc()
 }
 
 // Put stores (or refreshes) the snapshot a live session exported under k
@@ -347,46 +215,37 @@ func (c *PlanCache) Put(k cacheKey, snap *core.Snapshot) {
 	if snap == nil {
 		return
 	}
+	c.puts.Inc()
 	c.admit(cacheItem{cacheKey: k, snap: snap, used: true})
 }
 
-// Admit is Put for a record the snapshot store holds: the entry is a
-// stub (its snapshot is fetched on its first use) labeled with origin.
-// LRU order, class representatives and eviction accounting are Put's.
-func (c *PlanCache) Admit(k cacheKey, origin string) {
-	c.admit(cacheItem{cacheKey: k, stub: &stub{}, origin: origin})
-}
-
+// admit inserts or refreshes in as Put does, without counting a put: the
+// one way into the cache, for live exports (Put) and for records read
+// from the store, which are not puts — Puts is the write-through load.
 func (c *PlanCache) admit(in cacheItem) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.puts.Inc()
-	c.plans += in.planCount()
-	if in.stub != nil {
-		c.encoded++
-	}
-	el, refresh := c.items[in.fp]
+	c.plans += in.snap.PlanCount()
+	el, refresh := c.tiers[store.TierExact][in.fp]
 	if refresh {
 		item := el.Value.(*cacheItem)
-		c.plans -= item.planCount()
-		if item.stub != nil {
-			c.encoded--
-		}
-		if c.structm[item.structFp] == el && item.structFp != in.structFp {
-			delete(c.structm, item.structFp)
+		c.plans -= item.snap.PlanCount()
+		for t, key := range item.keys() {
+			if c.tiers[t][key] == el && key != in.keys()[t] {
+				delete(c.tiers[t], key)
+			}
 		}
 		*item = in
 		c.ll.MoveToFront(el)
 	} else {
 		item := in // only an insert needs the item on the heap
 		el = c.ll.PushFront(&item)
-		c.items[in.fp] = el
 	}
-	if in.canonFp != "" {
-		c.canon[in.canonFp] = el // latest convergence represents the class
-	}
-	if in.structFp != "" {
-		c.structm[in.structFp] = el
+	// The latest admission represents its classes.
+	for t, key := range in.keys() {
+		if key != "" {
+			c.tiers[t][key] = el
+		}
 	}
 	// Write-through (DESIGN.md D21): whatever is evicted here is in the
 	// store already, if there is one.
@@ -413,11 +272,8 @@ func (c *PlanCache) AppendUsed(dst []string) []string {
 // CacheStats summarizes cache effectiveness.
 type CacheStats struct {
 	// Entries is the number of cached snapshots (exact-tier entries;
-	// the canonical tier only points into them), and Encoded how many of
-	// them are stubs, records of the store nothing has used yet: their
-	// snapshot is still in its wire form, on disk, and costs one read and
-	// one decode on first use.
-	Entries, Encoded int
+	// the canonical tier only points into them).
+	Entries int
 	// CanonEntries is the number of isomorphism classes with a live
 	// representative in the canonical tier.
 	CanonEntries int
@@ -437,18 +293,18 @@ type CacheStats struct {
 	// StructEntries is the number of structural digests with a live
 	// representative in the structural tier.
 	StructEntries int
-	// Puts counts snapshot admissions (inserts and refreshes) since
-	// creation; Evictions counts LRU removals. Unlike the Entries
-	// gauge, the pair is monotonic, so deltas over time distinguish a
-	// stable cache from one churning at capacity. With a store, Puts
-	// less the stubs admitted at boot is also its write load: every put
-	// is written through.
+	// Puts counts snapshot admissions from live sessions (inserts and
+	// refreshes) since creation; Evictions counts LRU removals. Unlike
+	// the Entries gauge, the pair is monotonic, so deltas over time
+	// distinguish a stable cache from one churning at capacity. With a
+	// store, Puts is also its write load: every put is written through,
+	// and a snapshot read from the store is admitted without one.
 	Puts, Evictions uint64
-	// Poisoned counts entries quarantined because their restore or first
-	// post-restore step failed (DESIGN.md D14).
+	// Poisoned counts warm-start sources quarantined because their
+	// record, restore or first post-restore step failed (DESIGN.md D14).
 	Poisoned uint64
-	// Plans is the total number of plan entries across the resident
-	// snapshots; a stub's plans are unknown until its first use.
+	// Plans is the total number of plan entries across the cached
+	// snapshots.
 	Plans int
 }
 
@@ -461,23 +317,14 @@ func (c *PlanCache) Stats() CacheStats {
 	c.mu.Lock()
 	st := CacheStats{
 		Entries:       c.ll.Len(),
-		Encoded:       c.encoded,
-		CanonEntries:  len(c.canon),
-		StructEntries: len(c.structm),
+		CanonEntries:  len(c.tiers[store.TierCanon]),
+		StructEntries: len(c.tiers[store.TierStruct]),
 		Plans:         c.plans,
 	}
 	c.mu.Unlock()
-	st.ExactHits, st.IsoHits = c.exactHits.Value(), c.isoHits.Value()
+	st.ExactHits, st.IsoHits = c.hits[store.TierExact].Value(), c.hits[store.TierCanon].Value()
 	st.Hits = st.ExactHits + st.IsoHits
-	st.Misses, st.StaleHits = c.misses.Value(), c.staleHits.Value()
+	st.Misses, st.StaleHits = c.misses.Value(), c.hits[store.TierStruct].Value()
 	st.Puts, st.Evictions, st.Poisoned = c.puts.Value(), c.evictions.Value(), c.poisoned.Value()
 	return st
-}
-
-// sizes returns the entry count and how many of the entries are stubs,
-// the two gauges /metrics samples.
-func (c *PlanCache) sizes() (entries, encoded int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len(), c.encoded
 }

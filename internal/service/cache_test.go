@@ -2,12 +2,15 @@ package service
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faultfs"
 	"repro/internal/metrics"
 	"repro/internal/store"
 )
@@ -15,8 +18,8 @@ import (
 // getExact is Lookup restricted to the exact tier, the shape most of
 // the LRU assertions need.
 func getExact(c *PlanCache, fp string) (*core.Snapshot, bool) {
-	h, ok := c.Lookup(fp, "")
-	if !ok || !h.Exact {
+	h, ok := c.Lookup(cacheKey{fp: fp}, nil)
+	if !ok || h.Tier != store.TierExact {
 		return nil, false
 	}
 	return h.Snap, true
@@ -78,14 +81,14 @@ func TestPlanCacheCanonicalTier(t *testing.T) {
 	perm := []int{2, 0, 1}
 	c.Put(cacheKey{"fpA", "shape", "", perm}, snap)
 
-	got, ok := c.Lookup("fpB", "shape")
-	if !ok || got.Exact || got.Snap != snap || got.Src.fp != "fpA" {
+	got, ok := c.Lookup(cacheKey{fp: "fpB", canonFp: "shape"}, nil)
+	if !ok || got.Tier != store.TierCanon || got.Snap != snap || got.Src.fp != "fpA" {
 		t.Fatalf("canonical lookup = (%+v, ok=%v), want iso hit on fpA", got, ok)
 	}
 	if len(got.Src.perm) != 3 || got.Src.perm[0] != 2 {
 		t.Errorf("source permutation not returned: %v", got.Src.perm)
 	}
-	if h, ok := c.Lookup("fpA", "shape"); !ok || !h.Exact {
+	if h, ok := c.Lookup(cacheKey{fp: "fpA", canonFp: "shape"}, nil); !ok || h.Tier != store.TierExact {
 		t.Error("exact lookup did not hit the exact tier")
 	}
 	st := c.Stats()
@@ -115,7 +118,7 @@ func TestPlanCacheEvictionAccounting(t *testing.T) {
 	if _, ok := getExact(c, "fpA"); ok {
 		t.Fatal("fpA survived beyond capacity")
 	}
-	if _, ok := c.Lookup("fpX", "shape"); !ok {
+	if _, ok := c.Lookup(cacheKey{fp: "fpX", canonFp: "shape"}, nil); !ok {
 		t.Error("canonical entry lost although its representative fpB is still cached")
 	}
 	// Now evict fpC's class representative: its canonical entry must
@@ -125,31 +128,28 @@ func TestPlanCacheEvictionAccounting(t *testing.T) {
 	if _, ok := getExact(c, "fpC"); ok {
 		t.Fatal("fpC survived though it was LRU")
 	}
-	if _, ok := c.Lookup("fpY", "other"); ok {
+	if _, ok := c.Lookup(cacheKey{fp: "fpY", canonFp: "other"}, nil); ok {
 		t.Error("dangling canonical entry after its representative was evicted")
 	}
 	if st := c.Stats(); st.Entries != 2 || st.CanonEntries != 2 {
 		t.Errorf("stats = %+v, want 2 entries / 2 canonical classes (shape→fpB, fourth→fpD)", st)
 	}
 
-	// A stub evicted before anything used it leaves the same way: its
-	// tier pointers dropped, one eviction counted, no plans to give back,
-	// the encoded gauge back at zero.
+	// An entry evicted before anything used it leaves the same way, the
+	// structural tier included: its tier pointers dropped, one eviction
+	// counted.
 	c = NewPlanCache(1, metrics.NewRegistry())
-	c.Admit(cacheKey{"fpE", "encShape", "encStruct", nil}, "replay")
-	if st := c.Stats(); st.Entries != 1 || st.Encoded != 1 || st.Plans != 0 {
-		t.Fatalf("stats = %+v, want one stub and no plans", st)
-	}
-	c.Admit(cacheKey{"fpF", "shapeF", "structF", nil}, "replay")
-	want := CacheStats{Entries: 1, Encoded: 1, CanonEntries: 1, StructEntries: 1, Puts: 2, Evictions: 1}
+	c.Put(cacheKey{"fpE", "shapeE", "structE", nil}, &core.Snapshot{})
+	c.Put(cacheKey{"fpF", "shapeF", "structF", nil}, &core.Snapshot{})
+	want := CacheStats{Entries: 1, CanonEntries: 1, StructEntries: 1, Puts: 2, Evictions: 1}
 	if st := c.Stats(); st != want {
 		t.Errorf("stats = %+v, want %+v", st, want)
 	}
-	if _, ok := c.Lookup("fpE", "encShape"); ok {
-		t.Error("evicted stub still reachable through the exact or canonical tier")
+	if _, ok := c.Lookup(cacheKey{fp: "fpE", canonFp: "shapeE"}, nil); ok {
+		t.Error("evicted entry still reachable through the exact or canonical tier")
 	}
-	if _, ok := c.LookupStale("encStruct"); ok {
-		t.Error("evicted stub still reachable through the structural tier")
+	if _, ok := c.Lookup(cacheKey{structFp: "structE"}, nil); ok {
+		t.Error("evicted entry still reachable through the structural tier")
 	}
 }
 
@@ -187,25 +187,37 @@ func TestPlanCachePutEvictCounters(t *testing.T) {
 	}
 }
 
-// TestCacheHitCountedWhenKnown: a hit on a stub is counted once its
-// fetch has said what the hit was. A fetch that finds the record gone
+// TestCacheHitCountedWhenKnown: a hit the store answers is counted once
+// its fetch has said what the hit was. A fetch that finds the record gone
 // from the store makes the lookup a miss, and no read of the counters —
 // Stats or a scrape, taken while the fetch runs or after it returns —
 // may see the exact-tier hit count go down: a scrape would read that as
 // a counter reset.
 func TestCacheHitCountedWhenKnown(t *testing.T) {
-	r := metrics.NewRegistry()
-	c := NewPlanCache(4, r)
-	entered, release := make(chan struct{}), make(chan struct{})
-	c.fetch = func(string, bool) (*core.Snapshot, error) {
-		close(entered)
-		<-release
-		return nil, store.ErrNotStored
+	snap, _ := encodedSnapshot(t, testConfig(3).Opt, "Q4")
+	inj := faultfs.NewInjector(nil)
+	svc := startLife(t, t.TempDir(), func(cfg *Config) { cfg.StoreOptions.FS = inj }).svc
+	defer svc.Shutdown()
+	svc.store.PutBlocking("fpA", "canonA", "structA", []int{1, 0}, snap)
+	if err := svc.store.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	c.Admit(cacheKey{"fpA", "canonA", "structA", []int{1, 0}}, "replay")
+	r, c := svc.obs.Registry, svc.cache
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	inj.SetScript(func(op faultfs.Op, path string, _ uint64) faultfs.Fault {
+		if op != faultfs.OpOpen || !strings.HasSuffix(path, ".moqs") {
+			return faultfs.Fault{}
+		}
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+		return faultfs.Fault{Err: errors.New("injected: input/output error")}
+	})
 	found := make(chan bool)
 	go func() {
-		_, ok := c.Lookup("fpA", "canonA")
+		_, ok := c.Lookup(cacheKey{fp: "fpA", canonFp: "canonA"}, svc.cold)
 		found <- ok
 	}()
 
@@ -224,12 +236,13 @@ func TestCacheHitCountedWhenKnown(t *testing.T) {
 	for range 3 {
 		read("during the fetch")
 	}
+	svc.store.Quarantine("fpA") // the record leaves the store while its read is parked
 	close(release)
 	if <-found {
 		t.Fatal("a lookup whose record left the store reported a hit")
 	}
 	if st := read("after the fetch"); st.ExactHits != 0 || st.Misses != 1 || st.Entries != 0 {
-		t.Errorf("after the fetch: %+v, want no hit, one miss, the stub gone", st)
+		t.Errorf("after the fetch: %+v, want no hit, one miss, nothing admitted", st)
 	}
 }
 

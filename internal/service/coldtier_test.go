@@ -2,103 +2,117 @@ package service
 
 import (
 	"errors"
-	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/catalog"
 	"repro/internal/eventlog"
 	"repro/internal/faultfs"
-	"repro/internal/metrics"
+	"repro/internal/query"
 	"repro/internal/snapcodec"
-	"repro/internal/store"
 )
 
-// TestStubFetchOutcomes pins what a cache does with each way a stub's
-// fetch can end, through every tier: a snapshot is installed; a record
-// the store no longer holds takes the stub with it and turns the hit
-// into a miss; poison is latched for the caller to quarantine; and a
-// read the disk failed is neither — the hit reports no snapshot and no
-// poison, the stub stays, and the next use fetches again.
-func TestStubFetchOutcomes(t *testing.T) {
-	snap, _ := encodedSnapshot(t, testConfig(2).Opt, "Q4")
-	lookups := map[string]func(*PlanCache) (Hit, bool){
-		"exact": func(c *PlanCache) (Hit, bool) { return c.Lookup("fpA", "canonA") },
-		"iso":   func(c *PlanCache) (Hit, bool) { return c.Lookup("fpIso", "canonA") },
-		"stale": func(c *PlanCache) (Hit, bool) { return c.LookupStale("structA") },
+// TestColdTierFetchOutcomes pins what a lookup does with each way the
+// store's answer to a cache miss can end, through every tier: a snapshot
+// is admitted; a read the disk failed is a hit without a snapshot, and
+// nothing is admitted or buried — the next use reads again; a record
+// that fails its checks is a hit without a snapshot and is quarantined
+// at once, so the next use misses without a read; and a record the
+// store no longer holds by the time it is read makes the lookup a miss.
+func TestColdTierFetchOutcomes(t *testing.T) {
+	snap, _ := encodedSnapshot(t, testConfig(3).Opt, "Q4")
+	eio := errors.New("injected: input/output error")
+	// onLoad scripts the opens of segments, which after boot only Load
+	// makes.
+	onLoad := func(do func() faultfs.Fault) faultfs.Script {
+		return func(op faultfs.Op, path string, _ uint64) faultfs.Fault {
+			if op == faultfs.OpOpen && strings.HasSuffix(path, ".moqs") {
+				return do()
+			}
+			return faultfs.Fault{}
+		}
 	}
-	for tier, lookup := range lookups {
+	keys := map[string]cacheKey{
+		"exact": {fp: "fpA", canonFp: "canonA"},
+		"iso":   {fp: "fpIso", canonFp: "canonA"},
+		"stale": {structFp: "structA"},
+	}
+	for tier, k := range keys {
 		t.Run(tier, func(t *testing.T) {
-			c := NewPlanCache(4, metrics.NewRegistry())
-			var fetches int
-			var next error
-			c.fetch = func(fp string, atBoot bool) (*core.Snapshot, error) {
-				fetches++
-				if fp != "fpA" || atBoot {
-					t.Errorf("fetch(%q, %v), want the stub's fingerprint on a hit", fp, atBoot)
+			// boot starts a service on a fresh store holding one record,
+			// fpA, written by the service's own process.
+			boot := func() (*Service, *faultfs.Injector, string) {
+				dir, inj := t.TempDir(), faultfs.NewInjector(nil)
+				svc := startLife(t, dir, func(cfg *Config) { cfg.StoreOptions.FS = inj }).svc
+				t.Cleanup(svc.Shutdown)
+				svc.store.PutBlocking("fpA", "canonA", "structA", []int{1, 0}, snap)
+				if err := svc.store.Flush(); err != nil {
+					t.Fatal(err)
 				}
-				if next != nil {
-					return nil, next
-				}
-				return snap, nil
+				return svc, inj, dir
 			}
-			hits := func() uint64 { st := c.Stats(); return st.ExactHits + st.IsoHits + st.StaleHits }
+			hits := func(svc *Service) uint64 {
+				st := svc.cache.Stats()
+				return st.ExactHits + st.IsoHits + st.StaleHits
+			}
 
-			c.Admit(cacheKey{"fpA", "canonA", "structA", []int{1, 0}}, "replay")
-			next = fmt.Errorf("%w: injected", errStoreRead)
+			svc, inj, _ := boot()
+			lookup := func() (Hit, bool) { return svc.cache.Lookup(k, svc.cold) }
+			reads := svc.obs.StoreReadsHit.Value
+			inj.SetScript(onLoad(func() faultfs.Fault { return faultfs.Fault{Err: eio} }))
 			for i := 1; i <= 2; i++ {
-				h, ok := lookup(c)
-				if !ok || h.Snap != nil || h.Poison || h.Src.fp != "fpA" || fetches != i {
-					t.Fatalf("failed read %d: hit %+v (%v) after %d fetches; want a hit without snapshot or poison, fetched anew", i, h, ok, fetches)
+				h, ok := lookup()
+				if !ok || h.Snap != nil || h.Src.fp != "fpA" || reads() != uint64(i) {
+					t.Fatalf("failed read %d: hit %+v (%v) after %d reads; want a hit without snapshot, read anew", i, h, ok, reads())
 				}
 			}
-			if st := c.Stats(); st.Encoded != 1 || st.Entries != 1 || hits() != 2 {
-				t.Fatalf("after two failed reads: %+v, want the stub still there and both hits counted", st)
+			if st := svc.Stats(); st.Cache.Entries != 0 || hits(svc) != 2 || st.StoreReadErrors != 2 || st.Poisoned != 0 {
+				t.Fatalf("after two failed reads: %+v, %d read errors, %d poisoned; want nothing admitted or buried and both hits counted",
+					st.Cache, st.StoreReadErrors, st.Poisoned)
 			}
-			next = nil
-			if h, ok := lookup(c); !ok || h.Snap != snap || h.Poison || h.Origin != "replay" {
+			inj.SetScript(nil)
+			h, ok := lookup()
+			if !ok || h.Snap == nil || h.Src.fp != "fpA" || h.Origin != "replay" {
 				t.Fatalf("after the disk recovered: hit %+v (%v), want the snapshot", h, ok)
 			}
-			if h, ok := lookup(c); !ok || h.Snap != snap || fetches != 3 {
-				t.Errorf("a resident entry fetched again: %+v (%v), %d fetches", h, ok, fetches)
+			if h2, ok := lookup(); !ok || h2.Snap != h.Snap || reads() != 3 {
+				t.Errorf("a resident entry read again: %+v (%v), %d reads", h2, ok, reads())
 			}
-			if st := c.Stats(); st.Encoded != 0 || st.Plans != snap.PlanCount() {
-				t.Errorf("after the fetch: %+v, want no stub and the snapshot's plans", st)
+			if st := svc.cache.Stats(); st.Entries != 1 || st.Plans != snap.PlanCount() {
+				t.Errorf("after the fetch: %+v, want the entry and the snapshot's plans", st)
 			}
 
-			c.Admit(cacheKey{"fpA", "canonA", "structA", []int{1, 0}}, "replay")
-			next, fetches = errors.New("injected: bad checksum"), 0
-			for i := 0; i < 2; i++ {
-				if h, ok := lookup(c); !ok || h.Snap != nil || !h.Poison || h.Src.fp != "fpA" || h.Src.canonFp != "canonA" {
-					t.Fatalf("poisoned record, use %d: hit %+v (%v), want poison naming fpA", i, h, ok)
-				}
+			svc, _, dir := boot()
+			flipBit(t, onlySegment(t, dir), 0x40)
+			if h, ok := svc.cache.Lookup(k, svc.cold); !ok || h.Snap != nil || h.Src.fp != "fpA" || h.Src.canonFp != "canonA" {
+				t.Fatalf("poisoned record: hit %+v (%v), want a hit without snapshot naming fpA", h, ok)
 			}
-			if fetches != 1 {
-				t.Errorf("%d fetches of a poisoned record, want the verdict latched after 1", fetches)
+			if st := svc.Stats(); st.Poisoned != 1 || st.Cache.Poisoned != 1 || st.Store.Corrupted != 1 || st.Cache.Entries != 0 {
+				t.Errorf("poisoned record: %d/%d poisoned, %d corrupted, %d entries; want it quarantined at once",
+					st.Poisoned, st.Cache.Poisoned, st.Store.Corrupted, st.Cache.Entries)
 			}
-			if !c.FetchNow("fpA") || fetches != 1 {
-				t.Errorf("FetchNow on the latched stub fetched again or lost the verdict (%d fetches)", fetches)
+			if h, ok := svc.cache.Lookup(k, svc.cold); ok || svc.obs.StoreReadsHit.Value() != 1 {
+				t.Errorf("poisoned record, second use: hit %+v (%v) after %d reads; want a miss without a read", h, ok, svc.obs.StoreReadsHit.Value())
 			}
-			c.Quarantine("fpA")
 
-			c.Admit(cacheKey{"fpA", "canonA", "structA", []int{1, 0}}, "replay")
-			next = fmt.Errorf("load: %w", store.ErrNotStored)
-			before, missesBefore := hits(), c.Stats().Misses
-			if h, ok := lookup(c); ok || h.Snap != nil || h.Src.fp != "" {
+			svc, inj, _ = boot()
+			inj.SetScript(onLoad(func() faultfs.Fault {
+				svc.store.Quarantine("fpA") // between the index lookup and the read
+				return faultfs.Fault{Err: eio}
+			}))
+			if h, ok := svc.cache.Lookup(k, svc.cold); ok || h.Snap != nil || h.Src.fp != "" {
 				t.Fatalf("record gone from the store: hit %+v (%v), want a miss", h, ok)
 			}
-			st := c.Stats()
-			wantMisses := missesBefore
-			if tier != "stale" { // the structural tier keeps no miss count
-				wantMisses++
-			}
-			if st.Entries != 0 || st.Encoded != 0 || st.CanonEntries != 0 || st.StructEntries != 0 ||
-				hits() != before || st.Misses != wantMisses {
-				t.Errorf("after the drop: %+v; want no entry in any tier, %d hits, %d misses", st, before, wantMisses)
+			st := svc.Stats()
+			if st.Cache.Entries != 0 || st.Cache.CanonEntries != 0 || st.Cache.StructEntries != 0 ||
+				hits(svc) != 0 || st.Cache.Misses != 1 || st.StoreReadsHit != 1 || st.StoreReadErrors != 0 {
+				t.Errorf("after the drop: %+v, %d reads, %d read errors; want no entry in any tier, no hit, one miss, one read",
+					st.Cache, st.StoreReadsHit, st.StoreReadErrors)
 			}
 		})
 	}
@@ -138,7 +152,7 @@ func onlySegment(t testing.TB, dir string) string {
 }
 
 // TestColdTierFaultMatrix breaks the read path between a record's
-// admission as a stub and its first use in each way the design names
+// scan at boot and its first use in each way the design names
 // (TestFirstUsePoisonQuarantined has the remaining one, a blob that fails
 // to decode behind a valid frame). Every case serves the right frontier;
 // what differs is where the session starts and what is buried:
@@ -146,16 +160,16 @@ func onlySegment(t testing.TB, dir string) string {
 //   - the filesystem fails the read (open error, read error, short
 //     read): cold, nothing quarantined, nothing counted corrupt, the
 //     error counted and reported — and when the failure struck the
-//     hinted load at boot, the node boots all the same, the stub stays,
-//     and its first hit on a disk that reads again starts warm;
+//     hinted load at boot, the node boots all the same with nothing
+//     resident, and the first use on a disk that reads again starts warm;
 //   - the frame fails its checksum: cold, quarantined, tombstoned; the
 //     next life adopts the checkpoint this one's shutdown leaves and
 //     starts warm from the cold session's fresh export (a scan, which
 //     stops at the bad frame, would have lost the rest of the segment);
-//   - the record was superseded since admission: warm, from the record
+//   - the record was superseded since the boot: warm, from the record
 //     that is live now;
-//   - the record was tombstoned since admission: the stub is dropped, the
-//     lookup is a miss, cold.
+//   - the record was tombstoned since the boot: the lookup is a miss,
+//     cold.
 func TestColdTierFaultMatrix(t *testing.T) {
 	eio := errors.New("injected: input/output error")
 	// The scan of the one small segment makes the first Open and the
@@ -178,7 +192,7 @@ func TestColdTierFaultMatrix(t *testing.T) {
 		hinted bool // the load happens inside New
 		script faultfs.Script
 		// afterBoot runs between New and the first create, without a hot set
-		// only: that is when the record is still a stub.
+		// only: that is when the record is on disk and nowhere else.
 		afterBoot func(t *testing.T, l life, dir string)
 		want      outcome
 	}{
@@ -242,8 +256,8 @@ func TestColdTierFaultMatrix(t *testing.T) {
 				cfg.StoreOptions.FS = inj
 			})
 			st := l2.svc.Stats()
-			if st.Store.LiveRecords != 1 || st.Cache.Entries != 1 || st.Cache.Encoded != 1 || st.Poisoned != 0 {
-				t.Fatalf("after boot: %d live, cache %+v, %d poisoned; want the record admitted and still a stub",
+			if st.Store.LiveRecords != 1 || st.Cache.Entries != 0 || st.Poisoned != 0 {
+				t.Fatalf("after boot: %d live, cache %+v, %d poisoned; want the record live and nothing resident",
 					st.Store.LiveRecords, st.Cache, st.Poisoned)
 			}
 			if tc.hinted {
@@ -278,15 +292,18 @@ func TestColdTierFaultMatrix(t *testing.T) {
 				t.Errorf("%d read errors, %d warnings; want %d of each",
 					st.StoreReadErrors, warnings(events, "store read failed"), tc.want.readErrors)
 			}
-			wantBoot := uint64(0)
+			wantBoot, wantHit := uint64(0), uint64(1)
 			if tc.hinted {
 				wantBoot = 1
 			}
-			if st.StoreReadsBoot != wantBoot || st.StoreReadsHit != 1 {
-				t.Errorf("store reads boot/hit %d/%d, want %d/1", st.StoreReadsBoot, st.StoreReadsHit, wantBoot)
+			if tc.name == "tombstoned" {
+				wantHit = 0 // the index no longer names the record: nothing to read
+			}
+			if st.StoreReadsBoot != wantBoot || st.StoreReadsHit != wantHit {
+				t.Errorf("store reads boot/hit %d/%d, want %d/%d", st.StoreReadsBoot, st.StoreReadsHit, wantBoot, wantHit)
 			}
 			if tc.name == "tombstoned" && (st.Cache.Misses != 1 || st.Cache.ExactHits != 0) {
-				t.Errorf("dropped stub: %d misses, %d exact hits; want the lookup counted as the miss it was", st.Cache.Misses, st.Cache.ExactHits)
+				t.Errorf("tombstoned record: %d misses, %d exact hits; want the lookup counted as the miss it was", st.Cache.Misses, st.Cache.ExactHits)
 			}
 			if st.Failed != 0 || st.Store.Degraded {
 				t.Errorf("%d failed sessions, degraded %v", st.Failed, st.Store.Degraded)
@@ -384,5 +401,115 @@ func TestSegmentDamageBetweenLives(t *testing.T) {
 				t.Errorf("life 3: %d failed, %d poisoned (want %d), %d read errors", st.Failed, st.Poisoned, tc.wantPoisoned, st.StoreReadErrors)
 			}
 		})
+	}
+}
+
+// TestColdTierBeyondCapacity runs three lives on one directory whose
+// store holds three times as many live records as the cache has room
+// for. Every live fingerprint comes back warm as exact-replay with the
+// frontier it was first served with, records the LRU evicted after
+// their first use in the same life included; a record the process
+// itself wrote and reads back is labeled replay, never its
+// ReplaySource. In each later life the hot set is resident when New
+// returns, in the previous life's LRU order, and every other record's
+// first use costs one store read and one decode.
+func TestColdTierBeyondCapacity(t *testing.T) {
+	const capacity, records = 4, 12
+	var queries []*query.Query
+	seen := map[string]bool{}
+	for seed := int64(1); len(queries) < records; seed++ {
+		q, err := query.Synthetic(catalog.TPCH(1), 3, query.Topology(seed%3), rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !seen[q.Fingerprint()] {
+			seen[q.Fingerprint()] = true
+			queries = append(queries, q)
+		}
+	}
+	dir := t.TempDir()
+	boot := func(source string) *Service {
+		cfg := storeConfig(t, dir)
+		cfg.CacheCapacity = capacity
+		cfg.ReplaySource = source
+		svc, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(svc.Shutdown)
+		return svc
+	}
+	want := map[string][]string{}
+	serve := func(svc *Service, life int, q *query.Query, provs ...string) {
+		t.Helper()
+		st, frontier := convergeAndClose(t, svc, q)
+		if provs != nil && !slices.Contains(provs, st.Provenance) {
+			t.Errorf("life %d served %s as %s, want one of %v", life, q.Fingerprint(), st.Provenance, provs)
+		}
+		if w, ok := want[q.Fingerprint()]; !ok {
+			want[q.Fingerprint()] = frontier
+		} else if !slices.Equal(frontier, w) {
+			t.Errorf("life %d served %s (%s) with another frontier than the first", life, q.Fingerprint(), st.Provenance)
+		}
+	}
+	// reads returns the store reads and decodes first uses have paid.
+	reads := func(svc *Service) [2]uint64 {
+		return [2]uint64{svc.obs.StoreReadsHit.Value(), svc.obs.DecodesHit.Value()}
+	}
+
+	// Life 1 writes the records, however each first session starts
+	// (synthetic queries share shapes, so some start from another's
+	// record), then reads every one of them back.
+	l1 := boot("bootstrap")
+	for _, q := range queries {
+		serve(l1, 1, q)
+	}
+	if err := l1.store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	before := reads(l1)
+	for _, q := range queries {
+		serve(l1, 1, q, "exact-replay")
+	}
+	if got := reads(l1); got != [2]uint64{before[0] + records, before[1] + records} {
+		t.Errorf("life 1's second round read/decoded %v after %v, want one of each per record", got, before)
+	}
+	hot := l1.cache.AppendUsed(nil)
+	l1.Shutdown()
+
+	for life := 2; life <= 3; life++ {
+		svc := boot("")
+		if st := svc.Stats(); st.Store.LiveRecords != records || st.StoreReadsBoot != capacity || svc.obs.DecodesBoot.Value() != capacity {
+			t.Fatalf("life %d booted with %d live records, %d reads and %d decodes; want %d, %d, %d",
+				life, st.Store.LiveRecords, st.StoreReadsBoot, svc.obs.DecodesBoot.Value(), records, capacity, capacity)
+		}
+		if got := lruOrder(svc.cache); !slices.Equal(got, hot) {
+			t.Errorf("life %d: resident at New's return %v, want the hot set %v in its order", life, got, hot)
+		}
+		// The hot set first: its records are resident and cost no read.
+		var order, rest []*query.Query
+		for _, q := range queries {
+			if slices.Contains(hot, q.Fingerprint()) {
+				order = append(order, q)
+			} else {
+				rest = append(rest, q)
+			}
+		}
+		order = append(order, rest...)
+		for round := 1; round <= 2; round++ {
+			for _, q := range order {
+				serve(svc, life, q, "exact-replay")
+			}
+			// Every record is evicted before its use in the second round.
+			n := uint64(round*records - capacity)
+			if got := reads(svc); got != [2]uint64{n, n} {
+				t.Errorf("life %d, round %d: %v first-use reads and decodes, want %d of each", life, round, got, n)
+			}
+		}
+		if st := svc.Stats(); st.Poisoned != 0 || st.StoreReadErrors != 0 || st.Cache.Misses != 0 {
+			t.Errorf("life %d: %d poisoned, %d read errors, %d misses", life, st.Poisoned, st.StoreReadErrors, st.Cache.Misses)
+		}
+		hot = svc.cache.AppendUsed(nil)
+		svc.Shutdown()
 	}
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -22,7 +21,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/eventlog"
 	"repro/internal/faultfs"
-	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/snapcodec"
 	"repro/internal/store"
@@ -65,124 +63,31 @@ func lruOrder(c *PlanCache) []string {
 	return fps
 }
 
-// TestEncodedAdmissionMatchesDecoded is the differential pin under stub
-// admission: one seeded stream of admissions and lookups — refreshes of
-// one fingerprint, isomorphs sharing a canonical digest, structural
-// siblings, a key space twice the capacity — played against a cache
-// admitting every record decoded and one admitting it as a stub, its
-// snapshot left encoded in a stand-in store, must produce the same hits
-// (tier, source, permutation, origin, snapshot), the same LRU order
-// after every operation (so the same evictions in the same order), the
-// same used set, and — once the stragglers are fetched — the same Stats
-// to the last counter.
-func TestEncodedAdmissionMatchesDecoded(t *testing.T) {
-	cfg := testConfig(2).Opt
-	var snaps []*core.Snapshot
-	var blobs [][]byte
-	for _, name := range []string{"Q4", "Q12", "Q14"} {
-		snap, blob := encodedSnapshot(t, cfg, name)
-		snaps, blobs = append(snaps, snap), append(blobs, blob)
-	}
-	wire := func(s *core.Snapshot) []byte {
-		b, err := snapcodec.Encode(nil, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	sameHit := func(op int, what string, d, e Hit, dok, eok bool) {
-		t.Helper()
-		if dok != eok || d.Exact != e.Exact || d.Src.fp != e.Src.fp || d.Src.canonFp != e.Src.canonFp ||
-			d.Origin != e.Origin || !slices.Equal(d.Src.perm, e.Src.perm) {
-			t.Fatalf("op %d %s: decoded cache answered (%+v, %v), stored cache (%+v, %v)", op, what, d, dok, e, eok)
-		}
-		if dok && (e.Snap == nil || !bytes.Equal(wire(d.Snap), wire(e.Snap))) {
-			t.Fatalf("op %d %s: snapshots differ", op, what)
-		}
-	}
-
-	dec, enc := NewPlanCache(5, metrics.NewRegistry()), NewPlanCache(5, metrics.NewRegistry())
-	stored := map[string][]byte{} // the stand-in store: fingerprint → its live record's blob
-	enc.fetch = func(fp string, _ bool) (*core.Snapshot, error) {
-		return snapcodec.Decode(stored[fp])
-	}
-	rng := rand.New(rand.NewSource(1))
-	var refreshes, isoHits, staleHits int
-	for op := 0; op < 800; op++ {
-		fp := fmt.Sprintf("fp%d", rng.Intn(10))
-		canon := fmt.Sprintf("canon%d", rng.Intn(4))
-		structFp := fmt.Sprintf("struct%d", rng.Intn(3))
-		switch rng.Intn(4) {
-		case 0:
-			i, perm := rng.Intn(len(snaps)), rng.Perm(3)
-			origin := []string{"replay", "bootstrap"}[rng.Intn(2)]
-			if slices.Contains(lruOrder(dec), fp) {
-				refreshes++
-			}
-			k := cacheKey{fp, canon, structFp, perm}
-			dec.admit(cacheItem{cacheKey: k, snap: snaps[i], origin: origin})
-			stored[fp] = blobs[i]
-			enc.Admit(k, origin)
-		case 1, 2:
-			d, dok := dec.Lookup(fp, canon)
-			e, eok := enc.Lookup(fp, canon)
-			sameHit(op, "Lookup", d, e, dok, eok)
-			if dok && !d.Exact {
-				isoHits++
-			}
-		case 3:
-			d, dok := dec.LookupStale(structFp)
-			e, eok := enc.LookupStale(structFp)
-			sameHit(op, "LookupStale", d, e, dok, eok)
-			if dok {
-				staleHits++
-			}
-		}
-		if d, e := lruOrder(dec), lruOrder(enc); !slices.Equal(d, e) {
-			t.Fatalf("op %d: LRU order %v decoded, %v stored", op, d, e)
-		}
-	}
-	ds, es := dec.Stats(), enc.Stats()
-	if refreshes == 0 || isoHits == 0 || staleHits == 0 || ds.Evictions == 0 || ds.Misses == 0 {
-		t.Fatalf("stream lost its coverage: %d refreshes, %d iso hits, %d stale hits, stats %+v",
-			refreshes, isoHits, staleHits, ds)
-	}
-	if d, e := dec.AppendUsed(nil), enc.AppendUsed(nil); !slices.Equal(d, e) {
-		t.Errorf("used set %v decoded, %v stored", d, e)
-	}
-	if ds.Encoded != 0 || es.Encoded == 0 {
-		t.Fatalf("encoded gauge: %d in the decoded cache, %d in the stored one (want 0 and a few never-hit entries)",
-			ds.Encoded, es.Encoded)
-	}
-	for _, fp := range lruOrder(enc) {
-		if enc.FetchNow(fp) {
-			t.Fatalf("FetchNow(%s) found poison", fp)
-		}
-	}
-	if es = enc.Stats(); es != ds {
-		t.Errorf("final stats differ:\n decoded %+v\n stored  %+v", ds, es)
-	}
-}
-
-// TestDecodeOnceConcurrentFirstHits: 16 goroutines first-hitting one
-// stub through all three tiers produce one fetch — one load, one decode —
-// and 16 usable snapshots, and the fetch runs outside the cache mutex:
-// while it is parked, a lookup of another fingerprint and a Stats call
-// both complete.
+// TestDecodeOnceConcurrentFirstHits: 16 goroutines first-using one
+// store record through all three tiers produce one fetch — one load, one
+// decode — and 16 usable snapshots, and the fetch runs outside the cache
+// mutex: while it is parked, a lookup of another fingerprint and a Stats
+// call both complete.
 func TestDecodeOnceConcurrentFirstHits(t *testing.T) {
-	snap, blob := encodedSnapshot(t, testConfig(2).Opt, "Q4")
-	c := NewPlanCache(4, metrics.NewRegistry())
-	var decodes atomic.Int32
-	entered, release := make(chan struct{}), make(chan struct{})
-	c.fetch = func(fp string, atBoot bool) (*core.Snapshot, error) {
-		if decodes.Add(1) == 1 {
-			close(entered)
-		}
-		<-release
-		return snapcodec.Decode(blob)
+	snap, _ := encodedSnapshot(t, testConfig(3).Opt, "Q4")
+	inj := faultfs.NewInjector(nil)
+	svc := startLife(t, t.TempDir(), func(cfg *Config) { cfg.StoreOptions.FS = inj }).svc
+	defer svc.Shutdown()
+	svc.store.PutBlocking("fpA", "canonA", "structA", []int{1, 0}, snap)
+	if err := svc.store.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	c.Admit(cacheKey{"fpA", "canonA", "structA", []int{1, 0}}, "replay")
+	c := svc.cache
 	c.Put(cacheKey{"fpB", "canonB", "", nil}, &core.Snapshot{})
+	var opens atomic.Int32
+	entered, release := make(chan struct{}), make(chan struct{})
+	inj.SetScript(func(op faultfs.Op, path string, _ uint64) faultfs.Fault {
+		if op == faultfs.OpOpen && strings.HasSuffix(path, ".moqs") && opens.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		return faultfs.Fault{}
+	})
 
 	const hitters = 16
 	hits := make([]Hit, hitters)
@@ -191,16 +96,9 @@ func TestDecodeOnceConcurrentFirstHits(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			k := [...]cacheKey{{fp: "fpA", canonFp: "canonA"}, {fp: "fpIso", canonFp: "canonA"}, {structFp: "structA"}}[i%3]
 			var ok bool
-			switch i % 3 {
-			case 0:
-				hits[i], ok = c.Lookup("fpA", "canonA")
-			case 1:
-				hits[i], ok = c.Lookup("fpIso", "canonA")
-			default:
-				hits[i], ok = c.LookupStale("structA")
-			}
-			if !ok {
+			if hits[i], ok = c.Lookup(k, svc.cold); !ok {
 				t.Errorf("hitter %d missed", i)
 			}
 		}(i)
@@ -208,7 +106,7 @@ func TestDecodeOnceConcurrentFirstHits(t *testing.T) {
 	<-entered
 	other := make(chan bool)
 	go func() {
-		_, ok := c.Lookup("fpB", "canonB")
+		_, ok := c.Lookup(cacheKey{fp: "fpB", canonFp: "canonB"}, svc.cold)
 		c.Stats()
 		other <- ok
 	}()
@@ -223,8 +121,8 @@ func TestDecodeOnceConcurrentFirstHits(t *testing.T) {
 	close(release)
 	wg.Wait()
 
-	if n := decodes.Load(); n != 1 {
-		t.Errorf("%d fetches for one entry, want 1", n)
+	if l, d := svc.obs.StoreReadsHit.Value(), svc.obs.DecodesHit.Value(); l != 1 || d != 1 {
+		t.Errorf("%d loads and %d decodes for one record, want 1 and 1", l, d)
 	}
 	for i, h := range hits {
 		if h.Snap == nil || h.Snap != hits[0].Snap || h.Src.fp != "fpA" || h.Origin != "replay" {
@@ -232,8 +130,8 @@ func TestDecodeOnceConcurrentFirstHits(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.Encoded != 0 || st.Plans != snap.PlanCount() {
-		t.Errorf("after the fetch: %d stubs, %d plans, want 0 and %d", st.Encoded, st.Plans, snap.PlanCount())
+	if st.Plans != snap.PlanCount() {
+		t.Errorf("after the fetch: %d plans, want %d", st.Plans, snap.PlanCount())
 	}
 	if st.ExactHits != 7 || st.IsoHits != 5 || st.StaleHits != 5 {
 		t.Errorf("hits exact/iso/stale = %d/%d/%d, want 7/5/5", st.ExactHits, st.IsoHits, st.StaleHits)
@@ -268,13 +166,17 @@ func (l life) serve(block string) (string, []string) {
 }
 
 // wantResidency checks the decodes made before New returned, the
-// decodes first hits paid since, and the entries still stubs — and that
-// every decode had its one read of the store, counted the same way.
-func (l life) wantResidency(boot, hit uint64, stubs int) {
+// decodes first hits paid since, and the live records only the store
+// holds — and that every decode had its one read of the store, counted
+// the same way.
+func (l life) wantResidency(boot, hit uint64, cold int) {
 	l.t.Helper()
+	if err := l.svc.store.Flush(); err != nil {
+		l.t.Fatal(err)
+	}
 	st := l.svc.Stats()
-	if b, h := l.svc.obs.DecodesBoot.Value(), l.svc.obs.DecodesHit.Value(); b != boot || h != hit || st.Cache.Encoded != stubs {
-		l.t.Errorf("decodes boot/hit %d/%d, %d stubs; want %d/%d, %d", b, h, st.Cache.Encoded, boot, hit, stubs)
+	if b, h := l.svc.obs.DecodesBoot.Value(), l.svc.obs.DecodesHit.Value(); b != boot || h != hit || st.Store.LiveRecords-st.Cache.Entries != cold {
+		l.t.Errorf("decodes boot/hit %d/%d, %d records on disk only; want %d/%d, %d", b, h, st.Store.LiveRecords-st.Cache.Entries, boot, hit, cold)
 	}
 	if st.StoreReadsBoot != boot || st.StoreReadsHit != hit || st.StoreReadErrors != 0 {
 		l.t.Errorf("store reads boot/hit %d/%d, %d errors; want %d/%d, 0",
@@ -505,8 +407,8 @@ func TestHintFaultMatrix(t *testing.T) {
 			l3 := startLife(t, dir, nil)
 			defer l3.svc.Shutdown()
 			st := l3.svc.Stats()
-			if st.Store.Loaded != 3 || st.Cache.Entries != 3 {
-				t.Fatalf("last life loaded %d records into %d entries, want 3/3", st.Store.Loaded, st.Cache.Entries)
+			if st.Store.Loaded != 3 || st.Cache.Entries != int(tc.wantBoot) {
+				t.Fatalf("last life loaded %d records, %d resident, want 3/%d", st.Store.Loaded, st.Cache.Entries, tc.wantBoot)
 			}
 			l3.wantResidency(tc.wantBoot, 0, 3-int(tc.wantBoot))
 			if (st.Store.ScanBytes > 0) != tc.wantScan {
@@ -563,7 +465,7 @@ func TestFirstUsePoisonQuarantined(t *testing.T) {
 				t.Fatalf("the scan loaded %d records, want the planted one", st.Store.Loaded)
 			}
 			if !hinted {
-				if st.Cache.Entries != 1 || st.Cache.Encoded != 1 || st.Poisoned != 0 || warnings != 0 {
+				if st.Cache.Entries != 0 || st.Poisoned != 0 || warnings != 0 {
 					t.Fatalf("before the first use: %+v, %d warnings", st.Cache, warnings)
 				}
 			}
@@ -572,9 +474,9 @@ func TestFirstUsePoisonQuarantined(t *testing.T) {
 				t.Errorf("first create served as %s, frontier equal to the healthy one: %v", prov, slices.Equal(frontier, want))
 			}
 			st, warnings = poisonedNow()
-			if st.Poisoned != 1 || st.Cache.Poisoned != 1 || st.Cache.Encoded != 0 || st.Store.Corrupted != 1 || warnings != 1 {
-				t.Errorf("after the first create: poisoned %d/%d, encoded %d, corrupted %d, %d warnings; want 1/1, 0, 1, 1",
-					st.Poisoned, st.Cache.Poisoned, st.Cache.Encoded, st.Store.Corrupted, warnings)
+			if st.Poisoned != 1 || st.Cache.Poisoned != 1 || st.Store.Corrupted != 1 || warnings != 1 {
+				t.Errorf("after the first create: poisoned %d/%d, corrupted %d, %d warnings; want 1/1, 1, 1",
+					st.Poisoned, st.Cache.Poisoned, st.Store.Corrupted, warnings)
 			}
 			// The cold session re-exported a healthy snapshot under the same
 			// fingerprint: the second create is warm from it and nothing is
@@ -689,7 +591,8 @@ func poisonOnlyFrame(t *testing.T, dir string) { poisonMiddleFrame(t, dir, 1) }
 // on a directory in the state restart_cycle reaches late in a run — the
 // 19 small TPC-H blocks plus 240 three-table synthetic records, written
 // by moqod's default optimizer configuration, and a checkpoint whose hot
-// set names the 21 entries one life of that workload uses. Two cases:
+// set names the 21 entries one life of that workload uses — with a cache
+// of half as many entries as the store has live records. Two cases:
 // "checkpointed" boots after a clean shutdown (the checkpoint covers the
 // whole log, nothing is scanned), "scanned" after the segment has been
 // renumbered behind the checkpoint, as a compaction in a killed life
@@ -700,10 +603,11 @@ func poisonOnlyFrame(t *testing.T, dir string) { poisonMiddleFrame(t, dir, 1) }
 func BenchmarkServiceBoot(b *testing.B) {
 	dir := b.TempDir()
 	cfg := Config{
-		Opt:         core.Config{Model: costmodel.Default(), ResolutionLevels: 5, TargetPrecision: 1.01, PrecisionStep: 0.05},
-		Workers:     2,
-		IdleTimeout: -1,
-		StoreDir:    dir,
+		Opt:           core.Config{Model: costmodel.Default(), ResolutionLevels: 5, TargetPrecision: 1.01, PrecisionStep: 0.05},
+		Workers:       2,
+		IdleTimeout:   -1,
+		CacheCapacity: 128, // the store holds about twice as many live records
+		StoreDir:      dir,
 	}
 	var queries []*query.Query
 	for i := 0; i < 240; i++ {
@@ -779,10 +683,10 @@ func BenchmarkServiceBoot(b *testing.B) {
 				st := svc.Stats()
 				scanned += st.Store.ScanBytes
 				live += int64(st.Store.LiveRecords)
-				if st.Cache.Entries == 0 || st.Cache.Entries != st.Cache.Encoded+len(hint) ||
+				if st.Cache.Entries != len(hint) ||
 					st.StoreReadsBoot != uint64(len(hint)) || (st.Store.ScanBytes == 0) != !tc.stale {
-					b.Fatalf("boot left %d entries, %d stubs, %d reads, hint %d, scanned %d bytes",
-						st.Cache.Entries, st.Cache.Encoded, st.StoreReadsBoot, len(hint), st.Store.ScanBytes)
+					b.Fatalf("boot left %d entries, %d reads, hint %d, scanned %d bytes",
+						st.Cache.Entries, st.StoreReadsBoot, len(hint), st.Store.ScanBytes)
 				}
 				svc.Shutdown()
 				b.StartTimer()

@@ -61,11 +61,11 @@ type Observability struct {
 	// expired, timed out...) partway up the precision ladder.
 	QualityAtDeadline *metrics.Histogram
 	// StoreRead and Decode are the latencies of the two halves of
-	// fetching a cache stub's snapshot — loading the record from the
-	// snapshot store, decoding it — and StoreReadsBoot/Hit and
-	// DecodesBoot/Hit count them by when they ran: before the node
-	// reported ready (the entries the checkpoint's hot set named) or on a
-	// session's first hit (DESIGN.md D19). StoreReadErrors counts the
+	// fetching a snapshot from the store — loading the record, decoding
+	// it — and StoreReadsBoot/Hit and DecodesBoot/Hit count them by when
+	// they ran: before the node reported ready (the records the
+	// checkpoint's hot set named) or on a cache miss the store answered
+	// (DESIGN.md D19). StoreReadErrors counts the
 	// loads the filesystem failed: those sessions started cold, nothing
 	// was quarantined. The decode instruments exist with the cache, the
 	// store-read ones with the store; nil otherwise.
@@ -285,12 +285,7 @@ func (s *Service) registerMetrics() {
 
 	if c := s.cache; c != nil {
 		r.GaugeFunc("moqod_cache_entries", "Cached snapshots.", "", func() float64 {
-			entries, _ := c.sizes()
-			return float64(entries)
-		})
-		r.GaugeFunc("moqod_cache_encoded_entries", "Cache entries of the snapshot store's records not used yet: their snapshot is still encoded, on disk.", "", func() float64 {
-			_, encoded := c.sizes()
-			return float64(encoded)
+			return float64(c.Stats().Entries)
 		})
 	}
 

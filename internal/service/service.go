@@ -18,9 +18,8 @@
 //     re-costs the pre-drift snapshot. With Config.StoreDir set, the
 //     persistent snapshot store (internal/store) is the cache's cold
 //     tier: admitted snapshots are written through to disk off the hot
-//     path, and the next New on the same directory admits the
-//     surviving records as stubs that are read back on first use, so
-//     warm starts survive process restarts (DESIGN.md D12, D19).
+//     path, and a cache miss asks the store, so warm starts survive
+//     evictions and process restarts (DESIGN.md D12, D19).
 //
 // The paper's interactive-speed guarantee is per optimizer invocation;
 // this package extends it to many users by making one invocation
@@ -114,11 +113,10 @@ type Config struct {
 
 	// StoreDir, when non-empty, enables the persistent snapshot store
 	// (internal/store) rooted at this directory: cache-admitted
-	// snapshots are written through to disk off the hot path, and New
-	// admits the surviving records into the cache as stubs that are
-	// read back on first use, so a restarted service (or a fresh
-	// process on the same directory) keeps its warm starts. Requires
-	// the cache (CacheCapacity >= 0).
+	// snapshots are written through to disk off the hot path, and a
+	// cache miss reads the store's record back, so a restarted service
+	// (or a fresh process on the same directory) keeps its warm starts.
+	// Requires the cache (CacheCapacity >= 0).
 	StoreDir string
 
 	// StoreOptions tunes the store's segment size, compaction
@@ -246,8 +244,8 @@ type Stats struct {
 	// StoreDir is unset).
 	Store store.Stats
 	// StoreReadsBoot and StoreReadsHit count the records loaded from the
-	// store for a cache entry — before the node reported ready (the
-	// checkpoint's hot set) and on a session's first hit — and
+	// store for the cache — before the node reported ready (the
+	// checkpoint's hot set) and on a cache miss the store answered — and
 	// StoreReadErrors those of them the filesystem failed (the session
 	// started cold; nothing was quarantined).
 	StoreReadsBoot, StoreReadsHit, StoreReadErrors uint64
@@ -360,10 +358,18 @@ type Service struct {
 	cfg     Config
 	mgr     *manager
 	sched   *scheduler
-	cache   *PlanCache   // nil when disabled
-	store   *store.Store // persistent snapshot store; nil when disabled
+	cache   *PlanCache                           // nil when disabled
+	store   *store.Store                         // persistent snapshot store; nil when disabled
+	cold    func(store.Tier, string) (Hit, bool) // s.fromStore with a store, else nil
 	quantum int
-	obs     *Observability // metric instruments + trace archive (never nil)
+
+	// fetching guards the store's records against a second read and
+	// decode while the first is in flight: fromStore registers one
+	// flight per fingerprint under fetchMu, and every concurrent first
+	// use of the record waits for its outcome.
+	fetchMu  sync.Mutex
+	fetching map[string]*flight
+	obs      *Observability // metric instruments + trace archive (never nil)
 
 	// statsMu serializes Stats callers so the starvation-audit scratch
 	// (gapScratch here, the manager's liveScratch) can be reused
@@ -451,7 +457,11 @@ func New(cfg Config) (*Service, error) {
 			return nil, err
 		}
 		s.store = st
-		s.cache.fetch = s.fetchSnapshot
+		s.cold = s.fromStore
+		s.fetching = map[string]*flight{}
+		if s.cfg.ReplaySource == "" {
+			s.cfg.ReplaySource = "replay"
+		}
 		s.replay()
 		// Epoch labels must stay monotonic across restarts: raise the
 		// versioned catalog to the newest label the store has seen, so a
@@ -473,43 +483,38 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// replay pre-populates the cache from the store's index —
-// adopted from the checkpoint, scanned past it (DESIGN.md D22) — the way
-// a buffer pool reloads after a restart (D19): each live record is
-// admitted as a stub, in write order — so the canonical tier ends up
-// with each class's most recently persisted representative, the same
-// state live Puts would have left behind — and only the entries the
-// checkpoint's hot set names are fetched from the store before New
-// returns; the rest stay on disk until their first hit. The hot set is
-// advice about when to pay a read and a decode, never about what is
-// served: absent, damaged or stale, the node boots all the same with
-// more entries left as stubs.
+// replay makes the checkpoint's hot set resident before New returns,
+// the way a buffer pool reloads the pages that were hot at shutdown
+// (DESIGN.md D19): the hot fingerprints still live in the store, as
+// many as the cache holds, are read and decoded on fetchHot's
+// goroutines and admitted once all of them are done, least recently
+// used first, so the cache's LRU order is the previous life's. Every
+// other record stays on disk until a cache miss asks the store for it.
+// The hot set is advice about when to pay a read and a decode, never
+// about what is served: absent, damaged or stale, the node boots all
+// the same and pays on first use instead.
 func (s *Service) replay() {
-	origin := s.cfg.ReplaySource
-	if origin == "" {
-		origin = "replay"
-	}
 	hint := s.store.Hot()
-	hinted := make(map[string]bool, len(hint))
-	for _, fp := range hint {
-		hinted[fp] = true
-	}
 	var hot []cacheKey
-	s.store.Walk(func(r store.Record) bool {
-		k := cacheKey{fp: r.FP, canonFp: r.CanonFP, structFp: r.StructFP, perm: r.Perm}
-		s.cache.Admit(k, origin)
-		if hinted[k.fp] {
-			hot = append(hot, k)
+	seen := make(map[string]bool, len(hint))
+	for _, fp := range hint {
+		if rec, _, ok := s.store.Find(store.TierExact, fp); ok && !seen[fp] && len(hot) < s.cache.capacity {
+			seen[fp] = true
+			hot = append(hot, cacheKey{rec.FP, rec.CanonFP, rec.StructFP, rec.Perm})
 		}
-		return true
-	})
-	// Fetch after the last admission, not during: a store larger than
-	// the cache evicts its oldest-written records on the way in, and a
-	// fetch spent on one of those is wasted.
+	}
 	t0 := time.Now()
-	s.fetchHot(hot)
+	snaps, errs := s.fetchHot(hot)
+	for i := len(hot) - 1; i >= 0; i-- {
+		switch err := errs[i]; {
+		case err == nil:
+			s.cache.admit(cacheItem{cacheKey: hot[i], snap: snaps[i], origin: s.cfg.ReplaySource})
+		case poisonous(err):
+			s.quarantine(hot[i], true)
+		}
+	}
 	fetch := time.Since(t0)
-	ct, st := s.cache.Stats(), s.store.Stats()
+	st := s.store.Stats()
 	s.cfg.Events.Emit(eventlog.LevelInfo, "service", "snapshot store replayed",
 		eventlog.Fint("loaded", int64(st.Loaded)),
 		eventlog.Fint("live", int64(st.LiveRecords)),
@@ -519,22 +524,18 @@ func (s *Service) replay() {
 		eventlog.F("scan_ms", strconv.FormatFloat(float64(st.ScanTotal)/float64(time.Millisecond), 'f', 1, 64)),
 		eventlog.Fint("rejected", int64(st.Rejected)),
 		eventlog.Fint("corrupted", int64(st.Corrupted)),
-		eventlog.Fint("cache_entries", int64(ct.Entries)),
+		eventlog.Fint("cache_entries", int64(s.cache.Stats().Entries)),
 		eventlog.Fint("hinted", int64(len(hint))),
 		eventlog.F("fetch_ms", strconv.FormatFloat(float64(fetch)/float64(time.Millisecond), 'f', 1, 64)),
-		eventlog.Fint("decoded", int64(s.obs.DecodesBoot.Value())),
-		eventlog.Fint("encoded", int64(ct.Encoded)),
-		eventlog.Fint("evicted_at_boot", int64(ct.Evictions)))
+		eventlog.Fint("decoded", int64(s.obs.DecodesBoot.Value())))
 }
 
-// fetchHot fetches the hot set's entries on min(GOMAXPROCS, len(hot))
-// goroutines, which take keys from a shared counter, and returns when
-// all of them are done: at /readyz every hot entry is resident and
-// decoded (D16), and no goroutine outlives New. Fetches are independent
-// — a stub's own mutex makes a concurrent first hit wait instead of
-// decoding twice — and a poison verdict leaves through quarantine, as
-// at a first hit.
-func (s *Service) fetchHot(hot []cacheKey) {
+// fetchHot reads and decodes the hot set's records on
+// min(GOMAXPROCS, len(hot)) goroutines, which take keys from a shared
+// counter, and returns when all of them are done — no goroutine
+// outlives New — with each record's snapshot or load error.
+func (s *Service) fetchHot(hot []cacheKey) ([]*core.Snapshot, []error) {
+	snaps, errs := make([]*core.Snapshot, len(hot)), make([]error, len(hot))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for range min(runtime.GOMAXPROCS(0), len(hot)) {
@@ -546,24 +547,80 @@ func (s *Service) fetchHot(hot []cacheKey) {
 				if i >= len(hot) {
 					return
 				}
-				if k := hot[i]; s.cache.FetchNow(k.fp) {
-					s.quarantine(k, true)
-				}
+				snaps[i], errs[i] = s.load(hot[i].fp, true)
 			}
 		}()
 	}
 	wg.Wait()
+	return snaps, errs
 }
 
-// fetchSnapshot is the cache's cold tier: the store's Load, then
-// snapcodec.Decode with every check it has, each timed and counted by
-// when it ran. The encoded bytes live from the one to the other and no
-// longer. A read the filesystem failed is counted, reported — one warn
-// event, through the event log's rate limit: a dying disk must not flood
-// the ring — and returned as errStoreRead: no verdict on the record,
-// which stays a stub. What Load or Decode rejected comes back as it is,
-// for the caller to treat as poison.
-func (s *Service) fetchSnapshot(fp string, atBoot bool) (*core.Snapshot, error) {
+// flight is one record's read and decode in progress; done closes once
+// hit and found are set.
+type flight struct {
+	done  chan struct{}
+	hit   Hit
+	found bool
+}
+
+// fromStore is the cache's cold tier (DESIGN.md D19): it answers a key
+// of tier t that the cache missed with the store's record for it, read,
+// decoded and admitted — once, however many first uses race to it: the
+// first registers a flight and the rest wait for its outcome, and one
+// that finds the entry resident by then takes that. The read and the
+// decode run under no lock, neither the cache's nor the store writer's.
+// A record present when the store opened is labeled with
+// Config.ReplaySource, one this process wrote with "replay". A record
+// the store does not hold is a miss. One that fails its checks or its
+// decode is quarantined by the flight that found it, and one the disk
+// failed to read buries nothing: both are hits without a snapshot, and
+// only the latter is read again by the next use.
+func (s *Service) fromStore(t store.Tier, key string) (Hit, bool) {
+	rec, atOpen, ok := s.store.Find(t, key)
+	if !ok {
+		return Hit{}, false
+	}
+	k := cacheKey{rec.FP, rec.CanonFP, rec.StructFP, rec.Perm}
+	s.fetchMu.Lock()
+	f, waiting := s.fetching[k.fp]
+	if !waiting {
+		if h, ok := s.cache.lookup(store.TierExact, k.fp); ok {
+			s.fetchMu.Unlock()
+			return h, true
+		}
+		f = &flight{done: make(chan struct{}), hit: Hit{Src: k, Origin: "replay"}}
+		if atOpen {
+			f.hit.Origin = s.cfg.ReplaySource
+		}
+		s.fetching[k.fp] = f
+	}
+	s.fetchMu.Unlock()
+	if !waiting {
+		snap, err := s.load(k.fp, false)
+		switch {
+		case err == nil:
+			s.cache.admit(cacheItem{cacheKey: k, snap: snap, origin: f.hit.Origin, used: true})
+		case poisonous(err):
+			s.quarantine(k, true)
+		}
+		f.hit.Snap, f.found = snap, !errors.Is(err, store.ErrNotStored)
+		s.fetchMu.Lock()
+		delete(s.fetching, k.fp)
+		s.fetchMu.Unlock()
+		close(f.done)
+	}
+	<-f.done
+	return f.hit, f.found
+}
+
+// load is the store's Load, then snapcodec.Decode with every check it
+// has, each timed and counted by when it ran. The encoded bytes live
+// from the one to the other and no longer. A read the filesystem failed
+// is counted, reported — one warn event, through the event log's rate
+// limit: a dying disk must not flood the ring — and returned as
+// errStoreRead: no verdict on the record. What Load or Decode rejected
+// comes back as it is, for the caller to treat as poison.
+func (s *Service) load(fp string, atBoot bool) (*core.Snapshot, error) {
 	reads, decodes := s.obs.StoreReadsHit, s.obs.DecodesHit
 	if atBoot {
 		reads, decodes = s.obs.StoreReadsBoot, s.obs.DecodesBoot
@@ -669,14 +726,15 @@ func (s *Service) reject(kind string, n, lim int) error {
 // so neither this process nor any restart warm-starts from it again
 // (D14: poison marking is monotonic and persisted).
 //
-// corrupt marks a stub whose record, on its first use, failed the store's
-// frame checks or failed to decode. Decoding every record at boot used to
-// find such a record there, skip it and count it; now it is found here, so
-// it is counted the same (Store.Corrupted), reported, and buried like any
-// other poison — the next boot does not meet it again.
+// corrupt marks a store record that, read on its first use, failed the
+// store's frame checks or failed to decode. Decoding every record at
+// boot used to find such a record there, skip it and count it; now it
+// is found here, so it is counted the same (Store.Corrupted), reported,
+// and buried like any other poison — the next boot does not meet it
+// again.
 func (s *Service) quarantine(src cacheKey, corrupt bool) {
 	if corrupt {
-		s.store.NoteCorrupt() // stubs only ever stand for the store's records
+		s.store.NoteCorrupt() // only the store's records are read and decoded
 	}
 	if s.cache != nil {
 		s.cache.Quarantine(src.fp)
@@ -691,8 +749,9 @@ func (s *Service) quarantine(src cacheKey, corrupt bool) {
 	}
 }
 
-// admit is the one place a snapshot enters the cache and, written
-// through, the store (DESIGN.md D21). The store's Put only hands the
+// admit is the one place a session's snapshot enters the cache and,
+// written through, the store (DESIGN.md D21); a record read from the
+// store enters the cache alone. The store's Put only hands the
 // (immutable) snapshot to its background writer and sheds it when the
 // writer is backlogged; blocking is for the caller that must not shed.
 // Callers have checked that the cache is on.

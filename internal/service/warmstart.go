@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/session"
+	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -91,32 +92,29 @@ func (st *start) seed(tr *trace.Trace) {
 
 // resolve walks the warm-start ladder for q (DESIGN.md D21): the exact
 // tier, then the canonical tier, then — both having missed — the
-// structural tier, then a cold build. A rung answers hit (a snapshot
-// ready to restore under q), miss (nil) or poison; whichever hits hands
-// its snapshot to the one restore below, whatever a rung, the stub's
-// fetch or the restore finds to be poison leaves through the one
-// quarantine, and the create itself never fails for a bad cache entry.
+// structural tier, each asked of the cache and, on its miss, of the
+// store; then a cold build. A rung answers hit (a snapshot ready to
+// restore under q), miss (nil) or poison; whichever hits hands its
+// snapshot to the one restore below, whatever a rung or the restore
+// finds to be poison leaves through the one quarantine (a record that
+// failed its read-side checks has left through it already), and the
+// create itself never fails for a bad cache entry.
 func (s *Service) resolve(q *query.Query, k cacheKey) (start, error) {
 	var st start
 	var err error
 	if s.cache != nil {
-		h, found := s.cache.Lookup(k.fp, k.canonFp)
-		stale := !found
-		if stale {
-			h, found = s.cache.LookupStale(k.structFp)
-		}
+		h, found := s.cache.Lookup(k, s.cold)
+		stale := h.Tier == store.TierStruct
 		var snap *core.Snapshot
 		var prov provenance
 		poison := false
 		switch {
-		case !found:
-		case h.Snap == nil:
-			// The entry was a stub and its fetch — for this use — failed:
-			// a cold start, and if the record itself is bad, poison.
-			poison = h.Poison
+		case !found || h.Snap == nil:
+			// Nothing, or a store record that could not be used this time:
+			// a cold start.
 		case stale:
 			snap, prov, poison = s.staleRung(q, h, &st)
-		case h.Exact:
+		case h.Tier == store.TierExact:
 			snap, prov = h.Snap, provExact
 		default:
 			snap, prov = s.isoRung(k, h, &st), provIso
@@ -142,10 +140,10 @@ func (s *Service) resolve(q *query.Query, k cacheKey) (start, error) {
 		if poison {
 			// Evict from every cache tier, supersede on disk (D14). The next
 			// convergence re-exports a fresh snapshot, resetting the lineage.
-			s.quarantine(h.Src, h.Poison)
-			if stale && !h.Poison {
+			s.quarantine(h.Src, false)
+			if stale {
 				// The stale entry was classified and then buried: that is a
-				// drift outcome. A stub that never decoded is just poison.
+				// drift outcome.
 				st.drift = driftQuarantined
 			}
 		}

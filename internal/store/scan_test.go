@@ -262,7 +262,7 @@ func FuzzScanSegment(f *testing.F) {
 		if err := opts.defaults(); err != nil {
 			t.Fatal(err)
 		}
-		s := &Store{opts: opts, fs: opts.FS, index: map[string]location{}, segments: map[int64]*segment{}}
+		s := &Store{opts: opts, fs: opts.FS, index: map[string]location{}, classes: map[class]string{}, segments: map[int64]*segment{}}
 		if err := s.scan(); err != nil {
 			t.Fatal(err)
 		}

@@ -11,12 +11,14 @@
 // only what follows — after a clean shutdown, nothing — validating each
 // frame and truncating a segment at its first corrupt one (a crash
 // mid-append, a torn page). Without a usable checkpoint the scan reads
-// the whole log (DESIGN.md D22). Walk yields the keys in write order
-// without touching the disk, so the service can pre-populate all cache
-// tiers with stubs, and Load reads one record's still-encoded snapshot
-// back, verified, when something first uses it — before the node
-// reports ready for what the checkpoint's hot set names, on the first
-// hit for the rest (DESIGN.md D19).
+// the whole log (DESIGN.md D22). The store is the plan cache's cold
+// tier (DESIGN.md D19): Find answers a cache tier's key — a fingerprint,
+// or the canonical or structural digest of a class, whose answer is the
+// class's most recently written live record — from the index without
+// touching the disk, and Load reads that record's still-encoded snapshot
+// back, verified, when something first uses it: before the node reports
+// ready for what the checkpoint's hot set names, on a cache miss for
+// the rest.
 // Records whose configuration echo does not match the restoring service
 // are dead on arrival: config drift degrades to a cold start, never to
 // a wrong restore. Statistics drift is deliberately softer: each frame
@@ -160,8 +162,8 @@ func (o *Options) defaults() error {
 
 // Record is one persisted snapshot with its cache keys: everything a
 // service needs to re-admit the snapshot into every tier of its plan
-// cache. Walk yields records with the keys only (Snap nil, nothing
-// read); Replay yields them whole.
+// cache. Find and Walk yield records with the keys only (Snap nil,
+// nothing read); Replay yields them whole.
 type Record struct {
 	// FP is the exact query fingerprint (the exact cache-tier key and
 	// the store's dedup key).
@@ -224,8 +226,8 @@ type Stats struct {
 	// Corrupted counts scan truncations (bad checksum or torn record),
 	// segments the scan could not read to their end, and live records
 	// that turned out unusable when loaded: a frame that failed Load's
-	// checks or a snapshot that failed to decode (at Replay, or at a
-	// cache stub's first use).
+	// checks or a snapshot that failed to decode (at Replay, or when the
+	// service first read it).
 	Corrupted uint64
 	// Dropped counts Puts shed because the writer queue was full.
 	Dropped uint64
@@ -294,15 +296,19 @@ type Store struct {
 
 	mu sync.Mutex
 
-	// index maps a fingerprint to its live record. It changes only with
-	// both mu and idxMu held (mu first) and may be read under either:
-	// the writer holds mu across whole appends, fsyncs and compactions,
-	// idxMu only for the map operation itself, so Load and Walk — which
+	// index maps a fingerprint to its live record, and classes a
+	// canonical or structural digest to the fingerprint of its class's
+	// most recently written live record. Both change only with mu and
+	// idxMu held (mu first) and may be read under either: the writer
+	// holds mu across whole appends, fsyncs and compactions, idxMu only
+	// for the map operations themselves, so Find, Load and Walk — which
 	// take idxMu alone — never wait for the disk behind the writer.
-	idxMu sync.Mutex
-	index map[string]location
+	idxMu   sync.Mutex
+	index   map[string]location
+	classes map[class]string
 
 	nextOrder uint64             // next (re)write stamp
+	openOrder uint64             // the write stamps below it went to records Open found
 	segments  map[int64]*segment // by segment seq
 	active    int64              // active segment seq
 	file      faultfs.File       // active segment, owned by the writer
@@ -385,6 +391,7 @@ func Open(opts Options) (*Store, error) {
 		opts:       opts,
 		fs:         opts.FS,
 		index:      map[string]location{},
+		classes:    map[class]string{},
 		segments:   map[int64]*segment{},
 		queue:      make(chan writeReq, opts.QueueDepth),
 		done:       make(chan struct{}),
@@ -398,6 +405,7 @@ func Open(opts Options) (*Store, error) {
 	if err := s.scan(); err != nil {
 		return nil, err
 	}
+	s.openOrder = s.nextOrder
 	opts.Events.Emit(eventlog.LevelInfo, "store", "opened",
 		eventlog.F("dir", opts.Dir),
 		eventlog.Fint("segments", int64(len(s.segments))),
@@ -643,13 +651,25 @@ func (w *scanWindow) bytes(off int64, n int) ([]byte, error) {
 // exactly like a live Put sequence would). Callers hold mu (or run
 // before the writer starts).
 func (s *Store) indexRecord(rec Record, loc location) {
-	s.unindex(rec.FP)
+	old, had := s.index[rec.FP]
+	if had {
+		s.stats.DeadBytes += old.size
+		s.stats.LiveBytes -= old.size
+	}
 	loc.order = s.nextOrder
 	s.nextOrder++
 	loc.epoch = rec.StatsEpoch
 	loc.canonFp, loc.structFp, loc.perm = rec.CanonFP, rec.StructFP, rec.Perm
 	s.idxMu.Lock()
 	s.index[rec.FP] = loc
+	for t := TierCanon; t <= TierStruct; t++ {
+		if key := loc.key(t); key != "" {
+			s.classes[class{t, key}] = rec.FP
+		}
+	}
+	if had {
+		s.releaseLocked(rec.FP, old)
+	}
 	s.idxMu.Unlock()
 	s.stats.LiveBytes += loc.size
 	if loc.epoch > s.maxEpoch {
@@ -666,9 +686,82 @@ func (s *Store) unindex(fp string) bool {
 		s.stats.LiveBytes -= old.size
 		s.idxMu.Lock()
 		delete(s.index, fp)
+		s.releaseLocked(fp, old)
 		s.idxMu.Unlock()
 	}
 	return ok
+}
+
+// Tier names the key a Find goes by: one of the plan cache's tiers.
+type Tier uint8
+
+const (
+	TierExact  Tier = iota // the exact fingerprint
+	TierCanon              // the canonical digest (isomorphism class)
+	TierStruct             // the structural fingerprint (drift class)
+)
+
+// class is a classes key: the digest of a class in tier TierCanon or
+// TierStruct.
+type class struct {
+	t   Tier
+	key string
+}
+
+// key returns the record's key in class tier t.
+func (l *location) key(t Tier) string {
+	if t == TierCanon {
+		return l.canonFp
+	}
+	return l.structFp
+}
+
+// releaseLocked hands each class entry that names fp, whose record was
+// old and whose live record (if any) is no longer in that class, to the
+// class's most recently written live record, or drops it when the class
+// has none left. So a class answers the same whatever built the index —
+// appends, a scan of the log, the checkpoint, compaction — at the price
+// of one pass over the index when a class loses its newest record: a
+// quarantine, a tombstone at scan, a re-persist under other class keys.
+// Callers hold mu and idxMu.
+func (s *Store) releaseLocked(fp string, old location) {
+	for t := TierCanon; t <= TierStruct; t++ {
+		c := class{t, old.key(t)}
+		if c.key == "" || s.classes[c] != fp {
+			continue
+		}
+		if cur, ok := s.index[fp]; ok && cur.key(t) == c.key {
+			continue
+		}
+		delete(s.classes, c)
+		for f, l := range s.index {
+			if cur, set := s.classes[c]; l.key(t) == c.key && (!set || l.order > s.index[cur].order) {
+				s.classes[c] = f
+			}
+		}
+	}
+}
+
+// Find answers a plan-cache tier's key from the index, with no I/O: the
+// keys of fp's live record (TierExact), or of the most recently written
+// live record of the class the digest names (TierCanon, TierStruct),
+// and whether that record was already on disk when Open ran rather than
+// written since. The record may be superseded or quarantined by the
+// time the caller Loads it; Load answers for the index as it is then.
+func (s *Store) Find(t Tier, key string) (rec Record, atOpen, ok bool) {
+	s.idxMu.Lock()
+	defer s.idxMu.Unlock()
+	if t != TierExact {
+		if key, ok = s.classes[class{t, key}]; !ok {
+			return
+		}
+	}
+	loc, ok := s.index[key]
+	if !ok {
+		return
+	}
+	return Record{FP: key, CanonFP: loc.canonFp, StructFP: loc.structFp, Perm: loc.perm, StatsEpoch: loc.epoch},
+		loc.order < s.openOrder, true
 }
 
 // liveRecord is one index entry with its key, as liveInOrder lists them.
@@ -788,12 +881,11 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// Walk calls fn with the keys of every live record in write order (so a
-// later record for the same canonical digest overwrites an earlier
-// class representative, exactly as live Puts would have), straight from
-// the index: no I/O, Snap nil. fn returning false stops the walk. A
-// record Walk yielded may be superseded or quarantined by the time the
-// caller Loads it; Load answers for the index as it is then.
+// Walk calls fn with the keys of every live record in write order,
+// straight from the index: no I/O, Snap nil. fn returning false stops
+// the walk. A record Walk yielded may be superseded or quarantined by
+// the time the caller Loads it; Load answers for the index as it is
+// then.
 func (s *Store) Walk(fn func(Record) bool) {
 	s.idxMu.Lock()
 	live := s.liveInOrder()
@@ -1013,8 +1105,7 @@ func (s *Store) Close(hot ...string) error {
 // Hot returns the hot set of the checkpoint Open read, in the order the
 // previous life's Close got it, or nil when there was no usable
 // checkpoint. The fingerprints are not checked against the index: the
-// caller applies them to the records Walk yields, so dead names fall
-// away there.
+// caller Finds each, so dead names fall away there.
 func (s *Store) Hot() []string { return s.hot }
 
 // Instruments returns the store's histograms — record-append latency,

@@ -112,9 +112,15 @@ if [ "$loaded" -lt 1 ]; then
 fi
 echo "chaos_smoke: restart replayed $loaded records"
 
-# No shutdown ran, so no hint was written: every replayed record is
-# still on disk at ready — nothing was read back or decoded at boot.
-require moqod_cache_encoded_entries -gt 0
+# No shutdown ran, so no hot set was written: every replayed record is
+# still on disk at ready, and only there — nothing is resident, nothing
+# was read back or decoded at boot.
+require moqod_cache_entries -eq 0
+live=$(curl -fsS "http://$ADDR/statz" | jq -re '.Store.LiveRecords')
+if [ "$live" -lt 1 ]; then
+    echo "chaos_smoke: restart has $live live records, want >= 1" >&2
+    exit 1
+fi
 require 'moqod_store_reads_total{when="boot"}' -eq 0
 require 'moqod_store_reads_total{when="hit"}' -eq 0
 require 'moqod_cache_decodes_total{when="boot"}' -eq 0
