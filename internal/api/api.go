@@ -258,8 +258,8 @@ func (a *API) Lifecycle() Lifecycle {
 	return Lifecycle{Phase: a.Phase().String(), Bootstrap: a.Bootstrap()}
 }
 
-// CreateQuery resolves a create request into a query (exported for the
-// HTTP handler and peer transports alike).
+// resolveQuery resolves a create request into a query: a TPC-H block by
+// name, or a synthetic query of the requested size and topology.
 func (a *API) resolveQuery(req createRequest) (*query.Query, error) {
 	if req.Tables > 0 {
 		tp, err := parseTopology(req.Topology)

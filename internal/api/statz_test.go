@@ -149,6 +149,14 @@ func TestStatzMatchesMetrics(t *testing.T) {
 		`moqod_store_reads_total{when="boot"}`:   statz.StoreReadsBoot,
 		`moqod_store_reads_total{when="hit"}`:    statz.StoreReadsHit,
 		"moqod_store_read_errors_total":          statz.StoreReadErrors,
+		"moqod_store_persisted_total":            statz.Store.Persisted,
+		"moqod_store_dropped_total":              statz.Store.Dropped,
+		"moqod_store_write_errors_total":         statz.Store.WriteErrors,
+		"moqod_store_flushes_total":              statz.Store.Flushes,
+		"moqod_store_degraded_enters_total":      statz.Store.DegradedEnters,
+		"moqod_store_degraded_drops_total":       statz.Store.DegradedDrops,
+		"moqod_store_probes_total":               statz.Store.Probes,
+		"moqod_store_tombstones_total":           statz.Store.Tombstones,
 	} {
 		if want, ok := samples[key]; !ok {
 			t.Errorf("/metrics has no sample %s", key)
@@ -166,8 +174,9 @@ func TestStatzMatchesMetrics(t *testing.T) {
 		"created": statz.Created, "selected": statz.Selected, "closed": statz.Closed,
 		"rejected": statz.Rejected, "steps": statz.Steps, "pops": statz.Pops,
 		"warm starts": statz.WarmStarts, "exact hits": c.ExactHits, "misses": c.Misses, "puts": c.Puts,
-		"drained sessions": statz.DrainConverged + statz.DrainCheckpointed,
-		"store reads":      statz.StoreReadsBoot + statz.StoreReadsHit,
+		"drained sessions":  statz.DrainConverged + statz.DrainCheckpointed,
+		"store reads":       statz.StoreReadsBoot + statz.StoreReadsHit,
+		"persisted records": statz.Store.Persisted, "store flushes": statz.Store.Flushes,
 	} {
 		if n == 0 {
 			t.Errorf("the script counted no %s", name)

@@ -1,6 +1,5 @@
-// Package cost defines multi-objective plan cost vectors, the dominance
-// partial order over them, and the class of PONO-compliant aggregation
-// functions the paper's formal analysis relies on.
+// Package cost defines multi-objective plan cost vectors and the
+// dominance partial order over them.
 //
 // A query plan is associated with a Vector of l non-negative cost values,
 // one per metric (execution time, reserved cores, result precision, fees,
@@ -8,8 +7,7 @@
 // every component; it strictly dominates when it is additionally strictly
 // lower in at least one component. The Principle of Near-Optimality (PONO)
 // holds for every metric whose cost aggregation function is built from
-// sums, maxima, minima and multiplication by non-negative constants; the
-// Agg type in this package expresses exactly that closure.
+// sums, maxima, minima and multiplication by non-negative constants.
 package cost
 
 import (

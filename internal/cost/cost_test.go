@@ -181,126 +181,6 @@ func TestQuickAggregationMonotone(t *testing.T) {
 	}
 }
 
-func TestAggLeaves(t *testing.T) {
-	if Left().Eval(1, 2, 3) != 1 {
-		t.Error("Left")
-	}
-	if Right().Eval(1, 2, 3) != 2 {
-		t.Error("Right")
-	}
-	if Local().Eval(1, 2, 3) != 3 {
-		t.Error("Local")
-	}
-	if Const(7).Eval(1, 2, 3) != 7 {
-		t.Error("Const")
-	}
-}
-
-func TestAggComposite(t *testing.T) {
-	// time(seq) = left + right + local
-	seq := Sum(Left(), Right(), Local())
-	if got := seq.Eval(2, 3, 5); got != 10 {
-		t.Errorf("seq = %v", got)
-	}
-	// time(par) = max(left, right) + local
-	par := Sum(MaxOf(Left(), Right()), Local())
-	if got := par.Eval(2, 7, 5); got != 12 {
-		t.Errorf("par = %v", got)
-	}
-	// weakest-link = min(left, right)
-	weak := MinOf(Left(), Right())
-	if got := weak.Eval(2, 7, 0); got != 2 {
-		t.Errorf("weak = %v", got)
-	}
-	scaled := ScaleBy(0.5, Sum(Left(), Right()))
-	if got := scaled.Eval(4, 6, 0); got != 5 {
-		t.Errorf("scaled = %v", got)
-	}
-}
-
-func TestAggPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"Const(-1)":   func() { Const(-1) },
-		"ScaleBy(-1)": func() { ScaleBy(-1, Left()) },
-		"Sum()":       func() { Sum() },
-		"MaxOf()":     func() { MaxOf() },
-		"MinOf()":     func() { MinOf() },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestAggString(t *testing.T) {
-	e := Sum(MaxOf(Left(), Right()), ScaleBy(2, Local()))
-	want := "sum(max(left, right), 2*local)"
-	if e.String() != want {
-		t.Errorf("String = %q, want %q", e.String(), want)
-	}
-}
-
-// Property: PONO (Definition 1). For aggregation expressions drawn from
-// the sum/max/min/scale grammar: if l* <= α·l and r* <= α·r then
-// f(l*, r*, x) <= α·f(l, r, x) for α >= 1 and non-negative local term x
-// aggregated additively. We test the two aggregators the shipped cost
-// model uses (sequential sum and parallel max), which carry the local
-// term additively as the paper's footnote 2 describes.
-func TestQuickPONO(t *testing.T) {
-	aggs := []Agg{
-		Sum(Left(), Right(), Local()),
-		Sum(MaxOf(Left(), Right()), Local()),
-		Sum(ScaleBy(0.5, Left()), ScaleBy(0.5, Right()), Local()),
-		MaxOf(Left(), Right(), Local()),
-	}
-	r := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 5000; trial++ {
-		l := r.Float64() * 100
-		rr := r.Float64() * 100
-		x := r.Float64() * 10
-		alpha := 1 + r.Float64()*2
-		// Near-optimal replacements.
-		lStar := l * (1 + r.Float64()*(alpha-1))
-		rStar := rr * (1 + r.Float64()*(alpha-1))
-		for _, a := range aggs {
-			base := a.Eval(l, rr, x)
-			repl := a.Eval(lStar, rStar, x)
-			if repl > alpha*base*(1+1e-12) {
-				t.Fatalf("PONO violated for %s: f(l*,r*)=%g > α·f(l,r)=%g (α=%g)",
-					a, repl, alpha*base, alpha)
-			}
-		}
-	}
-}
-
-// Property: the shipped aggregators are monotone — plan cost is at least
-// the cost of each sub-plan (Monotone Cost Aggregation assumption).
-func TestQuickMonotoneAggregation(t *testing.T) {
-	monotone := []Agg{
-		Sum(Left(), Right(), Local()),
-		Sum(MaxOf(Left(), Right()), Local()),
-		MaxOf(Left(), Right(), Local()),
-	}
-	f := func(a, b, c uint16) bool {
-		l, rr, x := float64(a), float64(b), float64(c)
-		for _, e := range monotone {
-			v := e.Eval(l, rr, x)
-			if v < l || v < rr {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMetricString(t *testing.T) {
 	if Time.String() != "time" || Cores.String() != "cores" ||
 		PrecisionLoss.String() != "precision-loss" ||

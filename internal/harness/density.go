@@ -20,7 +20,7 @@ type DensityPoint struct {
 }
 
 // DensitySweep quantifies the mechanism behind the paper's Figure-4
-// magnitudes (see DESIGN.md D7 and EXPERIMENTS.md): as plan frontiers
+// magnitudes (see DESIGN.md D7): as plan frontiers
 // densify, the baselines' linear-scan pruning degrades while IAMA's
 // indexed pruning does not, so the relative IAMA advantage grows. The
 // sweep optimizes a fixed star query whose fact tables offer an

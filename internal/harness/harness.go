@@ -13,7 +13,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -422,9 +421,9 @@ func PlanSetSizes(blockName string, opts Options) ([]SizeSample, error) {
 
 // BoundsSweep exercises the incremental behaviour under user-style bound
 // changes on one block: a refinement series, then a tightening, then a
-// relaxation, reporting per-invocation durations with labels. Used by
-// EXPERIMENTS.md to document incrementality beyond the paper's fixed
-// unbounded scenario.
+// relaxation, reporting per-invocation durations with labels. It shows
+// incrementality beyond the paper's fixed unbounded scenario
+// (`experiments -figure bounds`).
 func BoundsSweep(blockName string, opts Options) ([]string, []time.Duration, error) {
 	if err := opts.defaults(); err != nil {
 		return nil, nil, err
@@ -468,11 +467,4 @@ func BoundsSweep(blockName string, opts Options) ([]string, []time.Duration, err
 		run(fmt.Sprintf("relaxed r=%d", r), nil, r)
 	}
 	return labels, times, nil
-}
-
-// SortedTableCounts exposes the workload's table counts (test helper).
-func SortedTableCounts(blocks []workload.Block) []int {
-	counts := workload.TableCounts(blocks)
-	sort.Ints(counts)
-	return counts
 }

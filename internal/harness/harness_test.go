@@ -232,10 +232,3 @@ func TestFmtDur(t *testing.T) {
 		t.Errorf("got %q", fmtDur(40*time.Microsecond))
 	}
 }
-
-func TestSortedTableCounts(t *testing.T) {
-	counts := SortedTableCounts(workload.MustTPCHBlocks(1))
-	if len(counts) == 0 || counts[0] != 2 {
-		t.Errorf("counts = %v", counts)
-	}
-}

@@ -159,26 +159,6 @@ func (n *Node) IsScan() bool { return n.Left == nil }
 // NumTables returns the number of base tables the plan joins.
 func (n *Node) NumTables() int { return n.Tables.Len() }
 
-// Depth returns the height of the plan tree (1 for a scan).
-func (n *Node) Depth() int {
-	if n.IsScan() {
-		return 1
-	}
-	l, r := n.Left.Depth(), n.Right.Depth()
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
-// NodeCount returns the number of nodes in the plan tree.
-func (n *Node) NodeCount() int {
-	if n.IsScan() {
-		return 1
-	}
-	return 1 + n.Left.NodeCount() + n.Right.NodeCount()
-}
-
 // Validate checks structural invariants of the plan tree: table sets of
 // children partition the parent's, sampling rates are in range, degrees
 // positive, cost vectors finite. It returns the first violation found.

@@ -87,13 +87,7 @@ func TestIsScanAndCounts(t *testing.T) {
 	if !s0.IsScan() || j.IsScan() {
 		t.Error("IsScan wrong")
 	}
-	if s0.Depth() != 1 || j.Depth() != 2 {
-		t.Error("Depth wrong")
-	}
 	j2 := join(MergeJoin, 1, j, scan(2, SeqScan, 1))
-	if j2.Depth() != 3 || j2.NodeCount() != 5 {
-		t.Errorf("Depth=%d NodeCount=%d", j2.Depth(), j2.NodeCount())
-	}
 	if j2.NumTables() != 3 {
 		t.Errorf("NumTables = %d", j2.NumTables())
 	}

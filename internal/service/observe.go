@@ -291,44 +291,28 @@ func (s *Service) registerMetrics() {
 
 	if s.store != nil {
 		st := s.store
-		appendH, flushH, depthH := st.Instruments()
-		r.Histogram("moqod_store_append_seconds", "Background writer per-record append latency.", "", appendH)
-		r.Histogram("moqod_store_flush_seconds", "Segment fsync latency (flush acks and rollovers).", "", flushH)
-		r.Histogram("moqod_store_queue_depth", "Writer backlog observed at each append.", "", depthH)
+		in := st.Instruments()
+		r.Histogram("moqod_store_append_seconds", "Background writer per-record append latency.", "", in.Append)
+		r.Histogram("moqod_store_flush_seconds", "Segment fsync latency (flush acks and rollovers).", "", in.Flush)
+		r.Histogram("moqod_store_queue_depth", "Writer backlog observed at each append.", "", in.Depth)
 		r.GaugeFunc("moqod_store_pending", "Current writer-queue backlog.", "", func() float64 {
 			return float64(st.QueueDepth())
 		})
-		// The store's counters are read with Counters, which copies them
-		// under the store's lock; Stats would walk every live record.
-		r.CounterFunc("moqod_store_persisted_total", "Records appended since open.", "", func() uint64 {
-			return st.Counters().Persisted
-		})
-		r.CounterFunc("moqod_store_dropped_total", "Puts shed because the writer queue was full.", "", func() uint64 {
-			return st.Counters().Dropped
-		})
-		r.CounterFunc("moqod_store_write_errors_total", "Failed appends and syncs.", "", func() uint64 {
-			return st.Counters().WriteErrors
-		})
-		r.CounterFunc("moqod_store_flushes_total", "Explicit flush acks served.", "", func() uint64 {
-			return st.Counters().Flushes
-		})
+		// Every store sample reads one word without the store's lock, which
+		// the writer holds across whole appends, fsyncs and compactions.
+		r.CounterFunc("moqod_store_persisted_total", "Records appended since open.", "", in.Persisted.Value)
+		r.CounterFunc("moqod_store_dropped_total", "Puts shed because the writer queue was full.", "", in.Dropped.Value)
+		r.CounterFunc("moqod_store_write_errors_total", "Failed appends and syncs.", "", in.WriteErrors.Value)
+		r.CounterFunc("moqod_store_flushes_total", "Explicit flush acks served.", "", in.Flushes.Value)
 		r.GaugeFunc("moqod_store_degraded", "1 while the store is in memory-only degraded mode.", "", func() float64 {
-			if st.Counters().Degraded {
+			if st.Degraded() {
 				return 1
 			}
 			return 0
 		})
-		r.CounterFunc("moqod_store_degraded_enters_total", "Transitions into degraded (memory-only) mode.", "", func() uint64 {
-			return st.Counters().DegradedEnters
-		})
-		r.CounterFunc("moqod_store_degraded_drops_total", "Records dropped while the store was degraded.", "", func() uint64 {
-			return st.Counters().DegradedDrops
-		})
-		r.CounterFunc("moqod_store_probes_total", "Disk re-probe attempts while degraded.", "", func() uint64 {
-			return st.Counters().Probes
-		})
-		r.CounterFunc("moqod_store_tombstones_total", "Quarantine tombstones written or scanned.", "", func() uint64 {
-			return st.Counters().Tombstones
-		})
+		r.CounterFunc("moqod_store_degraded_enters_total", "Transitions into degraded (memory-only) mode.", "", in.DegradedEnters.Value)
+		r.CounterFunc("moqod_store_degraded_drops_total", "Records dropped while the store was degraded.", "", in.DegradedDrops.Value)
+		r.CounterFunc("moqod_store_probes_total", "Disk re-probe attempts while degraded.", "", in.Probes.Value)
+		r.CounterFunc("moqod_store_tombstones_total", "Quarantine tombstones written or scanned.", "", in.Tombstones.Value)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultfs"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -333,5 +334,55 @@ func TestStatsScratchReuse(t *testing.T) {
 		svc.Stats()
 	}); allocs > 2 {
 		t.Errorf("Stats allocates %.2f per call, want <= 2 (the returned Shards slice)", allocs)
+	}
+}
+
+// TestScrapeDoesNotWaitForTheWriter: with the store's writer parked
+// inside an fsync — holding the store mutex, as it does through every
+// append, sync and compaction — a render of the registry, every store
+// sample included, completes and reads the counters as they stand.
+func TestScrapeDoesNotWaitForTheWriter(t *testing.T) {
+	snap, _ := encodedSnapshot(t, testConfig(3).Opt, "Q4")
+	inj := faultfs.NewInjector(nil)
+	svc := startLife(t, t.TempDir(), func(cfg *Config) { cfg.StoreOptions.FS = inj }).svc
+	defer svc.Shutdown()
+	svc.store.PutBlocking("fpA", "canonA", "structA", []int{1, 0}, snap)
+	if err := svc.store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	inj.SetScript(func(op faultfs.Op, _ string, _ uint64) faultfs.Fault {
+		if op == faultfs.OpSync {
+			close(entered)
+			<-release
+		}
+		return faultfs.Fault{}
+	})
+	flushed := make(chan error, 1)
+	go func() { flushed <- svc.store.Flush() }()
+	<-entered
+	inj.SetScript(nil)
+
+	rendered := make(chan string, 1)
+	go func() {
+		var b strings.Builder
+		_ = svc.Registry().WriteText(&b)
+		rendered <- b.String()
+	}()
+	select {
+	case text := <-rendered:
+		// Two flushes: the first one's, and the parked one's, counted
+		// before its fsync.
+		for _, want := range []string{"moqod_store_persisted_total 1\n", "moqod_store_flushes_total 2\n", "moqod_store_degraded 0\n"} {
+			if !strings.Contains(text, want) {
+				t.Errorf("the render beside a parked writer has no line %q", want)
+			}
+		}
+	case <-time.After(30 * time.Second):
+		t.Error("rendering the registry waited for the store mutex the parked fsync holds")
+	}
+	close(release)
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -120,7 +120,7 @@ func Encode(dst []byte, s *core.Snapshot) ([]byte, error) {
 	dst = binary.LittleEndian.AppendUint16(dst, Version)
 	dst = append(dst, byte(dim))
 
-	dst = appendString(dst, w.CfgEcho)
+	dst = AppendString(dst, w.CfgEcho)
 	dst = binary.AppendUvarint(dst, uint64(w.NextID))
 	dst = binary.AppendUvarint(dst, w.Epoch)
 	dst = binary.AppendUvarint(dst, uint64(w.PrevRes))
@@ -291,25 +291,41 @@ func appendPlanSets(dst []byte, sets map[tableset.Set][]rangeindex.Entry) ([]byt
 	return dst, nil
 }
 
-func appendString(dst []byte, s string) []byte {
+// AppendString appends s to dst with its uvarint length prefix, the
+// string encoding of every format Reader reads.
+func AppendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
 
-// reader is a sticky-error cursor over the record payload.
-type reader struct {
+// Reader is a sticky-error cursor over encoded bytes, and the one
+// decoder of everything persisted state is read back from: snapshot
+// records here, the store's frames and its checkpoint. The first
+// malformed field sets Err; every read after it returns a zero value,
+// so a caller checks Err once, after its last read.
+type Reader struct {
 	data []byte
 	off  int
 	err  error
 }
 
-func (r *reader) fail(err error) {
+// NewReader returns a Reader positioned at the start of data.
+func NewReader(data []byte) Reader { return Reader{data: data} }
+
+// Err returns the first decode failure, or nil.
+func (r *Reader) Err() error { return r.err }
+
+// Len returns the number of bytes not yet read.
+func (r *Reader) Len() int { return len(r.data) - r.off }
+
+func (r *Reader) fail(err error) {
 	if r.err == nil {
 		r.err = err
 	}
 }
 
-func (r *reader) uvarint() uint64 {
+// Uvarint reads an unsigned varint.
+func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
@@ -322,19 +338,45 @@ func (r *reader) uvarint() uint64 {
 	return v
 }
 
-// count reads a length prefix and bounds it by the bytes remaining
+// Varint reads a signed (zig-zag) varint.
+func (r *Reader) Varint() int64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(r.data[r.off:])
+	if n <= 0 {
+		r.fail(fmt.Errorf("snapcodec: truncated varint at offset %d", r.off))
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+// Int64 reads an unsigned varint that must fit an int64 (a sequence
+// number, a size, an offset).
+func (r *Reader) Int64() int64 {
+	v := r.Uvarint()
+	if v > math.MaxInt64 {
+		r.fail(fmt.Errorf("snapcodec: %d exceeds int64", v))
+		return 0
+	}
+	return int64(v)
+}
+
+// Count reads a length prefix and bounds it by the bytes remaining
 // (every counted element occupies at least one byte), so corrupted
-// counts cannot trigger huge allocations.
-func (r *reader) count() int {
-	v := r.uvarint()
-	if r.err == nil && v > uint64(len(r.data)-r.off) {
+// counts cannot trigger allocations larger than the input.
+func (r *Reader) Count() int {
+	v := r.Uvarint()
+	if r.err == nil && v > uint64(r.Len()) {
 		r.fail(fmt.Errorf("snapcodec: count %d exceeds remaining input", v))
 		return 0
 	}
 	return int(v)
 }
 
-func (r *reader) byte() byte {
+// Byte reads one byte.
+func (r *Reader) Byte() byte {
 	if r.err != nil {
 		return 0
 	}
@@ -347,7 +389,8 @@ func (r *reader) byte() byte {
 	return b
 }
 
-func (r *reader) float() float64 {
+// Float reads an IEEE-754 float64 from its little-endian bits.
+func (r *Reader) Float() float64 {
 	if r.err != nil {
 		return 0
 	}
@@ -360,20 +403,27 @@ func (r *reader) float() float64 {
 	return v
 }
 
-func (r *reader) string() string {
-	n := r.count()
+// Bytes reads the next n bytes. The result aliases the input.
+func (r *Reader) Bytes(n int) []byte {
 	if r.err != nil {
-		return ""
+		return nil
 	}
-	s := string(r.data[r.off : r.off+n])
+	if n > r.Len() {
+		r.fail(fmt.Errorf("snapcodec: %d bytes exceed remaining input at offset %d", n, r.off))
+		return nil
+	}
+	b := r.data[r.off : r.off+n : r.off+n]
 	r.off += n
-	return s
+	return b
 }
 
-func (r *reader) vector(dim int) cost.Vector {
+// Str reads a string written by AppendString.
+func (r *Reader) Str() string { return string(r.Bytes(r.Count())) }
+
+func (r *Reader) vector(dim int) cost.Vector {
 	v := make(cost.Vector, dim)
 	for i := range v {
-		v[i] = r.float()
+		v[i] = r.Float()
 	}
 	return v
 }
@@ -400,9 +450,9 @@ func Decode(data []byte) (*core.Snapshot, error) {
 	}
 	dim := int(body[6])
 
-	r := &reader{data: body, off: headerLen}
+	r := &Reader{data: body, off: headerLen}
 	var w core.SnapshotWire
-	w.CfgEcho = r.string()
+	w.CfgEcho = r.Str()
 	// The cfgEcho's "<dim>x<levels>|" prefix pins the cost dimension
 	// and resolution range the restoring optimizer will enforce
 	// (rangeindex.Insert panics on violations); a record whose header
@@ -415,18 +465,18 @@ func Decode(data []byte) (*core.Snapshot, error) {
 			r.fail(fmt.Errorf("snapcodec: header dim %d, config echo dim %d", dim, echoDim))
 		}
 	}
-	nextID := r.uvarint()
+	nextID := r.Uvarint()
 	if nextID > math.MaxUint32 {
 		r.fail(fmt.Errorf("snapcodec: nextID %d exceeds uint32", nextID))
 	}
 	w.NextID = uint32(nextID)
-	w.Epoch = r.uvarint()
-	prevRes := r.uvarint()
+	w.Epoch = r.Uvarint()
+	prevRes := r.Uvarint()
 	if prevRes >= uint64(echoLevels) {
 		r.fail(fmt.Errorf("snapcodec: prevRes %d outside [0,%d)", prevRes, echoLevels))
 	}
 	w.PrevRes = int(prevRes)
-	switch nb := r.count(); {
+	switch nb := r.Count(); {
 	case nb == 0:
 	case nb == dim:
 		w.PrevBounds = r.vector(dim)
@@ -438,7 +488,7 @@ func Decode(data []byte) (*core.Snapshot, error) {
 	// invocations on its word, so the shape is checked as strictly as
 	// the plan sets': no level the echo does not have, no bound that is
 	// not a bound (`!(v >= 0)` catches NaN; +Inf means unbounded).
-	nDone := r.count()
+	nDone := r.Count()
 	if r.err == nil && nDone > echoLevels {
 		r.fail(fmt.Errorf("snapcodec: ledger has %d levels, config echo %d", nDone, echoLevels))
 	}
@@ -446,7 +496,7 @@ func Decode(data []byte) (*core.Snapshot, error) {
 		w.Done = make([]cost.Vector, nDone)
 	}
 	for lv := 0; lv < nDone && r.err == nil; lv++ {
-		switch flag := r.byte(); flag {
+		switch flag := r.Byte(); flag {
 		case 0:
 		case 1:
 			d := r.vector(dim)
@@ -466,15 +516,15 @@ func Decode(data []byte) (*core.Snapshot, error) {
 	// violations — non-positive cardinalities, selectivities outside
 	// (0, 1], NaNs — are rejected here rather than becoming NaN/Inf
 	// classifications later. The `!(v > 0)` form catches NaN.
-	w.StatsEpoch = r.uvarint()
-	nStats := r.count()
+	w.StatsEpoch = r.Uvarint()
+	nStats := r.Count()
 	if nStats > 0 {
 		w.TableStats = make([]core.TableStat, 0, nStats)
 	}
 	prevID := -1
 	for i := 0; i < nStats && r.err == nil; i++ {
 		var ts core.TableStat
-		id := r.uvarint()
+		id := r.Uvarint()
 		if id >= uint64(tableset.MaxTables) {
 			r.fail(fmt.Errorf("snapcodec: table stat id %d outside [0,%d)", id, tableset.MaxTables))
 			break
@@ -485,26 +535,26 @@ func Decode(data []byte) (*core.Snapshot, error) {
 			break
 		}
 		prevID = ts.ID
-		ts.Rows = r.float()
-		ts.Width = r.float()
-		ts.Filter = r.float()
+		ts.Rows = r.Float()
+		ts.Width = r.Float()
+		ts.Filter = r.Float()
 		if r.err == nil && (!(ts.Rows > 0) || !(ts.Width > 0) || !(ts.Filter > 0) || ts.Filter > 1) {
 			r.fail(fmt.Errorf("snapcodec: table stat %d with invalid values (rows %g width %g filter %g)", ts.ID, ts.Rows, ts.Width, ts.Filter))
 			break
 		}
-		switch b := r.byte(); b {
+		switch b := r.Byte(); b {
 		case 0:
 		case 1:
 			ts.HasIndex = true
 		default:
 			r.fail(fmt.Errorf("snapcodec: table stat %d with invalid index byte %d", ts.ID, b))
 		}
-		nRates := r.count()
+		nRates := r.Count()
 		if nRates > 0 {
 			ts.Rates = make([]float64, 0, nRates)
 		}
 		for j := 0; j < nRates && r.err == nil; j++ {
-			rt := r.float()
+			rt := r.Float()
 			if r.err == nil && (!(rt > 0) || rt > 1) {
 				r.fail(fmt.Errorf("snapcodec: table stat %d with invalid sampling rate %g", ts.ID, rt))
 				break
@@ -513,19 +563,19 @@ func Decode(data []byte) (*core.Snapshot, error) {
 		}
 		w.TableStats = append(w.TableStats, ts)
 	}
-	nEdges := r.count()
+	nEdges := r.Count()
 	if nEdges > 0 {
 		w.EdgeStats = make([]core.EdgeStat, 0, nEdges)
 	}
 	for i := 0; i < nEdges && r.err == nil; i++ {
 		var es core.EdgeStat
-		a, b := r.uvarint(), r.uvarint()
+		a, b := r.Uvarint(), r.Uvarint()
 		if a >= b || b >= uint64(tableset.MaxTables) {
 			r.fail(fmt.Errorf("snapcodec: edge stat endpoints (%d,%d) invalid", a, b))
 			break
 		}
 		es.A, es.B = int(a), int(b)
-		es.Sel = r.float()
+		es.Sel = r.Float()
 		if r.err == nil && (!(es.Sel > 0) || es.Sel > 1) {
 			r.fail(fmt.Errorf("snapcodec: edge stat %d-%d with invalid selectivity %g", es.A, es.B, es.Sel))
 			break
@@ -539,7 +589,7 @@ func Decode(data []byte) (*core.Snapshot, error) {
 	// can never write into its neighbour). No node encodes in fewer than
 	// 16 + 8·dim bytes (a join: eight one-byte fields, rows and cost),
 	// so a corrupted count cannot size the slabs past the input.
-	nNodes := r.count()
+	nNodes := r.Count()
 	if r.err == nil && nNodes > (len(r.data)-r.off)/(16+8*dim) {
 		r.fail(fmt.Errorf("snapcodec: %d nodes exceed remaining input", nNodes))
 	}
@@ -550,36 +600,36 @@ func Decode(data []byte) (*core.Snapshot, error) {
 	costs := make([]float64, nNodes*dim)
 	var f plan.Flat
 	for i := 0; i < nNodes; i++ {
-		id := r.uvarint()
+		id := r.Uvarint()
 		if r.err == nil && id >= nextID {
 			r.fail(fmt.Errorf("snapcodec: node ID %d at or above nextID %d", id, nextID))
 		}
-		f = plan.Flat{ID: uint32(id), Tables: tableset.Set(r.uvarint())}
-		switch kind := r.byte(); kind {
+		f = plan.Flat{ID: uint32(id), Tables: tableset.Set(r.Uvarint())}
+		switch kind := r.Byte(); kind {
 		case 0:
-			f.TableID = int32(r.uvarint())
-			f.Scan = plan.ScanOp(r.byte())
-			f.SampleRate = r.float()
+			f.TableID = int32(r.Uvarint())
+			f.Scan = plan.ScanOp(r.Byte())
+			f.SampleRate = r.Float()
 			if f.Scan > plan.SampleScan {
 				r.fail(fmt.Errorf("snapcodec: node %d with unknown scan op %d", f.ID, f.Scan))
 			}
 		case 1:
-			f.Join = plan.JoinOp(r.byte())
-			f.Degree = int32(r.uvarint())
-			f.Left = uint32(r.uvarint())
-			f.Right = uint32(r.uvarint())
+			f.Join = plan.JoinOp(r.Byte())
+			f.Degree = int32(r.Uvarint())
+			f.Left = uint32(r.Uvarint())
+			f.Right = uint32(r.Uvarint())
 			if f.Join > plan.NestLoopJoin {
 				r.fail(fmt.Errorf("snapcodec: node %d with unknown join op %d", f.ID, f.Join))
 			}
 		default:
 			r.fail(fmt.Errorf("snapcodec: node %d with unknown kind %d", f.ID, kind))
 		}
-		f.Rows = r.float()
+		f.Rows = r.Float()
 		f.Cost = cost.Vector(costs[i*dim : (i+1)*dim : (i+1)*dim])
 		for d := range f.Cost {
-			f.Cost[d] = r.float()
+			f.Cost[d] = r.Float()
 		}
-		f.Order = plan.Order(r.uvarint())
+		f.Order = plan.Order(r.Uvarint())
 		// The kind byte and the table-set cardinality must agree, or the
 		// table's scan/join discrimination would misparse the node.
 		if r.err == nil && (f.Tables.Len() == 1) != f.IsScan() {
@@ -603,7 +653,7 @@ func Decode(data []byte) (*core.Snapshot, error) {
 
 	// The pair memo is the bulk of a record's varints, most of them one
 	// byte: read them straight off the slice, not through the cursor.
-	nPairs := r.count()
+	nPairs := r.Count()
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -633,11 +683,11 @@ func Decode(data []byte) (*core.Snapshot, error) {
 // readPlanSets decodes one plan-set map, resolving entry payloads
 // through the node table and restoring the cost aliasing invariant
 // (Entry.Cost == Entry.Payload.Cost).
-func readPlanSets(r *reader, nodes *plan.NodeTable, levels int) (map[tableset.Set][]rangeindex.Entry, error) {
-	nSets := r.count()
+func readPlanSets(r *Reader, nodes *plan.NodeTable, levels int) (map[tableset.Set][]rangeindex.Entry, error) {
+	nSets := r.Count()
 	sets := make(map[tableset.Set][]rangeindex.Entry, nSets)
 	for i := 0; i < nSets && r.err == nil; i++ {
-		sub := tableset.Set(r.uvarint())
+		sub := tableset.Set(r.Uvarint())
 		if sub.IsEmpty() {
 			r.fail(fmt.Errorf("snapcodec: empty plan-set subset"))
 			break
@@ -646,16 +696,16 @@ func readPlanSets(r *reader, nodes *plan.NodeTable, levels int) (map[tableset.Se
 			r.fail(fmt.Errorf("snapcodec: duplicate plan-set subset %v", sub))
 			break
 		}
-		nEntries := r.count()
+		nEntries := r.Count()
 		entries := make([]rangeindex.Entry, 0, nEntries)
 		for j := 0; j < nEntries && r.err == nil; j++ {
-			res := r.uvarint()
+			res := r.Uvarint()
 			if res >= uint64(levels) {
 				r.fail(fmt.Errorf("snapcodec: resolution %d outside [0,%d)", res, levels))
 				break
 			}
-			epoch := r.uvarint()
-			id := uint32(r.uvarint())
+			epoch := r.Uvarint()
+			id := uint32(r.Uvarint())
 			n := nodes.Lookup(id)
 			if n == nil {
 				r.fail(fmt.Errorf("snapcodec: entry references missing node %d", id))

@@ -3,10 +3,11 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
+
+	"repro/internal/snapcodec"
 )
 
 // The checkpoint (DESIGN.md D22) is one file beside the segments that
@@ -57,10 +58,10 @@ type cpRecord struct {
 // and hot set as a checkpoint. Callers hold mu.
 func (s *Store) encodeCheckpointLocked(hot []string) []byte {
 	b := binary.AppendUvarint(nil, checkpointVersion)
-	b = appendString(b, s.opts.CfgEcho)
+	b = snapcodec.AppendString(b, s.opts.CfgEcho)
 	b = binary.AppendUvarint(b, uint64(len(hot)))
 	for _, fp := range hot {
-		b = appendString(b, fp)
+		b = snapcodec.AppendString(b, fp)
 	}
 	seqs := make([]int64, 0, len(s.segments))
 	for seq := range s.segments {
@@ -80,14 +81,11 @@ func (s *Store) encodeCheckpointLocked(hot []string) []byte {
 	live := s.liveInOrder()
 	b = binary.AppendUvarint(b, uint64(len(live)))
 	for _, l := range live {
-		b = appendString(b, l.fp)
-		b = appendString(b, l.loc.canonFp)
-		b = appendString(b, l.loc.structFp)
+		b = snapcodec.AppendString(b, l.fp)
+		b = snapcodec.AppendString(b, l.loc.canonFp)
+		b = snapcodec.AppendString(b, l.loc.structFp)
 		b = binary.AppendUvarint(b, l.loc.epoch)
-		b = binary.AppendUvarint(b, uint64(len(l.loc.perm)))
-		for _, p := range l.loc.perm {
-			b = binary.AppendVarint(b, int64(p))
-		}
+		b = appendPerm(b, l.loc.perm)
 		b = binary.AppendUvarint(b, uint64(l.loc.seg))
 		b = binary.AppendUvarint(b, uint64(l.loc.off))
 		b = binary.AppendUvarint(b, uint64(l.loc.size))
@@ -132,35 +130,30 @@ func (s *Store) readCheckpoint() (cp checkpoint, ok bool) {
 	if !ok {
 		return cp, false
 	}
-	r := cpReader{b: payload}
-	if r.uvarint() != checkpointVersion || r.string() != s.opts.CfgEcho {
+	r := snapcodec.NewReader(payload)
+	if r.Uvarint() != checkpointVersion || r.Str() != s.opts.CfgEcho {
 		return cp, false
 	}
-	cp.hot = make([]string, r.count())
+	cp.hot = make([]string, r.Count())
 	for i := range cp.hot {
-		cp.hot[i] = r.string()
+		cp.hot[i] = r.Str()
 	}
-	cp.segs = make([]cpSegment, r.count())
+	cp.segs = make([]cpSegment, r.Count())
 	for i := range cp.segs {
 		c := &cp.segs[i]
-		c.seq, c.size = r.int64(), r.int64()
-		copy(c.lastHdr[:], r.bytes(frameHeaderLen))
-		c.tombs, c.rejected, c.maxEpoch = r.uvarint(), r.uvarint(), r.uvarint()
+		c.seq, c.size = r.Int64(), r.Int64()
+		copy(c.lastHdr[:], r.Bytes(frameHeaderLen))
+		c.tombs, c.rejected, c.maxEpoch = r.Uvarint(), r.Uvarint(), r.Uvarint()
 	}
-	cp.records = make([]cpRecord, r.count())
+	cp.records = make([]cpRecord, r.Count())
 	for i := range cp.records {
 		c := &cp.records[i]
-		c.rec.FP, c.rec.CanonFP, c.rec.StructFP = r.string(), r.string(), r.string()
-		c.rec.StatsEpoch = r.uvarint()
-		if n := r.count(); n > 0 {
-			c.rec.Perm = make([]int, n)
-			for j := range c.rec.Perm {
-				c.rec.Perm[j] = int(r.varint())
-			}
-		}
-		c.loc.seg, c.loc.off, c.loc.size = r.int64(), r.int64(), r.int64()
+		c.rec.FP, c.rec.CanonFP, c.rec.StructFP = r.Str(), r.Str(), r.Str()
+		c.rec.StatsEpoch = r.Uvarint()
+		c.rec.Perm = readPerm(&r)
+		c.loc.seg, c.loc.off, c.loc.size = r.Int64(), r.Int64(), r.Int64()
 	}
-	return cp, !r.bad && len(r.b) == 0
+	return cp, r.Err() == nil && r.Len() == 0
 }
 
 // adopt takes over the checkpoint's index for the longest prefix of
@@ -198,7 +191,7 @@ func (s *Store) adopt(seqs []int64) (next int, from int64) {
 		seg := c.segment
 		s.segments[c.seq] = &seg
 		covered += seg.size
-		s.stats.Tombstones += seg.tombs
+		s.inst.Tombstones.Add(seg.tombs)
 		s.stats.Rejected += seg.rejected
 		s.maxEpoch = max(s.maxEpoch, seg.maxEpoch)
 	}
@@ -247,73 +240,4 @@ func (s *Store) stillHolds(c *cpSegment) (size int64, ok bool) {
 		return 0, false
 	}
 	return info.Size(), true
-}
-
-// cpReader decodes a checkpoint payload; the first malformed field sets
-// bad, after which every read returns a zero value.
-type cpReader struct {
-	b   []byte
-	bad bool
-}
-
-func (r *cpReader) uvarint() uint64 {
-	if r.bad {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.bad = true
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *cpReader) varint() int64 {
-	if r.bad {
-		return 0
-	}
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.bad = true
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// int64 reads a uvarint that must fit an int64 (a seq, size or offset).
-func (r *cpReader) int64() int64 {
-	v := r.uvarint()
-	if v > math.MaxInt64 {
-		r.bad = true
-		return 0
-	}
-	return int64(v)
-}
-
-// count reads an element count, bounded by the bytes left (every
-// element takes at least one), so a damaged count cannot allocate more
-// than the file's size.
-func (r *cpReader) count() int {
-	v := r.uvarint()
-	if v > uint64(len(r.b)) {
-		r.bad = true
-		return 0
-	}
-	return int(v)
-}
-
-func (r *cpReader) bytes(n int) []byte {
-	if r.bad || n > len(r.b) {
-		r.bad = true
-		return nil
-	}
-	b := r.b[:n]
-	r.b = r.b[n:]
-	return b
-}
-
-func (r *cpReader) string() string {
-	return string(r.bytes(r.count()))
 }

@@ -390,9 +390,9 @@ func resealCheckpoint(t *testing.T, dir string, fn func(version uint64, echo str
 	if !ok {
 		t.Fatal("the checkpoint does not open")
 	}
-	r := cpReader{b: payload}
-	version, echo := r.uvarint(), r.string()
-	if err := os.WriteFile(path, sealFrame(fn(version, echo, r.b)), 0o644); err != nil {
+	r := snapcodec.NewReader(payload)
+	version, echo := r.Uvarint(), r.Str()
+	if err := os.WriteFile(path, sealFrame(fn(version, echo, r.Bytes(r.Len()))), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -473,13 +473,13 @@ func TestCheckpointFaultMatrix(t *testing.T) {
 		}, 0, true},
 		{"checkpoint of another configuration", func(t *testing.T, l *layout) []string {
 			resealCheckpoint(t, l.dir, func(v uint64, _ string, rest []byte) []byte {
-				return append(appendString(binary.AppendUvarint(nil, v), "3x9|another-build"), rest...)
+				return append(snapcodec.AppendString(binary.AppendUvarint(nil, v), "3x9|another-build"), rest...)
 			})
 			return all(*l)
 		}, 0, true},
 		{"checkpoint of an unknown version", func(t *testing.T, l *layout) []string {
 			resealCheckpoint(t, l.dir, func(v uint64, echo string, rest []byte) []byte {
-				return append(appendString(binary.AppendUvarint(nil, v+1), echo), rest...)
+				return append(snapcodec.AppendString(binary.AppendUvarint(nil, v+1), echo), rest...)
 			})
 			return all(*l)
 		}, 0, true},

@@ -1,10 +1,8 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"path/filepath"
 	"sort"
 )
@@ -137,25 +135,22 @@ func (s *Store) exportErrLocked(gen uint64, err error) error {
 // must transfer). Config-echo and codec-version screening is left to
 // the joiner's own startup scan, which already classifies those.
 func ValidFrames(data []byte) (n int64, frames int) {
-	off := int64(0)
-	for int64(len(data))-off >= frameHeaderLen {
-		payloadLen := int64(binary.LittleEndian.Uint32(data[off:]))
-		wantCRC := binary.LittleEndian.Uint32(data[off+4:])
-		end := off + frameHeaderLen + payloadLen
+	for int64(len(data))-n >= frameHeaderLen {
+		end := n + frameLen(data[n:])
 		if end > int64(len(data)) {
 			break
 		}
-		payload := data[off+frameHeaderLen : end]
-		if crc32.Checksum(payload, castagnoli) != wantCRC {
+		payload, ok := openFrame(data[n:end])
+		if !ok {
 			break
 		}
 		if _, _, _, ok := parseFrame(payload); !ok {
 			break
 		}
-		off = end
+		n = end
 		frames++
 	}
-	return off, frames
+	return n, frames
 }
 
 // SegmentFileName returns the on-disk file name of segment seq — the

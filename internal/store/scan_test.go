@@ -94,18 +94,10 @@ func fakeFrame(rng *rand.Rand, fp, echo string, blobLen int) []byte {
 			panic("fakeFrame: the codec header moved")
 		}
 	}
-	payload := appendString(nil, fp)
-	payload = appendString(payload, fmt.Sprintf("canon%d", rng.Intn(4)))
-	payload = appendString(payload, fmt.Sprintf("struct%d", rng.Intn(3)))
-	payload = appendString(payload, echo)
-	payload = binary.AppendUvarint(payload, uint64(rng.Intn(4))) // statsEpoch
-	perm := rng.Perm(rng.Intn(5))
-	payload = binary.AppendUvarint(payload, uint64(len(perm)))
-	for _, p := range perm {
-		payload = binary.AppendVarint(payload, int64(p))
-	}
-	payload = binary.AppendUvarint(payload, uint64(len(blob)))
-	return sealFrame(append(payload, blob...))
+	rec := Record{FP: fp, CanonFP: fmt.Sprintf("canon%d", rng.Intn(4)), StructFP: fmt.Sprintf("struct%d", rng.Intn(3)),
+		StatsEpoch: uint64(rng.Intn(4))}
+	rec.Perm = rng.Perm(rng.Intn(5))
+	return encodeFrame(rec, echo, blob)
 }
 
 // randomLog builds one segment's bytes: live records that supersede one

@@ -63,6 +63,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -176,7 +177,8 @@ type Record struct {
 	StructFP string
 	// Perm is the source query's table→canonical-position permutation,
 	// needed to rewrite the snapshot for isomorphic queries. The store's
-	// index shares the slice with what it hands out; nobody writes to it.
+	// index shares the slice with what Put got and what it hands out;
+	// nobody writes to it.
 	Perm []int
 	// StatsEpoch is the statistics-epoch label the snapshot was costed
 	// under, duplicated out of the blob so the startup scan can count
@@ -325,12 +327,13 @@ type Store struct {
 	// advances — then every in-flight read fails with ErrExportStale.
 	generation uint64
 
-	// Degraded-mode state (guarded by mu): consecFails counts write-
+	// Degraded-mode state (changed under mu): consecFails counts write-
 	// path failures since the last success; once it reaches
 	// FailThreshold the store flips degraded and schedules re-probes at
-	// probeAt with exponentially backed-off, jittered spacing.
+	// probeAt with exponentially backed-off, jittered spacing. degraded
+	// is also read without mu, by Stats and a metrics scrape.
 	consecFails  int
-	degraded     bool
+	degraded     atomic.Bool
 	probeAt      time.Time
 	probeBackoff time.Duration
 	jitterRng    *rand.Rand
@@ -338,13 +341,21 @@ type Store struct {
 	queue chan writeReq
 	done  chan struct{}
 
-	// Latency and backlog instruments, recorded on the writer goroutine
-	// (appendHist: whole-record append; flushHist: every fsync) and at
-	// enqueue time (depthHist samples the backlog each Put observed).
-	// Recording is atomics-only.
-	appendHist *metrics.Histogram
-	flushHist  *metrics.Histogram
-	depthHist  *metrics.Histogram
+	inst Instruments
+}
+
+// Instruments are the store's metric instruments. Recording and reading
+// them is atomics-only: neither takes the store's lock, which the writer
+// holds across every append, fsync and compaction, so a metrics scrape
+// never waits behind the disk.
+type Instruments struct {
+	// Append is the whole-record append latency and Flush every fsync's,
+	// both recorded on the writer goroutine; Depth samples the writer
+	// backlog each Put observed.
+	Append, Flush, Depth *metrics.Histogram
+	// The event counters, each the Stats field of its name.
+	Persisted, Dropped, WriteErrors, Flushes          metrics.Counter
+	DegradedEnters, DegradedDrops, Probes, Tombstones metrics.Counter
 }
 
 // writeReq is one queued append; flush requests carry only ack, and
@@ -388,16 +399,18 @@ func Open(opts Options) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &Store{
-		opts:       opts,
-		fs:         opts.FS,
-		index:      map[string]location{},
-		classes:    map[class]string{},
-		segments:   map[int64]*segment{},
-		queue:      make(chan writeReq, opts.QueueDepth),
-		done:       make(chan struct{}),
-		appendHist: metrics.NewDuration(),
-		flushHist:  metrics.NewDuration(),
-		depthHist:  metrics.NewValues(1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
+		opts:     opts,
+		fs:       opts.FS,
+		index:    map[string]location{},
+		classes:  map[class]string{},
+		segments: map[int64]*segment{},
+		queue:    make(chan writeReq, opts.QueueDepth),
+		done:     make(chan struct{}),
+		inst: Instruments{
+			Append: metrics.NewDuration(),
+			Flush:  metrics.NewDuration(),
+			Depth:  metrics.NewValues(1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
+		},
 		// Probe jitter only needs spread, not secrecy or replay: a fixed
 		// seed keeps runs reproducible.
 		jitterRng: rand.New(rand.NewSource(1)),
@@ -412,7 +425,7 @@ func Open(opts Options) (*Store, error) {
 		eventlog.Fint("live_records", int64(len(s.index))),
 		eventlog.Fint("adopted_segments", int64(s.stats.AdoptedSegments)),
 		eventlog.Fint("corrupted", int64(s.stats.Corrupted)),
-		eventlog.Fint("tombstones", int64(s.stats.Tombstones)))
+		eventlog.Fint("tombstones", int64(s.inst.Tombstones.Value())))
 	go s.writer()
 	return s, nil
 }
@@ -497,7 +510,7 @@ func (s *Store) scanSegment(seq, from int64, w *scanWindow) (appendable bool) {
 		// this is the active segment) consistent with the index.
 		s.stats.Corrupted++
 		if err := s.fs.Truncate(path, off); err != nil {
-			s.stats.WriteErrors++
+			s.inst.WriteErrors.Inc()
 			return false
 		}
 	}
@@ -527,8 +540,7 @@ func (s *Store) indexFrames(seq, off int64, path string, w *scanWindow) (int64, 
 		if err != nil {
 			return off, size, err
 		}
-		wantCRC := binary.LittleEndian.Uint32(hdr[4:])
-		end := off + frameHeaderLen + int64(binary.LittleEndian.Uint32(hdr))
+		end := off + frameLen(hdr)
 		if end > size {
 			break // torn tail
 		}
@@ -536,8 +548,8 @@ func (s *Store) indexFrames(seq, off int64, path string, w *scanWindow) (int64, 
 		if err != nil {
 			return off, size, err
 		}
-		payload := frame[frameHeaderLen:]
-		if crc32.Checksum(payload, castagnoli) != wantCRC {
+		payload, ok := openFrame(frame)
+		if !ok {
 			break
 		}
 		rec, cfgEcho, blob, ok := parseFrame(payload)
@@ -579,7 +591,7 @@ func (s *Store) indexFrame(rec Record, cfgEcho string, blob []byte, loc location
 		// tombstone is a fresh post-quarantine re-export and loads
 		// normally.
 		seg.tombs++
-		s.stats.Tombstones++
+		s.inst.Tombstones.Inc()
 		s.stats.DeadBytes += loc.size
 		if s.unindex(rec.FP) {
 			return frameKilled
@@ -786,74 +798,52 @@ func (s *Store) liveInOrder() []liveRecord {
 // without decoding plan state. ok is false unless the payload parses to
 // its last byte.
 func parseFrame(payload []byte) (rec Record, cfgEcho string, blob []byte, ok bool) {
-	var rest []byte
-	if rec.FP, rest, ok = readString(payload); !ok {
-		return rec, "", nil, false
-	}
-	if rec.CanonFP, rest, ok = readString(rest); !ok {
-		return rec, "", nil, false
-	}
-	if rec.StructFP, rest, ok = readString(rest); !ok {
-		return rec, "", nil, false
-	}
-	if cfgEcho, rest, ok = readString(rest); !ok {
-		return rec, "", nil, false
-	}
-	var sz int
-	if rec.StatsEpoch, sz = binary.Uvarint(rest); sz <= 0 {
-		return rec, "", nil, false
-	}
-	rest = rest[sz:]
-	nPerm, sz := binary.Uvarint(rest)
-	if sz <= 0 || nPerm > uint64(len(rest)) {
-		return rec, "", nil, false
-	}
-	rest = rest[sz:]
-	if nPerm > 0 {
-		rec.Perm = make([]int, nPerm)
-		for i := range rec.Perm {
-			v, sz := binary.Varint(rest)
-			if sz <= 0 {
-				return rec, "", nil, false
-			}
-			rec.Perm[i] = int(v)
-			rest = rest[sz:]
-		}
-	}
-	nSnap, sz := binary.Uvarint(rest)
-	if sz <= 0 || nSnap != uint64(len(rest)-sz) {
-		return rec, "", nil, false
-	}
-	return rec, cfgEcho, rest[sz:], true
+	r := snapcodec.NewReader(payload)
+	rec.FP, rec.CanonFP, rec.StructFP, cfgEcho = r.Str(), r.Str(), r.Str(), r.Str()
+	rec.StatsEpoch = r.Uvarint()
+	rec.Perm = readPerm(&r)
+	blob = r.Bytes(r.Count())
+	return rec, cfgEcho, blob, r.Err() == nil && r.Len() == 0
 }
 
-func readString(b []byte) (string, []byte, bool) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > uint64(len(b)-sz) {
-		return "", nil, false
-	}
-	return string(b[sz : sz+int(n)]), b[sz+int(n):], true
-}
-
-// encodeFrame builds the frame payload for a record.
-func encodeFrame(rec Record) ([]byte, error) {
-	snap, err := snapcodec.Encode(nil, rec.Snap)
-	if err != nil {
-		return nil, err
-	}
+// encodeFrame seals the frame of one record: rec's keys and statistics
+// epoch, the configuration echo and the encoded snapshot. A quarantine
+// tombstone is the frame of a Record with only its fingerprint set and
+// an empty blob.
+func encodeFrame(rec Record, cfgEcho string, blob []byte) []byte {
 	var payload []byte
-	payload = appendString(payload, rec.FP)
-	payload = appendString(payload, rec.CanonFP)
-	payload = appendString(payload, rec.StructFP)
-	payload = appendString(payload, rec.Snap.CfgEcho())
-	payload = binary.AppendUvarint(payload, rec.Snap.StatsEpoch())
-	payload = binary.AppendUvarint(payload, uint64(len(rec.Perm)))
-	for _, p := range rec.Perm {
-		payload = binary.AppendVarint(payload, int64(p))
+	payload = snapcodec.AppendString(payload, rec.FP)
+	payload = snapcodec.AppendString(payload, rec.CanonFP)
+	payload = snapcodec.AppendString(payload, rec.StructFP)
+	payload = snapcodec.AppendString(payload, cfgEcho)
+	payload = binary.AppendUvarint(payload, rec.StatsEpoch)
+	payload = appendPerm(payload, rec.Perm)
+	payload = binary.AppendUvarint(payload, uint64(len(blob)))
+	payload = append(payload, blob...)
+	return sealFrame(payload)
+}
+
+// appendPerm encodes a canonical permutation as frames and the checkpoint
+// carry it: a count, then signed varints (-1 marks an absent table).
+func appendPerm(b []byte, perm []int) []byte {
+	b = binary.AppendUvarint(b, uint64(len(perm)))
+	for _, p := range perm {
+		b = binary.AppendVarint(b, int64(p))
 	}
-	payload = binary.AppendUvarint(payload, uint64(len(snap)))
-	payload = append(payload, snap...)
-	return sealFrame(payload), nil
+	return b
+}
+
+// readPerm decodes what appendPerm wrote; nil for an empty permutation.
+func readPerm(r *snapcodec.Reader) []int {
+	n := r.Count()
+	if n == 0 {
+		return nil
+	}
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = int(r.Varint())
+	}
+	return perm
 }
 
 // sealFrame prefixes payload with the frame header: its length and its
@@ -865,20 +855,23 @@ func sealFrame(payload []byte) []byte {
 	return append(frame, payload...)
 }
 
-// openFrame is sealFrame's inverse on a buffer holding exactly one frame:
-// the payload, if the header's length and CRC32C both match it.
+// frameLen is the length of the whole frame whose header hdr begins.
+func frameLen(hdr []byte) int64 {
+	return frameHeaderLen + int64(binary.LittleEndian.Uint32(hdr))
+}
+
+// openFrame is sealFrame's inverse on a buffer holding exactly one frame,
+// and the one length-and-CRC32C check of every frame the store reads
+// back (the startup scan, Load, a peer export's ValidFrames, the
+// checkpoint): the payload, if the header's length and CRC32C both
+// match it.
 func openFrame(frame []byte) (payload []byte, ok bool) {
 	if len(frame) < frameHeaderLen {
 		return nil, false
 	}
 	payload = frame[frameHeaderLen:]
-	return payload, uint64(binary.LittleEndian.Uint32(frame)) == uint64(len(payload)) &&
+	return payload, frameLen(frame) == int64(len(frame)) &&
 		crc32.Checksum(payload, castagnoli) == binary.LittleEndian.Uint32(frame[4:])
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
 }
 
 // Walk calls fn with the keys of every live record in write order,
@@ -1010,13 +1003,13 @@ func (s *Store) Put(fp, canonFp, structFp string, perm []int, snap *core.Snapsho
 	// lock-free read); the depth distribution shows how close live
 	// traffic runs to the shedding threshold, which the Dropped counter
 	// alone cannot.
-	s.depthHist.Observe(int64(len(s.queue)))
+	s.inst.Depth.Observe(int64(len(s.queue)))
 	select {
 	case s.queue <- writeReq{rec: Record{FP: fp, CanonFP: canonFp, StructFP: structFp, Perm: perm, Snap: snap}}:
 	default:
 		s.mu.Lock()
 		if !s.closed {
-			s.stats.Dropped++
+			s.inst.Dropped.Inc()
 		}
 		s.mu.Unlock()
 	}
@@ -1092,7 +1085,7 @@ func (s *Store) Close(hot ...string) error {
 		s.file = nil
 	}
 	var cp []byte
-	if err == nil && !s.degraded {
+	if err == nil && !s.degraded.Load() {
 		cp = s.encodeCheckpointLocked(hot)
 	}
 	s.mu.Unlock()
@@ -1108,34 +1101,28 @@ func (s *Store) Close(hot ...string) error {
 // caller Finds each, so dead names fall away there.
 func (s *Store) Hot() []string { return s.hot }
 
-// Instruments returns the store's histograms — record-append latency,
-// fsync latency, and the writer backlog sampled at each Put — for
-// registration in a metrics registry. The histograms live as long as
-// the store.
-func (s *Store) Instruments() (appendH, flushH, depthH *metrics.Histogram) {
-	return s.appendHist, s.flushHist, s.depthHist
-}
+// Instruments returns the store's histograms and event counters for
+// registration in a metrics registry; they live as long as the store.
+// Callers read them, and only the store records into them.
+func (s *Store) Instruments() *Instruments { return &s.inst }
+
+// Degraded reports, without the store's lock, whether the store is in
+// memory-only degraded mode.
+func (s *Store) Degraded() bool { return s.degraded.Load() }
 
 // QueueDepth returns the writer queue's current backlog (lock-free).
 func (s *Store) QueueDepth() int { return len(s.queue) }
 
-// Counters returns the store's event counters (Persisted, Dropped,
-// WriteErrors, Flushes, the degraded-mode counters, Tombstones and the
-// rest that events advance) and Degraded, without the fields Stats
-// derives from the index, the segments and the queue: an O(1) read for
-// a metrics scrape, which Stats, walking every live record for
-// StaleEpoch, is not.
-func (s *Store) Counters() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-// Stats returns a consistent snapshot of the store counters.
+// Stats returns the store's counters and gauges: the event counters read
+// one word each, the rest under the store's lock.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
+	in := &s.inst
+	st.Persisted, st.Dropped, st.WriteErrors, st.Flushes = in.Persisted.Value(), in.Dropped.Value(), in.WriteErrors.Value(), in.Flushes.Value()
+	st.DegradedEnters, st.DegradedDrops = in.DegradedEnters.Value(), in.DegradedDrops.Value()
+	st.Probes, st.Tombstones, st.Degraded = in.Probes.Value(), in.Tombstones.Value(), s.degraded.Load()
 	st.Segments = len(s.segments)
 	st.LiveRecords = len(s.index)
 	st.Pending = len(s.queue)
@@ -1177,20 +1164,6 @@ func (s *Store) writer() {
 	}
 }
 
-// encodeTombstone builds a quarantine frame for fp: a regular frame
-// whose snapshot blob is empty (the unambiguous tombstone marker).
-func (s *Store) encodeTombstone(fp string) []byte {
-	var payload []byte
-	payload = appendString(payload, fp)
-	payload = appendString(payload, "") // canonFp
-	payload = appendString(payload, "") // structFp
-	payload = appendString(payload, s.opts.CfgEcho)
-	payload = binary.AppendUvarint(payload, 0) // statsEpoch
-	payload = binary.AppendUvarint(payload, 0) // perm
-	payload = binary.AppendUvarint(payload, 0) // empty snapshot blob = tombstone
-	return sealFrame(payload)
-}
-
 // append writes one record (or tombstone) frame to the active segment
 // and updates the index. Failures are counted, not propagated: the
 // caller already has the snapshot in memory. Consecutive write-path
@@ -1199,19 +1172,19 @@ func (s *Store) encodeTombstone(fp string) []byte {
 // exponential backoff) reaches the disk again.
 func (s *Store) append(rec Record, tomb bool) {
 	t0 := time.Now()
-	defer func() { s.appendHist.ObserveDuration(time.Since(t0)) }()
-	var frame []byte
-	var err error
-	if tomb {
-		frame = s.encodeTombstone(rec.FP)
-	} else if frame, err = encodeFrame(rec); err != nil {
-		// Encoding failures are record bugs, not disk faults: counted,
-		// but never a reason to degrade.
-		s.mu.Lock()
-		s.stats.WriteErrors++
-		s.mu.Unlock()
-		return
+	defer func() { s.inst.Append.ObserveDuration(time.Since(t0)) }()
+	cfgEcho, blob := s.opts.CfgEcho, []byte(nil)
+	if !tomb {
+		var err error
+		if blob, err = snapcodec.Encode(nil, rec.Snap); err != nil {
+			// Encoding failures are record bugs, not disk faults: counted,
+			// but never a reason to degrade.
+			s.inst.WriteErrors.Inc()
+			return
+		}
+		cfgEcho, rec.StatsEpoch = rec.Snap.CfgEcho(), rec.Snap.StatsEpoch()
 	}
+	frame := encodeFrame(rec, cfgEcho, blob)
 	// Registered before the unlock defer so it runs after it: degraded-
 	// mode transition events write the console mirror, which must stay
 	// outside the lock.
@@ -1223,26 +1196,26 @@ func (s *Store) append(rec Record, tomb bool) {
 	}()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.degraded && time.Now().Before(s.probeAt) {
+	if s.degraded.Load() && time.Now().Before(s.probeAt) {
 		// Memory-only operation: the disk is known bad and the next
 		// probe is not due yet. The snapshot stays live in the service's
 		// cache; only restart durability is lost, and that is the deal
 		// degraded mode makes to keep serving.
-		s.stats.DegradedDrops++
+		s.inst.DegradedDrops.Inc()
 		return
 	}
-	if s.degraded {
-		s.stats.Probes++ // probe due: this append is the probe
+	if s.degraded.Load() {
+		s.inst.Probes.Inc() // probe due: this append is the probe
 	}
 	if err := s.ensureActiveLocked(int64(len(frame))); err != nil {
-		s.stats.WriteErrors++
+		s.inst.WriteErrors.Inc()
 		emit = s.noteIOFailureLocked()
 		return
 	}
 	seg := s.segments[s.active]
 	off := seg.size
 	if _, err := s.file.Write(frame); err != nil {
-		s.stats.WriteErrors++
+		s.inst.WriteErrors.Inc()
 		// The segment tail may now hold a torn frame. The next startup
 		// scan truncates a segment at its first bad CRC, so appending
 		// more records after the tear would doom them all; retire the
@@ -1255,7 +1228,7 @@ func (s *Store) append(rec Record, tomb bool) {
 		s.file.Close()
 		s.file = nil
 		if terr := s.fs.Truncate(filepath.Join(s.opts.Dir, segName(s.active)), off); terr != nil {
-			s.stats.WriteErrors++
+			s.inst.WriteErrors.Inc()
 		}
 		seg.size = off
 		s.active++
@@ -1268,10 +1241,9 @@ func (s *Store) append(rec Record, tomb bool) {
 	// Classified as the scan will: a tombstone's own bytes are dead (the
 	// record it supersedes was already unindexed by Quarantine), and so
 	// is a record of another configuration.
-	rec, cfgEcho, blob, _ := parseFrame(frame[frameHeaderLen:])
 	s.indexFrame(rec, cfgEcho, blob, location{seg: s.active, off: off, size: int64(len(frame))})
 	if !tomb {
-		s.stats.Persisted++
+		s.inst.Persisted.Inc()
 	}
 	s.maybeCompactLocked()
 }
@@ -1285,13 +1257,12 @@ func (s *Store) append(rec Record, tomb bool) {
 // lock exactly when the disk is already struggling.
 func (s *Store) noteIOFailureLocked() (emit func()) {
 	s.consecFails++
-	if !s.degraded {
+	if !s.degraded.Load() {
 		if s.consecFails < s.opts.FailThreshold {
 			return nil
 		}
-		s.degraded = true
-		s.stats.Degraded = true
-		s.stats.DegradedEnters++
+		s.degraded.Store(true)
+		s.inst.DegradedEnters.Inc()
 		s.probeBackoff = s.opts.ProbeInterval
 		fails, probeIn := int64(s.consecFails), s.probeBackoff
 		emit = func() {
@@ -1315,10 +1286,9 @@ func (s *Store) noteIOFailureLocked() (emit func()) {
 // only on exit-degraded) for the caller to run after unlocking.
 func (s *Store) noteIOSuccessLocked() (emit func()) {
 	s.consecFails = 0
-	if s.degraded {
-		s.degraded = false
-		s.stats.Degraded = false
-		dropped := int64(s.stats.DegradedDrops)
+	if s.degraded.Load() {
+		s.degraded.Store(false)
+		dropped := int64(s.inst.DegradedDrops.Value())
 		emit = func() {
 			s.opts.Events.Emit(eventlog.LevelInfo, "store", "exited degraded mode",
 				eventlog.Fint("records_dropped", dropped))
@@ -1345,7 +1315,7 @@ func (s *Store) ensureActiveLocked(next int64) error {
 		// sit in the page cache past a flush ack and be lost to a
 		// crash the caller was told they survived.
 		if err := s.syncFileLocked(); err != nil {
-			s.stats.WriteErrors++
+			s.inst.WriteErrors.Inc()
 		}
 		s.file.Close()
 		s.file = nil
@@ -1375,13 +1345,13 @@ func (s *Store) sync() error {
 	}()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stats.Flushes++
+	s.inst.Flushes.Inc()
 	if s.file == nil {
 		return nil
 	}
 	err := s.syncFileLocked()
 	if err != nil {
-		s.stats.WriteErrors++
+		s.inst.WriteErrors.Inc()
 		emit = s.noteIOFailureLocked()
 	} else {
 		emit = s.noteIOSuccessLocked()
@@ -1396,7 +1366,7 @@ func (s *Store) syncFileLocked() error {
 	t0 := time.Now()
 	err := s.file.Sync()
 	d := time.Since(t0)
-	s.flushHist.ObserveDuration(d)
+	s.inst.Flush.ObserveDuration(d)
 	s.stats.FlushTotal += d
 	return err
 }
@@ -1420,7 +1390,7 @@ func (s *Store) maybeCompactLocked() {
 	path := filepath.Join(s.opts.Dir, segName(newSeq))
 	out, err := s.fs.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		s.stats.WriteErrors++
+		s.inst.WriteErrors.Inc()
 		return
 	}
 	// Copy raw frames in write order; no decode needed. Reads go
@@ -1468,7 +1438,7 @@ func (s *Store) maybeCompactLocked() {
 	}
 	if err != nil {
 		// Abandon the partial compaction; the old segments are intact.
-		s.stats.WriteErrors++
+		s.inst.WriteErrors.Inc()
 		s.fs.Remove(path)
 		return
 	}
@@ -1492,7 +1462,7 @@ func (s *Store) maybeCompactLocked() {
 	s.generation++
 	for _, seq := range oldSegs {
 		if err := s.fs.Remove(filepath.Join(s.opts.Dir, segName(seq))); err != nil {
-			s.stats.WriteErrors++
+			s.inst.WriteErrors.Inc()
 		}
 	}
 }

@@ -125,28 +125,6 @@ func TestStorePersistReopenReplay(t *testing.T) {
 	}
 }
 
-// TestStoreCountersMatchStats: Counters, the O(1) read a metrics scrape
-// takes, reports every event counter and the degraded flag as Stats
-// does, and leaves only the fields Stats derives from the index, the
-// segments and the queue at zero.
-func TestStoreCountersMatchStats(t *testing.T) {
-	s := openTestStore(t, t.TempDir(), nil)
-	defer s.Close()
-	s.Put("fpA", "canonA", "", nil, testSnapshot(t, "Q4"))
-	s.Put("fpB", "canonB", "", nil, testSnapshot(t, "Q12"))
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	want := s.Stats()
-	if want.Persisted != 2 || want.Flushes == 0 || want.LiveRecords != 2 {
-		t.Fatalf("after puts: %+v", want)
-	}
-	want.Segments, want.LiveRecords, want.Pending, want.MaxStatsEpoch, want.StaleEpoch = 0, 0, 0, 0, 0
-	if got := s.Counters(); got != want {
-		t.Errorf("Counters %+v, want Stats' counters %+v", got, want)
-	}
-}
-
 // TestStoreSupersedeAndCompact re-persists one fingerprint until the
 // dead fraction forces a compaction, and checks that live records
 // survive it while the directory shrinks to one segment.

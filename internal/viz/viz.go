@@ -116,22 +116,3 @@ func Scatter(vs []cost.Vector, xDim, yDim int, opts Options) string {
 	}
 	return b.String()
 }
-
-// FrontierTable renders cost vectors as a compact aligned table with one
-// row per plan, for terminals where a scatter plot is too coarse.
-func FrontierTable(vs []cost.Vector, metricNames []string) string {
-	var b strings.Builder
-	b.WriteString("plan")
-	for _, n := range metricNames {
-		fmt.Fprintf(&b, "\t%s", n)
-	}
-	b.WriteByte('\n')
-	for i, v := range vs {
-		fmt.Fprintf(&b, "#%d", i)
-		for d := range v {
-			fmt.Fprintf(&b, "\t%.5g", v[d])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}

@@ -70,14 +70,3 @@ func TestScatterCustomMarker(t *testing.T) {
 		t.Error("custom marker missing")
 	}
 }
-
-func TestFrontierTable(t *testing.T) {
-	vs := []cost.Vector{cost.Vec(1.5, 2), cost.Vec(3, 4)}
-	out := FrontierTable(vs, []string{"time", "fees"})
-	if !strings.Contains(out, "time\tfees") {
-		t.Errorf("header missing: %q", out)
-	}
-	if !strings.Contains(out, "#0\t1.5\t2") || !strings.Contains(out, "#1\t3\t4") {
-		t.Errorf("rows wrong: %q", out)
-	}
-}
