@@ -125,6 +125,35 @@ func TestStorePersistReopenReplay(t *testing.T) {
 	}
 }
 
+// TestStoreCountersMatchStats: the lock-free reads a metrics scrape
+// takes (the Instruments counter words and Degraded) report the same
+// event counters as Stats, which takes the store's lock.
+func TestStoreCountersMatchStats(t *testing.T) {
+	s := openTestStore(t, t.TempDir(), nil)
+	defer s.Close()
+	s.Put("fpA", "canonA", "", nil, testSnapshot(t, "Q4"))
+	s.Put("fpB", "canonB", "", nil, testSnapshot(t, "Q12"))
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	s.Quarantine("fpB")
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := s.Stats()
+	if want.Persisted != 2 || want.Flushes == 0 || want.Tombstones != 1 || want.LiveRecords != 1 {
+		t.Fatalf("after puts and a quarantine: %+v", want)
+	}
+	in := s.Instruments()
+	got := want
+	got.Persisted, got.Dropped, got.WriteErrors, got.Flushes = in.Persisted.Value(), in.Dropped.Value(), in.WriteErrors.Value(), in.Flushes.Value()
+	got.DegradedEnters, got.DegradedDrops = in.DegradedEnters.Value(), in.DegradedDrops.Value()
+	got.Probes, got.Tombstones, got.Degraded = in.Probes.Value(), in.Tombstones.Value(), s.Degraded()
+	if got != want {
+		t.Errorf("lock-free counters %+v, want Stats' counters %+v", got, want)
+	}
+}
+
 // TestStoreSupersedeAndCompact re-persists one fingerprint until the
 // dead fraction forces a compaction, and checks that live records
 // survive it while the directory shrinks to one segment.
