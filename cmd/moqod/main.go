@@ -226,7 +226,7 @@ func main() {
 			// Entries replayed from the pulled store carry peer-inherited
 			// plan state; sessions warm-starting from them report it
 			// (provenance "exact-bootstrap" etc.).
-			cfg.ReplaySource = "bootstrap"
+			cfg.Bootstrapped = true
 			events.Emit(eventlog.LevelInfo, "bootstrap", "installed peer state",
 				eventlog.F("peer", *bootstrapPeer),
 				eventlog.Fint("segments", int64(res.Segments)),

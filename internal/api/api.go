@@ -209,7 +209,8 @@ func (a *API) Drain() {
 
 // ReadyToServe reports whether the node should receive traffic: phase
 // Ready and the store (if any) not degraded. Reason names the first
-// failing condition.
+// failing condition. The store's state is one atomic read, so a
+// readiness probe never waits for the store's writer.
 func (a *API) ReadyToServe() (ok bool, reason string) {
 	if p := a.Phase(); p != Ready {
 		return false, p.String()
@@ -218,7 +219,7 @@ func (a *API) ReadyToServe() (ok bool, reason string) {
 	if svc == nil {
 		return false, "bootstrapping"
 	}
-	if st := svc.Store(); st != nil && st.Stats().Degraded {
+	if st := svc.Store(); st != nil && st.Degraded() {
 		return false, "store-degraded"
 	}
 	return true, ""

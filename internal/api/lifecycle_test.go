@@ -19,6 +19,7 @@ import (
 	"repro/internal/bootstrap"
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/faultfs"
 	"repro/internal/query"
 	"repro/internal/service"
 	"repro/internal/workload"
@@ -166,6 +167,64 @@ func TestLifecycleBootstrappingSurface(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/statz", nil); code != http.StatusServiceUnavailable {
 		t.Errorf("statz while bootstrapping: %d, want 503", code)
+	}
+}
+
+// TestReadyzDoesNotWaitForTheWriter: with the store's writer parked
+// inside an fsync — holding the store mutex, as it does through every
+// append, sync and compaction — /readyz still answers 200.
+func TestReadyzDoesNotWaitForTheWriter(t *testing.T) {
+	inj := faultfs.NewInjector(nil)
+	cfg := storeSvcConfig(t.TempDir())
+	cfg.StoreOptions.FS = inj
+	svc, err := service.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := New(Config{Seed: 1, Dim: costmodel.Default().Space().Dim()})
+	a.Ready(svc, workload.MustTPCHBlocks(1))
+	ts := httptest.NewServer(a.Mux())
+	defer svc.Shutdown()
+	defer ts.Close()
+	converge(t, svc, "Q4") // writes one record through to the store
+	st := svc.Store()
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	inj.SetScript(func(op faultfs.Op, _ string, _ uint64) faultfs.Fault {
+		if op == faultfs.OpSync {
+			close(entered)
+			<-release
+		}
+		return faultfs.Fault{}
+	})
+	flushed := make(chan error, 1)
+	go func() { flushed <- st.Flush() }()
+	<-entered
+	inj.SetScript(nil)
+
+	answered := make(chan int, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/readyz")
+		if err != nil {
+			answered <- 0
+			return
+		}
+		resp.Body.Close()
+		answered <- resp.StatusCode
+	}()
+	select {
+	case code := <-answered:
+		if code != http.StatusOK {
+			t.Errorf("readyz beside a parked writer: %d, want 200", code)
+		}
+	case <-time.After(30 * time.Second):
+		t.Error("readyz waited for the store mutex the parked fsync holds")
+	}
+	close(release)
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
 	}
 }
 

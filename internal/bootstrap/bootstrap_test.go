@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/query"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
@@ -71,8 +72,8 @@ func newDonor(t *testing.T, mutate ...func(*store.Options)) (*store.Store, *http
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Put("fpA", "canonA", "", []int{1, 0}, testSnapshot(t, "Q4"))
-	st.Put("fpB", "canonB", "", nil, testSnapshot(t, "Q12"))
+	st.Put(query.Keys{FP: "fpA", CanonFP: "canonA", Perm: []int{1, 0}}, testSnapshot(t, "Q4"), false)
+	st.Put(query.Keys{FP: "fpB", CanonFP: "canonB"}, testSnapshot(t, "Q12"), false)
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestPullRestartsOnCompaction(t *testing.T) {
 			// Supersede until the donor compacts: the generation the pull
 			// started under dies, so its next fetch gets a 409.
 			for i := 0; i < 16; i++ {
-				donor.PutBlocking("fpA", "canonA", "", nil, testSnapshot(t, "Q4"))
+				donor.Put(query.Keys{FP: "fpA", CanonFP: "canonA"}, testSnapshot(t, "Q4"), true)
 			}
 			if err := donor.Flush(); err != nil {
 				t.Error(err)

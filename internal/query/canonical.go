@@ -43,8 +43,8 @@ import (
 // Both are computed at the first call and remembered; every call
 // returns the same permutation, which callers share and must not write.
 func (q *Query) CanonicalFingerprint() (string, []int) {
-	q.canonOnce.Do(func() { q.canonFp, q.perm = q.canonical() })
-	return q.canonFp, q.perm
+	q.canonOnce.Do(func() { q.keys.CanonFP, q.keys.Perm = q.canonical() })
+	return q.keys.CanonFP, q.keys.Perm
 }
 
 // canonical computes CanonicalFingerprint's digest and permutation.

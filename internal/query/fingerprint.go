@@ -28,8 +28,8 @@ import (
 //
 // The digest is computed at the first call and remembered.
 func (q *Query) Fingerprint() string {
-	q.fpOnce.Do(func() { q.fp = q.fingerprint() })
-	return q.fp
+	q.fpOnce.Do(func() { q.keys.FP = q.fingerprint() })
+	return q.keys.FP
 }
 
 // fingerprint computes Fingerprint's digest.

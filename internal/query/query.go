@@ -40,12 +40,11 @@ type Query struct {
 	filters  map[int]float64 // table ID → filter selectivity (0,1]
 	edgesFor map[int][]int   // table ID → indices into edges
 
-	// The three cache keys, each computed at its first call: only New
-	// and its options write the fields they digest, so a query that is
-	// reused across sessions (a TPC-H block) is hashed once.
+	// The cache keys, each computed at its first call: only New and its
+	// options write the fields they digest, so a query that is reused
+	// across sessions (a TPC-H block) is hashed once.
 	fpOnce, canonOnce, structOnce sync.Once
-	fp, canonFp, structFp         string
-	perm                          []int
+	keys                          Keys
 }
 
 // Option configures a query under construction.

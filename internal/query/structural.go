@@ -22,8 +22,8 @@ import (
 // different catalogs that happen to assign the same IDs do not collide.
 // The digest is computed at the first call and remembered.
 func (q *Query) StructuralFingerprint() string {
-	q.structOnce.Do(func() { q.structFp = q.structural() })
-	return q.structFp
+	q.structOnce.Do(func() { q.keys.StructFP = q.structural() })
+	return q.keys.StructFP
 }
 
 // structural computes StructuralFingerprint's digest.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/query"
 	"repro/internal/store"
 )
 
@@ -39,16 +40,16 @@ type PlanCache struct {
 	mu       sync.Mutex
 	capacity int
 	ll       *list.List // front = most recently used
-	// tiers maps each tier's key to its entry, indexed by store.Tier:
+	// tiers maps each tier's key to its entry, indexed by query.Tier:
 	// the exact fingerprint to the entry itself, a canonical or
 	// structural digest to its class's representative.
-	tiers [3]map[string]*list.Element
+	tiers [query.NumTiers]map[string]*list.Element
 
 	plans int // running sum of PlanCount over the entries
 
 	// The counters CacheStats reports, created on the registry by
-	// NewPlanCache; they need no lock. hits is indexed by store.Tier.
-	hits                              [3]*metrics.Counter
+	// NewPlanCache; they need no lock. hits is indexed by query.Tier.
+	hits                              [query.NumTiers]*metrics.Counter
 	misses, puts, evictions, poisoned *metrics.Counter
 }
 
@@ -61,29 +62,15 @@ func poisonous(err error) bool {
 	return err != nil && !errors.Is(err, errStoreRead) && !errors.Is(err, store.ErrNotStored)
 }
 
-// cacheKey names one snapshot everywhere it lives: the cache's three
-// tiers, the store's record, the session that exported it.
-type cacheKey struct {
-	fp       string // exact query fingerprint (exact tier, store record)
-	canonFp  string // canonical digest (isomorphism tier)
-	structFp string // statistics-free structural digest (drift tier)
-	perm     []int  // the query's table-ID → canonical-position map
-}
-
-// keys returns k's key in each tier, indexed by store.Tier.
-func (k *cacheKey) keys() [3]string { return [3]string{k.fp, k.canonFp, k.structFp} }
-
-// cacheItem is one entry: a snapshot under its keys.
+// cacheItem is one entry: a snapshot under its keys, the same keys the
+// session that exported it and the store's record carry.
 type cacheItem struct {
-	cacheKey
+	query.Keys
 	snap *core.Snapshot
 
-	// origin labels how the entry got here when it did not come from a
-	// live session export: "replay" (read from the local store) or
-	// "bootstrap" (read from a record pulled from a peer's store).
-	// Sessions warm-starting from the entry append it to their
-	// provenance; a Put from a live export clears it.
-	origin string
+	// origin is how the entry got here; a Put from a live export makes
+	// it originLive.
+	origin origin
 
 	// used marks an entry this process hit (through any tier) or Put: the
 	// working set Shutdown hands to the store's checkpoint so the next
@@ -101,11 +88,11 @@ func NewPlanCache(capacity int, r *metrics.Registry) *PlanCache {
 	return &PlanCache{
 		capacity: capacity,
 		ll:       list.New(),
-		tiers:    [3]map[string]*list.Element{{}, {}, {}},
-		hits: [3]*metrics.Counter{
-			store.TierExact:  r.Counter("moqod_cache_hits_total", hitsHelp, `tier="exact"`),
-			store.TierCanon:  r.Counter("moqod_cache_hits_total", hitsHelp, `tier="iso"`),
-			store.TierStruct: r.Counter("moqod_cache_stale_hits_total", "Structural-tier hits on pre-drift snapshots (resolved by the drift counters).", ""),
+		tiers:    [query.NumTiers]map[string]*list.Element{{}, {}, {}},
+		hits: [query.NumTiers]*metrics.Counter{
+			query.TierExact:  r.Counter("moqod_cache_hits_total", hitsHelp, `tier="exact"`),
+			query.TierCanon:  r.Counter("moqod_cache_hits_total", hitsHelp, `tier="iso"`),
+			query.TierStruct: r.Counter("moqod_cache_stale_hits_total", "Structural-tier hits on pre-drift snapshots (resolved by the drift counters).", ""),
 		},
 		misses:    r.Counter("moqod_cache_misses_total", "Warm-start cache misses.", ""),
 		puts:      r.Counter("moqod_cache_puts_total", "Snapshot admissions (inserts and refreshes).", ""),
@@ -122,15 +109,14 @@ type Hit struct {
 	// caller starts cold.
 	Snap *core.Snapshot
 	// Tier is the tier that satisfied the lookup.
-	Tier store.Tier
-	// Src is the key of the entry that satisfied the hit: what a caller
+	Tier query.Tier
+	// Src holds the keys of the entry that satisfied the hit: what a caller
 	// quarantines if the restored snapshot turns out to be poison, and —
 	// on a canonical-tier hit — the source permutation it composes with
 	// its own to remap.
-	Src cacheKey
-	// Origin is the entry's origin label ("replay", "bootstrap"; "" for
-	// an entry a live session exported).
-	Origin string
+	Src query.Keys
+	// Origin is where the entry's snapshot came from.
+	Origin origin
 }
 
 // Lookup walks the tiers for k (DESIGN.md D21): the exact fingerprint,
@@ -142,12 +128,12 @@ type Hit struct {
 // is known; a miss is counted when the exact and canonical tiers both
 // missed. A hit in the cache marks the entry used and makes it the most
 // recently used.
-func (c *PlanCache) Lookup(k cacheKey, cold func(store.Tier, string) (Hit, bool)) (Hit, bool) {
-	for t, key := range k.keys() {
-		t := store.Tier(t)
-		if t == store.TierStruct {
+func (c *PlanCache) Lookup(k query.Keys, cold func(query.Tier, string) (Hit, bool)) (Hit, bool) {
+	for t := query.TierExact; t < query.NumTiers; t++ {
+		if t == query.TierStruct {
 			c.misses.Inc()
 		}
+		key := k.Key(t)
 		if key == "" {
 			continue
 		}
@@ -166,7 +152,7 @@ func (c *PlanCache) Lookup(k cacheKey, cold func(store.Tier, string) (Hit, bool)
 
 // lookup returns the entry under key in tier t, marked used and moved to
 // the front, without counting anything.
-func (c *PlanCache) lookup(t store.Tier, key string) (Hit, bool) {
+func (c *PlanCache) lookup(t query.Tier, key string) (Hit, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el := c.tiers[t][key]
@@ -176,7 +162,7 @@ func (c *PlanCache) lookup(t store.Tier, key string) (Hit, bool) {
 	c.ll.MoveToFront(el)
 	item := el.Value.(*cacheItem)
 	item.used = true
-	return Hit{Snap: item.snap, Src: item.cacheKey, Origin: item.origin}, true
+	return Hit{Snap: item.snap, Src: item.Keys, Origin: item.origin}, true
 }
 
 // removeLocked unlinks el from the LRU list and every tier. The
@@ -185,8 +171,8 @@ func (c *PlanCache) lookup(t store.Tier, key string) (Hit, bool) {
 // entry must stay reachable through those tiers.
 func (c *PlanCache) removeLocked(el *list.Element) {
 	item := c.ll.Remove(el).(*cacheItem)
-	for t, key := range item.keys() {
-		if c.tiers[t][key] == el {
+	for t := query.TierExact; t < query.NumTiers; t++ {
+		if key := item.Key(t); c.tiers[t][key] == el {
 			delete(c.tiers[t], key)
 		}
 	}
@@ -200,7 +186,7 @@ func (c *PlanCache) removeLocked(el *list.Element) {
 func (c *PlanCache) Quarantine(fp string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.tiers[store.TierExact][fp]; ok {
+	if el, ok := c.tiers[query.TierExact][fp]; ok {
 		c.removeLocked(el)
 	}
 	c.poisoned.Inc()
@@ -209,14 +195,14 @@ func (c *PlanCache) Quarantine(fp string) {
 // Put stores (or refreshes) the snapshot a live session exported under k
 // and makes it the canonical digest's and structural digest's class
 // representative, evicting the least recently used exact entry beyond
-// capacity. k.perm is handed back on isomorphic lookups. The entry is
+// capacity. k.Perm is handed back on isomorphic lookups. The entry is
 // used. Nil snapshots are ignored.
-func (c *PlanCache) Put(k cacheKey, snap *core.Snapshot) {
+func (c *PlanCache) Put(k query.Keys, snap *core.Snapshot) {
 	if snap == nil {
 		return
 	}
 	c.puts.Inc()
-	c.admit(cacheItem{cacheKey: k, snap: snap, used: true})
+	c.admit(cacheItem{Keys: k, snap: snap, used: true})
 }
 
 // admit inserts or refreshes in as Put does, without counting a put: the
@@ -226,12 +212,12 @@ func (c *PlanCache) admit(in cacheItem) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.plans += in.snap.PlanCount()
-	el, refresh := c.tiers[store.TierExact][in.fp]
+	el, refresh := c.tiers[query.TierExact][in.FP]
 	if refresh {
 		item := el.Value.(*cacheItem)
 		c.plans -= item.snap.PlanCount()
-		for t, key := range item.keys() {
-			if c.tiers[t][key] == el && key != in.keys()[t] {
+		for t := query.TierExact; t < query.NumTiers; t++ {
+			if key := item.Key(t); c.tiers[t][key] == el && key != in.Key(t) {
 				delete(c.tiers[t], key)
 			}
 		}
@@ -242,8 +228,8 @@ func (c *PlanCache) admit(in cacheItem) {
 		el = c.ll.PushFront(&item)
 	}
 	// The latest admission represents its classes.
-	for t, key := range in.keys() {
-		if key != "" {
+	for t := query.TierExact; t < query.NumTiers; t++ {
+		if key := in.Key(t); key != "" {
 			c.tiers[t][key] = el
 		}
 	}
@@ -263,7 +249,7 @@ func (c *PlanCache) AppendUsed(dst []string) []string {
 	defer c.mu.Unlock()
 	for el := c.ll.Front(); el != nil; el = el.Next() {
 		if item := el.Value.(*cacheItem); item.used {
-			dst = append(dst, item.fp)
+			dst = append(dst, item.FP)
 		}
 	}
 	return dst
@@ -317,14 +303,14 @@ func (c *PlanCache) Stats() CacheStats {
 	c.mu.Lock()
 	st := CacheStats{
 		Entries:       c.ll.Len(),
-		CanonEntries:  len(c.tiers[store.TierCanon]),
-		StructEntries: len(c.tiers[store.TierStruct]),
+		CanonEntries:  len(c.tiers[query.TierCanon]),
+		StructEntries: len(c.tiers[query.TierStruct]),
 		Plans:         c.plans,
 	}
 	c.mu.Unlock()
-	st.ExactHits, st.IsoHits = c.hits[store.TierExact].Value(), c.hits[store.TierCanon].Value()
+	st.ExactHits, st.IsoHits = c.hits[query.TierExact].Value(), c.hits[query.TierCanon].Value()
 	st.Hits = st.ExactHits + st.IsoHits
-	st.Misses, st.StaleHits = c.misses.Value(), c.hits[store.TierStruct].Value()
+	st.Misses, st.StaleHits = c.misses.Value(), c.hits[query.TierStruct].Value()
 	st.Puts, st.Evictions, st.Poisoned = c.puts.Value(), c.evictions.Value(), c.poisoned.Value()
 	return st
 }

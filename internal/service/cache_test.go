@@ -12,14 +12,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultfs"
 	"repro/internal/metrics"
-	"repro/internal/store"
+	"repro/internal/query"
 )
 
 // getExact is Lookup restricted to the exact tier, the shape most of
 // the LRU assertions need.
 func getExact(c *PlanCache, fp string) (*core.Snapshot, bool) {
-	h, ok := c.Lookup(cacheKey{fp: fp}, nil)
-	if !ok || h.Tier != store.TierExact {
+	h, ok := c.Lookup(query.Keys{FP: fp}, nil)
+	if !ok || h.Tier != query.TierExact {
 		return nil, false
 	}
 	return h.Snap, true
@@ -30,7 +30,7 @@ func TestPlanCacheLRU(t *testing.T) {
 	snaps := make([]*core.Snapshot, 3)
 	for i := range snaps {
 		snaps[i] = &core.Snapshot{}
-		c.Put(cacheKey{fmt.Sprintf("fp%d", i), fmt.Sprintf("c%d", i), "", nil}, snaps[i])
+		c.Put(query.Keys{FP: fmt.Sprintf("fp%d", i), CanonFP: fmt.Sprintf("c%d", i)}, snaps[i])
 	}
 	// fp0 is the LRU entry and must have been evicted by fp2.
 	if _, ok := getExact(c, "fp0"); ok {
@@ -44,7 +44,7 @@ func TestPlanCacheLRU(t *testing.T) {
 	}
 	// Touch fp1, insert fp3: fp2 is now LRU and must go.
 	getExact(c, "fp1")
-	c.Put(cacheKey{"fp3", "c3", "", nil}, &core.Snapshot{})
+	c.Put(query.Keys{FP: "fp3", CanonFP: "c3"}, &core.Snapshot{})
 	if _, ok := getExact(c, "fp2"); ok {
 		t.Error("fp2 survived though it was LRU")
 	}
@@ -66,7 +66,7 @@ func TestPlanCacheLRU(t *testing.T) {
 
 func TestPlanCacheIgnoresNil(t *testing.T) {
 	c := NewPlanCache(4, metrics.NewRegistry())
-	c.Put(cacheKey{"fp", "c", "", nil}, nil)
+	c.Put(query.Keys{FP: "fp", CanonFP: "c"}, nil)
 	if _, ok := getExact(c, "fp"); ok {
 		t.Error("nil snapshot was cached")
 	}
@@ -79,16 +79,16 @@ func TestPlanCacheCanonicalTier(t *testing.T) {
 	c := NewPlanCache(4, metrics.NewRegistry())
 	snap := &core.Snapshot{}
 	perm := []int{2, 0, 1}
-	c.Put(cacheKey{"fpA", "shape", "", perm}, snap)
+	c.Put(query.Keys{FP: "fpA", CanonFP: "shape", Perm: perm}, snap)
 
-	got, ok := c.Lookup(cacheKey{fp: "fpB", canonFp: "shape"}, nil)
-	if !ok || got.Tier != store.TierCanon || got.Snap != snap || got.Src.fp != "fpA" {
+	got, ok := c.Lookup(query.Keys{FP: "fpB", CanonFP: "shape"}, nil)
+	if !ok || got.Tier != query.TierCanon || got.Snap != snap || got.Src.FP != "fpA" {
 		t.Fatalf("canonical lookup = (%+v, ok=%v), want iso hit on fpA", got, ok)
 	}
-	if len(got.Src.perm) != 3 || got.Src.perm[0] != 2 {
-		t.Errorf("source permutation not returned: %v", got.Src.perm)
+	if len(got.Src.Perm) != 3 || got.Src.Perm[0] != 2 {
+		t.Errorf("source permutation not returned: %v", got.Src.Perm)
 	}
-	if h, ok := c.Lookup(cacheKey{fp: "fpA", canonFp: "shape"}, nil); !ok || h.Tier != store.TierExact {
+	if h, ok := c.Lookup(query.Keys{FP: "fpA", CanonFP: "shape"}, nil); !ok || h.Tier != query.TierExact {
 		t.Error("exact lookup did not hit the exact tier")
 	}
 	st := c.Stats()
@@ -107,28 +107,28 @@ func TestPlanCacheEvictionAccounting(t *testing.T) {
 	c := NewPlanCache(2, metrics.NewRegistry())
 	// Two isomorphic entries (same canonical digest, different exact
 	// fingerprints): the later Put represents the class.
-	c.Put(cacheKey{"fpA", "shape", "", []int{0}}, &core.Snapshot{})
-	c.Put(cacheKey{"fpB", "shape", "", []int{0}}, &core.Snapshot{})
+	c.Put(query.Keys{FP: "fpA", CanonFP: "shape", Perm: []int{0}}, &core.Snapshot{})
+	c.Put(query.Keys{FP: "fpB", CanonFP: "shape", Perm: []int{0}}, &core.Snapshot{})
 	if st := c.Stats(); st.Entries != 2 || st.CanonEntries != 1 || st.Plans != 0 {
 		t.Fatalf("stats = %+v, want 2 entries, 1 canonical class", st)
 	}
 	// Evict fpA (LRU). fpB still represents "shape": the canonical
 	// tier must keep serving it.
-	c.Put(cacheKey{"fpC", "other", "", []int{0}}, &core.Snapshot{})
+	c.Put(query.Keys{FP: "fpC", CanonFP: "other", Perm: []int{0}}, &core.Snapshot{})
 	if _, ok := getExact(c, "fpA"); ok {
 		t.Fatal("fpA survived beyond capacity")
 	}
-	if _, ok := c.Lookup(cacheKey{fp: "fpX", canonFp: "shape"}, nil); !ok {
+	if _, ok := c.Lookup(query.Keys{FP: "fpX", CanonFP: "shape"}, nil); !ok {
 		t.Error("canonical entry lost although its representative fpB is still cached")
 	}
 	// Now evict fpC's class representative: its canonical entry must
 	// go with it (fpB was just touched by the Lookup above, so fpC is
 	// LRU).
-	c.Put(cacheKey{"fpD", "fourth", "", []int{0}}, &core.Snapshot{})
+	c.Put(query.Keys{FP: "fpD", CanonFP: "fourth", Perm: []int{0}}, &core.Snapshot{})
 	if _, ok := getExact(c, "fpC"); ok {
 		t.Fatal("fpC survived though it was LRU")
 	}
-	if _, ok := c.Lookup(cacheKey{fp: "fpY", canonFp: "other"}, nil); ok {
+	if _, ok := c.Lookup(query.Keys{FP: "fpY", CanonFP: "other"}, nil); ok {
 		t.Error("dangling canonical entry after its representative was evicted")
 	}
 	if st := c.Stats(); st.Entries != 2 || st.CanonEntries != 2 {
@@ -139,16 +139,16 @@ func TestPlanCacheEvictionAccounting(t *testing.T) {
 	// structural tier included: its tier pointers dropped, one eviction
 	// counted.
 	c = NewPlanCache(1, metrics.NewRegistry())
-	c.Put(cacheKey{"fpE", "shapeE", "structE", nil}, &core.Snapshot{})
-	c.Put(cacheKey{"fpF", "shapeF", "structF", nil}, &core.Snapshot{})
+	c.Put(query.Keys{FP: "fpE", CanonFP: "shapeE", StructFP: "structE"}, &core.Snapshot{})
+	c.Put(query.Keys{FP: "fpF", CanonFP: "shapeF", StructFP: "structF"}, &core.Snapshot{})
 	want := CacheStats{Entries: 1, CanonEntries: 1, StructEntries: 1, Puts: 2, Evictions: 1}
 	if st := c.Stats(); st != want {
 		t.Errorf("stats = %+v, want %+v", st, want)
 	}
-	if _, ok := c.Lookup(cacheKey{fp: "fpE", canonFp: "shapeE"}, nil); ok {
+	if _, ok := c.Lookup(query.Keys{FP: "fpE", CanonFP: "shapeE"}, nil); ok {
 		t.Error("evicted entry still reachable through the exact or canonical tier")
 	}
-	if _, ok := c.Lookup(cacheKey{structFp: "structE"}, nil); ok {
+	if _, ok := c.Lookup(query.Keys{StructFP: "structE"}, nil); ok {
 		t.Error("evicted entry still reachable through the structural tier")
 	}
 }
@@ -158,8 +158,8 @@ func TestPlanCacheEvictionAccounting(t *testing.T) {
 // does not duplicate canonical entries.
 func TestPlanCacheRefreshKeepsPlanTotal(t *testing.T) {
 	c := NewPlanCache(2, metrics.NewRegistry())
-	c.Put(cacheKey{"fp", "shape", "", nil}, &core.Snapshot{})
-	c.Put(cacheKey{"fp", "shape", "", nil}, &core.Snapshot{})
+	c.Put(query.Keys{FP: "fp", CanonFP: "shape"}, &core.Snapshot{})
+	c.Put(query.Keys{FP: "fp", CanonFP: "shape"}, &core.Snapshot{})
 	st := c.Stats()
 	if st.Entries != 1 || st.CanonEntries != 1 || st.Plans != 0 {
 		t.Errorf("refresh corrupted accounting: %+v", st)
@@ -172,9 +172,9 @@ func TestPlanCacheRefreshKeepsPlanTotal(t *testing.T) {
 func TestPlanCachePutEvictCounters(t *testing.T) {
 	c := NewPlanCache(2, metrics.NewRegistry())
 	for i := 0; i < 4; i++ {
-		c.Put(cacheKey{fmt.Sprintf("fp%d", i), fmt.Sprintf("c%d", i), "", nil}, &core.Snapshot{})
+		c.Put(query.Keys{FP: fmt.Sprintf("fp%d", i), CanonFP: fmt.Sprintf("c%d", i)}, &core.Snapshot{})
 	}
-	c.Put(cacheKey{"fp3", "c3", "", nil}, &core.Snapshot{}) // refresh: a put, not an eviction
+	c.Put(query.Keys{FP: "fp3", CanonFP: "c3"}, &core.Snapshot{}) // refresh: a put, not an eviction
 	st := c.Stats()
 	if st.Puts != 5 {
 		t.Errorf("puts = %d, want 5", st.Puts)
@@ -198,7 +198,7 @@ func TestCacheHitCountedWhenKnown(t *testing.T) {
 	inj := faultfs.NewInjector(nil)
 	svc := startLife(t, t.TempDir(), func(cfg *Config) { cfg.StoreOptions.FS = inj }).svc
 	defer svc.Shutdown()
-	svc.store.PutBlocking("fpA", "canonA", "structA", []int{1, 0}, snap)
+	svc.store.Put(query.Keys{FP: "fpA", CanonFP: "canonA", StructFP: "structA", Perm: []int{1, 0}}, snap, true)
 	if err := svc.store.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestCacheHitCountedWhenKnown(t *testing.T) {
 	})
 	found := make(chan bool)
 	go func() {
-		_, ok := c.Lookup(cacheKey{fp: "fpA", canonFp: "canonA"}, svc.cold)
+		_, ok := c.Lookup(query.Keys{FP: "fpA", CanonFP: "canonA"}, svc.cold)
 		found <- ok
 	}()
 

@@ -37,10 +37,10 @@ func TestColdTierFetchOutcomes(t *testing.T) {
 			return faultfs.Fault{}
 		}
 	}
-	keys := map[string]cacheKey{
-		"exact": {fp: "fpA", canonFp: "canonA"},
-		"iso":   {fp: "fpIso", canonFp: "canonA"},
-		"stale": {structFp: "structA"},
+	keys := map[string]query.Keys{
+		"exact": {FP: "fpA", CanonFP: "canonA"},
+		"iso":   {FP: "fpIso", CanonFP: "canonA"},
+		"stale": {StructFP: "structA"},
 	}
 	for tier, k := range keys {
 		t.Run(tier, func(t *testing.T) {
@@ -50,7 +50,7 @@ func TestColdTierFetchOutcomes(t *testing.T) {
 				dir, inj := t.TempDir(), faultfs.NewInjector(nil)
 				svc := startLife(t, dir, func(cfg *Config) { cfg.StoreOptions.FS = inj }).svc
 				t.Cleanup(svc.Shutdown)
-				svc.store.PutBlocking("fpA", "canonA", "structA", []int{1, 0}, snap)
+				svc.store.Put(query.Keys{FP: "fpA", CanonFP: "canonA", StructFP: "structA", Perm: []int{1, 0}}, snap, true)
 				if err := svc.store.Flush(); err != nil {
 					t.Fatal(err)
 				}
@@ -67,7 +67,7 @@ func TestColdTierFetchOutcomes(t *testing.T) {
 			inj.SetScript(onLoad(func() faultfs.Fault { return faultfs.Fault{Err: eio} }))
 			for i := 1; i <= 2; i++ {
 				h, ok := lookup()
-				if !ok || h.Snap != nil || h.Src.fp != "fpA" || reads() != uint64(i) {
+				if !ok || h.Snap != nil || h.Src.FP != "fpA" || reads() != uint64(i) {
 					t.Fatalf("failed read %d: hit %+v (%v) after %d reads; want a hit without snapshot, read anew", i, h, ok, reads())
 				}
 			}
@@ -77,7 +77,7 @@ func TestColdTierFetchOutcomes(t *testing.T) {
 			}
 			inj.SetScript(nil)
 			h, ok := lookup()
-			if !ok || h.Snap == nil || h.Src.fp != "fpA" || h.Origin != "replay" {
+			if !ok || h.Snap == nil || h.Src.FP != "fpA" || h.Origin != originReplay {
 				t.Fatalf("after the disk recovered: hit %+v (%v), want the snapshot", h, ok)
 			}
 			if h2, ok := lookup(); !ok || h2.Snap != h.Snap || reads() != 3 {
@@ -89,7 +89,7 @@ func TestColdTierFetchOutcomes(t *testing.T) {
 
 			svc, _, dir := boot()
 			flipBit(t, onlySegment(t, dir), 0x40)
-			if h, ok := svc.cache.Lookup(k, svc.cold); !ok || h.Snap != nil || h.Src.fp != "fpA" || h.Src.canonFp != "canonA" {
+			if h, ok := svc.cache.Lookup(k, svc.cold); !ok || h.Snap != nil || h.Src.FP != "fpA" || h.Src.CanonFP != "canonA" {
 				t.Fatalf("poisoned record: hit %+v (%v), want a hit without snapshot naming fpA", h, ok)
 			}
 			if st := svc.Stats(); st.Poisoned != 1 || st.Cache.Poisoned != 1 || st.Store.Corrupted != 1 || st.Cache.Entries != 0 {
@@ -105,7 +105,7 @@ func TestColdTierFetchOutcomes(t *testing.T) {
 				svc.store.Quarantine("fpA") // between the index lookup and the read
 				return faultfs.Fault{Err: eio}
 			}))
-			if h, ok := svc.cache.Lookup(k, svc.cold); ok || h.Snap != nil || h.Src.fp != "" {
+			if h, ok := svc.cache.Lookup(k, svc.cold); ok || h.Snap != nil || h.Src.FP != "" {
 				t.Fatalf("record gone from the store: hit %+v (%v), want a miss", h, ok)
 			}
 			st := svc.Stats()
@@ -221,7 +221,7 @@ func TestColdTierFaultMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				l.svc.store.PutBlocking(fp, canonFp, q.StructuralFingerprint(), perm, snap)
+				l.svc.store.Put(query.Keys{FP: fp, CanonFP: canonFp, StructFP: q.StructuralFingerprint(), Perm: perm}, snap, true)
 				if err := l.svc.store.Flush(); err != nil {
 					t.Fatal(err)
 				}
@@ -409,8 +409,8 @@ func TestSegmentDamageBetweenLives(t *testing.T) {
 // for. Every live fingerprint comes back warm as exact-replay with the
 // frontier it was first served with, records the LRU evicted after
 // their first use in the same life included; a record the process
-// itself wrote and reads back is labeled replay, never its
-// ReplaySource. In each later life the hot set is resident when New
+// itself wrote and reads back is labeled replay, even on a
+// Bootstrapped node. In each later life the hot set is resident when New
 // returns, in the previous life's LRU order, and every other record's
 // first use costs one store read and one decode.
 func TestColdTierBeyondCapacity(t *testing.T) {
@@ -428,10 +428,10 @@ func TestColdTierBeyondCapacity(t *testing.T) {
 		}
 	}
 	dir := t.TempDir()
-	boot := func(source string) *Service {
+	boot := func(bootstrapped bool) *Service {
 		cfg := storeConfig(t, dir)
 		cfg.CacheCapacity = capacity
-		cfg.ReplaySource = source
+		cfg.Bootstrapped = bootstrapped
 		svc, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -460,7 +460,7 @@ func TestColdTierBeyondCapacity(t *testing.T) {
 	// Life 1 writes the records, however each first session starts
 	// (synthetic queries share shapes, so some start from another's
 	// record), then reads every one of them back.
-	l1 := boot("bootstrap")
+	l1 := boot(true)
 	for _, q := range queries {
 		serve(l1, 1, q)
 	}
@@ -478,7 +478,7 @@ func TestColdTierBeyondCapacity(t *testing.T) {
 	l1.Shutdown()
 
 	for life := 2; life <= 3; life++ {
-		svc := boot("")
+		svc := boot(false)
 		if st := svc.Stats(); st.Store.LiveRecords != records || st.StoreReadsBoot != capacity || svc.obs.DecodesBoot.Value() != capacity {
 			t.Fatalf("life %d booted with %d live records, %d reads and %d decodes; want %d, %d, %d",
 				life, st.Store.LiveRecords, st.StoreReadsBoot, svc.obs.DecodesBoot.Value(), records, capacity, capacity)

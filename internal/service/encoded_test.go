@@ -58,7 +58,7 @@ func lruOrder(c *PlanCache) []string {
 	defer c.mu.Unlock()
 	var fps []string
 	for el := c.ll.Front(); el != nil; el = el.Next() {
-		fps = append(fps, el.Value.(*cacheItem).fp)
+		fps = append(fps, el.Value.(*cacheItem).FP)
 	}
 	return fps
 }
@@ -73,12 +73,12 @@ func TestDecodeOnceConcurrentFirstHits(t *testing.T) {
 	inj := faultfs.NewInjector(nil)
 	svc := startLife(t, t.TempDir(), func(cfg *Config) { cfg.StoreOptions.FS = inj }).svc
 	defer svc.Shutdown()
-	svc.store.PutBlocking("fpA", "canonA", "structA", []int{1, 0}, snap)
+	svc.store.Put(query.Keys{FP: "fpA", CanonFP: "canonA", StructFP: "structA", Perm: []int{1, 0}}, snap, true)
 	if err := svc.store.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	c := svc.cache
-	c.Put(cacheKey{"fpB", "canonB", "", nil}, &core.Snapshot{})
+	c.Put(query.Keys{FP: "fpB", CanonFP: "canonB"}, &core.Snapshot{})
 	var opens atomic.Int32
 	entered, release := make(chan struct{}), make(chan struct{})
 	inj.SetScript(func(op faultfs.Op, path string, _ uint64) faultfs.Fault {
@@ -96,7 +96,7 @@ func TestDecodeOnceConcurrentFirstHits(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			k := [...]cacheKey{{fp: "fpA", canonFp: "canonA"}, {fp: "fpIso", canonFp: "canonA"}, {structFp: "structA"}}[i%3]
+			k := [...]query.Keys{{FP: "fpA", CanonFP: "canonA"}, {FP: "fpIso", CanonFP: "canonA"}, {StructFP: "structA"}}[i%3]
 			var ok bool
 			if hits[i], ok = c.Lookup(k, svc.cold); !ok {
 				t.Errorf("hitter %d missed", i)
@@ -106,7 +106,7 @@ func TestDecodeOnceConcurrentFirstHits(t *testing.T) {
 	<-entered
 	other := make(chan bool)
 	go func() {
-		_, ok := c.Lookup(cacheKey{fp: "fpB", canonFp: "canonB"}, svc.cold)
+		_, ok := c.Lookup(query.Keys{FP: "fpB", CanonFP: "canonB"}, svc.cold)
 		c.Stats()
 		other <- ok
 	}()
@@ -125,7 +125,7 @@ func TestDecodeOnceConcurrentFirstHits(t *testing.T) {
 		t.Errorf("%d loads and %d decodes for one record, want 1 and 1", l, d)
 	}
 	for i, h := range hits {
-		if h.Snap == nil || h.Snap != hits[0].Snap || h.Src.fp != "fpA" || h.Origin != "replay" {
+		if h.Snap == nil || h.Snap != hits[0].Snap || h.Src.FP != "fpA" || h.Origin != originReplay {
 			t.Errorf("hitter %d got %+v, want the one fetched snapshot of fpA", i, h)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
+	"repro/internal/query"
 	"repro/internal/workload"
 )
 
@@ -105,7 +106,7 @@ func TestRestoreFailureQuarantinesColdFallback(t *testing.T) {
 	// A zero-value snapshot passes the cache's nil check but can never
 	// restore (its config echo matches no real configuration) — the
 	// in-memory analogue of a corrupt-but-CRC-valid store record.
-	svc.cache.Put(cacheKey{fp, canonFp, "", perm}, &core.Snapshot{})
+	svc.cache.Put(query.Keys{FP: fp, CanonFP: canonFp, Perm: perm}, &core.Snapshot{})
 
 	st, frontier := convergeAndClose(t, svc, q)
 	if st.WarmStarted {

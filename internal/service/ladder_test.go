@@ -277,7 +277,7 @@ func TestCreateLadderGolden(t *testing.T) {
 					t.Fatal(err)
 				}
 				canonFp, perm := q.CanonicalFingerprint()
-				st.PutBlocking(q.Fingerprint(), canonFp, q.StructuralFingerprint(), perm, snap)
+				st.Put(query.Keys{FP: q.Fingerprint(), CanonFP: canonFp, StructFP: q.StructuralFingerprint(), Perm: perm}, snap, true)
 				if err := st.Close(); err != nil {
 					t.Fatal(err)
 				}

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/query"
 	"repro/internal/session"
 	"repro/internal/trace"
 )
@@ -72,10 +73,10 @@ func (s State) Live() bool { return s == Refining || s == AtTarget }
 type managed struct {
 	id string
 
-	// key is what the session's exports are admitted under; its perm is
+	// key is what the session's exports are admitted under; its Perm is
 	// exported with them so isomorphic lookups can compose the rewriting
-	// onto their own labeling. Only fp is set with the cache disabled.
-	key cacheKey
+	// onto their own labeling. Only FP is set with the cache disabled.
+	key query.Keys
 
 	mu          sync.Mutex
 	sess        *session.Session
@@ -84,7 +85,7 @@ type managed struct {
 	created     time.Time
 	prov        provenance   // how the plan state was derived (warmstart.go)
 	provLabel   string       // prov, plus the source entry's origin: what Poll and the trace report
-	src         cacheKey     // cache entry the warm start was derived from (zero when cold)
+	src         query.Keys   // cache entry the warm start was derived from (zero when cold)
 	drift       driftOutcome // how statistics drift resolved at the create
 	statsEpoch  uint64       // statistics-epoch label at creation (stamps exports)
 	steps       int          // scheduler steps executed

@@ -238,7 +238,7 @@ func (s *Service) observeEnd(m *managed, k trace.Kind) time.Duration {
 		if k == trace.KindFailed {
 			lv = eventlog.LevelWarn
 		}
-		ev.EmitSession(lv, "service", "session finished", m.id, m.key.fp, k.String(), fields[:]...)
+		ev.EmitSession(lv, "service", "session finished", m.id, m.key.FP, k.String(), fields[:]...)
 	}
 	if slow {
 		s.cfg.SlowSessionLog(total, data)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/faultfs"
 	"repro/internal/metrics"
+	"repro/internal/query"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -346,7 +347,7 @@ func TestScrapeDoesNotWaitForTheWriter(t *testing.T) {
 	inj := faultfs.NewInjector(nil)
 	svc := startLife(t, t.TempDir(), func(cfg *Config) { cfg.StoreOptions.FS = inj }).svc
 	defer svc.Shutdown()
-	svc.store.PutBlocking("fpA", "canonA", "structA", []int{1, 0}, snap)
+	svc.store.Put(query.Keys{FP: "fpA", CanonFP: "canonA", StructFP: "structA", Perm: []int{1, 0}}, snap, true)
 	if err := svc.store.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -164,12 +164,12 @@ type Config struct {
 	// checks.
 	Events *eventlog.Log
 
-	// ReplaySource labels the provenance of cache entries replayed from
-	// the store at New: "replay" (the default) for a node restarting on
-	// its own directory, "bootstrap" when the segments were pulled from
-	// a peer. Sessions warm-starting from such an entry report the label
-	// in their provenance (e.g. "exact-bootstrap").
-	ReplaySource string
+	// Bootstrapped marks a store directory whose segments were pulled
+	// from a peer: sessions warm-starting from a record the store held
+	// when it opened report "-bootstrap" in their provenance (e.g.
+	// "exact-bootstrap") instead of the "-replay" of a node restarting on
+	// its own directory.
+	Bootstrapped bool
 }
 
 // ShardStats repeats the scheduler's counters from Stats as the one
@@ -360,7 +360,7 @@ type Service struct {
 	sched   *scheduler
 	cache   *PlanCache                           // nil when disabled
 	store   *store.Store                         // persistent snapshot store; nil when disabled
-	cold    func(store.Tier, string) (Hit, bool) // s.fromStore with a store, else nil
+	cold    func(query.Tier, string) (Hit, bool) // s.fromStore with a store, else nil
 	quantum int
 
 	// fetching guards the store's records against a second read and
@@ -459,9 +459,6 @@ func New(cfg Config) (*Service, error) {
 		s.store = st
 		s.cold = s.fromStore
 		s.fetching = map[string]*flight{}
-		if s.cfg.ReplaySource == "" {
-			s.cfg.ReplaySource = "replay"
-		}
 		s.replay()
 		// Epoch labels must stay monotonic across restarts: raise the
 		// versioned catalog to the newest label the store has seen, so a
@@ -495,20 +492,24 @@ func New(cfg Config) (*Service, error) {
 // the same and pays on first use instead.
 func (s *Service) replay() {
 	hint := s.store.Hot()
-	var hot []cacheKey
+	var hot []query.Keys
 	seen := make(map[string]bool, len(hint))
 	for _, fp := range hint {
-		if rec, _, ok := s.store.Find(store.TierExact, fp); ok && !seen[fp] && len(hot) < s.cache.capacity {
+		if rec, _, ok := s.store.Find(query.TierExact, fp); ok && !seen[fp] && len(hot) < s.cache.capacity {
 			seen[fp] = true
-			hot = append(hot, cacheKey{rec.FP, rec.CanonFP, rec.StructFP, rec.Perm})
+			hot = append(hot, rec.Keys)
 		}
+	}
+	origin := originReplay
+	if s.cfg.Bootstrapped {
+		origin = originBootstrap
 	}
 	t0 := time.Now()
 	snaps, errs := s.fetchHot(hot)
 	for i := len(hot) - 1; i >= 0; i-- {
 		switch err := errs[i]; {
 		case err == nil:
-			s.cache.admit(cacheItem{cacheKey: hot[i], snap: snaps[i], origin: s.cfg.ReplaySource})
+			s.cache.admit(cacheItem{Keys: hot[i], snap: snaps[i], origin: origin})
 		case poisonous(err):
 			s.quarantine(hot[i], true)
 		}
@@ -534,7 +535,7 @@ func (s *Service) replay() {
 // min(GOMAXPROCS, len(hot)) goroutines, which take keys from a shared
 // counter, and returns when all of them are done — no goroutine
 // outlives New — with each record's snapshot or load error.
-func (s *Service) fetchHot(hot []cacheKey) ([]*core.Snapshot, []error) {
+func (s *Service) fetchHot(hot []query.Keys) ([]*core.Snapshot, []error) {
 	snaps, errs := make([]*core.Snapshot, len(hot)), make([]error, len(hot))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -547,7 +548,7 @@ func (s *Service) fetchHot(hot []cacheKey) ([]*core.Snapshot, []error) {
 				if i >= len(hot) {
 					return
 				}
-				snaps[i], errs[i] = s.load(hot[i].fp, true)
+				snaps[i], errs[i] = s.load(hot[i].FP, true)
 			}
 		}()
 	}
@@ -569,43 +570,43 @@ type flight struct {
 // first registers a flight and the rest wait for its outcome, and one
 // that finds the entry resident by then takes that. The read and the
 // decode run under no lock, neither the cache's nor the store writer's.
-// A record present when the store opened is labeled with
-// Config.ReplaySource, one this process wrote with "replay". A record
+// A record is labeled originReplay, or originBootstrap if it was present
+// when the store opened and Config.Bootstrapped is set. A record
 // the store does not hold is a miss. One that fails its checks or its
 // decode is quarantined by the flight that found it, and one the disk
 // failed to read buries nothing: both are hits without a snapshot, and
 // only the latter is read again by the next use.
-func (s *Service) fromStore(t store.Tier, key string) (Hit, bool) {
+func (s *Service) fromStore(t query.Tier, key string) (Hit, bool) {
 	rec, atOpen, ok := s.store.Find(t, key)
 	if !ok {
 		return Hit{}, false
 	}
-	k := cacheKey{rec.FP, rec.CanonFP, rec.StructFP, rec.Perm}
+	k := rec.Keys
 	s.fetchMu.Lock()
-	f, waiting := s.fetching[k.fp]
+	f, waiting := s.fetching[k.FP]
 	if !waiting {
-		if h, ok := s.cache.lookup(store.TierExact, k.fp); ok {
+		if h, ok := s.cache.lookup(query.TierExact, k.FP); ok {
 			s.fetchMu.Unlock()
 			return h, true
 		}
-		f = &flight{done: make(chan struct{}), hit: Hit{Src: k, Origin: "replay"}}
-		if atOpen {
-			f.hit.Origin = s.cfg.ReplaySource
+		f = &flight{done: make(chan struct{}), hit: Hit{Src: k, Origin: originReplay}}
+		if atOpen && s.cfg.Bootstrapped {
+			f.hit.Origin = originBootstrap
 		}
-		s.fetching[k.fp] = f
+		s.fetching[k.FP] = f
 	}
 	s.fetchMu.Unlock()
 	if !waiting {
-		snap, err := s.load(k.fp, false)
+		snap, err := s.load(k.FP, false)
 		switch {
 		case err == nil:
-			s.cache.admit(cacheItem{cacheKey: k, snap: snap, origin: f.hit.Origin, used: true})
+			s.cache.admit(cacheItem{Keys: k, snap: snap, origin: f.hit.Origin, used: true})
 		case poisonous(err):
 			s.quarantine(k, true)
 		}
 		f.hit.Snap, f.found = snap, !errors.Is(err, store.ErrNotStored)
 		s.fetchMu.Lock()
-		delete(s.fetching, k.fp)
+		delete(s.fetching, k.FP)
 		s.fetchMu.Unlock()
 		close(f.done)
 	}
@@ -732,20 +733,20 @@ func (s *Service) reject(kind string, n, lim int) error {
 // is found here, so it is counted the same (Store.Corrupted), reported,
 // and buried like any other poison — the next boot does not meet it
 // again.
-func (s *Service) quarantine(src cacheKey, corrupt bool) {
+func (s *Service) quarantine(src query.Keys, corrupt bool) {
 	if corrupt {
 		s.store.NoteCorrupt() // only the store's records are read and decoded
 	}
 	if s.cache != nil {
-		s.cache.Quarantine(src.fp)
+		s.cache.Quarantine(src.FP)
 	}
 	if s.store != nil {
-		s.store.Quarantine(src.fp)
+		s.store.Quarantine(src.FP)
 	}
 	s.obs.poisoned.Inc()
 	if corrupt {
 		s.cfg.Events.Emit(eventlog.LevelWarn, "service", "replayed record failed to decode, quarantined",
-			eventlog.F("fingerprint", src.fp))
+			eventlog.F("fingerprint", src.FP))
 	}
 }
 
@@ -755,14 +756,10 @@ func (s *Service) quarantine(src cacheKey, corrupt bool) {
 // (immutable) snapshot to its background writer and sheds it when the
 // writer is backlogged; blocking is for the caller that must not shed.
 // Callers have checked that the cache is on.
-func (s *Service) admit(k cacheKey, snap *core.Snapshot, blocking bool) {
+func (s *Service) admit(k query.Keys, snap *core.Snapshot, blocking bool) {
 	s.cache.Put(k, snap)
-	switch {
-	case s.store == nil:
-	case blocking:
-		s.store.PutBlocking(k.fp, k.canonFp, k.structFp, k.perm, snap)
-	default:
-		s.store.Put(k.fp, k.canonFp, k.structFp, k.perm, snap)
+	if s.store != nil {
+		s.store.Put(k, snap, blocking)
 	}
 }
 
@@ -803,13 +800,11 @@ func (s *Service) Create(q *query.Query) (string, error) {
 			return "", s.reject("queue", n, lim)
 		}
 	}
-	k := cacheKey{fp: q.Fingerprint()}
+	// One canonicalization per session creation with the cache on; a
+	// cache-less node hashes the exact fingerprint alone, for its events.
+	k := query.Keys{FP: q.Fingerprint()}
 	if s.cache != nil {
-		// One canonicalization per session creation. The structural
-		// digest feeds the drift tier: it survives statistics changes
-		// that move both of the other keys.
-		k.canonFp, k.perm = q.CanonicalFingerprint()
-		k.structFp = q.StructuralFingerprint()
+		k = q.Keys()
 	}
 	st, err := s.resolve(q, k)
 	if err != nil {
@@ -868,7 +863,7 @@ func (s *Service) Create(q *query.Query) (string, error) {
 	s.mgr.add(m)
 	s.obs.created.Inc()
 	s.sched.enqueue(m, true)
-	s.cfg.Events.EmitSession(eventlog.LevelInfo, "service", "session created", id, k.fp, Refining.String(),
+	s.cfg.Events.EmitSession(eventlog.LevelInfo, "service", "session created", id, k.FP, Refining.String(),
 		eventlog.F("provenance", m.provLabel))
 	return m.id, nil
 }

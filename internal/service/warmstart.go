@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/session"
-	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -27,6 +26,27 @@ const (
 var provenanceNames = [...]string{"cold", "exact", "iso", "recost", "resume"}
 
 func (p provenance) String() string { return provenanceNames[p] }
+
+// origin says where a cache entry's snapshot came from.
+type origin uint8
+
+const (
+	originLive      origin = iota // exported by a session of this process
+	originReplay                  // read from the local store
+	originBootstrap               // read from a record pulled from a peer's store
+)
+
+// provenanceLabels is the provenance as reported, by provenance and the
+// source entry's origin: when the entry came off disk its origin rides
+// along as a suffix ("exact-replay", "iso-bootstrap"), so a poll or
+// trace distinguishes state minted this process from state inherited
+// across a restart or pulled from a peer.
+var provenanceLabels = func() (l [len(provenanceNames)][originBootstrap + 1]string) {
+	for p, name := range provenanceNames {
+		l[p] = [...]string{originLive: name, originReplay: name + "-replay", originBootstrap: name + "-bootstrap"}
+	}
+	return l
+}()
 
 // driftOutcome is how statistics drift resolved at a create; its String
 // is Status.Drift.
@@ -57,24 +77,16 @@ var cacheSpan = [...]trace.Kind{provCold: trace.KindCacheMiss, provExact: trace.
 type start struct {
 	sess   *session.Session
 	prov   provenance
-	src    cacheKey // the entry the state was derived from (zero when cold)
-	origin string   // src's origin label: "", "replay" or "bootstrap"
+	src    query.Keys // the entry the state was derived from (zero when cold)
+	origin origin     // where src's snapshot came from
 	drift  driftOutcome
 	class  core.DriftClass // of the stale entry, when one was classified
 	// remap and recost are the creation-path rewrites' wall times.
 	remap, recost time.Duration
 }
 
-// label is the provenance as reported: when the satisfying entry itself
-// came off disk, its origin rides along as a suffix, so a poll or trace
-// distinguishes state minted this process from state inherited across a
-// restart or pulled from a peer.
-func (st *start) label() string {
-	if st.origin == "" {
-		return st.prov.String()
-	}
-	return st.prov.String() + "-" + st.origin
-}
+// label is the provenance as reported (provenanceLabels).
+func (st *start) label() string { return provenanceLabels[st.prov][st.origin] }
 
 // seed writes the creation-path spans retroactively — the session (and
 // its ID) did not exist while they happened.
@@ -99,12 +111,12 @@ func (st *start) seed(tr *trace.Trace) {
 // finds to be poison leaves through the one quarantine (a record that
 // failed its read-side checks has left through it already), and the
 // create itself never fails for a bad cache entry.
-func (s *Service) resolve(q *query.Query, k cacheKey) (start, error) {
+func (s *Service) resolve(q *query.Query, k query.Keys) (start, error) {
 	var st start
 	var err error
 	if s.cache != nil {
 		h, found := s.cache.Lookup(k, s.cold)
-		stale := h.Tier == store.TierStruct
+		stale := h.Tier == query.TierStruct
 		var snap *core.Snapshot
 		var prov provenance
 		poison := false
@@ -114,7 +126,7 @@ func (s *Service) resolve(q *query.Query, k cacheKey) (start, error) {
 			// a cold start.
 		case stale:
 			snap, prov, poison = s.staleRung(q, h, &st)
-		case h.Tier == store.TierExact:
+		case h.Tier == query.TierExact:
 			snap, prov = h.Snap, provExact
 		default:
 			snap, prov = s.isoRung(k, h, &st), provIso
@@ -169,8 +181,8 @@ func restoreFromSnapshot(q *query.Query, cfg core.Config, snap *core.Snapshot) (
 // isoRung is the cross-shape hit: rewrite the cached snapshot from its
 // source labeling onto q's. Failures (which would take a digest
 // collision) just degrade to a cold start.
-func (s *Service) isoRung(k cacheKey, h Hit, st *start) *core.Snapshot {
-	perm, err := query.ComposeRemap(h.Src.perm, k.perm)
+func (s *Service) isoRung(k query.Keys, h Hit, st *start) *core.Snapshot {
+	perm, err := query.ComposeRemap(h.Src.Perm, k.Perm)
 	if err != nil {
 		return nil
 	}

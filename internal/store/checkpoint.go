@@ -37,21 +37,17 @@ const (
 	checkpointVersion = 1
 )
 
-// checkpoint is a decoded checkpoint file.
+// checkpoint is a decoded checkpoint file: its records are index
+// entries without a write stamp.
 type checkpoint struct {
 	hot     []string
 	segs    []cpSegment
-	records []cpRecord
+	records []location
 }
 
 type cpSegment struct {
 	seq int64
 	segment
-}
-
-type cpRecord struct {
-	rec Record
-	loc location
 }
 
 // encodeCheckpointLocked seals the store's current index, segment list
@@ -81,14 +77,14 @@ func (s *Store) encodeCheckpointLocked(hot []string) []byte {
 	live := s.liveInOrder()
 	b = binary.AppendUvarint(b, uint64(len(live)))
 	for _, l := range live {
-		b = snapcodec.AppendString(b, l.fp)
-		b = snapcodec.AppendString(b, l.loc.canonFp)
-		b = snapcodec.AppendString(b, l.loc.structFp)
-		b = binary.AppendUvarint(b, l.loc.epoch)
-		b = appendPerm(b, l.loc.perm)
-		b = binary.AppendUvarint(b, uint64(l.loc.seg))
-		b = binary.AppendUvarint(b, uint64(l.loc.off))
-		b = binary.AppendUvarint(b, uint64(l.loc.size))
+		b = snapcodec.AppendString(b, l.keys.FP)
+		b = snapcodec.AppendString(b, l.keys.CanonFP)
+		b = snapcodec.AppendString(b, l.keys.StructFP)
+		b = binary.AppendUvarint(b, l.epoch)
+		b = appendPerm(b, l.keys.Perm)
+		b = binary.AppendUvarint(b, uint64(l.seg))
+		b = binary.AppendUvarint(b, uint64(l.off))
+		b = binary.AppendUvarint(b, uint64(l.size))
 	}
 	return sealFrame(b)
 }
@@ -145,13 +141,13 @@ func (s *Store) readCheckpoint() (cp checkpoint, ok bool) {
 		copy(c.lastHdr[:], r.Bytes(frameHeaderLen))
 		c.tombs, c.rejected, c.maxEpoch = r.Uvarint(), r.Uvarint(), r.Uvarint()
 	}
-	cp.records = make([]cpRecord, r.Count())
+	cp.records = make([]location, r.Count())
 	for i := range cp.records {
-		c := &cp.records[i]
-		c.rec.FP, c.rec.CanonFP, c.rec.StructFP = r.Str(), r.Str(), r.Str()
-		c.rec.StatsEpoch = r.Uvarint()
-		c.rec.Perm = readPerm(&r)
-		c.loc.seg, c.loc.off, c.loc.size = r.Int64(), r.Int64(), r.Int64()
+		l := &cp.records[i]
+		l.keys.FP, l.keys.CanonFP, l.keys.StructFP = r.Str(), r.Str(), r.Str()
+		l.epoch = r.Uvarint()
+		l.keys.Perm = readPerm(&r)
+		l.seg, l.off, l.size = r.Int64(), r.Int64(), r.Int64()
 	}
 	return cp, r.Err() == nil && r.Len() == 0
 }
@@ -195,12 +191,12 @@ func (s *Store) adopt(seqs []int64) (next int, from int64) {
 		s.stats.Rejected += seg.rejected
 		s.maxEpoch = max(s.maxEpoch, seg.maxEpoch)
 	}
-	for _, c := range cp.records {
-		seg, ok := s.segments[c.loc.seg]
-		if !ok || c.loc.off < 0 || c.loc.size < frameHeaderLen || c.loc.off > seg.size-c.loc.size {
+	for _, l := range cp.records {
+		seg, ok := s.segments[l.seg]
+		if !ok || l.off < 0 || l.size < frameHeaderLen || l.off > seg.size-l.size {
 			continue // in a segment not adopted, or outside what it covers
 		}
-		s.indexRecord(c.rec, c.loc)
+		s.indexRecord(l)
 	}
 	s.stats.DeadBytes = covered - s.stats.LiveBytes
 	s.stats.AdoptedSegments = n

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultfs"
+	"repro/internal/query"
 	"repro/internal/snapcodec"
 	"repro/internal/workload"
 )
@@ -31,7 +32,7 @@ func TestCheckpointHotSetRoundTrip(t *testing.T) {
 	if got := s.Hot(); got != nil {
 		t.Fatalf("fresh directory has a hot set: %v", got)
 	}
-	s.Put("fpA", "canonA", "", nil, testSnapshot(t, "Q4"))
+	s.Put(query.Keys{FP: "fpA", CanonFP: "canonA"}, testSnapshot(t, "Q4"), false)
 	want := []string{"fpC", "fpA", "fpB"}
 	if err := s.Close(want...); err != nil {
 		t.Fatal(err)
@@ -104,9 +105,9 @@ func TestCheckpointHotSetRoundTrip(t *testing.T) {
 func TestReplayIsWalkLoadDecode(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, nil)
-	s.Put("fpA", "canonA", "structA", []int{1, 0}, testSnapshot(t, "Q4"))
-	s.Put("fpB", "canonB", "structB", nil, testSnapshot(t, "Q12"))
-	s.Put("fpA", "canonA2", "structA", []int{0, 1}, testSnapshot(t, "Q14")) // supersedes, moves to the end
+	s.Put(query.Keys{FP: "fpA", CanonFP: "canonA", StructFP: "structA", Perm: []int{1, 0}}, testSnapshot(t, "Q4"), false)
+	s.Put(query.Keys{FP: "fpB", CanonFP: "canonB", StructFP: "structB"}, testSnapshot(t, "Q12"), false)
+	s.Put(query.Keys{FP: "fpA", CanonFP: "canonA2", StructFP: "structA", Perm: []int{0, 1}}, testSnapshot(t, "Q14"), false) // supersedes, moves to the end
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -218,10 +219,9 @@ func randomOps(t *testing.T, rng *rand.Rand, s *Store, snaps ckptSnapshots, n in
 		case k == 0:
 			s.Quarantine(fp)
 		case k == 1:
-			s.PutBlocking(fp, "canonX", "structX", nil, foreignSnap(t))
+			s.Put(query.Keys{FP: fp, CanonFP: "canonX", StructFP: "structX"}, foreignSnap(t), true)
 		default:
-			s.PutBlocking(fp, fmt.Sprintf("canon%d", rng.Intn(3)), fmt.Sprintf("struct%d", rng.Intn(3)),
-				rng.Perm(rng.Intn(4)), snaps.get(t, ckptBlocks[rng.Intn(len(ckptBlocks))], uint64(rng.Intn(3))))
+			s.Put(query.Keys{FP: fp, CanonFP: fmt.Sprintf("canon%d", rng.Intn(3)), StructFP: fmt.Sprintf("struct%d", rng.Intn(3)), Perm: rng.Perm(rng.Intn(4))}, snaps.get(t, ckptBlocks[rng.Intn(len(ckptBlocks))], uint64(rng.Intn(3))), true)
 		}
 	}
 	if err := s.Flush(); err != nil {
@@ -323,7 +323,7 @@ func TestCheckpointBootMatchesScan(t *testing.T) {
 				fp := fmt.Sprintf("fp%d", rng.Intn(2))
 				snap := snaps.get(t, ckptBlocks[rng.Intn(len(ckptBlocks))], 0)
 				for _, s := range []*Store{a, b} {
-					s.PutBlocking(fp, "canonN", "structN", nil, snap)
+					s.Put(query.Keys{FP: fp, CanonFP: "canonN", StructFP: "structN"}, snap, true)
 					if err := s.Flush(); err != nil {
 						t.Fatal(err)
 					}
@@ -489,7 +489,7 @@ func TestCheckpointFaultMatrix(t *testing.T) {
 		}, 2, false},
 		{"segment appended to by a killed life", func(t *testing.T, l *layout) []string {
 			crashedLife(t, l.dir, roll, func(s *Store) {
-				s.PutBlocking("late", "canonL", "", nil, testSnapshot(t, "Q19"))
+				s.Put(query.Keys{FP: "late", CanonFP: "canonL"}, testSnapshot(t, "Q19"), true)
 				if err := s.Flush(); err != nil {
 					t.Fatal(err)
 				}
@@ -513,7 +513,7 @@ func TestCheckpointFaultMatrix(t *testing.T) {
 				roll(o)
 				o.MinCompactBytes, o.CompactFraction = 1, 0.01
 			}, func(s *Store) {
-				s.PutBlocking("r0", "canon0", "", nil, testSnapshot(t, "Q17"))
+				s.Put(query.Keys{FP: "r0", CanonFP: "canon0"}, testSnapshot(t, "Q17"), true)
 				if err := s.Flush(); err != nil {
 					t.Fatal(err)
 				}
@@ -555,7 +555,7 @@ func TestCheckpointFaultMatrix(t *testing.T) {
 			l := layout{dir: t.TempDir(), want: map[string][]byte{}, seg: map[string]int64{}}
 			s := openTestStore(t, l.dir, roll)
 			for i, block := range []string{"Q4", "Q12", "Q13", "Q14", "Q17", "Q19"} {
-				s.PutBlocking(fmt.Sprintf("r%d", i), fmt.Sprintf("canon%d", i), "", []int{1, 0}, testSnapshot(t, block))
+				s.Put(query.Keys{FP: fmt.Sprintf("r%d", i), CanonFP: fmt.Sprintf("canon%d", i), Perm: []int{1, 0}}, testSnapshot(t, block), true)
 			}
 			if err := s.Flush(); err != nil {
 				t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/query"
 	"repro/internal/workload"
 )
 
@@ -34,8 +35,8 @@ func epochSnapshot(t *testing.T, block string, epoch uint64) *core.Snapshot {
 func TestStoreStatsEpochRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, nil)
-	s.Put("fpA", "canonA", "structA", []int{1, 0}, epochSnapshot(t, "Q4", 3))
-	s.Put("fpB", "canonB", "structB", nil, epochSnapshot(t, "Q12", 7))
+	s.Put(query.Keys{FP: "fpA", CanonFP: "canonA", StructFP: "structA", Perm: []int{1, 0}}, epochSnapshot(t, "Q4", 3), false)
+	s.Put(query.Keys{FP: "fpB", CanonFP: "canonB", StructFP: "structB"}, epochSnapshot(t, "Q12", 7), false)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestStoreStatsEpochRoundTrip(t *testing.T) {
 
 	// A newer epoch arriving live raises the maximum and stales both
 	// older records.
-	re.PutBlocking("fpC", "canonC", "structC", nil, epochSnapshot(t, "Q13", 9))
+	re.Put(query.Keys{FP: "fpC", CanonFP: "canonC", StructFP: "structC"}, epochSnapshot(t, "Q13", 9), true)
 	if err := re.Flush(); err != nil {
 		t.Fatal(err)
 	}

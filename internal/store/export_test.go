@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"repro/internal/query"
 )
 
 // TestExportManifestRoundTrip pins the donor side of peer bootstrap: the
@@ -17,8 +19,8 @@ func TestExportManifestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, nil)
 	defer s.Close()
-	s.Put("fpA", "canonA", "", []int{1, 0}, testSnapshot(t, "Q4"))
-	s.Put("fpB", "canonB", "", nil, testSnapshot(t, "Q12"))
+	s.Put(query.Keys{FP: "fpA", CanonFP: "canonA", Perm: []int{1, 0}}, testSnapshot(t, "Q4"), false)
+	s.Put(query.Keys{FP: "fpB", CanonFP: "canonB"}, testSnapshot(t, "Q12"), false)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +81,8 @@ func TestExportManifestRoundTrip(t *testing.T) {
 func TestValidFramesStopsAtCorruption(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, nil)
-	s.Put("fpA", "canonA", "", nil, testSnapshot(t, "Q4"))
-	s.Put("fpB", "canonB", "", nil, testSnapshot(t, "Q12"))
+	s.Put(query.Keys{FP: "fpA", CanonFP: "canonA"}, testSnapshot(t, "Q4"), false)
+	s.Put(query.Keys{FP: "fpB", CanonFP: "canonB"}, testSnapshot(t, "Q12"), false)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +127,7 @@ func TestExportStaleAfterCompaction(t *testing.T) {
 	})
 	defer s.Close()
 	snap := testSnapshot(t, "Q4")
-	s.Put("keep", "canonK", "", nil, testSnapshot(t, "Q12"))
+	s.Put(query.Keys{FP: "keep", CanonFP: "canonK"}, testSnapshot(t, "Q12"), false)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +135,7 @@ func TestExportStaleAfterCompaction(t *testing.T) {
 
 	// Supersede until compaction rewrites the directory.
 	for i := 0; i < 8; i++ {
-		s.Put("hot", "canonH", "", nil, snap)
+		s.Put(query.Keys{FP: "hot", CanonFP: "canonH"}, snap, false)
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
@@ -173,7 +175,7 @@ func TestExportRacesCompaction(t *testing.T) {
 	})
 	defer s.Close()
 	snap := testSnapshot(t, "Q4")
-	s.Put("seed", "canonS", "", nil, snap)
+	s.Put(query.Keys{FP: "seed", CanonFP: "canonS"}, snap, false)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +191,7 @@ func TestExportRacesCompaction(t *testing.T) {
 				return
 			default:
 			}
-			s.PutBlocking("hot", "canonH", "", nil, snap)
+			s.Put(query.Keys{FP: "hot", CanonFP: "canonH"}, snap, true)
 			if i%4 == 3 {
 				_ = s.Flush()
 			}

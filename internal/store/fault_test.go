@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/faultfs"
+	"repro/internal/query"
 )
 
 // TestStoreQuarantineTombstone checks the poison-marking contract
@@ -16,8 +17,8 @@ func TestStoreQuarantineTombstone(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, nil)
 	snapA, snapB := testSnapshot(t, "Q4"), testSnapshot(t, "Q12")
-	s.Put("fpA", "canonA", "", nil, snapA)
-	s.Put("fpB", "canonB", "", nil, snapB)
+	s.Put(query.Keys{FP: "fpA", CanonFP: "canonA"}, snapA, false)
+	s.Put(query.Keys{FP: "fpB", CanonFP: "canonB"}, snapB, false)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestStoreQuarantineTombstone(t *testing.T) {
 
 	// A fresh re-export (the cold re-optimization's snapshot) writes
 	// after the tombstone and is live again.
-	re.Put("fpA", "canonA", "", nil, snapA)
+	re.Put(query.Keys{FP: "fpA", CanonFP: "canonA"}, snapA, false)
 	if err := re.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +83,9 @@ func TestStoreDegradedEnterAndDrop(t *testing.T) {
 	inj.FailOps(syscall.ENOSPC, faultfs.OpWrite)
 	snap := testSnapshot(t, "Q4")
 
-	s.Put("fp1", "c", "", nil, snap)
-	s.Put("fp2", "c", "", nil, snap)
-	s.Put("fp3", "c", "", nil, snap)
+	s.Put(query.Keys{FP: "fp1", CanonFP: "c"}, snap, false)
+	s.Put(query.Keys{FP: "fp2", CanonFP: "c"}, snap, false)
+	s.Put(query.Keys{FP: "fp3", CanonFP: "c"}, snap, false)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestStoreDegradedEnterAndDrop(t *testing.T) {
 			st.DegradedDrops, st.Persisted)
 	}
 	writesBefore := inj.Count(faultfs.OpWrite)
-	s.Put("fp4", "c", "", nil, snap)
+	s.Put(query.Keys{FP: "fp4", CanonFP: "c"}, snap, false)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestStoreDegradedProbeRecover(t *testing.T) {
 	inj.FailOps(syscall.ENOSPC, faultfs.OpWrite)
 	snap := testSnapshot(t, "Q4")
 
-	s.Put("lost", "c", "", nil, snap)
+	s.Put(query.Keys{FP: "lost", CanonFP: "c"}, snap, false)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestStoreDegradedProbeRecover(t *testing.T) {
 	// Past the (jittered, <= 6ms) backoff the next append is a probe;
 	// the disk is still broken, so it fails and the store stays down.
 	time.Sleep(10 * time.Millisecond)
-	s.Put("probe-fail", "c", "", nil, snap)
+	s.Put(query.Keys{FP: "probe-fail", CanonFP: "c"}, snap, false)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestStoreDegradedProbeRecover(t *testing.T) {
 			t.Fatalf("store never recovered after heal: %+v", s.Stats())
 		}
 		time.Sleep(5 * time.Millisecond)
-		s.Put("recovered", "c", "", nil, snap)
+		s.Put(query.Keys{FP: "recovered", CanonFP: "c"}, snap, false)
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +172,7 @@ func TestStoreDegradedProbeRecover(t *testing.T) {
 	}
 	// Persistence is fully back: a further Put lands without drops.
 	drops := st.DegradedDrops
-	s.Put("after", "c", "", nil, snap)
+	s.Put(query.Keys{FP: "after", CanonFP: "c"}, snap, false)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestStoreSyncFailureCountsTowardDegraded(t *testing.T) {
 		o.ProbeInterval = time.Hour
 	})
 	defer s.Close()
-	s.Put("fp", "c", "", nil, testSnapshot(t, "Q4"))
+	s.Put(query.Keys{FP: "fp", CanonFP: "c"}, testSnapshot(t, "Q4"), false)
 	inj.FailOps(syscall.EIO, faultfs.OpSync)
 	if err := s.Flush(); err == nil {
 		t.Fatal("flush swallowed the fsync failure")

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/query"
 )
 
 // TestFindMatchesReference drives a seeded stream of Puts over six
@@ -15,12 +17,14 @@ import (
 // every step Find must answer every key as the reference kept here
 // does: a fingerprint's live record, a class's most recently written
 // live record or nothing, and whether that record was on disk when the
-// store last opened.
+// store last opened. The record's keys must be the ones it was put
+// under, its random permutation included, through the scan, the
+// checkpoint and compaction.
 func TestFindMatchesReference(t *testing.T) {
 	type ref struct {
-		canon, structFp string
-		written         int // write order
-		atOpen          bool
+		keys    query.Keys
+		written int // write order
+		atOpen  bool
 	}
 	snaps := ckptSnapshots{}
 	opts := func(o *Options) { o.MaxSegmentBytes = 40 << 10; o.MinCompactBytes = 1 }
@@ -36,27 +40,26 @@ func TestFindMatchesReference(t *testing.T) {
 				t.Helper()
 				for i := 0; i < 6; i++ {
 					fp := fmt.Sprintf("fp%d", i)
-					rec, atOpen, ok := s.Find(TierExact, fp)
+					rec, atOpen, ok := s.Find(query.TierExact, fp)
 					r := live[fp]
-					if ok != (r != nil) || ok && (rec.FP != fp || rec.CanonFP != r.canon || rec.StructFP != r.structFp || atOpen != r.atOpen) {
+					if ok != (r != nil) || ok && (!rec.Keys.Equal(&r.keys) || atOpen != r.atOpen) {
 						t.Fatalf("step %d: Find(exact, %s) = %+v, at open %v, %v; want %+v", step, fp, rec, atOpen, ok, r)
 					}
 				}
-				for _, tier := range []Tier{TierCanon, TierStruct} {
+				for _, tier := range []query.Tier{query.TierCanon, query.TierStruct} {
 					for i := 0; i < 3; i++ {
 						key := fmt.Sprintf("canon%d", i)
-						if tier == TierStruct {
+						if tier == query.TierStruct {
 							key = fmt.Sprintf("struct%d", i)
 						}
 						want := ""
 						for fp, r := range live {
-							if (tier == TierCanon && r.canon == key || tier == TierStruct && r.structFp == key) &&
-								(want == "" || r.written > live[want].written) {
+							if r.keys.Key(tier) == key && (want == "" || r.written > live[want].written) {
 								want = fp
 							}
 						}
 						rec, atOpen, ok := s.Find(tier, key)
-						if ok != (want != "") || ok && (rec.FP != want || atOpen != live[want].atOpen) {
+						if ok != (want != "") || ok && (!rec.Keys.Equal(&live[want].keys) || atOpen != live[want].atOpen) {
 							t.Fatalf("step %d: Find(%d, %s) = %s, at open %v, %v; want %q", step, tier, key, rec.FP, atOpen, ok, want)
 						}
 					}
@@ -70,12 +73,13 @@ func TestFindMatchesReference(t *testing.T) {
 					delete(live, fp)
 				case k == 1:
 					// Rejected at append: fp's live record, if any, stays.
-					s.PutBlocking(fp, "canon0", "struct0", nil, foreignSnap(t))
+					s.Put(query.Keys{FP: fp, CanonFP: "canon0", StructFP: "struct0"}, foreignSnap(t), true)
 				default:
-					canon, structFp := fmt.Sprintf("canon%d", rng.Intn(3)), fmt.Sprintf("struct%d", rng.Intn(3))
-					s.PutBlocking(fp, canon, structFp, rng.Perm(rng.Intn(4)), snaps.get(t, ckptBlocks[rng.Intn(len(ckptBlocks))], 0))
+					k := query.Keys{FP: fp, CanonFP: fmt.Sprintf("canon%d", rng.Intn(3)), StructFP: fmt.Sprintf("struct%d", rng.Intn(3)),
+						Perm: rng.Perm(rng.Intn(4))}
+					s.Put(k, snaps.get(t, ckptBlocks[rng.Intn(len(ckptBlocks))], 0), true)
 					writes++
-					live[fp] = &ref{canon, structFp, writes, false}
+					live[fp] = &ref{k, writes, false}
 				}
 				if err := s.Flush(); err != nil {
 					t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/query"
 	"repro/internal/snapcodec"
 )
 
@@ -46,7 +47,7 @@ func writeGoldenStore(t *testing.T, dir string, snap *core.Snapshot) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.PutBlocking(goldenFP, goldenCanon, goldenStruct, goldenPerm, snap)
+	s.Put(query.Keys{FP: goldenFP, CanonFP: goldenCanon, StructFP: goldenStruct, Perm: goldenPerm}, snap, true)
 	s.Quarantine(goldenTomb)
 	if err := s.Close(goldenHot...); err != nil {
 		t.Fatal(err)
@@ -153,9 +154,9 @@ func TestGoldenFormats(t *testing.T) {
 		t.Fatalf("hot set %v, want %v", s.Hot(), goldenHot)
 	}
 	for _, q := range []struct {
-		t   Tier
+		t   query.Tier
 		key string
-	}{{TierExact, goldenFP}, {TierCanon, goldenCanon}, {TierStruct, goldenStruct}} {
+	}{{query.TierExact, goldenFP}, {query.TierCanon, goldenCanon}, {query.TierStruct, goldenStruct}} {
 		got, atOpen, ok := s.Find(q.t, q.key)
 		if !ok || !atOpen || got.FP != goldenFP || got.CanonFP != goldenCanon || got.StructFP != goldenStruct ||
 			!slices.Equal(got.Perm, goldenPerm) || got.StatsEpoch != 7 {

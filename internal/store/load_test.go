@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/faultfs"
+	"repro/internal/query"
 	"repro/internal/snapcodec"
 )
 
@@ -75,8 +76,8 @@ func TestLoadVerifiesFrame(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			s := openTestStore(t, dir, nil)
-			s.Put("fpA", "canonA", "", nil, testSnapshot(t, "Q4"))
-			s.Put("fpB", "canonB", "", nil, testSnapshot(t, "Q4"))
+			s.Put(query.Keys{FP: "fpA", CanonFP: "canonA"}, testSnapshot(t, "Q4"), false)
+			s.Put(query.Keys{FP: "fpB", CanonFP: "canonB"}, testSnapshot(t, "Q4"), false)
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +110,7 @@ func TestLoadVerifiesFrame(t *testing.T) {
 		dir := t.TempDir()
 		s := openTestStore(t, dir, nil)
 		defer s.Close()
-		s.Put("fpA", "canonA", "", nil, testSnapshot(t, "Q4"))
+		s.Put(query.Keys{FP: "fpA", CanonFP: "canonA"}, testSnapshot(t, "Q4"), false)
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +125,7 @@ func TestLoadVerifiesFrame(t *testing.T) {
 	t.Run("quarantined", func(t *testing.T) {
 		s := openTestStore(t, t.TempDir(), nil)
 		defer s.Close()
-		s.Put("fpA", "canonA", "", nil, testSnapshot(t, "Q4"))
+		s.Put(query.Keys{FP: "fpA", CanonFP: "canonA"}, testSnapshot(t, "Q4"), false)
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -143,12 +144,12 @@ func TestLoadVerifiesFrame(t *testing.T) {
 			o.ProbeInterval = time.Hour
 		})
 		defer s.Close()
-		s.Put("fpA", "canonA", "", nil, testSnapshot(t, "Q4"))
+		s.Put(query.Keys{FP: "fpA", CanonFP: "canonA"}, testSnapshot(t, "Q4"), false)
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		inj.FailOps(syscall.ENOSPC, faultfs.OpWrite)
-		s.Put("fpB", "canonB", "", nil, testSnapshot(t, "Q12"))
+		s.Put(query.Keys{FP: "fpB", CanonFP: "canonB"}, testSnapshot(t, "Q12"), false)
 		_ = s.Flush()
 		if !s.Stats().Degraded {
 			t.Fatal("the store did not degrade")
@@ -228,7 +229,7 @@ func TestLoadRacesWriter(t *testing.T) {
 		if i%37 == 36 {
 			s.Quarantine(fp)
 		}
-		s.PutBlocking(fp, "canon", "", nil, testSnapshot(t, blocks[i%len(blocks)]))
+		s.Put(query.Keys{FP: fp, CanonFP: "canon"}, testSnapshot(t, blocks[i%len(blocks)]), true)
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
@@ -253,7 +254,7 @@ func TestLoadRacesWriter(t *testing.T) {
 func TestLoadDoesNotWaitForTheWriter(t *testing.T) {
 	inj := faultfs.NewInjector(nil)
 	s := openTestStore(t, t.TempDir(), func(o *Options) { o.FS = inj })
-	s.Put("fpA", "canonA", "", nil, testSnapshot(t, "Q4"))
+	s.Put(query.Keys{FP: "fpA", CanonFP: "canonA"}, testSnapshot(t, "Q4"), false)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -283,6 +284,54 @@ func TestLoadDoesNotWaitForTheWriter(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Error("Load or Walk waited for the store mutex the parked fsync holds")
+	}
+	close(release)
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPutDoesNotWaitForTheWriter: with the writer parked inside an
+// fsync and its one-deep queue full, a Put sheds its record at once and
+// counts the drop — it does not wait for the store mutex the fsync
+// holds.
+func TestPutDoesNotWaitForTheWriter(t *testing.T) {
+	inj := faultfs.NewInjector(nil)
+	s := openTestStore(t, t.TempDir(), func(o *Options) { o.FS = inj; o.QueueDepth = 1 })
+	snap := testSnapshot(t, "Q4")
+	s.Put(query.Keys{FP: "fpA", CanonFP: "canonA"}, snap, false)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	inj.SetScript(func(op faultfs.Op, _ string, _ uint64) faultfs.Fault {
+		if op == faultfs.OpSync {
+			close(entered)
+			<-release
+		}
+		return faultfs.Fault{}
+	})
+	flushed := make(chan error, 1)
+	go func() { flushed <- s.Flush() }()
+	<-entered
+	inj.SetScript(nil)
+
+	done := make(chan struct{})
+	go func() {
+		s.Put(query.Keys{FP: "fpB"}, snap, false) // fills the queue
+		s.Put(query.Keys{FP: "fpC"}, snap, false) // finds it full
+		close(done)
+	}()
+	select {
+	case <-done:
+		if got := s.Instruments().Dropped.Value(); got != 1 {
+			t.Errorf("a Put beside a parked writer dropped %d records, want 1", got)
+		}
+	case <-time.After(time.Second):
+		t.Error("a shedding Put waited for the store mutex the parked fsync holds")
 	}
 	close(release)
 	if err := <-flushed; err != nil {

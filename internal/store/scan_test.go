@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/faultfs"
+	"repro/internal/query"
 	"repro/internal/snapcodec"
 )
 
@@ -66,8 +67,7 @@ func (r *refScan) segment(seq int64, data []byte) int64 {
 				r.stats.DeadBytes += old.size
 				r.stats.LiveBytes -= old.size
 			}
-			r.index[rec.FP] = location{seg: seq, off: off, size: size, order: r.nextOrder, epoch: rec.StatsEpoch,
-				canonFp: rec.CanonFP, structFp: rec.StructFP, perm: rec.Perm}
+			r.index[rec.FP] = location{seg: seq, off: off, size: size, order: r.nextOrder, epoch: rec.StatsEpoch, keys: rec.Keys}
 			r.nextOrder++
 			r.stats.LiveBytes += size
 			r.stats.Loaded++
@@ -94,7 +94,7 @@ func fakeFrame(rng *rand.Rand, fp, echo string, blobLen int) []byte {
 			panic("fakeFrame: the codec header moved")
 		}
 	}
-	rec := Record{FP: fp, CanonFP: fmt.Sprintf("canon%d", rng.Intn(4)), StructFP: fmt.Sprintf("struct%d", rng.Intn(3)),
+	rec := Record{Keys: query.Keys{FP: fp, CanonFP: fmt.Sprintf("canon%d", rng.Intn(4)), StructFP: fmt.Sprintf("struct%d", rng.Intn(3))},
 		StatsEpoch: uint64(rng.Intn(4))}
 	rec.Perm = rng.Perm(rng.Intn(5))
 	return encodeFrame(rec, echo, blob)
@@ -306,7 +306,7 @@ func TestScanReadErrorSealsSegment(t *testing.T) {
 			dir := t.TempDir()
 			s := openTestStore(t, dir, nil)
 			for i := 0; i < old; i++ {
-				s.PutBlocking(fmt.Sprintf("old%02d", i), "", "", nil, testSnapshot(t, "Q10"))
+				s.Put(query.Keys{FP: fmt.Sprintf("old%02d", i)}, testSnapshot(t, "Q10"), true)
 			}
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
@@ -341,7 +341,7 @@ func TestScanReadErrorSealsSegment(t *testing.T) {
 			if st := s.Stats(); st.Corrupted != 1 || st.LiveRecords != wantLive || st.WriteErrors != 0 {
 				t.Fatalf("after the faulted scan: %+v, want 1 corrupted and %d live", st, wantLive)
 			}
-			s.PutBlocking("new", "canonN", "", nil, testSnapshot(t, "Q4"))
+			s.Put(query.Keys{FP: "new", CanonFP: "canonN"}, testSnapshot(t, "Q4"), true)
 			if err := s.Flush(); err != nil {
 				t.Fatal(err)
 			}

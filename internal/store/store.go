@@ -1,10 +1,9 @@
 // Package store persists warm-start snapshots across process restarts:
 // a disk-backed, append-only companion to the service's in-memory plan
-// cache (service.PlanCache). Records — (exact fingerprint, canonical
-// digest, structural fingerprint, canonical permutation,
-// snapcodec-encoded snapshot) — are appended to numbered segment files
-// by a background writer, so persistence never blocks the refinement or
-// session-creation paths. The store keeps an index of every live
+// cache (service.PlanCache). Records — a query's cache keys
+// (query.Keys) and its snapcodec-encoded snapshot — are appended to
+// numbered segment files by a background writer, so persistence never
+// blocks the refinement or session-creation paths. The store keeps an index of every live
 // record's keys and location and nothing of its snapshot. Close leaves
 // that index beside the log as a checkpoint (checkpoint.go); Open
 // adopts it for the prefix of segments that still matches and scans
@@ -70,6 +69,7 @@ import (
 	"repro/internal/eventlog"
 	"repro/internal/faultfs"
 	"repro/internal/metrics"
+	"repro/internal/query"
 	"repro/internal/snapcodec"
 )
 
@@ -163,23 +163,10 @@ func (o *Options) defaults() error {
 
 // Record is one persisted snapshot with its cache keys: everything a
 // service needs to re-admit the snapshot into every tier of its plan
-// cache. Find and Walk yield records with the keys only (Snap nil,
-// nothing read); Replay yields them whole.
+// cache. FP is the store's dedup key. Find and Walk yield records with
+// the keys only (Snap nil, nothing read); Replay yields them whole.
 type Record struct {
-	// FP is the exact query fingerprint (the exact cache-tier key and
-	// the store's dedup key).
-	FP string
-	// CanonFP is the canonical digest (the isomorphism-tier key).
-	CanonFP string
-	// StructFP is the statistics-free structural fingerprint (the
-	// drift-tier key: it still matches after the source query's
-	// statistics change).
-	StructFP string
-	// Perm is the source query's table→canonical-position permutation,
-	// needed to rewrite the snapshot for isomorphic queries. The store's
-	// index shares the slice with what Put got and what it hands out;
-	// nobody writes to it.
-	Perm []int
+	query.Keys
 	// StatsEpoch is the statistics-epoch label the snapshot was costed
 	// under, duplicated out of the blob so the startup scan can count
 	// stale records without decoding plan state.
@@ -271,9 +258,7 @@ type location struct {
 	size  int64  // frame length in bytes
 	order uint64 // monotonic (re)write stamp; Walk yields ascending
 	epoch uint64 // statistics-epoch label (for the stale-record gauge)
-
-	canonFp, structFp string
-	perm              []int
+	keys  query.Keys
 }
 
 // segment is what the store knows of one segment file: the length of
@@ -317,7 +302,7 @@ type Store struct {
 	maxEpoch  uint64             // newest statistics-epoch label seen
 	hot       []string           // the checkpoint's hot set, read by Open
 	stats     Stats
-	closed    bool
+	closed    atomic.Bool // set once by Close; read without mu by a shedding Put
 
 	// generation counts compactions: the only event that deletes or
 	// rewrites segment bytes a peer export may be reading. Segment files
@@ -556,7 +541,8 @@ func (s *Store) indexFrames(seq, off int64, path string, w *scanWindow) (int64, 
 		if !ok {
 			break
 		}
-		switch s.indexFrame(rec, cfgEcho, blob, location{seg: seq, off: off, size: end - off}) {
+		loc := location{seg: seq, off: off, size: end - off, epoch: rec.StatsEpoch, keys: rec.Keys}
+		switch s.indexFrame(loc, cfgEcho, blob) {
 		case frameLive:
 			s.stats.Loaded++
 		case frameKilled:
@@ -575,12 +561,12 @@ const (
 	frameKilled        // a tombstone that dropped a live record
 )
 
-// indexFrame classifies one verified frame found at loc — tombstone,
-// foreign record or live record — and updates the index, the segment's
-// tally and the counters. The scan and the writer's appends both go
-// through it, so the index a life ends with is the one a scan of its
-// log would build.
-func (s *Store) indexFrame(rec Record, cfgEcho string, blob []byte, loc location) int {
+// indexFrame classifies one verified frame found at loc, which carries
+// the frame's keys and epoch — tombstone, foreign record or live record
+// — and updates the index, the segment's tally and the counters. The
+// scan and the writer's appends both go through it, so the index a life
+// ends with is the one a scan of its log would build.
+func (s *Store) indexFrame(loc location, cfgEcho string, blob []byte) int {
 	seg := s.segments[loc.seg]
 	switch {
 	case len(blob) == 0:
@@ -593,7 +579,7 @@ func (s *Store) indexFrame(rec Record, cfgEcho string, blob []byte, loc location
 		seg.tombs++
 		s.inst.Tombstones.Inc()
 		s.stats.DeadBytes += loc.size
-		if s.unindex(rec.FP) {
+		if s.unindex(loc.keys.FP) {
 			return frameKilled
 		}
 	case cfgEcho != s.opts.CfgEcho || !snapcodec.CompatibleHeader(blob):
@@ -605,8 +591,8 @@ func (s *Store) indexFrame(rec Record, cfgEcho string, blob []byte, loc location
 		s.stats.Rejected++
 		s.stats.DeadBytes += loc.size
 	default:
-		seg.maxEpoch = max(seg.maxEpoch, rec.StatsEpoch)
-		s.indexRecord(rec, loc)
+		seg.maxEpoch = max(seg.maxEpoch, loc.epoch)
+		s.indexRecord(loc)
 		return frameLive
 	}
 	return frameDead
@@ -657,30 +643,29 @@ func (w *scanWindow) bytes(off int64, n int) ([]byte, error) {
 	return w.buf[off-w.start:][:n], nil
 }
 
-// indexRecord makes loc, completed with rec's keys and the next write
-// stamp, fp's live record, marking any superseded record's bytes dead
+// indexRecord makes loc, stamped with the next write stamp, the live
+// record of its fingerprint, marking any superseded record's bytes dead
 // (a re-persist moves the fingerprint to the end of the walk order,
 // exactly like a live Put sequence would). Callers hold mu (or run
 // before the writer starts).
-func (s *Store) indexRecord(rec Record, loc location) {
-	old, had := s.index[rec.FP]
+func (s *Store) indexRecord(loc location) {
+	fp := loc.keys.FP
+	old, had := s.index[fp]
 	if had {
 		s.stats.DeadBytes += old.size
 		s.stats.LiveBytes -= old.size
 	}
 	loc.order = s.nextOrder
 	s.nextOrder++
-	loc.epoch = rec.StatsEpoch
-	loc.canonFp, loc.structFp, loc.perm = rec.CanonFP, rec.StructFP, rec.Perm
 	s.idxMu.Lock()
-	s.index[rec.FP] = loc
-	for t := TierCanon; t <= TierStruct; t++ {
-		if key := loc.key(t); key != "" {
-			s.classes[class{t, key}] = rec.FP
+	s.index[fp] = loc
+	for t := query.TierCanon; t <= query.TierStruct; t++ {
+		if key := loc.keys.Key(t); key != "" {
+			s.classes[class{t, key}] = fp
 		}
 	}
 	if had {
-		s.releaseLocked(rec.FP, old)
+		s.releaseLocked(fp, old)
 	}
 	s.idxMu.Unlock()
 	s.stats.LiveBytes += loc.size
@@ -704,28 +689,11 @@ func (s *Store) unindex(fp string) bool {
 	return ok
 }
 
-// Tier names the key a Find goes by: one of the plan cache's tiers.
-type Tier uint8
-
-const (
-	TierExact  Tier = iota // the exact fingerprint
-	TierCanon              // the canonical digest (isomorphism class)
-	TierStruct             // the structural fingerprint (drift class)
-)
-
-// class is a classes key: the digest of a class in tier TierCanon or
-// TierStruct.
+// class is a classes key: the digest of a class in tier
+// query.TierCanon or query.TierStruct.
 type class struct {
-	t   Tier
+	t   query.Tier
 	key string
-}
-
-// key returns the record's key in class tier t.
-func (l *location) key(t Tier) string {
-	if t == TierCanon {
-		return l.canonFp
-	}
-	return l.structFp
 }
 
 // releaseLocked hands each class entry that names fp, whose record was
@@ -737,17 +705,17 @@ func (l *location) key(t Tier) string {
 // quarantine, a tombstone at scan, a re-persist under other class keys.
 // Callers hold mu and idxMu.
 func (s *Store) releaseLocked(fp string, old location) {
-	for t := TierCanon; t <= TierStruct; t++ {
-		c := class{t, old.key(t)}
+	for t := query.TierCanon; t <= query.TierStruct; t++ {
+		c := class{t, old.keys.Key(t)}
 		if c.key == "" || s.classes[c] != fp {
 			continue
 		}
-		if cur, ok := s.index[fp]; ok && cur.key(t) == c.key {
+		if cur, ok := s.index[fp]; ok && cur.keys.Key(t) == c.key {
 			continue
 		}
 		delete(s.classes, c)
 		for f, l := range s.index {
-			if cur, set := s.classes[c]; l.key(t) == c.key && (!set || l.order > s.index[cur].order) {
+			if cur, set := s.classes[c]; l.keys.Key(t) == c.key && (!set || l.order > s.index[cur].order) {
 				s.classes[c] = f
 			}
 		}
@@ -755,15 +723,16 @@ func (s *Store) releaseLocked(fp string, old location) {
 }
 
 // Find answers a plan-cache tier's key from the index, with no I/O: the
-// keys of fp's live record (TierExact), or of the most recently written
-// live record of the class the digest names (TierCanon, TierStruct),
-// and whether that record was already on disk when Open ran rather than
-// written since. The record may be superseded or quarantined by the
-// time the caller Loads it; Load answers for the index as it is then.
-func (s *Store) Find(t Tier, key string) (rec Record, atOpen, ok bool) {
+// keys of fp's live record (query.TierExact), or of the most recently
+// written live record of the class the digest names (query.TierCanon,
+// query.TierStruct), and whether that record was already on disk when
+// Open ran rather than written since. The record may be superseded or
+// quarantined by the time the caller Loads it; Load answers for the
+// index as it is then.
+func (s *Store) Find(t query.Tier, key string) (rec Record, atOpen, ok bool) {
 	s.idxMu.Lock()
 	defer s.idxMu.Unlock()
-	if t != TierExact {
+	if t != query.TierExact {
 		if key, ok = s.classes[class{t, key}]; !ok {
 			return
 		}
@@ -772,24 +741,17 @@ func (s *Store) Find(t Tier, key string) (rec Record, atOpen, ok bool) {
 	if !ok {
 		return
 	}
-	return Record{FP: key, CanonFP: loc.canonFp, StructFP: loc.structFp, Perm: loc.perm, StatsEpoch: loc.epoch},
-		loc.order < s.openOrder, true
-}
-
-// liveRecord is one index entry with its key, as liveInOrder lists them.
-type liveRecord struct {
-	fp  string
-	loc location
+	return Record{Keys: loc.keys, StatsEpoch: loc.epoch}, loc.order < s.openOrder, true
 }
 
 // liveInOrder returns the live records sorted by write stamp. Callers
 // hold mu or idxMu.
-func (s *Store) liveInOrder() []liveRecord {
-	live := make([]liveRecord, 0, len(s.index))
-	for fp, loc := range s.index {
-		live = append(live, liveRecord{fp, loc})
+func (s *Store) liveInOrder() []location {
+	live := make([]location, 0, len(s.index))
+	for _, loc := range s.index {
+		live = append(live, loc)
 	}
-	sort.Slice(live, func(i, j int) bool { return live[i].loc.order < live[j].loc.order })
+	sort.Slice(live, func(i, j int) bool { return live[i].order < live[j].order })
 	return live
 }
 
@@ -884,8 +846,7 @@ func (s *Store) Walk(fn func(Record) bool) {
 	live := s.liveInOrder()
 	s.idxMu.Unlock()
 	for _, l := range live {
-		if !fn(Record{FP: l.fp, CanonFP: l.loc.canonFp, StructFP: l.loc.structFp,
-			Perm: l.loc.perm, StatsEpoch: l.loc.epoch}) {
+		if !fn(Record{Keys: l.keys, StatsEpoch: l.epoch}) {
 			return
 		}
 	}
@@ -923,7 +884,7 @@ func (s *Store) Load(fp string) ([]byte, error) {
 		if failure != nil && loc.seg == tried.seg && loc.off == tried.off {
 			return nil, failure
 		}
-		blob, err := s.readSnapshot(fp, loc)
+		blob, err := s.readSnapshot(loc)
 		if err == nil {
 			return blob, nil
 		}
@@ -932,11 +893,11 @@ func (s *Store) Load(fp string) ([]byte, error) {
 }
 
 // readSnapshot reads the frame at loc and returns its snapshot blob if
-// the frame is whole, CRC-clean, fp's and carries the keys the index
+// the frame is whole, CRC-clean and carries the keys and epoch the index
 // holds for it — which came from this frame's scan or append, or from
 // the checkpoint (D22): a checkpoint cannot make Walk's keys and Load's
 // snapshot disagree.
-func (s *Store) readSnapshot(fp string, loc location) ([]byte, error) {
+func (s *Store) readSnapshot(loc location) ([]byte, error) {
 	name := segName(loc.seg)
 	f, err := s.fs.Open(filepath.Join(s.opts.Dir, name))
 	if err != nil {
@@ -952,9 +913,8 @@ func (s *Store) readSnapshot(fp string, loc location) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s@%d: frame length or checksum", ErrCorrupt, name, loc.off)
 	}
 	rec, _, blob, ok := parseFrame(payload)
-	if !ok || rec.FP != fp || len(blob) == 0 || rec.CanonFP != loc.canonFp || rec.StructFP != loc.structFp ||
-		rec.StatsEpoch != loc.epoch || !slices.Equal(rec.Perm, loc.perm) {
-		return nil, fmt.Errorf("%w: %s@%d: not a record of %q", ErrCorrupt, name, loc.off, fp)
+	if !ok || len(blob) == 0 || !rec.Keys.Equal(&loc.keys) || rec.StatsEpoch != loc.epoch {
+		return nil, fmt.Errorf("%w: %s@%d: not a record of %q", ErrCorrupt, name, loc.off, loc.keys.FP)
 	}
 	return blob, nil
 }
@@ -991,12 +951,24 @@ func (s *Store) NoteCorrupt() {
 	s.mu.Unlock()
 }
 
-// Put queues the record for an asynchronous append. It never blocks:
-// with the writer backlogged past QueueDepth the record is dropped and
-// counted (the snapshot still lives in the in-memory cache; only its
-// restart durability is lost). Nil snapshots are ignored.
-func (s *Store) Put(fp, canonFp, structFp string, perm []int, snap *core.Snapshot) {
+// Put queues snap under k for an asynchronous append. Unless block is
+// set it never blocks: with the writer backlogged past QueueDepth the
+// record is dropped and counted, without the store's lock (the snapshot
+// still lives in the in-memory cache; only its restart durability is
+// lost). With block set it waits until the record is enqueued or the
+// store is closed — for callers that must not shed, like the service's
+// drain checkpoint: dropping a record there would silently lose the warm
+// state the drain exists to save. Nil snapshots are ignored.
+func (s *Store) Put(k query.Keys, snap *core.Snapshot, block bool) {
 	if snap == nil {
+		return
+	}
+	req := writeReq{rec: Record{Keys: k, Snap: snap}}
+	if block {
+		select {
+		case s.queue <- req:
+		case <-s.done:
+		}
 		return
 	}
 	// Sample the backlog this producer saw (len on a channel is a
@@ -1005,29 +977,18 @@ func (s *Store) Put(fp, canonFp, structFp string, perm []int, snap *core.Snapsho
 	// alone cannot.
 	s.inst.Depth.Observe(int64(len(s.queue)))
 	select {
-	case s.queue <- writeReq{rec: Record{FP: fp, CanonFP: canonFp, StructFP: structFp, Perm: perm, Snap: snap}}:
+	case s.queue <- req:
 	default:
-		s.mu.Lock()
-		if !s.closed {
+		if !s.closed.Load() {
 			s.inst.Dropped.Inc()
 		}
-		s.mu.Unlock()
 	}
 }
 
-// PutBlocking is Put for callers that must not shed: it blocks until
-// the record is enqueued (or the store is closed). The service's drain
-// checkpoint uses it — dropping a record there would silently lose the
-// warm state the drain exists to save — and so does the benchmark's
-// store probe, which times every record it hands over.
+// PutBlocking is Put(k, snap, true) with k spelled out. Only bench/,
+// which compiles against this signature, calls it.
 func (s *Store) PutBlocking(fp, canonFp, structFp string, perm []int, snap *core.Snapshot) {
-	if snap == nil {
-		return
-	}
-	select {
-	case s.queue <- writeReq{rec: Record{FP: fp, CanonFP: canonFp, StructFP: structFp, Perm: perm, Snap: snap}}:
-	case <-s.done:
-	}
+	s.Put(query.Keys{FP: fp, CanonFP: canonFp, StructFP: structFp, Perm: perm}, snap, true)
 }
 
 // Quarantine marks a fingerprint's persisted record as poison: the
@@ -1043,7 +1004,7 @@ func (s *Store) Quarantine(fp string) {
 	s.unindex(fp)
 	s.mu.Unlock()
 	select {
-	case s.queue <- writeReq{rec: Record{FP: fp}, tomb: true}:
+	case s.queue <- writeReq{rec: Record{Keys: query.Keys{FP: fp}}, tomb: true}:
 	case <-s.done:
 	}
 }
@@ -1068,13 +1029,9 @@ func (s *Store) Flush() error {
 // describes a prefix of the log and stays. The store is unusable
 // afterwards.
 func (s *Store) Close(hot ...string) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	s.closed = true
-	s.mu.Unlock()
 	err := s.Flush()
 	close(s.done)
 	s.mu.Lock()
@@ -1241,7 +1198,7 @@ func (s *Store) append(rec Record, tomb bool) {
 	// Classified as the scan will: a tombstone's own bytes are dead (the
 	// record it supersedes was already unindexed by Quarantine), and so
 	// is a record of another configuration.
-	s.indexFrame(rec, cfgEcho, blob, location{seg: s.active, off: off, size: int64(len(frame))})
+	s.indexFrame(location{seg: s.active, off: off, size: int64(len(frame)), epoch: rec.StatsEpoch, keys: rec.Keys}, cfgEcho, blob)
 	if !tomb {
 		s.inst.Persisted.Inc()
 	}
@@ -1405,8 +1362,7 @@ func (s *Store) maybeCompactLocked() {
 	newIndex := make(map[string]location, len(s.index))
 	compacted := &segment{}
 	var frame []byte
-	for _, l := range s.liveInOrder() {
-		loc := l.loc
+	for _, loc := range s.liveInOrder() {
 		f, ok := readers[loc.seg]
 		if !ok {
 			f, err = s.fs.Open(filepath.Join(s.opts.Dir, segName(loc.seg)))
@@ -1425,7 +1381,7 @@ func (s *Store) maybeCompactLocked() {
 		// Only the address changes: the write stamp carries over, so
 		// compaction leaves the walk order alone, and so do the keys.
 		loc.seg, loc.off = newSeq, compacted.size
-		newIndex[l.fp] = loc
+		newIndex[loc.keys.FP] = loc
 		compacted.size += loc.size
 		copy(compacted.lastHdr[:], frame)
 		compacted.maxEpoch = max(compacted.maxEpoch, loc.epoch)

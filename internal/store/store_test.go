@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/query"
 	"repro/internal/snapcodec"
 	"repro/internal/workload"
 )
@@ -94,8 +95,8 @@ func TestStorePersistReopenReplay(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, nil)
 	snapA, snapB := testSnapshot(t, "Q4"), testSnapshot(t, "Q12")
-	s.Put("fpA", "canonA", "", []int{1, 0}, snapA)
-	s.Put("fpB", "canonB", "", nil, snapB)
+	s.Put(query.Keys{FP: "fpA", CanonFP: "canonA", Perm: []int{1, 0}}, snapA, false)
+	s.Put(query.Keys{FP: "fpB", CanonFP: "canonB"}, snapB, false)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +132,8 @@ func TestStorePersistReopenReplay(t *testing.T) {
 func TestStoreCountersMatchStats(t *testing.T) {
 	s := openTestStore(t, t.TempDir(), nil)
 	defer s.Close()
-	s.Put("fpA", "canonA", "", nil, testSnapshot(t, "Q4"))
-	s.Put("fpB", "canonB", "", nil, testSnapshot(t, "Q12"))
+	s.Put(query.Keys{FP: "fpA", CanonFP: "canonA"}, testSnapshot(t, "Q4"), false)
+	s.Put(query.Keys{FP: "fpB", CanonFP: "canonB"}, testSnapshot(t, "Q12"), false)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -165,9 +166,9 @@ func TestStoreSupersedeAndCompact(t *testing.T) {
 	})
 	snap := testSnapshot(t, "Q4")
 	keep := testSnapshot(t, "Q12")
-	s.Put("keep", "canonK", "", nil, keep)
+	s.Put(query.Keys{FP: "keep", CanonFP: "canonK"}, keep, false)
 	for i := 0; i < 8; i++ {
-		s.Put("hot", "canonH", "", nil, snap)
+		s.Put(query.Keys{FP: "hot", CanonFP: "canonH"}, snap, false)
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
@@ -216,7 +217,7 @@ func TestStoreSegmentRollover(t *testing.T) {
 		o.MaxSegmentBytes = 1 // every record rolls a new segment
 	})
 	for _, fp := range []string{"a", "b", "c"} {
-		s.Put(fp, "canon-"+fp, "", nil, testSnapshot(t, "Q4"))
+		s.Put(query.Keys{FP: fp, CanonFP: "canon-" + fp}, testSnapshot(t, "Q4"), false)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -240,7 +241,7 @@ func TestStoreCorruptionTruncates(t *testing.T) {
 	s := openTestStore(t, dir, nil)
 	var sizes []int64
 	for _, fp := range []string{"a", "b", "c"} {
-		s.Put(fp, "", "", nil, testSnapshot(t, "Q4"))
+		s.Put(query.Keys{FP: fp}, testSnapshot(t, "Q4"), false)
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -282,8 +283,8 @@ func TestStoreCorruptionTruncates(t *testing.T) {
 func TestStoreTornTailTruncates(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, nil)
-	s.Put("a", "", "", nil, testSnapshot(t, "Q4"))
-	s.Put("b", "", "", nil, testSnapshot(t, "Q12"))
+	s.Put(query.Keys{FP: "a"}, testSnapshot(t, "Q4"), false)
+	s.Put(query.Keys{FP: "b"}, testSnapshot(t, "Q12"), false)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +312,7 @@ func TestStoreTornTailTruncates(t *testing.T) {
 func TestStoreRejectsConfigDrift(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, nil)
-	s.Put("a", "", "", nil, testSnapshot(t, "Q4"))
+	s.Put(query.Keys{FP: "a"}, testSnapshot(t, "Q4"), false)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestStoreDropsWhenBacklogged(t *testing.T) {
 	// Flood faster than the writer can drain; with depth 1 some Puts
 	// must shed rather than block.
 	for i := 0; i < 64; i++ {
-		s.Put("fp", "", "", nil, snap)
+		s.Put(query.Keys{FP: "fp"}, snap, false)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -356,7 +357,7 @@ func TestStoreDropsWhenBacklogged(t *testing.T) {
 func TestStoreRejectsForeignFormatVersion(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, nil)
-	s.Put("a", "", "", nil, testSnapshot(t, "Q4"))
+	s.Put(query.Keys{FP: "a"}, testSnapshot(t, "Q4"), false)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +405,7 @@ func TestStoreBootsColdOnPreviousVersion(t *testing.T) {
 	s := openTestStore(t, dir, nil)
 	blocks := []string{"Q4", "Q3", "Q10"}
 	for _, b := range blocks {
-		s.Put(b, "", "", nil, testSnapshot(t, b))
+		s.Put(query.Keys{FP: b}, testSnapshot(t, b), false)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -449,7 +450,7 @@ func TestStoreBootsColdOnPreviousVersion(t *testing.T) {
 	if fi, err := os.Stat(path); err != nil || fi.Size() != int64(len(data)) {
 		t.Fatalf("the rejected segment was truncated (%v)", err)
 	}
-	re.Put("Q4", "", "", nil, testSnapshot(t, "Q4"))
+	re.Put(query.Keys{FP: "Q4"}, testSnapshot(t, "Q4"), false)
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -467,9 +468,9 @@ func TestStoreBootsColdOnPreviousVersion(t *testing.T) {
 func TestStoreReplayOrderFollowsRepersist(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, nil)
-	s.Put("a", "canonX", "", nil, testSnapshot(t, "Q4"))
-	s.Put("b", "canonX", "", nil, testSnapshot(t, "Q12"))
-	s.Put("a", "canonX", "", nil, testSnapshot(t, "Q4")) // re-persist: a is newest again
+	s.Put(query.Keys{FP: "a", CanonFP: "canonX"}, testSnapshot(t, "Q4"), false)
+	s.Put(query.Keys{FP: "b", CanonFP: "canonX"}, testSnapshot(t, "Q12"), false)
+	s.Put(query.Keys{FP: "a", CanonFP: "canonX"}, testSnapshot(t, "Q4"), false) // re-persist: a is newest again
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
